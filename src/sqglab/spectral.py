@@ -21,7 +21,7 @@ the physical field (2/L)·cos(2πx₁/L).
 
 Fields are immutable: coefficient arrays are frozen at construction and all
 operators return new fields.  Construction rejects non-finite coefficients,
-which lets the time stepper detect blow-up the moment it happens.
+so a non-finite value never enters a field from outside the package.
 """
 
 from __future__ import annotations
@@ -178,6 +178,26 @@ class DomainSpec:
         d1.setflags(write=False)
         d2.setflags(write=False)
         return d1, d2
+
+    @cached_property
+    def riesz_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ratios (k₁/|k|, k₂/|k|) of the Riesz transforms (torus only).
+
+        The zero mode maps to 0, and the Nyquist line is zeroed along with the
+        derivative symbols (odd multipliers).
+        """
+        if self.basis is not Basis.TORUS:
+            raise BasisError("Riesz transform defined on torus only")
+        i1, i2 = (i.astype(float) for i in self.index_grids)
+        mag = np.hypot(i1, i2)
+        mag[0, 0] = np.inf
+        nyq = self.n // 2
+        nyquist = (np.abs(i1) == nyq) | (np.abs(i2) == nyq)
+        r1 = np.where(nyquist, 0.0, i1 / mag)
+        r2 = np.where(nyquist, 0.0, i2 / mag)
+        r1.setflags(write=False)
+        r2.setflags(write=False)
+        return r1, r2
 
     @cached_property
     def physical_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -393,16 +413,8 @@ def riesz_transform(field: SpectralField, j: int) -> SpectralField:
         raise BasisError("Riesz transform defined on torus only")
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
-    dom = field.domain
-    i1, i2 = dom.index_grids
-    kj = (i1 if j == 1 else i2).astype(float)
-    mag = np.hypot(i1.astype(float), i2.astype(float))
-    ratio = np.zeros_like(mag)
-    nz = mag > 0
-    ratio[nz] = kj[nz] / mag[nz]
-    nyq = dom.n // 2
-    ratio[(np.abs(i1) == nyq) | (np.abs(i2) == nyq)] = 0.0
-    return SpectralField(field.coeffs * (-1j * ratio), dom)
+    ratio = field.domain.riesz_symbols[j - 1]
+    return SpectralField(field.coeffs * (-1j * ratio), field.domain)
 
 
 def velocity_from_theta(theta: SpectralField) -> tuple[SpectralField, SpectralField]:

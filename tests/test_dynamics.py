@@ -23,13 +23,18 @@ from sqglab.dynamics import (
 from sqglab.errors import BlowUpError, CflWarning
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
+    Basis,
+    SpectralField,
     cosine_field,
+    dealias,
     fractional_laplacian,
     inner_product,
     lq_norm,
     sine_mode_field,
     sobolev_norm,
     to_physical,
+    to_spectral,
+    velocity_from_theta,
 )
 
 
@@ -100,6 +105,67 @@ class TestTransportTerm:
         theta = shear_field(torus64)
         dt = default_dt(theta)
         assert dt == pytest.approx(0.5 * (2 * np.pi / 64), rel=1e-12)
+
+
+def _composed_transport(theta):
+    """Transport term and max|u| composed from the public spectral operations."""
+    domain = theta.domain
+    field = dealias(theta)
+    if domain.basis is Basis.DIRICHLET:
+        field = embed_odd_extension(field)
+    torus = field.domain
+    u1, u2 = (to_physical(u).values for u in velocity_from_theta(field))
+    values = to_physical(field).values
+    d1, d2 = torus.derivative_symbols
+    div = d1 * to_spectral(u1 * values, torus).coeffs + d2 * to_spectral(u2 * values, torus).coeffs
+    rhs = dealias(SpectralField(coeffs=-div, domain=torus))
+    if domain.basis is Basis.DIRICHLET:
+        rhs = restrict_odd_extension(rhs, domain)
+    return rhs, max(np.abs(u1).max(), np.abs(u2).max())
+
+
+def _full_spectrum_field(domain, seed):
+    """A real field with every mode populated, beyond the dealias cut too."""
+    rng = np.random.default_rng(seed)
+    if domain.basis is Basis.TORUS:
+        return to_spectral(rng.standard_normal((domain.n, domain.n)), domain)
+    return SpectralField(coeffs=rng.standard_normal(domain.spectral_shape), domain=domain)
+
+
+class TestTransportKernel:
+    @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32"])
+    @pytest.mark.parametrize("make", ["smooth", "full_spectrum"])
+    def test_matches_composed_operators(self, name, make, request):
+        domain = request.getfixturevalue(name)
+        if make == "smooth":
+            theta = random_smooth_field(domain, seed=22, amplitude=0.7)
+        else:
+            theta = _full_spectrum_field(domain, seed=23)
+        want, want_speed = _composed_transport(theta)
+        got = nonlinear_rhs(theta)
+        scale = np.abs(want.coeffs).max()
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * scale
+        assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
+        got.validate()
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_overflow_inside_first_rhs_is_blow_up(self, name, request):
+        # u and theta are finite (~1e160), their product overflows
+        domain = request.getfixturevalue(name)
+        state = SimulationState(
+            t=0.0, theta=random_smooth_field(domain, seed=24, amplitude=1e160)
+        )
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.01, t_end=0.02)
+        want_cfl = 0.01 * advective_speed(state.theta) * domain.n / domain.box
+        with pytest.warns(CflWarning), pytest.raises(BlowUpError) as run:
+            integrate(state, params, config)
+        with pytest.raises(BlowUpError) as single:
+            step(state, params, config)
+        for err in (run.value, single.value):
+            assert err.t == pytest.approx(0.01)
+            assert np.isfinite(err.cfl)
+            assert err.cfl == pytest.approx(want_cfl, rel=1e-12)
 
 
 class TestStepOracles:
