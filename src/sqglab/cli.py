@@ -27,7 +27,6 @@ import scipy
 from .config import EXPERIMENT_KINDS, Experiment, load_config_file
 from .critical import (
     L43_FROZEN_CONSTANT,
-    h_minus_half_distance,
     interpolation_upgrade,
     l43_interpolation_check,
     pairwise_bound_check,
@@ -204,7 +203,7 @@ def _run_fixed_alpha(
     )
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
-    series.meta["dt"] = stepper.dt
+    series.meta["dt"] = stepper.step_dt
     states = result.states
 
     records: list[InequalityRecord] = []
@@ -275,24 +274,16 @@ def _run_sweep_kind(
     config = experiment.sweep_config(theta0)
     report, runs = sweep_with_runs(config, max_workers=threads)
 
-    rows = []
     times = report.times
     m = len(config.alphas)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k, t in enumerate(times):
-                rows.append(
-                    (
-                        float(config.alphas[i]),
-                        float(config.alphas[j]),
-                        float(t),
-                        h_minus_half_distance(
-                            runs[i].states[k].theta, runs[j].states[k].theta
-                        ),
-                    )
-                )
+    pairs = zip(*np.triu_indices(m, k=1), report.distances)
+    rows = [
+        (float(config.alphas[i]), float(config.alphas[j]), float(t), float(distance))
+        for i, j, row in pairs
+        for t, distance in zip(times, row)
+    ]
     meta = _domain_meta(experiment, seed)
-    meta["dt"] = config.shared_dt()
+    meta["dt"] = config.stepper().step_dt
     meta["alphas"] = ",".join(f"{a:g}" for a in config.alphas)
     write_table(
         os.path.join(out_dir, "series.csv"),

@@ -220,10 +220,19 @@ class AlphaSweepConfig:
         )
 
     def shared_dt(self) -> float:
-        """Time step shared by every run (CFL-derived when not pinned)."""
+        """Largest time step shared by every run (CFL-derived when not pinned)."""
         if self.dt is not None:
             return min(self.dt, self.t_end)
         return min(default_dt(self.theta0), self.t_end)
+
+    def stepper(self) -> StepperConfig:
+        """Stepper shared by every run; its ``step_dt`` is the step taken."""
+        return StepperConfig(
+            dt=self.shared_dt(),
+            t_end=self.t_end,
+            scheme=self.scheme,
+            sample_every=self.sample_every,
+        )
 
 
 @dataclass(frozen=True)
@@ -251,6 +260,11 @@ class ConvergenceReport:
     fitted_exponent:
         Least-squares slope of ``log(sup_distance)`` against
         ``log(delta_alpha)`` over the distances to the most critical run.
+    distances:
+        :math:`H^{-1/2}` distance of every pair of runs ``i < j`` (rows, in
+        row-major pair order) at every sample time (columns); ``pairwise``
+        holds its row maxima.  ``None`` for a report built without
+        trajectories.
     """
 
     alphas: tuple[float, ...]
@@ -260,6 +274,7 @@ class ConvergenceReport:
     smallness_coeff: float
     per_pair_bound: tuple[tuple[float, float, float], ...]
     fitted_exponent: float
+    distances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.pairwise, dtype=float)
@@ -277,6 +292,11 @@ class ConvergenceReport:
             raise ValueError("pairwise distance matrix must have a zero diagonal")
         if np.any(matrix < 0):
             raise ValueError("pairwise distances must be nonnegative")
+        pairs = m * (m - 1) // 2
+        if self.distances is not None and self.distances.shape != (pairs, len(self.times)):
+            raise ValueError(
+                f"distance table must be {pairs}x{len(self.times)}, got {self.distances.shape}"
+            )
 
     def distances_to_most_critical(self) -> tuple[float, ...]:
         """Sup-in-time distances from each run to the most critical run."""
@@ -305,6 +325,31 @@ def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
     return sobolev_norm(a - b, -0.5)
 
 
+def _distance_table(runs: Sequence[RunResult]) -> np.ndarray:
+    """:math:`H^{-1/2}` distances, shape (pairs ``i < j``, samples), of sampled runs.
+
+    Equal to :func:`h_minus_half_distance` on every pair of states, evaluated
+    one sample at a time on the stacked coefficients of all runs.  The torus
+    zero mode gets weight 0: runs sharing theta0, damping and forcing share
+    their mean exactly, since transport leaves it untouched.
+    """
+    symbol = runs[0].states[0].theta.domain.laplacian_symbol.ravel()
+    weight = np.zeros_like(symbol)
+    positive = symbol > 0
+    weight[positive] = symbol[positive] ** -0.5
+    m = len(runs)
+    table = np.empty((m * (m - 1) // 2, len(runs[0].states)))
+    for k, states in enumerate(zip(*(run.states for run in runs))):
+        stack = np.stack([state.theta.coeffs.ravel() for state in states])
+        row = 0
+        for i in range(m - 1):  # pairs (i, j > i) in row-major order
+            diff = np.abs(stack[i + 1 :] - stack[i])
+            diff *= diff
+            table[row : row + m - 1 - i, k] = np.sqrt(diff @ weight)
+            row += m - 1 - i
+    return table
+
+
 def _sweep_monitors() -> Mapping[str, Callable[[float, SpectralField], float]]:
     return {"linf": lambda t, theta: lq_norm(theta, math.inf)}
 
@@ -318,13 +363,7 @@ def sweep_runs(
     lock); results are returned in the order of ``config.alphas`` and are
     bitwise independent of the scheduling order.
     """
-    dt = config.shared_dt()
-    stepper = StepperConfig(
-        dt=dt,
-        t_end=config.t_end,
-        scheme=config.scheme,
-        sample_every=config.sample_every,
-    )
+    stepper = config.stepper()
     monitors = _sweep_monitors()
 
     def one_run(alpha: float) -> RunResult:
@@ -366,14 +405,10 @@ def assemble_report(
             raise ValueError("sweep runs must retain their sampled states")
 
     m = len(runs)
+    distances = _distance_table(runs)
     pairwise = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            sup = max(
-                h_minus_half_distance(si.theta, sj.theta)
-                for si, sj in zip(runs[i].states, runs[j].states)
-            )
-            pairwise[i, j] = pairwise[j, i] = sup
+    first, second = np.triu_indices(m, k=1)
+    pairwise[first, second] = pairwise[second, first] = distances.max(axis=1)
 
     sup_infnorms = tuple(
         max(float(v) for v in run.series.column("linf")) for run in runs
@@ -402,6 +437,7 @@ def assemble_report(
         smallness_coeff=smallness,
         per_pair_bound=per_pair,
         fitted_exponent=exponent,
+        distances=distances,
     )
 
 

@@ -11,18 +11,21 @@ exponential time differencing: the stiff factor ``exp(-a dt)`` is applied
 exactly and only the transport term is approximated (first order, or the
 second-order Runge-Kutta corrector of Cox and Matthews).
 
-On a Dirichlet box the transport term is evaluated by odd extension: a sine
-series on box length ``L`` embeds exactly as a Fourier series on the doubled
-torus of length ``2 L``; the product is formed there (alias-free under the
-same 1/3 cut) and the result restricted back.  No boundary bookkeeping is
-approximate -- the embedding is an identity on band-limited fields.
+Each basis has one transport kernel on raw arrays, driven by a plan of
+read-only multipliers cached per domain, with no intermediate field objects.
+On the torus the plan holds the velocity, dealias and divergence multipliers
+in real-FFT half-plane layout, so one evaluation is three inverse real FFTs
+(u1, u2 and theta) and two forward ones (the fluxes).  On a Dirichlet box the
+kernel stays on the box's own ``(n+1)^2`` grid: theta is a sine-sine series,
+the velocity components are sine-cosine and cosine-sine series, and type-1
+sine/cosine transforms synthesize them and analyze the two fluxes, alias-free
+under the same 1/3 cut.  Odd extension to the doubled torus
+(:func:`embed_odd_extension`), which carries the same information, is kept as
+the reference the kernel is tested against.
 
-Both bases share one transport kernel on raw arrays.  A plan cached per torus
-domain holds the velocity, dealias and divergence multipliers in real-FFT
-half-plane layout, so one evaluation is three inverse real FFTs (u1, u2 and
-theta) and two forward ones (the fluxes), with no intermediate field objects.
-The stepper keeps raw coefficient arrays between samples and checks every step
-once for non-finite values; that check is its blow-up signal.
+Runs take uniform steps that land exactly on the horizon.  The stepper keeps
+raw coefficient arrays between samples and checks every step once for
+non-finite values, its blow-up signal, and against the advective CFL limit.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -119,7 +122,11 @@ class SqgParams:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Numerical parameters of a run: step size, horizon, scheme, sampling."""
+    """Numerical parameters of a run: step size, horizon, scheme, sampling.
+
+    ``dt`` is the largest step allowed; the run takes :attr:`n_steps` uniform
+    steps of :attr:`step_dt` and ends exactly at ``t_end``.
+    """
 
     dt: float
     t_end: float
@@ -137,8 +144,14 @@ class StepperConfig:
 
     @property
     def n_steps(self) -> int:
-        """Number of steps covering [0, t_end] (last step may overshoot < dt)."""
+        """Fewest steps no longer than ``dt`` that cover [0, t_end]."""
         return max(0, int(np.ceil(self.t_end / self.dt - 1e-12)))
+
+    @property
+    def step_dt(self) -> float:
+        """Uniform step ``t_end / n_steps`` the run takes (``dt`` for no steps)."""
+        n_steps = self.n_steps
+        return self.t_end / n_steps if n_steps else self.dt
 
 
 @dataclass(frozen=True)
@@ -218,11 +231,6 @@ def etd_coefficients(domain: DomainSpec, params: SqgParams, dt: float) -> EtdCoe
 # ----------------------------------------------------------------------------
 
 
-def _doubled_torus(domain: DomainSpec) -> DomainSpec:
-    """The periodic box that odd extension of a Dirichlet box lands on."""
-    return DomainSpec(n=2 * domain.n, box=2 * domain.box, basis=Basis.TORUS)
-
-
 def embed_odd_extension(field: SpectralField) -> SpectralField:
     """Embed a sine series exactly as a Fourier series on the doubled torus.
 
@@ -233,13 +241,14 @@ def embed_odd_extension(field: SpectralField) -> SpectralField:
     ``(2/L) * 2L`` cancels it to unity), which reproduces the odd extension
     of the field pointwise; Parseval is consistent, the extension carrying
     four copies of the field's energy.  The map is exact -- inverting it
-    with :func:`restrict_odd_extension` is an identity.
+    with :func:`restrict_odd_extension` is an identity.  The transport kernel
+    does not use it; it is the reference the kernel is tested against.
     """
     domain = field.domain
     if domain.basis is not Basis.DIRICHLET:
         raise ValueError("odd extension applies to Dirichlet-basis fields only")
     n = domain.n
-    big = _doubled_torus(domain)
+    big = DomainSpec(n=2 * n, box=2 * domain.box, basis=Basis.TORUS)
     block = -field.coeffs.astype(np.complex128)
     coeffs = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     coeffs[1:n, 1:n] = block
@@ -283,25 +292,26 @@ class _TransportPlan:
     div: np.ndarray
     mirror: np.ndarray
 
-    def transport(self, half: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` (half plane) and max|u| of a half-plane field."""
-        u1, u2, theta = self._synthesize(half, 3)
+    def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Dealiased ``-div(u theta)`` (full FFT layout) and max|u| of a field."""
+        u1, u2, theta = self._synthesize(coeffs, 3)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
         flux1, flux2 = (scipy.fft.rfft2(u * theta) for u in (u1, u2))
-        return self.div[0] * flux1 + self.div[1] * flux2, speed
+        return self._full(self.div[0] * flux1 + self.div[1] * flux2), speed
 
-    def speed(self, half: np.ndarray) -> float:
-        """max|u| of a half-plane field, without forming the transport products."""
-        u1, u2 = self._synthesize(half, 2)
+    def speed(self, coeffs: np.ndarray) -> float:
+        """max|u| of a field, without forming the transport products."""
+        u1, u2 = self._synthesize(coeffs, 2)
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
 
-    def _synthesize(self, half: np.ndarray, count: int) -> list[np.ndarray]:
+    def _synthesize(self, coeffs: np.ndarray, count: int) -> list[np.ndarray]:
         # One transform per field: a single irfft2 on the (3, n, n/2+1) stack
         # ran about 1.7x slower at n = 128 and 256 (scipy 1.17, 2 cores).
         n = self.n
+        half = coeffs[:, : n // 2 + 1]
         return [scipy.fft.irfft2(mult * half, s=(n, n)) for mult in self.synth[:count]]
 
-    def full(self, half: np.ndarray) -> np.ndarray:
+    def _full(self, half: np.ndarray) -> np.ndarray:
         """Expand half-plane coefficients of a real field to the full FFT layout."""
         n = self.n
         out = np.empty((n, n), dtype=np.complex128)
@@ -310,10 +320,99 @@ class _TransportPlan:
         return out
 
 
+#: Per-axis type-1 transform of a Dirichlet-box series and the grid index of
+#: its first mode: sine axes carry modes 1 .. n-1 on the n-1 interior points,
+#: cosine axes modes 0 .. n on all n+1 points.
+_SINE = (scipy.fft.dst, 0)
+_COSINE = (scipy.fft.dct, 1)
+
+
+@dataclass(frozen=True)
+class _DirichletPlan:
+    """Read-only multipliers of the transport kernel on a Dirichlet box.
+
+    The kernel runs on the box's own grid ``x = (i, j) L/n``, ``0 <= i, j <= n``.
+    Theta is a sine-sine series, u1 = d2 psi is sine-cosine and u2 = -d1 psi
+    cosine-sine (psi the stream function ``Lambda^-1 theta``), so type-1 sine
+    and cosine transforms synthesize them exactly; the fluxes u1 theta
+    (cosine-sine) and u2 theta (sine-cosine) go back through the mirrored
+    pair.  With inputs cut at n/3 every product mode stays below n, so the
+    grid is alias-free.
+
+    The arrays cover only the modes the 2/3 rule keeps, as square blocks of
+    sine indices.  ``synth`` covers the input cut ``k <= n/3`` and stacks the
+    multipliers taking theta's coefficients to the coefficients of u1, u2 and
+    theta, with the synthesis scale ``1/(2L)`` folded in (scipy's
+    unnormalized type-1 transforms carry a factor 2 per axis).  ``div``
+    covers the output cut ``k <= 2n/3`` and stacks the symbols ``(pi/L) k_j``
+    taking the cosine coefficients of the fluxes to the sine coefficients of
+    ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` folded in.
+    Transforms skip the lines outside these blocks.
+    """
+
+    n: int
+    synth: np.ndarray
+    div: np.ndarray
+
+    def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Dealiased ``-div(u theta)`` (sine coefficients) and max|u| of a field."""
+        n, cut = self.n, self.div.shape[1]
+        u1, u2 = self._velocity(coeffs)
+        speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+        theta = self._synthesize(self.synth[2], coeffs, _SINE, _SINE)
+        # theta vanishes on the boundary ring, so each flux is zero there
+        flux1 = np.zeros((n + 1, n - 1))
+        np.multiply(u1[:, 1:n], theta, out=flux1[1:n])
+        flux2 = np.zeros((n - 1, n + 1))
+        np.multiply(u2[1:n], theta, out=flux2[:, 1:n])
+        f1 = scipy.fft.dct(flux1, type=1, axis=0)[1 : cut + 1]
+        f1 = scipy.fft.dst(f1, type=1, axis=1)[:, :cut]
+        f2 = scipy.fft.dst(flux2, type=1, axis=0)[:cut]
+        f2 = scipy.fft.dct(f2, type=1, axis=1)[:, 1 : cut + 1]
+        rhs = np.zeros((n - 1, n - 1))
+        rhs[:cut, :cut] = self.div[0] * f1 + self.div[1] * f2
+        return rhs, speed
+
+    def speed(self, coeffs: np.ndarray) -> float:
+        """max|u| of a field, without forming the transport products."""
+        u1, u2 = self._velocity(coeffs)
+        return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+
+    def _velocity(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            self._synthesize(self.synth[0], coeffs, _SINE, _COSINE),
+            self._synthesize(self.synth[1], coeffs, _COSINE, _SINE),
+        )
+
+    def _synthesize(self, mult, coeffs, kind0, kind1) -> np.ndarray:
+        """Grid values of the series ``mult * coeffs`` with the given axis kinds."""
+        (transform0, first0), (transform1, first1) = kind0, kind1
+        n, m = self.n, len(mult)
+        # coefficients vanish beyond row m, so the first pass runs on m rows
+        rows = np.zeros((m, n - 1 + 2 * first1))
+        np.multiply(mult, coeffs[:m, :m], out=rows[:, first1 : first1 + m])
+        grid = np.zeros((n - 1 + 2 * first0, n - 1 + 2 * first1))
+        grid[first0 : first0 + m] = transform1(rows, type=1, axis=1)
+        return transform0(grid, type=1, axis=0)
+
+
 @functools.lru_cache(maxsize=16)
-def _plan(domain: DomainSpec) -> _TransportPlan:
-    """The transport plan of a torus domain, built once per domain."""
+def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
+    """The transport plan of a domain, built once per domain."""
     n = domain.n
+    if domain.basis is Basis.DIRICHLET:
+        # the 2/3 rule keeps k <= n/3 on input and k <= 2n/3 in the product
+        k = np.arange(1, n, dtype=float)
+        k1, k2 = np.broadcast_arrays(k[: n // 3, None], k[None, : n // 3])
+        mag = np.hypot(k1, k2)
+        # u = (d2 psi, -d1 psi): sine-cosine coefficient k2/|k|, cosine-sine -k1/|k|
+        synth = np.stack([k2 / mag, -k1 / mag, np.ones(mag.shape)]) / (2.0 * domain.box)
+        cut = k[: 2 * n // 3]
+        div = np.stack(np.broadcast_arrays(cut[:, None], cut[None, :]))
+        div = div * (math.pi / (2.0 * n * n))
+        for table in (synth, div):
+            table.setflags(write=False)
+        return _DirichletPlan(n=n, synth=synth, div=div)
     half = np.s_[:, : n // 2 + 1]
     mask = domain.dealias_mask[half]
     r1, r2 = domain.riesz_symbols
@@ -328,42 +427,16 @@ def _plan(domain: DomainSpec) -> _TransportPlan:
     return _TransportPlan(n=n, synth=synth, div=div, mirror=mirror)
 
 
-def _kernel_input(coeffs: np.ndarray, domain: DomainSpec) -> tuple[_TransportPlan, np.ndarray]:
-    """The torus plan and half-plane coefficients the kernel runs on.
-
-    A torus field is used as it is (the plan dealiases it).  A Dirichlet field
-    is dealiased on its own grid and embedded by odd extension, as in
-    :func:`embed_odd_extension`, in the half plane of the doubled torus.
-    """
-    if domain.basis is Basis.TORUS:
-        return _plan(domain), coeffs[:, : domain.n // 2 + 1]
-    n = domain.n
-    block = coeffs * domain.dealias_mask
-    half = np.zeros((2 * n, n + 1), dtype=np.complex128)
-    half[1:n, 1:n] = -block
-    half[2 * n - 1 : n : -1, 1:n] = block
-    return _plan(_doubled_torus(domain)), half
-
-
-def _transport(coeffs: np.ndarray, domain: DomainSpec) -> tuple[np.ndarray, float]:
-    """Dealiased ``-div(u theta)`` of raw coefficients, plus max|u|."""
-    plan, half = _kernel_input(coeffs, domain)
-    rhs, speed = plan.transport(half)
-    if domain.basis is Basis.TORUS:
-        return plan.full(rhs), speed
-    n = domain.n
-    return -rhs[1:n, 1:n].real, speed
-
-
 def nonlinear_rhs(theta: SpectralField) -> SpectralField:
     """Transport term ``-div(u theta)``, dealiased by the 1/3 cut.
 
     The input is dealiased first, so the quadratic product is exactly
     alias-free and ``<nonlinear_rhs(theta), theta> = 0`` to round-off for any
-    field.  Dirichlet fields are routed through the doubled-torus odd
-    extension.
+    field.  Dirichlet fields are transformed on the box's own grid with
+    type-1 sine and cosine transforms.
     """
-    return SpectralField(coeffs=_transport(theta.coeffs, theta.domain)[0], domain=theta.domain)
+    rhs = _plan(theta.domain).transport(theta.coeffs)[0]
+    return SpectralField(coeffs=rhs, domain=theta.domain)
 
 
 def advective_speed(theta: SpectralField) -> float:
@@ -372,11 +445,10 @@ def advective_speed(theta: SpectralField) -> float:
     Synthesizes the velocity components directly (no transport products), so
     it stays finite for any finite field -- including the huge pre-divergence
     states the stepper inspects when it aborts a run.  Matches the speed used
-    in the transport term: the input is dealiased first, and Dirichlet fields
-    are routed through the doubled-torus odd extension.
+    in the transport term: the input is dealiased first, and the maximum is
+    taken over the same grid.
     """
-    plan, half = _kernel_input(theta.coeffs, theta.domain)
-    return plan.speed(half)
+    return _plan(theta.domain).speed(theta.coeffs)
 
 
 def default_dt(theta0: SpectralField, *, cfl: float = CFL_LIMIT) -> float:
@@ -398,8 +470,10 @@ def _rhs_closure(
     if forcing is not None and forcing.domain != domain:
         raise ValueError("forcing must live on the same domain as the evolved field")
 
+    transport = _plan(domain).transport
+
     def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        total, speed = _transport(coeffs, domain)
+        total, speed = transport(coeffs)
         if forcing is not None:
             total += forcing.coeffs
         return total, speed
@@ -429,14 +503,15 @@ def _march(
         the last accepted state (``inf`` if its velocity overflows).
     """
     domain = state.theta.domain
+    dt = config.step_dt
     if tables is None:
-        tables = etd_coefficients(domain, params, config.dt)
+        tables = etd_coefficients(domain, params, dt)
     rhs = _rhs_closure(domain, params)
     dt_phi1 = tables.dt * tables.phi1
     dt_phi2 = tables.dt * tables.phi2
     coeffs = state.theta.coeffs
     for k in range(1, n_steps + 1):
-        t_new = state.t + k * config.dt
+        t_new = state.t + k * dt
         with np.errstate(over="ignore", invalid="ignore"):
             n0, speed = rhs(coeffs)
             new_coeffs = tables.decay * coeffs
@@ -451,7 +526,7 @@ def _march(
             if not (math.isfinite(speed) and np.isfinite(new_coeffs).all()):
                 last = advective_speed(SpectralField(coeffs=coeffs, domain=domain))
                 last = last if math.isfinite(last) else math.inf
-                raise BlowUpError(t_new, config.dt * last * domain.n / domain.box)
+                raise BlowUpError(t_new, dt * last * domain.n / domain.box)
         coeffs = new_coeffs
         yield t_new, coeffs, speed
 
@@ -463,7 +538,7 @@ def step(
     *,
     tables: EtdCoefficients | None = None,
 ) -> SimulationState:
-    """Advance one step of ``config.dt`` with the configured scheme.
+    """Advance one step of ``config.step_dt`` with the configured scheme.
 
     Raises
     ------
@@ -487,16 +562,17 @@ def integrate(
     ``monitors`` maps column names to callables ``(t, theta) -> float``; each
     sampled row evaluates all of them.  Samples land every ``sample_every``
     steps and always at the initial and final time.  The advective CFL number
-    is checked at every sample; exceeding :data:`CFL_LIMIT` emits a
-    :class:`~sqglab.errors.CflWarning` (escalate warnings to errors for a
-    strict run).
+    is checked at every step: if it exceeded :data:`CFL_LIMIT` at any step
+    since the previous sample, the next sample emits a
+    :class:`~sqglab.errors.CflWarning` with the largest value (escalate
+    warnings to errors for a strict run).
 
     Returns
     -------
     RunResult
-        The diagnostics series (column ``cfl`` is always present) and the
-        tuple of sampled states (all samples if ``keep_states``, else just
-        the final state).
+        The diagnostics series (column ``cfl`` is always present and holds
+        the CFL number of the sampled step) and the tuple of sampled states
+        (all samples if ``keep_states``, else just the final state).
     """
     domain = state.theta.domain
     monitors = dict(monitors or {})
@@ -504,16 +580,17 @@ def integrate(
     series = DiagnosticsSeries()
     states: list[SimulationState] = []
     cells_per_length = domain.n / domain.box
+    dt = config.step_dt
 
-    def sample(current: SimulationState, speed: float) -> None:
-        cfl = config.dt * speed * cells_per_length
-        if cfl > CFL_LIMIT:
+    def sample(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
+        peak_cfl = dt * peak * cells_per_length
+        if peak_cfl > CFL_LIMIT:
             warnings.warn(
-                f"advective CFL {cfl:.3f} exceeds {CFL_LIMIT} at t={current.t:.6g}",
+                f"advective CFL {peak_cfl:.3f} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
                 CflWarning,
                 stacklevel=2,
             )
-        row = {"cfl": cfl}
+        row = {"cfl": dt * speed * cells_per_length}
         for name, monitor in monitors.items():
             row[name] = float(monitor(current.t, current.theta))
         series.append(current.t, row)
@@ -522,11 +599,16 @@ def integrate(
 
     n_steps = config.n_steps
     current = state
-    sample(current, advective_speed(state.theta) if n_steps > 0 else 0.0)
+    speed = advective_speed(state.theta) if n_steps > 0 else 0.0
+    sample(current, speed, speed, state.t)
+    peak, peak_t = 0.0, state.t
     for k, (t, coeffs, speed) in enumerate(_march(state, params, config, n_steps), 1):
+        if speed > peak:
+            peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
             current = SimulationState(t=t, theta=SpectralField(coeffs=coeffs, domain=domain))
-            sample(current, speed)
+            sample(current, speed, peak, peak_t)
+            peak = 0.0
     if not keep_states:
         states.append(current)
     return RunResult(series=series, states=tuple(states))

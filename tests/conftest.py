@@ -29,6 +29,11 @@ def dirichlet32() -> DomainSpec:
     return DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET)
 
 
+@pytest.fixture(scope="session")
+def dirichlet64() -> DomainSpec:
+    return DomainSpec(n=64, box=np.pi, basis=Basis.DIRICHLET)
+
+
 # ----------------------------------------------------------------------------
 # acceptance summary: one visible pass/fail line per criterion
 # ----------------------------------------------------------------------------

@@ -850,6 +850,25 @@ class TestCliArtifacts:
         assert "interp-upgrade-0.75-0.6" in names
         assert "l43-interpolation" in names
 
+    @pytest.mark.parametrize(
+        "text, command, n_steps",
+        [
+            (SIM_CLI.replace("dt = 0.01", "dt = 0.03"), "simulate", 2),
+            (cfg(*SWEEP_CLI_LINES).replace("dt = 0.05", "dt = 0.07"), "sweep-alpha", 3),
+        ],
+        ids=["simulate", "sweep-alpha"],
+    )
+    def test_runs_land_on_the_horizon(self, tmp_path, capsys, text, command, n_steps):
+        # dt does not divide t_end: the artifacts report the uniform step taken
+        out = self.run_ok(tmp_path, capsys, text, command)
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        step = summary["t_end"] / n_steps
+        assert summary["dt"] == step
+        lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
+        assert f"# dt = {step}" in lines
+        final_t = summary["final_t"] if command == "simulate" else summary["report"]["times"][-1]
+        assert final_t == pytest.approx(summary["t_end"], rel=0, abs=1e-15)
+
     def test_dirichlet_sweep_runs(self, tmp_path, capsys):
         text = cfg(
             "[experiment]",

@@ -184,6 +184,22 @@ class TestConvergenceReport:
         }
         assert d["per_pair_bound"][0]["delta_alpha"] == pytest.approx(0.2)
 
+    def test_distance_table_matches_pairwise_distances(self, small_sweep):
+        config, report, runs = small_sweep
+        m = len(config.alphas)
+        assert report.distances.shape == (m * (m - 1) // 2, len(report.times))
+        pair = 0
+        for i in range(m):
+            for j in range(i + 1, m):
+                want = [
+                    h_minus_half_distance(a.theta, b.theta)
+                    for a, b in zip(runs[i].states, runs[j].states)
+                ]
+                np.testing.assert_allclose(report.distances[pair], want, rtol=1e-12, atol=0)
+                assert report.pairwise[i, j] == report.distances[pair].max()
+                pair += 1
+        np.testing.assert_array_equal(report.pairwise, report.pairwise.T)
+
 
 class TestSweeps:
     def test_shear_sweep_is_alpha_degenerate(self, torus32):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqglab.dynamics import (
+    CFL_LIMIT,
     Scheme,
     SimulationState,
     SqgParams,
@@ -24,6 +26,7 @@ from sqglab.errors import BlowUpError, CflWarning
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
     Basis,
+    DomainSpec,
     SpectralField,
     cosine_field,
     dealias,
@@ -133,7 +136,7 @@ def _full_spectrum_field(domain, seed):
 
 
 class TestTransportKernel:
-    @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32"])
+    @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32", "dirichlet64"])
     @pytest.mark.parametrize("make", ["smooth", "full_spectrum"])
     def test_matches_composed_operators(self, name, make, request):
         domain = request.getfixturevalue(name)
@@ -166,6 +169,38 @@ class TestTransportKernel:
             assert err.t == pytest.approx(0.01)
             assert np.isfinite(err.cfl)
             assert err.cfl == pytest.approx(want_cfl, rel=1e-12)
+
+
+_DIRICHLET_BOXES = {n: DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET) for n in (16, 32, 64)}
+_boxes = st.sampled_from(sorted(_DIRICHLET_BOXES)).map(_DIRICHLET_BOXES.get)
+_seeds = st.integers(0, 2**32 - 1)
+_amplitudes = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
+
+
+class TestTransportProperties:
+    """Random Dirichlet boxes, seeds and amplitudes from 1e-3 to 1e2."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_native_kernel_matches_odd_extension(self, domain, seed, amplitude, full_spectrum):
+        if full_spectrum:
+            theta = _full_spectrum_field(domain, seed) * amplitude
+        else:
+            theta = random_smooth_field(domain, seed, amplitude=amplitude)
+        want, want_speed = _composed_transport(theta)
+        got = nonlinear_rhs(theta)
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
+        assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, decay=st.floats(1.5, 6.0))
+    def test_transport_is_orthogonal_to_theta(self, domain, seed, amplitude, decay):
+        # <N(theta), theta> is cubic in the amplitude: measure it against
+        # the Cauchy-Schwarz bound |N| |theta|
+        theta = random_smooth_field(domain, seed, decay=decay, amplitude=amplitude)
+        rhs = nonlinear_rhs(theta)
+        value = inner_product(rhs, theta)
+        assert abs(value) <= 1e-14 * sobolev_norm(rhs, 0.0) * sobolev_norm(theta, 0.0)
 
 
 class TestStepOracles:
@@ -316,6 +351,35 @@ class TestIntegrateContract:
         col = result.series.column("l2")
         assert len(col) == len(result.series)
         assert col[0] == pytest.approx(sobolev_norm(theta0, 0.0))
+
+    def test_cfl_derived_dt_lands_on_the_horizon(self, torus32):
+        # dt = 0.0982 does not divide t_end = 1: eleven uniform steps of 1/11
+        theta0 = random_smooth_field(torus32, seed=0)
+        config = StepperConfig(dt=default_dt(theta0), t_end=1.0)
+        assert config.n_steps == 11
+        assert config.step_dt <= config.dt
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        assert len(result.series) == 12
+        assert result.final.t == pytest.approx(1.0, rel=0, abs=1e-14)
+        step_state = step(SimulationState(t=0.0, theta=theta0), params, config)
+        assert step_state.t == config.step_dt
+
+    def test_cfl_peak_between_samples_warns(self, torus32):
+        # theta = e^{-t} cos x1 + h (1 - e^{-9t}) with h = -cos(3 x1)/2 held
+        # by the forcing is a shear, so its transport vanishes.  Its speed
+        # max|e^{-t} sin x1 - (1 - e^{-9t}) sin(3 x1)/2| starts at 1, peaks
+        # near 1.24 at t = 0.19 and decays toward 1/2.
+        kappa = alpha = 1.0
+        h = cosine_field(torus32, (3, 0), amplitude=-0.5)
+        params = SqgParams(kappa=kappa, alpha=alpha, forcing=fractional_laplacian(h, alpha) * kappa)
+        theta0 = cosine_field(torus32, (1, 0))
+        dt = 0.45 * torus32.box / torus32.n  # CFL 0.45 at t = 0
+        config = StepperConfig(dt=dt, t_end=40 * dt, sample_every=40)
+        with pytest.warns(CflWarning, match=f"exceeds {CFL_LIMIT}"):
+            result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        assert len(result.series) == 2
+        assert max(result.series.column("cfl")) < CFL_LIMIT
 
     def test_forcing_domain_mismatch(self, torus32, torus64):
         forcing = random_smooth_field(torus64, seed=15)
