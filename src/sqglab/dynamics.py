@@ -428,12 +428,16 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
 
 
 def nonlinear_rhs(theta: SpectralField) -> SpectralField:
-    """Transport term ``-div(u theta)``, dealiased by the 1/3 cut.
+    """Transport term ``-div(u theta)`` of the field cut at n/3.
 
-    The input is dealiased first, so the quadratic product is exactly
-    alias-free and ``<nonlinear_rhs(theta), theta> = 0`` to round-off for any
-    field.  Dirichlet fields are transformed on the box's own grid with
-    type-1 sine and cosine transforms.
+    The input is dealiased first (modes ``k <= n/3`` kept), so the quadratic
+    product is exactly alias-free and ``<nonlinear_rhs(theta), dealias(theta)>
+    = 0`` to round-off for any field.  The two bases keep different output
+    modes: the torus cuts the output at n/3 again, so there the pairing with
+    ``theta`` itself vanishes for any field; the Dirichlet output keeps the
+    product's modes up to 2n/3, so the pairing with ``theta`` vanishes only
+    when theta has no modes above n/3.  Dirichlet fields are transformed on
+    the box's own grid with type-1 sine and cosine transforms.
     """
     rhs = _plan(theta.domain).transport(theta.coeffs)[0]
     return SpectralField(coeffs=rhs, domain=theta.domain)

@@ -23,10 +23,12 @@ The families covered:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .spectral import (
     Basis,
@@ -34,6 +36,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _apply_laplacian_power,
+    _laplacian_power,
     dealias,
     fractional_laplacian,
     grid_lp_norm,
@@ -52,6 +55,7 @@ __all__ = [
     "cordoba_slack_field",
     "cordoba_pointwise_check",
     "positivity_integral_check",
+    "state_battery",
     "sobolev_bound_monitor",
     "tail_mass",
     "cutoff_fractional_bound",
@@ -109,6 +113,11 @@ class InequalityRecord:
         }
 
 
+def _check_q(q: float) -> None:
+    if q < 2 or not np.isfinite(q):
+        raise ValueError(f"q must lie in [2, inf), got {q}")
+
+
 def _cell_area(domain: DomainSpec) -> float:
     return (domain.box / domain.n) ** 2
 
@@ -124,75 +133,78 @@ def _grid_integral(values: np.ndarray, domain: DomainSpec) -> float:
 
 
 def max_principle_monitor(
-    states: Sequence,
+    times: Sequence[float],
+    norms: Sequence[float],
     q: float,
     forcing: SpectralField | None = None,
-    theta0: SpectralField | None = None,
     *,
     tol: float = DEFAULT_TOL,
 ) -> list:
     """L^q maximum-principle records along a run.
 
-    Without forcing the bound is monotone: ``|theta(t)|_q <= |theta0|_q``.
-    With forcing the q-th-power envelope applies:
+    ``norms[i]`` is ``lq_norm(theta, q)`` of the state sampled at ``times[i]``
+    (a run's ``lq`` column); the first sample is the initial state.  Without
+    forcing the bound is monotone: ``|theta(t)|_q <= |theta0|_q``.  With
+    forcing the q-th-power envelope applies:
 
         |theta(t)|_q^q <= |theta0|_q^q e^{(q-1)t}
                           + (e^{(q-1)t} - 1)/(q-1) |f|_q^q,
 
     with t measured from the first sample.  Returns one record per sample.
     """
-    if q < 2 or not np.isfinite(q):
-        raise ValueError(f"q must lie in [2, inf), got {q}")
-    if not states:
+    _check_q(q)
+    if len(times) != len(norms):
+        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+    if not norms:
         return []
-    theta0 = states[0].theta if theta0 is None else theta0
-    t0 = states[0].t
-    base_q = lq_norm(theta0, q)
-    records = []
+    t0 = times[0]
+    base_q = norms[0]
     if forcing is None:
-        for s in states:
-            records.append(
-                InequalityRecord(
-                    name=f"lq-monotone-q{q:g}", t=s.t, lhs=lq_norm(s.theta, q),
-                    rhs=base_q, tol=tol,
-                )
+        return [
+            InequalityRecord(
+                name=f"lq-monotone-q{q:g}", t=t, lhs=norm, rhs=base_q, tol=tol,
             )
-        return records
+            for t, norm in zip(times, norms)
+        ]
     force_q = lq_norm(forcing, q) ** q
     base_pow = base_q**q
-    for s in states:
-        dt = s.t - t0
-        growth = np.exp((q - 1.0) * dt)
+    records = []
+    for t, norm in zip(times, norms):
+        growth = np.exp((q - 1.0) * (t - t0))
         rhs = base_pow * growth + (growth - 1.0) / (q - 1.0) * force_q
         records.append(
             InequalityRecord(
-                name=f"lq-envelope-q{q:g}", t=s.t, lhs=lq_norm(s.theta, q) ** q,
-                rhs=rhs, tol=tol,
+                name=f"lq-envelope-q{q:g}", t=t, lhs=norm**q, rhs=rhs, tol=tol,
             )
         )
     return records
 
 
 def linf_monitor(
-    states: Sequence,
+    times: Sequence[float],
+    norms: Sequence[float],
     forcing: SpectralField | None = None,
-    theta0: SpectralField | None = None,
     *,
     tol: float = DEFAULT_TOL,
 ) -> list:
-    """Grid-max principle: ``|theta(t)|_inf <= (|theta0|_inf + |f|_inf) e^t``."""
-    if not states:
+    """Grid-max principle: ``|theta(t)|_inf <= (|theta0|_inf + |f|_inf) e^t``.
+
+    ``norms[i]`` is ``lq_norm(theta, inf)`` of the state sampled at
+    ``times[i]`` (a run's ``linf`` column), the first being the initial state.
+    """
+    if len(times) != len(norms):
+        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+    if not norms:
         return []
-    theta0 = states[0].theta if theta0 is None else theta0
-    t0 = states[0].t
-    base = lq_norm(theta0, np.inf)
+    t0 = times[0]
+    base = norms[0]
     force = 0.0 if forcing is None else lq_norm(forcing, np.inf)
     return [
         InequalityRecord(
-            name="linf-envelope", t=s.t, lhs=lq_norm(s.theta, np.inf),
-            rhs=(base + force) * np.exp(s.t - t0), tol=tol,
+            name="linf-envelope", t=t, lhs=norm, rhs=(base + force) * np.exp(t - t0),
+            tol=tol,
         )
-        for s in states
+        for t, norm in zip(times, norms)
     ]
 
 
@@ -225,6 +237,86 @@ def damped_energy_monitor(
 # ----------------------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _synthesis(theta: SpectralField, alpha: float) -> tuple[PhysicalField, np.ndarray]:
+    """Grid values of ``theta`` and of ``(-Lap)^a theta`` (theta itself at a = 0)."""
+    grid = to_physical(theta)
+    if alpha == 0.0:
+        return grid, grid.values
+    return grid, to_physical(fractional_laplacian(theta, alpha)).values
+
+
+@dataclass(frozen=True)
+class _RefinedPlan:
+    """Read-only tables of the exact ``(-Lap)^a(phi^2)`` on a torus domain.
+
+    A dealiased field's square has modes up to ``2n/3``, which the once-refined
+    ``2n`` grid resolves exactly.  ``rows`` is the refined-grid row of each
+    coefficient row (``k1 mod 2n``); ``mult`` is ``|k|^{2a}`` in the refined
+    grid's ``rfft2`` half-plane layout with every scale folded in: phi is
+    synthesized without its scale ``(2n)^2/L``, so its square lacks that
+    factor twice, and the square's analysis ``L/(2n)^2`` and synthesis
+    ``(2n)^2/L`` cancel.
+    """
+
+    n: int
+    rows: np.ndarray
+    mult: np.ndarray
+
+    def dissipated_square(self, coeffs: np.ndarray) -> np.ndarray:
+        """``(-Lap)^a(phi^2)`` at the original grid points, for a dealiased phi."""
+        n = self.n
+        half = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        # columns k2 = 0 .. n/2 - 1; the cut leaves k2 = -n/2 empty
+        half[self.rows, : n // 2] = coeffs[:, : n // 2]
+        phi = scipy.fft.irfft2(half, s=(2 * n, 2 * n))
+        square = scipy.fft.rfft2(phi * phi)
+        square *= self.mult
+        return scipy.fft.irfft2(square, s=(2 * n, 2 * n))[::2, ::2]
+
+
+@functools.lru_cache(maxsize=16)
+def _refined_plan(domain: DomainSpec, alpha: float) -> _RefinedPlan:
+    """The refined-grid plan of a torus domain and order, built once per pair."""
+    n = domain.n
+    fine = DomainSpec(n=2 * n, box=domain.box, basis=Basis.TORUS)
+    rows = domain.index_grids[0][:, 0] % (2 * n)
+    mult = _laplacian_power(fine, alpha)[:, : n + 1] * ((2 * n) ** 4 / domain.box**2)
+    for table in (rows, mult):
+        table.setflags(write=False)
+    return _RefinedPlan(n=n, rows=rows, mult=mult)
+
+
+def _cordoba_slack(
+    phi: SpectralField, values: np.ndarray, diss: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` of a dealiased field.
+
+    ``values`` and ``diss`` are the grid values of phi and ``(-Lap)^a phi``.
+    """
+    if alpha == 0.0:
+        return values**2
+    domain = phi.domain
+    if domain.basis is Basis.TORUS:
+        diss_sq = _refined_plan(domain, alpha).dissipated_square(phi.coeffs)
+    else:
+        square = to_spectral(values**2, domain)
+        diss_sq = to_physical(fractional_laplacian(square, alpha)).values
+    return 2.0 * values * diss - diss_sq
+
+
+def _positivity_integral(
+    values: np.ndarray, diss: np.ndarray, q: float, domain: DomainSpec
+) -> float:
+    """Grid quadrature of ``diss |theta|^{q-1} sgn(theta)`` for grid values of theta."""
+    integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
+    return _grid_integral(integrand, domain)
+
+
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     """Pointwise slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` on the grid.
 
@@ -236,29 +328,10 @@ def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     inputs use the same-grid eigenexpansion of the square (the projection
     converges, but its truncation shows up as boundary-layer noise).
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     phi = dealias(phi)
-    domain = phi.domain
-    phi_phys = to_physical(phi).values
-    if alpha == 0.0:
-        slack = phi_phys**2
-    elif domain.basis is Basis.TORUS:
-        diss = to_physical(fractional_laplacian(phi, alpha)).values
-        fine = DomainSpec(n=2 * domain.n, box=domain.box, basis=Basis.TORUS)
-        i1, i2 = domain.index_grids
-        fine_coeffs = np.zeros(fine.spectral_shape, dtype=np.complex128)
-        fine_coeffs[i1 % fine.n, i2 % fine.n] = phi.coeffs
-        phi_fine = to_physical(SpectralField(coeffs=fine_coeffs, domain=fine)).values
-        square_fine = to_spectral(phi_fine**2, fine)
-        diss_sq = to_physical(fractional_laplacian(square_fine, alpha)).values[::2, ::2]
-        slack = 2.0 * phi_phys * diss - diss_sq
-    else:
-        diss = to_physical(fractional_laplacian(phi, alpha)).values
-        square = to_spectral(phi_phys**2, domain)
-        diss_sq = to_physical(fractional_laplacian(square, alpha)).values
-        slack = 2.0 * phi_phys * diss - diss_sq
-    return PhysicalField(values=slack, domain=domain)
+    grid, diss = _synthesis(phi, alpha)
+    return PhysicalField(values=_cordoba_slack(phi, grid.values, diss, alpha), domain=phi.domain)
 
 
 def cordoba_pointwise_check(phi: SpectralField, alpha: float) -> float:
@@ -277,18 +350,36 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     maximum principle rests on); at q=2 it equals the squared H^alpha
     seminorm.
     """
-    if q < 2 or not np.isfinite(q):
-        raise ValueError(f"q must lie in [2, inf), got {q}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    domain = theta.domain
-    theta_phys = to_physical(theta).values
-    if alpha == 0.0:
-        diss = theta_phys
+    _check_q(q)
+    _check_alpha(alpha)
+    grid, diss = _synthesis(theta, alpha)
+    return _positivity_integral(grid.values, diss, q, theta.domain)
+
+
+def state_battery(
+    theta: SpectralField, alpha: float, qs: Sequence[float]
+) -> tuple[float, list[float], PhysicalField]:
+    """Córdoba minimum slack, positivity integrals and grid values of one state.
+
+    Equals ``cordoba_pointwise_check(theta, alpha)`` and
+    ``[positivity_integral_check(theta, q, alpha) for q in qs]``, with theta
+    and ``(-Lap)^a theta`` synthesized once for all of them (twice when theta
+    has modes beyond the dealias cut, which the Córdoba check drops).  The
+    grid values are returned for further per-state quantities such as
+    :func:`tail_mass`.
+    """
+    _check_alpha(alpha)
+    for q in qs:
+        _check_q(q)
+    grid, diss = _synthesis(theta, alpha)
+    phi = dealias(theta)
+    if np.array_equal(phi.coeffs, theta.coeffs):
+        phi_grid, phi_diss = grid, diss
     else:
-        diss = to_physical(fractional_laplacian(theta, alpha)).values
-    integrand = diss * np.abs(theta_phys) ** (q - 1.0) * np.sign(theta_phys)
-    return _grid_integral(integrand, domain)
+        phi_grid, phi_diss = _synthesis(phi, alpha)
+    slack = float(_cordoba_slack(phi, phi_grid.values, phi_diss, alpha).min())
+    integrals = [_positivity_integral(grid.values, diss, q, theta.domain) for q in qs]
+    return slack, integrals, grid
 
 
 # ----------------------------------------------------------------------------
@@ -375,10 +466,16 @@ class CutoffSpec:
         return PhysicalField(values=self.profile(r), domain=domain)
 
 
+@functools.lru_cache(maxsize=8)
+def _cutoff_grid(cutoff: CutoffSpec, domain: DomainSpec) -> np.ndarray:
+    """Read-only grid values of ``eta_k`` on a domain, sampled once per pair."""
+    return cutoff.field_on(domain).values
+
+
 def tail_mass(theta: PhysicalField, cutoff: CutoffSpec) -> float:
     """Weighted mass ``int theta^2 eta_k dx`` (dominates the tail over |x-c| >= 2k)."""
-    eta = cutoff.field_on(theta.domain)
-    return _grid_integral(theta.values**2 * eta.values, theta.domain)
+    eta = _cutoff_grid(cutoff, theta.domain)
+    return _grid_integral(theta.values**2 * eta, theta.domain)
 
 
 def cutoff_fractional_bound(

@@ -26,6 +26,7 @@ so a non-finite value never enters a field from outside the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -333,6 +334,10 @@ def to_physical(field: SpectralField) -> PhysicalField:
     n = dom.n
     if dom.basis is Basis.TORUS:
         # e_k = L^{-1} exp(...)  =>  values = ifft2(c) * n^2 / L
+        # Stays a complex ifft2 on purpose: an irfft2 here rounds differently and
+        # leaves 4.2e-18 on the boundary lines of odd extensions, whose trace
+        # the Dirichlet-sweep criterion asserts to be exactly 0.0.  Hot paths
+        # run on their own real-FFT plans instead.
         values = scipy.fft.ifft2(np.asarray(field.coeffs)) * (n * n / dom.box)
         return PhysicalField(values.real, dom)
     interior = scipy.fft.dstn(np.asarray(field.coeffs) * (n / dom.box), type=1, norm="ortho")
@@ -375,14 +380,21 @@ def _apply_laplacian_power(field: SpectralField, exponent: float) -> SpectralFie
     Internal: accepts any real exponent; for negative exponents on the torus
     the caller is responsible for having checked mean-freeness.
     """
-    sym = field.domain.laplacian_symbol
-    if field.domain.basis is Basis.TORUS:
+    return SpectralField(field.coeffs * _laplacian_power(field.domain, exponent), field.domain)
+
+
+@functools.lru_cache(maxsize=32)
+def _laplacian_power(domain: DomainSpec, exponent: float) -> np.ndarray:
+    """Read-only (eigenvalue of −Δ)^exponent per mode, torus zero mode → 0."""
+    sym = domain.laplacian_symbol
+    if domain.basis is Basis.TORUS:
         mult = np.zeros_like(sym)
         nz = sym > 0
         mult[nz] = sym[nz] ** exponent
     else:
         mult = sym**exponent
-    return SpectralField(field.coeffs * mult, field.domain)
+    mult.setflags(write=False)
+    return mult
 
 
 def fractional_laplacian(field: SpectralField, alpha: float, inverse: bool = False) -> SpectralField:
@@ -444,17 +456,17 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     modes).  Negative orders require a mean-free field.
     """
     dom = field.domain
-    sym = dom.laplacian_symbol  # |k|^2 per mode
+    mult = _laplacian_power(dom, s)  # |k|^{2s} per mode
     mag2 = np.abs(field.coeffs) ** 2
     if dom.basis is Basis.TORUS:
         if s < 0 and not field.mean_free:
             raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
-        nz = sym > 0
-        total = float(np.sum(mag2[nz] * sym[nz] ** s))
+        # the zero mode is the first entry in FFT layout; it is added below
+        total = float(np.sum(mag2.ravel()[1:] * mult.ravel()[1:]))
         if s >= 0:
             total += float(mag2[0, 0])
     else:
-        total = float(np.sum(mag2 * sym**s))
+        total = float(np.sum(mag2 * mult))
     return math.sqrt(total)
 
 

@@ -6,8 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sqglab.spectral import Basis, DomainSpec
+
+# Property tests draw the same examples on every run and write no example
+# database; tests set only ``max_examples``.
+settings.register_profile("sqglab", database=None, deadline=None, derandomize=True)
+settings.load_profile("sqglab")
 
 # ----------------------------------------------------------------------------
 # shared domains

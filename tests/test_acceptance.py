@@ -130,8 +130,10 @@ def test_criterion_02_maximum_principle(torus128):
             StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
             keep_states=True,
         )
+        times = [s.t for s in result.states]
         for q in (2, 4, 8):
-            records = max_principle_monitor(result.states, q)
+            norms = [lq_norm(s.theta, q) for s in result.states]
+            records = max_principle_monitor(times, norms, q)
             assert all(r.passed for r in records), f"seed {seed}, q={q}"
             worst_slack = min(worst_slack, min(r.slack for r in records))
 
@@ -143,7 +145,12 @@ def test_criterion_02_maximum_principle(torus128):
         StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
         keep_states=True,
     )
-    envelope = max_principle_monitor(forced.states, 2, forcing=forcing)
+    envelope = max_principle_monitor(
+        [s.t for s in forced.states],
+        [lq_norm(s.theta, 2) for s in forced.states],
+        2,
+        forcing=forcing,
+    )
     assert all(r.passed for r in envelope)
     record_criterion_detail(
         2, f"30 monotone ladders ok, min slack {worst_slack:.2e}; forced q=2 envelope ok"

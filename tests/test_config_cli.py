@@ -27,8 +27,20 @@ from sqglab.config import (
     parse_config_text,
 )
 from sqglab.critical import DEFAULT_SWEEP_ALPHAS
+from sqglab.dynamics import SimulationState, integrate
 from sqglab.errors import CflWarning, ConfigError
-from sqglab.spectral import Basis
+from sqglab.estimates import (
+    CutoffSpec,
+    InequalityRecord,
+    cordoba_pointwise_check,
+    damped_energy_monitor,
+    linf_monitor,
+    max_principle_monitor,
+    positivity_integral_check,
+    sobolev_bound_monitor,
+    tail_mass,
+)
+from sqglab.spectral import Basis, lq_norm, to_physical
 
 
 def cfg(*lines: str) -> str:
@@ -910,3 +922,66 @@ class TestCliArtifacts:
         lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
         header = next(line for line in lines if not line.startswith("# "))
         assert "tail_mass" in header.split(",")
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            ("[monitors]", "damped_energy = true"),
+            # a forcing mode beyond the n/3 cut: states keep modes the Córdoba check drops
+            ("[forcing]", "type = cosine", "mode = [6, 0]", "amplitude = 0.01", "[monitors]"),
+            ("basis = dirichlet", "[monitors]"),
+        ],
+        ids=["torus", "torus-forced-beyond-cut", "dirichlet"],
+    )
+    def test_estimates_battery_equals_public_functions(self, tmp_path, capsys, setup):
+        domain_lines = [*SIMULATE_LINES[2:4], *[l for l in setup if l.startswith("basis")]]
+        text = cfg(
+            *SIMULATE_LINES[:1],
+            "kind = estimates-report",
+            *domain_lines,
+            "[params]",
+            "kappa = 0.5",
+            "alpha = 0.75",
+            "lambda = 0.1",
+            *SIMULATE_LINES[7:],
+            *[l for l in setup if not l.startswith("basis")],
+            "lq = [2, 4]",
+            "sobolev = [1]",
+            "tail_cutoff = 1.5",
+        )
+        out = self.run_ok(tmp_path, capsys, text, "estimates-report")
+        checks = json.loads((out / "checks.json").read_text(encoding="utf-8"))["checks"]
+
+        # the same states, and every record rebuilt from the single-quantity
+        # functions in the order the battery has always emitted them
+        experiment = load_config_file(write_config(tmp_path, text))
+        params = experiment.params
+        theta0 = experiment.initial_field(None)
+        states = integrate(
+            SimulationState(t=0.0, theta=theta0), params, experiment.stepper_for(theta0)
+        ).states
+        times = [s.t for s in states]
+        want = []
+        for q in experiment.monitor_lq:
+            norms = [lq_norm(s.theta, q) for s in states]
+            want += max_principle_monitor(times, norms, q, forcing=params.forcing)
+        norms = [lq_norm(s.theta, math.inf) for s in states]
+        want += linf_monitor(times, norms, forcing=params.forcing)
+        if experiment.monitor_damped_energy:
+            want += damped_energy_monitor(states, params.lam)
+        for s in states:
+            slack = cordoba_pointwise_check(s.theta, params.alpha)
+            want.append(InequalityRecord(name="cordoba-min-slack", t=s.t, lhs=0.0, rhs=slack))
+            for q in experiment.monitor_lq:
+                value = positivity_integral_check(s.theta, q, params.alpha)
+                want.append(InequalityRecord(name=f"positivity-q{q:g}", t=s.t, lhs=0.0, rhs=value))
+        want += sobolev_bound_monitor(states, 1.0, params)
+        cutoff = CutoffSpec(k=1.5)
+        masses = [tail_mass(to_physical(s.theta), cutoff) for s in states]
+        want.append(
+            InequalityRecord(name="tail-mass-decrease", t=states[-1].t, lhs=masses[-1], rhs=masses[0])
+        )
+
+        assert len(states) == 6
+        assert [c["name"] for c in checks] == [r.name for r in want]
+        assert checks == [r.as_dict() for r in want]

@@ -171,6 +171,31 @@ class TestTransportKernel:
             assert err.cfl == pytest.approx(want_cfl, rel=1e-12)
 
 
+class TestTransportSupport:
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_output_modes_per_basis(self, name, request):
+        # the torus keeps k <= n/3 of the product, the Dirichlet box k <= 2n/3
+        domain = request.getfixturevalue(name)
+        theta = _full_spectrum_field(domain, seed=0)
+        rhs = nonlinear_rhs(theta)
+        i1, i2 = domain.index_grids
+        k = np.maximum(np.abs(i1), np.abs(i2))
+        n = domain.n
+        if domain.basis is Basis.TORUS:
+            assert np.all(rhs.coeffs[k > n / 3] == 0.0)
+        else:
+            assert np.all(rhs.coeffs[k > 2 * n / 3] == 0.0)
+            assert np.abs(rhs.coeffs[k > n / 3]).max() > 1e-3 * np.abs(rhs.coeffs).max()
+        scale = sobolev_norm(rhs, 0.0) * sobolev_norm(theta, 0.0)
+        assert abs(inner_product(rhs, dealias(theta))) <= 1e-14 * scale
+        pairing = abs(inner_product(rhs, theta)) / scale
+        if domain.basis is Basis.TORUS:
+            assert pairing <= 1e-14
+        else:
+            # measured 4.8e-3: the modes in (n/3, 2n/3] pair with N
+            assert pairing > 1e-3
+
+
 _DIRICHLET_BOXES = {n: DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET) for n in (16, 32, 64)}
 _boxes = st.sampled_from(sorted(_DIRICHLET_BOXES)).map(_DIRICHLET_BOXES.get)
 _seeds = st.integers(0, 2**32 - 1)
@@ -180,7 +205,7 @@ _amplitudes = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
 class TestTransportProperties:
     """Random Dirichlet boxes, seeds and amplitudes from 1e-3 to 1e2."""
 
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
     def test_native_kernel_matches_odd_extension(self, domain, seed, amplitude, full_spectrum):
         if full_spectrum:
@@ -192,7 +217,7 @@ class TestTransportProperties:
         assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
         assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
 
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, decay=st.floats(1.5, 6.0))
     def test_transport_is_orthogonal_to_theta(self, domain, seed, amplitude, decay):
         # <N(theta), theta> is cubic in the amplitude: measure it against
@@ -418,6 +443,30 @@ class TestOddExtension:
         np.testing.assert_allclose(
             doubled[n + 1 :, 1:n], -inner[n - 1 : 0 : -1, 1:n], atol=1e-13
         )
+
+
+class TestOddExtensionProperties:
+    """Random Dirichlet boxes, seeds and amplitudes from 1e-3 to 1e2."""
+
+    @settings(max_examples=30)
+    @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_extension_is_the_odd_reflection(self, domain, seed, amplitude, full_spectrum):
+        if full_spectrum:
+            theta = _full_spectrum_field(domain, seed) * amplitude
+        else:
+            theta = random_smooth_field(domain, seed, amplitude=amplitude)
+        embedded = embed_odd_extension(theta)
+        back = restrict_odd_extension(embedded, domain)
+        np.testing.assert_array_equal(back.coeffs, theta.coeffs)
+        inner = to_physical(theta).values
+        doubled = to_physical(embedded).values
+        n = domain.n
+        tol = 1e-13 * np.abs(inner).max()
+        # theta on the box, -theta mirrored across x1 = L and x2 = L
+        assert np.abs(doubled[: n + 1, : n + 1] - inner).max() <= tol
+        assert np.abs(doubled[n:, : n + 1] + inner[n:0:-1]).max() <= tol
+        assert np.abs(doubled[: n + 1, n:] + inner[:, n:0:-1]).max() <= tol
+        assert np.abs(doubled[n:, n:] - inner[n:0:-1, n:0:-1]).max() <= tol
 
 
 class TestDirichletDynamics:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqglab.dynamics import SimulationState, SqgParams, StepperConfig, integrate
 from sqglab.estimates import (
@@ -23,13 +24,17 @@ from sqglab.estimates import (
 )
 from sqglab.fields import random_smooth_field
 from sqglab.spectral import (
+    Basis,
     DomainSpec,
     PhysicalField,
+    SpectralField,
     cosine_field,
+    dealias,
     fractional_laplacian,
     lq_norm,
     sobolev_norm,
     to_physical,
+    to_spectral,
 )
 
 
@@ -38,6 +43,11 @@ def _short_run(domain, *, lam=0.0, seed=1, amplitude=0.2, alpha=0.75):
     params = SqgParams(kappa=0.2, alpha=alpha, lam=lam)
     config = StepperConfig(dt=0.01, t_end=0.1)
     return integrate(SimulationState(t=0.0, theta=theta0), params, config).states
+
+
+def _sampled(states, q):
+    """Sample times and L^q norms of states, as a run's monitor columns hold them."""
+    return [s.t for s in states], [lq_norm(s.theta, q) for s in states]
 
 
 class TestInequalityRecord:
@@ -74,17 +84,23 @@ class TestInequalityRecord:
 class TestMaxPrincipleMonitor:
     def test_q_validation(self):
         with pytest.raises(ValueError, match=r"q must lie in \[2, inf\)"):
-            max_principle_monitor([], q=1.5)
+            max_principle_monitor([], [], q=1.5)
         with pytest.raises(ValueError, match=r"q must lie in \[2, inf\)"):
-            max_principle_monitor([], q=np.inf)
+            max_principle_monitor([], [], q=np.inf)
 
     def test_empty_states(self):
-        assert max_principle_monitor([], q=2.0) == []
+        assert max_principle_monitor([], [], q=2.0) == []
+
+    def test_times_and_norms_must_pair(self):
+        with pytest.raises(ValueError, match="2 sample times for 1 norms"):
+            max_principle_monitor([0.0, 1.0], [1.0], q=2.0)
+        with pytest.raises(ValueError, match="1 sample times for 2 norms"):
+            linf_monitor([0.0], [1.0, 0.5])
 
     def test_unforced_run_is_monotone(self, torus32):
         states = _short_run(torus32)
         for q in (2.0, 4.0, 8.0):
-            records = max_principle_monitor(states, q=q)
+            records = max_principle_monitor(*_sampled(states, q), q=q)
             assert len(records) == len(states)
             assert all(r.passed for r in records)
             assert records[0].name == f"lq-monotone-q{q:g}"
@@ -95,7 +111,9 @@ class TestMaxPrincipleMonitor:
         forcing = random_smooth_field(torus32, seed=3, amplitude=0.05)
         later = SimulationState(t=0.5, theta=theta0)
         records = max_principle_monitor(
-            [SimulationState(t=0.0, theta=theta0), later], q=2.0, forcing=forcing
+            *_sampled([SimulationState(t=0.0, theta=theta0), later], 2.0),
+            q=2.0,
+            forcing=forcing,
         )
         assert records[0].name == "lq-envelope-q2"
         base = lq_norm(theta0, 2.0) ** 2
@@ -111,7 +129,8 @@ class TestMaxPrincipleMonitor:
         config = StepperConfig(dt=0.01, t_end=0.2)
         states = integrate(SimulationState(t=0.0, theta=theta0), params, config).states
         for q in (2.0, 4.0):
-            assert all(r.passed for r in max_principle_monitor(states, q=q, forcing=forcing))
+            records = max_principle_monitor(*_sampled(states, q), q=q, forcing=forcing)
+            assert all(r.passed for r in records)
 
 
 class TestLinfMonitor:
@@ -119,7 +138,7 @@ class TestLinfMonitor:
         theta0 = random_smooth_field(torus32, seed=6, amplitude=0.3)
         forcing = random_smooth_field(torus32, seed=7, amplitude=0.1)
         states = [SimulationState(t=0.0, theta=theta0), SimulationState(t=1.0, theta=theta0)]
-        records = linf_monitor(states, forcing=forcing)
+        records = linf_monitor(*_sampled(states, np.inf), forcing=forcing)
         base = lq_norm(theta0, np.inf)
         force = lq_norm(forcing, np.inf)
         assert records[0].name == "linf-envelope"
@@ -127,10 +146,10 @@ class TestLinfMonitor:
 
     def test_decaying_run_passes(self, torus32):
         states = _short_run(torus32, seed=8)
-        assert all(r.passed for r in linf_monitor(states))
+        assert all(r.passed for r in linf_monitor(*_sampled(states, np.inf)))
 
     def test_empty_states(self):
-        assert linf_monitor([]) == []
+        assert linf_monitor([], []) == []
 
 
 class TestDampedEnergyMonitor:
@@ -180,6 +199,48 @@ class TestCordobaPointwise:
         phi = random_smooth_field(torus32, seed=1)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             cordoba_slack_field(phi, 1.5)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        alpha=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        full_spectrum=st.booleans(),
+    )
+    def test_matches_composed_refinement(self, n, alpha, seed, full_spectrum):
+        domain = _TORI[n]
+        if full_spectrum:
+            rng = np.random.default_rng(seed)
+            phi = to_spectral(rng.standard_normal((n, n)), domain)
+        else:
+            phi = random_smooth_field(domain, seed, amplitude=1.0)
+        got = cordoba_slack_field(phi, alpha).values
+        want, scale = _composed_cordoba(phi, alpha)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+_TORI = {n: DomainSpec(n=n) for n in (16, 32, 64)}
+
+
+def _composed_cordoba(phi, alpha):
+    """Torus Córdoba slack composed from complex transforms on the doubled grid.
+
+    Returns the slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` of the
+    dealiased field and the grid max of ``|2 phi (-Lap)^a phi|``.
+    """
+    phi = dealias(phi)
+    domain = phi.domain
+    phi_phys = to_physical(phi).values
+    diss = to_physical(fractional_laplacian(phi, alpha)).values
+    fine = DomainSpec(n=2 * domain.n, box=domain.box, basis=Basis.TORUS)
+    i1, i2 = domain.index_grids
+    fine_coeffs = np.zeros(fine.spectral_shape, dtype=np.complex128)
+    fine_coeffs[i1 % fine.n, i2 % fine.n] = phi.coeffs
+    phi_fine = to_physical(SpectralField(coeffs=fine_coeffs, domain=fine)).values
+    square_fine = to_spectral(phi_fine**2, fine)
+    diss_sq = to_physical(fractional_laplacian(square_fine, alpha)).values[::2, ::2]
+    first = 2.0 * phi_phys * diss
+    return first - diss_sq, float(np.abs(first).max())
 
 
 class TestPositivityIntegral:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqglab.errors import BasisError, ZeroModeError
 from sqglab.fields import random_smooth_field
@@ -360,3 +361,62 @@ class TestModeConstructors:
         coeffs[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             SpectralField(coeffs, torus32)
+
+
+# ----------------------------------------------------------------------------
+# property tests: random fields on both bases
+# ----------------------------------------------------------------------------
+
+_DOMAINS = [
+    DomainSpec(n=n, box=box, basis=basis)
+    for basis, box in ((Basis.TORUS, 2 * np.pi), (Basis.DIRICHLET, np.pi))
+    for n in (16, 32, 64)
+]
+_domains = st.sampled_from(_DOMAINS)
+_seeds = st.integers(0, 2**32 - 1)
+_amplitudes = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
+
+
+def _random_field(domain, seed, amplitude, full_spectrum):
+    """A smooth field, or a real field with every mode populated."""
+    if not full_spectrum:
+        return random_smooth_field(domain, seed, amplitude=amplitude)
+    rng = np.random.default_rng(seed)
+    if domain.basis is Basis.TORUS:
+        return to_spectral(amplitude * rng.standard_normal((domain.n, domain.n)), domain)
+    return SpectralField(amplitude * rng.standard_normal(domain.spectral_shape), domain)
+
+
+class TestTransformProperties:
+    @settings(max_examples=40)
+    @given(domain=_domains, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_parseval(self, domain, seed, amplitude, full_spectrum):
+        theta = _random_field(domain, seed, amplitude, full_spectrum)
+        assert sobolev_norm(theta, 0.0) == pytest.approx(
+            lq_norm(to_physical(theta), 2.0), rel=1e-13
+        )
+
+    @settings(max_examples=40)
+    @given(domain=_domains, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_round_trip(self, domain, seed, amplitude, full_spectrum):
+        theta = _random_field(domain, seed, amplitude, full_spectrum)
+        back = to_spectral(to_physical(theta))
+        assert np.abs(back.coeffs - theta.coeffs).max() <= 1e-13 * np.abs(theta.coeffs).max()
+
+    @settings(max_examples=40)
+    @given(
+        domain=st.sampled_from([d for d in _DOMAINS if d.basis is Basis.TORUS]),
+        seed=_seeds,
+        amplitude=_amplitudes,
+        full_spectrum=st.booleans(),
+    )
+    def test_riesz_isometry_on_mean_free_fields(self, domain, seed, amplitude, full_spectrum):
+        # the odd symbols vanish on the Nyquist line, so it is left empty here
+        coeffs = _random_field(domain, seed, amplitude, full_spectrum).coeffs.copy()
+        nyq = domain.n // 2
+        coeffs[0, 0] = coeffs[nyq, :] = coeffs[:, nyq] = 0.0
+        theta = SpectralField(coeffs, domain)
+        norm = sobolev_norm(theta, 0.0)
+        parts = [sobolev_norm(riesz_transform(theta, j), 0.0) for j in (1, 2)]
+        assert max(parts) <= norm * (1 + 1e-13)
+        assert np.hypot(*parts) == pytest.approx(norm, rel=1e-13)
