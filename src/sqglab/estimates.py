@@ -118,6 +118,11 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [2, inf), got {q}")
 
 
+def _check_sampled(times: Sequence[float], norms: Sequence[float]) -> None:
+    if len(times) != len(norms):
+        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+
+
 def _cell_area(domain: DomainSpec) -> float:
     return (domain.box / domain.n) ** 2
 
@@ -153,8 +158,7 @@ def max_principle_monitor(
     with t measured from the first sample.  Returns one record per sample.
     """
     _check_q(q)
-    if len(times) != len(norms):
-        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+    _check_sampled(times, norms)
     if not norms:
         return []
     t0 = times[0]
@@ -192,8 +196,7 @@ def linf_monitor(
     ``norms[i]`` is ``lq_norm(theta, inf)`` of the state sampled at
     ``times[i]`` (a run's ``linf`` column), the first being the initial state.
     """
-    if len(times) != len(norms):
-        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+    _check_sampled(times, norms)
     if not norms:
         return []
     t0 = times[0]
@@ -209,26 +212,29 @@ def linf_monitor(
 
 
 def damped_energy_monitor(
-    states: Sequence, lam: float, *, tol: float = 1e-6
+    times: Sequence[float], norms: Sequence[float], lam: float, *, tol: float = 1e-6
 ) -> list:
     """Damped unforced energy decay: ``|theta(t)|_2^2 <= |theta0|_2^2 e^{-lam t}``.
 
+    ``norms[i]`` is ``sobolev_norm(theta, 0)`` of the state sampled at
+    ``times[i]`` (a run's ``l2`` column), the first being the initial state.
     The dissipative dynamics actually decays at least like ``e^{-2 lam t}``;
     the checked envelope (the q=2 member of the damped L^q family) leaves
     that margin on purpose.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    if not states:
+    _check_sampled(times, norms)
+    if not norms:
         return []
-    t0 = states[0].t
-    base = sobolev_norm(states[0].theta, 0.0) ** 2
+    t0 = times[0]
+    base = norms[0] ** 2
     return [
         InequalityRecord(
-            name="damped-energy", t=s.t, lhs=sobolev_norm(s.theta, 0.0) ** 2,
-            rhs=base * np.exp(-lam * (s.t - t0)), tol=tol,
+            name="damped-energy", t=t, lhs=norm**2, rhs=base * np.exp(-lam * (t - t0)),
+            tol=tol,
         )
-        for s in states
+        for t, norm in zip(times, norms)
     ]
 
 
@@ -387,7 +393,9 @@ def state_battery(
 # ----------------------------------------------------------------------------
 
 
-def sobolev_bound_monitor(states: Sequence, l: float, params) -> list:
+def sobolev_bound_monitor(
+    states: Sequence, norms: Sequence[float], l: float, params
+) -> list:
     """Boundedness witness for the H^l differential inequality.
 
     For each interior sample evaluates
@@ -397,13 +405,16 @@ def sobolev_bound_monitor(states: Sequence, l: float, params) -> list:
     with a central difference in time, and records the running maximum as the
     right-hand side: a stabilizing running max is the discrete shadow of the
     bounded-forcing differential inequality (the records therefore always
-    pass; the quantity of interest is the final ``rhs``).
+    pass; the quantity of interest is the final ``rhs``).  ``norms[i]`` is
+    ``sobolev_norm(theta, l)`` of ``states[i]`` (a run's ``h{l}`` column);
+    the ``(l + alpha)`` norms are computed from the states.
     """
     if l < params.alpha:
         raise ValueError(f"Sobolev index l={l} must be >= alpha={params.alpha}")
+    _check_sampled(states, norms)
     if len(states) < 3:
         return []
-    energies = [sobolev_norm(s.theta, l) ** 2 for s in states]
+    energies = [norm**2 for norm in norms]
     records = []
     running = -np.inf
     for i in range(1, len(states) - 1):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "lemma62_convergence",
     "identity_minus_negpower_decay",
     "moment_inequality_check",
+    "moment_inequality_trials",
     "scalar_operator",
     "diagonal_operator",
     "dirichlet_laplacian_1d",
@@ -50,8 +51,61 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
+#: Default spectrum range of :func:`random_spd`.
+_SPD_EIGS = (1e-2, 1e2)
+#: Matrix sizes ``[low, high)`` of :func:`moment_inequality_trials`.
+_TRIAL_SIZES = (2, 12)
 #: Relative truncation-error budget for the integral representations.
 _TRUNCATION_TARGET = 1e-11
+
+
+def _validated_eigh(matrices: np.ndarray) -> tuple:
+    """Validate a stack ``(k, n, n)`` of symmetric PSD matrices and diagonalize it.
+
+    The checks are :class:`DenseOperator`'s: finite entries, ``|A - A^T| <=
+    1e-12 max(|A|, 1)`` (Frobenius norms) and a minimum eigenvalue no lower
+    than ``-1e-12 max(|A|, 1)``; the first offending matrix raises
+    ``ValueError``.  Returns the symmetrized stack with its ascending
+    eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)``.
+    """
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix has non-finite entries")
+    bound = _SYMMETRY_TOL * np.maximum(np.linalg.norm(matrices, axis=(1, 2)), 1.0)
+    transposed = np.swapaxes(matrices, 1, 2)
+    asym = np.linalg.norm(matrices - transposed, axis=(1, 2))
+    bad = asym > bound
+    if bad.any():
+        raise ValueError(
+            f"matrix is not symmetric: |A - A^T| = {asym[bad][0]:.3e} "
+            f"exceeds {_SYMMETRY_TOL:.0e} * |A|"
+        )
+    matrices = 0.5 * (matrices + transposed)
+    values, vectors = np.linalg.eigh(matrices)
+    bad = values[:, 0] < -bound
+    if bad.any():
+        raise ValueError(
+            f"matrix is not positive semi-definite: min eigenvalue "
+            f"{values[bad, 0][0]:.3e}"
+        )
+    return matrices, values, vectors
+
+
+def _clipped_powers(values: np.ndarray, exponent) -> np.ndarray:
+    """``mu^exponent`` of the eigenvalues clipped at 0, with 0 on the kernel.
+
+    The clip keeps round-off negatives that validation admits out of the
+    fractional powers.
+    """
+    clipped = np.clip(values, 0.0, None)
+    with np.errstate(divide="ignore"):
+        return np.where(clipped > 0, clipped**exponent, 0.0)
+
+
+def _resolvent_constant(values: np.ndarray) -> float:
+    """Resolvent bound M of symmetric matrices with these eigenvalues (exactly 1)."""
+    if (values < 0).any():  # clipped by validation; belt and braces
+        raise ValueError("resolvent constant defined for nonnegative spectra only")
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -68,30 +122,11 @@ class DenseOperator:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix has non-finite entries")
-        scale = float(np.linalg.norm(matrix))
-        asym = float(np.linalg.norm(matrix - matrix.T))
-        if asym > _SYMMETRY_TOL * max(scale, 1.0):
-            raise ValueError(
-                f"matrix is not symmetric: |A - A^T| = {asym:.3e} exceeds "
-                f"{_SYMMETRY_TOL:.0e} * |A|"
-            )
-        matrix = 0.5 * (matrix + matrix.T)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        if self.eigenvalues[0] < -_SYMMETRY_TOL * max(scale, 1.0):
-            raise ValueError(
-                f"matrix is not positive semi-definite: min eigenvalue "
-                f"{self.eigenvalues[0]:.3e}"
-            )
-
-    @cached_property
-    def _eig(self) -> tuple:
-        values, vectors = np.linalg.eigh(self.matrix)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return values, vectors
+        matrices, values, vectors = _validated_eigh(matrix[None])
+        for array in (matrices, values, vectors):
+            array.setflags(write=False)
+        object.__setattr__(self, "matrix", matrices[0])
+        object.__setattr__(self, "_eig", (values[0], vectors[0]))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -117,9 +152,7 @@ class DenseOperator:
         over lambda > 0 equals 1 (attained in the lambda -> inf limit), so the
         constant computed from the validated spectrum is exactly 1.
         """
-        if np.any(self.eigenvalues < 0):  # clipped by validation; belt and braces
-            raise ValueError("resolvent constant defined for nonnegative spectra only")
-        return 1.0
+        return _resolvent_constant(self.eigenvalues)
 
     def apply_power(self, exponent: float, phi: np.ndarray) -> np.ndarray:
         """Spectral functional calculus ``A^exponent phi`` (the oracle).
@@ -132,9 +165,7 @@ class DenseOperator:
                 f"A not invertible (minimum eigenvalue {values[0]:.3e}); "
                 f"negative powers are undefined"
             )
-        clipped = np.clip(values, 0.0, None)
-        with np.errstate(divide="ignore"):
-            powers = np.where(clipped > 0, clipped**exponent, 0.0)
+        powers = _clipped_powers(values, exponent)
         return vectors @ (powers * (vectors.T @ np.asarray(phi, dtype=np.float64)))
 
     def min_positive_eigenvalue(self) -> float:
@@ -207,6 +238,15 @@ class QuadratureSpec:
         object.__setattr__(self, "rule", QuadratureRule(self.rule))
 
 
+@lru_cache(maxsize=128)
+def _leggauss(count: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only, computed once per count)."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _log_nodes(lo: float, hi: float, spec: QuadratureSpec) -> tuple:
     """Nodes/weights for ``int_lo^hi f(lambda) dlambda`` in u = ln(lambda).
 
@@ -241,7 +281,7 @@ def _log_nodes(lo: float, hi: float, spec: QuadratureSpec) -> tuple:
     for a, b in zip(edge_list[:-1], edge_list[1:]):
         decades = (b - a) / ln10
         count = max(4, int(np.ceil(spec.nodes_per_decade * decades)))
-        x, w = np.polynomial.legendre.leggauss(count)
+        x, w = _leggauss(count)
         u = 0.5 * (b - a) * x + 0.5 * (a + b)
         nodes.append(u)
         weights.append(0.5 * (b - a) * w)
@@ -264,7 +304,7 @@ def _spike_log_panels(u_half: float, outer: float, nodes: int = 10) -> tuple:
     while edges[-1] < outer:
         edges.append(min(edges[-1] * 1.6, outer))
     grid = sorted({-e for e in edges} | set(edges))
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     all_u = []
     all_w = []
     for a, b in zip(grid[:-1], grid[1:]):
@@ -557,15 +597,68 @@ def moment_inequality_check(
     if not (0.5 < beta <= 1.0):
         raise ValueError(f"beta must lie in (1/2, 1], got {beta}")
     phi = np.asarray(phi, dtype=np.float64)
-    M = A.resolvent_constant()
+    values, vectors = A._eig
+    lhs, rhs, passed = _moment_sides(values[None], vectors[None], phi[None], np.array([beta]))
+    return float(lhs[0]), float(rhs[0]), bool(passed[0])
+
+
+def _moment_sides(
+    values: np.ndarray, vectors: np.ndarray, phi: np.ndarray, beta: np.ndarray
+) -> tuple:
+    """Both sides of the moment inequality for a stack of eigendecompositions.
+
+    ``values`` ``(k, n)``, ``vectors`` ``(k, n, n)``, ``phi`` ``(k, n)`` and
+    ``beta`` ``(k,)``; the powers use the spectral calculus of
+    :meth:`DenseOperator.apply_power`.  Returns ``(lhs, rhs, passed)``
+    arrays of length ``k``; a trial passes when ``lhs <= rhs (1 + 1e-10)``.
+    """
+    M = _resolvent_constant(values)
     guard = 1e-8
-    b = min(max(beta, 0.5 + guard), 1.0 - guard)
+    b = np.clip(beta, 0.5 + guard, 1.0 - guard)
     constant = np.sin(2.0 * np.pi * (b - 0.5)) / (4.0 * np.pi * (1.0 - b) * (b - 0.5))
-    lhs = float(np.linalg.norm(A.apply_power(beta, phi)))
-    full = float(np.linalg.norm(A.apply_power(1.0, phi)))
-    half = float(np.linalg.norm(A.apply_power(0.5, phi)))
+    coeffs = (np.swapaxes(vectors, 1, 2) @ phi[:, :, None])[:, None, :, 0]
+    # rows: A^beta phi, A phi, A^{1/2} phi of each trial, in the eigenbasis
+    exponents = np.stack([beta, np.ones_like(beta), np.full_like(beta, 0.5)], axis=1)
+    powers = _clipped_powers(values[:, None, :], exponents[:, :, None])
+    images = (powers * coeffs) @ np.swapaxes(vectors, 1, 2)
+    lhs, full, half = np.linalg.norm(images, axis=2).T
     rhs = constant * (M + 1.0) * full ** (2.0 * beta - 1.0) * half ** (2.0 - 2.0 * beta)
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-10))
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)
+
+
+def moment_inequality_trials(rng: np.random.Generator, trials: int) -> tuple:
+    """The moment inequality on ``trials`` random ``(A, phi, beta)`` at once.
+
+    Trial ``i`` draws from ``rng``, in this order, a size ``n`` in [2, 12),
+    a seed, ``phi`` (``n`` standard normals) and ``beta = 0.5 + 0.5 (1 - u)``
+    in (1/2, 1]; ``A`` is ``random_spd(n, seed)``.  The result equals
+    :func:`moment_inequality_check` applied trial by trial, and ``rng`` ends
+    at the same stream position, but the matrices of one size are built,
+    validated and diagonalized as one stack.  Returns ``(lhs, rhs, passed)``
+    arrays in trial order.
+    """
+    sizes = np.empty(trials, dtype=np.int64)
+    seeds = np.empty(trials, dtype=np.int64)
+    uniforms = np.empty(trials)
+    # row i holds phi_i in its first sizes[i] entries
+    phis = np.empty((trials, _TRIAL_SIZES[1] - 1))
+    for i in range(trials):
+        size = sizes[i] = rng.integers(*_TRIAL_SIZES)
+        seeds[i] = rng.integers(0, 2**31)
+        phis[i, :size] = rng.standard_normal(size)
+        uniforms[i] = rng.random()
+    betas = 0.5 + 0.5 * (1.0 - uniforms)
+
+    lhs = np.empty(trials)
+    rhs = np.empty(trials)
+    passed = np.empty(trials, dtype=bool)
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        _, values, vectors = _validated_eigh(_spd_stack(seeds[group], size))
+        lhs[group], rhs[group], passed[group] = _moment_sides(
+            values, vectors, phis[group, :size], betas[group]
+        )
+    return lhs, rhs, passed
 
 
 # ----------------------------------------------------------------------------
@@ -599,17 +692,31 @@ def dirichlet_laplacian_2d(m: int, spacing: float | None = None) -> DenseOperato
     return DenseOperator(matrix=np.kron(one_d, eye) + np.kron(eye, one_d))
 
 
+def _spd_stack(seeds, size: int, eig_range: tuple[float, float] = _SPD_EIGS) -> np.ndarray:
+    """Symmetrized ``Q diag(e) Q^T`` per seed, stacked ``(len(seeds), size, size)``.
+
+    Each seed's generator draws a Gaussian matrix, whose QR factor (signs
+    fixed by ``diag(R) > 0`` for determinism) gives ``Q``, then the
+    log-uniform spectrum ``e`` in ``eig_range``.
+    """
+    log_lo, log_hi = np.log(eig_range[0]), np.log(eig_range[1])
+    gauss = np.empty((len(seeds), size, size))
+    log_eigs = np.empty((len(seeds), size))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=gauss[j])
+        log_eigs[j] = rng.uniform(log_lo, log_hi, size=size)
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    matrices = (q * np.exp(log_eigs)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (matrices + np.swapaxes(matrices, 1, 2))
+
+
 def random_spd(
-    size: int, seed: int, eig_range: tuple[float, float] = (1e-2, 1e2)
+    size: int, seed: int, eig_range: tuple[float, float] = _SPD_EIGS
 ) -> DenseOperator:
     """Random SPD matrix with log-uniform spectrum in ``eig_range`` (seeded)."""
     lo, hi = eig_range
     if not (0 < lo < hi):
         raise ValueError(f"eig_range must satisfy 0 < lo < hi, got {eig_range}")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((size, size))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))  # fix the sign convention for determinism
-    eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
-    matrix = (q * eigs) @ q.T
-    return DenseOperator(matrix=0.5 * (matrix + matrix.T))
+    return DenseOperator(matrix=_spd_stack([seed], size, eig_range)[0])

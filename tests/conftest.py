@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import atexit
 import re
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sqglab.spectral import Basis, DomainSpec
 
@@ -14,6 +18,12 @@ from sqglab.spectral import Basis, DomainSpec
 # database; tests set only ``max_examples``.
 settings.register_profile("sqglab", database=None, deadline=None, derandomize=True)
 settings.load_profile("sqglab")
+# Hypothesis still caches the constants it scrapes from test modules in its
+# home directory; keep that cache in a per-session directory removed at exit,
+# so a run writes nothing into the checkout.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="sqglab-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 # ----------------------------------------------------------------------------
 # shared domains

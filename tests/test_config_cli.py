@@ -40,7 +40,7 @@ from sqglab.estimates import (
     sobolev_bound_monitor,
     tail_mass,
 )
-from sqglab.spectral import Basis, lq_norm, to_physical
+from sqglab.spectral import Basis, lq_norm, sobolev_norm, to_physical
 
 
 def cfg(*lines: str) -> str:
@@ -968,14 +968,16 @@ class TestCliArtifacts:
         norms = [lq_norm(s.theta, math.inf) for s in states]
         want += linf_monitor(times, norms, forcing=params.forcing)
         if experiment.monitor_damped_energy:
-            want += damped_energy_monitor(states, params.lam)
+            norms = [sobolev_norm(s.theta, 0.0) for s in states]
+            want += damped_energy_monitor(times, norms, params.lam)
         for s in states:
             slack = cordoba_pointwise_check(s.theta, params.alpha)
             want.append(InequalityRecord(name="cordoba-min-slack", t=s.t, lhs=0.0, rhs=slack))
             for q in experiment.monitor_lq:
                 value = positivity_integral_check(s.theta, q, params.alpha)
                 want.append(InequalityRecord(name=f"positivity-q{q:g}", t=s.t, lhs=0.0, rhs=value))
-        want += sobolev_bound_monitor(states, 1.0, params)
+        norms = [sobolev_norm(s.theta, 1.0) for s in states]
+        want += sobolev_bound_monitor(states, norms, 1.0, params)
         cutoff = CutoffSpec(k=1.5)
         masses = [tail_mass(to_physical(s.theta), cutoff) for s in states]
         want.append(

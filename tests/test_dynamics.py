@@ -12,6 +12,7 @@ from sqglab.dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _plan,
     advective_speed,
     default_dt,
     embed_odd_extension,
@@ -198,8 +199,24 @@ class TestTransportSupport:
 
 _DIRICHLET_BOXES = {n: DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET) for n in (16, 32, 64)}
 _boxes = st.sampled_from(sorted(_DIRICHLET_BOXES)).map(_DIRICHLET_BOXES.get)
+_TORI = {n: DomainSpec(n=n, box=2 * np.pi, basis=Basis.TORUS) for n in (16, 32, 64)}
+_tori = st.sampled_from(sorted(_TORI)).map(_TORI.get)
 _seeds = st.integers(0, 2**32 - 1)
 _amplitudes = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
+
+
+def _random_field(domain, seed, amplitude, full_spectrum):
+    if full_spectrum:
+        return _full_spectrum_field(domain, seed) * amplitude
+    return random_smooth_field(domain, seed, amplitude=amplitude)
+
+
+def _assert_kernel_matches_composed(theta):
+    want, want_speed = _composed_transport(theta)
+    got, speed = _plan(theta.domain).transport(theta.coeffs)
+    assert np.abs(got - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
+    assert speed == pytest.approx(want_speed, rel=1e-13)
+    assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
 
 
 class TestTransportProperties:
@@ -208,14 +225,7 @@ class TestTransportProperties:
     @settings(max_examples=30)
     @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
     def test_native_kernel_matches_odd_extension(self, domain, seed, amplitude, full_spectrum):
-        if full_spectrum:
-            theta = _full_spectrum_field(domain, seed) * amplitude
-        else:
-            theta = random_smooth_field(domain, seed, amplitude=amplitude)
-        want, want_speed = _composed_transport(theta)
-        got = nonlinear_rhs(theta)
-        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
-        assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
+        _assert_kernel_matches_composed(_random_field(domain, seed, amplitude, full_spectrum))
 
     @settings(max_examples=30)
     @given(domain=_boxes, seed=_seeds, amplitude=_amplitudes, decay=st.floats(1.5, 6.0))
@@ -225,6 +235,25 @@ class TestTransportProperties:
         theta = random_smooth_field(domain, seed, decay=decay, amplitude=amplitude)
         rhs = nonlinear_rhs(theta)
         value = inner_product(rhs, theta)
+        assert abs(value) <= 1e-14 * sobolev_norm(rhs, 0.0) * sobolev_norm(theta, 0.0)
+
+
+class TestTorusTransportProperties:
+    """Random tori, seeds and amplitudes from 1e-3 to 1e2."""
+
+    @settings(max_examples=30)
+    @given(domain=_tori, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_kernel_matches_composed_operators(self, domain, seed, amplitude, full_spectrum):
+        _assert_kernel_matches_composed(_random_field(domain, seed, amplitude, full_spectrum))
+
+    @settings(max_examples=30)
+    @given(domain=_tori, seed=_seeds, amplitude=_amplitudes, full_spectrum=st.booleans())
+    def test_transport_is_orthogonal_to_dealiased_theta(
+        self, domain, seed, amplitude, full_spectrum
+    ):
+        theta = _random_field(domain, seed, amplitude, full_spectrum)
+        rhs = nonlinear_rhs(theta)
+        value = inner_product(rhs, dealias(theta))
         assert abs(value) <= 1e-14 * sobolev_norm(rhs, 0.0) * sobolev_norm(theta, 0.0)
 
 

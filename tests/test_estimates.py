@@ -50,6 +50,16 @@ def _sampled(states, q):
     return [s.t for s in states], [lq_norm(s.theta, q) for s in states]
 
 
+def _h_norms(states, l):
+    """H^l norms of states, as a run's ``h{l}`` column holds them."""
+    return [sobolev_norm(s.theta, l) for s in states]
+
+
+def _energies(states):
+    """Sample times and L^2 norms of states, as a run's ``l2`` column holds them."""
+    return [s.t for s in states], _h_norms(states, 0.0)
+
+
 class TestInequalityRecord:
     def test_slack_and_pass_semantics(self):
         rec = InequalityRecord(name="demo", t=0.0, lhs=1.0, rhs=2.0)
@@ -155,18 +165,22 @@ class TestLinfMonitor:
 class TestDampedEnergyMonitor:
     def test_lam_validation(self):
         with pytest.raises(ValueError, match="lam must be nonnegative"):
-            damped_energy_monitor([], lam=-0.1)
+            damped_energy_monitor([], [], lam=-0.1)
+
+    def test_times_and_norms_must_pair(self):
+        with pytest.raises(ValueError, match="2 sample times for 1 norms"):
+            damped_energy_monitor([0.0, 1.0], [1.0], lam=0.1)
 
     def test_damped_run_passes(self, torus32):
         states = _short_run(torus32, lam=0.5, seed=9)
-        records = damped_energy_monitor(states, lam=0.5)
+        records = damped_energy_monitor(*_energies(states), lam=0.5)
         assert records and all(r.passed for r in records)
         assert records[0].name == "damped-energy"
 
     def test_envelope_is_initial_energy_decay(self, torus32):
         theta0 = random_smooth_field(torus32, seed=10, amplitude=0.2)
         states = [SimulationState(t=0.0, theta=theta0), SimulationState(t=2.0, theta=theta0)]
-        records = damped_energy_monitor(states, lam=1.0)
+        records = damped_energy_monitor(*_energies(states), lam=1.0)
         base = sobolev_norm(theta0, 0.0) ** 2
         assert records[1].rhs == pytest.approx(base * np.exp(-2.0), rel=1e-12)
 
@@ -275,17 +289,23 @@ class TestSobolevBoundMonitor:
     def test_requires_l_at_least_alpha(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         with pytest.raises(ValueError, match="must be >= alpha"):
-            sobolev_bound_monitor([], 0.5, params)
+            sobolev_bound_monitor([], [], 0.5, params)
+
+    def test_states_and_norms_must_pair(self, torus32):
+        params = SqgParams(kappa=0.2, alpha=0.75)
+        states = _short_run(torus32, seed=14)
+        with pytest.raises(ValueError, match=f"{len(states)} sample times for 2 norms"):
+            sobolev_bound_monitor(states, _h_norms(states[:2], 1.5), 1.5, params)
 
     def test_too_few_states_is_empty(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         states = _short_run(torus32, seed=14)[:2]
-        assert sobolev_bound_monitor(states, 1.5, params) == []
+        assert sobolev_bound_monitor(states, _h_norms(states, 1.5), 1.5, params) == []
 
     def test_records_pass_and_track_running_max(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         states = _short_run(torus32, seed=15)
-        records = sobolev_bound_monitor(states, 1.5, params)
+        records = sobolev_bound_monitor(states, _h_norms(states, 1.5), 1.5, params)
         assert len(records) == len(states) - 2
         assert all(r.passed for r in records)
         assert records[0].name == "sobolev-ineq-l1.5"

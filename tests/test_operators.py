@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from sqglab.operators import (
     inv_I_plus_Apow,
     lemma62_convergence,
     lemma_limit_alphas,
+    _leggauss,
+    _validated_eigh,
     moment_inequality_check,
+    moment_inequality_trials,
     random_spd,
     resolvent_apply,
     scalar_operator,
@@ -76,6 +81,14 @@ class TestDenseOperator:
         A = diagonal_operator([0.0, 4.0])
         out = A.apply_power(0.5, np.ones(2))
         assert np.allclose(out, [0.0, 2.0])
+
+    def test_apply_power_round_off_negative_eigenvalue_is_kernel(self):
+        # validation admits eigenvalues down to -1e-12 |A|; powers treat them as 0
+        A = diagonal_operator([-1e-14, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = A.apply_power(0.5, np.ones(2))
+        assert np.array_equal(out, [0.0, 2.0])
 
     def test_apply_function_matches_power(self):
         A = random_spd(8, seed=3)
@@ -338,6 +351,59 @@ class TestMomentInequality:
                 moment_inequality_check(A, np.ones(1), beta)
 
 
+def _moment_trials_loop(rng, trials):
+    """The moment battery one trial at a time, in the battery's draw order."""
+    out = []
+    for _ in range(trials):
+        size = int(rng.integers(2, 12))
+        A = random_spd(size, seed=int(rng.integers(0, 2**31)))
+        vec = rng.standard_normal(size)
+        beta = 0.5 + 0.5 * (1.0 - rng.random())
+        out.append(moment_inequality_check(A, vec, beta))
+    return (np.array(column) for column in zip(*out))
+
+
+class TestMomentTrials:
+    def test_equals_per_trial_checks(self):
+        rng = np.random.default_rng(21)
+        lhs, rhs, passed = moment_inequality_trials(rng, 500)
+        oracle = np.random.default_rng(21)
+        want_lhs, want_rhs, want_passed = _moment_trials_loop(oracle, 500)
+        assert np.all(np.abs(lhs - want_lhs) <= 1e-12 * want_lhs)
+        assert np.all(np.abs(rhs - want_rhs) <= 1e-12 * want_rhs)
+        assert np.count_nonzero(~passed) == np.count_nonzero(~want_passed) == 0
+        assert rng.random() == oracle.random()
+
+
+class TestValidatedStack:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1.0, 0.0], [0.0, np.nan]]),
+            np.array([[1.0, 2.0], [0.0, 1.0]]),
+            np.array([[1.0, 0.0], [0.0, -1.0]]),
+        ],
+        ids=["non-finite", "asymmetric", "indefinite"],
+    )
+    def test_bad_member_raises_dense_operator_error(self, bad):
+        with pytest.raises(ValueError) as single:
+            DenseOperator(matrix=bad)
+        stack = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
+        with pytest.raises(ValueError) as stacked:
+            _validated_eigh(stack)
+        assert str(stacked.value) == str(single.value)
+
+
+class TestLeggaussCache:
+    @pytest.mark.parametrize("count", [4, 10, 37])
+    def test_read_only_and_equal_to_leggauss(self, count):
+        x, w = _leggauss(count)
+        want_x, want_w = np.polynomial.legendre.leggauss(count)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert _leggauss(count)[0] is x
+
+
 class TestConstructors:
     def test_dirichlet_laplacian_1d_eigenvalues(self):
         m = 16
@@ -367,6 +433,16 @@ class TestConstructors:
         B = random_spd(6, seed=42)
         assert np.array_equal(A.matrix, B.matrix)
         assert not np.array_equal(A.matrix, random_spd(6, seed=43).matrix)
+
+    def test_random_spd_matches_direct_construction(self):
+        for size, seed in ((2, 0), (7, 31), (11, 2**31 - 1)):
+            rng = np.random.default_rng(seed)
+            q, r = np.linalg.qr(rng.standard_normal((size, size)))
+            q = q * np.sign(np.diag(r))
+            eigs = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=size))
+            want = (q * eigs) @ q.T
+            got = random_spd(size, seed).matrix
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_random_spd_spectrum_in_range(self):
         A = random_spd(20, seed=12, eig_range=(0.5, 8.0))
