@@ -202,19 +202,38 @@ def _run_fixed_alpha(
     for s in experiment.monitor_sobolev:
         monitors[f"h{s:g}"] = lambda t, th, s=s: sobolev_norm(th, s)
 
+    # the battery runs per sample, so no state outlives its sample
+    battery: list[InequalityRecord] = []
+    masses: list[float] = []
+    # the (l + alpha) norms of each H^l bound, in the order of the orders
+    mid_norms = [(s, []) for s in experiment.monitor_sobolev if s >= params.alpha]
+    radius = experiment.monitor_tail_cutoff
+    cutoff = None if radius is None else CutoffSpec(k=radius)
+
+    def run_battery(state: SimulationState) -> None:
+        slack, integrals, grid = state_battery(state.theta, params.alpha, finite_lq)
+        battery.append(
+            InequalityRecord(name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack)
+        )
+        for q, value in zip(finite_lq, integrals):
+            battery.append(
+                InequalityRecord(name=f"positivity-q{q:g}", t=state.t, lhs=0.0, rhs=value)
+            )
+        if cutoff is not None:
+            masses.append(tail_mass(grid, cutoff))
+        for s, norms in mid_norms:
+            norms.append(sobolev_norm(state.theta, s + params.alpha))
+
     result = integrate(
         SimulationState(t=0.0, theta=theta0),
         params,
         stepper,
         monitors=monitors,
-        # the norm records read the sampled columns; only the battery reads
-        # the states
-        keep_states=full_battery,
+        on_sample=run_battery if full_battery else None,
     )
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     series.meta["dt"] = stepper.step_dt
-    states = result.states
     times = series.times
 
     records: list[InequalityRecord] = []
@@ -233,45 +252,24 @@ def _run_fixed_alpha(
         records.extend(damped)
 
     if full_battery:
-        radius = experiment.monitor_tail_cutoff
-        cutoff = None if radius is None else CutoffSpec(k=radius)
-        masses = []
-        for state in states:
-            slack, integrals, grid = state_battery(state.theta, params.alpha, finite_lq)
-            records.append(
-                InequalityRecord(
-                    name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack
-                )
+        records.extend(battery)
+        for s, norms in mid_norms:
+            records.extend(
+                sobolev_bound_monitor(times, series.column(f"h{s:g}"), norms, s, params)
             )
-            for q, value in zip(finite_lq, integrals):
-                records.append(
-                    InequalityRecord(
-                        name=f"positivity-q{q:g}", t=state.t, lhs=0.0, rhs=value
-                    )
-                )
-            if cutoff is not None:
-                masses.append(tail_mass(grid, cutoff))
-        if len(states) >= 3:
-            for s in experiment.monitor_sobolev:
-                if s >= params.alpha:
-                    records.extend(
-                        sobolev_bound_monitor(
-                            states, series.column(f"h{s:g}"), s, params
-                        )
-                    )
         if cutoff is not None:
             series.add_column("tail_mass", masses)
             records.append(
                 InequalityRecord(
                     name="tail-mass-decrease",
-                    t=states[-1].t,
+                    t=times[-1],
                     lhs=masses[-1],
                     rhs=masses[0],
                 )
             )
 
     emit_csv(series, os.path.join(out_dir, "series.csv"))
-    final = states[-1]
+    final = result.final
     summary = dict(series.meta)
     summary.update(
         {

@@ -24,13 +24,13 @@ from .dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
-    RunResult,
     default_dt,
     integrate,
     nonlinear_rhs,
 )
 from .errors import BlowUpError
 from .estimates import InequalityRecord
+from .series import DiagnosticsSeries
 from .spectral import (
     Basis,
     DomainSpec,
@@ -48,6 +48,7 @@ __all__ = [
     "DiscreteConstants",
     "AlphaSweepConfig",
     "ConvergenceReport",
+    "SweepRun",
     "sweep_runs",
     "assemble_report",
     "sweep_with_runs",
@@ -325,7 +326,19 @@ def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
     return sobolev_norm(a - b, -0.5)
 
 
-def _distance_table(runs: Sequence[RunResult]) -> np.ndarray:
+@dataclass(frozen=True)
+class SweepRun:
+    """One member of a sweep: its sampled diagnostics and sampled states."""
+
+    series: DiagnosticsSeries
+    states: tuple
+
+    @property
+    def final(self) -> SimulationState:
+        return self.states[-1]
+
+
+def _distance_table(runs: Sequence[SweepRun]) -> np.ndarray:
     """:math:`H^{-1/2}` distances, shape (pairs ``i < j``, samples), of sampled runs.
 
     Equal to :func:`h_minus_half_distance` on every pair of states, evaluated
@@ -356,9 +369,10 @@ def _sweep_monitors() -> Mapping[str, Callable[[float, SpectralField], float]]:
 
 def sweep_runs(
     config: AlphaSweepConfig, *, max_workers: int | None = None
-) -> list[RunResult]:
+) -> list[SweepRun]:
     """Run every member of the sweep, sharing the time grid across runs.
 
+    Each member keeps its sampled states, which the distance table reads.
     Runs execute on a thread pool (the FFT work releases the interpreter
     lock); results are returned in the order of ``config.alphas`` and are
     bitwise independent of the scheduling order.
@@ -366,18 +380,20 @@ def sweep_runs(
     stepper = config.stepper()
     monitors = _sweep_monitors()
 
-    def one_run(alpha: float) -> RunResult:
+    def one_run(alpha: float) -> SweepRun:
         state = SimulationState(t=0.0, theta=config.theta0)
+        states: list[SimulationState] = []
         try:
-            return integrate(
+            result = integrate(
                 state,
                 config.params_for(alpha),
                 stepper,
                 monitors=monitors,
-                keep_states=True,
+                on_sample=states.append,
             )
         except BlowUpError as err:
             raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
+        return SweepRun(series=result.series, states=tuple(states))
 
     if max_workers == 1 or len(config.alphas) == 1:
         return [one_run(a) for a in config.alphas]
@@ -386,7 +402,7 @@ def sweep_runs(
 
 
 def assemble_report(
-    config: AlphaSweepConfig, runs: Sequence[RunResult]
+    config: AlphaSweepConfig, runs: Sequence[SweepRun]
 ) -> ConvergenceReport:
     """Distill a family of runs into a convergence report.
 
@@ -443,7 +459,7 @@ def assemble_report(
 
 def sweep_with_runs(
     config: AlphaSweepConfig, *, max_workers: int | None = None
-) -> tuple[ConvergenceReport, list[RunResult]]:
+) -> tuple[ConvergenceReport, list[SweepRun]]:
     """Execute the sweep, returning the report together with the raw runs.
 
     Warns up front when the initial data alone already violates the

@@ -24,8 +24,11 @@ under the same 1/3 cut.  Odd extension to the doubled torus
 the reference the kernel is tested against.
 
 Runs take uniform steps that land exactly on the horizon.  The stepper keeps
-raw coefficient arrays between samples and checks every step once for
-non-finite values, its blow-up signal, and against the advective CFL limit.
+raw coefficient arrays between samples (on the torus only the real-FFT half
+plane, which a real field's conjugate symmetry determines) and checks every
+step once for non-finite values, its blow-up signal, and against the
+advective CFL limit.  Sampled states stream to the caller's hook rather than
+being kept.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -38,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import scipy.fft
@@ -168,14 +171,10 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Output of :func:`integrate`: sampled diagnostics plus sampled states."""
+    """Output of :func:`integrate`: sampled diagnostics and the final state."""
 
     series: DiagnosticsSeries
-    states: tuple
-
-    @property
-    def final(self) -> SimulationState:
-        return self.states[-1]
+    final: SimulationState
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,9 @@ class _TransportPlan:
     folded in); ``div`` stacks the symbols of ``-d/dx_j`` with the mask and the
     analysis scale ``L/n^2`` folded in; ``mirror`` is the row index of ``-k1``.
     The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
-    which the half plane determines.
+    which the half plane determines; the stepper keeps its state in that
+    layout (:meth:`pack`) and expands it (:meth:`unpack`) only where a field
+    leaves the loop.
     """
 
     n: int
@@ -293,11 +294,15 @@ class _TransportPlan:
     mirror: np.ndarray
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` (full FFT layout) and max|u| of a field."""
+        """Dealiased ``-div(u theta)`` (half-plane layout) and max|u| of a field.
+
+        ``coeffs`` may be in full or half-plane layout; only columns
+        ``0 .. n/2`` are read.
+        """
         u1, u2, theta = self._synthesize(coeffs, 3)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
         flux1, flux2 = (scipy.fft.rfft2(u * theta) for u in (u1, u2))
-        return self._full(self.div[0] * flux1 + self.div[1] * flux2), speed
+        return self.div[0] * flux1 + self.div[1] * flux2, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
@@ -311,7 +316,11 @@ class _TransportPlan:
         half = coeffs[:, : n // 2 + 1]
         return [scipy.fft.irfft2(mult * half, s=(n, n)) for mult in self.synth[:count]]
 
-    def _full(self, half: np.ndarray) -> np.ndarray:
+    def pack(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half-plane columns ``0 .. n/2`` of full-layout coefficients, contiguous."""
+        return np.ascontiguousarray(coeffs[:, : self.n // 2 + 1])
+
+    def unpack(self, half: np.ndarray) -> np.ndarray:
         """Expand half-plane coefficients of a real field to the full FFT layout."""
         n = self.n
         out = np.empty((n, n), dtype=np.complex128)
@@ -353,6 +362,12 @@ class _DirichletPlan:
     n: int
     synth: np.ndarray
     div: np.ndarray
+
+    def pack(self, coeffs: np.ndarray) -> np.ndarray:
+        """The stepper's layout of sine coefficients: the coefficients themselves."""
+        return coeffs
+
+    unpack = pack
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased ``-div(u theta)`` (sine coefficients) and max|u| of a field."""
@@ -439,7 +454,8 @@ def nonlinear_rhs(theta: SpectralField) -> SpectralField:
     when theta has no modes above n/3.  Dirichlet fields are transformed on
     the box's own grid with type-1 sine and cosine transforms.
     """
-    rhs = _plan(theta.domain).transport(theta.coeffs)[0]
+    plan = _plan(theta.domain)
+    rhs = plan.unpack(plan.transport(theta.coeffs)[0])
     return SpectralField(coeffs=rhs, domain=theta.domain)
 
 
@@ -470,16 +486,20 @@ def default_dt(theta0: SpectralField, *, cfl: float = CFL_LIMIT) -> float:
 def _rhs_closure(
     domain: DomainSpec, params: SqgParams
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """Transport plus forcing, both in the plan's packed layout."""
     forcing = params.forcing
     if forcing is not None and forcing.domain != domain:
         raise ValueError("forcing must live on the same domain as the evolved field")
 
-    transport = _plan(domain).transport
+    plan = _plan(domain)
+    transport = plan.transport
+    if forcing is not None:
+        forcing = plan.pack(forcing.coeffs)
 
     def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         total, speed = transport(coeffs)
         if forcing is not None:
-            total += forcing.coeffs
+            total += forcing
         return total, speed
 
     return rhs
@@ -494,7 +514,9 @@ def _march(
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Yield ``(t, coeffs, max |u|)`` after each of ``n_steps`` ETD steps.
 
-    Coefficients stay raw arrays between steps.  A step runs with overflow
+    Coefficients stay raw arrays between steps, in the plan's packed layout
+    (the ``rfft2`` half plane on the torus; expand them with the plan's
+    ``unpack``), and so do the ETD tables.  A step runs with overflow
     warnings silenced and is checked once at its end: IEEE arithmetic carries
     a non-finite value from any intermediate (a velocity, a flux, the
     predictor) into the step's speed or coefficients, so that check is the
@@ -510,15 +532,17 @@ def _march(
     dt = config.step_dt
     if tables is None:
         tables = etd_coefficients(domain, params, dt)
+    plan = _plan(domain)
     rhs = _rhs_closure(domain, params)
-    dt_phi1 = tables.dt * tables.phi1
-    dt_phi2 = tables.dt * tables.phi2
-    coeffs = state.theta.coeffs
+    decay = plan.pack(tables.decay)
+    dt_phi1 = tables.dt * plan.pack(tables.phi1)
+    dt_phi2 = tables.dt * plan.pack(tables.phi2)
+    coeffs = plan.pack(state.theta.coeffs)
     for k in range(1, n_steps + 1):
         t_new = state.t + k * dt
         with np.errstate(over="ignore", invalid="ignore"):
             n0, speed = rhs(coeffs)
-            new_coeffs = tables.decay * coeffs
+            new_coeffs = decay * coeffs
             new_coeffs += dt_phi1 * n0
             if config.scheme is Scheme.ETD2RK:
                 # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
@@ -528,7 +552,7 @@ def _march(
                 new_coeffs += n1
                 speed = max(speed, speed1)
             if not (math.isfinite(speed) and np.isfinite(new_coeffs).all()):
-                last = advective_speed(SpectralField(coeffs=coeffs, domain=domain))
+                last = plan.speed(coeffs)
                 last = last if math.isfinite(last) else math.inf
                 raise BlowUpError(t_new, dt * last * domain.n / domain.box)
         coeffs = new_coeffs
@@ -549,8 +573,9 @@ def step(
     BlowUpError
         If the step produces a non-finite value.
     """
+    domain = state.theta.domain
     t_new, coeffs, _ = next(_march(state, params, config, 1, tables))
-    return SimulationState(t=t_new, theta=SpectralField(coeffs=coeffs, domain=state.theta.domain))
+    return SimulationState(t=t_new, theta=SpectralField(_plan(domain).unpack(coeffs), domain))
 
 
 def integrate(
@@ -559,15 +584,18 @@ def integrate(
     config: StepperConfig,
     monitors: Mapping[str, Callable[[float, SpectralField], float]] | None = None,
     *,
-    keep_states: bool = True,
+    on_sample: Callable[[SimulationState], None] | None = None,
 ) -> RunResult:
     """March from ``state`` to ``state.t + config.t_end``, sampling diagnostics.
 
     ``monitors`` maps column names to callables ``(t, theta) -> float``; each
-    sampled row evaluates all of them.  Samples land every ``sample_every``
-    steps and always at the initial and final time.  The advective CFL number
-    is checked at every step: if it exceeded :data:`CFL_LIMIT` at any step
-    since the previous sample, the next sample emits a
+    sampled row evaluates all of them, and ``on_sample`` (if given) then
+    receives the sampled state, so per-sample work streams instead of
+    needing every state kept (pass ``states.append`` to keep the
+    trajectory).  Samples land every ``sample_every`` steps and always at
+    the initial and final time.  The advective CFL number is checked at
+    every step: if it exceeded :data:`CFL_LIMIT` at any step since the
+    previous sample, the next sample emits a
     :class:`~sqglab.errors.CflWarning` with the largest value (escalate
     warnings to errors for a strict run).
 
@@ -575,14 +603,13 @@ def integrate(
     -------
     RunResult
         The diagnostics series (column ``cfl`` is always present and holds
-        the CFL number of the sampled step) and the tuple of sampled states
-        (all samples if ``keep_states``, else just the final state).
+        the CFL number of the sampled step) and the final state.
     """
     domain = state.theta.domain
     monitors = dict(monitors or {})
+    unpack = _plan(domain).unpack
 
     series = DiagnosticsSeries()
-    states: list[SimulationState] = []
     cells_per_length = domain.n / domain.box
     dt = config.step_dt
 
@@ -598,8 +625,8 @@ def integrate(
         for name, monitor in monitors.items():
             row[name] = float(monitor(current.t, current.theta))
         series.append(current.t, row)
-        if keep_states:
-            states.append(current)
+        if on_sample is not None:
+            on_sample(current)
 
     n_steps = config.n_steps
     current = state
@@ -610,12 +637,10 @@ def integrate(
         if speed > peak:
             peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
-            current = SimulationState(t=t, theta=SpectralField(coeffs=coeffs, domain=domain))
+            current = SimulationState(t=t, theta=SpectralField(unpack(coeffs), domain))
             sample(current, speed, peak, peak_t)
             peak = 0.0
-    if not keep_states:
-        states.append(current)
-    return RunResult(series=series, states=tuple(states))
+    return RunResult(series=series, final=current)
 
 
 # ----------------------------------------------------------------------------
@@ -677,6 +702,7 @@ def picard_reference(
 
     domain = state.theta.domain
     rhs = _rhs_closure(domain, params)
+    unpack = _plan(domain).unpack
     m = int(subintervals)
     h = float(t_end) / m
     rate = params.linear_symbol(domain)
@@ -696,7 +722,7 @@ def picard_reference(
     for _ in range(iterations):
         sources = np.empty_like(profile)
         for j in range(m + 1):
-            sources[j] = rhs(profile[j])[0]
+            sources[j] = unpack(rhs(profile[j])[0])
         new_profile = homogeneous.copy()
         for i in range(1, m + 1):
             kernel = np.ones_like(rate)

@@ -394,7 +394,11 @@ def state_battery(
 
 
 def sobolev_bound_monitor(
-    states: Sequence, norms: Sequence[float], l: float, params
+    times: Sequence[float],
+    norms: Sequence[float],
+    mid_norms: Sequence[float],
+    l: float,
+    params,
 ) -> list:
     """Boundedness witness for the H^l differential inequality.
 
@@ -405,27 +409,27 @@ def sobolev_bound_monitor(
     with a central difference in time, and records the running maximum as the
     right-hand side: a stabilizing running max is the discrete shadow of the
     bounded-forcing differential inequality (the records therefore always
-    pass; the quantity of interest is the final ``rhs``).  ``norms[i]`` is
-    ``sobolev_norm(theta, l)`` of ``states[i]`` (a run's ``h{l}`` column);
-    the ``(l + alpha)`` norms are computed from the states.
+    pass; the quantity of interest is the final ``rhs``).  ``norms[i]`` and
+    ``mid_norms[i]`` are ``sobolev_norm(theta, l)`` (a run's ``h{l}``
+    column) and ``sobolev_norm(theta, l + alpha)`` of the state sampled at
+    ``times[i]``; the first and last ``mid_norms`` are not read.
     """
     if l < params.alpha:
         raise ValueError(f"Sobolev index l={l} must be >= alpha={params.alpha}")
-    _check_sampled(states, norms)
-    if len(states) < 3:
+    _check_sampled(times, norms)
+    _check_sampled(times, mid_norms)
+    if len(times) < 3:
         return []
     energies = [norm**2 for norm in norms]
     records = []
     running = -np.inf
-    for i in range(1, len(states) - 1):
-        dt2 = states[i + 1].t - states[i - 1].t
-        deriv = (energies[i + 1] - energies[i - 1]) / dt2
-        mid = sobolev_norm(states[i].theta, (l + params.alpha)) ** 2
-        value = deriv + params.kappa * mid
+    for i in range(1, len(times) - 1):
+        deriv = (energies[i + 1] - energies[i - 1]) / (times[i + 1] - times[i - 1])
+        value = deriv + params.kappa * mid_norms[i] ** 2
         running = max(running, value)
         records.append(
             InequalityRecord(
-                name=f"sobolev-ineq-l{l:g}", t=states[i].t, lhs=value, rhs=running, tol=0.0,
+                name=f"sobolev-ineq-l{l:g}", t=times[i], lhs=value, rhs=running, tol=0.0,
             )
         )
     return records

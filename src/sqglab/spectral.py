@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 import scipy.fft
@@ -41,7 +41,6 @@ from .errors import BasisError, ZeroModeError
 __all__ = [
     "Basis",
     "DomainSpec",
-    "WaveVector",
     "SpectralField",
     "PhysicalField",
     "to_physical",
@@ -65,18 +64,6 @@ class Basis(str, Enum):
 
     TORUS = "torus"
     DIRICHLET = "dirichlet"
-
-
-class WaveVector(NamedTuple):
-    """Integer mode index pair (k₁, k₂)."""
-
-    k1: int
-    k2: int
-
-    def magnitude(self, box: float = 2.0 * math.pi, basis: Basis = Basis.TORUS) -> float:
-        """Physical wavenumber |k| of this mode on a box of side ``box``."""
-        scale = 2.0 * math.pi / box if basis is Basis.TORUS else math.pi / box
-        return scale * math.hypot(self.k1, self.k2)
 
 
 @dataclass(frozen=True)

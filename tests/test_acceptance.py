@@ -124,30 +124,32 @@ def test_criterion_02_maximum_principle(torus128):
     worst_slack = np.inf
     for seed in range(10):
         theta0 = random_smooth_field(torus128, seed=seed, amplitude=1.0)
-        result = integrate(
+        states = []
+        integrate(
             SimulationState(t=0.0, theta=theta0),
             SqgParams(kappa=0.2, alpha=0.75),
             StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
-            keep_states=True,
+            on_sample=states.append,
         )
-        times = [s.t for s in result.states]
+        times = [s.t for s in states]
         for q in (2, 4, 8):
-            norms = [lq_norm(s.theta, q) for s in result.states]
+            norms = [lq_norm(s.theta, q) for s in states]
             records = max_principle_monitor(times, norms, q)
             assert all(r.passed for r in records), f"seed {seed}, q={q}"
             worst_slack = min(worst_slack, min(r.slack for r in records))
 
     forcing = cosine_field(torus128, (1, 0), 0.1)
     theta0 = random_smooth_field(torus128, seed=20, amplitude=1.0)
-    forced = integrate(
+    forced = []
+    integrate(
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.2, alpha=0.75, forcing=forcing),
         StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
-        keep_states=True,
+        on_sample=forced.append,
     )
     envelope = max_principle_monitor(
-        [s.t for s in forced.states],
-        [lq_norm(s.theta, 2) for s in forced.states],
+        [s.t for s in forced],
+        [lq_norm(s.theta, 2) for s in forced],
         2,
         forcing=forcing,
     )
@@ -161,15 +163,16 @@ def test_criterion_03_damped_energy_decay(torus64):
     """With damping lam the energy sits under |theta0|^2 e^(-lam t)."""
     lam = 0.5
     theta0 = random_smooth_field(torus64, seed=8, amplitude=0.5)
-    result = integrate(
+    states = []
+    integrate(
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.1, alpha=0.75, lam=lam),
         StepperConfig(dt=0.02, t_end=3.0, sample_every=5),
-        keep_states=True,
+        on_sample=states.append,
     )
     base = sobolev_norm(theta0, 0.0) ** 2
     margin = np.inf
-    for state in result.states:
+    for state in states:
         energy = sobolev_norm(state.theta, 0.0) ** 2
         bound = base * np.exp(-lam * state.t) * (1 + 1e-6)
         margin = min(margin, bound - energy)
@@ -342,13 +345,13 @@ def test_criterion_12_tail_decay_and_sobolev_boundedness():
     """A damped localized bump loses far-field mass and H^1.5 stays bounded."""
     domain = DomainSpec(n=128, box=8 * np.pi, basis=Basis.TORUS)
     theta0 = gaussian_bump_field(domain, width=np.pi / 2, amplitude=0.5)
-    result = integrate(
+    states = []
+    integrate(
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.2, alpha=0.75, lam=0.5),
         StepperConfig(dt=default_dt(theta0), t_end=20.0, sample_every=10),
-        keep_states=True,
+        on_sample=states.append,
     )
-    states = result.states
     cutoff = CutoffSpec(k=domain.box / 6)
     mass_start = tail_mass(to_physical(states[0].theta), cutoff)
     mass_end = tail_mass(to_physical(states[-1].theta), cutoff)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -957,9 +958,13 @@ class TestCliArtifacts:
         experiment = load_config_file(write_config(tmp_path, text))
         params = experiment.params
         theta0 = experiment.initial_field(None)
-        states = integrate(
-            SimulationState(t=0.0, theta=theta0), params, experiment.stepper_for(theta0)
-        ).states
+        states = []
+        integrate(
+            SimulationState(t=0.0, theta=theta0),
+            params,
+            experiment.stepper_for(theta0),
+            on_sample=states.append,
+        )
         times = [s.t for s in states]
         want = []
         for q in experiment.monitor_lq:
@@ -977,7 +982,8 @@ class TestCliArtifacts:
                 value = positivity_integral_check(s.theta, q, params.alpha)
                 want.append(InequalityRecord(name=f"positivity-q{q:g}", t=s.t, lhs=0.0, rhs=value))
         norms = [sobolev_norm(s.theta, 1.0) for s in states]
-        want += sobolev_bound_monitor(states, norms, 1.0, params)
+        mid_norms = [sobolev_norm(s.theta, 1.0 + params.alpha) for s in states]
+        want += sobolev_bound_monitor(times, norms, mid_norms, 1.0, params)
         cutoff = CutoffSpec(k=1.5)
         masses = [tail_mass(to_physical(s.theta), cutoff) for s in states]
         want.append(
@@ -987,3 +993,31 @@ class TestCliArtifacts:
         assert len(states) == 6
         assert [c["name"] for c in checks] == [r.name for r in want]
         assert checks == [r.as_dict() for r in want]
+
+    def test_estimates_battery_streams_its_states(self, tmp_path, capsys):
+        # n = 64, 100 steps: 101 retained states would hold 101 n^2 complex values
+        text = cfg(
+            *SIMULATE_LINES[:1],
+            "kind = estimates-report",
+            "[domain]",
+            "n = 64",
+            *SIMULATE_LINES[4:8],
+            "dt = 0.01",
+            "t_end = 1.0",
+            *SIMULATE_LINES[10:],
+            "[monitors]",
+            "lq = [2, 4]",
+            "sobolev = [1.5]",
+            "tail_cutoff = 1.5",
+        )
+        self.run_ok(tmp_path, capsys, text, "estimates-report")  # builds the cached plans
+        tracemalloc.start()
+        try:
+            out = self.run_ok(tmp_path, capsys, text, "estimates-report", out="traced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["n_samples"] == 101
+        retained = summary["n_samples"] * 64 * 64 * np.dtype(np.complex128).itemsize
+        assert peak < retained / 2

@@ -12,6 +12,7 @@ from sqglab.dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _march,
     _plan,
     advective_speed,
     default_dt,
@@ -213,7 +214,9 @@ def _random_field(domain, seed, amplitude, full_spectrum):
 
 def _assert_kernel_matches_composed(theta):
     want, want_speed = _composed_transport(theta)
-    got, speed = _plan(theta.domain).transport(theta.coeffs)
+    plan = _plan(theta.domain)
+    got, speed = plan.transport(theta.coeffs)
+    got = plan.unpack(got)
     assert np.abs(got - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
     assert speed == pytest.approx(want_speed, rel=1e-13)
     assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
@@ -266,10 +269,7 @@ class TestStepOracles:
         for alpha in (0.55, 0.75, 1.0):
             params = SqgParams(kappa=0.1, alpha=alpha)
             config = StepperConfig(dt=0.025, t_end=1.0)
-            result = integrate(
-                SimulationState(t=0.0, theta=theta0), params, config,
-                keep_states=False,
-            )
+            result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
             got = to_physical(result.final.theta).values
             x1, _ = torus64.physical_coordinates
             want = np.exp(-0.1 * 1.0) * np.cos(x1)
@@ -282,9 +282,7 @@ class TestStepOracles:
         forcing = fractional_laplacian(g, alpha) * kappa + g * lam
         params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
         config = StepperConfig(dt=0.02, t_end=2.0)
-        result = integrate(
-            SimulationState(t=0.0, theta=g), params, config, keep_states=False
-        )
+        result = integrate(SimulationState(t=0.0, theta=g), params, config)
         assert sobolev_norm(result.final.theta - g, 0.0) <= 1e-8
 
     def test_second_order_convergence(self, torus32):
@@ -294,10 +292,7 @@ class TestStepOracles:
         finals = []
         for dt in (0.02, 0.01, 0.005):
             config = StepperConfig(dt=dt, t_end=t_end)
-            result = integrate(
-                SimulationState(t=0.0, theta=theta0), params, config,
-                keep_states=False,
-            )
+            result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
             finals.append(result.final.theta)
         err_coarse = sobolev_norm(finals[0] - finals[2], 0.0)
         err_fine = sobolev_norm(finals[1] - finals[2], 0.0)
@@ -333,6 +328,60 @@ class TestStepOracles:
         assert result.final.t == pytest.approx(0.05)
 
 
+def _full_layout_march(theta, params, config, n_steps):
+    """ETD steps on full FFT-layout coefficients, the transport expanded per call."""
+    domain = theta.domain
+    plan = _plan(domain)
+    tables = etd_coefficients(domain, params, config.step_dt)
+    forcing = params.forcing
+
+    def rhs(coeffs):
+        total, speed = plan.transport(coeffs)
+        total = plan.unpack(total)
+        if forcing is not None:
+            total += forcing.coeffs
+        return total, speed
+
+    dt_phi1 = tables.dt * tables.phi1
+    dt_phi2 = tables.dt * tables.phi2
+    coeffs = theta.coeffs
+    for _ in range(n_steps):
+        n0, speed = rhs(coeffs)
+        new_coeffs = tables.decay * coeffs
+        new_coeffs += dt_phi1 * n0
+        if config.scheme is Scheme.ETD2RK:
+            n1, speed1 = rhs(new_coeffs)
+            n1 -= n0
+            n1 *= dt_phi2
+            new_coeffs += n1
+            speed = max(speed, speed1)
+        coeffs = new_coeffs
+        yield coeffs, speed
+
+
+class TestHalfPlaneState:
+    @pytest.mark.parametrize("name", ["torus32", "torus64"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("scheme", [Scheme.ETD1, Scheme.ETD2RK])
+    def test_march_equals_full_layout_loop(self, name, forced, scheme, request):
+        domain = request.getfixturevalue(name)
+        theta0 = random_smooth_field(domain, seed=30, amplitude=0.5)
+        forcing = random_smooth_field(domain, seed=31, amplitude=0.2) if forced else None
+        params = SqgParams(kappa=0.1, alpha=0.75, lam=0.1, forcing=forcing)
+        config = StepperConfig(dt=0.01, t_end=0.2, scheme=scheme)
+        state = SimulationState(t=0.0, theta=theta0)
+        unpack = _plan(domain).unpack
+        steps = list(_march(state, params, config, 20))
+        want = list(_full_layout_march(theta0, params, config, 20))
+        assert len(steps) == len(want) == 20
+        for (_, half, speed), (full, want_speed) in zip(steps, want):
+            assert half.shape == (domain.n, domain.n // 2 + 1)
+            np.testing.assert_array_equal(unpack(half), full)
+            assert speed == want_speed
+        last = step(state, params, StepperConfig(dt=0.01, t_end=0.01, scheme=scheme))
+        np.testing.assert_array_equal(last.theta.coeffs, want[0][0])
+
+
 class TestIntegrateContract:
     def test_zero_horizon_single_sample(self, torus32):
         theta0 = random_smooth_field(torus32, seed=8, amplitude=0.1)
@@ -354,10 +403,7 @@ class TestIntegrateContract:
         params = SqgParams(kappa=0.1, alpha=0.6)
         config = StepperConfig(dt=0.01, t_end=0.2)
         runs = [
-            integrate(
-                SimulationState(t=0.0, theta=theta0), params, config,
-                keep_states=False,
-            )
+            integrate(SimulationState(t=0.0, theta=theta0), params, config)
             for _ in range(2)
         ]
         np.testing.assert_array_equal(
@@ -368,16 +414,18 @@ class TestIntegrateContract:
         theta0 = random_smooth_field(torus32, seed=11, amplitude=0.5)
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.3)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        for state in result.states:
+        states = []
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        for state in states:
             assert state.theta.coeffs[0, 0] == 0.0
 
     def test_l2_non_increasing_unforced(self, torus32):
         theta0 = random_smooth_field(torus32, seed=12, amplitude=0.5)
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.5)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        norms = [sobolev_norm(s.theta, 0.0) for s in result.states]
+        states = []
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        norms = [sobolev_norm(s.theta, 0.0) for s in states]
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1 + 1e-9)
 
@@ -386,9 +434,10 @@ class TestIntegrateContract:
         theta0 = random_smooth_field(torus32, seed=13, amplitude=0.5)
         params = SqgParams(kappa=0.1, alpha=0.75, lam=lam)
         config = StepperConfig(dt=0.01, t_end=1.0)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        states = []
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
         base = sobolev_norm(theta0, 0.0) ** 2
-        for state in result.states:
+        for state in states:
             energy = sobolev_norm(state.theta, 0.0) ** 2
             assert energy <= base * np.exp(-2 * lam * state.t) * (1 + 1e-6)
 
@@ -506,9 +555,7 @@ class TestDirichletDynamics:
         kappa, alpha = 0.2, 0.75
         params = SqgParams(kappa=kappa, alpha=alpha)
         config = StepperConfig(dt=0.01, t_end=0.5)
-        result = integrate(
-            SimulationState(t=0.0, theta=theta0), params, config, keep_states=False
-        )
+        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
         mu = dirichlet32.laplacian_symbol[0, 0]  # = 2 on the pi box
         want = np.exp(-kappa * mu**alpha * 0.5)
         got = result.final.theta.coeffs[0, 0] / theta0.coeffs[0, 0]
@@ -529,8 +576,9 @@ class TestDirichletDynamics:
         theta0 = random_smooth_field(dirichlet32, seed=20, amplitude=0.3)
         params = SqgParams(kappa=0.2, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.3)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        norms = [sobolev_norm(s.theta, 0.0) for s in result.states]
+        states = []
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        norms = [sobolev_norm(s.theta, 0.0) for s in states]
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1 + 1e-9)
 
@@ -555,9 +603,7 @@ class TestPicardReference:
             iterations=10, subintervals=64,
         )
         config = StepperConfig(dt=0.01, t_end=t_end)
-        result = integrate(
-            SimulationState(t=0.0, theta=theta0), params, config, keep_states=False
-        )
+        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
         err = sobolev_norm(result.final.theta - reference.theta, 0.0)
         assert err <= 1e-5 * sobolev_norm(theta0, 0.0)
 

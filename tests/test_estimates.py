@@ -42,7 +42,9 @@ def _short_run(domain, *, lam=0.0, seed=1, amplitude=0.2, alpha=0.75):
     theta0 = random_smooth_field(domain, seed=seed, amplitude=amplitude)
     params = SqgParams(kappa=0.2, alpha=alpha, lam=lam)
     config = StepperConfig(dt=0.01, t_end=0.1)
-    return integrate(SimulationState(t=0.0, theta=theta0), params, config).states
+    states = []
+    integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+    return states
 
 
 def _sampled(states, q):
@@ -53,6 +55,11 @@ def _sampled(states, q):
 def _h_norms(states, l):
     """H^l norms of states, as a run's ``h{l}`` column holds them."""
     return [sobolev_norm(s.theta, l) for s in states]
+
+
+def _bound_inputs(states, l, alpha=0.75):
+    """Times, H^l and H^(l+alpha) norms of states, as a run samples them."""
+    return [s.t for s in states], _h_norms(states, l), _h_norms(states, l + alpha)
 
 
 def _energies(states):
@@ -137,7 +144,8 @@ class TestMaxPrincipleMonitor:
         forcing = random_smooth_field(torus32, seed=5, amplitude=0.1)
         params = SqgParams(kappa=0.2, alpha=0.75, forcing=forcing)
         config = StepperConfig(dt=0.01, t_end=0.2)
-        states = integrate(SimulationState(t=0.0, theta=theta0), params, config).states
+        states = []
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
         for q in (2.0, 4.0):
             records = max_principle_monitor(*_sampled(states, q), q=q, forcing=forcing)
             assert all(r.passed for r in records)
@@ -289,23 +297,26 @@ class TestSobolevBoundMonitor:
     def test_requires_l_at_least_alpha(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         with pytest.raises(ValueError, match="must be >= alpha"):
-            sobolev_bound_monitor([], [], 0.5, params)
+            sobolev_bound_monitor([], [], [], 0.5, params)
 
     def test_states_and_norms_must_pair(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         states = _short_run(torus32, seed=14)
+        times, norms, mid_norms = _bound_inputs(states, 1.5)
         with pytest.raises(ValueError, match=f"{len(states)} sample times for 2 norms"):
-            sobolev_bound_monitor(states, _h_norms(states[:2], 1.5), 1.5, params)
+            sobolev_bound_monitor(times, norms[:2], mid_norms, 1.5, params)
+        with pytest.raises(ValueError, match=f"{len(states)} sample times for 2 norms"):
+            sobolev_bound_monitor(times, norms, mid_norms[:2], 1.5, params)
 
     def test_too_few_states_is_empty(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         states = _short_run(torus32, seed=14)[:2]
-        assert sobolev_bound_monitor(states, _h_norms(states, 1.5), 1.5, params) == []
+        assert sobolev_bound_monitor(*_bound_inputs(states, 1.5), 1.5, params) == []
 
     def test_records_pass_and_track_running_max(self, torus32):
         params = SqgParams(kappa=0.2, alpha=0.75)
         states = _short_run(torus32, seed=15)
-        records = sobolev_bound_monitor(states, _h_norms(states, 1.5), 1.5, params)
+        records = sobolev_bound_monitor(*_bound_inputs(states, 1.5), 1.5, params)
         assert len(records) == len(states) - 2
         assert all(r.passed for r in records)
         assert records[0].name == "sobolev-ineq-l1.5"
