@@ -266,7 +266,9 @@ class _RefinedPlan:
     grid's ``rfft2`` half-plane layout with every scale folded in: phi is
     synthesized without its scale ``(2n)^2/L``, so its square lacks that
     factor twice, and the square's analysis ``L/(2n)^2`` and synthesis
-    ``(2n)^2/L`` cancel.
+    ``(2n)^2/L`` cancel.  ``mult`` is zero outside the square's exact
+    support ``|k_i| <= 2 floor(n/3)``, where the refined transform holds only
+    round-off that ``|k|^{2a}`` would amplify.
     """
 
     n: int
@@ -291,7 +293,10 @@ def _refined_plan(domain: DomainSpec, alpha: float) -> _RefinedPlan:
     n = domain.n
     fine = DomainSpec(n=2 * n, box=domain.box, basis=Basis.TORUS)
     rows = domain.index_grids[0][:, 0] % (2 * n)
-    mult = _laplacian_power(fine, alpha)[:, : n + 1] * ((2 * n) ** 4 / domain.box**2)
+    k1, k2 = fine.index_grids
+    support = np.maximum(np.abs(k1), np.abs(k2)) <= 2 * (n // 3)
+    mult = (_laplacian_power(fine, alpha) * support)[:, : n + 1]
+    mult *= (2 * n) ** 4 / domain.box**2
     for table in (rows, mult):
         table.setflags(write=False)
     return _RefinedPlan(n=n, rows=rows, mult=mult)

@@ -10,6 +10,7 @@ from sqglab.dynamics import SimulationState, SqgParams, StepperConfig, integrate
 from sqglab.estimates import (
     DEFAULT_TOL,
     CutoffSpec,
+    _refined_plan,
     InequalityRecord,
     commutator_probe,
     cordoba_pointwise_check,
@@ -221,6 +222,17 @@ class TestCordobaPointwise:
         phi = random_smooth_field(torus32, seed=1)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             cordoba_slack_field(phi, 1.5)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_refined_multiplier_has_the_square_s_exact_support(self, n):
+        domain = DomainSpec(n=n)
+        mult = _refined_plan(domain, 0.75).mult
+        k1 = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))[:, None]
+        k2 = np.arange(n + 1)[None, :]
+        inside = np.maximum(np.abs(k1), k2) <= 2 * (n // 3)
+        assert np.all(mult[~inside] == 0.0)
+        inside[0, 0] = False  # |k|^{2a} vanishes on the zero mode
+        assert np.all(mult[inside] > 0.0)
 
     @settings(max_examples=40)
     @given(
