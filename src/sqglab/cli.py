@@ -205,7 +205,7 @@ def _run_fixed_alpha(
     # the battery runs per sample, so no state outlives its sample
     battery: list[InequalityRecord] = []
     masses: list[float] = []
-    # the (l + alpha) norms of each H^l bound, in the order of the orders
+    # per H^l bound (l >= alpha), the H^(l + alpha) norm of every sample
     mid_norms = [(s, []) for s in experiment.monitor_sobolev if s >= params.alpha]
     radius = experiment.monitor_tail_cutoff
     cutoff = None if radius is None else CutoffSpec(k=radius)
@@ -322,8 +322,8 @@ def _run_sweep_kind(
     records.extend(pairwise_bound_check(report, c2=c2, c3_guess=experiment.sweep_c3))
     for i in range(m - 1):
         lhs, rhs = interpolation_upgrade(
-            runs[i].states[-1].theta,
-            runs[i + 1].states[-1].theta,
+            runs[i].final.theta,
+            runs[i + 1].final.theta,
             experiment.sweep_epsilon,
         )
         records.append(
@@ -336,8 +336,8 @@ def _run_sweep_kind(
         )
     records.append(
         l43_interpolation_check(
-            runs[0].states[-1].theta,
-            runs[-1].states[-1].theta,
+            runs[0].final.theta,
+            runs[-1].final.theta,
             constant=L43_FROZEN_CONSTANT,
         )
     )

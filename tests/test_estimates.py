@@ -10,8 +10,8 @@ from sqglab.dynamics import SimulationState, SqgParams, StepperConfig, integrate
 from sqglab.estimates import (
     DEFAULT_TOL,
     CutoffSpec,
-    _refined_plan,
     InequalityRecord,
+    _refined_plan,
     commutator_probe,
     cordoba_pointwise_check,
     cordoba_slack_field,
@@ -224,7 +224,7 @@ class TestCordobaPointwise:
             cordoba_slack_field(phi, 1.5)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
-    def test_refined_multiplier_has_the_square_s_exact_support(self, n):
+    def test_refined_multiplier_vanishes_outside_the_square_support(self, n):
         domain = DomainSpec(n=n)
         mult = _refined_plan(domain, 0.75).mult
         k1 = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))[:, None]
