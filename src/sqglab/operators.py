@@ -59,17 +59,6 @@ _TRIAL_SIZES = (2, 12)
 _TRUNCATION_TARGET = 1e-11
 
 
-def _asymmetry_error(asym: float) -> ValueError:
-    return ValueError(
-        f"matrix is not symmetric: |A - A^T| = {asym:.3e} "
-        f"exceeds {_SYMMETRY_TOL:.0e} * |A|"
-    )
-
-
-def _indefinite_error(value: float) -> ValueError:
-    return ValueError(f"matrix is not positive semi-definite: min eigenvalue {value:.3e}")
-
-
 def _validated_eigh(matrices: np.ndarray) -> tuple:
     """Validate a stack ``(k, n, n)`` of symmetric PSD matrices and diagonalize it.
 
@@ -86,32 +75,19 @@ def _validated_eigh(matrices: np.ndarray) -> tuple:
     asym = np.linalg.norm(matrices - transposed, axis=(1, 2))
     bad = asym > bound
     if bad.any():
-        raise _asymmetry_error(asym[bad][0])
+        raise ValueError(
+            f"matrix is not symmetric: |A - A^T| = {asym[bad][0]:.3e} "
+            f"exceeds {_SYMMETRY_TOL:.0e} * |A|"
+        )
     matrices = 0.5 * (matrices + transposed)
     values, vectors = np.linalg.eigh(matrices)
     bad = values[:, 0] < -bound
     if bad.any():
-        raise _indefinite_error(values[bad, 0][0])
+        raise ValueError(
+            f"matrix is not positive semi-definite: min eigenvalue "
+            f"{values[bad, 0][0]:.3e}"
+        )
     return matrices, values, vectors
-
-
-def _validated_eigh_one(matrix: np.ndarray) -> tuple:
-    """:func:`_validated_eigh` of one ``(n, n)`` matrix, without stack overhead.
-
-    Same checks, messages and outputs; for one small matrix the stack's
-    axis-wise norms and masks would cost about a third of the construction.
-    """
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix has non-finite entries")
-    bound = _SYMMETRY_TOL * max(float(np.linalg.norm(matrix)), 1.0)
-    asym = float(np.linalg.norm(matrix - matrix.T))
-    if asym > bound:
-        raise _asymmetry_error(asym)
-    matrix = 0.5 * (matrix + matrix.T)
-    values, vectors = np.linalg.eigh(matrix)
-    if values[0] < -bound:
-        raise _indefinite_error(values[0])
-    return matrix, values, vectors
 
 
 def _clipped_powers(values: np.ndarray, exponent) -> np.ndarray:
@@ -146,11 +122,11 @@ class DenseOperator:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        matrix, values, vectors = _validated_eigh_one(matrix)
-        for array in (matrix, values, vectors):
+        matrices, values, vectors = _validated_eigh(matrix[None])
+        for array in (matrices, values, vectors):
             array.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_eig", (values, vectors))
+        object.__setattr__(self, "matrix", matrices[0])
+        object.__setattr__(self, "_eig", (values[0], vectors[0]))
 
     @property
     def eigenvalues(self) -> np.ndarray:

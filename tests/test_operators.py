@@ -394,17 +394,6 @@ class TestValidatedStack:
         assert str(stacked.value) == str(single.value)
 
 
-    @pytest.mark.parametrize("size", [1, 8, 40])
-    def test_single_matrix_path_equals_stack_of_one(self, size):
-        matrix = random_spd(size, seed=size).matrix
-        matrix = matrix + 1e-14 * np.triu(np.ones((size, size)), 1)  # round-off asymmetry
-        op = DenseOperator(matrix=matrix)
-        stacked, values, vectors = _validated_eigh(matrix[None])
-        assert np.array_equal(op.matrix, stacked[0])
-        assert np.array_equal(op.eigenvalues, values[0])
-        assert np.array_equal(op._eig[1], vectors[0])
-
-
 class TestLeggaussCache:
     @pytest.mark.parametrize("count", [4, 10, 37])
     def test_read_only_and_equal_to_leggauss(self, count):
