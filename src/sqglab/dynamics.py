@@ -24,11 +24,9 @@ under the same 1/3 cut.  Odd extension to the doubled torus
 the reference the kernel is tested against.
 
 Runs take uniform steps that land exactly on the horizon.  The stepper keeps
-raw coefficient arrays between samples (on the torus only the real-FFT half
-plane, which a real field's conjugate symmetry determines) and checks every
-step once for non-finite values, its blow-up signal, and against the
-advective CFL limit.  Sampled states stream to the caller's hook rather than
-being kept.
+raw coefficient arrays between samples and checks every step once for
+non-finite values, its blow-up signal, and against the advective CFL limit.
+Sampled states stream to the caller's hook rather than being kept.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -283,9 +281,7 @@ class _TransportPlan:
     folded in); ``div`` stacks the symbols of ``-d/dx_j`` with the mask and the
     analysis scale ``L/n^2`` folded in; ``mirror`` is the row index of ``-k1``.
     The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
-    which the half plane determines; the stepper keeps its state in that
-    layout (:meth:`pack`) and expands it (:meth:`unpack`) only where a field
-    leaves the loop.
+    which the half plane determines.
     """
 
     n: int
@@ -294,15 +290,11 @@ class _TransportPlan:
     mirror: np.ndarray
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` (half-plane layout) and max|u| of a field.
-
-        ``coeffs`` may be in full or half-plane layout; only columns
-        ``0 .. n/2`` are read.
-        """
+        """Dealiased ``-div(u theta)`` (full FFT layout) and max|u| of a field."""
         u1, u2, theta = self._synthesize(coeffs, 3)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
         flux1, flux2 = (scipy.fft.rfft2(u * theta) for u in (u1, u2))
-        return self.div[0] * flux1 + self.div[1] * flux2, speed
+        return self._full(self.div[0] * flux1 + self.div[1] * flux2), speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
@@ -316,11 +308,7 @@ class _TransportPlan:
         half = coeffs[:, : n // 2 + 1]
         return [scipy.fft.irfft2(mult * half, s=(n, n)) for mult in self.synth[:count]]
 
-    def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half-plane columns ``0 .. n/2`` of full-layout coefficients, contiguous."""
-        return np.ascontiguousarray(coeffs[:, : self.n // 2 + 1])
-
-    def unpack(self, half: np.ndarray) -> np.ndarray:
+    def _full(self, half: np.ndarray) -> np.ndarray:
         """Expand half-plane coefficients of a real field to the full FFT layout."""
         n = self.n
         out = np.empty((n, n), dtype=np.complex128)
@@ -362,12 +350,6 @@ class _DirichletPlan:
     n: int
     synth: np.ndarray
     div: np.ndarray
-
-    def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """The stepper's layout of sine coefficients: the coefficients themselves."""
-        return coeffs
-
-    unpack = pack
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased ``-div(u theta)`` (sine coefficients) and max|u| of a field."""
@@ -454,8 +436,7 @@ def nonlinear_rhs(theta: SpectralField) -> SpectralField:
     when theta has no modes above n/3.  Dirichlet fields are transformed on
     the box's own grid with type-1 sine and cosine transforms.
     """
-    plan = _plan(theta.domain)
-    rhs = plan.unpack(plan.transport(theta.coeffs)[0])
+    rhs = _plan(theta.domain).transport(theta.coeffs)[0]
     return SpectralField(coeffs=rhs, domain=theta.domain)
 
 
@@ -486,20 +467,16 @@ def default_dt(theta0: SpectralField, *, cfl: float = CFL_LIMIT) -> float:
 def _rhs_closure(
     domain: DomainSpec, params: SqgParams
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
-    """Transport plus forcing, both in the plan's packed layout."""
     forcing = params.forcing
     if forcing is not None and forcing.domain != domain:
         raise ValueError("forcing must live on the same domain as the evolved field")
 
-    plan = _plan(domain)
-    transport = plan.transport
-    if forcing is not None:
-        forcing = plan.pack(forcing.coeffs)
+    transport = _plan(domain).transport
 
     def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         total, speed = transport(coeffs)
         if forcing is not None:
-            total += forcing
+            total += forcing.coeffs
         return total, speed
 
     return rhs
@@ -514,9 +491,7 @@ def _march(
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Yield ``(t, coeffs, max |u|)`` after each of ``n_steps`` ETD steps.
 
-    Coefficients stay raw arrays between steps, in the plan's packed layout
-    (the ``rfft2`` half plane on the torus; expand them with the plan's
-    ``unpack``), and so do the ETD tables.  A step runs with overflow
+    Coefficients stay raw arrays between steps.  A step runs with overflow
     warnings silenced and is checked once at its end: IEEE arithmetic carries
     a non-finite value from any intermediate (a velocity, a flux, the
     predictor) into the step's speed or coefficients, so that check is the
@@ -532,17 +507,15 @@ def _march(
     dt = config.step_dt
     if tables is None:
         tables = etd_coefficients(domain, params, dt)
-    plan = _plan(domain)
     rhs = _rhs_closure(domain, params)
-    decay = plan.pack(tables.decay)
-    dt_phi1 = tables.dt * plan.pack(tables.phi1)
-    dt_phi2 = tables.dt * plan.pack(tables.phi2)
-    coeffs = plan.pack(state.theta.coeffs)
+    dt_phi1 = tables.dt * tables.phi1
+    dt_phi2 = tables.dt * tables.phi2
+    coeffs = state.theta.coeffs
     for k in range(1, n_steps + 1):
         t_new = state.t + k * dt
         with np.errstate(over="ignore", invalid="ignore"):
             n0, speed = rhs(coeffs)
-            new_coeffs = decay * coeffs
+            new_coeffs = tables.decay * coeffs
             new_coeffs += dt_phi1 * n0
             if config.scheme is Scheme.ETD2RK:
                 # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
@@ -552,7 +525,7 @@ def _march(
                 new_coeffs += n1
                 speed = max(speed, speed1)
             if not (math.isfinite(speed) and np.isfinite(new_coeffs).all()):
-                last = plan.speed(coeffs)
+                last = advective_speed(SpectralField(coeffs=coeffs, domain=domain))
                 last = last if math.isfinite(last) else math.inf
                 raise BlowUpError(t_new, dt * last * domain.n / domain.box)
         coeffs = new_coeffs
@@ -573,9 +546,8 @@ def step(
     BlowUpError
         If the step produces a non-finite value.
     """
-    domain = state.theta.domain
     t_new, coeffs, _ = next(_march(state, params, config, 1, tables))
-    return SimulationState(t=t_new, theta=SpectralField(_plan(domain).unpack(coeffs), domain))
+    return SimulationState(t=t_new, theta=SpectralField(coeffs=coeffs, domain=state.theta.domain))
 
 
 def integrate(
@@ -607,7 +579,6 @@ def integrate(
     """
     domain = state.theta.domain
     monitors = dict(monitors or {})
-    unpack = _plan(domain).unpack
 
     series = DiagnosticsSeries()
     cells_per_length = domain.n / domain.box
@@ -637,7 +608,7 @@ def integrate(
         if speed > peak:
             peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
-            current = SimulationState(t=t, theta=SpectralField(unpack(coeffs), domain))
+            current = SimulationState(t=t, theta=SpectralField(coeffs=coeffs, domain=domain))
             sample(current, speed, peak, peak_t)
             peak = 0.0
     return RunResult(series=series, final=current)
@@ -702,7 +673,6 @@ def picard_reference(
 
     domain = state.theta.domain
     rhs = _rhs_closure(domain, params)
-    unpack = _plan(domain).unpack
     m = int(subintervals)
     h = float(t_end) / m
     rate = params.linear_symbol(domain)
@@ -722,7 +692,7 @@ def picard_reference(
     for _ in range(iterations):
         sources = np.empty_like(profile)
         for j in range(m + 1):
-            sources[j] = unpack(rhs(profile[j])[0])
+            sources[j] = rhs(profile[j])[0]
         new_profile = homogeneous.copy()
         for i in range(1, m + 1):
             kernel = np.ones_like(rate)

@@ -12,7 +12,6 @@ from sqglab.dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
-    _march,
     _plan,
     advective_speed,
     default_dt,
@@ -214,9 +213,7 @@ def _random_field(domain, seed, amplitude, full_spectrum):
 
 def _assert_kernel_matches_composed(theta):
     want, want_speed = _composed_transport(theta)
-    plan = _plan(theta.domain)
-    got, speed = plan.transport(theta.coeffs)
-    got = plan.unpack(got)
+    got, speed = _plan(theta.domain).transport(theta.coeffs)
     assert np.abs(got - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
     assert speed == pytest.approx(want_speed, rel=1e-13)
     assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
@@ -326,60 +323,6 @@ class TestStepOracles:
         config = StepperConfig(dt=0.01, t_end=0.05, scheme=Scheme.ETD1)
         result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
         assert result.final.t == pytest.approx(0.05)
-
-
-def _full_layout_march(theta, params, config, n_steps):
-    """ETD steps on full FFT-layout coefficients, the transport expanded per call."""
-    domain = theta.domain
-    plan = _plan(domain)
-    tables = etd_coefficients(domain, params, config.step_dt)
-    forcing = params.forcing
-
-    def rhs(coeffs):
-        total, speed = plan.transport(coeffs)
-        total = plan.unpack(total)
-        if forcing is not None:
-            total += forcing.coeffs
-        return total, speed
-
-    dt_phi1 = tables.dt * tables.phi1
-    dt_phi2 = tables.dt * tables.phi2
-    coeffs = theta.coeffs
-    for _ in range(n_steps):
-        n0, speed = rhs(coeffs)
-        new_coeffs = tables.decay * coeffs
-        new_coeffs += dt_phi1 * n0
-        if config.scheme is Scheme.ETD2RK:
-            n1, speed1 = rhs(new_coeffs)
-            n1 -= n0
-            n1 *= dt_phi2
-            new_coeffs += n1
-            speed = max(speed, speed1)
-        coeffs = new_coeffs
-        yield coeffs, speed
-
-
-class TestHalfPlaneState:
-    @pytest.mark.parametrize("name", ["torus32", "torus64"])
-    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-    @pytest.mark.parametrize("scheme", [Scheme.ETD1, Scheme.ETD2RK])
-    def test_march_equals_full_layout_loop(self, name, forced, scheme, request):
-        domain = request.getfixturevalue(name)
-        theta0 = random_smooth_field(domain, seed=30, amplitude=0.5)
-        forcing = random_smooth_field(domain, seed=31, amplitude=0.2) if forced else None
-        params = SqgParams(kappa=0.1, alpha=0.75, lam=0.1, forcing=forcing)
-        config = StepperConfig(dt=0.01, t_end=0.2, scheme=scheme)
-        state = SimulationState(t=0.0, theta=theta0)
-        unpack = _plan(domain).unpack
-        steps = list(_march(state, params, config, 20))
-        want = list(_full_layout_march(theta0, params, config, 20))
-        assert len(steps) == len(want) == 20
-        for (_, half, speed), (full, want_speed) in zip(steps, want):
-            assert half.shape == (domain.n, domain.n // 2 + 1)
-            np.testing.assert_array_equal(unpack(half), full)
-            assert speed == want_speed
-        last = step(state, params, StepperConfig(dt=0.01, t_end=0.01, scheme=scheme))
-        np.testing.assert_array_equal(last.theta.coeffs, want[0][0])
 
 
 class TestIntegrateContract:
