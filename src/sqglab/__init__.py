@@ -41,6 +41,7 @@ from .errors import (
     CflWarning,
     ConfigError,
     ConvergenceError,
+    FieldError,
     SingularOperatorError,
     SqgError,
     ZeroModeError,
@@ -115,5 +116,6 @@ __all__ = [
     "ConvergenceError",
     "SingularOperatorError",
     "ConfigError",
+    "FieldError",
     "CflWarning",
 ]

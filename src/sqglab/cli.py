@@ -64,7 +64,7 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import SpectralField, lq_norm, sobolev_norm, to_physical
+from .spectral import PhysicalField, SpectralField, lq_norm, sobolev_norm, to_physical
 
 __all__ = ["main"]
 
@@ -184,21 +184,20 @@ def _run_fixed_alpha(
     stepper = experiment.stepper_for(theta0)
 
     finite_lq = [q for q in experiment.monitor_lq if math.isfinite(q)]
-    sampled: list = [None, {}]  # the state last synthesized and its grid norms
+    sampled: list = [None, None]  # the state last synthesized and its grid values
 
-    def grid_norm(theta: SpectralField, q: float) -> float:
-        # the linf and lq columns of a sample share one synthesis of its state
+    def grid_of(theta: SpectralField) -> PhysicalField:
+        # the linf and lq columns and the battery of a sample share one synthesis
         if sampled[0] is not theta:
-            grid = to_physical(theta)
-            sampled[:] = [theta, {p: lq_norm(grid, p) for p in (math.inf, *finite_lq)}]
-        return sampled[1][q]
+            sampled[:] = [theta, to_physical(theta)]
+        return sampled[1]
 
     monitors = {
         "l2": lambda t, th: sobolev_norm(th, 0.0),
-        "linf": lambda t, th: grid_norm(th, math.inf),
+        "linf": lambda t, th: lq_norm(grid_of(th), math.inf),
     }
     for q in finite_lq:
-        monitors[f"lq{q:g}"] = lambda t, th, q=q: grid_norm(th, q)
+        monitors[f"lq{q:g}"] = lambda t, th, q=q: lq_norm(grid_of(th), q)
     for s in experiment.monitor_sobolev:
         monitors[f"h{s:g}"] = lambda t, th, s=s: sobolev_norm(th, s)
 
@@ -211,7 +210,8 @@ def _run_fixed_alpha(
     cutoff = None if radius is None else CutoffSpec(k=radius)
 
     def run_battery(state: SimulationState) -> None:
-        slack, integrals, grid = state_battery(state.theta, params.alpha, finite_lq)
+        grid = grid_of(state.theta)
+        slack, integrals = state_battery(state.theta, grid, params.alpha, finite_lq)
         battery.append(
             InequalityRecord(name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack)
         )

@@ -8,23 +8,10 @@ validation failure raises :class:`~sqglab.errors.ConfigError` pointing at
 the offending line; problems only visible at end of file (missing sections
 or keys) cite the last line.
 
-Sections and keys by experiment kind::
-
-    [experiment]  kind = simulate | sweep-alpha | operator-tests |
-                         estimates-report | dirichlet-sweep
-    [domain]      n (power of two >= 16), box (default 2*pi),
-                  basis = torus | dirichlet
-    [params]      kappa, alpha (fixed-alpha kinds only), lambda (default 0)
-    [forcing]     type = none | cosine | sine, mode = [k1, k2], amplitude
-    [stepper]     dt (default: CFL-derived), t_end, scheme = etd2rk | etd1,
-                  sample_every (default 1)
-    [init]        type = random | shear | bump, seed, decay, amplitude,
-                  mode, width
-    [monitors]    lq = [2, 4], sobolev = [1.5], damped_energy = true,
-                  tail_cutoff = 4.0          (estimates-report, simulate)
-    [sweep]       alphas = [...], epsilon, c3 (sweep kinds)
-    [operator]    size, seed, trials, laplacian_n (operator-tests)
-    [output]      dir
+``_KEYS`` is the one table of sections and keys, with each key's type,
+default and allowed values; ``_SECTIONS_BY_KIND`` says which sections an
+experiment kind reads.  The range and cross-key rules are the ``require``
+calls of :func:`load_experiment` and its helpers.
 """
 
 from __future__ import annotations
@@ -32,11 +19,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
+from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig, validate_sweep_alphas
 from .dynamics import Scheme, SqgParams, StepperConfig, default_dt
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .fields import gaussian_bump_field, random_smooth_field, shear_field
 from .spectral import (
     Basis,
@@ -57,47 +44,95 @@ __all__ = [
     "load_config_file",
 ]
 
-EXPERIMENT_KINDS: tuple[str, ...] = (
-    "simulate",
-    "sweep-alpha",
-    "operator-tests",
-    "estimates-report",
-    "dirichlet-sweep",
-)
+_REQUIRED = object()
 
-_KNOWN_KEYS: dict[str, frozenset] = {
-    "experiment": frozenset({"kind"}),
-    "domain": frozenset({"n", "box", "basis"}),
-    "params": frozenset({"kappa", "alpha", "lambda"}),
-    "forcing": frozenset({"type", "mode", "amplitude"}),
-    "stepper": frozenset({"dt", "t_end", "scheme", "sample_every"}),
-    "init": frozenset({"type", "seed", "decay", "amplitude", "mode", "width"}),
-    "monitors": frozenset({"lq", "sobolev", "damped_energy", "tail_cutoff"}),
-    "sweep": frozenset({"alphas", "epsilon", "c3"}),
-    "operator": frozenset({"size", "seed", "trials", "laplacian_n"}),
-    "output": frozenset({"dir"}),
+
+class _Key(NamedTuple):
+    """How a key is read: its type, its default when absent, its allowed values.
+
+    ``type`` is one of ``str``, ``int``, ``float``, ``bool``, ``ints``,
+    ``floats`` and ``floats+inf`` (an array whose entries may be ``inf``).
+    """
+
+    type: str
+    default: object = None
+    choices: tuple | None = None
+
+
+_PDE_SECTIONS = frozenset(
+    {"experiment", "domain", "params", "forcing", "stepper", "init", "output"}
+)
+_SECTIONS_BY_KIND: dict[str, frozenset] = {
+    "simulate": _PDE_SECTIONS | {"monitors"},
+    "sweep-alpha": _PDE_SECTIONS | {"sweep"},
+    "operator-tests": frozenset({"experiment", "operator", "output"}),
+    "estimates-report": _PDE_SECTIONS | {"monitors"},
+    "dirichlet-sweep": _PDE_SECTIONS | {"sweep"},
 }
 
-_SECTIONS_BY_KIND: dict[str, frozenset] = {
-    "simulate": frozenset(
-        {"experiment", "domain", "params", "forcing", "stepper", "init", "monitors", "output"}
-    ),
-    "estimates-report": frozenset(
-        {"experiment", "domain", "params", "forcing", "stepper", "init", "monitors", "output"}
-    ),
-    "sweep-alpha": frozenset(
-        {"experiment", "domain", "params", "forcing", "stepper", "init", "sweep", "output"}
-    ),
-    "dirichlet-sweep": frozenset(
-        {"experiment", "domain", "params", "forcing", "stepper", "init", "sweep", "output"}
-    ),
-    "operator-tests": frozenset({"experiment", "operator", "output"}),
+EXPERIMENT_KINDS: tuple[str, ...] = tuple(_SECTIONS_BY_KIND)
+
+_KEYS: dict[str, dict[str, _Key]] = {
+    "experiment": {"kind": _Key("str", _REQUIRED, EXPERIMENT_KINDS)},
+    "domain": {
+        "n": _Key("int", _REQUIRED),  # a power of two >= 16
+        "box": _Key("float", 2.0 * math.pi),
+        "basis": _Key("str", None, ("torus", "dirichlet")),  # default: by kind
+    },
+    "params": {
+        "kappa": _Key("float", _REQUIRED),
+        "alpha": _Key("float"),  # fixed-alpha kinds only, and required there
+        "lambda": _Key("float", 0.0),
+    },
+    "forcing": {
+        "type": _Key("str", "none", ("none", "cosine", "sine")),
+        "mode": _Key("ints"),  # default: (1, 0) cosine, (1, 1) sine
+        "amplitude": _Key("float", 1.0),
+    },
+    "stepper": {
+        "dt": _Key("float"),  # default: CFL-derived at run time
+        "t_end": _Key("float", _REQUIRED),
+        "scheme": _Key("str", "etd2rk", ("etd2rk", "etd1")),
+        "sample_every": _Key("int", 1),
+    },
+    "init": {
+        "type": _Key("str", _REQUIRED, ("random", "shear", "bump")),
+        "seed": _Key("int", 0),
+        "decay": _Key("float", 4.0),
+        "amplitude": _Key("float", 1.0),
+        "mode": _Key("int", 1),
+        "width": _Key("float"),  # required by bump
+    },
+    "monitors": {
+        "lq": _Key("floats+inf", ()),
+        "sobolev": _Key("floats", ()),
+        "damped_energy": _Key("bool", False),
+        "tail_cutoff": _Key("float"),
+    },
+    "sweep": {
+        "alphas": _Key("floats", DEFAULT_SWEEP_ALPHAS),
+        "epsilon": _Key("float", 0.25),
+        "c3": _Key("float"),
+    },
+    "operator": {
+        "size": _Key("int", 16),
+        "seed": _Key("int", 0),
+        "trials": _Key("int", 200),
+        "laplacian_n": _Key("int", 32),
+    },
+    "output": {"dir": _Key("str")},
 }
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-_MISSING = object()
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -117,126 +152,69 @@ class ParsedConfig:
     sections: Mapping[str, Mapping[str, Entry]]
     section_lines: Mapping[str, int]
 
-    def _fail(self, message: str, line: int | None = None) -> ConfigError:
-        return ConfigError(
-            message, source=self.source, line=self.n_lines if line is None else line
-        )
-
     def section_line(self, section: str) -> int:
         return self.section_lines.get(section, self.n_lines)
-
-    def has(self, section: str, key: str | None = None) -> bool:
-        if section not in self.sections:
-            return False
-        return key is None or key in self.sections[section]
 
     def entry(self, section: str, key: str) -> Entry | None:
         return self.sections.get(section, {}).get(key)
 
-    def line_of(self, section: str, key: str) -> int:
+    def require(self, ok: bool, message: str, section: str, key: str | None = None) -> None:
+        """Raise :class:`ConfigError` with ``message`` unless ``ok``.
+
+        The error cites the line of ``section.key``; without a ``key``, or
+        when the key is absent, the section header; when the section is
+        absent too, the last line.
+        """
+        if not ok:
+            found = None if key is None else self.entry(section, key)
+            line = self.section_line(section) if found is None else found.line
+            raise ConfigError(message, source=self.source, line=line)
+
+    def get(self, section: str, key: str):
+        """The value of ``section.key``, checked against its row of ``_KEYS``.
+
+        An absent key takes the table default; an absent required key cites
+        the section header.
+        """
+        vtype, default, choices = _KEYS[section][key]
         found = self.entry(section, key)
-        return found.line if found is not None else self.section_line(section)
-
-    # -- typed getters ----------------------------------------------------
-
-    def get_str(self, section: str, key: str, default=_MISSING, choices=None) -> str:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise self._fail(
-                f"{key} must be a string, got {value!r}", self.line_of(section, key)
-            )
-        text = str(value)
-        if choices is not None and text not in choices:
-            raise self._fail(
-                f"{key} must be one of {sorted(choices)}, got {text!r}",
-                self.line_of(section, key),
-            )
-        return text
-
-    def get_float(
-        self, section: str, key: str, default=_MISSING, allow_inf: bool = False
-    ) -> float:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        out = self._coerce_float(value, section, key, allow_inf)
-        return out
-
-    def get_int(self, section: str, key: str, default=_MISSING) -> int:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise self._fail(
-                f"{key} must be an integer, got {value!r}", self.line_of(section, key)
-            )
-        return int(value)
-
-    def get_bool(self, section: str, key: str, default=_MISSING) -> bool:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        if not isinstance(value, bool):
-            raise self._fail(
-                f"{key} must be true or false, got {value!r}",
-                self.line_of(section, key),
-            )
-        return value
-
-    def get_floats(
-        self, section: str, key: str, default=_MISSING, allow_inf: bool = False
-    ) -> tuple:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        if not isinstance(value, tuple):
-            raise self._fail(
-                f"{key} must be an array like [1, 2, 3], got {value!r}",
-                self.line_of(section, key),
-            )
-        return tuple(
-            self._coerce_float(item, section, key, allow_inf) for item in value
-        )
-
-    def get_ints(self, section: str, key: str, default=_MISSING) -> tuple:
-        value = self._raw(section, key, default)
-        if value is None:
-            return None
-        if not isinstance(value, tuple) or any(
-            isinstance(item, bool) or not isinstance(item, int) for item in value
-        ):
-            raise self._fail(
-                f"{key} must be an array of integers, got {value!r}",
-                self.line_of(section, key),
-            )
-        return tuple(int(item) for item in value)
-
-    # -- internals ---------------------------------------------------------
-
-    def _raw(self, section: str, key: str, default):
-        found = self.entry(section, key)
-        if found is not None:
-            return found.value
-        if default is _MISSING:
-            raise self._fail(
+        if found is None:
+            self.require(
+                default is not _REQUIRED,
                 f"missing required key '{key}' in section [{section}]",
-                self.section_line(section),
+                section,
             )
-        return default
+            return default
+        value = found.value
 
-    def _coerce_float(self, value, section: str, key: str, allow_inf: bool) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise self._fail(
-                f"{key} must be a number, got {value!r}", self.line_of(section, key)
-            )
-        out = float(value)
-        if math.isnan(out) or (not allow_inf and math.isinf(out)):
-            raise self._fail(
-                f"{key} must be finite, got {out!r}", self.line_of(section, key)
-            )
-        return out
+        def require_type(ok: bool, expected: str, shown=value) -> None:
+            self.require(ok, f"{key} must be {expected}, got {shown!r}", section, key)
+
+        def number(item) -> float:
+            require_type(_is_number(item), "a number", item)
+            finite = math.isfinite(item) or (vtype == "floats+inf" and math.isinf(item))
+            require_type(finite, "finite", float(item))
+            return float(item)
+
+        if vtype == "str":
+            require_type(_is_number(value) or isinstance(value, str), "a string")
+            text = str(value)
+            if choices is not None:
+                require_type(text in choices, f"one of {sorted(choices)}", text)
+            return text
+        if vtype == "int":
+            require_type(_is_int(value), "an integer")
+        elif vtype == "bool":
+            require_type(isinstance(value, bool), "true or false")
+        elif vtype == "float":
+            return number(value)
+        elif vtype == "ints":
+            ok = isinstance(value, tuple) and all(map(_is_int, value))
+            require_type(ok, "an array of integers")
+        else:
+            require_type(isinstance(value, tuple), "an array like [1, 2, 3]")
+            return tuple(number(item) for item in value)
+        return value
 
 
 def _parse_scalar(token: str, source: str, line: int):
@@ -296,7 +274,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
         header = _SECTION_RE.match(line)
         if header:
             name = header.group(1)
-            if name not in _KNOWN_KEYS:
+            if name not in _KEYS:
                 raise ConfigError(
                     f"unknown section [{name}]", source=source, line=lineno
                 )
@@ -326,10 +304,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
                 source=source,
                 line=lineno,
             )
-        if key not in _KNOWN_KEYS[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(
                 f"unknown key {key!r} in section [{current}] "
-                f"(known: {sorted(_KNOWN_KEYS[current])})",
+                f"(known: {sorted(_KEYS[current])})",
                 source=source,
                 line=lineno,
             )
@@ -362,36 +340,37 @@ class Experiment:
     Everything that can be checked without running has been checked; the
     helper methods construct the runtime objects (initial field, stepper,
     sweep configuration) deterministically from the stored parameters.
+    Fields an experiment kind does not read keep their defaults.
     """
 
     kind: str
-    out_dir: str | None
-    domain: DomainSpec | None
-    params: SqgParams | None
-    kappa: float | None
-    lam: float
-    forcing: SpectralField | None
-    dt: float | None
-    t_end: float | None
-    scheme: Scheme
-    sample_every: int
-    init_kind: str | None
-    init_seed: int
-    init_decay: float
-    init_amplitude: float
-    init_mode: int
-    init_width: float | None
-    monitor_lq: tuple[float, ...]
-    monitor_sobolev: tuple[float, ...]
-    monitor_damped_energy: bool
-    monitor_tail_cutoff: float | None
-    sweep_alphas: tuple[float, ...]
-    sweep_epsilon: float
-    sweep_c3: float | None
-    operator_size: int
-    operator_seed: int
-    operator_trials: int
-    operator_laplacian_n: int
+    out_dir: str | None = None
+    domain: DomainSpec | None = None
+    params: SqgParams | None = None
+    kappa: float | None = None
+    lam: float = 0.0
+    forcing: SpectralField | None = None
+    dt: float | None = None
+    t_end: float | None = None
+    scheme: Scheme = Scheme.ETD2RK
+    sample_every: int = 1
+    init_kind: str | None = None
+    init_seed: int = 0
+    init_decay: float = 4.0
+    init_amplitude: float = 1.0
+    init_mode: int = 1
+    init_width: float | None = None
+    monitor_lq: tuple[float, ...] = ()
+    monitor_sobolev: tuple[float, ...] = ()
+    monitor_damped_energy: bool = False
+    monitor_tail_cutoff: float | None = None
+    sweep_alphas: tuple[float, ...] = DEFAULT_SWEEP_ALPHAS
+    sweep_epsilon: float = 0.25
+    sweep_c3: float | None = None
+    operator_size: int = 16
+    operator_seed: int = 0
+    operator_trials: int = 200
+    operator_laplacian_n: int = 32
 
     def initial_field(self, seed_override: int | None = None) -> SpectralField:
         """Build the initial condition (CLI --seed overrides the file seed)."""
@@ -441,168 +420,92 @@ class Experiment:
 
 def load_experiment(parsed: ParsedConfig) -> Experiment:
     """Validate a raw table into an :class:`Experiment`."""
-    kind = parsed.get_str("experiment", "kind", choices=set(EXPERIMENT_KINDS))
-    allowed = _SECTIONS_BY_KIND[kind]
+    get, require = parsed.get, parsed.require
+    kind = get("experiment", "kind")
     for section in parsed.sections:
-        if section not in allowed:
-            raise ConfigError(
-                f"section [{section}] is not used by experiment kind {kind!r}",
-                source=parsed.source,
-                line=parsed.section_line(section),
-            )
-
-    out_dir = parsed.get_str("output", "dir", default=None)
+        require(
+            section in _SECTIONS_BY_KIND[kind],
+            f"section [{section}] is not used by experiment kind {kind!r}",
+            section,
+        )
+    out_dir = get("output", "dir")
 
     if kind == "operator-tests":
-        size = parsed.get_int("operator", "size", default=16)
-        op_seed = parsed.get_int("operator", "seed", default=0)
-        trials = parsed.get_int("operator", "trials", default=200)
-        lap_n = parsed.get_int("operator", "laplacian_n", default=32)
-        for name, value, minimum in (
+        size, seed, trials, laplacian_n = (
+            get("operator", key) for key in ("size", "seed", "trials", "laplacian_n")
+        )
+        for key, value, minimum in (
             ("size", size, 2),
             ("trials", trials, 1),
-            ("laplacian_n", lap_n, 2),
+            ("laplacian_n", laplacian_n, 2),
         ):
-            if value < minimum:
-                raise ConfigError(
-                    f"{name} must be at least {minimum}, got {value}",
-                    source=parsed.source,
-                    line=parsed.line_of("operator", name),
-                )
+            message = f"{key} must be at least {minimum}, got {value}"
+            require(value >= minimum, message, "operator", key)
         return Experiment(
             kind=kind,
             out_dir=out_dir,
-            domain=None,
-            params=None,
-            kappa=None,
-            lam=0.0,
-            forcing=None,
-            dt=None,
-            t_end=None,
-            scheme=Scheme.ETD2RK,
-            sample_every=1,
-            init_kind=None,
-            init_seed=0,
-            init_decay=4.0,
-            init_amplitude=1.0,
-            init_mode=1,
-            init_width=None,
-            monitor_lq=(),
-            monitor_sobolev=(),
-            monitor_damped_energy=False,
-            monitor_tail_cutoff=None,
-            sweep_alphas=DEFAULT_SWEEP_ALPHAS,
-            sweep_epsilon=0.25,
-            sweep_c3=None,
             operator_size=size,
-            operator_seed=op_seed,
+            operator_seed=seed,
             operator_trials=trials,
-            operator_laplacian_n=lap_n,
+            operator_laplacian_n=laplacian_n,
         )
 
     # -- every remaining kind runs the PDE and needs a domain --------------
     is_sweep = kind in ("sweep-alpha", "dirichlet-sweep")
 
-    n = parsed.get_int("domain", "n")
-    box = parsed.get_float("domain", "box", default=2.0 * math.pi)
-    default_basis = "dirichlet" if kind == "dirichlet-sweep" else "torus"
-    basis_name = parsed.get_str(
-        "domain", "basis", default=default_basis, choices={"torus", "dirichlet"}
+    n, box, basis = (get("domain", key) for key in ("n", "box", "basis"))
+    if basis is None:
+        basis = "dirichlet" if kind == "dirichlet-sweep" else "torus"
+    require(
+        kind != "dirichlet-sweep" or basis == "dirichlet",
+        "dirichlet-sweep requires basis = dirichlet",
+        "domain",
+        "basis",
     )
-    if kind == "dirichlet-sweep" and basis_name != "dirichlet":
-        raise ConfigError(
-            "dirichlet-sweep requires basis = dirichlet",
-            source=parsed.source,
-            line=parsed.line_of("domain", "basis"),
-        )
     try:
-        domain = DomainSpec(
-            n=n,
-            box=box,
-            basis=Basis.TORUS if basis_name == "torus" else Basis.DIRICHLET,
-        )
-    except ValueError as err:
-        key = "n" if "n must" in str(err) else "box"
-        raise ConfigError(
-            str(err), source=parsed.source, line=parsed.line_of("domain", key)
-        ) from err
+        domain = DomainSpec(n=n, box=box, basis=Basis(basis))
+    except FieldError as err:
+        require(False, str(err), "domain", err.field)
 
-    kappa = parsed.get_float("params", "kappa")
-    lam = parsed.get_float("params", "lambda", default=0.0)
-    alpha = parsed.get_float("params", "alpha", default=None)
-    if is_sweep and alpha is not None:
-        raise ConfigError(
-            "alpha is fixed per sweep member; set [sweep] alphas instead",
-            source=parsed.source,
-            line=parsed.line_of("params", "alpha"),
-        )
-    if not is_sweep and alpha is None:
-        raise ConfigError(
-            f"missing required key 'alpha' in section [params] for kind {kind!r}",
-            source=parsed.source,
-            line=parsed.section_line("params"),
-        )
+    kappa, lam, alpha = (get("params", key) for key in ("kappa", "lambda", "alpha"))
+    require(
+        not (is_sweep and alpha is not None),
+        "alpha is fixed per sweep member; set [sweep] alphas instead",
+        "params",
+        "alpha",
+    )
+    require(
+        is_sweep or alpha is not None,
+        f"missing required key 'alpha' in section [params] for kind {kind!r}",
+        "params",
+    )
 
-    forcing = _build_forcing(parsed, domain)
+    forcing = _forcing(parsed, domain)
 
     params = None
-    if not is_sweep:
+    if is_sweep:
+        require(kappa > 0, f"kappa must be positive, got {kappa!r}", "params", "kappa")
+        require(lam >= 0, f"lambda must be nonnegative, got {lam!r}", "params", "lambda")
+    else:
         try:
             params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
-        except ValueError as err:
-            message = str(err)
-            if "alpha" in message:
-                key = "alpha"
-            elif "lam" in message:
-                key = "lambda"
-            else:
-                key = "kappa"
-            raise ConfigError(
-                message, source=parsed.source, line=parsed.line_of("params", key)
-            ) from err
-    else:
-        if kappa <= 0:
-            raise ConfigError(
-                f"kappa must be positive, got {kappa!r}",
-                source=parsed.source,
-                line=parsed.line_of("params", "kappa"),
-            )
-        if lam < 0:
-            raise ConfigError(
-                f"lambda must be nonnegative, got {lam!r}",
-                source=parsed.source,
-                line=parsed.line_of("params", "lambda"),
-            )
+        except FieldError as err:
+            require(False, str(err), "params", "lambda" if err.field == "lam" else err.field)
 
-    t_end = parsed.get_float("stepper", "t_end")
-    if t_end <= 0:
-        raise ConfigError(
-            f"t_end must be positive, got {t_end!r}",
-            source=parsed.source,
-            line=parsed.line_of("stepper", "t_end"),
-        )
-    dt = parsed.get_float("stepper", "dt", default=None)
-    if dt is not None and not 0 < dt <= t_end:
-        raise ConfigError(
-            f"dt must lie in (0, t_end], got {dt!r}",
-            source=parsed.source,
-            line=parsed.line_of("stepper", "dt"),
-        )
-    scheme_name = parsed.get_str(
-        "stepper", "scheme", default="etd2rk", choices={"etd2rk", "etd1"}
+    t_end = get("stepper", "t_end")
+    require(t_end > 0, f"t_end must be positive, got {t_end!r}", "stepper", "t_end")
+    dt = get("stepper", "dt")
+    require(
+        dt is None or 0 < dt <= t_end, f"dt must lie in (0, t_end], got {dt!r}", "stepper", "dt"
     )
-    scheme = Scheme.ETD2RK if scheme_name == "etd2rk" else Scheme.ETD1
-    sample_every = parsed.get_int("stepper", "sample_every", default=1)
-    if sample_every < 1:
-        raise ConfigError(
-            f"sample_every must be a positive integer, got {sample_every!r}",
-            source=parsed.source,
-            line=parsed.line_of("stepper", "sample_every"),
-        )
-
-    init = _build_init(parsed, domain, kind)
-    monitors = _build_monitors(parsed, domain, lam)
-    sweep = _build_sweep(parsed) if is_sweep else ((), 0.25, None)
+    scheme = Scheme(get("stepper", "scheme"))
+    sample_every = get("stepper", "sample_every")
+    require(
+        sample_every >= 1,
+        f"sample_every must be a positive integer, got {sample_every!r}",
+        "stepper",
+        "sample_every",
+    )
 
     return Experiment(
         kind=kind,
@@ -616,189 +519,122 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         t_end=t_end,
         scheme=scheme,
         sample_every=sample_every,
-        init_kind=init[0],
-        init_seed=init[1],
-        init_decay=init[2],
-        init_amplitude=init[3],
-        init_mode=init[4],
-        init_width=init[5],
-        monitor_lq=monitors[0],
-        monitor_sobolev=monitors[1],
-        monitor_damped_energy=monitors[2],
-        monitor_tail_cutoff=monitors[3],
-        sweep_alphas=sweep[0] if sweep[0] else DEFAULT_SWEEP_ALPHAS,
-        sweep_epsilon=sweep[1],
-        sweep_c3=sweep[2],
-        operator_size=16,
-        operator_seed=0,
-        operator_trials=200,
-        operator_laplacian_n=32,
+        **_init_fields(parsed, domain),
+        **_monitor_fields(parsed, domain, lam),
+        **(_sweep_fields(parsed) if is_sweep else {}),
     )
 
 
-def _build_forcing(parsed: ParsedConfig, domain: DomainSpec) -> SpectralField | None:
-    if not parsed.has("forcing"):
-        return None
-    ftype = parsed.get_str(
-        "forcing", "type", default="none", choices={"none", "cosine", "sine"}
-    )
+def _forcing(parsed: ParsedConfig, domain: DomainSpec) -> SpectralField | None:
+    ftype = parsed.get("forcing", "type")
     if ftype == "none":
         return None
-    mode = parsed.get_ints("forcing", "mode", default=(1, 0) if ftype == "cosine" else (1, 1))
-    if len(mode) != 2:
-        raise ConfigError(
-            f"forcing mode must have two components, got {mode!r}",
-            source=parsed.source,
-            line=parsed.line_of("forcing", "mode"),
-        )
-    amplitude = parsed.get_float("forcing", "amplitude", default=1.0)
-    line = parsed.line_of("forcing", "type")
-    if ftype == "cosine" and domain.basis is not Basis.TORUS:
-        raise ConfigError(
-            "cosine forcing requires the torus basis",
-            source=parsed.source,
-            line=line,
-        )
-    if ftype == "sine" and domain.basis is Basis.TORUS:
-        raise ConfigError(
-            "sine forcing requires the dirichlet basis",
-            source=parsed.source,
-            line=line,
-        )
+    mode = parsed.get("forcing", "mode")
+    if mode is None:
+        mode = (1, 0) if ftype == "cosine" else (1, 1)
+    parsed.require(
+        len(mode) == 2,
+        f"forcing mode must have two components, got {mode!r}",
+        "forcing",
+        "mode",
+    )
+    amplitude = parsed.get("forcing", "amplitude")
+    torus = domain.basis is Basis.TORUS
+    if ftype == "cosine":
+        parsed.require(torus, "cosine forcing requires the torus basis", "forcing", "type")
+    else:
+        parsed.require(not torus, "sine forcing requires the dirichlet basis", "forcing", "type")
+    build = cosine_field if ftype == "cosine" else sine_mode_field
     try:
-        if ftype == "cosine":
-            return cosine_field(domain, (mode[0], mode[1]), amplitude)
-        return sine_mode_field(domain, (mode[0], mode[1]), amplitude)
+        return build(domain, mode, amplitude)
     except ValueError as err:
-        raise ConfigError(
-            str(err), source=parsed.source, line=parsed.line_of("forcing", "mode")
-        ) from err
+        parsed.require(False, str(err), "forcing", "mode")
 
 
-def _build_init(parsed: ParsedConfig, domain: DomainSpec, kind: str):
-    itype = parsed.get_str("init", "type", choices={"random", "shear", "bump"})
-    seed = parsed.get_int("init", "seed", default=0)
-    decay = parsed.get_float("init", "decay", default=4.0)
-    amplitude = parsed.get_float("init", "amplitude", default=1.0)
-    mode = parsed.get_int("init", "mode", default=1)
-    width = parsed.get_float("init", "width", default=None)
-
-    if amplitude <= 0:
-        raise ConfigError(
-            f"amplitude must be positive, got {amplitude!r}",
-            source=parsed.source,
-            line=parsed.line_of("init", "amplitude"),
-        )
-    if itype == "random" and decay <= 1.0:
-        raise ConfigError(
-            f"decay must exceed 1 for a smooth field, got {decay!r}",
-            source=parsed.source,
-            line=parsed.line_of("init", "decay"),
-        )
+def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:
+    get, require = parsed.get, parsed.require
+    itype, seed, decay, amplitude, mode, width = (
+        get("init", key) for key in ("type", "seed", "decay", "amplitude", "mode", "width")
+    )
+    require(amplitude > 0, f"amplitude must be positive, got {amplitude!r}", "init", "amplitude")
+    require(
+        itype != "random" or decay > 1.0,
+        f"decay must exceed 1 for a smooth field, got {decay!r}",
+        "init",
+        "decay",
+    )
     if itype == "shear":
-        if domain.basis is not Basis.TORUS:
-            raise ConfigError(
-                "shear initial data requires the torus basis",
-                source=parsed.source,
-                line=parsed.line_of("init", "type"),
-            )
-        if not 1 <= mode < domain.n // 2:
-            raise ConfigError(
-                f"mode must lie in [1, n/2), got {mode!r}",
-                source=parsed.source,
-                line=parsed.line_of("init", "mode"),
-            )
+        require(
+            domain.basis is Basis.TORUS,
+            "shear initial data requires the torus basis",
+            "init",
+            "type",
+        )
+        require(
+            1 <= mode < domain.n // 2, f"mode must lie in [1, n/2), got {mode!r}", "init", "mode"
+        )
     if itype == "bump":
-        if width is None:
-            raise ConfigError(
-                "bump initial data requires a width",
-                source=parsed.source,
-                line=parsed.section_line("init"),
-            )
-        if not 0 < width <= domain.box / 4:
-            raise ConfigError(
-                f"width must lie in (0, box/4], got {width!r}",
-                source=parsed.source,
-                line=parsed.line_of("init", "width"),
-            )
-    return (itype, seed, decay, amplitude, mode, width)
+        require(width is not None, "bump initial data requires a width", "init")
+        require(
+            0 < width <= domain.box / 4,
+            f"width must lie in (0, box/4], got {width!r}",
+            "init",
+            "width",
+        )
+    return dict(
+        init_kind=itype,
+        init_seed=seed,
+        init_decay=decay,
+        init_amplitude=amplitude,
+        init_mode=mode,
+        init_width=width,
+    )
 
 
-def _build_monitors(parsed: ParsedConfig, domain: DomainSpec, lam: float):
-    lq = parsed.get_floats("monitors", "lq", default=(), allow_inf=True)
+def _monitor_fields(parsed: ParsedConfig, domain: DomainSpec, lam: float) -> dict:
+    get, require = parsed.get, parsed.require
+    lq = get("monitors", "lq")
     for q in lq:
-        if q < 2:
-            raise ConfigError(
-                f"lq orders must be >= 2, got {q!r}",
-                source=parsed.source,
-                line=parsed.line_of("monitors", "lq"),
-            )
-    sobolev = parsed.get_floats("monitors", "sobolev", default=())
+        require(q >= 2, f"lq orders must be >= 2, got {q!r}", "monitors", "lq")
+    sobolev = get("monitors", "sobolev")
     for s in sobolev:
-        if s <= 0:
-            raise ConfigError(
-                f"sobolev orders must be positive, got {s!r}",
-                source=parsed.source,
-                line=parsed.line_of("monitors", "sobolev"),
-            )
-    damped = parsed.get_bool("monitors", "damped_energy", default=False)
-    if damped and lam <= 0:
-        raise ConfigError(
-            "damped_energy monitoring requires lambda > 0",
-            source=parsed.source,
-            line=parsed.line_of("monitors", "damped_energy"),
-        )
-    tail = parsed.get_float("monitors", "tail_cutoff", default=None)
-    if tail is not None and not (tail > 0 and 4 * tail <= domain.box):
-        raise ConfigError(
-            f"tail_cutoff must satisfy 0 < 4*cutoff <= box, got {tail!r}",
-            source=parsed.source,
-            line=parsed.line_of("monitors", "tail_cutoff"),
-        )
-    return (lq, sobolev, damped, tail)
+        require(s > 0, f"sobolev orders must be positive, got {s!r}", "monitors", "sobolev")
+    damped = get("monitors", "damped_energy")
+    require(
+        not damped or lam > 0,
+        "damped_energy monitoring requires lambda > 0",
+        "monitors",
+        "damped_energy",
+    )
+    tail = get("monitors", "tail_cutoff")
+    require(
+        tail is None or (tail > 0 and 4 * tail <= domain.box),
+        f"tail_cutoff must satisfy 0 < 4*cutoff <= box, got {tail!r}",
+        "monitors",
+        "tail_cutoff",
+    )
+    return dict(
+        monitor_lq=lq,
+        monitor_sobolev=sobolev,
+        monitor_damped_energy=damped,
+        monitor_tail_cutoff=tail,
+    )
 
 
-def _build_sweep(parsed: ParsedConfig):
-    alphas = parsed.get_floats("sweep", "alphas", default=DEFAULT_SWEEP_ALPHAS)
-    line = parsed.line_of("sweep", "alphas")
-    if not alphas:
-        raise ConfigError(
-            "alphas must contain at least one dissipation order",
-            source=parsed.source,
-            line=line,
-        )
-    for a in alphas:
-        if not 0.5 < a <= 1.0:
-            raise ConfigError(
-                f"sweep alphas must lie in (1/2, 1], got {a!r}",
-                source=parsed.source,
-                line=line,
-            )
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ConfigError(
-            "alphas must be strictly decreasing", source=parsed.source, line=line
-        )
-    if alphas[-1] < 0.505:
-        raise ConfigError(
-            "the final alpha must stay at or above 0.505",
-            source=parsed.source,
-            line=line,
-        )
-    epsilon = parsed.get_float("sweep", "epsilon", default=0.25)
-    if not 0 < epsilon < 0.5:
-        raise ConfigError(
-            f"epsilon must lie in (0, 1/2), got {epsilon!r}",
-            source=parsed.source,
-            line=parsed.line_of("sweep", "epsilon"),
-        )
-    c3 = parsed.get_float("sweep", "c3", default=None)
-    if c3 is not None and c3 <= 0:
-        raise ConfigError(
-            f"c3 must be positive, got {c3!r}",
-            source=parsed.source,
-            line=parsed.line_of("sweep", "c3"),
-        )
-    return (alphas, epsilon, c3)
+def _sweep_fields(parsed: ParsedConfig) -> dict:
+    get, require = parsed.get, parsed.require
+    alphas = get("sweep", "alphas")
+    try:
+        validate_sweep_alphas(alphas)
+    except FieldError as err:
+        require(False, str(err), "sweep", err.field)
+    epsilon = get("sweep", "epsilon")
+    require(
+        0 < epsilon < 0.5, f"epsilon must lie in (0, 1/2), got {epsilon!r}", "sweep", "epsilon"
+    )
+    c3 = get("sweep", "c3")
+    require(c3 is None or c3 > 0, f"c3 must be positive, got {c3!r}", "sweep", "c3")
+    return dict(sweep_alphas=alphas, sweep_epsilon=epsilon, sweep_c3=c3)
 
 
 def load_config_file(path) -> Experiment:

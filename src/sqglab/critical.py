@@ -28,7 +28,7 @@ from .dynamics import (
     integrate,
     nonlinear_rhs,
 )
-from .errors import BlowUpError
+from .errors import BlowUpError, FieldError
 from .estimates import InequalityRecord
 from .series import DiagnosticsSeries
 from .spectral import (
@@ -49,11 +49,9 @@ __all__ = [
     "AlphaSweepConfig",
     "ConvergenceReport",
     "SweepRun",
-    "sweep_runs",
+    "validate_sweep_alphas",
     "assemble_report",
     "sweep_with_runs",
-    "run_sweep",
-    "dirichlet_sweep",
     "h_minus_half_distance",
     "smallness_coefficient",
     "pairwise_bound_check",
@@ -159,6 +157,24 @@ def smallness_coefficient(
     return constants.coercivity_c1 * bracket
 
 
+def validate_sweep_alphas(alphas: Sequence[float]) -> None:
+    """Raise :class:`FieldError` (field ``alphas``) unless ``alphas`` is a sweep ladder.
+
+    A ladder is non-empty and strictly decreasing inside (1/2, 1], and its
+    final order stays at or above 0.505: runs closer to the critical value
+    need custom stepping.
+    """
+    if not alphas:
+        raise FieldError("alphas", "alphas must contain at least one dissipation order")
+    for a in alphas:
+        if not 0.5 < a <= 1.0:
+            raise FieldError("alphas", f"sweep alphas must lie in (1/2, 1], got {a!r}")
+    if any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise FieldError("alphas", "alphas must be strictly decreasing")
+    if alphas[-1] < 0.505:
+        raise FieldError("alphas", "the final alpha must stay at or above 0.505")
+
+
 @dataclass(frozen=True)
 class AlphaSweepConfig:
     """Configuration of a family of runs marching ``alpha`` toward 1/2.
@@ -182,20 +198,7 @@ class AlphaSweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.alphas) < 1:
-            raise ValueError("alphas must contain at least one dissipation order")
-        for a in self.alphas:
-            if not 0.5 < a <= 1.0:
-                raise ValueError(
-                    f"sweep alphas must lie in (1/2, 1], got {a!r}"
-                )
-        if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("alphas must be strictly decreasing")
-        if self.alphas[-1] < 0.505:
-            raise ValueError(
-                "the final alpha must stay at or above 0.505; runs closer to the "
-                "critical value need custom stepping"
-            )
+        validate_sweep_alphas(self.alphas)
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
         if self.lam < 0:
@@ -367,40 +370,6 @@ def _sweep_monitors() -> Mapping[str, Callable[[float, SpectralField], float]]:
     return {"linf": lambda t, theta: lq_norm(theta, math.inf)}
 
 
-def sweep_runs(
-    config: AlphaSweepConfig, *, max_workers: int | None = None
-) -> list[SweepRun]:
-    """Run every member of the sweep, sharing the time grid across runs.
-
-    Each member keeps its sampled states, which the distance table reads.
-    Runs execute on a thread pool (the FFT work releases the interpreter
-    lock); results are returned in the order of ``config.alphas`` and are
-    bitwise independent of the scheduling order.
-    """
-    stepper = config.stepper()
-    monitors = _sweep_monitors()
-
-    def one_run(alpha: float) -> SweepRun:
-        state = SimulationState(t=0.0, theta=config.theta0)
-        states: list[SimulationState] = []
-        try:
-            result = integrate(
-                state,
-                config.params_for(alpha),
-                stepper,
-                monitors=monitors,
-                on_sample=states.append,
-            )
-        except BlowUpError as err:
-            raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
-        return SweepRun(series=result.series, states=tuple(states))
-
-    if max_workers == 1 or len(config.alphas) == 1:
-        return [one_run(a) for a in config.alphas]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one_run, config.alphas))
-
-
 def assemble_report(
     config: AlphaSweepConfig, runs: Sequence[SweepRun]
 ) -> ConvergenceReport:
@@ -460,7 +429,12 @@ def assemble_report(
 def sweep_with_runs(
     config: AlphaSweepConfig, *, max_workers: int | None = None
 ) -> tuple[ConvergenceReport, list[SweepRun]]:
-    """Execute the sweep, returning the report together with the raw runs.
+    """Run every member of the sweep and assemble its convergence report.
+
+    Members share the time grid and keep their sampled states, which the
+    distance table reads.  Runs execute on a thread pool (the FFT work
+    releases the interpreter lock); they are returned in the order of
+    ``config.alphas`` and are bitwise independent of the scheduling order.
 
     Warns up front when the initial data alone already violates the
     smallness hypothesis (coefficient at or above zero evaluated with both
@@ -476,25 +450,30 @@ def sweep_with_runs(
             UserWarning,
             stacklevel=2,
         )
-    runs = sweep_runs(config, max_workers=max_workers)
+    stepper = config.stepper()
+    monitors = _sweep_monitors()
+
+    def one_run(alpha: float) -> SweepRun:
+        state = SimulationState(t=0.0, theta=config.theta0)
+        states: list[SimulationState] = []
+        try:
+            result = integrate(
+                state,
+                config.params_for(alpha),
+                stepper,
+                monitors=monitors,
+                on_sample=states.append,
+            )
+        except BlowUpError as err:
+            raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
+        return SweepRun(series=result.series, states=tuple(states))
+
+    if max_workers == 1 or len(config.alphas) == 1:
+        runs = [one_run(a) for a in config.alphas]
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            runs = list(pool.map(one_run, config.alphas))
     return assemble_report(config, runs), runs
-
-
-def run_sweep(
-    config: AlphaSweepConfig, *, max_workers: int | None = None
-) -> ConvergenceReport:
-    """Execute the sweep and assemble its convergence report."""
-    report, _ = sweep_with_runs(config, max_workers=max_workers)
-    return report
-
-
-def dirichlet_sweep(
-    config: AlphaSweepConfig, *, max_workers: int | None = None
-) -> ConvergenceReport:
-    """Alpha sweep on the square with homogeneous Dirichlet data."""
-    if config.domain.basis is not Basis.DIRICHLET:
-        raise ValueError("dirichlet_sweep requires initial data in the Dirichlet basis")
-    return run_sweep(config, max_workers=max_workers)
 
 
 def pairwise_bound_check(

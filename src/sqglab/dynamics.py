@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 import scipy.fft
 
-from .errors import BlowUpError, CflWarning, ConvergenceError
+from .errors import BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
 from .spectral import Basis, DomainSpec, SpectralField
 
@@ -62,6 +62,8 @@ __all__ = [
     "step",
     "integrate",
     "picard_reference",
+    "embed_odd_extension",
+    "restrict_odd_extension",
     "CFL_LIMIT",
 ]
 
@@ -103,13 +105,14 @@ class SqgParams:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+            raise FieldError("kappa", f"kappa must be positive and finite, got {self.kappa}")
         if not (0.5 < self.alpha <= 1.0):
-            raise ValueError(
-                f"alpha must exceed 1/2 for time evolution (and be <= 1), got {self.alpha}"
+            raise FieldError(
+                "alpha",
+                f"alpha must exceed 1/2 for time evolution (and be <= 1), got {self.alpha}",
             )
         if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+            raise FieldError("lam", f"lam must be nonnegative and finite, got {self.lam}")
 
     def linear_symbol(self, domain: DomainSpec) -> np.ndarray:
         """Per-mode decay rate ``kappa |k|^(2 alpha) + lam`` (zero mode: lam)."""

@@ -16,6 +16,7 @@ __all__ = [
     "ConvergenceError",
     "SingularOperatorError",
     "ConfigError",
+    "FieldError",
     "CflWarning",
 ]
 
@@ -70,6 +71,18 @@ class ConfigError(SqgError, ValueError):
         self.source = source
         self.line = int(line)
         super().__init__(f"config error ({source}, line {self.line}): {message}")
+
+
+class FieldError(SqgError, ValueError):
+    """A constructor argument is out of range; ``field`` names the argument.
+
+    Lets a caller that assembled the arguments from a file point at the
+    offending entry without reading the message.
+    """
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
 
 
 class CflWarning(UserWarning):

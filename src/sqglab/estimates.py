@@ -248,12 +248,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _synthesis(theta: SpectralField, alpha: float) -> tuple[PhysicalField, np.ndarray]:
-    """Grid values of ``theta`` and of ``(-Lap)^a theta`` (theta itself at a = 0)."""
-    grid = to_physical(theta)
+def _dissipated(theta: SpectralField, grid: PhysicalField, alpha: float) -> np.ndarray:
+    """Grid values of ``(-Lap)^a theta``; ``grid`` is ``to_physical(theta)``, returned at a = 0."""
     if alpha == 0.0:
-        return grid, grid.values
-    return grid, to_physical(fractional_laplacian(theta, alpha)).values
+        return grid.values
+    return to_physical(fractional_laplacian(theta, alpha)).values
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,8 @@ def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     """
     _check_alpha(alpha)
     phi = dealias(phi)
-    grid, diss = _synthesis(phi, alpha)
+    grid = to_physical(phi)
+    diss = _dissipated(phi, grid, alpha)
     return PhysicalField(values=_cordoba_slack(phi, grid.values, diss, alpha), domain=phi.domain)
 
 
@@ -363,34 +363,35 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     """
     _check_q(q)
     _check_alpha(alpha)
-    grid, diss = _synthesis(theta, alpha)
-    return _positivity_integral(grid.values, diss, q, theta.domain)
+    grid = to_physical(theta)
+    return _positivity_integral(grid.values, _dissipated(theta, grid, alpha), q, theta.domain)
 
 
 def state_battery(
-    theta: SpectralField, alpha: float, qs: Sequence[float]
-) -> tuple[float, list[float], PhysicalField]:
-    """Córdoba minimum slack, positivity integrals and grid values of one state.
+    theta: SpectralField, grid: PhysicalField, alpha: float, qs: Sequence[float]
+) -> tuple[float, list[float]]:
+    """Córdoba minimum slack and positivity integrals of one state.
 
     Equals ``cordoba_pointwise_check(theta, alpha)`` and
-    ``[positivity_integral_check(theta, q, alpha) for q in qs]``, with theta
-    and ``(-Lap)^a theta`` synthesized once for all of them (twice when theta
-    has modes beyond the dealias cut, which the Córdoba check drops).  The
-    grid values are returned for further per-state quantities such as
-    :func:`tail_mass`.
+    ``[positivity_integral_check(theta, q, alpha) for q in qs]``.  ``grid``
+    is ``to_physical(theta)``, which the caller has already synthesized for
+    its own per-state quantities; ``(-Lap)^a theta`` is synthesized once for
+    all checks (theta and it once more when theta has modes beyond the
+    dealias cut, which the Córdoba check drops).
     """
     _check_alpha(alpha)
     for q in qs:
         _check_q(q)
-    grid, diss = _synthesis(theta, alpha)
+    diss = _dissipated(theta, grid, alpha)
     phi = dealias(theta)
     if np.array_equal(phi.coeffs, theta.coeffs):
         phi_grid, phi_diss = grid, diss
     else:
-        phi_grid, phi_diss = _synthesis(phi, alpha)
+        phi_grid = to_physical(phi)
+        phi_diss = _dissipated(phi, phi_grid, alpha)
     slack = float(_cordoba_slack(phi, phi_grid.values, phi_diss, alpha).min())
     integrals = [_positivity_integral(grid.values, diss, q, theta.domain) for q in qs]
-    return slack, integrals, grid
+    return slack, integrals
 
 
 # ----------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 import scipy.fft
 
-from .errors import BasisError, ZeroModeError
+from .errors import BasisError, FieldError, ZeroModeError
 
 __all__ = [
     "Basis",
@@ -87,11 +87,11 @@ class DomainSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+            raise FieldError("n", f"n must be an integer, got {self.n!r}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+            raise FieldError("n", f"n must be a power of two >= 16, got {self.n}")
         if not (np.isfinite(self.box) and self.box > 0):
-            raise ValueError(f"box size must be positive and finite, got {self.box}")
+            raise FieldError("box", f"box size must be positive and finite, got {self.box}")
         if not isinstance(self.basis, Basis):
             object.__setattr__(self, "basis", Basis(self.basis))
 

@@ -84,6 +84,23 @@ SIMULATE_LINES = (
 SIMULATE = cfg(*SIMULATE_LINES)
 
 
+SWEEP_LINES = (
+    "[experiment]",  # 1
+    "kind = sweep-alpha",  # 2
+    "[domain]",  # 3
+    "n = 16",  # 4
+    "[params]",  # 5
+    "kappa = 0.2",  # 6
+    "[stepper]",  # 7
+    "t_end = 0.1",  # 8
+    "[init]",  # 9
+    "type = random",  # 10
+    "amplitude = 0.05",  # 11
+    "[sweep]",  # 12
+)
+DIRICHLET_SWEEP_LINES = (SWEEP_LINES[0], "kind = dirichlet-sweep", *SWEEP_LINES[2:])
+
+
 def simulate_with(key: str, replacement: str) -> str:
     """The base simulate config with one ``key = value`` line swapped out."""
     lines = [
@@ -502,6 +519,99 @@ class TestLoadExperiment:
         assert exp.domain.basis is Basis.DIRICHLET
         bad = cfg(*base[:4], "basis = torus", *base[4:])
         load_error(bad, "dirichlet-sweep requires basis = dirichlet", line=5)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[domain]", "n = 16"), 3,
+                         "section [domain] is not used by experiment kind 'operator-tests'",
+                         id="section-not-used"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "size = 1"), 4,
+                         "size must be at least 2, got 1", id="operator-size"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "trials = 0"), 4,
+                         "trials must be at least 1, got 0", id="operator-trials"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]",
+                             "laplacian_n = 1"), 4,
+                         "laplacian_n must be at least 2, got 1", id="operator-laplacian-n"),
+            pytest.param(simulate_with("n", "n = 100"), 4, "n must be a power of two >= 16, got 100",
+                         id="domain-n"),
+            pytest.param(cfg(*SIMULATE_LINES[:4], "box = 0", *SIMULATE_LINES[4:]), 5,
+                         "box size must be positive and finite, got 0.0", id="domain-box"),
+            pytest.param(cfg(*DIRICHLET_SWEEP_LINES[:4], "basis = torus", *DIRICHLET_SWEEP_LINES[4:]),
+                         5, "dirichlet-sweep requires basis = dirichlet", id="dirichlet-sweep-basis"),
+            pytest.param(simulate_with("kappa", "kappa = 0"), 6,
+                         "kappa must be positive and finite, got 0.0", id="simulate-kappa"),
+            pytest.param(simulate_with("alpha", "alpha = 0.5"), 7,
+                         "alpha must exceed 1/2 for time evolution (and be <= 1), got 0.5",
+                         id="simulate-alpha"),
+            pytest.param(cfg(*SIMULATE_LINES[:7], "lambda = -1", *SIMULATE_LINES[7:]), 8,
+                         "lam must be nonnegative and finite, got -1.0", id="simulate-lambda"),
+            pytest.param(cfg(*(line for line in SIMULATE_LINES if not line.startswith("alpha"))), 5,
+                         "missing required key 'alpha' in section [params] for kind 'simulate'",
+                         id="simulate-alpha-missing"),
+            pytest.param(cfg(*SWEEP_LINES[:6], "alpha = 0.75", *SWEEP_LINES[6:]), 7,
+                         "alpha is fixed per sweep member; set [sweep] alphas instead",
+                         id="sweep-alpha-given"),
+            pytest.param(cfg(*SWEEP_LINES[:5], "kappa = 0", *SWEEP_LINES[6:]), 6,
+                         "kappa must be positive, got 0.0", id="sweep-kappa"),
+            pytest.param(cfg(*SWEEP_LINES[:6], "lambda = -0.5", *SWEEP_LINES[6:]), 7,
+                         "lambda must be nonnegative, got -0.5", id="sweep-lambda"),
+            pytest.param(simulate_with("t_end", "t_end = 0"), 10, "t_end must be positive, got 0.0",
+                         id="t-end"),
+            pytest.param(simulate_with("dt", "dt = 0.2"), 9, "dt must lie in (0, t_end], got 0.2",
+                         id="dt-above-t-end"),
+            pytest.param(cfg(*SIMULATE_LINES[:10], "sample_every = 0", *SIMULATE_LINES[10:]), 11,
+                         "sample_every must be a positive integer, got 0", id="sample-every"),
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [1, 0, 0]"), 16,
+                         "forcing mode must have two components, got (1, 0, 0)", id="forcing-mode-length"),
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [9, 0]"), 16,
+                         "mode (9, 0) outside the resolved range", id="forcing-mode-range"),
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = sine"), 15,
+                         "sine forcing requires the dirichlet basis", id="forcing-sine-on-torus"),
+            pytest.param(cfg(*SIMULATE_LINES[:4], "basis = dirichlet", *SIMULATE_LINES[4:],
+                             "[forcing]", "type = cosine"), 16,
+                         "cosine forcing requires the torus basis", id="forcing-cosine-on-box"),
+            pytest.param(simulate_with("amplitude", "amplitude = 0"), 13,
+                         "amplitude must be positive, got 0.0", id="init-amplitude"),
+            pytest.param(cfg(*SIMULATE_LINES, "decay = 1"), 14,
+                         "decay must exceed 1 for a smooth field, got 1.0", id="init-decay"),
+            pytest.param(cfg(*SIMULATE_LINES[:4], "basis = dirichlet", *SIMULATE_LINES[4:11],
+                             "type = shear"), 13,
+                         "shear initial data requires the torus basis", id="init-shear-on-box"),
+            pytest.param(cfg(*SIMULATE_LINES[:11], "type = shear", "mode = 8"), 13,
+                         "mode must lie in [1, n/2), got 8", id="init-shear-mode"),
+            pytest.param(cfg(*SIMULATE_LINES[:11], "type = bump"), 11,
+                         "bump initial data requires a width", id="init-bump-width-missing"),
+            pytest.param(cfg(*SIMULATE_LINES[:11], "type = bump", "width = 100"), 13,
+                         "width must lie in (0, box/4], got 100.0", id="init-bump-width"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "lq = [2, 1.5]"), 15,
+                         "lq orders must be >= 2, got 1.5", id="monitors-lq"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "sobolev = [0]"), 15,
+                         "sobolev orders must be positive, got 0.0", id="monitors-sobolev"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "damped_energy = true"), 15,
+                         "damped_energy monitoring requires lambda > 0", id="monitors-damped-energy"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "tail_cutoff = 10"), 15,
+                         "tail_cutoff must satisfy 0 < 4*cutoff <= box, got 10.0",
+                         id="monitors-tail-cutoff"),
+            pytest.param(cfg(*SWEEP_LINES, "alphas = []"), 13,
+                         "alphas must contain at least one dissipation order", id="sweep-alphas-empty"),
+            pytest.param(cfg(*SWEEP_LINES, "alphas = [0.75, 0.3]"), 13,
+                         "sweep alphas must lie in (1/2, 1], got 0.3", id="sweep-alphas-range"),
+            pytest.param(cfg(*SWEEP_LINES, "alphas = [0.6, 0.75]"), 13,
+                         "alphas must be strictly decreasing", id="sweep-alphas-decreasing"),
+            pytest.param(cfg(*SWEEP_LINES, "alphas = [0.75, 0.502]"), 13,
+                         "the final alpha must stay at or above 0.505", id="sweep-alphas-final"),
+            pytest.param(cfg(*SWEEP_LINES, "epsilon = 0.6"), 13,
+                         "epsilon must lie in (0, 1/2), got 0.6", id="sweep-epsilon"),
+            pytest.param(cfg(*SWEEP_LINES, "c3 = 0"), 13, "c3 must be positive, got 0.0",
+                         id="sweep-c3"),
+        ],
+    )
+    def test_value_rules_cite_their_line(self, text, line, message):
+        with pytest.raises(ConfigError) as info:
+            load(text)
+        assert str(info.value) == f"config error (<test>, line {line}): {message}"
+        assert info.value.line == line
 
     def test_operator_tests_defaults_and_validation(self):
         exp = load(cfg("[experiment]", "kind = operator-tests"))

@@ -16,12 +16,10 @@ from sqglab.critical import (
     ConvergenceReport,
     DiscreteConstants,
     calibrate_l43_constant,
-    dirichlet_sweep,
     h_minus_half_distance,
     interpolation_upgrade,
     l43_interpolation_check,
     pairwise_bound_check,
-    run_sweep,
     smallness_coefficient,
     sweep_with_runs,
     weak_form_residual,
@@ -209,7 +207,7 @@ class TestSweeps:
             theta0=shear_field(torus32, amplitude=0.05), kappa=0.2,
             alphas=(0.75, 0.6, 0.55), t_end=0.5,
         )
-        report = run_sweep(config)
+        report, _ = sweep_with_runs(config)
         assert float(np.abs(report.pairwise).max()) == 0.0
         assert report.fitted_exponent == 0.0
 
@@ -257,26 +255,18 @@ class TestSweeps:
             theta0=shear_field(torus32, amplitude=0.05), kappa=0.2,
             alphas=(0.6,), t_end=0.1,
         )
-        report = run_sweep(config)
+        report, _ = sweep_with_runs(config)
         assert report.pairwise.shape == (1, 1)
         assert report.distances_to_most_critical() == ()
         assert report.per_pair_bound == ()
         assert report.fitted_exponent == 0.0
-
-    def test_dirichlet_sweep_requires_sine_basis(self, torus32):
-        config = AlphaSweepConfig(
-            theta0=shear_field(torus32, amplitude=0.05), kappa=0.2,
-            alphas=(0.75, 0.6), t_end=0.1,
-        )
-        with pytest.raises(ValueError, match="requires initial data in the Dirichlet basis"):
-            dirichlet_sweep(config)
 
     def test_dirichlet_sweep_produces_report(self, dirichlet32):
         config = AlphaSweepConfig(
             theta0=random_smooth_field(dirichlet32, seed=9, amplitude=0.05),
             kappa=0.2, alphas=(0.75, 0.6), t_end=0.3,
         )
-        report = dirichlet_sweep(config)
+        report, _ = sweep_with_runs(config)
         assert report.pairwise[0, 1] > 0.0
         assert report.smallness_coeff < 0.0
 
