@@ -192,9 +192,13 @@ class ParsedConfig:
 
         def number(item) -> float:
             require_type(_is_number(item), "a number", item)
+            try:
+                item = float(item)
+            except OverflowError:  # an integer literal beyond the float range
+                item = math.inf if item > 0 else -math.inf
             finite = math.isfinite(item) or (vtype == "floats+inf" and math.isinf(item))
-            require_type(finite, "finite", float(item))
-            return float(item)
+            require_type(finite, "finite", item)
+            return item
 
         if vtype == "str":
             require_type(_is_number(value) or isinstance(value, str), "a string")

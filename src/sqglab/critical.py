@@ -432,9 +432,10 @@ def sweep_with_runs(
     """Run every member of the sweep and assemble its convergence report.
 
     Members share the time grid and keep their sampled states, which the
-    distance table reads.  Runs execute on a thread pool (the FFT work
-    releases the interpreter lock); they are returned in the order of
-    ``config.alphas`` and are bitwise independent of the scheduling order.
+    distance table reads.  Runs execute on a pool of ``max_workers``
+    threads (the FFT work releases the interpreter lock); they are returned
+    in the order of ``config.alphas`` and are bitwise independent of the
+    pool size and the scheduling order.
 
     Warns up front when the initial data alone already violates the
     smallness hypothesis (coefficient at or above zero evaluated with both
@@ -468,11 +469,8 @@ def sweep_with_runs(
             raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
         return SweepRun(series=result.series, states=tuple(states))
 
-    if max_workers == 1 or len(config.alphas) == 1:
-        runs = [one_run(a) for a in config.alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = list(pool.map(one_run, config.alphas))
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        runs = list(pool.map(one_run, config.alphas))
     return assemble_report(config, runs), runs
 
 

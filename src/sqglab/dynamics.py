@@ -455,11 +455,11 @@ def advective_speed(theta: SpectralField) -> float:
     return _plan(theta.domain).speed(theta.coeffs)
 
 
-def default_dt(theta0: SpectralField, *, cfl: float = CFL_LIMIT) -> float:
-    """Step size meeting the advective CFL target for the initial field."""
+def default_dt(theta0: SpectralField) -> float:
+    """Step size meeting the advective CFL limit for the initial field."""
     domain = theta0.domain
     speed = max(1.0, advective_speed(theta0))
-    return cfl * (domain.box / domain.n) / speed
+    return CFL_LIMIT * (domain.box / domain.n) / speed
 
 
 # ----------------------------------------------------------------------------
@@ -490,7 +490,6 @@ def _march(
     params: SqgParams,
     config: StepperConfig,
     n_steps: int,
-    tables: EtdCoefficients | None = None,
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Yield ``(t, coeffs, max |u|)`` after each of ``n_steps`` ETD steps.
 
@@ -508,8 +507,7 @@ def _march(
     """
     domain = state.theta.domain
     dt = config.step_dt
-    if tables is None:
-        tables = etd_coefficients(domain, params, dt)
+    tables = etd_coefficients(domain, params, dt)
     rhs = _rhs_closure(domain, params)
     dt_phi1 = tables.dt * tables.phi1
     dt_phi2 = tables.dt * tables.phi2
@@ -535,13 +533,7 @@ def _march(
         yield t_new, coeffs, speed
 
 
-def step(
-    state: SimulationState,
-    params: SqgParams,
-    config: StepperConfig,
-    *,
-    tables: EtdCoefficients | None = None,
-) -> SimulationState:
+def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
     """Advance one step of ``config.step_dt`` with the configured scheme.
 
     Raises
@@ -549,7 +541,7 @@ def step(
     BlowUpError
         If the step produces a non-finite value.
     """
-    t_new, coeffs, _ = next(_march(state, params, config, 1, tables))
+    t_new, coeffs, _ = next(_march(state, params, config, 1))
     return SimulationState(t=t_new, theta=SpectralField(coeffs=coeffs, domain=state.theta.domain))
 
 

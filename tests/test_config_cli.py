@@ -541,6 +541,10 @@ class TestLoadExperiment:
                          5, "dirichlet-sweep requires basis = dirichlet", id="dirichlet-sweep-basis"),
             pytest.param(simulate_with("kappa", "kappa = 0"), 6,
                          "kappa must be positive and finite, got 0.0", id="simulate-kappa"),
+            pytest.param(simulate_with("kappa", "kappa = 1" + "0" * 400), 6,
+                         "kappa must be finite, got inf", id="kappa-huge-integer"),
+            pytest.param(cfg(*SWEEP_LINES, "alphas = [-1" + "0" * 400 + "]"), 13,
+                         "alphas must be finite, got -inf", id="alphas-huge-integer"),
             pytest.param(simulate_with("alpha", "alpha = 0.5"), 7,
                          "alpha must exceed 1/2 for time evolution (and be <= 1), got 0.5",
                          id="simulate-alpha"),
