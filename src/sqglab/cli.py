@@ -463,12 +463,11 @@ def main(argv=None) -> int:
         print(err, file=sys.stderr)
         return 1
 
-    if args.threads is not None and args.threads < 1:
-        print(
-            ConfigError("--threads must be at least 1", source="<command line>", line=0),
-            file=sys.stderr,
-        )
-        return 1
+    for flag, value, minimum in (("--threads", args.threads, 1), ("--seed", args.seed, 0)):
+        if value is not None and value < minimum:
+            message = f"{flag} must be at least {minimum}"
+            print(ConfigError(message, source="<command line>", line=0), file=sys.stderr)
+            return 1
 
     try:
         experiment = load_config_file(args.config)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig, validate_sweep_alphas
+from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
 from .dynamics import Scheme, SqgParams, StepperConfig, default_dt
 from .errors import ConfigError, FieldError
 from .fields import gaussian_bump_field, random_smooth_field, shear_field
@@ -121,6 +121,17 @@ _KEYS: dict[str, dict[str, _Key]] = {
         "laplacian_n": _Key("int", 32),
     },
     "output": {"dir": _Key("str")},
+}
+
+#: The file entry of each constructor argument that raises ``FieldError``.
+_FIELD_KEYS: dict[str, tuple[str, str]] = {
+    "kappa": ("params", "kappa"),
+    "alpha": ("params", "alpha"),
+    "lam": ("params", "lambda"),
+    "t_end": ("stepper", "t_end"),
+    "dt": ("stepper", "dt"),
+    "sample_every": ("stepper", "sample_every"),
+    "alphas": ("sweep", "alphas"),
 }
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
@@ -440,6 +451,7 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         )
         for key, value, minimum in (
             ("size", size, 2),
+            ("seed", seed, 0),
             ("trials", trials, 1),
             ("laplacian_n", laplacian_n, 2),
         ):
@@ -485,31 +497,32 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
     )
 
     forcing = _forcing(parsed, domain)
+    t_end, dt, sample_every = (get("stepper", key) for key in ("t_end", "dt", "sample_every"))
+    scheme = Scheme(get("stepper", "scheme"))
 
     params = None
-    if is_sweep:
-        require(kappa > 0, f"kappa must be positive, got {kappa!r}", "params", "kappa")
-        require(lam >= 0, f"lambda must be nonnegative, got {lam!r}", "params", "lambda")
-    else:
-        try:
+    try:
+        if is_sweep:
+            # the initial data is built at run time; zeros stand in for it here
+            AlphaSweepConfig(
+                theta0=SpectralField.zeros(domain), kappa=kappa, alphas=get("sweep", "alphas"),
+                lam=lam, forcing=forcing, t_end=t_end, dt=dt, sample_every=sample_every,
+            )
+        else:
             params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
-        except FieldError as err:
-            require(False, str(err), "params", "lambda" if err.field == "lam" else err.field)
-
-    t_end = get("stepper", "t_end")
-    require(t_end > 0, f"t_end must be positive, got {t_end!r}", "stepper", "t_end")
-    dt = get("stepper", "dt")
-    require(
-        dt is None or 0 < dt <= t_end, f"dt must lie in (0, t_end], got {dt!r}", "stepper", "dt"
-    )
-    scheme = Scheme(get("stepper", "scheme"))
-    sample_every = get("stepper", "sample_every")
-    require(
-        sample_every >= 1,
-        f"sample_every must be a positive integer, got {sample_every!r}",
-        "stepper",
-        "sample_every",
-    )
+    except FieldError as err:
+        require(False, str(err), *_FIELD_KEYS[err.field])
+    if not is_sweep:
+        require(t_end > 0, f"t_end must be positive, got {t_end!r}", "stepper", "t_end")
+        require(
+            dt is None or 0 < dt <= t_end, f"dt must lie in (0, t_end], got {dt!r}", "stepper", "dt"
+        )
+        require(
+            sample_every >= 1,
+            f"sample_every must be a positive integer, got {sample_every!r}",
+            "stepper",
+            "sample_every",
+        )
 
     return Experiment(
         kind=kind,
@@ -560,6 +573,7 @@ def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:
     itype, seed, decay, amplitude, mode, width = (
         get("init", key) for key in ("type", "seed", "decay", "amplitude", "mode", "width")
     )
+    require(seed >= 0, f"seed must be at least 0, got {seed!r}", "init", "seed")
     require(amplitude > 0, f"amplitude must be positive, got {amplitude!r}", "init", "amplitude")
     require(
         itype != "random" or decay > 1.0,
@@ -627,11 +641,7 @@ def _monitor_fields(parsed: ParsedConfig, domain: DomainSpec, lam: float) -> dic
 
 def _sweep_fields(parsed: ParsedConfig) -> dict:
     get, require = parsed.get, parsed.require
-    alphas = get("sweep", "alphas")
-    try:
-        validate_sweep_alphas(alphas)
-    except FieldError as err:
-        require(False, str(err), "sweep", err.field)
+    alphas = get("sweep", "alphas")  # checked with the sweep's other rules
     epsilon = get("sweep", "epsilon")
     require(
         0 < epsilon < 0.5, f"epsilon must lie in (0, 1/2), got {epsilon!r}", "sweep", "epsilon"

@@ -183,7 +183,8 @@ class AlphaSweepConfig:
     (crucially, so that trajectories are comparable sample by sample) a
     single time step.  When ``dt`` is omitted it is chosen from the
     advective CFL limit of the initial data, which is the stiffest safe
-    choice shared across the sweep.
+    choice shared across the sweep.  An out-of-range scalar or ladder
+    raises :class:`FieldError` naming the field.
     """
 
     theta0: SpectralField
@@ -199,16 +200,15 @@ class AlphaSweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         validate_sweep_alphas(self.alphas)
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-        if self.lam < 0:
-            raise ValueError(f"damping must be nonnegative, got {self.lam!r}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive when given, got {self.dt!r}")
+        self.params_for(self.alphas[0])  # kappa and lam follow SqgParams' rules
+        if not self.t_end > 0:
+            raise FieldError("t_end", f"t_end must be positive, got {self.t_end!r}")
+        if self.dt is not None and not self.dt > 0:
+            raise FieldError("dt", f"dt must be positive when given, got {self.dt!r}")
         if self.sample_every < 1:
-            raise ValueError("sample_every must be a positive integer")
+            raise FieldError(
+                "sample_every", f"sample_every must be a positive integer, got {self.sample_every!r}"
+            )
         if self.forcing is not None and self.forcing.domain != self.theta0.domain:
             raise ValueError("forcing must live on the same domain as theta0")
 

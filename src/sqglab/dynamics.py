@@ -42,7 +42,6 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-import scipy.fft
 
 from .errors import BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
@@ -294,6 +293,8 @@ class _TransportPlan:
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased ``-div(u theta)`` (full FFT layout) and max|u| of a field."""
+        import scipy.fft  # on first use: runs that transform nothing never load it
+
         u1, u2, theta = self._synthesize(coeffs, 3)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
         flux1, flux2 = (scipy.fft.rfft2(u * theta) for u in (u1, u2))
@@ -307,6 +308,8 @@ class _TransportPlan:
     def _synthesize(self, coeffs: np.ndarray, count: int) -> list[np.ndarray]:
         # One transform per field: a single irfft2 on the (3, n, n/2+1) stack
         # ran about 1.7x slower at n = 128 and 256 (scipy 1.17, 2 cores).
+        import scipy.fft
+
         n = self.n
         half = coeffs[:, : n // 2 + 1]
         return [scipy.fft.irfft2(mult * half, s=(n, n)) for mult in self.synth[:count]]
@@ -320,11 +323,12 @@ class _TransportPlan:
         return out
 
 
-#: Per-axis type-1 transform of a Dirichlet-box series and the grid index of
-#: its first mode: sine axes carry modes 1 .. n-1 on the n-1 interior points,
-#: cosine axes modes 0 .. n on all n+1 points.
-_SINE = (scipy.fft.dst, 0)
-_COSINE = (scipy.fft.dct, 1)
+#: Per-axis type-1 transform of a Dirichlet-box series, named by its
+#: ``scipy.fft`` function, and the grid index of its first mode: sine axes
+#: carry modes 1 .. n-1 on the n-1 interior points, cosine axes modes 0 .. n
+#: on all n+1 points.
+_SINE = ("dst", 0)
+_COSINE = ("dct", 1)
 
 
 @dataclass(frozen=True)
@@ -356,6 +360,8 @@ class _DirichletPlan:
 
     def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased ``-div(u theta)`` (sine coefficients) and max|u| of a field."""
+        import scipy.fft
+
         n, cut = self.n, self.div.shape[1]
         u1, u2 = self._velocity(coeffs)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
@@ -386,14 +392,16 @@ class _DirichletPlan:
 
     def _synthesize(self, mult, coeffs, kind0, kind1) -> np.ndarray:
         """Grid values of the series ``mult * coeffs`` with the given axis kinds."""
-        (transform0, first0), (transform1, first1) = kind0, kind1
+        import scipy.fft
+
+        (name0, first0), (name1, first1) = kind0, kind1
         n, m = self.n, len(mult)
         # coefficients vanish beyond row m, so the first pass runs on m rows
         rows = np.zeros((m, n - 1 + 2 * first1))
         np.multiply(mult, coeffs[:m, :m], out=rows[:, first1 : first1 + m])
         grid = np.zeros((n - 1 + 2 * first0, n - 1 + 2 * first1))
-        grid[first0 : first0 + m] = transform1(rows, type=1, axis=1)
-        return transform0(grid, type=1, axis=0)
+        grid[first0 : first0 + m] = getattr(scipy.fft, name1)(rows, type=1, axis=1)
+        return getattr(scipy.fft, name0)(grid, type=1, axis=0)
 
 
 @functools.lru_cache(maxsize=16)

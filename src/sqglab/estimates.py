@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .spectral import (
     Basis,
@@ -36,7 +35,6 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _apply_laplacian_power,
-    _laplacian_power,
     dealias,
     fractional_laplacian,
     grid_lp_norm,
@@ -256,49 +254,66 @@ def _dissipated(theta: SpectralField, grid: PhysicalField, alpha: float) -> np.n
 
 
 @dataclass(frozen=True)
-class _RefinedPlan:
+class _SquarePlan:
     """Read-only tables of the exact ``(-Lap)^a(phi^2)`` on a torus domain.
 
-    A dealiased field's square has modes up to ``2n/3``, which the once-refined
-    ``2n`` grid resolves exactly.  ``rows`` is the refined-grid row of each
-    coefficient row (``k1 mod 2n``); ``mult`` is ``|k|^{2a}`` in the refined
-    grid's ``rfft2`` half-plane layout with every scale folded in: phi is
-    synthesized without its scale ``(2n)^2/L``, so its square lacks that
-    factor twice, and the square's analysis ``L/(2n)^2`` and synthesis
-    ``(2n)^2/L`` cancel.  ``mult`` is zero outside the square's exact
-    support ``|k_i| <= 2 floor(n/3)``, where the refined transform holds only
-    round-off that ``|k|^{2a}`` would amplify.
+    A dealiased field has modes ``|k_i| <= c = floor(n/3)`` and its square
+    modes ``|k_i| <= 2c < N/2`` on the grid of ``N = 3n/2`` points, so the
+    square is formed there without aliasing.  Its spectrum, multiplied by
+    ``|k|^{2a}``, is folded onto the n grid (``k mod n``) and synthesized
+    once there, which gives its values at the original points exactly.
+    ``mult`` is ``|k|^{2a}`` in the N grid's ``rfft2`` half-plane layout
+    with every scale folded in: phi is synthesized without its scale
+    ``N^2/L``, so its square lacks that factor twice, the square's analysis
+    contributes ``L/N^2`` and the n-grid synthesis ``n^2/L``.  ``mult`` is
+    zero outside the square's exact support ``|k_i| <= 2c``, where the N
+    grid transform holds only round-off that ``|k|^{2a}`` would amplify.
+    ``mirror`` is the n-grid row of ``-k1``.
     """
 
     n: int
-    rows: np.ndarray
     mult: np.ndarray
+    mirror: np.ndarray
 
     def dissipated_square(self, coeffs: np.ndarray) -> np.ndarray:
         """``(-Lap)^a(phi^2)`` at the original grid points, for a dealiased phi."""
-        n = self.n
-        half = np.zeros((2 * n, n + 1), dtype=np.complex128)
-        # columns k2 = 0 .. n/2 - 1; the cut leaves k2 = -n/2 empty
-        half[self.rows, : n // 2] = coeffs[:, : n // 2]
-        phi = scipy.fft.irfft2(half, s=(2 * n, 2 * n))
+        import scipy.fft
+
+        n, (big, width) = self.n, self.mult.shape
+        c, nyq = n // 3, n // 2
+        half = np.zeros((big, width), dtype=np.complex128)
+        half[: c + 1, : c + 1] = coeffs[: c + 1, : c + 1]
+        half[big - c :, : c + 1] = coeffs[n - c :, : c + 1]
+        phi = scipy.fft.irfft2(half, s=(big, big))
         square = scipy.fft.rfft2(phi * phi)
         square *= self.mult
-        return scipy.fft.irfft2(square, s=(2 * n, 2 * n))[::2, ::2]
+        # rows k1 and k1 - n alias to one n-grid row; a column k2 > n/2
+        # aliases to k2 - n, which the half plane holds conjugated at column
+        # n - k2 and row -k1; the Nyquist column takes both k2 = n/2 and -n/2
+        fold = np.zeros((n, 2 * c + 1), dtype=np.complex128)
+        fold[: 2 * c + 1] = square[: 2 * c + 1, : 2 * c + 1]
+        fold[n - 2 * c :] += square[big - 2 * c :, : 2 * c + 1]
+        out = fold[:, : nyq + 1]
+        out[:, n - 2 * c :] += np.conj(fold[self.mirror, 2 * c : nyq - 1 : -1])
+        return scipy.fft.irfft2(out, s=(n, n))
 
 
 @functools.lru_cache(maxsize=16)
-def _refined_plan(domain: DomainSpec, alpha: float) -> _RefinedPlan:
-    """The refined-grid plan of a torus domain and order, built once per pair."""
+def _square_plan(domain: DomainSpec, alpha: float) -> _SquarePlan:
+    """The 3n/2-grid plan of a torus domain and order, built once per pair."""
     n = domain.n
-    fine = DomainSpec(n=2 * n, box=domain.box, basis=Basis.TORUS)
-    rows = domain.index_grids[0][:, 0] % (2 * n)
-    k1, k2 = fine.index_grids
-    support = np.maximum(np.abs(k1), np.abs(k2)) <= 2 * (n // 3)
-    mult = (_laplacian_power(fine, alpha) * support)[:, : n + 1]
-    mult *= (2 * n) ** 4 / domain.box**2
-    for table in (rows, mult):
+    big = 3 * n // 2
+    k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
+    k2 = np.arange(big // 2 + 1, dtype=float)[None, :]
+    sym = (2.0 * np.pi / domain.box) ** 2 * (k1**2 + k2**2)
+    support = np.maximum(np.abs(k1), k2) <= 2 * (n // 3)
+    mult = np.zeros(sym.shape)
+    np.power(sym, alpha, out=mult, where=support & (sym > 0))
+    mult *= (big * n / domain.box) ** 2
+    mirror = -np.arange(n) % n
+    for table in (mult, mirror):
         table.setflags(write=False)
-    return _RefinedPlan(n=n, rows=rows, mult=mult)
+    return _SquarePlan(n=n, mult=mult, mirror=mirror)
 
 
 def _cordoba_slack(
@@ -312,7 +327,7 @@ def _cordoba_slack(
         return values**2
     domain = phi.domain
     if domain.basis is Basis.TORUS:
-        diss_sq = _refined_plan(domain, alpha).dissipated_square(phi.coeffs)
+        diss_sq = _square_plan(domain, alpha).dissipated_square(phi.coeffs)
     else:
         square = to_spectral(values**2, domain)
         diss_sq = to_physical(fractional_laplacian(square, alpha)).values
@@ -330,11 +345,12 @@ def _positivity_integral(
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     """Pointwise slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` on the grid.
 
-    The input is dealiased first.  On the torus the square is formed on a
-    once-refined grid, where the band-limited product is exact, and the
-    multiplier is applied there before restricting back to the original
-    points; the returned slack therefore samples the continuum quantity to
-    round-off, with no aliasing noise entering the inequality.  Sine-basis
+    The input is dealiased first.  On the torus the square is formed on the
+    grid of 3n/2 points, where the band-limited product has no aliasing,
+    and the multiplier is applied there before the spectrum is folded back
+    onto the original n grid; the returned slack therefore samples the
+    continuum quantity to round-off, with no aliasing noise entering the
+    inequality.  Sine-basis
     inputs use the same-grid eigenexpansion of the square (the projection
     converges, but its truncation shows up as boundary-layer noise).
     """

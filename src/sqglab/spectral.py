@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-import scipy.fft
 
 from .errors import BasisError, FieldError, ZeroModeError
 
@@ -317,6 +316,8 @@ class PhysicalField:
 
 def to_physical(field: SpectralField) -> PhysicalField:
     """Synthesize grid samples from spectral coefficients."""
+    import scipy.fft  # on first use: runs that transform nothing never load it
+
     dom = field.domain
     n = dom.n
     if dom.basis is Basis.TORUS:
@@ -335,6 +336,8 @@ def to_physical(field: SpectralField) -> PhysicalField:
 
 def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = None) -> SpectralField:
     """Analyze grid samples into spectral coefficients (inverse of to_physical)."""
+    import scipy.fft
+
     if isinstance(values, PhysicalField):
         domain = values.domain
         values = values.values

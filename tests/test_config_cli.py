@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import sqglab
 from sqglab.cli import main
 from sqglab.config import (
     EXPERIMENT_KINDS,
@@ -347,6 +350,13 @@ class TestLoadExperiment:
         )
         assert err.line == 5  # the [params] header
 
+    def test_sweep_dt_beyond_horizon_is_capped(self):
+        # a sweep states its dt rule once, in AlphaSweepConfig: positive,
+        # with the shared step capped at t_end
+        exp = load(cfg(*SWEEP_LINES[:7], "dt = 0.5", *SWEEP_LINES[7:]))
+        assert exp.dt == 0.5
+        assert exp.sweep_config(exp.initial_field()).shared_dt() == 0.1
+
     def test_stepper_validation(self):
         load_error(simulate_with("t_end", "t_end = 0"), "t_end must be positive")
         load_error(simulate_with("dt", "dt = 0.2"), "dt must lie in (0, t_end]")
@@ -528,6 +538,8 @@ class TestLoadExperiment:
                          id="section-not-used"),
             pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "size = 1"), 4,
                          "size must be at least 2, got 1", id="operator-size"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "seed = -1"), 4,
+                         "seed must be at least 0, got -1", id="operator-seed"),
             pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "trials = 0"), 4,
                          "trials must be at least 1, got 0", id="operator-trials"),
             pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]",
@@ -557,9 +569,13 @@ class TestLoadExperiment:
                          "alpha is fixed per sweep member; set [sweep] alphas instead",
                          id="sweep-alpha-given"),
             pytest.param(cfg(*SWEEP_LINES[:5], "kappa = 0", *SWEEP_LINES[6:]), 6,
-                         "kappa must be positive, got 0.0", id="sweep-kappa"),
+                         "kappa must be positive and finite, got 0.0", id="sweep-kappa"),
             pytest.param(cfg(*SWEEP_LINES[:6], "lambda = -0.5", *SWEEP_LINES[6:]), 7,
-                         "lambda must be nonnegative, got -0.5", id="sweep-lambda"),
+                         "lam must be nonnegative and finite, got -0.5", id="sweep-lambda"),
+            pytest.param(cfg(*SWEEP_LINES[:7], "dt = -1", *SWEEP_LINES[7:]), 8,
+                         "dt must be positive when given, got -1.0", id="sweep-dt"),
+            pytest.param(cfg(*SWEEP_LINES[:7], "t_end = 0", *SWEEP_LINES[8:]), 8,
+                         "t_end must be positive, got 0.0", id="sweep-t-end"),
             pytest.param(simulate_with("t_end", "t_end = 0"), 10, "t_end must be positive, got 0.0",
                          id="t-end"),
             pytest.param(simulate_with("dt", "dt = 0.2"), 9, "dt must lie in (0, t_end], got 0.2",
@@ -575,6 +591,8 @@ class TestLoadExperiment:
             pytest.param(cfg(*SIMULATE_LINES[:4], "basis = dirichlet", *SIMULATE_LINES[4:],
                              "[forcing]", "type = cosine"), 16,
                          "cosine forcing requires the torus basis", id="forcing-cosine-on-box"),
+            pytest.param(cfg(*SIMULATE_LINES, "seed = -3"), 14, "seed must be at least 0, got -3",
+                         id="init-seed"),
             pytest.param(simulate_with("amplitude", "amplitude = 0"), 13,
                          "amplitude must be positive, got 0.0", id="init-amplitude"),
             pytest.param(cfg(*SIMULATE_LINES, "decay = 1"), 14,
@@ -789,6 +807,14 @@ class TestCliExitCodes:
         )
         assert "--threads must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SIM_CLI)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error (<command line>, line 0): --seed must be at least 0" in err
+        assert not out.exists()
+
     # The diverging state overflows the norm monitors right before the
     # stepper aborts; that numpy warning is part of the failure being tested.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -953,6 +979,25 @@ class TestCliArtifacts:
         assert len(decay) == 5
         checks = json.loads((out / "checks.json").read_text(encoding="utf-8"))
         assert checks["all_passed"] is True
+
+    def test_operator_tests_never_load_scipy_fft(self, tmp_path):
+        # scipy.fft is imported where a transform first runs; the dense
+        # operator battery runs none, so a fresh process never pays for it
+        config = write_config(tmp_path, OPERATOR_CLI)
+        argv = ["operator-tests", "--config", config, "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from sqglab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'scipy.fft' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sqglab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-2:] == ["0", "False"]
 
     def test_sweep_artifacts(self, tmp_path, capsys):
         out = self.run_ok(

@@ -124,7 +124,7 @@ class TestSweepConfig:
         theta0 = shear_field(torus32, amplitude=0.1)
         with pytest.raises(ValueError, match="kappa must be positive"):
             AlphaSweepConfig(theta0=theta0, kappa=0.0)
-        with pytest.raises(ValueError, match="damping must be nonnegative"):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, lam=-1.0)
         with pytest.raises(ValueError, match="t_end must be positive"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.0)

@@ -11,7 +11,7 @@ from sqglab.estimates import (
     DEFAULT_TOL,
     CutoffSpec,
     InequalityRecord,
-    _refined_plan,
+    _square_plan,
     commutator_probe,
     cordoba_pointwise_check,
     cordoba_slack_field,
@@ -226,13 +226,41 @@ class TestCordobaPointwise:
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_refined_multiplier_vanishes_outside_the_square_support(self, n):
         domain = DomainSpec(n=n)
-        mult = _refined_plan(domain, 0.75).mult
-        k1 = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))[:, None]
-        k2 = np.arange(n + 1)[None, :]
+        mult = _square_plan(domain, 0.75).mult
+        big = 3 * n // 2
+        assert mult.shape == (big, big // 2 + 1)
+        k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
+        k2 = np.arange(big // 2 + 1)[None, :]
         inside = np.maximum(np.abs(k1), k2) <= 2 * (n // 3)
         assert np.all(mult[~inside] == 0.0)
         inside[0, 0] = False  # |k|^{2a} vanishes on the zero mode
         assert np.all(mult[inside] > 0.0)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            pytest.param(lambda n: (0, n // 4), id="square-on-nyquist-column"),
+            pytest.param(lambda n: (0, n // 3), id="square-beyond-nyquist-column"),
+            pytest.param(lambda n: (-(n // 3), n // 4), id="mixed-negative-k1"),
+            pytest.param(lambda n: (-(n // 3), n // 3), id="mixed-corner"),
+        ],
+    )
+    def test_single_mode_closed_form(self, n, alpha, mode):
+        # phi = cos(k.x): 2 phi (-Lap)^a phi - (-Lap)^a(phi^2)
+        #     = 2 |k|^{2a} cos^2(k.x) - |2k|^{2a} cos(2k.x) / 2,
+        # the square's mode 2k reaching the fold's Nyquist, conjugate and
+        # negative-row parts of the n grid
+        domain = DomainSpec(n=n)
+        k = mode(n)
+        slack = cordoba_slack_field(cosine_field(domain, k=k), alpha).values
+        x1, x2 = domain.physical_coordinates
+        phase = k[0] * x1 + k[1] * x2
+        size = np.hypot(*k)
+        first = 2.0 * size ** (2 * alpha) * np.cos(phase) ** 2
+        want = first - (2.0 * size) ** (2 * alpha) * np.cos(2.0 * phase) / 2.0
+        assert np.abs(slack - want).max() <= 1e-12 * np.abs(first).max()
 
     @settings(max_examples=40)
     @given(
