@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
-from .dynamics import Scheme, SqgParams, StepperConfig, default_dt
+from .dynamics import Scheme, SqgParams, StepperConfig, default_dt, validate_run_settings
 from .errors import ConfigError, FieldError
 from .fields import gaussian_bump_field, random_smooth_field, shear_field
 from .spectral import (
@@ -510,19 +510,9 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
             )
         else:
             params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
+            validate_run_settings(t_end, dt, sample_every)
     except FieldError as err:
         require(False, str(err), *_FIELD_KEYS[err.field])
-    if not is_sweep:
-        require(t_end > 0, f"t_end must be positive, got {t_end!r}", "stepper", "t_end")
-        require(
-            dt is None or 0 < dt <= t_end, f"dt must lie in (0, t_end], got {dt!r}", "stepper", "dt"
-        )
-        require(
-            sample_every >= 1,
-            f"sample_every must be a positive integer, got {sample_every!r}",
-            "stepper",
-            "sample_every",
-        )
 
     return Experiment(
         kind=kind,

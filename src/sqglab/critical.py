@@ -27,6 +27,7 @@ from .dynamics import (
     default_dt,
     integrate,
     nonlinear_rhs,
+    validate_run_settings,
 )
 from .errors import BlowUpError, FieldError
 from .estimates import InequalityRecord
@@ -201,14 +202,7 @@ class AlphaSweepConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         validate_sweep_alphas(self.alphas)
         self.params_for(self.alphas[0])  # kappa and lam follow SqgParams' rules
-        if not self.t_end > 0:
-            raise FieldError("t_end", f"t_end must be positive, got {self.t_end!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise FieldError("dt", f"dt must be positive when given, got {self.dt!r}")
-        if self.sample_every < 1:
-            raise FieldError(
-                "sample_every", f"sample_every must be a positive integer, got {self.sample_every!r}"
-            )
+        validate_run_settings(self.t_end, self.dt, self.sample_every)
         if self.forcing is not None and self.forcing.domain != self.theta0.domain:
             raise ValueError("forcing must live on the same domain as theta0")
 
@@ -226,7 +220,7 @@ class AlphaSweepConfig:
     def shared_dt(self) -> float:
         """Largest time step shared by every run (CFL-derived when not pinned)."""
         if self.dt is not None:
-            return min(self.dt, self.t_end)
+            return self.dt
         return min(default_dt(self.theta0), self.t_end)
 
     def stepper(self) -> StepperConfig:

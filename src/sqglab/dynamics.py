@@ -14,8 +14,10 @@ second-order Runge-Kutta corrector of Cox and Matthews).
 Each basis has one transport kernel on raw arrays, driven by a plan of
 read-only multipliers cached per domain, with no intermediate field objects.
 On the torus the plan holds the velocity, dealias and divergence multipliers
-in real-FFT half-plane layout, so one evaluation is three inverse real FFTs
-(u1, u2 and theta) and two forward ones (the fluxes).  On a Dirichlet box the
+on the columns ``0 .. n/3`` of the real-FFT half plane, the only ones the 2/3
+rule keeps, so one evaluation is three inverse real FFTs (u1, u2 and theta)
+and two forward ones (the fluxes), whose complex passes skip the zeroed
+columns.  On a Dirichlet box the
 kernel stays on the box's own ``(n+1)^2`` grid: theta is a sine-sine series,
 the velocity components are sine-cosine and cosine-sine series, and type-1
 sine/cosine transforms synthesize them and analyze the two fluxes, alias-free
@@ -51,6 +53,7 @@ __all__ = [
     "Scheme",
     "SqgParams",
     "StepperConfig",
+    "validate_run_settings",
     "SimulationState",
     "RunResult",
     "EtdCoefficients",
@@ -155,6 +158,25 @@ class StepperConfig:
         """Uniform step ``t_end / n_steps`` the run takes (``dt`` for no steps)."""
         n_steps = self.n_steps
         return self.t_end / n_steps if n_steps else self.dt
+
+
+def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> None:
+    """Raise :class:`FieldError` unless a run's horizon and sampling describe a run.
+
+    ``t_end`` must be positive, a given ``dt`` (``None`` asks for the CFL
+    step) must lie in ``(0, t_end]``, since no run could take a longer step
+    than its horizon, and ``sample_every`` must be at least 1.  The
+    experiment file and :class:`~sqglab.critical.AlphaSweepConfig` both
+    apply these rules.
+    """
+    if not t_end > 0:
+        raise FieldError("t_end", f"t_end must be positive, got {t_end!r}")
+    if dt is not None and not 0 < dt <= t_end:
+        raise FieldError("dt", f"dt must lie in (0, t_end], got {dt!r}")
+    if not sample_every >= 1:
+        raise FieldError(
+            "sample_every", f"sample_every must be a positive integer, got {sample_every!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -277,13 +299,14 @@ def restrict_odd_extension(field: SpectralField, domain: DomainSpec) -> Spectral
 class _TransportPlan:
     """Read-only multipliers of the transport kernel on one torus domain.
 
-    Every array is in ``rfft2`` half-plane layout, columns ``0 .. n/2``:
+    The 2/3 rule keeps the columns ``0 .. c``, ``c = floor(n/3)``, of the
+    ``rfft2`` half plane, so every array is an ``(n, c+1)`` block of them:
     ``synth`` stacks the multipliers taking theta's coefficients to the grid
-    values of u1, u2 and theta (dealias mask and the synthesis scale ``n^2/L``
-    folded in); ``div`` stacks the symbols of ``-d/dx_j`` with the mask and the
-    analysis scale ``L/n^2`` folded in; ``mirror`` is the row index of ``-k1``.
-    The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
-    which the half plane determines.
+    values of u1, u2 and theta (dealias mask and the synthesis scale ``1/L``
+    folded in; the transforms are unnormalized); ``div`` stacks the symbols
+    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in;
+    ``mirror`` is the row index of ``-k1``.  The kernel assumes real fields,
+    i.e. conjugate-symmetric coefficients, which the block determines.
     """
 
     n: int
@@ -297,7 +320,10 @@ class _TransportPlan:
 
         u1, u2, theta = self._synthesize(coeffs, 3)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
-        flux1, flux2 = (scipy.fft.rfft2(u * theta) for u in (u1, u2))
+        cols = self.div.shape[2]
+        flux1, flux2 = (
+            scipy.fft.fft(scipy.fft.rfft(u * theta, axis=1)[:, :cols], axis=0) for u in (u1, u2)
+        )
         return self._full(self.div[0] * flux1 + self.div[1] * flux2), speed
 
     def speed(self, coeffs: np.ndarray) -> float:
@@ -306,20 +332,25 @@ class _TransportPlan:
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
 
     def _synthesize(self, coeffs: np.ndarray, count: int) -> list[np.ndarray]:
-        # One transform per field: a single irfft2 on the (3, n, n/2+1) stack
-        # ran about 1.7x slower at n = 128 and 256 (scipy 1.17, 2 cores).
+        # The axis-0 pass skips the columns the 2/3 rule zeroes; irfft pads
+        # the block with them for the axis-1 pass.
         import scipy.fft
 
         n = self.n
-        half = coeffs[:, : n // 2 + 1]
-        return [scipy.fft.irfft2(mult * half, s=(n, n)) for mult in self.synth[:count]]
+        block = coeffs[:, : self.synth.shape[2]]
+        return [
+            scipy.fft.irfft(
+                scipy.fft.ifft(mult * block, axis=0, norm="forward"), n=n, axis=1, norm="forward"
+            )
+            for mult in self.synth[:count]
+        ]
 
-    def _full(self, half: np.ndarray) -> np.ndarray:
-        """Expand half-plane coefficients of a real field to the full FFT layout."""
-        n = self.n
-        out = np.empty((n, n), dtype=np.complex128)
-        out[:, : n // 2 + 1] = half
-        np.conj(half[self.mirror, n // 2 - 1 : 0 : -1], out=out[:, n // 2 + 1 :])
+    def _full(self, block: np.ndarray) -> np.ndarray:
+        """Expand the kept columns of a real field to the full FFT layout."""
+        n, cut = self.n, block.shape[1] - 1
+        out = np.zeros((n, n), dtype=np.complex128)
+        out[:, : cut + 1] = block
+        np.conj(block[self.mirror, cut:0:-1], out=out[:, n - cut :])
         return out
 
 
@@ -421,14 +452,14 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
         for table in (synth, div):
             table.setflags(write=False)
         return _DirichletPlan(n=n, synth=synth, div=div)
-    half = np.s_[:, : n // 2 + 1]
-    mask = domain.dealias_mask[half]
+    kept = np.s_[:, : n // 3 + 1]  # the columns the 2/3 rule keeps
+    mask = domain.dealias_mask[kept]
     r1, r2 = domain.riesz_symbols
     d1, d2 = domain.derivative_symbols
     # u = (-R2 theta, R1 theta), R_j having the multiplier -i k_j/|k|
-    synth = np.stack([1j * r2[half], -1j * r1[half], np.ones(mask.shape)])
-    synth *= mask * (n * n / domain.box)
-    div = np.stack([d1[half], d2[half]]) * (mask * (-domain.box / (n * n)))
+    synth = np.stack([1j * r2[kept], -1j * r1[kept], np.ones(mask.shape)])
+    synth *= mask / domain.box
+    div = np.stack([d1[kept], d2[kept]]) * (mask * (-domain.box / (n * n)))
     mirror = -np.arange(n) % n
     for table in (synth, div, mirror):
         table.setflags(write=False)

@@ -350,12 +350,13 @@ class TestLoadExperiment:
         )
         assert err.line == 5  # the [params] header
 
-    def test_sweep_dt_beyond_horizon_is_capped(self):
-        # a sweep states its dt rule once, in AlphaSweepConfig: positive,
-        # with the shared step capped at t_end
-        exp = load(cfg(*SWEEP_LINES[:7], "dt = 0.5", *SWEEP_LINES[7:]))
-        assert exp.dt == 0.5
-        assert exp.sweep_config(exp.initial_field()).shared_dt() == 0.1
+    def test_dt_beyond_horizon_is_rejected_for_every_kind(self):
+        # one dt rule, dt in (0, t_end], for the fixed-alpha and the sweep kinds
+        sweep = load_error(
+            cfg(*SWEEP_LINES[:7], "dt = 0.5", *SWEEP_LINES[7:]), "dt must lie in (0, t_end], got 0.5"
+        )
+        simulate = load_error(simulate_with("dt", "dt = 0.5"), "dt must lie in (0, t_end], got 0.5")
+        assert (sweep.line, simulate.line) == (8, 9)
 
     def test_stepper_validation(self):
         load_error(simulate_with("t_end", "t_end = 0"), "t_end must be positive")
@@ -573,7 +574,7 @@ class TestLoadExperiment:
             pytest.param(cfg(*SWEEP_LINES[:6], "lambda = -0.5", *SWEEP_LINES[6:]), 7,
                          "lam must be nonnegative and finite, got -0.5", id="sweep-lambda"),
             pytest.param(cfg(*SWEEP_LINES[:7], "dt = -1", *SWEEP_LINES[7:]), 8,
-                         "dt must be positive when given, got -1.0", id="sweep-dt"),
+                         "dt must lie in (0, t_end], got -1.0", id="sweep-dt"),
             pytest.param(cfg(*SWEEP_LINES[:7], "t_end = 0", *SWEEP_LINES[8:]), 8,
                          "t_end must be positive, got 0.0", id="sweep-t-end"),
             pytest.param(simulate_with("t_end", "t_end = 0"), 10, "t_end must be positive, got 0.0",

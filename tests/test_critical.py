@@ -24,7 +24,7 @@ from sqglab.critical import (
     sweep_with_runs,
     weak_form_residual,
 )
-from sqglab.dynamics import SimulationState, SqgParams
+from sqglab.dynamics import SimulationState, SqgParams, default_dt
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import Basis, DomainSpec, cosine_field, sobolev_norm
 
@@ -128,8 +128,10 @@ class TestSweepConfig:
             AlphaSweepConfig(theta0=theta0, kappa=0.1, lam=-1.0)
         with pytest.raises(ValueError, match="t_end must be positive"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.0)
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, t_end\], got -0.1"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, dt=-0.1)
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, t_end\], got 1.0"):
+            AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.005, dt=1.0)
         with pytest.raises(ValueError, match="sample_every must be a positive integer"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, sample_every=0)
         with pytest.raises(ValueError, match="forcing must live on the same domain"):
@@ -137,10 +139,13 @@ class TestSweepConfig:
                 theta0=theta0, kappa=0.1, forcing=shear_field(torus64, amplitude=0.1)
             )
 
-    def test_shared_dt_capped_by_horizon(self, torus32):
+    def test_cfl_dt_capped_by_horizon(self, torus32):
+        # a pinned dt above t_end is rejected; the CFL-derived one is capped
         theta0 = shear_field(torus32, amplitude=0.1)
-        config = AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.005, dt=1.0)
+        config = AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.005)
+        assert default_dt(theta0) > 0.005
         assert config.shared_dt() == 0.005
+        assert AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.005, dt=0.005).shared_dt() == 0.005
 
     def test_params_for_carries_shared_settings(self, torus32):
         theta0 = shear_field(torus32, amplitude=0.1)

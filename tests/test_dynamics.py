@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sqglab
 from sqglab.dynamics import (
     CFL_LIMIT,
     Scheme,
@@ -173,10 +178,18 @@ class TestTransportKernel:
 
 
 class TestTransportSupport:
-    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
-    def test_output_modes_per_basis(self, name, request):
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            DomainSpec(n=16, box=2 * np.pi, basis=Basis.TORUS),
+            DomainSpec(n=32, box=2 * np.pi, basis=Basis.TORUS),
+            DomainSpec(n=256, box=2 * np.pi, basis=Basis.TORUS),
+            DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET),
+        ],
+        ids=["torus16", "torus32", "torus256", "dirichlet32"],
+    )
+    def test_output_modes_per_basis(self, domain):
         # the torus keeps k <= n/3 of the product, the Dirichlet box k <= 2n/3
-        domain = request.getfixturevalue(name)
         theta = _full_spectrum_field(domain, seed=0)
         rhs = nonlinear_rhs(theta)
         i1, i2 = domain.index_grids
@@ -184,6 +197,12 @@ class TestTransportSupport:
         n = domain.n
         if domain.basis is Basis.TORUS:
             assert np.all(rhs.coeffs[k > n / 3] == 0.0)
+            # the kernel computes columns 0 .. c and mirrors n-c .. n-1 from
+            # them (at n = 16: the 6-column block and columns 11 .. 15)
+            c = n // 3
+            assert np.abs(rhs.coeffs[(k > 0) & (k <= n / 3)]).min() > 0.0
+            rows = -np.arange(n) % n
+            assert np.array_equal(rhs.coeffs[:, n - c :], np.conj(rhs.coeffs[rows, c:0:-1]))
         else:
             assert np.all(rhs.coeffs[k > 2 * n / 3] == 0.0)
             assert np.abs(rhs.coeffs[k > n / 3]).max() > 1e-3 * np.abs(rhs.coeffs).max()
@@ -255,6 +274,70 @@ class TestTorusTransportProperties:
         rhs = nonlinear_rhs(theta)
         value = inner_product(rhs, dealias(theta))
         assert abs(value) <= 1e-14 * sobolev_norm(rhs, 0.0) * sobolev_norm(theta, 0.0)
+
+
+def _full_width_transport(domain, coeffs):
+    """The torus kernel before pruning: every rfft2 column 0 .. n/2 transformed."""
+    import scipy.fft
+
+    n = domain.n
+    half = np.s_[:, : n // 2 + 1]
+    mask = domain.dealias_mask[half]
+    r1, r2 = domain.riesz_symbols
+    d1, d2 = domain.derivative_symbols
+    synth = np.stack([1j * r2[half], -1j * r1[half], np.ones(mask.shape)])
+    synth *= mask * (n * n / domain.box)
+    div = np.stack([d1[half], d2[half]]) * (mask * (-domain.box / (n * n)))
+    u1, u2, theta = (scipy.fft.irfft2(mult * coeffs[half], s=(n, n)) for mult in synth)
+    speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+    flux = div[0] * scipy.fft.rfft2(u1 * theta) + div[1] * scipy.fft.rfft2(u2 * theta)
+    out = np.empty((n, n), dtype=np.complex128)
+    out[half] = flux
+    np.conj(flux[-np.arange(n) % n, n // 2 - 1 : 0 : -1], out=out[:, n // 2 + 1 :])
+    return out, speed
+
+
+class TestPrunedTorusKernel:
+    """The kernel transforms only the kept columns and equals the full-width one."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("full_spectrum", [False, True], ids=["smooth", "full_spectrum"])
+    @pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e2])
+    def test_bit_identical_to_full_width(self, n, full_spectrum, amplitude):
+        # all allowed n are powers of two, so folding n^2 out of the synthesis
+        # scale is exact and the two kernels agree bit for bit
+        domain = DomainSpec(n=n, box=2 * np.pi, basis=Basis.TORUS)
+        coeffs = _random_field(domain, n, amplitude, full_spectrum).coeffs
+        want, want_speed = _full_width_transport(domain, coeffs)
+        plan = _plan(domain)
+        got, speed = plan.transport(coeffs)
+        assert plan.synth.shape == (3, n, n // 3 + 1)
+        assert np.all(got == want)
+        assert speed == want_speed
+        assert plan.speed(coeffs) == want_speed
+
+    def test_plan_building_leaves_scipy_fft_unloaded(self):
+        # the kernel imports scipy.fft where it transforms, not at import or
+        # plan time, so a process that transforms nothing never loads it
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sqglab.dynamics import _plan, advective_speed\n"
+            "from sqglab.spectral import Basis, DomainSpec, SpectralField\n"
+            "torus = DomainSpec(n=32, box=2 * np.pi, basis=Basis.TORUS)\n"
+            "box = DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET)\n"
+            "_plan(torus), _plan(box)\n"
+            "print('scipy.fft' in sys.modules)\n"
+            "advective_speed(SpectralField.zeros(torus))\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sqglab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
 
 
 class TestStepOracles:
