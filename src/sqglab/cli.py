@@ -26,7 +26,6 @@ import scipy
 
 from .config import EXPERIMENT_KINDS, Experiment, load_config_file
 from .critical import (
-    L43_FROZEN_CONSTANT,
     interpolation_upgrade,
     l43_interpolation_check,
     pairwise_bound_check,
@@ -318,8 +317,7 @@ def _run_sweep_kind(
             tol=0.0,
         )
     ]
-    c2 = -report.smallness_coeff if report.smallness_coeff < 0 else 1.0
-    records.extend(pairwise_bound_check(report, c2=c2, c3_guess=experiment.sweep_c3))
+    records.extend(pairwise_bound_check(report, c3_guess=experiment.sweep_c3))
     for i in range(m - 1):
         lhs, rhs = interpolation_upgrade(
             runs[i].final.theta,
@@ -334,13 +332,7 @@ def _run_sweep_kind(
                 rhs=rhs,
             )
         )
-    records.append(
-        l43_interpolation_check(
-            runs[0].final.theta,
-            runs[-1].final.theta,
-            constant=L43_FROZEN_CONSTANT,
-        )
-    )
+    records.append(l43_interpolation_check(runs[0].final.theta, runs[-1].final.theta))
 
     summary = dict(meta)
     summary["report"] = report.as_dict()

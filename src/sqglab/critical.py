@@ -26,18 +26,15 @@ from .dynamics import (
     StepperConfig,
     default_dt,
     integrate,
-    nonlinear_rhs,
     validate_run_settings,
 )
 from .errors import BlowUpError, FieldError
 from .estimates import InequalityRecord
 from .series import DiagnosticsSeries
 from .spectral import (
-    Basis,
     DomainSpec,
     SpectralField,
     grid_lp_norm,
-    inner_product,
     lq_norm,
     sobolev_norm,
 )
@@ -46,11 +43,9 @@ __all__ = [
     "DEFAULT_SWEEP_ALPHAS",
     "SMALLNESS_THRESHOLD",
     "L43_FROZEN_CONSTANT",
-    "DiscreteConstants",
     "AlphaSweepConfig",
     "ConvergenceReport",
     "SweepRun",
-    "validate_sweep_alphas",
     "assemble_report",
     "sweep_with_runs",
     "h_minus_half_distance",
@@ -58,8 +53,6 @@ __all__ = [
     "pairwise_bound_check",
     "interpolation_upgrade",
     "l43_interpolation_check",
-    "calibrate_l43_constant",
-    "weak_form_residual",
 ]
 
 #: Dissipation orders used by the default sweep, largest first, ending just
@@ -79,86 +72,40 @@ SMALLNESS_THRESHOLD: float = 1.0 / (2.0 / math.pi + 2.0)
 #: with ~20% headroom.  The discrete ratio grows like the fourth root of
 #: the largest retained wavenumber (a pure high mode realises it), so the
 #: frozen value covers 2*pi boxes up to n = 256 (measured worst 7.77);
-#: recalibrate with :func:`calibrate_l43_constant` for larger grids or
-#: boxes.
+#: the calibration helper in ``tests/test_critical.py`` recomputes the
+#: ratio, and must be rerun for larger grids or boxes.
 L43_FROZEN_CONSTANT: float = 8.0
 
 
-@dataclass(frozen=True)
-class DiscreteConstants:
-    """Constants entering the discrete smallness coefficient.
+def _coercivity(domain: DomainSpec, kappa: float) -> float:
+    """Prefactor ``c1 = 1 / sqrt(kappa * (mu**(1/2) + 1))`` of the smallness coefficient.
 
-    Attributes
-    ----------
-    resolvent_m:
-        Uniform bound ``M`` on the resolvent family ``lam * (lam + A)^{-1}``
-        of the positive-definite comparison operator.  The spectral
-        calculus gives exactly 1 for self-adjoint positive operators.
-    riesz_c:
-        Norm bound ``c`` of the Riesz-transform velocity map on the spaces
-        used by the weak formulation; the transforms are isometries on the
-        mean-free subspace, so 1 is sharp.
-    coercivity_c1:
-        Prefactor ``c1`` converting the coercive dissipation pairing back
-        to the working norm.  For dissipation strength ``kappa`` and
-        smallest positive Laplacian eigenvalue ``mu`` it equals
-        ``1 / sqrt(kappa * (mu**alpha + 1))``.
+    ``c1`` converts the coercive pairing of the critical comparison operator
+    ``kappa * ((-Lap)^(1/2) + 1)`` back to the working norm; ``mu`` is the
+    smallest positive Laplacian eigenvalue of ``domain``.
     """
-
-    resolvent_m: float = 1.0
-    riesz_c: float = 1.0
-    coercivity_c1: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("resolvent_m", "riesz_c", "coercivity_c1"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-    @classmethod
-    def from_domain(
-        cls, domain: DomainSpec, kappa: float, alpha: float = 0.5
-    ) -> "DiscreteConstants":
-        """Evaluate the constants for a concrete grid and dissipation strength.
-
-        ``alpha`` is the dissipation order of the comparison operator; the
-        critical value one half is the default because the smallness
-        coefficient governs the limiting (critical) equation.
-        """
-        if kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {kappa!r}")
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        symbol = domain.laplacian_symbol
-        positive = symbol[symbol > 0]
-        mu_min = float(positive.min())
-        c1 = 1.0 / math.sqrt(kappa * (mu_min**alpha + 1.0))
-        return cls(resolvent_m=1.0, riesz_c=1.0, coercivity_c1=c1)
+    symbol = domain.laplacian_symbol
+    mu_min = float(symbol[symbol > 0].min())
+    return 1.0 / math.sqrt(kappa * (mu_min**0.5 + 1.0))
 
 
-def smallness_coefficient(
-    sup_norm_a: float,
-    sup_norm_b: float,
-    constants: DiscreteConstants | None = None,
-) -> float:
+def smallness_coefficient(sup_norm_a: float, sup_norm_b: float, c1: float) -> float:
     """Coefficient controlling contraction of the difference of two solutions.
 
     Negative values certify that the Gronwall argument for the difference
     of two weak solutions closes: the returned value is
     ``c1 * (-1 + (2/pi + 2) * M * c * (s_a + s_b))`` where ``s_a`` and
-    ``s_b`` are sup-in-time L-infinity norms of the two solutions.
+    ``s_b`` are sup-in-time L-infinity norms of the two solutions.  The
+    resolvent bound ``M`` of the comparison operator and the norm ``c`` of
+    the Riesz-transform velocity map are both exactly 1 (self-adjoint
+    positive operator; isometries on the mean-free subspace).
     """
-    if constants is None:
-        constants = DiscreteConstants()
     if sup_norm_a < 0 or sup_norm_b < 0:
         raise ValueError("sup norms must be nonnegative")
-    bracket = -1.0 + (2.0 / math.pi + 2.0) * constants.resolvent_m * constants.riesz_c * (
-        sup_norm_a + sup_norm_b
-    )
-    return constants.coercivity_c1 * bracket
+    return c1 * (-1.0 + (2.0 / math.pi + 2.0) * (sup_norm_a + sup_norm_b))
 
 
-def validate_sweep_alphas(alphas: Sequence[float]) -> None:
+def _validate_sweep_alphas(alphas: Sequence[float]) -> None:
     """Raise :class:`FieldError` (field ``alphas``) unless ``alphas`` is a sweep ladder.
 
     A ladder is non-empty and strictly decreasing inside (1/2, 1], and its
@@ -200,7 +147,7 @@ class AlphaSweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        validate_sweep_alphas(self.alphas)
+        _validate_sweep_alphas(self.alphas)
         self.params_for(self.alphas[0])  # kappa and lam follow SqgParams' rules
         validate_run_settings(self.t_end, self.dt, self.sample_every)
         if self.forcing is not None and self.forcing.domain != self.theta0.domain:
@@ -296,10 +243,6 @@ class ConvergenceReport:
                 f"distance table must be {pairs}x{len(self.times)}, got {self.distances.shape}"
             )
 
-    def distances_to_most_critical(self) -> tuple[float, ...]:
-        """Sup-in-time distances from each run to the most critical run."""
-        return tuple(float(x) for x in self.pairwise[:-1, -1])
-
     def as_dict(self) -> dict:
         """JSON-ready summary of the report."""
         return {
@@ -394,8 +337,7 @@ def assemble_report(
     )
     ranked = sorted(sup_infnorms, reverse=True)
     largest, second = ranked[0], ranked[min(1, len(ranked) - 1)]
-    constants = DiscreteConstants.from_domain(config.domain, config.kappa)
-    smallness = smallness_coefficient(largest, second, constants)
+    smallness = smallness_coefficient(largest, second, _coercivity(config.domain, config.kappa))
 
     delta_alphas = [config.alphas[i] - config.alphas[-1] for i in range(m - 1)]
     sups = [float(pairwise[i, -1]) for i in range(m - 1)]
@@ -437,8 +379,7 @@ def sweep_with_runs(
     interpretation of the report is then unavailable.
     """
     initial = lq_norm(config.theta0, math.inf)
-    constants = DiscreteConstants.from_domain(config.domain, config.kappa)
-    if smallness_coefficient(initial, initial, constants) >= 0:
+    if smallness_coefficient(initial, initial, _coercivity(config.domain, config.kappa)) >= 0:
         warnings.warn(
             "initial data is too large for the smallness regime; the sweep "
             "will run but the contraction bound does not apply",
@@ -469,9 +410,7 @@ def sweep_with_runs(
 
 
 def pairwise_bound_check(
-    report: ConvergenceReport,
-    c2: float | None = None,
-    c3_guess: float | None = None,
+    report: ConvergenceReport, c3_guess: float | None = None
 ) -> list[InequalityRecord]:
     """Check the qualitative convergence claims encoded in a sweep report.
 
@@ -481,17 +420,12 @@ def pairwise_bound_check(
     ``c3_guess`` is supplied — informational records testing the linear
     bound ``sup_distance <= (c3_guess / c2) * delta_alpha``.
 
-    ``c2`` defaults to the negated smallness coefficient of the report and
-    must be positive: a nonnegative smallness coefficient means the
-    contraction hypothesis failed, in which case the linear bound is
-    meaningless.
+    ``c2`` is the negated smallness coefficient of the report when that is
+    negative, and 1 otherwise: a nonnegative coefficient means the
+    contraction hypothesis failed, and the linear bound then carries no
+    rate constant.
     """
-    if c2 is None:
-        c2 = -report.smallness_coeff
-    if not c2 > 0:
-        raise ValueError(
-            f"c2 must be positive (smallness hypothesis must hold), got {c2!r}"
-        )
+    c2 = -report.smallness_coeff if report.smallness_coeff < 0 else 1.0
     records: list[InequalityRecord] = []
     sups = [s for _, s, _ in report.per_pair_bound]
     deltas = [d for d, _, _ in report.per_pair_bound]
@@ -555,144 +489,19 @@ def interpolation_upgrade(
     return (lhs, rhs)
 
 
-def l43_interpolation_check(
-    a: SpectralField,
-    b: SpectralField,
-    constant: float = L43_FROZEN_CONSTANT,
-    mu: float = 0.5,
-) -> InequalityRecord:
+def l43_interpolation_check(a: SpectralField, b: SpectralField) -> InequalityRecord:
     """Check the L^{4/3} interpolation bound for the difference of two fields.
 
-    Tests ``|a - b|_{L^{4/3}} <= constant * |a - b|_{H^{-1/2}}^mu *
-    |a - b|_{L^2}^{1 - mu}`` with the frozen, grid-calibrated constant.
-    On two-dimensional domains the exponent ``mu = 1/2`` balances the
-    scaling of both sides.
+    Tests ``|a - b|_{L^{4/3}} <= C * |a - b|_{H^{-1/2}}^{1/2} *
+    |a - b|_{L^2}^{1/2}`` with the frozen, grid-calibrated constant
+    ``C = L43_FROZEN_CONSTANT``.  On two-dimensional domains the exponent
+    1/2 balances the scaling of both sides.
     """
-    if constant <= 0:
-        raise ValueError(f"constant must be positive, got {constant!r}")
-    if not 0 < mu < 1:
-        raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
     diff = a - b
     lhs = grid_lp_norm(diff, 4.0 / 3.0)
     zero = sobolev_norm(diff, 0.0)
     if zero == 0.0:
         rhs = 0.0
     else:
-        rhs = constant * sobolev_norm(diff, -0.5) ** mu * zero ** (1 - mu)
+        rhs = L43_FROZEN_CONSTANT * sobolev_norm(diff, -0.5) ** 0.5 * zero ** 0.5
     return InequalityRecord(name="l43-interpolation", t=0.0, lhs=lhs, rhs=rhs)
-
-
-def calibrate_l43_constant(
-    domain: DomainSpec,
-    *,
-    seed: int = 0,
-    trials: int = 64,
-    mu: float = 0.5,
-) -> float:
-    """Empirically maximise the L^{4/3} interpolation ratio on one grid.
-
-    Sweeps random smooth fields over a range of spectral decay rates plus
-    single-mode extremes and returns the largest observed value of
-    ``|d|_{L^{4/3}} / (|d|_{H^{-1/2}}^mu * |d|_{L^2}^{1-mu})``.  Used once
-    per study grid to choose (and then freeze, with headroom) the constant
-    in :func:`l43_interpolation_check`.
-    """
-    from .fields import random_smooth_field
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    decays = (1.5, 2.0, 3.0, 4.0, 6.0)
-    for trial in range(trials):
-        decay = decays[trial % len(decays)]
-        theta = random_smooth_field(
-            domain, seed=int(rng.integers(0, 2**31)), decay=decay
-        )
-        worst = max(worst, _l43_ratio(theta, mu))
-    # Single-mode extremes: lowest and highest retained wavenumbers.
-    from .spectral import cosine_field, sine_mode_field
-
-    k_hi = max(1, domain.n // 3 - 1)
-    if domain.basis is Basis.TORUS:
-        probes = [
-            cosine_field(domain, (1, 0)),
-            cosine_field(domain, (k_hi, 0)),
-            cosine_field(domain, (k_hi, k_hi)),
-        ]
-    else:
-        probes = [
-            sine_mode_field(domain, (1, 1)),
-            sine_mode_field(domain, (k_hi, 1)),
-            sine_mode_field(domain, (k_hi, k_hi)),
-        ]
-    for theta in probes:
-        worst = max(worst, _l43_ratio(theta, mu))
-    return worst
-
-
-def _l43_ratio(diff: SpectralField, mu: float) -> float:
-    zero = sobolev_norm(diff, 0.0)
-    if zero == 0.0:
-        return 0.0
-    denom = sobolev_norm(diff, -0.5) ** mu * zero ** (1 - mu)
-    return grid_lp_norm(diff, 4.0 / 3.0) / denom
-
-
-def weak_form_residual(
-    states: Sequence[SimulationState],
-    test_fns: Sequence[SpectralField],
-    params: SqgParams,
-) -> list[float]:
-    """Residual of the weak formulation along a sampled trajectory.
-
-    For each test function ``phi`` the residual at an interior sample time
-    is
-
-    ``d/dt <theta, A^{-1} phi> + <theta, phi> - <f + kappa * theta, A^{-1} phi>
-    + <div(u theta), A^{-1} phi>``
-
-    where ``A = kappa * ((-Laplace)^{1/2} + 1)`` is the positive comparison
-    operator of the critical equation and the time derivative is a central
-    difference over the sampled states.  Returns the maximum absolute
-    residual per test function.  For trajectories of the undamped critical
-    equation the residual vanishes up to the sampling error, which is
-    second order in the sample spacing.
-    """
-    if len(states) < 3:
-        raise ValueError("need at least three samples for central differences")
-    if not test_fns:
-        raise ValueError("need at least one test function")
-    domain = states[0].theta.domain
-    for phi in test_fns:
-        if phi.domain != domain:
-            raise ValueError("test functions must live on the trajectory domain")
-
-    a_symbol = params.kappa * (np.sqrt(domain.laplacian_symbol) + 1.0)
-    weights = [
-        SpectralField(phi.coeffs / a_symbol, domain) for phi in test_fns
-    ]
-
-    forcing = params.forcing
-    n_samples = len(states)
-    residuals = [0.0] * len(test_fns)
-    # Nonlinearity once per interior sample, shared across test functions.
-    for i in range(1, n_samples - 1):
-        prev_state, state, next_state = states[i - 1], states[i], states[i + 1]
-        dt2 = next_state.t - prev_state.t
-        if dt2 <= 0:
-            raise ValueError("states must be ordered by strictly increasing time")
-        transport = nonlinear_rhs(state.theta)  # equals -div(u theta)
-        for idx, (phi, weight) in enumerate(zip(test_fns, weights)):
-            ddt = (
-                inner_product(next_state.theta, weight)
-                - inner_product(prev_state.theta, weight)
-            ) / dt2
-            value = (
-                ddt
-                + inner_product(state.theta, phi)
-                - params.kappa * inner_product(state.theta, weight)
-                - inner_product(transport, weight)
-            )
-            if forcing is not None:
-                value -= inner_product(forcing, weight)
-            residuals[idx] = max(residuals[idx], abs(value))
-    return residuals

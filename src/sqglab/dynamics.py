@@ -131,7 +131,8 @@ class StepperConfig:
     """Numerical parameters of a run: step size, horizon, scheme, sampling.
 
     ``dt`` is the largest step allowed; the run takes :attr:`n_steps` uniform
-    steps of :attr:`step_dt` and ends exactly at ``t_end``.
+    steps of :attr:`step_dt` and ends exactly at ``t_end``.  Settings outside
+    :func:`validate_run_settings` raise :class:`FieldError` naming the field.
     """
 
     dt: float
@@ -140,40 +141,34 @@ class StepperConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if int(self.sample_every) != self.sample_every or self.sample_every < 1:
-            raise ValueError(f"sample_every must be a positive integer, got {self.sample_every}")
+        validate_run_settings(self.t_end, self.dt, self.sample_every)
         object.__setattr__(self, "scheme", Scheme(self.scheme))
 
     @property
     def n_steps(self) -> int:
-        """Fewest steps no longer than ``dt`` that cover [0, t_end]."""
-        return max(0, int(np.ceil(self.t_end / self.dt - 1e-12)))
+        """Fewest steps no longer than ``dt`` that cover [0, t_end]; at least 1."""
+        return int(np.ceil(self.t_end / self.dt - 1e-12))
 
     @property
     def step_dt(self) -> float:
-        """Uniform step ``t_end / n_steps`` the run takes (``dt`` for no steps)."""
-        n_steps = self.n_steps
-        return self.t_end / n_steps if n_steps else self.dt
+        """Uniform step ``t_end / n_steps`` the run takes."""
+        return self.t_end / self.n_steps
 
 
 def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> None:
     """Raise :class:`FieldError` unless a run's horizon and sampling describe a run.
 
-    ``t_end`` must be positive, a given ``dt`` (``None`` asks for the CFL
-    step) must lie in ``(0, t_end]``, since no run could take a longer step
-    than its horizon, and ``sample_every`` must be at least 1.  The
-    experiment file and :class:`~sqglab.critical.AlphaSweepConfig` both
-    apply these rules.
+    ``t_end`` must be positive and finite, a given ``dt`` (``None`` asks for
+    the CFL step) must lie in ``(0, t_end]``, since no run could take a
+    longer step than its horizon, and ``sample_every`` must be an integer of
+    at least 1.  The experiment file, :class:`StepperConfig` and
+    :class:`~sqglab.critical.AlphaSweepConfig` all apply these rules.
     """
-    if not t_end > 0:
-        raise FieldError("t_end", f"t_end must be positive, got {t_end!r}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise FieldError("t_end", f"t_end must be positive and finite, got {t_end!r}")
     if dt is not None and not 0 < dt <= t_end:
         raise FieldError("dt", f"dt must lie in (0, t_end], got {dt!r}")
-    if not sample_every >= 1:
+    if not (sample_every >= 1 and float(sample_every).is_integer()):
         raise FieldError(
             "sample_every", f"sample_every must be a positive integer, got {sample_every!r}"
         )
@@ -635,7 +630,7 @@ def integrate(
 
     n_steps = config.n_steps
     current = state
-    speed = advective_speed(state.theta) if n_steps > 0 else 0.0
+    speed = advective_speed(state.theta)
     sample(current, speed, speed, state.t)
     peak, peak_t = 0.0, state.t
     for k, (t, coeffs, speed) in enumerate(_march(state, params, config, n_steps), 1):

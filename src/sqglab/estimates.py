@@ -3,9 +3,7 @@
 Every check is phrased as an :class:`InequalityRecord` carrying ``lhs``,
 ``rhs``, the slack ``rhs - lhs``, and a pass flag with a *relative* tolerance:
 discretization noise must never produce a false failure, so slack is compared
-against ``-tol * max(|lhs|, |rhs|, 1)`` (or an explicit scale when the natural
-magnitude of the statement is a different quantity, as in the pointwise
-product inequality).
+against ``-tol * max(|lhs|, |rhs|, 1)``.
 
 The families covered:
 
@@ -16,9 +14,7 @@ The families covered:
 * the pointwise product inequality ``2 phi (-Lap)^a phi >= (-Lap)^a(phi^2)``,
 * positivity of ``int (-Lap)^a theta |theta|^{q-1} sgn theta``,
 * a higher-Sobolev differential-inequality monitor (boundedness witness),
-* tail mass against a smooth radial cutoff, with the exact dilation-scaling
-  identity of the cutoff's fractional Laplacian,
-* a Kato-Ponce product-estimate probe (ratios logged, not asserted).
+* tail mass against a smooth radial cutoff.
 """
 
 from __future__ import annotations
@@ -34,10 +30,8 @@ from .spectral import (
     DomainSpec,
     PhysicalField,
     SpectralField,
-    _apply_laplacian_power,
     dealias,
     fractional_laplacian,
-    grid_lp_norm,
     lq_norm,
     sobolev_norm,
     to_physical,
@@ -56,8 +50,6 @@ __all__ = [
     "state_battery",
     "sobolev_bound_monitor",
     "tail_mass",
-    "cutoff_fractional_bound",
-    "commutator_probe",
     "DEFAULT_TOL",
 ]
 
@@ -69,9 +61,9 @@ DEFAULT_TOL = 1e-8
 class InequalityRecord:
     """One evaluated inequality ``lhs <= rhs`` with relative-slack verdict.
 
-    ``slack = rhs - lhs`` and ``passed = slack >= -tol * scale`` where the
-    scale defaults to ``max(|lhs|, |rhs|, 1)``.  ``name`` identifies the
-    inequality family in reports.
+    ``slack = rhs - lhs`` and ``passed = slack >= -tol * scale`` with
+    ``scale = max(|lhs|, |rhs|, 1)``, which :meth:`as_dict` also reports.
+    ``name`` identifies the inequality family in reports.
     """
 
     name: str
@@ -79,7 +71,6 @@ class InequalityRecord:
     lhs: float
     rhs: float
     tol: float = DEFAULT_TOL
-    scale: float | None = None
     slack: float = field(init=False)
     passed: bool = field(init=False)
 
@@ -88,17 +79,13 @@ class InequalityRecord:
         rhs = float(self.rhs)
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
             raise ValueError(f"record {self.name!r}: non-finite sides ({lhs}, {rhs})")
-        scale = self.scale
-        if scale is None:
-            scale = max(abs(lhs), abs(rhs), 1.0)
-        elif not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"record {self.name!r}: scale must be positive, got {scale}")
         slack = rhs - lhs
+        scale = max(abs(lhs), abs(rhs), 1.0)
         object.__setattr__(self, "slack", slack)
         object.__setattr__(self, "passed", bool(slack >= -self.tol * scale))
 
     def as_dict(self) -> dict:
-        scale = self.scale if self.scale is not None else max(abs(self.lhs), abs(self.rhs), 1.0)
+        scale = max(abs(self.lhs), abs(self.rhs), 1.0)
         return {
             "name": self.name,
             "t": float(self.t),
@@ -140,8 +127,6 @@ def max_principle_monitor(
     norms: Sequence[float],
     q: float,
     forcing: SpectralField | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
 ) -> list:
     """L^q maximum-principle records along a run.
 
@@ -163,9 +148,7 @@ def max_principle_monitor(
     base_q = norms[0]
     if forcing is None:
         return [
-            InequalityRecord(
-                name=f"lq-monotone-q{q:g}", t=t, lhs=norm, rhs=base_q, tol=tol,
-            )
+            InequalityRecord(name=f"lq-monotone-q{q:g}", t=t, lhs=norm, rhs=base_q)
             for t, norm in zip(times, norms)
         ]
     force_q = lq_norm(forcing, q) ** q
@@ -175,9 +158,7 @@ def max_principle_monitor(
         growth = np.exp((q - 1.0) * (t - t0))
         rhs = base_pow * growth + (growth - 1.0) / (q - 1.0) * force_q
         records.append(
-            InequalityRecord(
-                name=f"lq-envelope-q{q:g}", t=t, lhs=norm**q, rhs=rhs, tol=tol,
-            )
+            InequalityRecord(name=f"lq-envelope-q{q:g}", t=t, lhs=norm**q, rhs=rhs)
         )
     return records
 
@@ -186,8 +167,6 @@ def linf_monitor(
     times: Sequence[float],
     norms: Sequence[float],
     forcing: SpectralField | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
 ) -> list:
     """Grid-max principle: ``|theta(t)|_inf <= (|theta0|_inf + |f|_inf) e^t``.
 
@@ -202,23 +181,20 @@ def linf_monitor(
     force = 0.0 if forcing is None else lq_norm(forcing, np.inf)
     return [
         InequalityRecord(
-            name="linf-envelope", t=t, lhs=norm, rhs=(base + force) * np.exp(t - t0),
-            tol=tol,
+            name="linf-envelope", t=t, lhs=norm, rhs=(base + force) * np.exp(t - t0)
         )
         for t, norm in zip(times, norms)
     ]
 
 
-def damped_energy_monitor(
-    times: Sequence[float], norms: Sequence[float], lam: float, *, tol: float = 1e-6
-) -> list:
+def damped_energy_monitor(times: Sequence[float], norms: Sequence[float], lam: float) -> list:
     """Damped unforced energy decay: ``|theta(t)|_2^2 <= |theta0|_2^2 e^{-lam t}``.
 
     ``norms[i]`` is ``sobolev_norm(theta, 0)`` of the state sampled at
     ``times[i]`` (a run's ``l2`` column), the first being the initial state.
     The dissipative dynamics actually decays at least like ``e^{-2 lam t}``;
     the checked envelope (the q=2 member of the damped L^q family) leaves
-    that margin on purpose.
+    that margin on purpose.  The records use the relative tolerance 1e-6.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
@@ -230,7 +206,7 @@ def damped_energy_monitor(
     return [
         InequalityRecord(
             name="damped-energy", t=t, lhs=norm**2, rhs=base * np.exp(-lam * (t - t0)),
-            tol=tol,
+            tol=1e-6,
         )
         for t, norm in zip(times, norms)
     ]
@@ -364,8 +340,8 @@ def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
 def cordoba_pointwise_check(phi: SpectralField, alpha: float) -> float:
     """Minimum grid slack of the pointwise inequality ``2 phi (-Lap)^a phi >= (-Lap)^a(phi^2)``.
 
-    Nonnegative up to discretization noise for smooth fields; compare against
-    ``-tol * scale`` with scale the grid max of ``|2 phi (-Lap)^a phi|``.
+    Nonnegative up to discretization noise for smooth fields; the estimate
+    battery records it as ``0 <= slack`` under the default relative tolerance.
     """
     return float(cordoba_slack_field(phi, alpha).values.min())
 
@@ -482,14 +458,9 @@ class CutoffSpec:
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValueError(f"cutoff radius k must be positive, got {self.k}")
 
-    @staticmethod
-    def unit_profile(r: np.ndarray) -> np.ndarray:
-        """The fixed profile eta(r): 0 on r<=1, quintic ramp on [1,2], 1 on r>=2."""
-        return _smoothstep(np.asarray(r, dtype=np.float64) - 1.0)
-
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Dilated profile eta_k(r) = eta(r / k)."""
-        return self.unit_profile(np.asarray(r, dtype=np.float64) / self.k)
+        return _smoothstep(np.asarray(r, dtype=np.float64) / self.k - 1.0)
 
     def field_on(self, domain: DomainSpec) -> PhysicalField:
         """Sample eta_k centered at the box center on the domain's grid."""
@@ -513,87 +484,3 @@ def tail_mass(theta: PhysicalField, cutoff: CutoffSpec) -> float:
     """Weighted mass ``int theta^2 eta_k dx`` (dominates the tail over |x-c| >= 2k)."""
     eta = _cutoff_grid(cutoff, theta.domain)
     return _grid_integral(theta.values**2 * eta, theta.domain)
-
-
-def cutoff_fractional_bound(
-    domain: DomainSpec, cutoff: CutoffSpec, s: float
-) -> tuple[float, float]:
-    """Grid max of ``|(-Lap)^{s/2} eta_k|`` plus its dilation-scaling defect.
-
-    The identity ``(-Lap)^{s/2} eta_k = k^{-s} [(-Lap)^{s/2} eta](./k)`` is
-    evaluated with the reference ``eta`` computed on the box of side
-    ``box / k`` at the same resolution, so the two grids coincide after
-    rescaling and the defect measures only floating-point error.
-
-    Returns
-    -------
-    (max_abs, scaling_error)
-        ``max_abs`` is the grid maximum of ``|(-Lap)^{s/2} eta_k|`` on
-        ``domain``; ``scaling_error`` the max pointwise deviation from the
-        rescaled reference.
-    """
-    if not (0.0 < s < 2.0):
-        raise ValueError(f"s must lie in (0, 2), got {s}")
-    if domain.basis is not Basis.TORUS:
-        raise ValueError("cutoff scaling check is defined on the torus")
-    eta_k = cutoff.field_on(domain)
-    applied = to_physical(
-        fractional_laplacian(to_spectral(eta_k.values, domain), s / 2.0)
-    ).values
-    reference_domain = DomainSpec(n=domain.n, box=domain.box / cutoff.k, basis=Basis.TORUS)
-    eta_ref = CutoffSpec(k=1.0).field_on(reference_domain)
-    applied_ref = to_physical(
-        fractional_laplacian(to_spectral(eta_ref.values, reference_domain), s / 2.0)
-    ).values
-    scaling_error = float(np.abs(applied - cutoff.k ** (-s) * applied_ref).max())
-    return float(np.abs(applied).max()), scaling_error
-
-
-# ----------------------------------------------------------------------------
-# product (Kato-Ponce type) probe
-# ----------------------------------------------------------------------------
-
-
-def commutator_probe(
-    f: SpectralField,
-    g: SpectralField,
-    gamma: float,
-    p: float,
-    q: float,
-    r: float,
-) -> float:
-    """Ratio probe of the fractional product estimate.
-
-    Evaluates
-
-        |(-Lap)^g(FG)|_p / (|(-Lap)^g F|_r |G|_q + |F|_q |(-Lap)^g G|_r)
-
-    for exponents with ``1/r + 1/q = 1/p`` and ``1 < p < q <= inf``.  The
-    constant of the estimate is not quantified, so this is a logged probe,
-    not a pass/fail check.  Returns 0 for vanishing inputs.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not (1.0 < p < q):
-        raise ValueError(f"exponents must satisfy 1 < p < q, got p={p}, q={q}")
-    inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    inv_r = 0.0 if np.isinf(r) else 1.0 / r
-    if abs(inv_r + inv_q - 1.0 / p) > 1e-12:
-        raise ValueError(f"exponents must satisfy 1/r + 1/q = 1/p, got p={p}, q={q}, r={r}")
-    f = dealias(f)
-    g = dealias(g)
-    domain = f.domain
-    f_phys = to_physical(f).values
-    g_phys = to_physical(g).values
-    product = to_spectral(f_phys * g_phys, domain)
-    # _apply_laplacian_power admits any positive gamma (fractional_laplacian
-    # is capped at first order for the dissipation term)
-    numerator = grid_lp_norm(_apply_laplacian_power(product, gamma), p)
-    f_frac = grid_lp_norm(_apply_laplacian_power(f, gamma), r)
-    g_frac = grid_lp_norm(_apply_laplacian_power(g, gamma), r)
-    denominator = f_frac * grid_lp_norm(to_physical(g), q) + grid_lp_norm(
-        to_physical(f), q
-    ) * g_frac
-    if denominator == 0.0:
-        return 0.0
-    return float(numerator / denominator)

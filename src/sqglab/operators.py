@@ -143,14 +143,6 @@ class DenseOperator:
     def apply(self, phi: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(phi, dtype=np.float64)
 
-    def resolvent_constant(self) -> float:
-        """Resolvent bound M with ``|lambda (lambda + A)^{-1}| <= M`` for lambda > 0.
-
-        Exactly 1: validation admits eigenvalues only down to round-off below
-        zero, and like the fractional powers the bound treats those as 0.
-        """
-        return _RESOLVENT_CONSTANT
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of an invertible ``A``.
 

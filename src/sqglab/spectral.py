@@ -132,13 +132,6 @@ class DomainSpec:
         return sym
 
     @cached_property
-    def wavenumber_magnitude(self) -> np.ndarray:
-        """Physical |k| per mode (square root of the Laplacian symbol)."""
-        mag = np.sqrt(self.laplacian_symbol)
-        mag.setflags(write=False)
-        return mag
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """True on modes kept by the 2/3 rule: max(|k₁|,|k₂|) ≤ n/3."""
         i1, i2 = self.index_grids

@@ -24,7 +24,6 @@ from conftest import record_criterion_detail
 
 from sqglab.critical import (
     AlphaSweepConfig,
-    L43_FROZEN_CONSTANT,
     interpolation_upgrade,
     l43_interpolation_check,
     sweep_with_runs,
@@ -330,11 +329,7 @@ def test_criterion_11_interpolation_upgrades(critical_sweep):
                     lhs, rhs = interpolation_upgrade(si.theta, sj.theta, epsilon)
                     assert lhs <= rhs * (1 + 1e-10), (i, j, si.t, epsilon)
                     n_checked += 1
-            record = l43_interpolation_check(
-                runs[i].states[-1].theta,
-                runs[j].states[-1].theta,
-                constant=L43_FROZEN_CONSTANT,
-            )
+            record = l43_interpolation_check(runs[i].states[-1].theta, runs[j].states[-1].theta)
             assert record.passed, (i, j, record.as_dict())
     record_criterion_detail(
         11, f"{n_checked} interpolation bounds plus 15 mixed-norm bounds, all hold"

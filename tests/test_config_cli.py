@@ -576,8 +576,9 @@ class TestLoadExperiment:
             pytest.param(cfg(*SWEEP_LINES[:7], "dt = -1", *SWEEP_LINES[7:]), 8,
                          "dt must lie in (0, t_end], got -1.0", id="sweep-dt"),
             pytest.param(cfg(*SWEEP_LINES[:7], "t_end = 0", *SWEEP_LINES[8:]), 8,
-                         "t_end must be positive, got 0.0", id="sweep-t-end"),
-            pytest.param(simulate_with("t_end", "t_end = 0"), 10, "t_end must be positive, got 0.0",
+                         "t_end must be positive and finite, got 0.0", id="sweep-t-end"),
+            pytest.param(simulate_with("t_end", "t_end = 0"), 10,
+                         "t_end must be positive and finite, got 0.0",
                          id="t-end"),
             pytest.param(simulate_with("dt", "dt = 0.2"), 9, "dt must lie in (0, t_end], got 0.2",
                          id="dt-above-t-end"),

@@ -28,7 +28,7 @@ from sqglab.dynamics import (
     restrict_odd_extension,
     step,
 )
-from sqglab.errors import BlowUpError, CflWarning
+from sqglab.errors import BlowUpError, CflWarning, FieldError
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
     Basis,
@@ -63,12 +63,18 @@ class TestParams:
             SqgParams(kappa=0.1, alpha=0.75, lam=-1.0)
 
     def test_stepper_validation(self):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            StepperConfig(dt=0.0, t_end=1.0)
-        with pytest.raises(ValueError, match="t_end"):
-            StepperConfig(dt=0.1, t_end=-1.0)
-        with pytest.raises(ValueError, match="sample_every"):
-            StepperConfig(dt=0.1, t_end=1.0, sample_every=0)
+        cases = [
+            (0.0, 1.0, 1, "dt", r"dt must lie in \(0, t_end\], got 0.0"),
+            (1.0, 0.1, 1, "dt", r"dt must lie in \(0, t_end\], got 1.0"),
+            (0.1, -1.0, 1, "t_end", "t_end must be positive and finite, got -1.0"),
+            (0.1, np.inf, 1, "t_end", "t_end must be positive and finite, got inf"),
+            (0.1, 1.0, 0, "sample_every", "sample_every must be a positive integer, got 0"),
+            (0.1, 1.0, 1.5, "sample_every", "sample_every must be a positive integer, got 1.5"),
+        ]
+        for dt, t_end, sample_every, field, message in cases:
+            with pytest.raises(FieldError, match=message) as err:
+                StepperConfig(dt=dt, t_end=t_end, sample_every=sample_every)
+            assert err.value.field == field
 
 
 class TestEtdTables:
@@ -409,14 +415,6 @@ class TestStepOracles:
 
 
 class TestIntegrateContract:
-    def test_zero_horizon_single_sample(self, torus32):
-        theta0 = random_smooth_field(torus32, seed=8, amplitude=0.1)
-        params = SqgParams(kappa=0.1, alpha=0.75)
-        config = StepperConfig(dt=0.01, t_end=0.0)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        assert len(result.series) == 1
-        assert result.series.times == [0.0]
-
     def test_sample_count(self, torus32):
         theta0 = random_smooth_field(torus32, seed=9, amplitude=0.1)
         params = SqgParams(kappa=0.1, alpha=0.75)

@@ -2,13 +2,16 @@
 
 Deleting a function without its ``__all__`` entry leaves ``from sqglab.x
 import *`` broken while direct imports keep working, so no other test sees
-it.
+it.  Likewise every function the benchmark's span tracer wraps must exist,
+or a traced benchmark run fails.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,21 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(name)
     assert hasattr(module, "__all__")
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def test_bench_tracer_targets_resolve():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for table in (tracer.GROUPS, tracer.COUNTED) for ts in table.values() for t in ts]
+    missing = []
+    for target in targets:
+        try:
+            tracer._resolve(target)
+        except (AttributeError, KeyError):
+            missing.append(target)
+    assert targets and missing == []
 
 
 def test_package_reexports_only_names_its_modules_export():
