@@ -233,13 +233,19 @@ class TestSweeps:
         assert any(name.startswith("linear-rate-bound-dalpha-") for name in names)
         assert all(r.passed for r in records)
 
-    def test_linear_bound_constant_follows_smallness(self, small_sweep):
+    @pytest.mark.parametrize("contracting", [True, False], ids=["contracting", "not-contracting"])
+    def test_linear_bound_constant_follows_smallness(self, small_sweep, contracting):
         # c2 is the negated smallness coefficient, or 1 once contraction fails
         _, report, _ = small_sweep
-        failed = dataclasses.replace(report, smallness_coeff=0.5)
-        for r, c2 in ((report, -report.smallness_coeff), (failed, 1.0)):
-            bounds = pairwise_bound_check(r, c3_guess=2.0)[-len(r.per_pair_bound) :]
-            assert [b.rhs for b in bounds] == [(2.0 / c2) * d for d, _, _ in r.per_pair_bound]
+        assert report.smallness_coeff < 0.0
+        if not contracting:
+            report = dataclasses.replace(report, smallness_coeff=0.5)
+        c2 = -report.smallness_coeff if contracting else 1.0
+        bounds = pairwise_bound_check(report, c3_guess=2.0)[-len(report.per_pair_bound) :]
+        assert [b.rhs for b in bounds] == [(2.0 / c2) * d for d, _, _ in report.per_pair_bound]
+
+    def test_pairwise_bound_rejects_nonpositive_c3(self, small_sweep):
+        _, report, _ = small_sweep
         with pytest.raises(ValueError, match="c3_guess must be positive"):
             pairwise_bound_check(report, c3_guess=0.0)
 

@@ -62,19 +62,34 @@ class TestParams:
         with pytest.raises(ValueError, match="lam must be nonnegative"):
             SqgParams(kappa=0.1, alpha=0.75, lam=-1.0)
 
-    def test_stepper_validation(self):
-        cases = [
-            (0.0, 1.0, 1, "dt", r"dt must lie in \(0, t_end\], got 0.0"),
-            (1.0, 0.1, 1, "dt", r"dt must lie in \(0, t_end\], got 1.0"),
-            (0.1, -1.0, 1, "t_end", "t_end must be positive and finite, got -1.0"),
-            (0.1, np.inf, 1, "t_end", "t_end must be positive and finite, got inf"),
-            (0.1, 1.0, 0, "sample_every", "sample_every must be a positive integer, got 0"),
-            (0.1, 1.0, 1.5, "sample_every", "sample_every must be a positive integer, got 1.5"),
-        ]
-        for dt, t_end, sample_every, field, message in cases:
-            with pytest.raises(FieldError, match=message) as err:
-                StepperConfig(dt=dt, t_end=t_end, sample_every=sample_every)
-            assert err.value.field == field
+    @pytest.mark.parametrize(
+        "dt, t_end, sample_every, field, message",
+        [
+            pytest.param(0.0, 1.0, 1, "dt", r"dt must lie in \(0, t_end\], got 0.0",
+                         id="dt-zero"),
+            pytest.param(1.0, 0.1, 1, "dt", r"dt must lie in \(0, t_end\], got 1.0",
+                         id="dt-above-t-end"),
+            pytest.param(0.1, 0.0, 1, "t_end", "t_end must be positive and finite, got 0.0",
+                         id="t-end-zero"),
+            pytest.param(0.1, -1.0, 1, "t_end", "t_end must be positive and finite, got -1.0",
+                         id="t-end-negative"),
+            pytest.param(0.1, np.inf, 1, "t_end", "t_end must be positive and finite, got inf",
+                         id="t-end-inf"),
+            pytest.param(0.1, 1.0, 0, "sample_every",
+                         "sample_every must be a positive integer, got 0", id="sample-every-zero"),
+            pytest.param(0.1, 1.0, 1.5, "sample_every",
+                         "sample_every must be a positive integer, got 1.5",
+                         id="sample-every-fractional"),
+        ],
+    )
+    def test_stepper_validation(self, dt, t_end, sample_every, field, message):
+        with pytest.raises(FieldError, match=message) as err:
+            StepperConfig(dt=dt, t_end=t_end, sample_every=sample_every)
+        assert err.value.field == field
+
+    def test_step_as_long_as_horizon_is_one_step(self):
+        config = StepperConfig(dt=0.5, t_end=0.5)
+        assert config.n_steps == 1 and config.step_dt == 0.5
 
 
 class TestEtdTables:
@@ -415,6 +430,14 @@ class TestStepOracles:
 
 
 class TestIntegrateContract:
+    def test_one_step_horizon_gives_two_samples(self, torus32):
+        # the shortest run: dt = t_end samples the start and the end
+        theta0 = random_smooth_field(torus32, seed=8, amplitude=0.1)
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.01, t_end=0.01)
+        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        assert result.series.times == [0.0, 0.01]
+
     def test_sample_count(self, torus32):
         theta0 = random_smooth_field(torus32, seed=9, amplitude=0.1)
         params = SqgParams(kappa=0.1, alpha=0.75)

@@ -83,6 +83,15 @@ class TestInequalityRecord:
         with pytest.raises(ValueError, match="non-finite sides"):
             InequalityRecord(name="demo", t=0.0, lhs=np.inf, rhs=1.0)
 
+    def test_tolerance_scales_with_the_larger_side(self):
+        # relative tolerance: the same absolute violation passes at 1e3, fails at 1
+        assert InequalityRecord(name="demo", t=0.0, lhs=1e3 + 5e-6, rhs=1e3).passed
+        assert not InequalityRecord(name="demo", t=0.0, lhs=1.0 + 5e-6, rhs=1.0).passed
+
+    def test_as_dict_scale_is_at_least_one(self):
+        rec = InequalityRecord(name="demo", t=0.0, lhs=0.1, rhs=-0.2)
+        assert rec.as_dict()["scale"] == 1.0
+
     def test_as_dict_round_trip(self):
         rec = InequalityRecord(name="demo", t=1.5, lhs=2.0, rhs=3.0)
         d = rec.as_dict()

@@ -27,19 +27,26 @@ def test_every_name_in_all_exists(name):
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
 
 
-def test_bench_tracer_targets_resolve():
+def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    targets = [t for table in (tracer.GROUPS, tracer.COUNTED) for ts in table.values() for t in ts]
-    missing = []
-    for target in targets:
-        try:
-            tracer._resolve(target)
-        except (AttributeError, KeyError):
-            missing.append(target)
-    assert targets and missing == []
+    return tracer
+
+
+TRACER = _bench_tracer()
+TRACER_TARGETS = [t for table in (TRACER.GROUPS, TRACER.COUNTED) for ts in table.values() for t in ts]
+
+
+def test_bench_tracer_has_targets():
+    assert TRACER_TARGETS
+
+
+@pytest.mark.parametrize("target", TRACER_TARGETS)
+def test_bench_tracer_targets_resolve(target):
+    owner, attr, original, _ = TRACER._resolve(target)
+    assert callable(original) and getattr(owner, attr) is original
 
 
 def test_package_reexports_only_names_its_modules_export():
