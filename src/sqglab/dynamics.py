@@ -13,22 +13,25 @@ second-order Runge-Kutta corrector of Cox and Matthews).
 
 Each basis has one transport kernel on raw arrays, driven by a plan of
 read-only multipliers cached per domain, with no intermediate field objects.
-On the torus the plan holds the velocity, dealias and divergence multipliers
-on the columns ``0 .. n/3`` of the real-FFT half plane, the only ones the 2/3
-rule keeps, so one evaluation is three inverse real FFTs (u1, u2 and theta)
-and two forward ones (the fluxes), whose complex passes skip the zeroed
-columns.  On a Dirichlet box the
+The kernel returns the transport only on the block of modes the 2/3 rule
+keeps, and the plan adds such a block into a full-layout array.  On the torus
+the block is the columns ``0 .. n/3`` of the real-FFT half plane (the plan
+adds their conjugate mirror too), so one evaluation is three inverse real
+FFTs (u1, u2 and theta) and two forward ones (the fluxes), whose complex
+passes skip the zeroed columns.  On a Dirichlet box the
 kernel stays on the box's own ``(n+1)^2`` grid: theta is a sine-sine series,
 the velocity components are sine-cosine and cosine-sine series, and type-1
 sine/cosine transforms synthesize them and analyze the two fluxes, alias-free
-under the same 1/3 cut.  Odd extension to the doubled torus
-(:func:`embed_odd_extension`), which carries the same information, is kept as
-the reference the kernel is tested against.
+under the same 1/3 cut; the block is the modes up to ``2n/3``.  Odd
+extension to the doubled torus (:func:`embed_odd_extension`), which carries
+the same information, is kept as the reference the kernel is tested against.
 
-Runs take uniform steps that land exactly on the horizon.  The stepper keeps
-raw coefficient arrays between samples and checks every step once for
+Runs take uniform steps that land exactly on the horizon.  One loop serves
+both bases.  It keeps raw coefficient arrays in two buffers it owns, forms
+the phi_1/phi_2 terms on the kept block only, and checks every step once for
 non-finite values, its blow-up signal, and against the advective CFL limit.
-Sampled states stream to the caller's hook rather than being kept.
+Sampled states are copied out of the buffers and stream to the caller's hook
+rather than being kept.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -121,7 +124,8 @@ class SqgParams:
         sym = domain.laplacian_symbol
         rate = np.full(sym.shape, float(self.lam))
         positive = sym > 0
-        rate[positive] += self.kappa * sym[positive] ** self.alpha
+        with np.errstate(over="ignore"):  # a huge kappa makes the rate inf
+            rate[positive] += self.kappa * sym[positive] ** self.alpha
         rate.setflags(write=False)
         return rate
 
@@ -160,7 +164,8 @@ def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> 
 
     ``t_end`` must be positive and finite, a given ``dt`` (``None`` asks for
     the CFL step) must lie in ``(0, t_end]``, since no run could take a
-    longer step than its horizon, and ``sample_every`` must be an integer of
+    longer step than its horizon, and leave ``t_end/dt`` finite, since that
+    is the step count, and ``sample_every`` must be an integer of
     at least 1.  The experiment file, :class:`StepperConfig` and
     :class:`~sqglab.critical.AlphaSweepConfig` all apply these rules.
     """
@@ -168,6 +173,8 @@ def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> 
         raise FieldError("t_end", f"t_end must be positive and finite, got {t_end!r}")
     if dt is not None and not 0 < dt <= t_end:
         raise FieldError("dt", f"dt must lie in (0, t_end], got {dt!r}")
+    if dt is not None and not math.isfinite(float(t_end) / float(dt)):
+        raise FieldError("dt", f"dt is too small: t_end/dt overflows, got {dt!r}")
     if not (sample_every >= 1 and float(sample_every).is_integer()):
         raise FieldError(
             "sample_every", f"sample_every must be a positive integer, got {sample_every!r}"
@@ -200,7 +207,8 @@ class EtdCoefficients:
 
     ``decay`` is ``exp(-a dt)``; ``phi1`` and ``phi2`` are ``phi_1(-a dt)``
     and ``phi_2(-a dt)`` with the standard phi functions, evaluated stably
-    (Taylor series below ``|a dt| = 1e-4``).
+    (Taylor series below ``|a dt| = 1e-4``).  Where ``a dt`` overflows to
+    ``inf`` all three take their limit 0.
     """
 
     dt: float
@@ -227,7 +235,9 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     zs = z[small]
     out[small] = 0.5 - zs / 6.0 + zs**2 / 24.0 - zs**3 / 120.0
     zl = z[~small]
-    out[~small] = (np.expm1(-zl) + zl) / zl**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[~small] = (np.expm1(-zl) + zl) / zl**2
+    out[np.isinf(z)] = 0.0  # the limit, where inf / inf gave nan
     return out
 
 
@@ -235,7 +245,8 @@ def etd_coefficients(domain: DomainSpec, params: SqgParams, dt: float) -> EtdCoe
     """Precompute the per-mode ETD tables for step size ``dt``."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    z = params.linear_symbol(domain) * dt
+    with np.errstate(over="ignore"):
+        z = params.linear_symbol(domain) * dt
     coeffs = EtdCoefficients(dt=float(dt), decay=np.exp(-z), phi1=_phi1(z), phi2=_phi2(z))
     for table in (coeffs.decay, coeffs.phi1, coeffs.phi2):
         table.setflags(write=False)
@@ -302,6 +313,13 @@ class _TransportPlan:
     of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in;
     ``mirror`` is the row index of ``-k1``.  The kernel assumes real fields,
     i.e. conjugate-symmetric coefficients, which the block determines.
+
+    :meth:`transport` returns the transport on that block; :meth:`add_to`
+    adds a block to a full FFT-layout array, the block columns and their
+    conjugate mirror ``n-c .. n-1``, the only modes the transport touches.
+    The plan is shared by every caller of its domain, so it holds no
+    writable state: the synthesis buffer comes from :meth:`scratch` and
+    belongs to the caller.
     """
 
     n: int
@@ -309,44 +327,60 @@ class _TransportPlan:
     div: np.ndarray
     mirror: np.ndarray
 
-    def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` (full FFT layout) and max|u| of a field."""
+    def scratch(self) -> np.ndarray:
+        """A zeroed ``rfft2`` half plane for :meth:`transport`'s syntheses."""
+        return np.zeros((self.n, self.n // 2 + 1), dtype=np.complex128)
+
+    def kept(self, array: np.ndarray) -> np.ndarray:
+        """View of the block of a full-layout array that :meth:`transport` returns."""
+        return array[:, : self.div.shape[2]]
+
+    def transport(self, coeffs: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
+        """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field."""
         import scipy.fft  # on first use: runs that transform nothing never load it
 
-        u1, u2, theta = self._synthesize(coeffs, 3)
+        u1, u2, theta = self._synthesize(coeffs, 3, scratch)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+        u1 *= theta
+        u2 *= theta
         cols = self.div.shape[2]
-        flux1, flux2 = (
-            scipy.fft.fft(scipy.fft.rfft(u * theta, axis=1)[:, :cols], axis=0) for u in (u1, u2)
+        # each flux's axis-0 pass runs in place on the kept columns of its rfft
+        f1, f2 = (
+            scipy.fft.fft(scipy.fft.rfft(flux, axis=1)[:, :cols], axis=0, overwrite_x=True)
+            for flux in (u1, u2)
         )
-        return self._full(self.div[0] * flux1 + self.div[1] * flux2), speed
+        np.multiply(self.div[0], f1, out=f1)
+        np.multiply(self.div[1], f2, out=f2)
+        f1 += f2
+        return f1, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
-        u1, u2 = self._synthesize(coeffs, 2)
+        u1, u2 = self._synthesize(coeffs, 2, self.scratch())
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
 
-    def _synthesize(self, coeffs: np.ndarray, count: int) -> list[np.ndarray]:
-        # The axis-0 pass skips the columns the 2/3 rule zeroes; irfft pads
-        # the block with them for the axis-1 pass.
+    def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
+        """Add a kept block and its conjugate mirror to a full-layout array."""
+        n, cut = self.n, block.shape[1] - 1
+        full[:, : cut + 1] += block
+        mirrored = block[self.mirror, cut:0:-1]
+        full[:, n - cut :] += np.conjugate(mirrored, out=mirrored)
+
+    def _synthesize(self, coeffs: np.ndarray, count: int, scratch: np.ndarray) -> list[np.ndarray]:
+        # Only the kept columns of the zeroed half plane are written, and the
+        # axis-0 pass runs in place on them (scipy.fft writes a complex
+        # overwrite_x transform into its input), so the axis-1 pass needs no
+        # padding.
         import scipy.fft
 
         n = self.n
-        block = coeffs[:, : self.synth.shape[2]]
-        return [
-            scipy.fft.irfft(
-                scipy.fft.ifft(mult * block, axis=0, norm="forward"), n=n, axis=1, norm="forward"
-            )
-            for mult in self.synth[:count]
-        ]
-
-    def _full(self, block: np.ndarray) -> np.ndarray:
-        """Expand the kept columns of a real field to the full FFT layout."""
-        n, cut = self.n, block.shape[1] - 1
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:, : cut + 1] = block
-        np.conj(block[self.mirror, cut:0:-1], out=out[:, n - cut :])
-        return out
+        kept, block = self.kept(scratch), self.kept(coeffs)
+        grids = []
+        for mult in self.synth[:count]:
+            np.multiply(mult, block, out=kept)
+            scipy.fft.ifft(kept, axis=0, norm="forward", overwrite_x=True)
+            grids.append(scipy.fft.irfft(scratch, n=n, axis=1, norm="forward"))
+        return grids
 
 
 #: Per-axis type-1 transform of a Dirichlet-box series, named by its
@@ -378,14 +412,31 @@ class _DirichletPlan:
     taking the cosine coefficients of the fluxes to the sine coefficients of
     ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` folded in.
     Transforms skip the lines outside these blocks.
+
+    :meth:`transport` returns the transport on the output block, which
+    :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  The zeroed flux
+    grids come from :meth:`scratch` and belong to the caller, since the plan
+    is shared by every caller of its domain.
     """
 
     n: int
     synth: np.ndarray
     div: np.ndarray
 
-    def transport(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` (sine coefficients) and max|u| of a field."""
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zeroed flux grids for :meth:`transport`; only their interior is written."""
+        n = self.n
+        return np.zeros((n + 1, n - 1)), np.zeros((n - 1, n + 1))
+
+    def kept(self, array: np.ndarray) -> np.ndarray:
+        """View of the block of a full-layout array that :meth:`transport` returns."""
+        cut = self.div.shape[1]
+        return array[:cut, :cut]
+
+    def transport(
+        self, coeffs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, float]:
+        """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field."""
         import scipy.fft
 
         n, cut = self.n, self.div.shape[1]
@@ -393,22 +444,27 @@ class _DirichletPlan:
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
         theta = self._synthesize(self.synth[2], coeffs, _SINE, _SINE)
         # theta vanishes on the boundary ring, so each flux is zero there
-        flux1 = np.zeros((n + 1, n - 1))
+        flux1, flux2 = scratch
         np.multiply(u1[:, 1:n], theta, out=flux1[1:n])
-        flux2 = np.zeros((n - 1, n + 1))
         np.multiply(u2[1:n], theta, out=flux2[:, 1:n])
         f1 = scipy.fft.dct(flux1, type=1, axis=0)[1 : cut + 1]
         f1 = scipy.fft.dst(f1, type=1, axis=1)[:, :cut]
         f2 = scipy.fft.dst(flux2, type=1, axis=0)[:cut]
         f2 = scipy.fft.dct(f2, type=1, axis=1)[:, 1 : cut + 1]
-        rhs = np.zeros((n - 1, n - 1))
-        rhs[:cut, :cut] = self.div[0] * f1 + self.div[1] * f2
-        return rhs, speed
+        np.multiply(self.div[0], f1, out=f1)
+        np.multiply(self.div[1], f2, out=f2)
+        f1 += f2
+        return f1, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
         u1, u2 = self._velocity(coeffs)
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+
+    def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
+        """Add a kept block to a full-layout array."""
+        kept = self.kept(full)
+        kept += block
 
     def _velocity(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -473,7 +529,9 @@ def nonlinear_rhs(theta: SpectralField) -> SpectralField:
     when theta has no modes above n/3.  Dirichlet fields are transformed on
     the box's own grid with type-1 sine and cosine transforms.
     """
-    rhs = _plan(theta.domain).transport(theta.coeffs)[0]
+    plan = _plan(theta.domain)
+    rhs = np.zeros_like(theta.coeffs)
+    plan.add_to(rhs, plan.transport(theta.coeffs, plan.scratch())[0])
     return SpectralField(coeffs=rhs, domain=theta.domain)
 
 
@@ -501,22 +559,13 @@ def default_dt(theta0: SpectralField) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _rhs_closure(
-    domain: DomainSpec, params: SqgParams
-) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+def _forcing_coeffs(domain: DomainSpec, params: SqgParams) -> np.ndarray | None:
     forcing = params.forcing
-    if forcing is not None and forcing.domain != domain:
+    if forcing is None:
+        return None
+    if forcing.domain != domain:
         raise ValueError("forcing must live on the same domain as the evolved field")
-
-    transport = _plan(domain).transport
-
-    def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        total, speed = transport(coeffs)
-        if forcing is not None:
-            total += forcing.coeffs
-        return total, speed
-
-    return rhs
+    return forcing.coeffs
 
 
 def _march(
@@ -527,11 +576,24 @@ def _march(
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Yield ``(t, coeffs, max |u|)`` after each of ``n_steps`` ETD steps.
 
-    Coefficients stay raw arrays between steps.  A step runs with overflow
-    warnings silenced and is checked once at its end: IEEE arithmetic carries
-    a non-finite value from any intermediate (a velocity, a flux, the
-    predictor) into the step's speed or coefficients, so that check is the
-    blow-up signal.
+    The march owns its buffers: the state alternates between two arrays and
+    the transport synthesizes through one scratch buffer, so a step
+    allocates little beyond the transforms' outputs.  A yielded array is
+    overwritten two steps later; a caller that keeps a state copies it.  The
+    plan never holds these buffers, since marches on one domain share it.
+
+    The transport touches only the plan's kept modes, so the phi_1/phi_2
+    terms are formed on the kept block and added in with the plan's
+    :meth:`~_TransportPlan.add_to`; elsewhere a step is ``decay * coeffs``,
+    plus ``dt phi_1 f`` precomputed for a forcing ``f`` (the corrector's
+    ``N(predictor) - N(coeffs)`` cancels ``f``).  Unforced states, and forced
+    ones with conjugate-symmetric ``f``, equal the full-layout update bit
+    for bit.
+
+    A step runs with overflow warnings silenced and is checked once at its
+    end: IEEE arithmetic carries a non-finite value from any intermediate (a
+    velocity, a flux, the predictor) into the step's speed or coefficients,
+    so that check is the blow-up signal.
 
     Raises
     ------
@@ -541,26 +603,46 @@ def _march(
     """
     domain = state.theta.domain
     dt = config.step_dt
+    plan = _plan(domain)
     tables = etd_coefficients(domain, params, dt)
-    rhs = _rhs_closure(domain, params)
-    dt_phi1 = tables.dt * tables.phi1
-    dt_phi2 = tables.dt * tables.phi2
+    dt_phi1 = tables.dt * plan.kept(tables.phi1)
+    dt_phi2 = tables.dt * plan.kept(tables.phi2)
+    forcing = _forcing_coeffs(domain, params)
+    outside = None
+    if forcing is not None:
+        outside = tables.dt * tables.phi1 * forcing
+        kept = np.zeros(outside.shape)
+        plan.add_to(kept, np.ones(plan.kept(kept).shape))
+        outside[kept != 0] = 0.0
+        forcing = plan.kept(forcing)
+    scratch = plan.scratch()
+
+    def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+        block, speed = plan.transport(coeffs, scratch)
+        if forcing is not None:
+            block += forcing
+        return block, speed
+
     coeffs = state.theta.coeffs
+    buffers = (np.empty_like(coeffs), np.empty_like(coeffs))
     for k in range(1, n_steps + 1):
         t_new = state.t + k * dt
+        new_coeffs = buffers[k % 2]
         with np.errstate(over="ignore", invalid="ignore"):
             n0, speed = rhs(coeffs)
-            new_coeffs = tables.decay * coeffs
-            new_coeffs += dt_phi1 * n0
+            np.multiply(tables.decay, coeffs, out=new_coeffs)
+            if outside is not None:
+                new_coeffs += outside
+            plan.add_to(new_coeffs, dt_phi1 * n0)
             if config.scheme is Scheme.ETD2RK:
                 # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
                 n1, speed1 = rhs(new_coeffs)
                 n1 -= n0
                 n1 *= dt_phi2
-                new_coeffs += n1
+                plan.add_to(new_coeffs, n1)
                 speed = max(speed, speed1)
             if not (math.isfinite(speed) and np.isfinite(new_coeffs).all()):
-                last = advective_speed(SpectralField(coeffs=coeffs, domain=domain))
+                last = plan.speed(coeffs)
                 last = last if math.isfinite(last) else math.inf
                 raise BlowUpError(t_new, dt * last * domain.n / domain.box)
         coeffs = new_coeffs
@@ -576,7 +658,9 @@ def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> Si
         If the step produces a non-finite value.
     """
     t_new, coeffs, _ = next(_march(state, params, config, 1))
-    return SimulationState(t=t_new, theta=SpectralField(coeffs=coeffs, domain=state.theta.domain))
+    return SimulationState(
+        t=t_new, theta=SpectralField(coeffs=coeffs.copy(), domain=state.theta.domain)
+    )
 
 
 def integrate(
@@ -617,9 +701,9 @@ def integrate(
         peak_cfl = dt * peak * cells_per_length
         if peak_cfl > CFL_LIMIT:
             warnings.warn(
-                f"advective CFL {peak_cfl:.3f} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
+                f"advective CFL {peak_cfl:.3g} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
                 CflWarning,
-                stacklevel=2,
+                stacklevel=3,  # integrate's caller: this frame is nested in integrate
             )
         row = {"cfl": dt * speed * cells_per_length}
         for name, monitor in monitors.items():
@@ -637,7 +721,9 @@ def integrate(
         if speed > peak:
             peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
-            current = SimulationState(t=t, theta=SpectralField(coeffs=coeffs, domain=domain))
+            # a copy: the march overwrites its buffers, and the field owns its array
+            theta = SpectralField(coeffs=coeffs.copy(), domain=domain)
+            current = SimulationState(t=t, theta=theta)
             sample(current, speed, peak, peak_t)
             peak = 0.0
     return RunResult(series=series, final=current)
@@ -701,7 +787,9 @@ def picard_reference(
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
     domain = state.theta.domain
-    rhs = _rhs_closure(domain, params)
+    plan = _plan(domain)
+    forcing = _forcing_coeffs(domain, params)
+    scratch = plan.scratch()
     m = int(subintervals)
     h = float(t_end) / m
     rate = params.linear_symbol(domain)
@@ -719,9 +807,11 @@ def picard_reference(
 
     final_change = np.inf
     for _ in range(iterations):
-        sources = np.empty_like(profile)
+        sources = np.zeros_like(profile)
         for j in range(m + 1):
-            sources[j] = rhs(profile[j])[0]
+            plan.add_to(sources[j], plan.transport(profile[j], scratch)[0])
+            if forcing is not None:
+                sources[j] += forcing
         new_profile = homogeneous.copy()
         for i in range(1, m + 1):
             kernel = np.ones_like(rate)

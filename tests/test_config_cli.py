@@ -582,6 +582,8 @@ class TestLoadExperiment:
                          id="t-end"),
             pytest.param(simulate_with("dt", "dt = 0.2"), 9, "dt must lie in (0, t_end], got 0.2",
                          id="dt-above-t-end"),
+            pytest.param(simulate_with("dt", "dt = 1e-320"), 9,
+                         "dt is too small: t_end/dt overflows, got 1e-320", id="dt-subnormal"),
             pytest.param(cfg(*SIMULATE_LINES[:10], "sample_every = 0", *SIMULATE_LINES[10:]), 11,
                          "sample_every must be a positive integer, got 0", id="sample-every"),
             pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [1, 0, 0]"), 16,
@@ -783,6 +785,27 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"config error ({config}, line 3)" in err
         assert "duplicate key 'n'" in err
+
+    def test_subnormal_dt_is_a_cited_config_error(self, tmp_path, capsys):
+        # t_end/dt overflows to inf, which once surfaced as a numerical failure
+        config = write_config(tmp_path, simulate_with("dt", "dt = 1e-320"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error ({config}, line 9)" in err
+        assert "dt is too small: t_end/dt overflows, got 1e-320" in err
+
+    def test_overflowing_dissipation_rate_runs_clean(self, tmp_path, capsys):
+        # kappa |k|^(2 alpha) overflows on every nonzero mode: the ETD tables
+        # take their limits, so this is a fast decay, not a blow-up
+        config = write_config(tmp_path, SIM_CLI.replace("kappa = 0.5", "kappa = 1e308"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert "(ok)" in capsys.readouterr().out
+        checks = json.loads((out / "checks.json").read_text(encoding="utf-8"))
+        assert checks["all_passed"] is True
 
     def test_kind_subcommand_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, SIM_CLI)

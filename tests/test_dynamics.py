@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,6 +69,8 @@ class TestParams:
         [
             pytest.param(0.0, 1.0, 1, "dt", r"dt must lie in \(0, t_end\], got 0.0",
                          id="dt-zero"),
+            pytest.param(1e-320, 1.0, 1, "dt", "dt is too small: t_end/dt overflows, got 1e-320",
+                         id="dt-subnormal"),
             pytest.param(1.0, 0.1, 1, "dt", r"dt must lie in \(0, t_end\], got 1.0",
                          id="dt-above-t-end"),
             pytest.param(0.1, 0.0, 1, "t_end", "t_end must be positive and finite, got 0.0",
@@ -112,6 +116,33 @@ class TestEtdTables:
         np.testing.assert_allclose(
             tables.decay, np.exp(-(0.3 * sym**0.75 + 0.2) * 0.1), atol=1e-14
         )
+
+    def test_overflowing_rate_takes_the_limits(self, torus32):
+        # kappa |k|^(2 alpha) dt overflows to inf on every nonzero mode, where
+        # phi_2 once came out as inf / inf = nan
+        params = SqgParams(kappa=1e308, alpha=0.75, lam=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = etd_coefficients(torus32, params, dt=10.0)
+        stiff = torus32.laplacian_symbol > 0
+        for table in (tables.decay, tables.phi1, tables.phi2):
+            assert np.all(table[stiff] == 0.0)
+        # the zero mode decays at lam alone: z = 5
+        z = np.float64(0.5 * 10.0)
+        assert tables.decay[0, 0] == np.exp(-z)
+        assert tables.phi1[0, 0] == -np.expm1(-z) / z
+        assert tables.phi2[0, 0] == (np.expm1(-z) + z) / z**2
+
+    def test_overflowing_rate_steps_without_blow_up(self, torus32):
+        theta0 = random_smooth_field(torus32, seed=2, amplitude=0.5)
+        params = SqgParams(kappa=1e308, alpha=0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = integrate(
+                SimulationState(t=0.0, theta=theta0), params, StepperConfig(dt=0.01, t_end=0.05)
+            )
+        # every mode of the mean-free field decays to zero in one step
+        assert np.all(result.final.theta.coeffs == 0.0)
 
 
 class TestTransportTerm:
@@ -251,9 +282,17 @@ def _random_field(domain, seed, amplitude, full_spectrum):
     return random_smooth_field(domain, seed, amplitude=amplitude)
 
 
+def _kernel_transport(plan, coeffs):
+    """The plan's transport block, added into a zeroed full-layout array."""
+    block, speed = plan.transport(coeffs, plan.scratch())
+    full = np.zeros(coeffs.shape, dtype=block.dtype)
+    plan.add_to(full, block)
+    return full, speed
+
+
 def _assert_kernel_matches_composed(theta):
     want, want_speed = _composed_transport(theta)
-    got, speed = _plan(theta.domain).transport(theta.coeffs)
+    got, speed = _kernel_transport(_plan(theta.domain), theta.coeffs)
     assert np.abs(got - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
     assert speed == pytest.approx(want_speed, rel=1e-13)
     assert advective_speed(theta) == pytest.approx(want_speed, rel=1e-13)
@@ -331,8 +370,9 @@ class TestPrunedTorusKernel:
         coeffs = _random_field(domain, n, amplitude, full_spectrum).coeffs
         want, want_speed = _full_width_transport(domain, coeffs)
         plan = _plan(domain)
-        got, speed = plan.transport(coeffs)
+        got, speed = _kernel_transport(plan, coeffs)
         assert plan.synth.shape == (3, n, n // 3 + 1)
+        assert plan.transport(coeffs, plan.scratch())[0].shape == (n, n // 3 + 1)
         assert np.all(got == want)
         assert speed == want_speed
         assert plan.speed(coeffs) == want_speed
@@ -531,6 +571,17 @@ class TestIntegrateContract:
         assert len(result.series) == 2
         assert max(result.series.column("cfl")) < CFL_LIMIT
 
+    def test_cfl_warning_points_at_the_caller(self, torus32):
+        # a strong shear: the transport vanishes, so the run stays finite at
+        # CFL 0.1 * 1e4 * 32 / (2 pi) = 5.09e3 at both samples
+        theta0 = shear_field(torus32) * 1e4
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.1, t_end=0.1)
+        with pytest.warns(CflWarning, match=r"advective CFL 5\.09e\+03 exceeds") as record:
+            integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        assert len(record) == 2
+        assert {w.filename for w in record} == {__file__}
+
     def test_forcing_domain_mismatch(self, torus32, torus64):
         forcing = random_smooth_field(torus64, seed=15)
         with pytest.raises(ValueError, match="forcing must live on the same domain"):
@@ -541,6 +592,141 @@ class TestIntegrateContract:
                 params,
                 StepperConfig(dt=0.01, t_end=0.02),
             )
+
+
+def _reference_march(theta, params, config, steps):
+    """The full-layout ETD update the stepper made before it worked on the kept block."""
+    domain = theta.domain
+    if domain.basis is Basis.TORUS:
+        def rhs(coeffs):
+            return _full_width_transport(domain, coeffs)[0]
+    else:
+        plan = _plan(domain)
+
+        def rhs(coeffs):
+            return _kernel_transport(plan, coeffs)[0]
+    forcing = params.forcing
+    tables = etd_coefficients(domain, params, config.step_dt)
+    dt_phi1 = tables.dt * tables.phi1
+    dt_phi2 = tables.dt * tables.phi2
+    coeffs = theta.coeffs
+    for _ in range(steps):
+        n0 = rhs(coeffs)
+        if forcing is not None:
+            n0 += forcing.coeffs
+        new = tables.decay * coeffs
+        new += dt_phi1 * n0
+        if config.scheme is Scheme.ETD2RK:
+            n1 = rhs(new)
+            if forcing is not None:
+                n1 += forcing.coeffs
+            n1 -= n0
+            n1 *= dt_phi2
+            new += n1
+        coeffs = new
+    return coeffs
+
+
+def _oracle_state(domain, seed, kind):
+    """A smooth, full-spectrum or (torus only) non-conjugate-symmetric field."""
+    if kind == "smooth":
+        return random_smooth_field(domain, seed, amplitude=0.5)
+    theta = _full_spectrum_field(domain, seed) * 0.05
+    if kind == "asymmetric" and domain.basis is Basis.TORUS:
+        # the transform of a complex field: no mode matches its mirror
+        other = _full_spectrum_field(domain, seed + 1).coeffs * 0.05
+        theta = SpectralField(coeffs=theta.coeffs + 1j * other, domain=domain)
+    return theta
+
+
+class TestStepOracle:
+    """The kept-block march equals the full-layout ETD update bit for bit."""
+
+    @settings(max_examples=40)
+    @given(
+        domain=st.one_of(_tori, _boxes),
+        seed=st.integers(0, 2**31),
+        kind=st.sampled_from(["smooth", "full_spectrum", "asymmetric"]),
+        scheme=st.sampled_from(list(Scheme)),
+        steps=st.integers(1, 4),
+        kappa=st.floats(0.01, 1.0),
+        alpha=st.floats(0.55, 1.0),
+        lam=st.sampled_from([0.0, 0.3]),
+        forced=st.booleans(),
+    )
+    def test_march_matches_full_layout_reference(
+        self, domain, seed, kind, scheme, steps, kappa, alpha, lam, forced
+    ):
+        theta = _oracle_state(domain, seed, kind)
+        # a real forcing is conjugate-symmetric, for which the two agree exactly
+        forcing = random_smooth_field(domain, seed + 2, amplitude=0.3) if forced else None
+        params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
+        config = StepperConfig(dt=0.01, t_end=0.01 * steps, scheme=scheme)
+        want = _reference_march(theta, params, config, steps)
+        state = SimulationState(t=0.0, theta=theta)
+        result = integrate(state, params, config)
+        assert np.array_equal(result.final.theta.coeffs, want)
+        first = step(state, params, config)
+        assert np.array_equal(first.theta.coeffs, _reference_march(theta, params, config, 1))
+
+
+class TestMarchBuffers:
+    """The march reuses its buffers; nothing handed out may change afterwards."""
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_sampled_states_stay_fixed(self, name, request):
+        domain = request.getfixturevalue(name)
+        theta0 = random_smooth_field(domain, seed=31, amplitude=0.5)
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.01, t_end=0.1)
+        states, snapshots = [], []
+
+        def keep(state):
+            states.append(state)
+            snapshots.append(state.theta.coeffs.copy())
+
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=keep)
+        assert len(states) == 11
+        for state, snapshot in zip(states, snapshots):
+            assert np.array_equal(state.theta.coeffs, snapshot)
+        assert not np.array_equal(states[1].theta.coeffs, states[3].theta.coeffs)
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_step_result_stays_fixed(self, name, request):
+        domain = request.getfixturevalue(name)
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.01, t_end=0.01)
+        state = SimulationState(t=0.0, theta=random_smooth_field(domain, seed=32, amplitude=0.5))
+        first = step(state, params, config)
+        snapshot = first.theta.coeffs.copy()
+        later = first
+        for _ in range(3):
+            later = step(later, params, config)
+        assert np.array_equal(first.theta.coeffs, snapshot)
+
+    @pytest.mark.parametrize("name", ["torus64", "dirichlet64"])
+    def test_concurrent_marches_match_sequential(self, name, request):
+        # more threads than cores on one shared plan, switching often
+        domain = request.getfixturevalue(name)
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        config = StepperConfig(dt=0.01, t_end=0.1)
+
+        def run(seed):
+            theta0 = random_smooth_field(domain, seed=seed, amplitude=0.5)
+            return integrate(SimulationState(t=0.0, theta=theta0), params, config)
+
+        seeds = range(40, 44)
+        sequential = [run(seed).final.theta.coeffs for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [pool.submit(run, seed) for seed in seeds]
+                concurrent = [future.result(timeout=120).final.theta.coeffs for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(sequential, concurrent):
+            assert np.array_equal(got, want)
 
 
 class TestOddExtension:
