@@ -63,7 +63,7 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import PhysicalField, SpectralField, lq_norm, sobolev_norm, to_physical
+from .spectral import lq_norm, sobolev_norm, to_physical
 
 __all__ = ["main"]
 
@@ -183,23 +183,6 @@ def _run_fixed_alpha(
     stepper = experiment.stepper_for(theta0)
 
     finite_lq = [q for q in experiment.monitor_lq if math.isfinite(q)]
-    sampled: list = [None, None]  # the state last synthesized and its grid values
-
-    def grid_of(theta: SpectralField) -> PhysicalField:
-        # the linf and lq columns and the battery of a sample share one synthesis
-        if sampled[0] is not theta:
-            sampled[:] = [theta, to_physical(theta)]
-        return sampled[1]
-
-    monitors = {
-        "l2": lambda t, th: sobolev_norm(th, 0.0),
-        "linf": lambda t, th: lq_norm(grid_of(th), math.inf),
-    }
-    for q in finite_lq:
-        monitors[f"lq{q:g}"] = lambda t, th, q=q: lq_norm(grid_of(th), q)
-    for s in experiment.monitor_sobolev:
-        monitors[f"h{s:g}"] = lambda t, th, s=s: sobolev_norm(th, s)
-
     # the battery runs per sample, so no state outlives its sample
     battery: list[InequalityRecord] = []
     masses: list[float] = []
@@ -208,9 +191,17 @@ def _run_fixed_alpha(
     radius = experiment.monitor_tail_cutoff
     cutoff = None if radius is None else CutoffSpec(k=radius)
 
-    def run_battery(state: SimulationState) -> None:
-        grid = grid_of(state.theta)
-        slack, integrals = state_battery(state.theta, grid, params.alpha, finite_lq)
+    def sample(state: SimulationState) -> dict[str, float]:
+        # one synthesis of theta feeds the linf and lq columns and the battery
+        theta, grid = state.theta, to_physical(state.theta)
+        row = {"l2": sobolev_norm(theta, 0.0), "linf": lq_norm(grid, math.inf)}
+        for q in finite_lq:
+            row[f"lq{q:g}"] = lq_norm(grid, q)
+        for s in experiment.monitor_sobolev:
+            row[f"h{s:g}"] = sobolev_norm(theta, s)
+        if not full_battery:
+            return row
+        slack, integrals = state_battery(theta, grid, params.alpha, finite_lq)
         battery.append(
             InequalityRecord(name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack)
         )
@@ -221,18 +212,12 @@ def _run_fixed_alpha(
         if cutoff is not None:
             masses.append(tail_mass(grid, cutoff))
         for s, norms in mid_norms:
-            norms.append(sobolev_norm(state.theta, s + params.alpha))
+            norms.append(sobolev_norm(theta, s + params.alpha))
+        return row
 
-    result = integrate(
-        SimulationState(t=0.0, theta=theta0),
-        params,
-        stepper,
-        monitors=monitors,
-        on_sample=run_battery if full_battery else None,
-    )
+    result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
-    series.meta["dt"] = stepper.step_dt
     times = series.times
 
     records: list[InequalityRecord] = []
@@ -299,7 +284,7 @@ def _run_sweep_kind(
         for t, distance in zip(times, row)
     ]
     meta = _domain_meta(experiment, seed)
-    meta["dt"] = config.stepper().step_dt
+    meta["dt"] = runs[0].series.meta["dt"]
     meta["alphas"] = ",".join(f"{a:g}" for a in config.alphas)
     write_table(
         os.path.join(out_dir, "series.csv"),

@@ -15,7 +15,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -303,10 +303,6 @@ def _distance_table(runs: Sequence[SweepRun]) -> np.ndarray:
     return table
 
 
-def _sweep_monitors() -> Mapping[str, Callable[[float, SpectralField], float]]:
-    return {"linf": lambda t, theta: lq_norm(theta, math.inf)}
-
-
 def assemble_report(
     config: AlphaSweepConfig, runs: Sequence[SweepRun]
 ) -> ConvergenceReport:
@@ -387,19 +383,17 @@ def sweep_with_runs(
             stacklevel=2,
         )
     stepper = config.stepper()
-    monitors = _sweep_monitors()
 
     def one_run(alpha: float) -> SweepRun:
-        state = SimulationState(t=0.0, theta=config.theta0)
         states: list[SimulationState] = []
+
+        def keep(state: SimulationState) -> dict[str, float]:
+            states.append(state)
+            return {"linf": lq_norm(state.theta, math.inf)}
+
+        state = SimulationState(t=0.0, theta=config.theta0)
         try:
-            result = integrate(
-                state,
-                config.params_for(alpha),
-                stepper,
-                monitors=monitors,
-                on_sample=states.append,
-            )
+            result = integrate(state, config.params_for(alpha), stepper, sample=keep)
         except BlowUpError as err:
             raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
         return SweepRun(series=result.series, states=tuple(states))

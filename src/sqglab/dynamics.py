@@ -30,8 +30,9 @@ Runs take uniform steps that land exactly on the horizon.  One loop serves
 both bases.  It keeps raw coefficient arrays in two buffers it owns, forms
 the phi_1/phi_2 terms on the kept block only, and checks every step once for
 non-finite values, its blow-up signal, and against the advective CFL limit.
-Sampled states are copied out of the buffers and stream to the caller's hook
-rather than being kept.
+Sampled states are copied out of the buffers and stream to the caller's one
+``sample`` hook, which may keep them and returns the sample's extra series
+columns.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -667,37 +668,35 @@ def integrate(
     state: SimulationState,
     params: SqgParams,
     config: StepperConfig,
-    monitors: Mapping[str, Callable[[float, SpectralField], float]] | None = None,
     *,
-    on_sample: Callable[[SimulationState], None] | None = None,
+    sample: Callable[[SimulationState], Mapping[str, float] | None] | None = None,
 ) -> RunResult:
     """March from ``state`` to ``state.t + config.t_end``, sampling diagnostics.
 
-    ``monitors`` maps column names to callables ``(t, theta) -> float``; each
-    sampled row evaluates all of them, and ``on_sample`` (if given) then
-    receives the sampled state, so per-sample work streams instead of
-    needing every state kept (pass ``states.append`` to keep the
-    trajectory).  Samples land every ``sample_every`` steps and always at
-    the initial and final time.  The advective CFL number is checked at
-    every step: if it exceeded :data:`CFL_LIMIT` at any step since the
-    previous sample, the next sample emits a
-    :class:`~sqglab.errors.CflWarning` with the largest value (escalate
-    warnings to errors for a strict run).
+    Samples land every ``sample_every`` steps and always at the initial and
+    final time.  Each sampled state goes to ``sample`` (if given), which
+    returns a mapping of extra series columns or ``None``; so per-sample
+    work streams instead of needing every state kept (pass
+    ``states.append`` to keep the trajectory).  The states it gets are
+    ``state`` itself and then copies of the march's buffers, which the
+    caller may keep.  The advective CFL number is checked at every step:
+    if it exceeded :data:`CFL_LIMIT` at any step since the previous sample,
+    the next sample emits a :class:`~sqglab.errors.CflWarning` with the
+    largest value (escalate warnings to errors for a strict run).
 
     Returns
     -------
     RunResult
-        The diagnostics series (column ``cfl`` is always present and holds
-        the CFL number of the sampled step) and the final state.
+        The diagnostics series (column ``cfl`` always comes first and holds
+        the CFL number of the sampled step; ``meta["dt"]`` is the step taken)
+        and the final state.
     """
     domain = state.theta.domain
-    monitors = dict(monitors or {})
-
-    series = DiagnosticsSeries()
-    cells_per_length = domain.n / domain.box
     dt = config.step_dt
+    series = DiagnosticsSeries(meta={"dt": dt})
+    cells_per_length = domain.n / domain.box
 
-    def sample(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
+    def record(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
         peak_cfl = dt * peak * cells_per_length
         if peak_cfl > CFL_LIMIT:
             warnings.warn(
@@ -706,16 +705,14 @@ def integrate(
                 stacklevel=3,  # integrate's caller: this frame is nested in integrate
             )
         row = {"cfl": dt * speed * cells_per_length}
-        for name, monitor in monitors.items():
-            row[name] = float(monitor(current.t, current.theta))
+        if sample is not None:
+            row.update(sample(current) or {})
         series.append(current.t, row)
-        if on_sample is not None:
-            on_sample(current)
 
     n_steps = config.n_steps
     current = state
     speed = advective_speed(state.theta)
-    sample(current, speed, speed, state.t)
+    record(current, speed, speed, state.t)
     peak, peak_t = 0.0, state.t
     for k, (t, coeffs, speed) in enumerate(_march(state, params, config, n_steps), 1):
         if speed > peak:
@@ -724,7 +721,7 @@ def integrate(
             # a copy: the march overwrites its buffers, and the field owns its array
             theta = SpectralField(coeffs=coeffs.copy(), domain=domain)
             current = SimulationState(t=t, theta=theta)
-            sample(current, speed, peak, peak_t)
+            record(current, speed, peak, peak_t)
             peak = 0.0
     return RunResult(series=series, final=current)
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import BasisError
+from .errors import BasisError, FieldError
 from .spectral import (
     Basis,
     DomainSpec,
@@ -25,12 +23,31 @@ __all__ = [
 ]
 
 
-def _normalize_linf(field: SpectralField, amplitude: float) -> SpectralField:
-    values = to_physical(field).values
-    peak = float(np.max(np.abs(values)))
+def _finish(
+    coeffs: np.ndarray, domain: DomainSpec, amplitude: float, key: str, value: float
+) -> SpectralField:
+    """Dealias ``coeffs``, zero the torus mean and scale the grid maximum to ``amplitude``.
+
+    ``key = value`` is the argument that shaped ``coeffs``.  Raises
+    :class:`FieldError` naming it when that leaves the zero field, and
+    naming ``amplitude`` when the scaled coefficients overflow.
+    """
+    field = dealias(SpectralField(coeffs, domain))
+    if domain.basis is Basis.TORUS:
+        coeffs = field.coeffs.copy()
+        coeffs[0, 0] = 0.0
+        field = SpectralField(coeffs, domain)
+    peak = float(np.max(np.abs(to_physical(field).values)))
     if peak == 0.0:
-        raise ValueError("cannot normalize the zero field")
-    return field * (amplitude / peak)
+        raise FieldError(key, f"{key} = {value!r} leaves the zero field, which has no amplitude")
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = field.coeffs * (amplitude / peak)
+    if not np.isfinite(coeffs).all():
+        raise FieldError(
+            "amplitude",
+            f"amplitude = {amplitude!r} overflows: the field peaks at {peak:.3g} before scaling",
+        )
+    return SpectralField(coeffs, domain)
 
 
 def random_smooth_field(
@@ -72,13 +89,7 @@ def random_smooth_field(
         raw = SpectralField(noise, domain)
     i1, i2 = domain.index_grids
     profile = (1.0 + np.hypot(i1, i2)) ** (-decay)
-    shaped = SpectralField(raw.coeffs * profile, domain)
-    shaped = dealias(shaped)
-    if domain.basis is Basis.TORUS:
-        coeffs = shaped.coeffs.copy()
-        coeffs[0, 0] = 0.0
-        shaped = SpectralField(coeffs, domain)
-    return _normalize_linf(shaped, amplitude)
+    return _finish(raw.coeffs * profile, domain, amplitude, "decay", decay)
 
 
 def shear_field(
@@ -120,14 +131,12 @@ def gaussian_bump_field(
             f"width {width!r} is too large for box {domain.box!r}; the bump "
             "must be localized well inside the box"
         )
+    spread = 2.0 * width**2
+    if spread == 0.0:
+        # exp(-r^2 / 0) is 0/0 at the center: the bump has no grid values
+        raise FieldError("width", f"width = {width!r} is too small: its square underflows to 0")
     x1, x2 = domain.physical_coordinates
     center = domain.box / 2.0
     r2 = (x1 - center) ** 2 + (x2 - center) ** 2
-    values = np.exp(-r2 / (2.0 * width**2))
-    raw = to_spectral(values, domain)
-    shaped = dealias(raw)
-    if domain.basis is Basis.TORUS:
-        coeffs = shaped.coeffs.copy()
-        coeffs[0, 0] = 0.0
-        shaped = SpectralField(coeffs, domain)
-    return _normalize_linf(shaped, math.fabs(amplitude))
+    values = np.exp(-r2 / spread)
+    return _finish(to_spectral(values, domain).coeffs, domain, amplitude, "width", width)

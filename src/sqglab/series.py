@@ -77,16 +77,8 @@ class DiagnosticsSeries:
 
 def emit_csv(series: DiagnosticsSeries, path) -> None:
     """Write a series as CSV with a ``# key = value`` metadata preamble."""
-    lines = []
-    for key in sorted(series.meta):
-        lines.append(f"# {key} = {series.meta[key]}")
-    names = list(series.columns)
-    lines.append(",".join(["t", *names]))
-    for i, t in enumerate(series.times):
-        row = [format_float(t)] + [format_float(series.columns[c][i]) for c in names]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = zip(series.times, *series.columns.values())
+    write_table(path, ("t", *series.columns), rows, series.meta)
 
 
 def write_table(path, names, rows, meta: Mapping | None = None) -> None:

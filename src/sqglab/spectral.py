@@ -198,6 +198,12 @@ class SpectralField:
 
     Torus: complex array (n, n) in FFT layout (conjugate-symmetric for real
     fields). Dirichlet: real array (n−1, n−1) of sine coefficients.
+
+    The field takes ownership of ``coeffs`` when it is an array of the right
+    dtype that owns its data: it marks that very array read-only, without a
+    copy, so the caller's array stops being writeable.  A view, or an array
+    that needs a dtype conversion, is copied first.  Pass ``a.copy()`` to
+    keep ``a`` writeable.
     """
 
     coeffs: np.ndarray

@@ -128,7 +128,7 @@ def test_criterion_02_maximum_principle(torus128):
             SimulationState(t=0.0, theta=theta0),
             SqgParams(kappa=0.2, alpha=0.75),
             StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
-            on_sample=states.append,
+            sample=states.append,
         )
         times = [s.t for s in states]
         for q in (2, 4, 8):
@@ -144,7 +144,7 @@ def test_criterion_02_maximum_principle(torus128):
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.2, alpha=0.75, forcing=forcing),
         StepperConfig(dt=default_dt(theta0), t_end=5.0, sample_every=20),
-        on_sample=forced.append,
+        sample=forced.append,
     )
     envelope = max_principle_monitor(
         [s.t for s in forced],
@@ -167,7 +167,7 @@ def test_criterion_03_damped_energy_decay(torus64):
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.1, alpha=0.75, lam=lam),
         StepperConfig(dt=0.02, t_end=3.0, sample_every=5),
-        on_sample=states.append,
+        sample=states.append,
     )
     base = sobolev_norm(theta0, 0.0) ** 2
     margin = np.inf
@@ -345,7 +345,7 @@ def test_criterion_12_tail_decay_and_sobolev_boundedness():
         SimulationState(t=0.0, theta=theta0),
         SqgParams(kappa=0.2, alpha=0.75, lam=0.5),
         StepperConfig(dt=default_dt(theta0), t_end=20.0, sample_every=10),
-        on_sample=states.append,
+        sample=states.append,
     )
     cutoff = CutoffSpec(k=domain.box / 6)
     mass_start = tail_mass(to_physical(states[0].theta), cutoff)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import sqglab
+from sqglab import dynamics
 from sqglab.cli import main
 from sqglab.config import (
     EXPERIMENT_KINDS,
@@ -740,6 +741,22 @@ SWEEP_CLI_LINES = (
     "alphas = [0.75, 0.6]",
 )
 
+#: estimates-report at n = 64 sampled every step: 101 samples
+STREAMING_REPORT = cfg(
+    *SIMULATE_LINES[:1],
+    "kind = estimates-report",
+    "[domain]",
+    "n = 64",
+    *SIMULATE_LINES[4:8],
+    "dt = 0.01",
+    "t_end = 1.0",
+    *SIMULATE_LINES[10:],
+    "[monitors]",
+    "lq = [2, 4]",
+    "sobolev = [1.5]",
+    "tail_cutoff = 1.5",
+)
+
 OPERATOR_CLI = cfg(
     "[experiment]",
     "kind = operator-tests",
@@ -794,6 +811,37 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"config error ({config}, line 9)" in err
         assert "dt is too small: t_end/dt overflows, got 1e-320" in err
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            pytest.param(
+                SIMULATE + "decay = 1e308\n",
+                "decay = 1e+308 leaves the zero field, which has no amplitude",
+                id="decay",
+            ),
+            pytest.param(
+                simulate_with("type", "type = bump") + "width = 1e-300\n",
+                "width = 1e-300 is too small: its square underflows to 0",
+                id="width",
+            ),
+            pytest.param(
+                simulate_with("amplitude", "amplitude = 1e308"),
+                "amplitude = 1e+308 overflows: the field peaks at",
+                id="amplitude",
+            ),
+        ],
+    )
+    def test_init_value_that_builds_no_field_exits_one(self, tmp_path, capsys, text, message):
+        # each once ended in an uncaught ValueError, with no run.log
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        log = (out / "run.log").read_text(encoding="utf-8")
+        assert f"status config error: {message}" in log
 
     def test_overflowing_dissipation_rate_runs_clean(self, tmp_path, capsys):
         # kappa |k|^(2 alpha) overflows on every nonzero mode: the ETD tables
@@ -1047,6 +1095,24 @@ class TestCliArtifacts:
         assert "interp-upgrade-0.75-0.6" in names
         assert "l43-interpolation" in names
 
+    def test_sweep_computes_its_step_once(self, tmp_path, capsys, monkeypatch):
+        # with dt unset, default_dt reads the initial speed once and each
+        # member's integrate reads it once; the summary's dt costs nothing more
+        calls = []
+        original = dynamics.advective_speed
+
+        def counted(theta):
+            calls.append(theta.domain.n)
+            return original(theta)
+
+        monkeypatch.setattr(dynamics, "advective_speed", counted)
+        lines = [line.replace("n = 16", "n = 32") for line in SWEEP_LINES]
+        out = self.run_ok(tmp_path, capsys, cfg(*lines, "alphas = [0.75, 0.6]"), "sweep-alpha")
+        assert calls == [32] * 3
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        times = summary["report"]["times"]
+        assert summary["dt"] == pytest.approx(times[1] - times[0])
+
     @pytest.mark.parametrize(
         "text, command, n_steps",
         [
@@ -1147,7 +1213,7 @@ class TestCliArtifacts:
             SimulationState(t=0.0, theta=theta0),
             params,
             experiment.stepper_for(theta0),
-            on_sample=states.append,
+            sample=states.append,
         )
         times = [s.t for s in states]
         want = []
@@ -1180,20 +1246,7 @@ class TestCliArtifacts:
 
     def test_estimates_battery_streams_its_states(self, tmp_path, capsys):
         # n = 64, 100 steps: 101 retained states would hold 101 n^2 complex values
-        text = cfg(
-            *SIMULATE_LINES[:1],
-            "kind = estimates-report",
-            "[domain]",
-            "n = 64",
-            *SIMULATE_LINES[4:8],
-            "dt = 0.01",
-            "t_end = 1.0",
-            *SIMULATE_LINES[10:],
-            "[monitors]",
-            "lq = [2, 4]",
-            "sobolev = [1.5]",
-            "tail_cutoff = 1.5",
-        )
+        text = STREAMING_REPORT
         self.run_ok(tmp_path, capsys, text, "estimates-report")  # builds the cached plans
         tracemalloc.start()
         try:
@@ -1205,3 +1258,21 @@ class TestCliArtifacts:
         assert summary["n_samples"] == 101
         retained = summary["n_samples"] * 64 * 64 * np.dtype(np.complex128).itemsize
         assert peak < retained / 2
+
+    def test_estimates_report_synthesizes_each_sample_twice(self, tmp_path, capsys, monkeypatch):
+        # theta(x) feeds the norm columns and the battery, and the battery adds
+        # (-Lap)^alpha theta(x); the initial field's amplitude costs one more
+        calls = []
+        original = to_physical
+
+        def counted(field):
+            calls.append(field.domain.n)
+            return original(field)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "sqglab" and getattr(module, "to_physical", None) is original:
+                monkeypatch.setattr(module, "to_physical", counted)
+        out = self.run_ok(tmp_path, capsys, STREAMING_REPORT, "estimates-report")
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["n_samples"] == 101
+        assert calls == [64] * 203

@@ -502,7 +502,7 @@ class TestIntegrateContract:
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.3)
         states = []
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
         for state in states:
             assert state.theta.coeffs[0, 0] == 0.0
 
@@ -511,7 +511,7 @@ class TestIntegrateContract:
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.5)
         states = []
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
         norms = [sobolev_norm(s.theta, 0.0) for s in states]
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1 + 1e-9)
@@ -522,7 +522,7 @@ class TestIntegrateContract:
         params = SqgParams(kappa=0.1, alpha=0.75, lam=lam)
         config = StepperConfig(dt=0.01, t_end=1.0)
         states = []
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
         base = sobolev_norm(theta0, 0.0) ** 2
         for state in states:
             energy = sobolev_norm(state.theta, 0.0) ** 2
@@ -536,11 +536,24 @@ class TestIntegrateContract:
             SimulationState(t=0.0, theta=theta0),
             params,
             config,
-            monitors={"l2": lambda t, th: sobolev_norm(th, 0.0)},
+            sample=lambda state: {"l2": sobolev_norm(state.theta, 0.0)},
         )
         col = result.series.column("l2")
         assert len(col) == len(result.series)
         assert col[0] == pytest.approx(sobolev_norm(theta0, 0.0))
+
+    def test_sample_columns_follow_cfl(self, torus32):
+        theta0 = random_smooth_field(torus32, seed=14, amplitude=0.1)
+        config = StepperConfig(dt=0.01, t_end=0.05, sample_every=2)
+        result = integrate(
+            SimulationState(t=0.0, theta=theta0),
+            SqgParams(kappa=0.1, alpha=0.75),
+            config,
+            sample=lambda state: {"z": state.t, "a": 1.0},
+        )
+        assert list(result.series.columns) == ["cfl", "z", "a"]
+        assert result.series.column("z") == result.series.times
+        assert result.series.meta == {"dt": config.step_dt}
 
     def test_cfl_derived_dt_lands_on_the_horizon(self, torus32):
         # dt = 0.0982 does not divide t_end = 1: eleven uniform steps of 1/11
@@ -685,7 +698,7 @@ class TestMarchBuffers:
             states.append(state)
             snapshots.append(state.theta.coeffs.copy())
 
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=keep)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=keep)
         assert len(states) == 11
         for state, snapshot in zip(states, snapshots):
             assert np.array_equal(state.theta.coeffs, snapshot)
@@ -810,7 +823,7 @@ class TestDirichletDynamics:
         params = SqgParams(kappa=0.2, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.3)
         states = []
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
         norms = [sobolev_norm(s.theta, 0.0) for s in states]
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1 + 1e-9)

@@ -42,7 +42,7 @@ def _short_run(domain, *, lam=0.0, seed=1, amplitude=0.2, alpha=0.75):
     params = SqgParams(kappa=0.2, alpha=alpha, lam=lam)
     config = StepperConfig(dt=0.01, t_end=0.1)
     states = []
-    integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+    integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
     return states
 
 
@@ -147,7 +147,7 @@ class TestMaxPrincipleMonitor:
         params = SqgParams(kappa=0.2, alpha=0.75, forcing=forcing)
         config = StepperConfig(dt=0.01, t_end=0.2)
         states = []
-        integrate(SimulationState(t=0.0, theta=theta0), params, config, on_sample=states.append)
+        integrate(SimulationState(t=0.0, theta=theta0), params, config, sample=states.append)
         for q in (2.0, 4.0):
             records = max_principle_monitor(*_sampled(states, q), q=q, forcing=forcing)
             assert all(r.passed for r in records)

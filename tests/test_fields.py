@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from sqglab.errors import BasisError
+from sqglab.errors import BasisError, FieldError
 from sqglab.fields import gaussian_bump_field, random_smooth_field, shear_field
 from sqglab.spectral import (
     dealias,
@@ -57,6 +59,18 @@ class TestRandomSmoothField:
         with pytest.raises(ValueError, match="amplitude"):
             random_smooth_field(torus32, seed=0, amplitude=-1.0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "key"),
+        [({"decay": 1e308}, "decay"), ({"amplitude": 1e308}, "amplitude")],
+        ids=["zero-field", "overflow"],
+    )
+    def test_values_that_build_no_field_name_their_key(self, torus32, kwargs, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError, match=key) as info:
+                random_smooth_field(torus32, seed=0, **kwargs)
+        assert info.value.field == key
+
 
 class TestShearField:
     def test_is_cosine_column(self, torus32):
@@ -98,6 +112,15 @@ class TestGaussianBump:
     def test_width_cap(self, torus32):
         with pytest.raises(ValueError, match="width"):
             gaussian_bump_field(torus32, width=5.0)
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_underflowing_width_names_its_key(self, name, request):
+        domain = request.getfixturevalue(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError, match="width") as info:
+                gaussian_bump_field(domain, width=1e-300)
+        assert info.value.field == "width"
 
     def test_dirichlet_variant(self, dirichlet32):
         theta = gaussian_bump_field(dirichlet32, width=0.3)
