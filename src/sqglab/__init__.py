@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     FieldError,
+    NonFiniteError,
     SingularOperatorError,
     SqgError,
     ZeroModeError,
@@ -115,6 +116,7 @@ __all__ = [
     "BlowUpError",
     "ConvergenceError",
     "SingularOperatorError",
+    "NonFiniteError",
     "ConfigError",
     "FieldError",
     "CflWarning",

@@ -36,6 +36,7 @@ from .errors import (
     BlowUpError,
     ConfigError,
     ConvergenceError,
+    NonFiniteError,
     SingularOperatorError,
     SqgError,
     ZeroModeError,
@@ -63,13 +64,14 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import lq_norm, sobolev_norm, to_physical
+from .spectral import SpectralField, lq_norm, sobolev_norm, to_physical
 
 __all__ = ["main"]
 
 _NUMERICAL_ERRORS = (
     BlowUpError,
     ConvergenceError,
+    NonFiniteError,
     SingularOperatorError,
     ZeroModeError,
     ArithmeticError,
@@ -175,10 +177,13 @@ def _domain_meta(experiment: Experiment, seed: int | None) -> dict:
 
 
 def _run_fixed_alpha(
-    experiment: Experiment, seed: int | None, out_dir: str, full_battery: bool
+    experiment: Experiment,
+    theta0: SpectralField,
+    seed: int | None,
+    out_dir: str,
+    full_battery: bool,
 ) -> int:
     """Shared driver for ``simulate`` and ``estimates-report``."""
-    theta0 = experiment.initial_field(seed)
     params = experiment.params
     stepper = experiment.stepper_for(theta0)
 
@@ -269,9 +274,12 @@ def _run_fixed_alpha(
 
 
 def _run_sweep_kind(
-    experiment: Experiment, seed: int | None, out_dir: str, threads: int | None
+    experiment: Experiment,
+    theta0: SpectralField,
+    seed: int | None,
+    out_dir: str,
+    threads: int | None,
 ) -> int:
-    theta0 = experiment.initial_field(seed)
     config = experiment.sweep_config(theta0)
     report, runs = sweep_with_runs(config, max_workers=threads)
 
@@ -455,6 +463,10 @@ def main(argv=None) -> int:
                 source=str(args.config),
                 line=1,
             )
+        # built before the output directory, so a bad [init] value is a config error
+        theta0 = None
+        if experiment.kind != "operator-tests":
+            theta0 = experiment.initial_field(args.seed)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 1
@@ -474,10 +486,13 @@ def main(argv=None) -> int:
             if experiment.kind == "operator-tests":
                 n_failed = _run_operator_tests(experiment, out_dir)
             elif experiment.kind in ("sweep-alpha", "dirichlet-sweep"):
-                n_failed = _run_sweep_kind(experiment, args.seed, out_dir, args.threads)
+                n_failed = _run_sweep_kind(
+                    experiment, theta0, args.seed, out_dir, args.threads
+                )
             else:
                 n_failed = _run_fixed_alpha(
                     experiment,
+                    theta0,
                     args.seed,
                     out_dir,
                     full_battery=experiment.kind == "estimates-report",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
@@ -355,7 +355,9 @@ class Experiment:
     Everything that can be checked without running has been checked; the
     helper methods construct the runtime objects (initial field, stepper,
     sweep configuration) deterministically from the stored parameters.
-    Fields an experiment kind does not read keep their defaults.
+    Fields an experiment kind does not read keep their defaults.  ``parsed``
+    is the table the experiment was loaded from, if any, so that an
+    ``[init]`` value found bad only when the field is built cites its line.
     """
 
     kind: str
@@ -386,11 +388,26 @@ class Experiment:
     operator_seed: int = 0
     operator_trials: int = 200
     operator_laplacian_n: int = 32
+    parsed: ParsedConfig | None = field(default=None, repr=False, compare=False)
 
     def initial_field(self, seed_override: int | None = None) -> SpectralField:
-        """Build the initial condition (CLI --seed overrides the file seed)."""
+        """Build the initial condition (CLI --seed overrides the file seed).
+
+        An ``[init]`` value that builds no field (one that leaves the zero
+        field, or overflows) raises :class:`ConfigError` citing its line
+        when the experiment came from a file, else the constructor's
+        :class:`FieldError`.
+        """
         if self.domain is None or self.init_kind is None:
             raise ValueError(f"experiment kind {self.kind!r} has no initial field")
+        try:
+            return self._build_initial_field(seed_override)
+        except FieldError as err:
+            if self.parsed is None:
+                raise
+            self.parsed.require(False, str(err), "init", err.field)
+
+    def _build_initial_field(self, seed_override: int | None) -> SpectralField:
         if self.init_kind == "random":
             seed = self.init_seed if seed_override is None else int(seed_override)
             return random_smooth_field(
@@ -529,6 +546,7 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         **_init_fields(parsed, domain),
         **_monitor_fields(parsed, domain, lam),
         **(_sweep_fields(parsed) if is_sweep else {}),
+        parsed=parsed,
     )
 
 

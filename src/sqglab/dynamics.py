@@ -27,10 +27,13 @@ extension to the doubled torus (:func:`embed_odd_extension`), which carries
 the same information, is kept as the reference the kernel is tested against.
 
 Runs take uniform steps that land exactly on the horizon.  One loop serves
-both bases.  It keeps raw coefficient arrays in two buffers it owns, forms
-the phi_1/phi_2 terms on the kept block only, and checks every step once for
-non-finite values, its blow-up signal, and against the advective CFL limit.
-Sampled states are copied out of the buffers and stream to the caller's one
+both bases.  Its state is the kept block itself, in two buffers it owns, so
+the ETD update and the per-step check for non-finite values (the blow-up
+signal) run on the block only; every step is also checked against the
+advective CFL limit.  The modes outside the block evolve by decay and
+forcing alone, and only when a state or forcing has any.  Sampled states
+are assembled into new full-layout arrays (on the torus the block's
+conjugate mirror fills the other columns) and stream to the caller's one
 ``sample`` hook, which may keep them and returns the sample's extra series
 columns.
 
@@ -318,9 +321,12 @@ class _TransportPlan:
     :meth:`transport` returns the transport on that block; :meth:`add_to`
     adds a block to a full FFT-layout array, the block columns and their
     conjugate mirror ``n-c .. n-1``, the only modes the transport touches.
-    The plan is shared by every caller of its domain, so it holds no
-    writable state: the synthesis buffer comes from :meth:`scratch` and
-    belongs to the caller.
+    A march keeps the block as its state: :meth:`remainder` copies out the
+    middle columns ``c+1 .. n-c-1``, which the block does not determine,
+    and :meth:`assemble` builds the full layout back from the two.  The
+    plan is shared by every caller of its domain, so it holds no writable
+    state: the synthesis buffer comes from :meth:`scratch` and belongs to
+    the caller.
     """
 
     n: int
@@ -364,8 +370,32 @@ class _TransportPlan:
         """Add a kept block and its conjugate mirror to a full-layout array."""
         n, cut = self.n, block.shape[1] - 1
         full[:, : cut + 1] += block
+        full[:, n - cut :] += self._mirror(block)
+
+    def is_real(self, full: np.ndarray) -> bool:
+        """Whether the mirror columns of a full-layout array are its block's exact mirror."""
+        cut = self.div.shape[2] - 1
+        return np.array_equal(full[:, self.n - cut :], self._mirror(self.kept(full)))
+
+    def remainder(self, full: np.ndarray) -> np.ndarray:
+        """A copy of the middle columns of a full-layout array, which the block omits."""
+        cut = self.div.shape[2] - 1
+        return full[:, cut + 1 : self.n - cut].copy()
+
+    def assemble(self, block: np.ndarray, rest: np.ndarray | None) -> np.ndarray:
+        """A new full-layout array: a block, its conjugate mirror and the middle ``rest``."""
+        n, cut = self.n, block.shape[1] - 1
+        full = np.empty((n, n), dtype=np.complex128)
+        full[:, : cut + 1] = block
+        full[:, cut + 1 : n - cut] = 0.0 if rest is None else rest
+        full[:, n - cut :] = self._mirror(block)
+        return full
+
+    def _mirror(self, block: np.ndarray) -> np.ndarray:
+        """The columns ``n-c .. n-1`` of a real field with the kept block ``block``."""
+        cut = block.shape[1] - 1
         mirrored = block[self.mirror, cut:0:-1]
-        full[:, n - cut :] += np.conjugate(mirrored, out=mirrored)
+        return np.conjugate(mirrored, out=mirrored)
 
     def _synthesize(self, coeffs: np.ndarray, count: int, scratch: np.ndarray) -> list[np.ndarray]:
         # Only the kept columns of the zeroed half plane are written, and the
@@ -415,9 +445,11 @@ class _DirichletPlan:
     Transforms skip the lines outside these blocks.
 
     :meth:`transport` returns the transport on the output block, which
-    :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  The zeroed flux
-    grids come from :meth:`scratch` and belong to the caller, since the plan
-    is shared by every caller of its domain.
+    :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  A march keeps the
+    block as its state, :meth:`remainder` holds the L-shaped rest of the
+    array and :meth:`assemble` joins the two.  The zeroed flux grids come
+    from :meth:`scratch` and belong to the caller, since the plan is shared
+    by every caller of its domain.
     """
 
     n: int
@@ -466,6 +498,22 @@ class _DirichletPlan:
         """Add a kept block to a full-layout array."""
         kept = self.kept(full)
         kept += block
+
+    def is_real(self, full: np.ndarray) -> bool:
+        """Always true: sine coefficients are real."""
+        return True
+
+    def remainder(self, full: np.ndarray) -> np.ndarray:
+        """A copy of a full-layout array with the block zeroed."""
+        rest = full.copy()
+        self.kept(rest)[...] = 0.0
+        return rest
+
+    def assemble(self, block: np.ndarray, rest: np.ndarray | None) -> np.ndarray:
+        """A new full-layout array: the block inside the remainder ``rest``."""
+        full = np.zeros((self.n - 1, self.n - 1)) if rest is None else rest.copy()
+        self.kept(full)[...] = block
+        return full
 
     def _velocity(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -574,22 +622,27 @@ def _march(
     params: SqgParams,
     config: StepperConfig,
     n_steps: int,
-) -> Iterator[tuple[float, np.ndarray, float]]:
-    """Yield ``(t, coeffs, max |u|)`` after each of ``n_steps`` ETD steps.
+) -> Iterator[tuple[float, np.ndarray, np.ndarray | None, float]]:
+    """Yield ``(t, block, rest, max |u|)`` after each of ``n_steps`` ETD steps.
 
-    The march owns its buffers: the state alternates between two arrays and
+    The state is the plan's kept block: on the torus the contiguous
+    ``(n, n/3 + 1)`` columns of the real-FFT half plane, whose conjugate
+    mirror the plan derives, on the Dirichlet box the ``[:2n/3, :2n/3]``
+    corner.  The transport touches only those modes, so the ETD update, the
+    phi_1/phi_2 terms and the finite check all run on the block.  The modes
+    the block does not determine (the torus's middle columns, the box's
+    L-shaped rest) evolve linearly, ``rest = decay rest + dt phi_1 f`` (the
+    corrector's ``N(predictor) - N(coeffs)`` cancels a forcing ``f``); that
+    ``rest`` is ``None`` unless the initial state or the forcing is nonzero
+    there.  ``plan.assemble(block, rest)`` gives the full layout, which
+    equals the full-layout update bit for bit.
+
+    The march owns its buffers: the block alternates between two arrays and
     the transport synthesizes through one scratch buffer, so a step
-    allocates little beyond the transforms' outputs.  A yielded array is
-    overwritten two steps later; a caller that keeps a state copies it.  The
-    plan never holds these buffers, since marches on one domain share it.
-
-    The transport touches only the plan's kept modes, so the phi_1/phi_2
-    terms are formed on the kept block and added in with the plan's
-    :meth:`~_TransportPlan.add_to`; elsewhere a step is ``decay * coeffs``,
-    plus ``dt phi_1 f`` precomputed for a forcing ``f`` (the corrector's
-    ``N(predictor) - N(coeffs)`` cancels ``f``).  Unforced states, and forced
-    ones with conjugate-symmetric ``f``, equal the full-layout update bit
-    for bit.
+    allocates little beyond the transforms' outputs.  A yielded block is
+    overwritten two steps later and ``rest`` at the next step; a caller
+    that keeps a state assembles it before resuming the march.  The plan
+    never holds these buffers, since marches on one domain share it.
 
     A step runs with overflow warnings silenced and is checked once at its
     end: IEEE arithmetic carries a non-finite value from any intermediate (a
@@ -598,6 +651,10 @@ def _march(
 
     Raises
     ------
+    FieldError
+        Naming ``theta`` if a torus state's mirror columns are not the
+        exact conjugate mirror of its kept columns: that is a complex theta,
+        which the equation does not evolve.
     BlowUpError
         At the time of the failed step, with the advective CFL number of
         the last accepted state (``inf`` if its velocity overflows).
@@ -605,49 +662,60 @@ def _march(
     domain = state.theta.domain
     dt = config.step_dt
     plan = _plan(domain)
+    coeffs = state.theta.coeffs
+    if not plan.is_real(coeffs):
+        raise FieldError(
+            "theta",
+            "theta is not a real field: its mirror columns are not the conjugate "
+            "mirror of its kept columns",
+        )
     tables = etd_coefficients(domain, params, dt)
+    decay = plan.kept(tables.decay).copy()
     dt_phi1 = tables.dt * plan.kept(tables.phi1)
     dt_phi2 = tables.dt * plan.kept(tables.phi2)
     forcing = _forcing_coeffs(domain, params)
-    outside = None
+    rest, rest_forcing = plan.remainder(coeffs), 0.0
     if forcing is not None:
-        outside = tables.dt * tables.phi1 * forcing
-        kept = np.zeros(outside.shape)
-        plan.add_to(kept, np.ones(plan.kept(kept).shape))
-        outside[kept != 0] = 0.0
-        forcing = plan.kept(forcing)
+        rest_forcing = plan.remainder(tables.dt * tables.phi1 * forcing)
+        forcing = plan.kept(forcing).copy()
+    rest_decay = plan.remainder(tables.decay)
+    if not (rest.any() or np.any(rest_forcing)):
+        rest = None  # every dealiased state and forcing: the block is all there is
     scratch = plan.scratch()
 
-    def rhs(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        block, speed = plan.transport(coeffs, scratch)
+    def rhs(block: np.ndarray) -> tuple[np.ndarray, float]:
+        out, speed = plan.transport(block, scratch)
         if forcing is not None:
-            block += forcing
-        return block, speed
+            out += forcing
+        return out, speed
 
-    coeffs = state.theta.coeffs
-    buffers = (np.empty_like(coeffs), np.empty_like(coeffs))
+    block = plan.kept(coeffs)
+    buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+    term = np.empty_like(decay, dtype=coeffs.dtype)
     for k in range(1, n_steps + 1):
         t_new = state.t + k * dt
-        new_coeffs = buffers[k % 2]
+        new_block = buffers[k % 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            n0, speed = rhs(coeffs)
-            np.multiply(tables.decay, coeffs, out=new_coeffs)
-            if outside is not None:
-                new_coeffs += outside
-            plan.add_to(new_coeffs, dt_phi1 * n0)
+            n0, speed = rhs(block)
+            np.multiply(decay, block, out=new_block)
+            new_block += np.multiply(dt_phi1, n0, out=term)
             if config.scheme is Scheme.ETD2RK:
                 # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-                n1, speed1 = rhs(new_coeffs)
+                n1, speed1 = rhs(new_block)
                 n1 -= n0
                 n1 *= dt_phi2
-                plan.add_to(new_coeffs, n1)
+                new_block += n1
                 speed = max(speed, speed1)
-            if not (math.isfinite(speed) and np.isfinite(new_coeffs).all()):
-                last = plan.speed(coeffs)
+            if rest is not None:
+                np.multiply(rest_decay, rest, out=rest)
+                rest += rest_forcing
+            finite = np.isfinite(new_block).all() and (rest is None or np.isfinite(rest).all())
+            if not (math.isfinite(speed) and finite):
+                last = plan.speed(block)
                 last = last if math.isfinite(last) else math.inf
                 raise BlowUpError(t_new, dt * last * domain.n / domain.box)
-        coeffs = new_coeffs
-        yield t_new, coeffs, speed
+        block = new_block
+        yield t_new, block, rest, speed
 
 
 def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
@@ -655,13 +723,15 @@ def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> Si
 
     Raises
     ------
+    FieldError
+        Naming ``theta`` for a torus state that is not a real field.
     BlowUpError
         If the step produces a non-finite value.
     """
-    t_new, coeffs, _ = next(_march(state, params, config, 1))
-    return SimulationState(
-        t=t_new, theta=SpectralField(coeffs=coeffs.copy(), domain=state.theta.domain)
-    )
+    domain = state.theta.domain
+    t_new, block, rest, _ = next(_march(state, params, config, 1))
+    theta = SpectralField(coeffs=_plan(domain).assemble(block, rest), domain=domain)
+    return SimulationState(t=t_new, theta=theta)
 
 
 def integrate(
@@ -678,8 +748,9 @@ def integrate(
     returns a mapping of extra series columns or ``None``; so per-sample
     work streams instead of needing every state kept (pass
     ``states.append`` to keep the trajectory).  The states it gets are
-    ``state`` itself and then copies of the march's buffers, which the
-    caller may keep.  The advective CFL number is checked at every step:
+    ``state`` itself and then new arrays assembled from the march's kept
+    block, which the caller may keep.  The advective CFL number is checked
+    at every step:
     if it exceeded :data:`CFL_LIMIT` at any step since the previous sample,
     the next sample emits a :class:`~sqglab.errors.CflWarning` with the
     largest value (escalate warnings to errors for a strict run).
@@ -690,6 +761,13 @@ def integrate(
         The diagnostics series (column ``cfl`` always comes first and holds
         the CFL number of the sampled step; ``meta["dt"]`` is the step taken)
         and the final state.
+
+    Raises
+    ------
+    FieldError
+        Naming ``theta`` for a torus state that is not a real field.
+    BlowUpError
+        At the first step that produces a non-finite value.
     """
     domain = state.theta.domain
     dt = config.step_dt
@@ -710,16 +788,17 @@ def integrate(
         series.append(current.t, row)
 
     n_steps = config.n_steps
+    plan = _plan(domain)
     current = state
     speed = advective_speed(state.theta)
     record(current, speed, speed, state.t)
     peak, peak_t = 0.0, state.t
-    for k, (t, coeffs, speed) in enumerate(_march(state, params, config, n_steps), 1):
+    for k, (t, block, rest, speed) in enumerate(_march(state, params, config, n_steps), 1):
         if speed > peak:
             peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
-            # a copy: the march overwrites its buffers, and the field owns its array
-            theta = SpectralField(coeffs=coeffs.copy(), domain=domain)
+            # a new array: the march overwrites its buffers, and the field owns its array
+            theta = SpectralField(coeffs=plan.assemble(block, rest), domain=domain)
             current = SimulationState(t=t, theta=theta)
             record(current, speed, peak, peak_t)
             peak = 0.0

@@ -15,6 +15,7 @@ __all__ = [
     "BlowUpError",
     "ConvergenceError",
     "SingularOperatorError",
+    "NonFiniteError",
     "ConfigError",
     "FieldError",
     "CflWarning",
@@ -57,6 +58,15 @@ class ConvergenceError(SqgError, RuntimeError):
 
 class SingularOperatorError(SqgError, ValueError):
     """A strictly-positive-definite operator was required but not supplied."""
+
+
+class NonFiniteError(SqgError, ValueError):
+    """A checked quantity came out non-finite, so its inequality has no verdict.
+
+    A numerical failure (the state it was computed from overflows the
+    quantity), not a bad argument; it stays a ``ValueError`` for callers
+    that caught the bare one.
+    """
 
 
 class ConfigError(SqgError, ValueError):

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .spectral import (
     Basis,
     DomainSpec,
@@ -63,7 +64,8 @@ class InequalityRecord:
 
     ``slack = rhs - lhs`` and ``passed = slack >= -tol * scale`` with
     ``scale = max(|lhs|, |rhs|, 1)``, which :meth:`as_dict` also reports.
-    ``name`` identifies the inequality family in reports.
+    ``name`` identifies the inequality family in reports.  A non-finite
+    side raises :class:`~sqglab.errors.NonFiniteError`.
     """
 
     name: str
@@ -78,7 +80,7 @@ class InequalityRecord:
         lhs = float(self.lhs)
         rhs = float(self.rhs)
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
-            raise ValueError(f"record {self.name!r}: non-finite sides ({lhs}, {rhs})")
+            raise NonFiniteError(f"record {self.name!r}: non-finite sides ({lhs}, {rhs})")
         slack = rhs - lhs
         scale = max(abs(lhs), abs(rhs), 1.0)
         object.__setattr__(self, "slack", slack)
@@ -313,9 +315,14 @@ def _cordoba_slack(
 def _positivity_integral(
     values: np.ndarray, diss: np.ndarray, q: float, domain: DomainSpec
 ) -> float:
-    """Grid quadrature of ``diss |theta|^{q-1} sgn(theta)`` for grid values of theta."""
-    integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
-    return _grid_integral(integrand, domain)
+    """Grid quadrature of ``diss |theta|^{q-1} sgn(theta)`` for grid values of theta.
+
+    A state whose integrand overflows gives ``inf`` or ``nan``, silently: the
+    record it fills rejects it as a :class:`~sqglab.errors.NonFiniteError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
+        return _grid_integral(integrand, domain)
 
 
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:

@@ -442,21 +442,31 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """Sobolev norm (Σ_{k≠0} |k|^{2s}|θ̂(k)|² + [s ≥ 0]·|θ̂(0)|²)^{1/2}.
 
     |k| is the physical wavenumber (2π/L-scaled on the torus, √μ_k for sine
-    modes).  Negative orders require a mean-free field.
+    modes).  Negative orders require a mean-free field.  Where the squares
+    overflow, the sum is redone with the largest coefficient factored out.
     """
     dom = field.domain
+    torus = dom.basis is Basis.TORUS
+    if torus and s < 0 and not field.mean_free:
+        raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
     mult = _laplacian_power(dom, s)  # |k|^{2s} per mode
-    mag2 = np.abs(field.coeffs) ** 2
-    if dom.basis is Basis.TORUS:
-        if s < 0 and not field.mean_free:
-            raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
+    mag = np.abs(field.coeffs)
+
+    def weighted_sum(mag: np.ndarray) -> float:
+        mag2 = mag**2
+        if not torus:
+            return float(np.sum(mag2 * mult))
         # the zero mode is the first entry in FFT layout; it is added below
         total = float(np.sum(mag2.ravel()[1:] * mult.ravel()[1:]))
-        if s >= 0:
-            total += float(mag2[0, 0])
-    else:
-        total = float(np.sum(mag2 * mult))
-    return math.sqrt(total)
+        return total + float(mag2[0, 0]) if s >= 0 else total
+
+    with np.errstate(over="ignore"):
+        total = weighted_sum(mag)
+        if math.isfinite(total):
+            return math.sqrt(total)
+        # the squares overflow: factor the largest coefficient out
+        peak = float(mag.max())
+        return peak * math.sqrt(weighted_sum(mag / peak))
 
 
 def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
@@ -469,7 +479,8 @@ def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
 def grid_lp_norm(field: PhysicalField | SpectralField, p: float) -> float:
     """L^p grid quadrature for any p ∈ (1, ∞]; internal superset of lq_norm.
 
-    Spectral fields are synthesized to the grid first.
+    Spectral fields are synthesized to the grid first.  Where the p-th
+    powers overflow, the sum is redone with the grid maximum factored out.
     """
     if isinstance(field, SpectralField):
         field = to_physical(field)
@@ -477,7 +488,14 @@ def grid_lp_norm(field: PhysicalField | SpectralField, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(values)))
     cell = (field.domain.box / field.domain.n) ** 2
-    return float((cell * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+    mag = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = cell * np.sum(mag**p)
+        if np.isfinite(total):
+            return float(total ** (1.0 / p))
+        # the p-th powers overflow: factor the grid maximum out
+        peak = float(mag.max())
+        return peak * float((cell * np.sum((mag / peak) ** p)) ** (1.0 / p))
 
 
 def inner_product(a: SpectralField, b: SpectralField) -> float:

@@ -813,35 +813,68 @@ class TestCliExitCodes:
         assert "dt is too small: t_end/dt overflows, got 1e-320" in err
 
     @pytest.mark.parametrize(
-        ("text", "message"),
+        ("text", "line", "message"),
         [
             pytest.param(
                 SIMULATE + "decay = 1e308\n",
+                14,
                 "decay = 1e+308 leaves the zero field, which has no amplitude",
                 id="decay",
             ),
             pytest.param(
                 simulate_with("type", "type = bump") + "width = 1e-300\n",
+                14,
                 "width = 1e-300 is too small: its square underflows to 0",
                 id="width",
             ),
             pytest.param(
                 simulate_with("amplitude", "amplitude = 1e308"),
+                13,
                 "amplitude = 1e+308 overflows: the field peaks at",
                 id="amplitude",
             ),
         ],
     )
-    def test_init_value_that_builds_no_field_exits_one(self, tmp_path, capsys, text, message):
-        # each once ended in an uncaught ValueError, with no run.log
+    def test_init_value_that_builds_no_field_exits_one(
+        self, tmp_path, capsys, text, line, message
+    ):
+        # the field is built before the output directory, like every other
+        # check of the file, so the error cites its line and writes nothing
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--config", config, "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
-        log = (out / "run.log").read_text(encoding="utf-8")
-        assert f"status config error: {message}" in log
+        err = capsys.readouterr().err
+        assert f"config error ({config}, line {line}): {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("kind", "code", "status"),
+        [
+            # |theta|^8 of the lq monitor overflows; the norm factors the maximum out
+            ("simulate", 0, "status ok"),
+            # |theta|^7 of the positivity integral overflows to a non-finite record
+            ("estimates-report", 2, "non-finite sides"),
+        ],
+    )
+    def test_overflowing_state_keeps_the_exit_contract(
+        self, tmp_path, capsys, kind, code, status
+    ):
+        # a finite state whose powers overflow: the CFL number is tiny
+        text = simulate_with("kind", f"kind = {kind}")
+        text = text.replace("dt = 0.01", "dt = 1e-42").replace("t_end = 0.05", "t_end = 1e-41")
+        text = text.replace("amplitude = 0.1", "amplitude = 1e39") + "[monitors]\nlq = [2, 8]\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([kind, "--config", config, "--out", str(out)]) == code
+        assert status in (out / "run.log").read_text(encoding="utf-8")
+        if code == 0:
+            series = (out / "series.csv").read_text(encoding="utf-8").splitlines()
+            rows = [line for line in series if not line.startswith("#")][1:]
+            assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all()
 
     def test_overflowing_dissipation_rate_runs_clean(self, tmp_path, capsys):
         # kappa |k|^(2 alpha) overflows on every nonzero mode: the ETD tables

@@ -19,6 +19,7 @@ from sqglab.dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _march,
     _plan,
     advective_speed,
     default_dt,
@@ -641,15 +642,10 @@ def _reference_march(theta, params, config, steps):
 
 
 def _oracle_state(domain, seed, kind):
-    """A smooth, full-spectrum or (torus only) non-conjugate-symmetric field."""
+    """A smooth field, or a real field with every mode populated."""
     if kind == "smooth":
         return random_smooth_field(domain, seed, amplitude=0.5)
-    theta = _full_spectrum_field(domain, seed) * 0.05
-    if kind == "asymmetric" and domain.basis is Basis.TORUS:
-        # the transform of a complex field: no mode matches its mirror
-        other = _full_spectrum_field(domain, seed + 1).coeffs * 0.05
-        theta = SpectralField(coeffs=theta.coeffs + 1j * other, domain=domain)
-    return theta
+    return _full_spectrum_field(domain, seed) * 0.05
 
 
 class TestStepOracle:
@@ -659,20 +655,22 @@ class TestStepOracle:
     @given(
         domain=st.one_of(_tori, _boxes),
         seed=st.integers(0, 2**31),
-        kind=st.sampled_from(["smooth", "full_spectrum", "asymmetric"]),
+        kind=st.sampled_from(["smooth", "full_spectrum"]),
         scheme=st.sampled_from(list(Scheme)),
         steps=st.integers(1, 4),
         kappa=st.floats(0.01, 1.0),
         alpha=st.floats(0.55, 1.0),
         lam=st.sampled_from([0.0, 0.3]),
-        forced=st.booleans(),
+        forcing=st.sampled_from([None, "smooth", "full_spectrum"]),
     )
     def test_march_matches_full_layout_reference(
-        self, domain, seed, kind, scheme, steps, kappa, alpha, lam, forced
+        self, domain, seed, kind, scheme, steps, kappa, alpha, lam, forcing
     ):
+        # full-spectrum states and forcings are nonzero outside the kept
+        # block, so they run the march's linear remainder too
         theta = _oracle_state(domain, seed, kind)
-        # a real forcing is conjugate-symmetric, for which the two agree exactly
-        forcing = random_smooth_field(domain, seed + 2, amplitude=0.3) if forced else None
+        if forcing is not None:
+            forcing = _oracle_state(domain, seed + 2, forcing) * 0.6
         params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
         config = StepperConfig(dt=0.01, t_end=0.01 * steps, scheme=scheme)
         want = _reference_march(theta, params, config, steps)
@@ -681,6 +679,20 @@ class TestStepOracle:
         assert np.array_equal(result.final.theta.coeffs, want)
         first = step(state, params, config)
         assert np.array_equal(first.theta.coeffs, _reference_march(theta, params, config, 1))
+
+    @pytest.mark.parametrize("name", ["torus32", "torus64"])
+    def test_complex_theta_is_rejected(self, name, request):
+        # the transform of a complex field: no mirror column matches its block
+        domain = request.getfixturevalue(name)
+        real = _full_spectrum_field(domain, 5).coeffs
+        imag = _full_spectrum_field(domain, 6).coeffs
+        theta = SpectralField(coeffs=real + 1j * imag, domain=domain)
+        state = SimulationState(t=0.0, theta=theta)
+        config = StepperConfig(dt=0.01, t_end=0.02)
+        for march in (integrate, step):
+            with pytest.raises(FieldError, match="not a real field") as err:
+                march(state, SqgParams(kappa=0.1, alpha=0.75), config)
+            assert err.value.field == "theta"
 
 
 class TestMarchBuffers:
@@ -703,6 +715,27 @@ class TestMarchBuffers:
         for state, snapshot in zip(states, snapshots):
             assert np.array_equal(state.theta.coeffs, snapshot)
         assert not np.array_equal(states[1].theta.coeffs, states[3].theta.coeffs)
+
+    @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32", "dirichlet64"])
+    @pytest.mark.parametrize("kind", ["smooth", "full_spectrum"])
+    def test_march_state_is_the_kept_block(self, name, kind, request):
+        domain = request.getfixturevalue(name)
+        n, state = domain.n, SimulationState(t=0.0, theta=_oracle_state(domain, 33, kind))
+        march = _march(state, SqgParams(kappa=0.1, alpha=0.75), StepperConfig(0.01, 0.03), 3)
+        blocks = []
+        for _, block, rest, _ in march:
+            blocks.append(block)
+            if domain.basis is Basis.TORUS:
+                assert block.shape == (n, n // 3 + 1)
+            else:
+                assert block.shape == (2 * n // 3, 2 * n // 3)
+            assert block.flags.c_contiguous
+            # a dealiased state has no remainder; a full-spectrum one keeps it
+            if kind == "smooth":
+                assert rest is None
+            elif domain.basis is Basis.TORUS:
+                assert rest.shape == (n, n - 2 * (n // 3) - 1)
+        assert blocks[0] is blocks[2] and blocks[1] is not blocks[0]
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_step_result_stays_fixed(self, name, request):

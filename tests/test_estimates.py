@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqglab.cli import _NUMERICAL_ERRORS
 from sqglab.dynamics import SimulationState, SqgParams, StepperConfig, integrate
+from sqglab.errors import NonFiniteError
 from sqglab.estimates import (
     DEFAULT_TOL,
     CutoffSpec,
@@ -82,6 +84,12 @@ class TestInequalityRecord:
     def test_non_finite_sides_rejected(self):
         with pytest.raises(ValueError, match="non-finite sides"):
             InequalityRecord(name="demo", t=0.0, lhs=np.inf, rhs=1.0)
+
+    def test_non_finite_sides_are_a_numerical_error(self):
+        # the command-line driver maps it to exit 2 with a run.log
+        with pytest.raises(NonFiniteError, match="'demo': non-finite sides"):
+            InequalityRecord(name="demo", t=0.0, lhs=0.0, rhs=np.nan)
+        assert NonFiniteError in _NUMERICAL_ERRORS
 
     def test_tolerance_scales_with_the_larger_side(self):
         # relative tolerance: the same absolute violation passes at 1e3, fails at 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +298,31 @@ class TestNorms:
         theta = random_smooth_field(torus32, seed=20)
         with pytest.raises(ValueError, match="q must be >= 2"):
             lq_norm(theta, 1.5)
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_norms_whose_powers_overflow_factor_the_peak_out(self, name, request):
+        # |c|^2 and |theta|^8 overflow at this scale while both norms are finite
+        domain = request.getfixturevalue(name)
+        theta = random_smooth_field(domain, seed=22)
+        huge = theta * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (0.0, 1.0, -0.5):
+                assert sobolev_norm(huge, s) == pytest.approx(
+                    1e200 * sobolev_norm(theta, s), rel=1e-13
+                )
+            for q in (2.0, 8.0):
+                assert lq_norm(huge, q) == pytest.approx(1e200 * lq_norm(theta, q), rel=1e-13)
+
+    def test_norms_that_fit_keep_their_rounding(self, torus32):
+        theta = random_smooth_field(torus32, seed=23)
+        values = to_physical(theta).values
+        cell = (torus32.box / torus32.n) ** 2
+        assert lq_norm(theta, 8.0) == float((cell * np.sum(np.abs(values) ** 8.0)) ** 0.125)
+        mag2 = np.abs(theta.coeffs) ** 2
+        mult = torus32.laplacian_symbol
+        want = float(np.sum(mag2.ravel()[1:] * mult.ravel()[1:])) + float(mag2[0, 0])
+        assert sobolev_norm(theta, 1.0) == np.sqrt(want)
 
     def test_inner_product_matches_norm(self, torus32):
         theta = random_smooth_field(torus32, seed=21)
