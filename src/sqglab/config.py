@@ -9,9 +9,11 @@ the offending line; problems only visible at end of file (missing sections
 or keys) cite the last line.
 
 ``_KEYS`` is the one table of sections and keys, with each key's type,
-default and allowed values; ``_SECTIONS_BY_KIND`` says which sections an
-experiment kind reads.  The range and cross-key rules are the ``require``
-calls of :func:`load_experiment` and its helpers.
+default, allowed values and integer bounds (the upper ones on ``n`` and the
+operator sizes are resource bounds, checked before anything is allocated);
+``_SECTIONS_BY_KIND`` says which sections an experiment kind reads.  The
+other range rules and the cross-key rules are the ``require`` calls of
+:func:`load_experiment` and its helpers.
 """
 
 from __future__ import annotations
@@ -52,11 +54,19 @@ class _Key(NamedTuple):
 
     ``type`` is one of ``str``, ``int``, ``float``, ``bool``, ``ints``,
     ``floats`` and ``floats+inf`` (an array whose entries may be ``inf``).
+    ``bounds`` is an ``int`` key's ``(minimum, maximum)``, either ``None``
+    for no bound.
     """
 
     type: str
     default: object = None
     choices: tuple | None = None
+    bounds: tuple[int | None, int | None] = (None, None)
+
+
+#: Resource bound of the sizes a file may ask for: a complex n^2 state, a
+#: dense size^2 operator, stays within tens of MB per array.
+_MAX_SIZE = 2048
 
 
 _PDE_SECTIONS = frozenset(
@@ -75,7 +85,7 @@ EXPERIMENT_KINDS: tuple[str, ...] = tuple(_SECTIONS_BY_KIND)
 _KEYS: dict[str, dict[str, _Key]] = {
     "experiment": {"kind": _Key("str", _REQUIRED, EXPERIMENT_KINDS)},
     "domain": {
-        "n": _Key("int", _REQUIRED),  # a power of two >= 16
+        "n": _Key("int", _REQUIRED, bounds=(None, _MAX_SIZE)),  # a power of two >= 16
         "box": _Key("float", 2.0 * math.pi),
         "basis": _Key("str", None, ("torus", "dirichlet")),  # default: by kind
     },
@@ -97,7 +107,7 @@ _KEYS: dict[str, dict[str, _Key]] = {
     },
     "init": {
         "type": _Key("str", _REQUIRED, ("random", "shear", "bump")),
-        "seed": _Key("int", 0),
+        "seed": _Key("int", 0, bounds=(0, None)),
         "decay": _Key("float", 4.0),
         "amplitude": _Key("float", 1.0),
         "mode": _Key("int", 1),
@@ -115,10 +125,10 @@ _KEYS: dict[str, dict[str, _Key]] = {
         "c3": _Key("float"),
     },
     "operator": {
-        "size": _Key("int", 16),
-        "seed": _Key("int", 0),
-        "trials": _Key("int", 200),
-        "laplacian_n": _Key("int", 32),
+        "size": _Key("int", 16, bounds=(2, _MAX_SIZE)),
+        "seed": _Key("int", 0, bounds=(0, None)),
+        "trials": _Key("int", 200, bounds=(1, None)),
+        "laplacian_n": _Key("int", 32, bounds=(2, _MAX_SIZE)),
     },
     "output": {"dir": _Key("str")},
 }
@@ -187,7 +197,7 @@ class ParsedConfig:
         An absent key takes the table default; an absent required key cites
         the section header.
         """
-        vtype, default, choices = _KEYS[section][key]
+        vtype, default, choices, (minimum, maximum) = _KEYS[section][key]
         found = self.entry(section, key)
         if found is None:
             self.require(
@@ -219,6 +229,10 @@ class ParsedConfig:
             return text
         if vtype == "int":
             require_type(_is_int(value), "an integer")
+            if minimum is not None:
+                require_type(value >= minimum, f"at least {minimum}")
+            if maximum is not None:
+                require_type(value <= maximum, f"at most {maximum}")
         elif vtype == "bool":
             require_type(isinstance(value, bool), "true or false")
         elif vtype == "float":
@@ -466,14 +480,6 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         size, seed, trials, laplacian_n = (
             get("operator", key) for key in ("size", "seed", "trials", "laplacian_n")
         )
-        for key, value, minimum in (
-            ("size", size, 2),
-            ("seed", seed, 0),
-            ("trials", trials, 1),
-            ("laplacian_n", laplacian_n, 2),
-        ):
-            message = f"{key} must be at least {minimum}, got {value}"
-            require(value >= minimum, message, "operator", key)
         return Experiment(
             kind=kind,
             out_dir=out_dir,
@@ -581,7 +587,6 @@ def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:
     itype, seed, decay, amplitude, mode, width = (
         get("init", key) for key in ("type", "seed", "decay", "amplitude", "mode", "width")
     )
-    require(seed >= 0, f"seed must be at least 0, got {seed!r}", "init", "seed")
     require(amplitude > 0, f"amplitude must be positive, got {amplitude!r}", "init", "amplitude")
     require(
         itype != "random" or decay > 1.0,

@@ -18,13 +18,18 @@ keeps, and the plan adds such a block into a full-layout array.  On the torus
 the block is the columns ``0 .. n/3`` of the real-FFT half plane (the plan
 adds their conjugate mirror too), so one evaluation is three inverse real
 FFTs (u1, u2 and theta) and two forward ones (the fluxes), whose complex
-passes skip the zeroed columns.  On a Dirichlet box the
-kernel stays on the box's own ``(n+1)^2`` grid: theta is a sine-sine series,
-the velocity components are sine-cosine and cosine-sine series, and type-1
-sine/cosine transforms synthesize them and analyze the two fluxes, alias-free
-under the same 1/3 cut; the block is the modes up to ``2n/3``.  Odd
-extension to the doubled torus (:func:`embed_odd_extension`), which carries
-the same information, is kept as the reference the kernel is tested against.
+passes skip the zeroed columns.  Each pass is a per-axis ``numpy.fft`` call
+writing into buffers the caller owns (the plan's ``scratch`` and an output
+block): theta is synthesized onto one grid, then u1 and u2 stream one at a
+time through a second grid, each multiplied by theta and analyzed before
+the next is synthesized, so a step allocates no transform output.  On a
+Dirichlet box the kernel stays on the box's own ``(n+1)^2`` grid: theta is a
+sine-sine series, the velocity components are sine-cosine and cosine-sine
+series, and type-1 sine/cosine transforms (``scipy.fft``) synthesize them
+and analyze the two fluxes, alias-free under the same 1/3 cut; the block is
+the modes up to ``2n/3``.  Odd extension to the doubled torus
+(:func:`embed_odd_extension`), which carries the same information, is kept
+as the reference the kernel is tested against.
 
 Runs take uniform steps that land exactly on the horizon.  One loop serves
 both bases.  Its state is the kept block itself, in two buffers it owns, so
@@ -318,15 +323,20 @@ class _TransportPlan:
     ``mirror`` is the row index of ``-k1``.  The kernel assumes real fields,
     i.e. conjugate-symmetric coefficients, which the block determines.
 
-    :meth:`transport` returns the transport on that block; :meth:`add_to`
-    adds a block to a full FFT-layout array, the block columns and their
-    conjugate mirror ``n-c .. n-1``, the only modes the transport touches.
-    A march keeps the block as its state: :meth:`remainder` copies out the
-    middle columns ``c+1 .. n-c-1``, which the block does not determine,
-    and :meth:`assemble` builds the full layout back from the two.  The
-    plan is shared by every caller of its domain, so it holds no writable
-    state: the synthesis buffer comes from :meth:`scratch` and belongs to
-    the caller.
+    :meth:`transport` writes the transport on that block into ``out``;
+    :meth:`add_to` adds a block to a full FFT-layout array, the block
+    columns and their conjugate mirror ``n-c .. n-1``, the only modes the
+    transport touches.  A march keeps the block as its state:
+    :meth:`remainder` copies out the middle columns ``c+1 .. n-c-1``, which
+    the block does not determine, and :meth:`assemble` builds the full
+    layout back from the two.
+
+    The plan is shared by every caller of its domain, so it holds no
+    writable state: :meth:`scratch` gives the caller every buffer the
+    kernel writes, and the caller owns ``out``.  Every transform is a
+    per-axis ``numpy.fft`` pass into one of those buffers, and every
+    elementwise pass runs on contiguous arrays, so an evaluation on a
+    contiguous block allocates no array.
     """
 
     n: int
@@ -334,37 +344,61 @@ class _TransportPlan:
     div: np.ndarray
     mirror: np.ndarray
 
-    def scratch(self) -> np.ndarray:
-        """A zeroed ``rfft2`` half plane for :meth:`transport`'s syntheses."""
-        return np.zeros((self.n, self.n // 2 + 1), dtype=np.complex128)
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """The buffers :meth:`transport` writes: ``(half, theta, u, spectrum, temp)``.
+
+        ``half`` is a zeroed ``rfft2`` half plane whose kept columns carry
+        each synthesis; ``theta`` and ``u`` are ``(n, n)`` grids;
+        ``spectrum`` is an ``(n, n/2+1)`` half plane for each flux's
+        ``rfft``; ``temp`` is a kept block.
+        """
+        n = self.n
+        return (
+            np.zeros((n, n // 2 + 1), dtype=np.complex128),
+            np.empty((n, n)),
+            np.empty((n, n)),
+            np.empty((n, n // 2 + 1), dtype=np.complex128),
+            np.empty(self.div.shape[1:], dtype=np.complex128),
+        )
 
     def kept(self, array: np.ndarray) -> np.ndarray:
         """View of the block of a full-layout array that :meth:`transport` returns."""
         return array[:, : self.div.shape[2]]
 
-    def transport(self, coeffs: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field."""
-        import scipy.fft  # on first use: runs that transform nothing never load it
+    def transport(
+        self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float]:
+        """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field.
 
-        u1, u2, theta = self._synthesize(coeffs, 3, scratch)
-        speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
-        u1 *= theta
-        u2 *= theta
-        cols = self.div.shape[2]
-        # each flux's axis-0 pass runs in place on the kept columns of its rfft
-        f1, f2 = (
-            scipy.fft.fft(scipy.fft.rfft(flux, axis=1)[:, :cols], axis=0, overwrite_x=True)
-            for flux in (u1, u2)
-        )
-        np.multiply(self.div[0], f1, out=f1)
-        np.multiply(self.div[1], f2, out=f2)
-        f1 += f2
-        return f1, speed
+        The block is written into ``out`` (a new array if ``None``), which is
+        returned.  Theta is synthesized first; then u1 and u2 stream one at a
+        time through the second grid: its extremes give the speed, it is
+        multiplied by theta in place, and the flux is analyzed into
+        ``out`` (u1) or into ``temp`` and added to ``out`` (u2).
+        """
+        _, theta, u, spectrum, temp = scratch
+        if out is None:
+            out = np.empty_like(temp)
+        self._synthesize(self.synth[2], coeffs, scratch, theta)
+        extremes = []
+        for mult, div, dest in zip(self.synth[:2], self.div, (out, temp)):
+            self._synthesize(mult, coeffs, scratch, u)
+            extremes += (u.max(), -u.min())
+            u *= theta
+            np.fft.rfft(u, axis=1, out=spectrum)
+            np.fft.fft(self.kept(spectrum), axis=0, out=temp)
+            np.multiply(div, temp, out=dest)
+        out += temp
+        return out, float(max(extremes))
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
-        u1, u2 = self._synthesize(coeffs, 2, self.scratch())
-        return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+        scratch = self.scratch()
+        extremes = []
+        for mult in self.synth[:2]:
+            u = self._synthesize(mult, coeffs, scratch, scratch[2])
+            extremes += (u.max(), -u.min())
+        return float(max(extremes))
 
     def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
         """Add a kept block and its conjugate mirror to a full-layout array."""
@@ -397,21 +431,18 @@ class _TransportPlan:
         mirrored = block[self.mirror, cut:0:-1]
         return np.conjugate(mirrored, out=mirrored)
 
-    def _synthesize(self, coeffs: np.ndarray, count: int, scratch: np.ndarray) -> list[np.ndarray]:
-        # Only the kept columns of the zeroed half plane are written, and the
-        # axis-0 pass runs in place on them (scipy.fft writes a complex
-        # overwrite_x transform into its input), so the axis-1 pass needs no
-        # padding.
-        import scipy.fft
-
-        n = self.n
-        kept, block = self.kept(scratch), self.kept(coeffs)
-        grids = []
-        for mult in self.synth[:count]:
-            np.multiply(mult, block, out=kept)
-            scipy.fft.ifft(kept, axis=0, norm="forward", overwrite_x=True)
-            grids.append(scipy.fft.irfft(scratch, n=n, axis=1, norm="forward"))
-        return grids
+    def _synthesize(
+        self, mult: np.ndarray, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], grid: np.ndarray
+    ) -> np.ndarray:
+        """Write the grid values of ``mult * coeffs`` into ``grid`` and return it."""
+        # The product goes to the contiguous temp block (numpy buffers an
+        # elementwise pass over a strided view); the axis-0 pass writes the
+        # kept columns of the zeroed half plane, so the axis-1 pass needs
+        # no padding.
+        half, *_, temp = scratch
+        np.multiply(mult, self.kept(coeffs), out=temp)
+        np.fft.ifft(temp, axis=0, norm="forward", out=self.kept(half))
+        return np.fft.irfft(half, n=self.n, axis=1, norm="forward", out=grid)
 
 
 #: Per-axis type-1 transform of a Dirichlet-box series, named by its
@@ -444,12 +475,12 @@ class _DirichletPlan:
     ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` folded in.
     Transforms skip the lines outside these blocks.
 
-    :meth:`transport` returns the transport on the output block, which
-    :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  A march keeps the
-    block as its state, :meth:`remainder` holds the L-shaped rest of the
-    array and :meth:`assemble` joins the two.  The zeroed flux grids come
-    from :meth:`scratch` and belong to the caller, since the plan is shared
-    by every caller of its domain.
+    :meth:`transport` writes the transport on the output block into
+    ``out``, which :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  A
+    march keeps the block as its state, :meth:`remainder` holds the
+    L-shaped rest of the array and :meth:`assemble` joins the two.  The
+    zeroed flux grids come from :meth:`scratch` and, like ``out``, belong
+    to the caller, since the plan is shared by every caller of its domain.
     """
 
     n: int
@@ -467,9 +498,12 @@ class _DirichletPlan:
         return array[:cut, :cut]
 
     def transport(
-        self, coeffs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+        self,
+        coeffs: np.ndarray,
+        scratch: tuple[np.ndarray, np.ndarray],
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field."""
+        """Dealiased ``-div(u theta)`` on the kept block, written into ``out``, and max|u|."""
         import scipy.fft
 
         n, cut = self.n, self.div.shape[1]
@@ -484,10 +518,12 @@ class _DirichletPlan:
         f1 = scipy.fft.dst(f1, type=1, axis=1)[:, :cut]
         f2 = scipy.fft.dst(flux2, type=1, axis=0)[:cut]
         f2 = scipy.fft.dct(f2, type=1, axis=1)[:, 1 : cut + 1]
-        np.multiply(self.div[0], f1, out=f1)
+        if out is None:
+            out = np.empty(f1.shape)
+        np.multiply(self.div[0], f1, out=out)
         np.multiply(self.div[1], f2, out=f2)
-        f1 += f2
-        return f1, speed
+        out += f2
+        return out, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
@@ -637,10 +673,12 @@ def _march(
     there.  ``plan.assemble(block, rest)`` gives the full layout, which
     equals the full-layout update bit for bit.
 
-    The march owns its buffers: the block alternates between two arrays and
-    the transport synthesizes through one scratch buffer, so a step
-    allocates little beyond the transforms' outputs.  A yielded block is
-    overwritten two steps later and ``rest`` at the next step; a caller
+    The march owns its buffers: the block alternates between two arrays,
+    the transport writes through the plan's scratch buffers into ``n0``
+    and, for the corrector, ``n1``, which first holds the phi_1 term, so a
+    torus step allocates no array beyond the finite check's mask (a
+    Dirichlet step still allocates its transform outputs).  A yielded block
+    is overwritten two steps later and ``rest`` at the next step; a caller
     that keeps a state assembles it before resuming the march.  The plan
     never holds these buffers, since marches on one domain share it.
 
@@ -683,25 +721,25 @@ def _march(
         rest = None  # every dealiased state and forcing: the block is all there is
     scratch = plan.scratch()
 
-    def rhs(block: np.ndarray) -> tuple[np.ndarray, float]:
-        out, speed = plan.transport(block, scratch)
+    def rhs(block: np.ndarray, out: np.ndarray) -> float:
+        speed = plan.transport(block, scratch, out)[1]
         if forcing is not None:
             out += forcing
-        return out, speed
+        return speed
 
     block = plan.kept(coeffs)
     buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
-    term = np.empty_like(decay, dtype=coeffs.dtype)
+    n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
     for k in range(1, n_steps + 1):
         t_new = state.t + k * dt
         new_block = buffers[k % 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            n0, speed = rhs(block)
+            speed = rhs(block, n0)
             np.multiply(decay, block, out=new_block)
-            new_block += np.multiply(dt_phi1, n0, out=term)
+            new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
             if config.scheme is Scheme.ETD2RK:
                 # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-                n1, speed1 = rhs(new_block)
+                speed1 = rhs(new_block, n1)
                 n1 -= n0
                 n1 *= dt_phi2
                 new_block += n1

@@ -549,6 +549,14 @@ class TestLoadExperiment:
                          "laplacian_n must be at least 2, got 1", id="operator-laplacian-n"),
             pytest.param(simulate_with("n", "n = 100"), 4, "n must be a power of two >= 16, got 100",
                          id="domain-n"),
+            pytest.param(simulate_with("n", "n = 4096"), 4, "n must be at most 2048, got 4096",
+                         id="domain-n-above-bound"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]", "size = 2049"), 4,
+                         "size must be at most 2048, got 2049", id="operator-size-above-bound"),
+            pytest.param(cfg("[experiment]", "kind = operator-tests", "[operator]",
+                             "laplacian_n = 2049"), 4,
+                         "laplacian_n must be at most 2048, got 2049",
+                         id="operator-laplacian-n-above-bound"),
             pytest.param(cfg(*SIMULATE_LINES[:4], "box = 0", *SIMULATE_LINES[4:]), 5,
                          "box size must be positive and finite, got 0.0", id="domain-box"),
             pytest.param(cfg(*DIRICHLET_SWEEP_LINES[:4], "basis = torus", *DIRICHLET_SWEEP_LINES[4:]),
@@ -811,6 +819,37 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"config error ({config}, line 9)" in err
         assert "dt is too small: t_end/dt overflows, got 1e-320" in err
+
+    @pytest.mark.parametrize(
+        ("command", "text", "line", "message"),
+        [
+            pytest.param("simulate", simulate_with("n", "n = 1099511627776"), 4,
+                         "n must be at most 2048, got 1099511627776", id="domain-n"),
+            pytest.param("operator-tests", OPERATOR_CLI.replace("size = 6", "size = 4096"), 4,
+                         "size must be at most 2048, got 4096", id="operator-size"),
+            pytest.param("operator-tests",
+                         OPERATOR_CLI.replace("laplacian_n = 8", "laplacian_n = 2049"), 7,
+                         "laplacian_n must be at most 2048, got 2049", id="operator-laplacian-n"),
+        ],
+    )
+    def test_oversized_array_is_a_cited_config_error(
+        self, tmp_path, capsys, command, text, line, message
+    ):
+        # n = 2^40 once reached the initial field's random draw, which
+        # raised an uncaught ValueError; the bound is checked at load time,
+        # so nothing of the requested size is allocated
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", config, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"config error ({config}, line {line}): {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         ("text", "line", "message"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -379,18 +380,27 @@ class TestPrunedTorusKernel:
         assert plan.speed(coeffs) == want_speed
 
     def test_plan_building_leaves_scipy_fft_unloaded(self):
-        # the kernel imports scipy.fft where it transforms, not at import or
-        # plan time, so a process that transforms nothing never loads it
+        # the torus kernel transforms with numpy.fft alone; the Dirichlet
+        # kernel imports scipy.fft where it first transforms, not at import
+        # or plan time
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from sqglab.dynamics import _plan, advective_speed\n"
-            "from sqglab.spectral import Basis, DomainSpec, SpectralField\n"
+            "from sqglab.dynamics import (\n"
+            "    SimulationState, SqgParams, StepperConfig, _plan, advective_speed,\n"
+            "    integrate, nonlinear_rhs,\n"
+            ")\n"
+            "from sqglab.spectral import Basis, DomainSpec, cosine_field, sine_mode_field\n"
             "torus = DomainSpec(n=32, box=2 * np.pi, basis=Basis.TORUS)\n"
             "box = DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET)\n"
             "_plan(torus), _plan(box)\n"
             "print('scipy.fft' in sys.modules)\n"
-            "advective_speed(SpectralField.zeros(torus))\n"
+            "theta = cosine_field(torus, (1, 2)) + cosine_field(torus, (3, 1))\n"
+            "nonlinear_rhs(theta), advective_speed(theta)\n"
+            "integrate(SimulationState(t=0.0, theta=theta), SqgParams(kappa=0.1, alpha=0.75),\n"
+            "          StepperConfig(dt=0.01, t_end=0.02))\n"
+            "print('scipy.fft' in sys.modules)\n"
+            "nonlinear_rhs(sine_mode_field(box, (1, 2)))\n"
             "print('scipy.fft' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(sqglab.__file__))
@@ -399,7 +409,30 @@ class TestPrunedTorusKernel:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "True"]
+        assert result.stdout.split() == ["False", "False", "True"]
+
+    def test_transport_allocates_nothing_and_fills_out(self):
+        # a march's evaluation: a contiguous block in, one scratch and one
+        # out reused; numpy traces its array allocations, so any
+        # intermediate grid would lift the peak by at least n^2 * 8 bytes
+        n = 128
+        domain = DomainSpec(n=n, box=2 * np.pi, basis=Basis.TORUS)
+        plan = _plan(domain)
+        block = plan.kept(random_smooth_field(domain, 3, amplitude=1.0).coeffs).copy()
+        scratch = plan.scratch()
+        out = np.empty_like(block)
+        plan.transport(block, scratch, out)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                got = plan.transport(block, scratch, out)[0]
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < n * n * 8
+        assert got is out
+        assert np.all(out == plan.transport(block, plan.scratch())[0])
 
 
 class TestStepOracles:
