@@ -44,6 +44,7 @@ from .errors import (
 from .estimates import (
     CutoffSpec,
     InequalityRecord,
+    _battery_plan,
     damped_energy_monitor,
     linf_monitor,
     max_principle_monitor,
@@ -195,6 +196,8 @@ def _run_fixed_alpha(
     mid_norms = [(s, []) for s in experiment.monitor_sobolev if s >= params.alpha]
     radius = experiment.monitor_tail_cutoff
     cutoff = None if radius is None else CutoffSpec(k=radius)
+    # one set of battery buffers, reused by every sample
+    scratch = _battery_plan(theta0.domain, params.alpha).scratch() if full_battery else None
 
     def sample(state: SimulationState) -> dict[str, float]:
         # one synthesis of theta feeds the linf and lq columns and the battery
@@ -206,7 +209,7 @@ def _run_fixed_alpha(
             row[f"h{s:g}"] = sobolev_norm(theta, s)
         if not full_battery:
             return row
-        slack, integrals = state_battery(theta, grid, params.alpha, finite_lq)
+        slack, integrals = state_battery(theta, grid, params.alpha, finite_lq, scratch)
         battery.append(
             InequalityRecord(name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack)
         )
@@ -221,6 +224,7 @@ def _run_fixed_alpha(
         return row
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
+    scratch = None  # the sampling is over: the buffers go before the artifacts are built
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     times = series.times

@@ -9,8 +9,9 @@ the offending line; problems only visible at end of file (missing sections
 or keys) cite the last line.
 
 ``_KEYS`` is the one table of sections and keys, with each key's type,
-default, allowed values and integer bounds (the upper ones on ``n`` and the
-operator sizes are resource bounds, checked before anything is allocated);
+default, allowed values and integer bounds (the upper ones on ``n``, the
+operator sizes and the trial count are resource bounds, checked before
+anything is allocated);
 ``_SECTIONS_BY_KIND`` says which sections an experiment kind reads.  The
 other range rules and the cross-key rules are the ``require`` calls of
 :func:`load_experiment` and its helpers.
@@ -68,6 +69,11 @@ class _Key(NamedTuple):
 #: dense size^2 operator, stays within tens of MB per array.
 _MAX_SIZE = 2048
 
+#: Resource bound of ``[operator] trials``: the trials are drawn, stacked
+#: and diagonalized at once, at about 0.8 kB and 50 us a trial, so the cap
+#: keeps them under 100 MB and about five seconds.
+_MAX_TRIALS = 100_000
+
 
 _PDE_SECTIONS = frozenset(
     {"experiment", "domain", "params", "forcing", "stepper", "init", "output"}
@@ -100,7 +106,9 @@ _KEYS: dict[str, dict[str, _Key]] = {
         "amplitude": _Key("float", 1.0),
     },
     "stepper": {
-        "dt": _Key("float"),  # default: CFL-derived at run time
+        # default: CFL-derived at run time; t_end/dt at most dynamics.MAX_STEPS,
+        # since a step count that does not end within minutes is a mistyped dt
+        "dt": _Key("float"),
         "t_end": _Key("float", _REQUIRED),
         "scheme": _Key("str", "etd2rk", ("etd2rk", "etd1")),
         "sample_every": _Key("int", 1),
@@ -127,7 +135,7 @@ _KEYS: dict[str, dict[str, _Key]] = {
     "operator": {
         "size": _Key("int", 16, bounds=(2, _MAX_SIZE)),
         "seed": _Key("int", 0, bounds=(0, None)),
-        "trials": _Key("int", 200, bounds=(1, None)),
+        "trials": _Key("int", 200, bounds=(1, _MAX_TRIALS)),
         "laplacian_n": _Key("int", 32, bounds=(2, _MAX_SIZE)),
     },
     "output": {"dir": _Key("str")},

@@ -79,11 +79,17 @@ __all__ = [
     "embed_odd_extension",
     "restrict_odd_extension",
     "CFL_LIMIT",
+    "MAX_STEPS",
 ]
 
 #: Advisory advective CFL ceiling ``dt * max|u| * n / L``; crossing it emits
 #: a :class:`~sqglab.errors.CflWarning` at the next sample.
 CFL_LIMIT = 0.5
+
+#: Most steps a run may take.  A torus step costs about 0.3 ms even at
+#: n = 16 and each sample keeps a series row, so a step count that does
+#: not end within minutes is a mistyped ``dt``, not a run.
+MAX_STEPS = 10**6
 
 #: Below this value of ``|a dt|`` the phi functions switch to Taylor series.
 _PHI_SERIES_CUT = 1e-4
@@ -160,7 +166,7 @@ class StepperConfig:
     @property
     def n_steps(self) -> int:
         """Fewest steps no longer than ``dt`` that cover [0, t_end]; at least 1."""
-        return int(np.ceil(self.t_end / self.dt - 1e-12))
+        return _step_count(self.t_end, self.dt)
 
     @property
     def step_dt(self) -> float:
@@ -168,14 +174,19 @@ class StepperConfig:
         return self.t_end / self.n_steps
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Fewest steps no longer than ``dt`` that cover ``[0, t_end]``, for a finite ratio."""
+    return math.ceil(t_end / dt - 1e-12)
+
+
 def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> None:
     """Raise :class:`FieldError` unless a run's horizon and sampling describe a run.
 
     ``t_end`` must be positive and finite, a given ``dt`` (``None`` asks for
     the CFL step) must lie in ``(0, t_end]``, since no run could take a
-    longer step than its horizon, and leave ``t_end/dt`` finite, since that
-    is the step count, and ``sample_every`` must be an integer of
-    at least 1.  The experiment file, :class:`StepperConfig` and
+    longer step than its horizon, and leave the step count ``t_end/dt``
+    finite and at most :data:`MAX_STEPS`, and ``sample_every`` must be an
+    integer of at least 1.  The experiment file, :class:`StepperConfig` and
     :class:`~sqglab.critical.AlphaSweepConfig` all apply these rules.
     """
     if not (math.isfinite(t_end) and t_end > 0):
@@ -184,6 +195,10 @@ def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> 
         raise FieldError("dt", f"dt must lie in (0, t_end], got {dt!r}")
     if dt is not None and not math.isfinite(float(t_end) / float(dt)):
         raise FieldError("dt", f"dt is too small: t_end/dt overflows, got {dt!r}")
+    if dt is not None and _step_count(t_end, dt) > MAX_STEPS:
+        raise FieldError(
+            "dt", f"dt is too small: t_end/dt asks for more than {MAX_STEPS} steps, got {dt!r}"
+        )
     if not (sample_every >= 1 and float(sample_every).is_integer()):
         raise FieldError(
             "sample_every", f"sample_every must be a positive integer, got {sample_every!r}"

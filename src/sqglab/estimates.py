@@ -15,11 +15,23 @@ The families covered:
 * positivity of ``int (-Lap)^a theta |theta|^{q-1} sgn theta``,
 * a higher-Sobolev differential-inequality monitor (boundedness witness),
 * tail mass against a smooth radial cutoff.
+
+The pointwise and positivity checks of a state run on one read-only plan
+per (domain, order), cached like the transport plans, and write into
+buffers the caller owns (:func:`state_battery`'s ``scratch``), which a run
+reuses at every sample.  On the torus the plan synthesizes
+``(-Lap)^a theta`` from the block of modes the 2/3 rule keeps, and forms
+the square of the pointwise inequality alias-free on the grid of 3n/2
+points; every transform is a per-axis ``numpy.fft`` pass whose axis-0
+passes run only on the columns that can be nonzero.  The Dirichlet box
+keeps ``to_physical`` and its same-grid square behind the same plan.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,6 +43,7 @@ from .spectral import (
     DomainSpec,
     PhysicalField,
     SpectralField,
+    _laplacian_power,
     dealias,
     fractional_laplacian,
     lq_norm,
@@ -224,105 +237,223 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _dissipated(theta: SpectralField, grid: PhysicalField, alpha: float) -> np.ndarray:
-    """Grid values of ``(-Lap)^a theta``; ``grid`` is ``to_physical(theta)``, returned at a = 0."""
+def _dissipated(theta: SpectralField, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Grid values of ``(-Lap)^a theta`` through ``to_physical``; ``values`` (theta's) at a = 0."""
     if alpha == 0.0:
-        return grid.values
+        return values
     return to_physical(fractional_laplacian(theta, alpha)).values
 
 
 @dataclass(frozen=True)
-class _SquarePlan:
-    """Read-only tables of the exact ``(-Lap)^a(phi^2)`` on a torus domain.
+class _BatteryPlan:
+    """Read-only tables of the per-state checks on one domain and order a.
 
-    A dealiased field has modes ``|k_i| <= c = floor(n/3)`` and its square
-    modes ``|k_i| <= 2c < N/2`` on the grid of ``N = 3n/2`` points, so the
-    square is formed there without aliasing.  Its spectrum, multiplied by
-    ``|k|^{2a}``, is folded onto the n grid (``k mod n``) and synthesized
-    once there, which gives its values at the original points exactly.
-    ``mult`` is ``|k|^{2a}`` in the N grid's ``rfft2`` half-plane layout
-    with every scale folded in: phi is synthesized without its scale
-    ``N^2/L``, so its square lacks that factor twice, the square's analysis
-    contributes ``L/N^2`` and the n-grid synthesis ``n^2/L``.  ``mult`` is
-    zero outside the square's exact support ``|k_i| <= 2c``, where the N
-    grid transform holds only round-off that ``|k|^{2a}`` would amplify.
-    ``mirror`` is the n-grid row of ``-k1``.
+    Shared and cached per (domain, a), the plan holds no writable state:
+    :meth:`scratch` gives the caller every buffer the checks write.
+    ``beyond`` indexes the rows, and the columns, of the modes past the
+    2/3 cut.  On a Dirichlet box ``synth`` and ``square`` are ``None`` and
+    the checks keep ``to_physical`` and the same-grid eigenexpansion of the
+    square (it converges, but its truncation shows up as boundary-layer
+    noise).
+
+    On the torus a dealiased phi has modes ``|k_i| <= c = floor(n/3)``,
+    all in the columns ``0 .. c`` of its ``rfft2`` half plane (the kept
+    block).  ``(-Lap)^a phi`` is ``synth`` (``|k|^{2a}``, the dealias mask
+    and the synthesis scale ``1/L``) times that block, synthesized by an
+    axis-0 pass on its c+1 columns and an axis-1 pass.  The square's modes
+    reach ``|k_i| <= 2c < N/2`` on the grid of ``N = 3n/2`` points, so phi
+    is synthesized there, squared without aliasing and analyzed, the
+    axis-0 passes running on the c+1 kept and the 2c+1 support columns
+    only.  ``square`` is ``|k|^{2a}`` on that support block, with the
+    scales ``1/(L N)^2`` of the unnormalized passes folded in; it is zero
+    on the rows ``|k_1| > 2c``, where the N grid holds only round-off that
+    ``|k|^{2a}`` would amplify.  Folded onto the n grid (``k mod n``) and
+    synthesized there, the spectrum gives ``(-Lap)^a(phi^2)`` at the
+    original points exactly.  Every elementwise pass runs on contiguous
+    arrays, since numpy buffers one over a strided view.
     """
 
-    n: int
-    mult: np.ndarray
-    mirror: np.ndarray
+    domain: DomainSpec
+    alpha: float
+    beyond: slice
+    synth: np.ndarray | None
+    square: np.ndarray | None
 
-    def dissipated_square(self, coeffs: np.ndarray) -> np.ndarray:
-        """``(-Lap)^a(phi^2)`` at the original grid points, for a dealiased phi."""
-        import scipy.fft
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """The buffers the checks write: three grids, then on the torus five transform buffers.
 
-        n, (big, width) = self.n, self.mult.shape
-        c, nyq = n // 3, n // 2
-        half = np.zeros((big, width), dtype=np.complex128)
-        half[: c + 1, : c + 1] = coeffs[: c + 1, : c + 1]
-        half[big - c :, : c + 1] = coeffs[n - c :, : c + 1]
-        phi = scipy.fft.irfft2(half, s=(big, big))
-        square = scipy.fft.rfft2(phi * phi)
-        square *= self.mult
-        # rows k1 and k1 - n alias to one n-grid row; a column k2 > n/2
-        # aliases to k2 - n, which the half plane holds conjugated at column
-        # n - k2 and row -k1; the Nyquist column takes both k2 = n/2 and -n/2
-        fold = np.zeros((n, 2 * c + 1), dtype=np.complex128)
-        fold[: 2 * c + 1] = square[: 2 * c + 1, : 2 * c + 1]
-        fold[n - 2 * c :] += square[big - 2 * c :, : 2 * c + 1]
-        out = fold[:, : nyq + 1]
-        out[:, n - 2 * c :] += np.conj(fold[self.mirror, 2 * c : nyq - 1 : -1])
-        return scipy.fft.irfft2(out, s=(n, n))
+        The grids take ``(-Lap)^a phi``, ``(-Lap)^a(phi^2)`` and the slack,
+        and the integrals reuse all three.  The torus buffers are a kept
+        block and a zeroed half plane on the n grid, then the N-grid input
+        block (zero between its kept rows), a half plane and the N grid.
+        """
+        n = self.domain.n
+        if self.synth is None:
+            return _carve([((n + 1, n + 1), np.float64)] * 3)
+        kept, big = self.synth.shape[1], self.square.shape[0]
+        return _carve(
+            [((n, n), np.float64)] * 3
+            + [
+                ((n, kept), np.complex128),
+                ((n, n // 2 + 1), np.complex128),
+                ((big, kept), np.complex128),
+                ((big, big // 2 + 1), np.complex128),
+                ((big, big), np.float64),
+            ]
+        )
+
+    def dealiased(self, field: SpectralField) -> bool:
+        """Whether a field has no mode past the 2/3 cut, scanning only those modes."""
+        beyond = self.beyond
+        return not (field.coeffs[beyond].any() or field.coeffs[:, beyond].any())
+
+    def dissipated(
+        self, phi: SpectralField, values: np.ndarray, scratch: tuple[np.ndarray, ...]
+    ) -> np.ndarray:
+        """Grid values of ``(-Lap)^a phi`` for a dealiased phi; ``values`` (phi's) at a = 0.
+
+        On the torus they are written into the first scratch grid.
+        """
+        if self.alpha == 0.0:
+            return values
+        if self.synth is None:
+            return _dissipated(phi, values, self.alpha)
+        grid, *_, temp, half = scratch[:5]
+        np.copyto(temp, phi.coeffs[:, : temp.shape[1]])
+        temp *= self.synth
+        np.fft.ifft(temp, axis=0, norm="forward", out=half[:, : temp.shape[1]])
+        return np.fft.irfft(half, n=self.domain.n, axis=1, norm="forward", out=grid)
+
+    def slack(
+        self,
+        phi: SpectralField,
+        values: np.ndarray,
+        diss: np.ndarray,
+        scratch: tuple[np.ndarray, ...],
+    ) -> np.ndarray:
+        """``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` of a dealiased phi, in the third scratch grid.
+
+        ``values`` and ``diss`` are the grid values of phi and ``(-Lap)^a phi``.
+        """
+        work = scratch[2]
+        if self.alpha == 0.0:
+            return np.square(values, out=work)
+        if self.synth is None:
+            square = to_spectral(values**2, self.domain)
+            diss_sq = to_physical(fractional_laplacian(square, self.alpha)).values
+        else:
+            diss_sq = self._dissipated_square(phi.coeffs, scratch)
+        np.multiply(values, diss, out=work)
+        work *= 2.0
+        work -= diss_sq
+        return work
+
+    def _dissipated_square(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+        """``(-Lap)^a(phi^2)`` at the n-grid points of a dealiased torus phi, in the second grid."""
+        n, nyq = self.domain.n, self.domain.n // 2
+        (big, support), cut = self.square.shape, self.synth.shape[1] - 1
+        top = support - 1  # 2c, the square's largest |k_i|
+        _, out, _, _, _, pad, half, grid = scratch
+        pad[: cut + 1] = coeffs[: cut + 1, : cut + 1]
+        pad[big - cut :] = coeffs[n - cut :, : cut + 1]
+        half[:, cut + 1 :] = 0.0  # clears the previous square's spectrum
+        np.fft.ifft(pad, axis=0, norm="forward", out=half[:, : cut + 1])
+        np.fft.irfft(half, n=big, axis=1, norm="forward", out=grid)
+        np.square(grid, out=grid)
+        np.fft.rfft(grid, axis=1, out=half)
+        # the N grid is spent: its memory takes the support block
+        block = _complex_view(grid, (big, support))
+        np.fft.fft(half[:, :support], axis=0, out=block)
+        block *= self.square
+        # rows k1 and k1 - n alias to one n-grid row; the rows between the
+        # square's positive and negative support are zero, and the two
+        # row slabs are disjoint, so the fold runs in place
+        block[n - top : big - top] += block[big - top : 2 * n - top]
+        block[big - top : n] = block[2 * n - top :]
+        # synthesized along k1 into the spent half plane's memory, one row
+        # per column k2; a column k2 > n/2 aliases to k2 - n, which the half
+        # plane holds conjugated at column n - k2: those columns are written
+        # in reverse order after the half plane's and added conjugated; the
+        # Nyquist column takes both k2 = n/2 and -n/2, i.e. twice its real
+        # part, the only part the axis-1 pass reads
+        folded = _complex_view(half, (support, n))
+        np.fft.ifft(block[:n, : nyq + 1], axis=0, norm="forward", out=folded[: nyq + 1].T)
+        np.fft.ifft(block[:n, nyq + 1 :], axis=0, norm="forward", out=folded[top:nyq:-1].T)
+        wrap = folded[nyq + 1 :]
+        np.conjugate(wrap, out=wrap)
+        folded[n - top : nyq] += wrap
+        folded[nyq] *= 2.0
+        return np.fft.irfft(folded[: nyq + 1], n=n, axis=0, norm="forward", out=out.T).T
+
+    def integrals(
+        self,
+        values: np.ndarray,
+        diss: np.ndarray,
+        qs: Sequence[float],
+        scratch: tuple[np.ndarray, ...],
+    ) -> list[float]:
+        """Grid quadratures of ``diss |theta|^{q-1} sgn(theta)``, one per q, in the scratch grids.
+
+        ``values`` are theta's grid values.  ``|theta|`` and ``diss
+        sgn(theta)`` are formed once for all q.  A state whose integrand
+        overflows gives ``inf`` or ``nan``, silently: the record it fills
+        rejects it as a :class:`~sqglab.errors.NonFiniteError`.
+        """
+        signed, magnitude, work = scratch[:3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(diss, np.sign(values, out=work), out=signed)
+            np.abs(values, out=magnitude)
+            integrals = []
+            for q in qs:
+                np.power(magnitude, q - 1.0, out=work)
+                work *= signed
+                integrals.append(_grid_integral(work, self.domain))
+        return integrals
+
+
+def _carve(layout: list[tuple[tuple[int, int], type]]) -> tuple[np.ndarray, ...]:
+    """Zeroed arrays of the given shapes and dtypes, cut from one allocation.
+
+    Freed together, they leave one hole the size of all of them rather
+    than one per array, so a caller that drops its scratch can return the
+    memory before its next allocations.  Every size is a multiple of 16
+    bytes, which keeps each array aligned.
+    """
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+    memory = np.zeros(sum(sizes), dtype=np.uint8)
+    starts = itertools.accumulate(sizes, initial=0)
+    return tuple(
+        memory[start : start + size].view(dtype).reshape(shape)
+        for (shape, dtype), start, size in zip(layout, starts, sizes)
+    )
+
+
+def _complex_view(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A contiguous complex array of ``shape`` on the leading memory of a contiguous buffer."""
+    flat = buffer.reshape(-1).view(np.complex128)
+    return flat[: shape[0] * shape[1]].reshape(shape)
 
 
 @functools.lru_cache(maxsize=16)
-def _square_plan(domain: DomainSpec, alpha: float) -> _SquarePlan:
-    """The 3n/2-grid plan of a torus domain and order, built once per pair."""
-    n = domain.n
+def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
+    """The check plan of a domain and order, built once per pair."""
+    n, cut = domain.n, domain.n // 3
+    if domain.basis is Basis.DIRICHLET:
+        return _BatteryPlan(domain, alpha, slice(cut, None), None, None)
+    kept = np.s_[:, : cut + 1]
+    synth = _laplacian_power(domain, alpha)[kept] * (domain.dealias_mask[kept] / domain.box)
     big = 3 * n // 2
     k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
-    k2 = np.arange(big // 2 + 1, dtype=float)[None, :]
+    k2 = np.arange(2 * cut + 1, dtype=float)[None, :]
     sym = (2.0 * np.pi / domain.box) ** 2 * (k1**2 + k2**2)
-    support = np.maximum(np.abs(k1), k2) <= 2 * (n // 3)
-    mult = np.zeros(sym.shape)
-    np.power(sym, alpha, out=mult, where=support & (sym > 0))
-    mult *= (big * n / domain.box) ** 2
-    mirror = -np.arange(n) % n
-    for table in (mult, mirror):
+    square = np.zeros(sym.shape)
+    np.power(sym, alpha, out=square, where=(np.abs(k1) <= 2 * cut) & (sym > 0))
+    square /= (domain.box * big) ** 2
+    # complex tables: a complex block times a real table would be cast in buffers
+    synth, square = (table.astype(np.complex128) for table in (synth, square))
+    for table in (synth, square):
         table.setflags(write=False)
-    return _SquarePlan(n=n, mult=mult, mirror=mirror)
-
-
-def _cordoba_slack(
-    phi: SpectralField, values: np.ndarray, diss: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` of a dealiased field.
-
-    ``values`` and ``diss`` are the grid values of phi and ``(-Lap)^a phi``.
-    """
-    if alpha == 0.0:
-        return values**2
-    domain = phi.domain
-    if domain.basis is Basis.TORUS:
-        diss_sq = _square_plan(domain, alpha).dissipated_square(phi.coeffs)
-    else:
-        square = to_spectral(values**2, domain)
-        diss_sq = to_physical(fractional_laplacian(square, alpha)).values
-    return 2.0 * values * diss - diss_sq
-
-
-def _positivity_integral(
-    values: np.ndarray, diss: np.ndarray, q: float, domain: DomainSpec
-) -> float:
-    """Grid quadrature of ``diss |theta|^{q-1} sgn(theta)`` for grid values of theta.
-
-    A state whose integrand overflows gives ``inf`` or ``nan``, silently: the
-    record it fills rejects it as a :class:`~sqglab.errors.NonFiniteError`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
-        return _grid_integral(integrand, domain)
+    return _BatteryPlan(domain, alpha, slice(cut + 1, n - cut), synth, square)
 
 
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
@@ -339,9 +470,11 @@ def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     """
     _check_alpha(alpha)
     phi = dealias(phi)
-    grid = to_physical(phi)
-    diss = _dissipated(phi, grid, alpha)
-    return PhysicalField(values=_cordoba_slack(phi, grid.values, diss, alpha), domain=phi.domain)
+    values = to_physical(phi).values
+    plan = _battery_plan(phi.domain, alpha)
+    scratch = plan.scratch()
+    slack = plan.slack(phi, values, plan.dissipated(phi, values, scratch), scratch)
+    return PhysicalField(values=slack, domain=phi.domain)
 
 
 def cordoba_pointwise_check(phi: SpectralField, alpha: float) -> float:
@@ -362,35 +495,53 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     """
     _check_q(q)
     _check_alpha(alpha)
-    grid = to_physical(theta)
-    return _positivity_integral(grid.values, _dissipated(theta, grid, alpha), q, theta.domain)
+    values = to_physical(theta).values
+    plan = _battery_plan(theta.domain, alpha)
+    scratch = plan.scratch()
+    if plan.dealiased(theta):
+        diss = plan.dissipated(theta, values, scratch)
+    else:
+        diss = _dissipated(theta, values, alpha)
+    return plan.integrals(values, diss, [q], scratch)[0]
 
 
 def state_battery(
-    theta: SpectralField, grid: PhysicalField, alpha: float, qs: Sequence[float]
+    theta: SpectralField,
+    grid: PhysicalField,
+    alpha: float,
+    qs: Sequence[float],
+    scratch: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, list[float]]:
     """Córdoba minimum slack and positivity integrals of one state.
 
     Equals ``cordoba_pointwise_check(theta, alpha)`` and
     ``[positivity_integral_check(theta, q, alpha) for q in qs]``.  ``grid``
     is ``to_physical(theta)``, which the caller has already synthesized for
-    its own per-state quantities; ``(-Lap)^a theta`` is synthesized once for
-    all checks (theta and it once more when theta has modes beyond the
-    dealias cut, which the Córdoba check drops).
+    its own per-state quantities.  Everything else is written into owned
+    buffers: ``scratch`` is ``_battery_plan(domain, alpha).scratch()``,
+    which a caller checking many states passes to every call (a new one
+    per call if ``None``).  On the torus ``(-Lap)^a theta`` and the
+    Córdoba square come from the pruned passes of the plan's kept block.
+    When theta has modes beyond the dealias cut, the Córdoba check reads
+    ``dealias(theta)``, synthesized once more, and the integrals read
+    ``(-Lap)^a theta`` through ``to_physical``.
     """
     _check_alpha(alpha)
     for q in qs:
         _check_q(q)
-    diss = _dissipated(theta, grid, alpha)
-    phi = dealias(theta)
-    if np.array_equal(phi.coeffs, theta.coeffs):
-        phi_grid, phi_diss = grid, diss
+    plan = _battery_plan(theta.domain, alpha)
+    scratch = plan.scratch() if scratch is None else scratch
+    values = grid.values
+    if plan.dealiased(theta):
+        diss = plan.dissipated(theta, values, scratch)
+        slack = float(plan.slack(theta, values, diss, scratch).min())
     else:
-        phi_grid = to_physical(phi)
-        phi_diss = _dissipated(phi, phi_grid, alpha)
-    slack = float(_cordoba_slack(phi, phi_grid.values, phi_diss, alpha).min())
-    integrals = [_positivity_integral(grid.values, diss, q, theta.domain) for q in qs]
-    return slack, integrals
+        phi = dealias(theta)
+        phi_values = to_physical(phi).values
+        phi_diss = plan.dissipated(phi, phi_values, scratch)
+        slack = float(plan.slack(phi, phi_values, phi_diss, scratch).min())
+        diss = _dissipated(theta, values, alpha)
+    return slack, plan.integrals(values, diss, qs, scratch)
 
 
 # ----------------------------------------------------------------------------

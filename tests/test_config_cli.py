@@ -32,7 +32,7 @@ from sqglab.config import (
     parse_config_text,
 )
 from sqglab.critical import DEFAULT_SWEEP_ALPHAS
-from sqglab.dynamics import SimulationState, integrate
+from sqglab.dynamics import MAX_STEPS, SimulationState, integrate
 from sqglab.errors import CflWarning, ConfigError
 from sqglab.estimates import (
     CutoffSpec,
@@ -811,6 +811,34 @@ class TestCliExitCodes:
         assert f"config error ({config}, line 3)" in err
         assert "duplicate key 'n'" in err
 
+    @pytest.mark.parametrize(
+        ("command", "text", "line", "message"),
+        [
+            pytest.param("operator-tests", OPERATOR_CLI.replace("trials = 5", "trials = 100001"),
+                         6, "trials must be at most 100000, got 100001", id="operator-trials"),
+            # 0.25 and 250000.25 are exact binary fractions: 1000001 steps exactly
+            pytest.param("simulate",
+                         simulate_with("t_end", "t_end = 250000.25").replace("dt = 0.01", "dt = 0.25"),
+                         9, "dt is too small: t_end/dt asks for more than 1000000 steps, got 0.25",
+                         id="step-count"),
+        ],
+    )
+    def test_run_length_beyond_its_bound_is_a_cited_config_error(
+        self, tmp_path, capsys, command, text, line, message
+    ):
+        # one valid-looking line once asked for a run that never ends
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert f"config error ({config}, line {line}): {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_length_at_its_bound_loads(self):
+        exp = load(OPERATOR_CLI.replace("trials = 5", "trials = 100000"))
+        assert exp.operator_trials == 100000
+        exp = load(simulate_with("t_end", "t_end = 250000").replace("dt = 0.01", "dt = 0.25"))
+        assert exp.stepper_for(exp.initial_field()).n_steps == MAX_STEPS == 1000000
+
     def test_subnormal_dt_is_a_cited_config_error(self, tmp_path, capsys):
         # t_end/dt overflows to inf, which once surfaced as a numerical failure
         config = write_config(tmp_path, simulate_with("dt", "dt = 1e-320"))
@@ -1331,9 +1359,10 @@ class TestCliArtifacts:
         retained = summary["n_samples"] * 64 * 64 * np.dtype(np.complex128).itemsize
         assert peak < retained / 2
 
-    def test_estimates_report_synthesizes_each_sample_twice(self, tmp_path, capsys, monkeypatch):
-        # theta(x) feeds the norm columns and the battery, and the battery adds
-        # (-Lap)^alpha theta(x); the initial field's amplitude costs one more
+    def test_estimates_report_synthesizes_each_sample_once(self, tmp_path, capsys, monkeypatch):
+        # theta(x) feeds the norm columns and the battery, whose plan builds
+        # (-Lap)^alpha theta(x) from the kept block without to_physical; the
+        # initial field's amplitude costs one more
         calls = []
         original = to_physical
 
@@ -1347,4 +1376,4 @@ class TestCliArtifacts:
         out = self.run_ok(tmp_path, capsys, STREAMING_REPORT, "estimates-report")
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["n_samples"] == 101
-        assert calls == [64] * 203
+        assert calls == [64] * 102

@@ -75,6 +75,10 @@ class TestParams:
                          id="dt-subnormal"),
             pytest.param(1.0, 0.1, 1, "dt", r"dt must lie in \(0, t_end\], got 1.0",
                          id="dt-above-t-end"),
+            # exact binary fractions: one step beyond the cap
+            pytest.param(0.25, 250000.25, 1, "dt",
+                         "dt is too small: t_end/dt asks for more than 1000000 steps, got 0.25",
+                         id="dt-above-step-cap"),
             pytest.param(0.1, 0.0, 1, "t_end", "t_end must be positive and finite, got 0.0",
                          id="t-end-zero"),
             pytest.param(0.1, -1.0, 1, "t_end", "t_end must be positive and finite, got -1.0",

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from sqglab.cli import _NUMERICAL_ERRORS
@@ -13,7 +16,7 @@ from sqglab.estimates import (
     DEFAULT_TOL,
     CutoffSpec,
     InequalityRecord,
-    _square_plan,
+    _battery_plan,
     cordoba_pointwise_check,
     cordoba_slack_field,
     damped_energy_monitor,
@@ -21,6 +24,7 @@ from sqglab.estimates import (
     max_principle_monitor,
     positivity_integral_check,
     sobolev_bound_monitor,
+    state_battery,
     tail_mass,
 )
 from sqglab.fields import random_smooth_field
@@ -235,12 +239,13 @@ class TestCordobaPointwise:
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_refined_multiplier_vanishes_outside_the_square_support(self, n):
         domain = DomainSpec(n=n)
-        mult = _square_plan(domain, 0.75).mult
-        big = 3 * n // 2
-        assert mult.shape == (big, big // 2 + 1)
+        mult = _battery_plan(domain, 0.75).square
+        big, top = 3 * n // 2, 2 * (n // 3)
+        # the table holds the support columns k2 <= 2c of the 3n/2 grid only
+        assert mult.shape == (big, top + 1)
         k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
-        k2 = np.arange(big // 2 + 1)[None, :]
-        inside = np.maximum(np.abs(k1), k2) <= 2 * (n // 3)
+        k2 = np.arange(top + 1)[None, :]
+        inside = np.maximum(np.abs(k1), k2) <= top
         assert np.all(mult[~inside] == 0.0)
         inside[0, 0] = False  # |k|^{2a} vanishes on the zero mode
         assert np.all(mult[inside] > 0.0)
@@ -346,6 +351,123 @@ class TestPositivityIntegral:
             positivity_integral_check(theta, 1.0, 0.5)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             positivity_integral_check(theta, 2.0, -0.1)
+
+
+def _direct_square(phi, alpha):
+    """``(-Lap)^a(phi^2)`` at the grid points of a dealiased torus phi, composed directly.
+
+    phi is zero-padded onto the 3n/2 grid, squared there and analyzed with
+    ``scipy.fft``; the square's support ``|k_i| <= 2 floor(n/3)`` is
+    weighted by ``|k|^{2a}``, completed by its conjugate mirror and added
+    mode by mode onto the n grid (``k mod n``), then synthesized.
+    """
+    domain = phi.domain
+    n, box = domain.n, domain.box
+    big, top = 3 * n // 2, 2 * (n // 3)
+    i1, i2 = domain.index_grids
+    keep = domain.dealias_mask
+    padded = np.zeros((big, big), dtype=np.complex128)
+    padded[i1[keep] % big, i2[keep] % big] = phi.coeffs[keep]
+    fine = scipy.fft.irfft2(padded[:, : big // 2 + 1], s=(big, big)) * (big * big / box)
+    square = scipy.fft.rfft2(fine**2) * (box / (big * big))
+    k1, k2 = np.broadcast_arrays(
+        np.fft.fftfreq(big, d=1.0 / big).astype(int)[:, None], np.arange(big // 2 + 1)[None, :]
+    )
+    support = (np.abs(k1) <= top) & (k2 <= top)
+    weighted = square * ((2.0 * np.pi / box) ** 2 * (k1**2 + k2**2)) ** alpha
+    full = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(full, (k1[support] % n, k2[support] % n), weighted[support])
+    mirror = support & (k2 > 0)
+    np.add.at(full, (-k1[mirror] % n, -k2[mirror] % n), np.conj(weighted[mirror]))
+    return scipy.fft.ifft2(full).real * (n * n / box)
+
+
+def _direct_battery(theta, alpha, qs):
+    """Córdoba slack field and positivity integrals (with their scales) composed directly."""
+    phi = dealias(theta)
+    values = to_physical(phi).values
+    first = 2.0 * values * to_physical(fractional_laplacian(phi, alpha)).values
+    slack = first - _direct_square(phi, alpha)
+    values = to_physical(theta).values
+    diss = to_physical(fractional_laplacian(theta, alpha)).values
+    cell = (theta.domain.box / theta.domain.n) ** 2
+    integrals, scales = [], []
+    for q in qs:
+        integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
+        integrals.append(float(integrand.sum() * cell))
+        scales.append(float(np.abs(integrand).sum() * cell))
+    return slack, float(np.abs(first).max()), integrals, scales
+
+
+class TestBatteryPlan:
+    """The plan's pruned passes against direct formulas, and its owned buffers."""
+
+    QS = (2.0, 3.0, 4.0, 8.0)
+
+    def _assert_matches_direct(self, theta, alpha):
+        slack, peak, integrals, scales = _direct_battery(theta, alpha, self.QS)
+        got = cordoba_slack_field(theta, alpha).values
+        assert np.abs(got - slack).max() <= 1e-12 * peak
+        min_slack, got_integrals = state_battery(theta, to_physical(theta), alpha, self.QS)
+        assert min_slack == got.min()
+        for q, value, want, scale in zip(self.QS, got_integrals, integrals, scales):
+            assert abs(value - want) <= 1e-12 * scale, f"q={q}"
+            assert value == positivity_integral_check(theta, q, alpha)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.floats(1.5, 6.0),
+    )
+    def test_dealiased_field_matches_direct_formulas(self, n, alpha, seed, decay):
+        theta = random_smooth_field(_TORI[n], seed, decay=decay, amplitude=1.0)
+        assert _battery_plan(_TORI[n], alpha).dealiased(theta)
+        self._assert_matches_direct(theta, alpha)
+
+    def test_field_beyond_the_cut_matches_direct_formulas(self):
+        # the Córdoba check reads dealias(theta), the integrals theta itself
+        domain = _TORI[32]
+        theta = to_spectral(np.random.default_rng(3).standard_normal((32, 32)), domain)
+        assert not _battery_plan(domain, 0.75).dealiased(theta)
+        self._assert_matches_direct(theta, 0.75)
+
+    def test_dirichlet_field_keeps_the_same_grid_route(self, dirichlet32):
+        # the box's slack is the same-grid eigenexpansion, to the bit
+        theta = random_smooth_field(dirichlet32, 4, amplitude=1.0)
+        alpha = 0.75
+        values = to_physical(theta).values
+        diss = to_physical(fractional_laplacian(theta, alpha)).values
+        square = to_spectral(values**2, dirichlet32)
+        want = 2.0 * values * diss - to_physical(fractional_laplacian(square, alpha)).values
+        assert np.array_equal(cordoba_slack_field(theta, alpha).values, want)
+        min_slack, integrals = state_battery(theta, to_physical(theta), alpha, self.QS)
+        assert min_slack == want.min()
+        cell = (dirichlet32.box / dirichlet32.n) ** 2
+        for q, value in zip(self.QS, integrals):
+            integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
+            assert abs(value - integrand.sum() * cell) <= 1e-12 * np.abs(integrand).sum() * cell
+
+    def test_warm_battery_allocates_no_grid(self):
+        # a run's per-sample call: the plan built and one scratch reused;
+        # numpy traces its array allocations, so any temporary grid would
+        # lift the peak by a sizeable part of one n^2 complex array
+        n = 64
+        domain = DomainSpec(n=n)
+        theta = random_smooth_field(domain, 5, amplitude=1.0)
+        grid = to_physical(theta)
+        scratch = _battery_plan(domain, 0.75).scratch()
+        state_battery(theta, grid, 0.75, self.QS, scratch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = state_battery(theta, grid, 0.75, self.QS, scratch)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < n * n * np.dtype(np.complex128).itemsize / 8
+        assert got == state_battery(theta, grid, 0.75, self.QS)
 
 
 class TestSobolevBoundMonitor:
