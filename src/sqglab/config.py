@@ -102,7 +102,8 @@ _KEYS: dict[str, dict[str, _Key]] = {
     },
     "forcing": {
         "type": _Key("str", "none", ("none", "cosine", "sine")),
-        "mode": _Key("ints"),  # default: (1, 0) cosine, (1, 1) sine
+        # default: (1, 0) cosine, (1, 1) sine; inside the dealias mask, |k_i| <= n/3
+        "mode": _Key("ints"),
         "amplitude": _Key("float", 1.0),
     },
     "stepper": {
@@ -585,9 +586,19 @@ def _forcing(parsed: ParsedConfig, domain: DomainSpec) -> SpectralField | None:
         parsed.require(not torus, "sine forcing requires the dirichlet basis", "forcing", "type")
     build = cosine_field if ftype == "cosine" else sine_mode_field
     try:
-        return build(domain, mode, amplitude)
+        forcing = build(domain, mode, amplitude)
     except ValueError as err:
         parsed.require(False, str(err), "forcing", "mode")
+    # the march evolves only the modes the transport resolves
+    cut = domain.n // 3
+    parsed.require(
+        max(abs(k) for k in mode) <= cut,
+        f"forcing mode {tuple(mode)} lies outside the 2/3-rule dealias mask: "
+        f"each |k_i| must be at most n/3, here {cut}",
+        "forcing",
+        "mode",
+    )
+    return forcing
 
 
 def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:

@@ -24,6 +24,7 @@ from .dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _plan,
     default_dt,
     integrate,
     validate_run_settings,
@@ -268,32 +269,52 @@ def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class SweepRun:
-    """One member of a sweep: its sampled diagnostics and sampled states."""
+    """One member of a sweep: its sampled diagnostics and sampled states.
+
+    A run keeps only the 2/3-rule block of each sampled state
+    (``blocks``, one array per sample time of ``series``), which is all a
+    march state holds; :attr:`states` and :attr:`final` assemble the
+    full-layout states from them on demand.
+    """
 
     series: DiagnosticsSeries
-    states: tuple
+    domain: DomainSpec
+    blocks: tuple
+
+    @property
+    def states(self) -> tuple[SimulationState, ...]:
+        return tuple(self._state(k) for k in range(len(self.blocks)))
 
     @property
     def final(self) -> SimulationState:
-        return self.states[-1]
+        return self._state(-1)
+
+    def _state(self, k: int) -> SimulationState:
+        coeffs = _plan(self.domain).assemble(self.blocks[k])
+        return SimulationState(t=self.series.times[k], theta=SpectralField(coeffs, self.domain))
 
 
 def _distance_table(runs: Sequence[SweepRun]) -> np.ndarray:
     """:math:`H^{-1/2}` distances, shape (pairs ``i < j``, samples), of sampled runs.
 
-    Equal to :func:`h_minus_half_distance` on every pair of states, evaluated
-    one sample at a time on the stacked coefficients of all runs.  The torus
-    zero mode gets weight 0: runs sharing theta0, damping and forcing share
-    their mean exactly, since transport leaves it untouched.
+    Equal to :func:`h_minus_half_distance` on every pair of states up to
+    round-off, evaluated one sample at a time on the stacked blocks of all
+    runs: each block mode is weighted by the number of full-layout modes it
+    stands for (the plan's multiplicity).  The torus zero mode gets weight
+    0: runs sharing theta0, damping and forcing share their mean exactly,
+    since transport leaves it untouched.
     """
-    symbol = runs[0].states[0].theta.domain.laplacian_symbol.ravel()
-    weight = np.zeros_like(symbol)
+    domain = runs[0].domain
+    plan = _plan(domain)
+    symbol = plan.kept(domain.laplacian_symbol)
+    weight = np.zeros(symbol.shape)
     positive = symbol > 0
     weight[positive] = symbol[positive] ** -0.5
+    weight = (weight * plan.multiplicity()).ravel()
     m = len(runs)
-    table = np.empty((m * (m - 1) // 2, len(runs[0].states)))
-    for k, states in enumerate(zip(*(run.states for run in runs))):
-        stack = np.stack([state.theta.coeffs.ravel() for state in states])
+    table = np.empty((m * (m - 1) // 2, len(runs[0].blocks)))
+    for k, blocks in enumerate(zip(*(run.blocks for run in runs))):
+        stack = np.stack([block.ravel() for block in blocks])
         row = 0
         for i in range(m - 1):  # pairs (i, j > i) in row-major order
             diff = np.abs(stack[i + 1 :] - stack[i])
@@ -319,7 +340,7 @@ def assemble_report(
     for run in runs[1:]:
         if tuple(run.series.times) != times:
             raise ValueError("sweep runs must share their sample times")
-        if len(run.states) != len(times):
+        if len(run.blocks) != len(times):
             raise ValueError("sweep runs must retain their sampled states")
 
     m = len(runs)
@@ -363,8 +384,10 @@ def sweep_with_runs(
 ) -> tuple[ConvergenceReport, list[SweepRun]]:
     """Run every member of the sweep and assemble its convergence report.
 
-    Members share the time grid and keep their sampled states, which the
-    distance table reads.  Runs execute on a pool of ``max_workers``
+    Members share the time grid and keep only the 2/3-rule block of each
+    sampled state, which the distance table reads (a block is all the
+    march evolves, and a fraction of the full layout: 85^2 of 127^2 modes
+    on the n = 128 box).  Runs execute on a pool of ``max_workers``
     threads (the FFT work releases the interpreter lock); they are returned
     in the order of ``config.alphas`` and are bitwise independent of the
     pool size and the scheduling order.
@@ -383,12 +406,13 @@ def sweep_with_runs(
             stacklevel=2,
         )
     stepper = config.stepper()
+    plan = _plan(config.domain)
 
     def one_run(alpha: float) -> SweepRun:
-        states: list[SimulationState] = []
+        blocks: list[np.ndarray] = []
 
         def keep(state: SimulationState) -> dict[str, float]:
-            states.append(state)
+            blocks.append(plan.kept(state.theta.coeffs).copy())
             return {"linf": lq_norm(state.theta, math.inf)}
 
         state = SimulationState(t=0.0, theta=config.theta0)
@@ -396,7 +420,7 @@ def sweep_with_runs(
             result = integrate(state, config.params_for(alpha), stepper, sample=keep)
         except BlowUpError as err:
             raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
-        return SweepRun(series=result.series, states=tuple(states))
+        return SweepRun(series=result.series, domain=config.domain, blocks=tuple(blocks))
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         runs = list(pool.map(one_run, config.alphas))

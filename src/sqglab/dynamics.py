@@ -27,16 +27,18 @@ Dirichlet box the kernel stays on the box's own ``(n+1)^2`` grid: theta is a
 sine-sine series, the velocity components are sine-cosine and cosine-sine
 series, and type-1 sine/cosine transforms (``scipy.fft``) synthesize them
 and analyze the two fluxes, alias-free under the same 1/3 cut; the block is
-the modes up to ``2n/3``.  Odd extension to the doubled torus
-(:func:`embed_odd_extension`), which carries the same information, is kept
-as the reference the kernel is tested against.
+the modes up to ``2n/3``.  Each of those transforms overwrites its input in
+a buffer the caller owns, so a box step allocates no grid either.  Odd
+extension to the doubled torus (:func:`embed_odd_extension`), which carries
+the same information, is kept as the reference the kernel is tested
+against.
 
 Runs take uniform steps that land exactly on the horizon.  One loop serves
 both bases.  Its state is the kept block itself, in two buffers it owns, so
 the ETD update and the per-step check for non-finite values (the blow-up
 signal) run on the block only; every step is also checked against the
-advective CFL limit.  The modes outside the block evolve by decay and
-forcing alone, and only when a state or forcing has any.  Sampled states
+advective CFL limit.  A state or forcing with modes outside the block is
+rejected, since the march would not evolve them.  Sampled states
 are assembled into new full-layout arrays (on the torus the block's
 conjugate mirror fills the other columns) and stream to the caller's one
 ``sample`` hook, which may keep them and returns the sample's extra series
@@ -341,10 +343,10 @@ class _TransportPlan:
     :meth:`transport` writes the transport on that block into ``out``;
     :meth:`add_to` adds a block to a full FFT-layout array, the block
     columns and their conjugate mirror ``n-c .. n-1``, the only modes the
-    transport touches.  A march keeps the block as its state:
-    :meth:`remainder` copies out the middle columns ``c+1 .. n-c-1``, which
-    the block does not determine, and :meth:`assemble` builds the full
-    layout back from the two.
+    transport touches.  A march keeps the block as its state, so it takes
+    only arrays the block determines (:meth:`is_real` and
+    :meth:`confined`: the middle columns ``c+1 .. n-c-1`` are zero), and
+    :meth:`assemble` builds the full layout back from a block.
 
     The plan is shared by every caller of its domain, so it holds no
     writable state: :meth:`scratch` gives the caller every buffer the
@@ -426,19 +428,30 @@ class _TransportPlan:
         cut = self.div.shape[2] - 1
         return np.array_equal(full[:, self.n - cut :], self._mirror(self.kept(full)))
 
-    def remainder(self, full: np.ndarray) -> np.ndarray:
-        """A copy of the middle columns of a full-layout array, which the block omits."""
+    def confined(self, full: np.ndarray) -> bool:
+        """Whether the middle columns of a full-layout array, which no block holds, are zero."""
         cut = self.div.shape[2] - 1
-        return full[:, cut + 1 : self.n - cut].copy()
+        return not full[:, cut + 1 : self.n - cut].any()
 
-    def assemble(self, block: np.ndarray, rest: np.ndarray | None) -> np.ndarray:
-        """A new full-layout array: a block, its conjugate mirror and the middle ``rest``."""
+    def assemble(self, block: np.ndarray) -> np.ndarray:
+        """A new full-layout array: a block, zero middle columns and the block's conjugate mirror."""
         n, cut = self.n, block.shape[1] - 1
         full = np.empty((n, n), dtype=np.complex128)
         full[:, : cut + 1] = block
-        full[:, cut + 1 : n - cut] = 0.0 if rest is None else rest
+        full[:, cut + 1 : n - cut] = 0.0
         full[:, n - cut :] = self._mirror(block)
         return full
+
+    def multiplicity(self) -> np.ndarray:
+        """How often each block mode occurs in the full layout: column 0 once, columns 1 .. c twice.
+
+        Columns ``1 .. c`` stand for their conjugate mirror too, so a sum of
+        ``|coefficient|^2`` over the full layout is this weighted sum over
+        the block.
+        """
+        weight = np.full(self.div.shape[1:], 2.0)
+        weight[:, 0] = 1.0
+        return weight
 
     def _mirror(self, block: np.ndarray) -> np.ndarray:
         """The columns ``n-c .. n-1`` of a real field with the kept block ``block``."""
@@ -492,20 +505,35 @@ class _DirichletPlan:
 
     :meth:`transport` writes the transport on the output block into
     ``out``, which :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  A
-    march keeps the block as its state, :meth:`remainder` holds the
-    L-shaped rest of the array and :meth:`assemble` joins the two.  The
-    zeroed flux grids come from :meth:`scratch` and, like ``out``, belong
-    to the caller, since the plan is shared by every caller of its domain.
+    march keeps the block as its state, so it takes only arrays that are
+    zero outside it (:meth:`confined`), and :meth:`assemble` pads a block
+    back to the full layout.  Every grid the kernel writes comes from
+    :meth:`scratch` and, like ``out``, belongs to the caller, since the plan
+    is shared by every caller of its domain; each ``scipy.fft`` transform
+    overwrites its input there.
     """
 
     n: int
     synth: np.ndarray
     div: np.ndarray
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zeroed flux grids for :meth:`transport`; only their interior is written."""
-        n = self.n
-        return np.zeros((n + 1, n - 1)), np.zeros((n - 1, n + 1))
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """The buffers :meth:`transport` writes: ``(u1, u2, theta, flux1, flux2, temp)``.
+
+        ``u1`` and ``flux2`` are ``(n-1, n+1)`` grids (sine rows, cosine
+        columns), ``u2`` and ``flux1`` are ``(n+1, n-1)``, ``theta`` is
+        ``(n-1, n-1)`` and ``temp`` is an output block.  Each call writes
+        every entry it reads, padding included.
+        """
+        n, cut = self.n, self.div.shape[1]
+        return (
+            np.empty((n - 1, n + 1)),
+            np.empty((n + 1, n - 1)),
+            np.empty((n - 1, n - 1)),
+            np.empty((n + 1, n - 1)),
+            np.empty((n - 1, n + 1)),
+            np.empty((cut, cut)),
+        )
 
     def kept(self, array: np.ndarray) -> np.ndarray:
         """View of the block of a full-layout array that :meth:`transport` returns."""
@@ -513,36 +541,34 @@ class _DirichletPlan:
         return array[:cut, :cut]
 
     def transport(
-        self,
-        coeffs: np.ndarray,
-        scratch: tuple[np.ndarray, np.ndarray],
-        out: np.ndarray | None = None,
+        self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], out: np.ndarray | None = None
     ) -> tuple[np.ndarray, float]:
         """Dealiased ``-div(u theta)`` on the kept block, written into ``out``, and max|u|."""
         import scipy.fft
 
         n, cut = self.n, self.div.shape[1]
-        u1, u2 = self._velocity(coeffs)
+        u1, u2, theta, flux1, flux2, temp = scratch
+        u1, u2 = self._velocity(coeffs, u1, u2)
         speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
-        theta = self._synthesize(self.synth[2], coeffs, _SINE, _SINE)
+        theta = self._synthesize(self.synth[2], coeffs, _SINE, _SINE, theta)
         # theta vanishes on the boundary ring, so each flux is zero there
-        flux1, flux2 = scratch
+        flux1[0] = flux1[n] = 0.0
         np.multiply(u1[:, 1:n], theta, out=flux1[1:n])
+        flux2[:, 0] = flux2[:, n] = 0.0
         np.multiply(u2[1:n], theta, out=flux2[:, 1:n])
-        f1 = scipy.fft.dct(flux1, type=1, axis=0)[1 : cut + 1]
-        f1 = scipy.fft.dst(f1, type=1, axis=1)[:, :cut]
-        f2 = scipy.fft.dst(flux2, type=1, axis=0)[:cut]
-        f2 = scipy.fft.dct(f2, type=1, axis=1)[:, 1 : cut + 1]
+        f1 = scipy.fft.dct(flux1, type=1, axis=0, overwrite_x=True)[1 : cut + 1]
+        f1 = scipy.fft.dst(f1, type=1, axis=1, overwrite_x=True)[:, :cut]
+        f2 = scipy.fft.dst(flux2, type=1, axis=0, overwrite_x=True)[:cut]
+        f2 = scipy.fft.dct(f2, type=1, axis=1, overwrite_x=True)[:, 1 : cut + 1]
         if out is None:
-            out = np.empty(f1.shape)
+            out = np.empty_like(temp)
         np.multiply(self.div[0], f1, out=out)
-        np.multiply(self.div[1], f2, out=f2)
-        out += f2
+        out += np.multiply(self.div[1], f2, out=temp)
         return out, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
-        u1, u2 = self._velocity(coeffs)
+        u1, u2 = self._velocity(coeffs, *self.scratch()[:2])
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
 
     def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
@@ -554,36 +580,46 @@ class _DirichletPlan:
         """Always true: sine coefficients are real."""
         return True
 
-    def remainder(self, full: np.ndarray) -> np.ndarray:
-        """A copy of a full-layout array with the block zeroed."""
-        rest = full.copy()
-        self.kept(rest)[...] = 0.0
-        return rest
+    def confined(self, full: np.ndarray) -> bool:
+        """Whether a full-layout array is zero outside the block."""
+        cut = self.div.shape[1]
+        return not (full[cut:].any() or full[:cut, cut:].any())
 
-    def assemble(self, block: np.ndarray, rest: np.ndarray | None) -> np.ndarray:
-        """A new full-layout array: the block inside the remainder ``rest``."""
-        full = np.zeros((self.n - 1, self.n - 1)) if rest is None else rest.copy()
+    def assemble(self, block: np.ndarray) -> np.ndarray:
+        """A new full-layout array: a block padded with zeros."""
+        full = np.zeros((self.n - 1, self.n - 1))
         self.kept(full)[...] = block
         return full
 
-    def _velocity(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def multiplicity(self) -> np.ndarray:
+        """How often each block mode occurs in the full layout: once."""
+        return np.ones(self.div.shape[1:])
+
+    def _velocity(
+        self, coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         return (
-            self._synthesize(self.synth[0], coeffs, _SINE, _COSINE),
-            self._synthesize(self.synth[1], coeffs, _COSINE, _SINE),
+            self._synthesize(self.synth[0], coeffs, _SINE, _COSINE, u1),
+            self._synthesize(self.synth[1], coeffs, _COSINE, _SINE, u2),
         )
 
-    def _synthesize(self, mult, coeffs, kind0, kind1) -> np.ndarray:
-        """Grid values of the series ``mult * coeffs`` with the given axis kinds."""
+    def _synthesize(self, mult, coeffs, kind0, kind1, grid: np.ndarray) -> np.ndarray:
+        """Grid values of the series ``mult * coeffs`` with the given axis kinds, in ``grid``."""
         import scipy.fft
 
         (name0, first0), (name1, first1) = kind0, kind1
-        n, m = self.n, len(mult)
-        # coefficients vanish beyond row m, so the first pass runs on m rows
-        rows = np.zeros((m, n - 1 + 2 * first1))
-        np.multiply(mult, coeffs[:m, :m], out=rows[:, first1 : first1 + m])
-        grid = np.zeros((n - 1 + 2 * first0, n - 1 + 2 * first1))
-        grid[first0 : first0 + m] = getattr(scipy.fft, name1)(rows, type=1, axis=1)
-        return getattr(scipy.fft, name0)(grid, type=1, axis=0)
+        m = len(mult)
+        # coefficients vanish beyond row m, so the first pass runs on the m
+        # rows of the slab; every other entry of the grid is padding
+        slab = grid[first0 : first0 + m]
+        slab[:, :first1] = 0.0
+        np.multiply(mult, coeffs[:m, :m], out=slab[:, first1 : first1 + m])
+        slab[:, first1 + m :] = 0.0
+        # scipy.fft writes an aligned float64 input in place under overwrite_x
+        getattr(scipy.fft, name1)(slab, type=1, axis=1, overwrite_x=True)
+        grid[:first0] = 0.0
+        grid[first0 + m :] = 0.0
+        return getattr(scipy.fft, name0)(grid, type=1, axis=0, overwrite_x=True)
 
 
 @functools.lru_cache(maxsize=16)
@@ -668,34 +704,54 @@ def _forcing_coeffs(domain: DomainSpec, params: SqgParams) -> np.ndarray | None:
     return forcing.coeffs
 
 
+def _kept_block(plan: _TransportPlan | _DirichletPlan, full: np.ndarray, name: str) -> np.ndarray:
+    """The kept block of a full-layout state or forcing, which must determine the array.
+
+    Raises :class:`FieldError` naming ``name`` otherwise: a torus array
+    whose mirror columns are not its block's conjugate mirror is a complex
+    field, which the equation does not evolve, and an array with modes
+    outside the block is rejected rather than dealiased, so a run evolves
+    exactly the field it was given.
+    """
+    if not plan.is_real(full):
+        raise FieldError(
+            name,
+            f"{name} is not a real field: its mirror columns are not the conjugate "
+            "mirror of its kept columns",
+        )
+    if not plan.confined(full):
+        raise FieldError(
+            name,
+            f"{name} has modes outside the block the 2/3 rule keeps, which the march "
+            "does not evolve; dealias it first",
+        )
+    return plan.kept(full)
+
+
 def _march(
     state: SimulationState,
     params: SqgParams,
     config: StepperConfig,
     n_steps: int,
-) -> Iterator[tuple[float, np.ndarray, np.ndarray | None, float]]:
-    """Yield ``(t, block, rest, max |u|)`` after each of ``n_steps`` ETD steps.
+) -> Iterator[tuple[float, np.ndarray, float]]:
+    """Check a run, then iterate ``(t, block, max |u|)`` over its ``n_steps`` ETD steps.
 
     The state is the plan's kept block: on the torus the contiguous
     ``(n, n/3 + 1)`` columns of the real-FFT half plane, whose conjugate
     mirror the plan derives, on the Dirichlet box the ``[:2n/3, :2n/3]``
     corner.  The transport touches only those modes, so the ETD update, the
-    phi_1/phi_2 terms and the finite check all run on the block.  The modes
-    the block does not determine (the torus's middle columns, the box's
-    L-shaped rest) evolve linearly, ``rest = decay rest + dt phi_1 f`` (the
-    corrector's ``N(predictor) - N(coeffs)`` cancels a forcing ``f``); that
-    ``rest`` is ``None`` unless the initial state or the forcing is nonzero
-    there.  ``plan.assemble(block, rest)`` gives the full layout, which
+    phi_1/phi_2 terms and the finite check all run on the block, and the
+    state and forcing must be zero outside it (checked here, before the
+    first step).  ``plan.assemble(block)`` gives the full layout, which
     equals the full-layout update bit for bit.
 
     The march owns its buffers: the block alternates between two arrays,
     the transport writes through the plan's scratch buffers into ``n0``
     and, for the corrector, ``n1``, which first holds the phi_1 term, so a
-    torus step allocates no array beyond the finite check's mask (a
-    Dirichlet step still allocates its transform outputs).  A yielded block
-    is overwritten two steps later and ``rest`` at the next step; a caller
-    that keeps a state assembles it before resuming the march.  The plan
-    never holds these buffers, since marches on one domain share it.
+    step allocates no array beyond the finite check's mask.  A yielded
+    block is overwritten two steps later; a caller that keeps a state
+    copies or assembles it before resuming the march.  The plan never holds
+    these buffers, since marches on one domain share it.
 
     A step runs with overflow warnings silenced and is checked once at its
     end: IEEE arithmetic carries a non-finite value from any intermediate (a
@@ -705,35 +761,27 @@ def _march(
     Raises
     ------
     FieldError
-        Naming ``theta`` if a torus state's mirror columns are not the
-        exact conjugate mirror of its kept columns: that is a complex theta,
-        which the equation does not evolve.
+        Naming ``theta`` or ``forcing`` if that array is not determined by
+        its kept block: a torus array whose mirror columns are not the
+        exact conjugate mirror of its kept columns (a complex field), or
+        any array with a nonzero mode outside the block.
     BlowUpError
-        At the time of the failed step, with the advective CFL number of
-        the last accepted state (``inf`` if its velocity overflows).
+        While iterating, at the time of the failed step, with the advective
+        CFL number of the last accepted state (``inf`` if its velocity
+        overflows).
     """
     domain = state.theta.domain
     dt = config.step_dt
     plan = _plan(domain)
     coeffs = state.theta.coeffs
-    if not plan.is_real(coeffs):
-        raise FieldError(
-            "theta",
-            "theta is not a real field: its mirror columns are not the conjugate "
-            "mirror of its kept columns",
-        )
+    block = _kept_block(plan, coeffs, "theta")
+    forcing = _forcing_coeffs(domain, params)
+    if forcing is not None:
+        forcing = _kept_block(plan, forcing, "forcing").copy()
     tables = etd_coefficients(domain, params, dt)
     decay = plan.kept(tables.decay).copy()
     dt_phi1 = tables.dt * plan.kept(tables.phi1)
     dt_phi2 = tables.dt * plan.kept(tables.phi2)
-    forcing = _forcing_coeffs(domain, params)
-    rest, rest_forcing = plan.remainder(coeffs), 0.0
-    if forcing is not None:
-        rest_forcing = plan.remainder(tables.dt * tables.phi1 * forcing)
-        forcing = plan.kept(forcing).copy()
-    rest_decay = plan.remainder(tables.decay)
-    if not (rest.any() or np.any(rest_forcing)):
-        rest = None  # every dealiased state and forcing: the block is all there is
     scratch = plan.scratch()
 
     def rhs(block: np.ndarray, out: np.ndarray) -> float:
@@ -742,48 +790,50 @@ def _march(
             out += forcing
         return speed
 
-    block = plan.kept(coeffs)
-    buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
-    n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
-    for k in range(1, n_steps + 1):
-        t_new = state.t + k * dt
-        new_block = buffers[k % 2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            speed = rhs(block, n0)
-            np.multiply(decay, block, out=new_block)
-            new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
-            if config.scheme is Scheme.ETD2RK:
-                # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-                speed1 = rhs(new_block, n1)
-                n1 -= n0
-                n1 *= dt_phi2
-                new_block += n1
-                speed = max(speed, speed1)
-            if rest is not None:
-                np.multiply(rest_decay, rest, out=rest)
-                rest += rest_forcing
-            finite = np.isfinite(new_block).all() and (rest is None or np.isfinite(rest).all())
-            if not (math.isfinite(speed) and finite):
-                last = plan.speed(block)
-                last = last if math.isfinite(last) else math.inf
-                raise BlowUpError(t_new, dt * last * domain.n / domain.box)
-        block = new_block
-        yield t_new, block, rest, speed
+    def steps(block: np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
+        buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+        n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+        for k in range(1, n_steps + 1):
+            t_new = state.t + k * dt
+            new_block = buffers[k % 2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                speed = rhs(block, n0)
+                np.multiply(decay, block, out=new_block)
+                new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
+                if config.scheme is Scheme.ETD2RK:
+                    # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
+                    speed1 = rhs(new_block, n1)
+                    n1 -= n0
+                    n1 *= dt_phi2
+                    new_block += n1
+                    speed = max(speed, speed1)
+                if not (math.isfinite(speed) and np.isfinite(new_block).all()):
+                    last = plan.speed(block)
+                    last = last if math.isfinite(last) else math.inf
+                    raise BlowUpError(t_new, dt * last * domain.n / domain.box)
+            block = new_block
+            yield t_new, block, speed
+
+    return steps(block)
 
 
 def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
     """Advance one step of ``config.step_dt`` with the configured scheme.
 
+    ``state`` and the forcing must be zero outside the kept 2/3-rule block
+    (dealiased fields are); the new state is zero there too.
+
     Raises
     ------
     FieldError
-        Naming ``theta`` for a torus state that is not a real field.
+        Naming ``theta`` for a torus state that is not a real field, and
+        ``theta`` or ``forcing`` for one with a mode outside the kept block.
     BlowUpError
         If the step produces a non-finite value.
     """
     domain = state.theta.domain
-    t_new, block, rest, _ = next(_march(state, params, config, 1))
-    theta = SpectralField(coeffs=_plan(domain).assemble(block, rest), domain=domain)
+    t_new, block, _ = next(_march(state, params, config, 1))
+    theta = SpectralField(coeffs=_plan(domain).assemble(block), domain=domain)
     return SimulationState(t=t_new, theta=theta)
 
 
@@ -802,8 +852,9 @@ def integrate(
     work streams instead of needing every state kept (pass
     ``states.append`` to keep the trajectory).  The states it gets are
     ``state`` itself and then new arrays assembled from the march's kept
-    block, which the caller may keep.  The advective CFL number is checked
-    at every step:
+    block, which the caller may keep.  ``state`` and the forcing must be
+    zero outside that block (dealiased fields are), and are checked before
+    the first sample.  The advective CFL number is checked at every step:
     if it exceeded :data:`CFL_LIMIT` at any step since the previous sample,
     the next sample emits a :class:`~sqglab.errors.CflWarning` with the
     largest value (escalate warnings to errors for a strict run).
@@ -818,7 +869,8 @@ def integrate(
     Raises
     ------
     FieldError
-        Naming ``theta`` for a torus state that is not a real field.
+        Naming ``theta`` for a torus state that is not a real field, and
+        ``theta`` or ``forcing`` for one with a mode outside the kept block.
     BlowUpError
         At the first step that produces a non-finite value.
     """
@@ -842,16 +894,17 @@ def integrate(
 
     n_steps = config.n_steps
     plan = _plan(domain)
+    march = _march(state, params, config, n_steps)
     current = state
     speed = advective_speed(state.theta)
     record(current, speed, speed, state.t)
     peak, peak_t = 0.0, state.t
-    for k, (t, block, rest, speed) in enumerate(_march(state, params, config, n_steps), 1):
+    for k, (t, block, speed) in enumerate(march, 1):
         if speed > peak:
             peak, peak_t = speed, t
         if k % config.sample_every == 0 or k == n_steps:
             # a new array: the march overwrites its buffers, and the field owns its array
-            theta = SpectralField(coeffs=plan.assemble(block, rest), domain=domain)
+            theta = SpectralField(coeffs=plan.assemble(block), domain=domain)
             current = SimulationState(t=t, theta=theta)
             record(current, speed, peak, peak_t)
             peak = 0.0

@@ -9,16 +9,20 @@ failure or failed check -- and on the artifact files it writes.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqglab
 from sqglab import dynamics
@@ -943,6 +947,34 @@ class TestCliExitCodes:
             rows = [line for line in series if not line.startswith("#")][1:]
             assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all()
 
+    @pytest.mark.parametrize(
+        ("text", "line", "mode"),
+        [
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [0, 7]"),
+                         16, "(0, 7)", id="torus-0-7"),
+            # row 7 lies in the torus block, but the mask zeroes its transport
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [7, 0]"),
+                         16, "(7, 0)", id="torus-7-0"),
+            # sine mode 6 lies in the box block (k <= 2n/3) but outside the mask
+            pytest.param(cfg(*SIMULATE_LINES[:4], "basis = dirichlet", *SIMULATE_LINES[4:],
+                             "[forcing]", "type = sine", "mode = [1, 6]"),
+                         17, "(1, 6)", id="dirichlet-1-6"),
+        ],
+    )
+    def test_forcing_mode_outside_the_dealias_mask_exits_one(
+        self, tmp_path, capsys, text, line, mode
+    ):
+        # the march evolves only modes the transport resolves, |k_i| <= n/3
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"config error ({config}, line {line}): forcing mode {mode} lies outside the "
+            "2/3-rule dealias mask: each |k_i| must be at most n/3, here 5"
+        ) in err
+        assert not out.exists()
+
     def test_overflowing_dissipation_rate_runs_clean(self, tmp_path, capsys):
         # kappa |k|^(2 alpha) overflows on every nonzero mode: the ETD tables
         # take their limits, so this is a fast decay, not a blow-up
@@ -1039,6 +1071,69 @@ class TestCliExitCodes:
         rc = main(["simulate", "--config", config, "--out", str(out), "--strict"])
         assert rc == 0
         capsys.readouterr()
+
+
+#: ``[forcing]`` values for the fuzz below, as file literals: tiny, huge,
+#: subnormal, negative and integer-overflow values, and every value on
+#: both sides of the dealias mask at n = 16 and 32 (n/3 is 5 and 10).
+_HUGE_INTEGER = "1" + "0" * 400
+_forcing_types = st.sampled_from([None, "none", "cosine", "sine", "square"])
+_mode_parts = st.one_of(
+    st.integers(-17, 17).map(str),
+    st.sampled_from(["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER]),
+)
+_modes = st.one_of(
+    st.none(),
+    st.lists(_mode_parts, min_size=2, max_size=2),
+    st.lists(_mode_parts, min_size=0, max_size=3),
+).map(lambda parts: None if parts is None else "[" + ", ".join(parts) + "]")
+_forcing_amplitudes = st.one_of(
+    st.none(),
+    st.sampled_from(
+        ["1e-300", "5e-324", "1e308", "-1", "0", "-2.5", "0.01", "3", _HUGE_INTEGER,
+         "-" + _HUGE_INTEGER]
+    ),
+    st.floats(-1e308, 1e308).map(repr),
+)
+
+
+class TestForcingFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32]),
+        basis=st.sampled_from(["torus", "dirichlet"]),
+        ftype=_forcing_types,
+        mode=_modes,
+        amplitude=_forcing_amplitudes,
+    )
+    def test_forcing_keys_keep_the_exit_contract(self, n, basis, ftype, mode, amplitude):
+        # every draw exits 0, 1 or 2 and raises nothing; a config error
+        # cites its line and writes nothing, any other exit leaves a run.log
+        keys = {"type": ftype, "mode": mode, "amplitude": amplitude}
+        text = cfg(
+            *SIMULATE_LINES[:3],
+            f"n = {n}",
+            f"basis = {basis}",
+            *SIMULATE_LINES[4:],
+            "[forcing]",
+            *(f"{key} = {value}" for key, value in keys.items() if value is not None),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "run.cfg")
+            with open(config, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out = os.path.join(tmp, "out")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CflWarning)
+                    code = main(["simulate", "--config", config, "--out", out])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert f"config error ({config}, line " in stderr.getvalue()
+                assert not os.path.exists(out)
+            else:
+                assert os.path.isfile(os.path.join(out, "run.log"))
 
 
 class TestCliArtifacts:
@@ -1278,14 +1373,17 @@ class TestCliArtifacts:
         "setup",
         [
             ("[monitors]", "damped_energy = true"),
-            # a forcing mode beyond the n/3 cut: states keep modes the Córdoba check drops
-            ("[forcing]", "type = cosine", "mode = [6, 0]", "amplitude = 0.01", "[monitors]"),
+            # a shear mode beyond the n/3 cut: states keep modes the Córdoba check drops
+            ("type = shear", "mode = 6", "[monitors]"),
             ("basis = dirichlet", "[monitors]"),
         ],
-        ids=["torus", "torus-forced-beyond-cut", "dirichlet"],
+        ids=["torus", "torus-shear-beyond-cut", "dirichlet"],
     )
     def test_estimates_battery_equals_public_functions(self, tmp_path, capsys, setup):
         domain_lines = [*SIMULATE_LINES[2:4], *[l for l in setup if l.startswith("basis")]]
+        stepper_init = list(SIMULATE_LINES[7:])
+        if "type = shear" in setup:  # the shear replaces the random initial field
+            stepper_init.remove("type = random")
         text = cfg(
             *SIMULATE_LINES[:1],
             "kind = estimates-report",
@@ -1294,7 +1392,7 @@ class TestCliArtifacts:
             "kappa = 0.5",
             "alpha = 0.75",
             "lambda = 0.1",
-            *SIMULATE_LINES[7:],
+            *stepper_init,
             *[l for l in setup if not l.startswith("basis")],
             "lq = [2, 4]",
             "sobolev = [1]",

@@ -15,6 +15,7 @@ from sqglab.critical import (
     SMALLNESS_THRESHOLD,
     AlphaSweepConfig,
     ConvergenceReport,
+    SweepRun,
     _coercivity,
     h_minus_half_distance,
     interpolation_upgrade,
@@ -23,7 +24,7 @@ from sqglab.critical import (
     smallness_coefficient,
     sweep_with_runs,
 )
-from sqglab.dynamics import default_dt
+from sqglab.dynamics import SimulationState, default_dt, integrate
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
     Basis,
@@ -46,6 +47,35 @@ def small_sweep(torus32):
     )
     report, runs = sweep_with_runs(config)
     return config, report, runs
+
+
+@pytest.fixture(scope="module")
+def dirichlet_sweep(dirichlet32):
+    """The same kind of sweep on the Dirichlet box, whose block is a corner."""
+    config = AlphaSweepConfig(
+        theta0=random_smooth_field(dirichlet32, seed=7, amplitude=0.05),
+        kappa=0.2,
+        alphas=(0.75, 0.6, 0.55),
+        t_end=0.25,
+    )
+    report, runs = sweep_with_runs(config)
+    return config, report, runs
+
+
+def _assert_distance_table_matches(config, report, runs):
+    m = len(config.alphas)
+    assert report.distances.shape == (m * (m - 1) // 2, len(report.times))
+    pair = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            want = [
+                h_minus_half_distance(a.theta, b.theta)
+                for a, b in zip(runs[i].states, runs[j].states)
+            ]
+            np.testing.assert_allclose(report.distances[pair], want, rtol=1e-12, atol=0)
+            assert report.pairwise[i, j] == report.distances[pair].max()
+            pair += 1
+    np.testing.assert_array_equal(report.pairwise, report.pairwise.T)
 
 
 class TestSmallness:
@@ -181,20 +211,43 @@ class TestConvergenceReport:
         assert d["per_pair_bound"][0]["delta_alpha"] == pytest.approx(0.2)
 
     def test_distance_table_matches_pairwise_distances(self, small_sweep):
-        config, report, runs = small_sweep
-        m = len(config.alphas)
-        assert report.distances.shape == (m * (m - 1) // 2, len(report.times))
-        pair = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                want = [
-                    h_minus_half_distance(a.theta, b.theta)
-                    for a, b in zip(runs[i].states, runs[j].states)
-                ]
-                np.testing.assert_allclose(report.distances[pair], want, rtol=1e-12, atol=0)
-                assert report.pairwise[i, j] == report.distances[pair].max()
-                pair += 1
-        np.testing.assert_array_equal(report.pairwise, report.pairwise.T)
+        _assert_distance_table_matches(*small_sweep)
+
+    def test_dirichlet_distance_table_matches_pairwise_distances(self, dirichlet_sweep):
+        # on the box every block mode counts once, on the torus columns
+        # 1 .. n/3 count twice for their conjugate mirror
+        _assert_distance_table_matches(*dirichlet_sweep)
+
+    @pytest.mark.parametrize("sweep", ["small_sweep", "dirichlet_sweep"])
+    def test_runs_keep_one_block_per_sample(self, sweep, request):
+        config, report, runs = request.getfixturevalue(sweep)
+        n = config.domain.n
+        shape = (n, n // 3 + 1) if config.domain.basis is Basis.TORUS else (2 * n // 3,) * 2
+        assert [f.name for f in dataclasses.fields(SweepRun)] == ["series", "domain", "blocks"]
+        for run in runs:
+            assert len(run.blocks) == len(report.times)
+            for block in run.blocks:
+                # its own array: a view would keep the full sampled state alive
+                assert block.shape == shape and block.base is None
+            assert len({id(block) for block in run.blocks}) == len(run.blocks)
+
+    @pytest.mark.parametrize("sweep", ["small_sweep", "dirichlet_sweep"])
+    def test_states_equal_the_sampled_states(self, sweep, request):
+        config, report, runs = request.getfixturevalue(sweep)
+        for alpha, run in zip(config.alphas, runs):
+            sampled = []
+            integrate(
+                SimulationState(t=0.0, theta=config.theta0),
+                config.params_for(alpha),
+                config.stepper(),
+                sample=sampled.append,
+            )
+            states = run.states
+            assert len(states) == len(sampled) == len(report.times)
+            for got, want in zip(states, sampled):
+                assert got.t == want.t
+                assert np.array_equal(got.theta.coeffs, want.theta.coeffs)
+            assert np.array_equal(run.final.theta.coeffs, sampled[-1].theta.coeffs)
 
 
 class TestSweeps:

@@ -234,6 +234,28 @@ class TestTransportKernel:
             assert np.isfinite(err.cfl)
             assert err.cfl == pytest.approx(want_cfl, rel=1e-12)
 
+    def test_dirichlet_transport_allocates_no_grid(self):
+        # every sine/cosine transform overwrites a scratch grid, so what a
+        # warm evaluation still allocates stays below one (n+1)^2 grid
+        n = 128
+        domain = DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET)
+        plan = _plan(domain)
+        block = plan.kept(random_smooth_field(domain, 3, amplitude=1.0).coeffs).copy()
+        scratch = plan.scratch()
+        out = np.empty_like(block)
+        plan.transport(block, scratch, out)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                got = plan.transport(block, scratch, out)[0]
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < (n + 1) ** 2 * 8
+        assert got is out
+        assert np.all(out == plan.transport(block, plan.scratch())[0])
+
 
 class TestTransportSupport:
     @pytest.mark.parametrize(
@@ -679,10 +701,10 @@ def _reference_march(theta, params, config, steps):
 
 
 def _oracle_state(domain, seed, kind):
-    """A smooth field, or a real field with every mode populated."""
+    """A smooth field, or a real field with every mode the 2/3 rule keeps populated."""
     if kind == "smooth":
         return random_smooth_field(domain, seed, amplitude=0.5)
-    return _full_spectrum_field(domain, seed) * 0.05
+    return dealias(_full_spectrum_field(domain, seed)) * 0.05
 
 
 class TestStepOracle:
@@ -692,19 +714,19 @@ class TestStepOracle:
     @given(
         domain=st.one_of(_tori, _boxes),
         seed=st.integers(0, 2**31),
-        kind=st.sampled_from(["smooth", "full_spectrum"]),
+        kind=st.sampled_from(["smooth", "dealiased_noise"]),
         scheme=st.sampled_from(list(Scheme)),
         steps=st.integers(1, 4),
         kappa=st.floats(0.01, 1.0),
         alpha=st.floats(0.55, 1.0),
         lam=st.sampled_from([0.0, 0.3]),
-        forcing=st.sampled_from([None, "smooth", "full_spectrum"]),
+        forcing=st.sampled_from([None, "smooth", "dealiased_noise"]),
     )
     def test_march_matches_full_layout_reference(
         self, domain, seed, kind, scheme, steps, kappa, alpha, lam, forcing
     ):
-        # full-spectrum states and forcings are nonzero outside the kept
-        # block, so they run the march's linear remainder too
+        # the march takes only states and forcings inside its kept block;
+        # the reference updates every mode of the full layout
         theta = _oracle_state(domain, seed, kind)
         if forcing is not None:
             forcing = _oracle_state(domain, seed + 2, forcing) * 0.6
@@ -731,6 +753,40 @@ class TestStepOracle:
                 march(state, SqgParams(kappa=0.1, alpha=0.75), config)
             assert err.value.field == "theta"
 
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_state_outside_the_block_is_rejected(self, name, request):
+        # a full-spectrum state has modes the march would not evolve; the
+        # run stops before its first sample
+        domain = request.getfixturevalue(name)
+        state = SimulationState(t=0.0, theta=_full_spectrum_field(domain, 7) * 0.05)
+        config = StepperConfig(dt=0.01, t_end=0.02)
+        samples = []
+        for march, extra in ((integrate, {"sample": samples.append}), (step, {})):
+            with pytest.raises(FieldError, match="outside the block") as err:
+                march(state, SqgParams(kappa=0.1, alpha=0.75), config, **extra)
+            assert err.value.field == "theta"
+        assert samples == []
+
+    @pytest.mark.parametrize(
+        "name, forcing",
+        [
+            ("torus32", lambda domain: _full_spectrum_field(domain, 9) * 0.05),
+            ("torus32", lambda domain: cosine_field(domain, (0, 11))),
+            ("dirichlet32", lambda domain: _full_spectrum_field(domain, 9) * 0.05),
+            ("dirichlet32", lambda domain: sine_mode_field(domain, (1, 22))),
+        ],
+        ids=["torus32-full", "torus32-mode-0-11", "dirichlet32-full", "dirichlet32-mode-1-22"],
+    )
+    def test_forcing_outside_the_block_is_rejected(self, name, forcing, request):
+        domain = request.getfixturevalue(name)
+        state = SimulationState(t=0.0, theta=random_smooth_field(domain, 8, amplitude=0.5))
+        params = SqgParams(kappa=0.1, alpha=0.75, forcing=forcing(domain))
+        config = StepperConfig(dt=0.01, t_end=0.02)
+        for march in (integrate, step):
+            with pytest.raises(FieldError, match="outside the block") as err:
+                march(state, params, config)
+            assert err.value.field == "forcing"
+
 
 class TestMarchBuffers:
     """The march reuses its buffers; nothing handed out may change afterwards."""
@@ -754,24 +810,19 @@ class TestMarchBuffers:
         assert not np.array_equal(states[1].theta.coeffs, states[3].theta.coeffs)
 
     @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32", "dirichlet64"])
-    @pytest.mark.parametrize("kind", ["smooth", "full_spectrum"])
+    @pytest.mark.parametrize("kind", ["smooth", "dealiased_noise"])
     def test_march_state_is_the_kept_block(self, name, kind, request):
         domain = request.getfixturevalue(name)
         n, state = domain.n, SimulationState(t=0.0, theta=_oracle_state(domain, 33, kind))
         march = _march(state, SqgParams(kappa=0.1, alpha=0.75), StepperConfig(0.01, 0.03), 3)
         blocks = []
-        for _, block, rest, _ in march:
+        for _, block, _ in march:
             blocks.append(block)
             if domain.basis is Basis.TORUS:
                 assert block.shape == (n, n // 3 + 1)
             else:
                 assert block.shape == (2 * n // 3, 2 * n // 3)
             assert block.flags.c_contiguous
-            # a dealiased state has no remainder; a full-spectrum one keeps it
-            if kind == "smooth":
-                assert rest is None
-            elif domain.basis is Basis.TORUS:
-                assert rest.shape == (n, n - 2 * (n // 3) - 1)
         assert blocks[0] is blocks[2] and blocks[1] is not blocks[0]
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
