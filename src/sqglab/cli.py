@@ -31,7 +31,7 @@ from .critical import (
     pairwise_bound_check,
     sweep_with_runs,
 )
-from .dynamics import SimulationState, integrate
+from .dynamics import SimulationState, _plan, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -65,7 +65,7 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import SpectralField, lq_norm, sobolev_norm, to_physical
+from .spectral import Basis, PhysicalField, SpectralField, lq_norm, sobolev_norm, to_physical
 
 __all__ = ["main"]
 
@@ -197,11 +197,20 @@ def _run_fixed_alpha(
     radius = experiment.monitor_tail_cutoff
     cutoff = None if radius is None else CutoffSpec(k=radius)
     # one set of battery buffers, reused by every sample
-    scratch = _battery_plan(theta0.domain, params.alpha).scratch() if full_battery else None
+    domain = theta0.domain
+    scratch = _battery_plan(domain, params.alpha).scratch() if full_battery else None
+    # on the torus theta's grid is the transport plan's pruned synthesis of
+    # the kept block, through transform buffers owned for the run
+    plan = _plan(domain) if domain.basis is Basis.TORUS else None
+    transforms = plan.scratch() if plan is not None else None
 
     def sample(state: SimulationState) -> dict[str, float]:
         # one synthesis of theta feeds the linf and lq columns and the battery
-        theta, grid = state.theta, to_physical(state.theta)
+        theta = state.theta
+        if plan is not None and plan.dealiased(theta.coeffs):
+            grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
+        else:
+            grid = to_physical(theta)
         row = {"l2": sobolev_norm(theta, 0.0), "linf": lq_norm(grid, math.inf)}
         for q in finite_lq:
             row[f"lq{q:g}"] = lq_norm(grid, q)
@@ -224,7 +233,8 @@ def _run_fixed_alpha(
         return row
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
-    scratch = None  # the sampling is over: the buffers go before the artifacts are built
+    # the sampling is over: the buffers go before the artifacts are built
+    scratch = transforms = None
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     times = series.times

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
-from .spectral import Basis, DomainSpec, SpectralField
+from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror
 
 __all__ = [
     "Scheme",
@@ -336,9 +336,9 @@ class _TransportPlan:
     ``synth`` stacks the multipliers taking theta's coefficients to the grid
     values of u1, u2 and theta (dealias mask and the synthesis scale ``1/L``
     folded in; the transforms are unnormalized); ``div`` stacks the symbols
-    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in;
-    ``mirror`` is the row index of ``-k1``.  The kernel assumes real fields,
-    i.e. conjugate-symmetric coefficients, which the block determines.
+    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in.
+    The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
+    which the block determines.
 
     :meth:`transport` writes the transport on that block into ``out``;
     :meth:`add_to` adds a block to a full FFT-layout array, the block
@@ -347,6 +347,8 @@ class _TransportPlan:
     only arrays the block determines (:meth:`is_real` and
     :meth:`confined`: the middle columns ``c+1 .. n-c-1`` are zero), and
     :meth:`assemble` builds the full layout back from a block.
+    :meth:`theta` synthesizes a field's grid values from its block alone;
+    they are the field's own when it is :meth:`dealiased`.
 
     The plan is shared by every caller of its domain, so it holds no
     writable state: :meth:`scratch` gives the caller every buffer the
@@ -359,7 +361,6 @@ class _TransportPlan:
     n: int
     synth: np.ndarray
     div: np.ndarray
-    mirror: np.ndarray
 
     def scratch(self) -> tuple[np.ndarray, ...]:
         """The buffers :meth:`transport` writes: ``(half, theta, u, spectrum, temp)``.
@@ -396,7 +397,7 @@ class _TransportPlan:
         _, theta, u, spectrum, temp = scratch
         if out is None:
             out = np.empty_like(temp)
-        self._synthesize(self.synth[2], coeffs, scratch, theta)
+        self.theta(coeffs, scratch, theta)
         extremes = []
         for mult, div, dest in zip(self.synth[:2], self.div, (out, temp)):
             self._synthesize(mult, coeffs, scratch, u)
@@ -421,12 +422,12 @@ class _TransportPlan:
         """Add a kept block and its conjugate mirror to a full-layout array."""
         n, cut = self.n, block.shape[1] - 1
         full[:, : cut + 1] += block
-        full[:, n - cut :] += self._mirror(block)
+        full[:, n - cut :] += _conjugate_mirror(block)
 
     def is_real(self, full: np.ndarray) -> bool:
         """Whether the mirror columns of a full-layout array are its block's exact mirror."""
         cut = self.div.shape[2] - 1
-        return np.array_equal(full[:, self.n - cut :], self._mirror(self.kept(full)))
+        return np.array_equal(full[:, self.n - cut :], _conjugate_mirror(self.kept(full)))
 
     def confined(self, full: np.ndarray) -> bool:
         """Whether the middle columns of a full-layout array, which no block holds, are zero."""
@@ -439,7 +440,7 @@ class _TransportPlan:
         full = np.empty((n, n), dtype=np.complex128)
         full[:, : cut + 1] = block
         full[:, cut + 1 : n - cut] = 0.0
-        full[:, n - cut :] = self._mirror(block)
+        full[:, n - cut :] = _conjugate_mirror(block)
         return full
 
     def multiplicity(self) -> np.ndarray:
@@ -453,14 +454,27 @@ class _TransportPlan:
         weight[:, 0] = 1.0
         return weight
 
-    def _mirror(self, block: np.ndarray) -> np.ndarray:
-        """The columns ``n-c .. n-1`` of a real field with the kept block ``block``."""
-        cut = block.shape[1] - 1
-        mirrored = block[self.mirror, cut:0:-1]
-        return np.conjugate(mirrored, out=mirrored)
+    def dealiased(self, full: np.ndarray) -> bool:
+        """Whether a field the block determines is zero in the block rows past the 2/3 cut."""
+        cut = self.div.shape[2] - 1
+        return not self.kept(full)[cut + 1 : self.n - cut].any()
+
+    def theta(
+        self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], grid: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Grid values of the 2/3-rule cut of a field, in ``grid`` (a new array if ``None``).
+
+        An axis-0 pass on the kept columns and an axis-1 real pass: the
+        transport's theta, and the grid of a :meth:`dealiased` field.
+        """
+        return self._synthesize(self.synth[2], coeffs, scratch, grid)
 
     def _synthesize(
-        self, mult: np.ndarray, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], grid: np.ndarray
+        self,
+        mult: np.ndarray,
+        coeffs: np.ndarray,
+        scratch: tuple[np.ndarray, ...],
+        grid: np.ndarray | None,
     ) -> np.ndarray:
         """Write the grid values of ``mult * coeffs`` into ``grid`` and return it."""
         # The product goes to the contiguous temp block (numpy buffers an
@@ -647,10 +661,9 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
     synth = np.stack([1j * r2[kept], -1j * r1[kept], np.ones(mask.shape)])
     synth *= mask / domain.box
     div = np.stack([d1[kept], d2[kept]]) * (mask * (-domain.box / (n * n)))
-    mirror = -np.arange(n) % n
-    for table in (synth, div, mirror):
+    for table in (synth, div):
         table.setflags(write=False)
-    return _TransportPlan(n=n, synth=synth, div=div, mirror=mirror)
+    return _TransportPlan(n=n, synth=synth, div=div)
 
 
 def nonlinear_rhs(theta: SpectralField) -> SpectralField:

@@ -64,8 +64,8 @@ class NonFiniteError(SqgError, ValueError):
     """A checked quantity came out non-finite, so its inequality has no verdict.
 
     A numerical failure (the state it was computed from overflows the
-    quantity), not a bad argument; it stays a ``ValueError`` for callers
-    that caught the bare one.
+    quantity, or the state's own grid values), not a bad argument; it stays
+    a ``ValueError`` for callers that caught the bare one.
     """
 
 

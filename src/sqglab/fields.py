@@ -106,6 +106,10 @@ def shear_field(
         raise BasisError("shear_field is a torus construction")
     if mode < 1 or mode >= domain.n // 2:
         raise ValueError(f"mode must lie in [1, n/2), got {mode!r}")
+    if not np.isfinite(amplitude * domain.box):
+        raise FieldError(
+            "amplitude", f"amplitude = {amplitude!r} overflows the coefficient amplitude*L/2"
+        )
     return cosine_field(domain, (mode, 0), amplitude)
 
 

@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BasisError, FieldError, ZeroModeError
+from .errors import BasisError, FieldError, NonFiniteError, ZeroModeError
 
 __all__ = [
     "Basis",
@@ -295,7 +295,7 @@ class PhysicalField:
         if values.shape != expected:
             raise ValueError(f"value array has shape {values.shape}, expected {expected}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite physical values")
+            raise NonFiniteError("non-finite physical values")
         values = values.copy() if not values.flags.owndata else values
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -315,18 +315,19 @@ class PhysicalField:
 
 def to_physical(field: SpectralField) -> PhysicalField:
     """Synthesize grid samples from spectral coefficients."""
-    import scipy.fft  # on first use: runs that transform nothing never load it
-
     dom = field.domain
     n = dom.n
     if dom.basis is Basis.TORUS:
         # e_k = L^{-1} exp(...)  =>  values = ifft2(c) * n^2 / L
-        # Stays a complex ifft2 on purpose: an irfft2 here rounds differently and
-        # leaves 4.2e-18 on the boundary lines of odd extensions, whose trace
-        # the Dirichlet-sweep criterion asserts to be exactly 0.0.  Hot paths
-        # run on their own real-FFT plans instead.
-        values = scipy.fft.ifft2(np.asarray(field.coeffs)) * (n * n / dom.box)
-        return PhysicalField(values.real, dom)
+        # numpy's complex ifft2, kept complex on purpose: an irfft2 here
+        # rounds differently and leaves about 1e-17 on the boundary lines of
+        # odd extensions, whose trace the Dirichlet-sweep criterion asserts
+        # to be exactly 0.0.  Hot paths synthesize from their plans' kept
+        # blocks instead.
+        values = np.fft.ifft2(field.coeffs).real * (n * n / dom.box)
+        return PhysicalField(values, dom)
+    import scipy.fft  # the box's sine transforms: torus runs never load it
+
     interior = scipy.fft.dstn(np.asarray(field.coeffs) * (n / dom.box), type=1, norm="ortho")
     full = np.zeros((n + 1, n + 1))
     full[1:-1, 1:-1] = interior
@@ -335,8 +336,6 @@ def to_physical(field: SpectralField) -> PhysicalField:
 
 def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = None) -> SpectralField:
     """Analyze grid samples into spectral coefficients (inverse of to_physical)."""
-    import scipy.fft
-
     if isinstance(values, PhysicalField):
         domain = values.domain
         values = values.values
@@ -345,8 +344,9 @@ def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = 
     values = np.asarray(values, dtype=np.float64)
     n = domain.n
     if domain.basis is Basis.TORUS:
-        coeffs = scipy.fft.fft2(values) * (domain.box / (n * n))
-        return SpectralField(coeffs, domain)
+        return SpectralField(_real_spectrum(values) * (domain.box / (n * n)), domain)
+    import scipy.fft
+
     if values.shape == (n + 1, n + 1):
         values = values[1:-1, 1:-1]
     elif values.shape != (n - 1, n - 1):
@@ -356,6 +356,31 @@ def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = 
         )
     coeffs = scipy.fft.dstn(values, type=1, norm="ortho") * (domain.box / n)
     return SpectralField(coeffs, domain)
+
+
+def _real_spectrum(values: np.ndarray) -> np.ndarray:
+    """The unnormalized ``fft2`` of a real grid, its columns past ``n//2`` an exact mirror.
+
+    The ``rfft2`` half plane gives the columns ``0 .. n//2``, and
+    :func:`_conjugate_mirror` the rest.  A complex ``fft2`` of real input
+    leaves those columns a few ulps off the exact conjugates, which the
+    march rejects as a complex field.
+    """
+    half = np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
+    n = values.shape[1]
+    return np.concatenate([half, _conjugate_mirror(half[:, : n - n // 2])], axis=1)
+
+
+def _conjugate_mirror(block: np.ndarray) -> np.ndarray:
+    """The last ``c`` columns of a real field's FFT layout whose first ``c+1`` are ``block``.
+
+    Realness makes the mode ``(-k1, -k2)`` the conjugate of ``(k1, k2)``,
+    so column ``m-j`` (``m`` the full width) is the conjugate of column
+    ``j`` read at the rows of ``-k1``, for ``j = 1 .. c``.  A new array.
+    """
+    rows, cut = block.shape[0], block.shape[1] - 1
+    mirrored = block[-np.arange(rows) % rows, cut:0:-1]
+    return np.conjugate(mirrored, out=mirrored)
 
 
 # ---------------------------------------------------------------------------

@@ -904,6 +904,12 @@ class TestCliExitCodes:
                 "amplitude = 1e+308 overflows: the field peaks at",
                 id="amplitude",
             ),
+            pytest.param(
+                simulate_with("type", "type = shear").replace("amplitude = 0.1", "amplitude = 1e308"),
+                13,
+                "amplitude = 1e+308 overflows the coefficient amplitude*L/2",
+                id="shear-amplitude",
+            ),
         ],
     )
     def test_init_value_that_builds_no_field_exits_one(
@@ -919,6 +925,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"config error ({config}, line {line}): {message}" in err
         assert not out.exists()
+
+    def test_state_whose_grid_overflows_exits_two(self, tmp_path, capsys):
+        # the bump peaks at 1e308 on the box, and its sine synthesis
+        # overflows on the way there: a numerical failure, not a traceback
+        text = cfg(
+            *SIMULATE_LINES[:4], "basis = dirichlet", *SIMULATE_LINES[4:11],
+            "type = bump", "width = 0.5", "amplitude = 1e308",
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        assert "non-finite physical values" in capsys.readouterr().err
+        assert "numerical failure" in (out / "run.log").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         ("kind", "code", "status"),
@@ -1097,6 +1118,30 @@ _forcing_amplitudes = st.one_of(
 )
 
 
+def _assert_exit_contract(text: str) -> None:
+    """Run ``simulate`` on ``text``: it exits 0, 1 or 2 and raises nothing.
+
+    A config error cites its line and writes nothing; any other exit
+    leaves a ``run.log``.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out = os.path.join(tmp, "out")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CflWarning)
+                code = main(["simulate", "--config", config, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert f"config error ({config}, line " in stderr.getvalue()
+            assert not os.path.exists(out)
+        else:
+            assert os.path.isfile(os.path.join(out, "run.log"))
+
+
 class TestForcingFuzz:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1107,33 +1152,67 @@ class TestForcingFuzz:
         amplitude=_forcing_amplitudes,
     )
     def test_forcing_keys_keep_the_exit_contract(self, n, basis, ftype, mode, amplitude):
-        # every draw exits 0, 1 or 2 and raises nothing; a config error
-        # cites its line and writes nothing, any other exit leaves a run.log
         keys = {"type": ftype, "mode": mode, "amplitude": amplitude}
-        text = cfg(
-            *SIMULATE_LINES[:3],
-            f"n = {n}",
-            f"basis = {basis}",
-            *SIMULATE_LINES[4:],
-            "[forcing]",
-            *(f"{key} = {value}" for key, value in keys.items() if value is not None),
+        _assert_exit_contract(
+            cfg(
+                *SIMULATE_LINES[:3],
+                f"n = {n}",
+                f"basis = {basis}",
+                *SIMULATE_LINES[4:],
+                "[forcing]",
+                *(f"{key} = {value}" for key, value in keys.items() if value is not None),
+            )
         )
-        with tempfile.TemporaryDirectory() as tmp:
-            config = os.path.join(tmp, "run.cfg")
-            with open(config, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            out = os.path.join(tmp, "out")
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", CflWarning)
-                    code = main(["simulate", "--config", config, "--out", out])
-            assert code in (0, 1, 2)
-            if code == 1:
-                assert f"config error ({config}, line " in stderr.getvalue()
-                assert not os.path.exists(out)
-            else:
-                assert os.path.isfile(os.path.join(out, "run.log"))
+
+
+#: ``[init]`` values for the fuzz below, as file literals: tiny, huge,
+#: subnormal, negative and integer-overflow values, and ordinary ones so
+#: that fields get built, drawn per key.
+_init_types = st.sampled_from([None, "random", "shear", "bump", "square"])
+_init_integers = st.one_of(
+    st.none(),
+    st.integers(-17, 17).map(str),
+    st.sampled_from(["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER]),
+)
+_init_floats = st.one_of(
+    st.none(),
+    st.sampled_from(
+        ["1e-300", "5e-324", "1e-160", "1e308", "-1", "0", "-2.5", "0.01", "0.5", "1", "3",
+         "17", _HUGE_INTEGER, "-" + _HUGE_INTEGER]
+    ),
+    st.floats(1e-3, 20.0).map(repr),
+    st.floats(-1e308, 1e308).map(repr),
+)
+
+
+class TestInitFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32]),
+        basis=st.sampled_from(["torus", "dirichlet"]),
+        itype=_init_types,
+        seed=_init_integers,
+        decay=_init_floats,
+        amplitude=_init_floats,
+        mode=_init_integers,
+        width=_init_floats,
+    )
+    def test_init_keys_keep_the_exit_contract(
+        self, n, basis, itype, seed, decay, amplitude, mode, width
+    ):
+        keys = {
+            "type": itype, "seed": seed, "decay": decay, "amplitude": amplitude,
+            "mode": mode, "width": width,
+        }
+        _assert_exit_contract(
+            cfg(
+                *SIMULATE_LINES[:3],
+                f"n = {n}",
+                f"basis = {basis}",
+                *SIMULATE_LINES[4:11],
+                *(f"{key} = {value}" for key, value in keys.items() if value is not None),
+            )
+        )
 
 
 class TestCliArtifacts:
@@ -1248,16 +1327,16 @@ class TestCliArtifacts:
         checks = json.loads((out / "checks.json").read_text(encoding="utf-8"))
         assert checks["all_passed"] is True
 
-    def test_operator_tests_never_load_scipy_fft(self, tmp_path):
-        # scipy.fft is imported where a transform first runs; the dense
-        # operator battery runs none, so a fresh process never pays for it
-        config = write_config(tmp_path, OPERATOR_CLI)
-        argv = ["operator-tests", "--config", config, "--out", str(tmp_path / "out")]
+    @staticmethod
+    def fresh_run(tmp_path, text: str, kind: str) -> list[str]:
+        """Exit code of a run in a fresh interpreter, and whether it loaded scipy.fft and scipy.special."""
+        config = write_config(tmp_path, text)
+        argv = [kind, "--config", config, "--out", str(tmp_path / "out")]
         script = (
             "import sys\n"
             "from sqglab.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, 'scipy.fft' in sys.modules)\n"
+            "print(code, 'scipy.fft' in sys.modules, 'scipy.special' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(sqglab.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -1265,7 +1344,27 @@ class TestCliArtifacts:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split()[-2:] == ["0", "False"]
+        return result.stdout.split()[-3:]
+
+    def test_operator_tests_never_load_scipy_fft(self, tmp_path):
+        # scipy.fft is imported where a transform first runs; the dense
+        # operator battery runs none, so a fresh process never pays for it
+        assert self.fresh_run(tmp_path, OPERATOR_CLI, "operator-tests") == ["0", "False", "False"]
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("simulate", SIM_CLI),
+            ("simulate", simulate_with("type", "type = bump") + "width = 0.5\n"),
+            ("estimates-report", STREAMING_REPORT),
+            ("sweep-alpha", cfg(*SWEEP_CLI_LINES)),
+        ],
+        ids=["simulate", "simulate-bump", "estimates-report", "sweep-alpha"],
+    )
+    def test_torus_runs_never_load_scipy_fft(self, tmp_path, kind, text):
+        # every torus transform runs on numpy.fft; scipy.fft serves the
+        # Dirichlet box's sine and cosine transforms only
+        assert self.fresh_run(tmp_path, text, kind) == ["0", "False", "False"]
 
     def test_sweep_artifacts(self, tmp_path, capsys):
         out = self.run_ok(
@@ -1440,7 +1539,20 @@ class TestCliArtifacts:
 
         assert len(states) == 6
         assert [c["name"] for c in checks] == [r.name for r in want]
-        assert checks == [r.as_dict() for r in want]
+        want = [r.as_dict() for r in want]
+        if "basis = dirichlet" in setup or "type = shear" in setup:
+            # the run synthesizes these states through to_physical too
+            assert checks == want
+            return
+        # a dealiased torus state's grid is the transport plan's real
+        # synthesis, not to_physical's complex ifft2: the two round apart
+        sides = ("lhs", "rhs", "slack")
+        for got, record in zip(checks, want):
+            assert {k: v for k, v in got.items() if k not in sides} == {
+                k: v for k, v in record.items() if k not in sides
+            }
+            for side in sides:
+                assert got[side] == pytest.approx(record[side], rel=1e-12, abs=1e-15)
 
     def test_estimates_battery_streams_its_states(self, tmp_path, capsys):
         # n = 64, 100 steps: 101 retained states would hold 101 n^2 complex values
@@ -1458,9 +1570,11 @@ class TestCliArtifacts:
         assert peak < retained / 2
 
     def test_estimates_report_synthesizes_each_sample_once(self, tmp_path, capsys, monkeypatch):
-        # theta(x) feeds the norm columns and the battery, whose plan builds
-        # (-Lap)^alpha theta(x) from the kept block without to_physical; the
-        # initial field's amplitude costs one more
+        # theta(x) feeds the norm columns and the battery: the transport
+        # plan synthesizes it once per sample from the kept block, into a
+        # new grid (the kernel's own calls pass one), and the battery plan
+        # builds (-Lap)^alpha theta(x) without to_physical; only the initial
+        # field's amplitude calls to_physical
         calls = []
         original = to_physical
 
@@ -1471,7 +1585,17 @@ class TestCliArtifacts:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "sqglab" and getattr(module, "to_physical", None) is original:
                 monkeypatch.setattr(module, "to_physical", counted)
+        samples = []
+        theta = dynamics._TransportPlan.theta
+
+        def counted_theta(plan, coeffs, scratch, grid=None):
+            if grid is None:
+                samples.append(plan.n)
+            return theta(plan, coeffs, scratch, grid)
+
+        monkeypatch.setattr(dynamics._TransportPlan, "theta", counted_theta)
         out = self.run_ok(tmp_path, capsys, STREAMING_REPORT, "estimates-report")
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["n_samples"] == 101
-        assert calls == [64] * 102
+        assert calls == [64]
+        assert samples == [64] * 101

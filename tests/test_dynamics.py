@@ -406,9 +406,10 @@ class TestPrunedTorusKernel:
         assert plan.speed(coeffs) == want_speed
 
     def test_plan_building_leaves_scipy_fft_unloaded(self):
-        # the torus kernel transforms with numpy.fft alone; the Dirichlet
-        # kernel imports scipy.fft where it first transforms, not at import
-        # or plan time
+        # the torus transforms, fields and kernel run on numpy.fft alone;
+        # the Dirichlet kernel imports scipy.fft where it first transforms,
+        # not at import or plan time
+        loaded = "print('scipy.fft' in sys.modules, 'scipy.special' in sys.modules)\n"
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -416,16 +417,20 @@ class TestPrunedTorusKernel:
             "    SimulationState, SqgParams, StepperConfig, _plan, advective_speed,\n"
             "    integrate, nonlinear_rhs,\n"
             ")\n"
-            "from sqglab.spectral import Basis, DomainSpec, cosine_field, sine_mode_field\n"
+            "from sqglab.fields import gaussian_bump_field, random_smooth_field\n"
+            "from sqglab.spectral import (\n"
+            "    Basis, DomainSpec, cosine_field, sine_mode_field, to_physical, to_spectral,\n"
+            ")\n"
             "torus = DomainSpec(n=32, box=2 * np.pi, basis=Basis.TORUS)\n"
             "box = DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET)\n"
             "_plan(torus), _plan(box)\n"
-            "print('scipy.fft' in sys.modules)\n"
-            "theta = cosine_field(torus, (1, 2)) + cosine_field(torus, (3, 1))\n"
+            f"{loaded}"
+            "theta = random_smooth_field(torus, 3) + gaussian_bump_field(torus, width=0.5)\n"
+            "to_spectral(to_physical(theta))\n"
             "nonlinear_rhs(theta), advective_speed(theta)\n"
             "integrate(SimulationState(t=0.0, theta=theta), SqgParams(kappa=0.1, alpha=0.75),\n"
             "          StepperConfig(dt=0.01, t_end=0.02))\n"
-            "print('scipy.fft' in sys.modules)\n"
+            f"{loaded}"
             "nonlinear_rhs(sine_mode_field(box, (1, 2)))\n"
             "print('scipy.fft' in sys.modules)\n"
         )
@@ -435,7 +440,7 @@ class TestPrunedTorusKernel:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "False", "True"]
+        assert result.stdout.split() == ["False"] * 4 + ["True"]
 
     def test_transport_allocates_nothing_and_fills_out(self):
         # a march's evaluation: a contiguous block in, one scratch and one

@@ -93,6 +93,11 @@ class TestShearField:
         with pytest.raises(ValueError, match="mode"):
             shear_field(torus32, mode=16)
 
+    def test_overflowing_amplitude_names_its_key(self, torus32):
+        with pytest.raises(FieldError, match="amplitude") as info:
+            shear_field(torus32, amplitude=1e308)
+        assert info.value.field == "amplitude"
+
 
 class TestGaussianBump:
     def test_normalized_and_mean_free(self, torus64):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqglab.dynamics import _plan
 from sqglab.errors import BasisError, ZeroModeError
 from sqglab.fields import random_smooth_field
 from sqglab.spectral import (
@@ -27,6 +28,7 @@ from sqglab.spectral import (
     sobolev_norm,
     to_physical,
     to_spectral,
+    _real_spectrum,
     velocity_from_theta,
 )
 
@@ -447,3 +449,59 @@ class TestTransformProperties:
         parts = [sobolev_norm(riesz_transform(theta, j), 0.0) for j in (1, 2)]
         assert max(parts) <= norm * (1 + 1e-13)
         assert np.hypot(*parts) == pytest.approx(norm, rel=1e-13)
+
+
+_TORI = [d for d in _DOMAINS if d.basis is Basis.TORUS]
+
+
+def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestTorusTransformProperties:
+    """The numpy-backed torus transforms against scipy.fft and the transport plan."""
+
+    @settings(max_examples=40)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9), seed=_seeds, amplitude=_amplitudes)
+    def test_real_spectrum_is_an_exactly_hermitian_fft2(self, rows, cols, seed, amplitude):
+        # any grid size, odd ones included; DomainSpec admits powers of two only
+        import scipy.fft
+
+        values = amplitude * np.random.default_rng(seed).standard_normal((rows, cols))
+        spectrum = _real_spectrum(values)
+        assert spectrum.shape == (rows, cols)
+        # the columns past the half plane are exact conjugates; columns 0
+        # and n/2 come from a complex axis-0 pass and are Hermitian to round-off
+        mirror = np.conj(spectrum[-np.arange(rows) % rows][:, -np.arange(cols) % cols])
+        assert np.array_equal(spectrum[:, cols // 2 + 1 :], mirror[:, cols // 2 + 1 :])
+        assert _relative_gap(spectrum, scipy.fft.fft2(values)) <= 1e-14
+
+    @settings(max_examples=40)
+    @given(domain=st.sampled_from(_TORI), seed=_seeds, amplitude=_amplitudes)
+    def test_to_spectral_mirror_is_exact(self, domain, seed, amplitude):
+        import scipy.fft
+
+        n = domain.n
+        values = amplitude * np.random.default_rng(seed).standard_normal((n, n))
+        coeffs = to_spectral(values, domain).coeffs
+        assert _plan(domain).is_real(coeffs)
+        mirror = np.conj(coeffs[-np.arange(n) % n, n // 2 - 1 : 0 : -1])
+        assert np.array_equal(coeffs[:, n // 2 + 1 :], mirror)
+        want = scipy.fft.fft2(values) * (domain.box / (n * n))
+        assert _relative_gap(coeffs, want) <= 1e-14
+
+    @settings(max_examples=40)
+    @given(domain=st.sampled_from(_TORI), seed=_seeds, amplitude=_amplitudes)
+    def test_grid_round_trip(self, domain, seed, amplitude):
+        values = amplitude * np.random.default_rng(seed).standard_normal((domain.n, domain.n))
+        back = to_physical(to_spectral(values, domain)).values
+        assert _relative_gap(back, values) <= 1e-14
+
+    @settings(max_examples=40)
+    @given(domain=st.sampled_from(_TORI), seed=_seeds, amplitude=_amplitudes, smooth=st.booleans())
+    def test_plan_synthesis_matches_to_physical(self, domain, seed, amplitude, smooth):
+        theta = dealias(_random_field(domain, seed, amplitude, not smooth))
+        plan = _plan(domain)
+        assert plan.dealiased(theta.coeffs)
+        got = plan.theta(theta.coeffs, plan.scratch())
+        assert _relative_gap(got, to_physical(theta).values) <= 1e-14
