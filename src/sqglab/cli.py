@@ -76,7 +76,6 @@ _NUMERICAL_ERRORS = (
     SingularOperatorError,
     ZeroModeError,
     ArithmeticError,
-    FloatingPointError,
 )
 
 

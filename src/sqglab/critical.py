@@ -191,9 +191,9 @@ class ConvergenceReport:
         Dissipation orders, strictly decreasing.
     times:
         Sample times shared by all runs.
-    pairwise:
-        Matrix of sup-in-time :math:`H^{-1/2}` distances between runs,
-        symmetric with a zero diagonal.
+    distances:
+        :math:`H^{-1/2}` distance of every pair of runs ``i < j`` (rows, in
+        row-major pair order) at every sample time (columns).
     sup_infnorms:
         Per-run supremum over time of the L-infinity norm.
     smallness_coeff:
@@ -206,43 +206,34 @@ class ConvergenceReport:
     fitted_exponent:
         Least-squares slope of ``log(sup_distance)`` against
         ``log(delta_alpha)`` over the distances to the most critical run.
-    distances:
-        :math:`H^{-1/2}` distance of every pair of runs ``i < j`` (rows, in
-        row-major pair order) at every sample time (columns); ``pairwise``
-        holds its row maxima.  ``None`` for a report built without
-        trajectories.
     """
 
     alphas: tuple[float, ...]
     times: tuple[float, ...]
-    pairwise: np.ndarray
+    distances: np.ndarray
     sup_infnorms: tuple[float, ...]
     smallness_coeff: float
     per_pair_bound: tuple[tuple[float, float, float], ...]
     fitted_exponent: float
-    distances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.pairwise, dtype=float)
-        object.__setattr__(self, "pairwise", matrix)
         m = len(self.alphas)
-        if matrix.shape != (m, m):
-            raise ValueError(
-                f"pairwise matrix must be {m}x{m}, got {matrix.shape}"
-            )
         if len(self.sup_infnorms) != m:
             raise ValueError("sup_infnorms must have one entry per alpha")
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("pairwise distance matrix must be symmetric")
-        if np.any(np.diagonal(matrix) != 0.0):
-            raise ValueError("pairwise distance matrix must have a zero diagonal")
-        if np.any(matrix < 0):
-            raise ValueError("pairwise distances must be nonnegative")
         pairs = m * (m - 1) // 2
-        if self.distances is not None and self.distances.shape != (pairs, len(self.times)):
+        if self.distances.shape != (pairs, len(self.times)):
             raise ValueError(
                 f"distance table must be {pairs}x{len(self.times)}, got {self.distances.shape}"
             )
+
+    @property
+    def pairwise(self) -> np.ndarray:
+        """Symmetric matrix of sup-in-time distances between runs: the table's row maxima."""
+        m = len(self.alphas)
+        matrix = np.zeros((m, m))
+        first, second = np.triu_indices(m, k=1)
+        matrix[first, second] = matrix[second, first] = self.distances.max(axis=1)
+        return matrix
 
     def as_dict(self) -> dict:
         """JSON-ready summary of the report."""
@@ -345,9 +336,6 @@ def assemble_report(
 
     m = len(runs)
     distances = _distance_table(runs)
-    pairwise = np.zeros((m, m))
-    first, second = np.triu_indices(m, k=1)
-    pairwise[first, second] = pairwise[second, first] = distances.max(axis=1)
 
     sup_infnorms = tuple(
         max(float(v) for v in run.series.column("linf")) for run in runs
@@ -357,7 +345,9 @@ def assemble_report(
     smallness = smallness_coefficient(largest, second, _coercivity(config.domain, config.kappa))
 
     delta_alphas = [config.alphas[i] - config.alphas[-1] for i in range(m - 1)]
-    sups = [float(pairwise[i, -1]) for i in range(m - 1)]
+    # the sup distances of runs 0 .. m-2 to the last, in the table's pair order
+    last = np.triu_indices(m, k=1)[1] == m - 1
+    sups = [float(s) for s in distances.max(axis=1)[last]]
     usable = [(d, s) for d, s in zip(delta_alphas, sups) if s > 0 and d > 0]
     if len(usable) >= 2:
         logs_d = np.log([d for d, _ in usable])
@@ -370,12 +360,11 @@ def assemble_report(
     return ConvergenceReport(
         alphas=config.alphas,
         times=times,
-        pairwise=pairwise,
+        distances=distances,
         sup_infnorms=sup_infnorms,
         smallness_coeff=smallness,
         per_pair_bound=per_pair,
         fitted_exponent=exponent,
-        distances=distances,
     )
 
 

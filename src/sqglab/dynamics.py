@@ -14,15 +14,19 @@ second-order Runge-Kutta corrector of Cox and Matthews).
 Each basis has one transport kernel on raw arrays, driven by a plan of
 read-only multipliers cached per domain, with no intermediate field objects.
 The kernel returns the transport only on the block of modes the 2/3 rule
-keeps, and the plan adds such a block into a full-layout array.  On the torus
-the block is the columns ``0 .. n/3`` of the real-FFT half plane (the plan
-adds their conjugate mirror too), so one evaluation is three inverse real
-FFTs (u1, u2 and theta) and two forward ones (the fluxes), whose complex
-passes skip the zeroed columns.  Each pass is a per-axis ``numpy.fft`` call
-writing into buffers the caller owns (the plan's ``scratch`` and an output
-block): theta is synthesized onto one grid, then u1 and u2 stream one at a
-time through a second grid, each multiplied by theta and analyzed before
-the next is synthesized, so a step allocates no transform output.  On a
+keeps, and the plan, the one code that knows that block, assembles a
+full-layout array from it.  On the torus the block is the columns
+``0 .. n/3`` of the real-FFT half plane (the plan derives their conjugate
+mirror), so one evaluation is three inverse real FFTs (u1, u2 and theta) and
+two forward ones (the fluxes), whose complex passes skip the zeroed columns.
+The same pruned synthesis gives a sampled state's grid and the estimate
+battery's ``(-Lap)^a theta``, and one dealias test per plan tells every
+caller whether a field has modes past the cut.  Each pass is a per-axis
+``numpy.fft`` call writing into buffers the caller owns (the plan's
+``scratch`` and an output block): theta is synthesized onto one grid, then
+u1 and u2 stream one at a time through a second grid, each multiplied by
+theta and analyzed before the next is synthesized, so a step allocates no
+transform output.  On a
 Dirichlet box the kernel stays on the box's own ``(n+1)^2`` grid: theta is a
 sine-sine series, the velocity components are sine-cosine and cosine-sine
 series, and type-1 sine/cosine transforms (``scipy.fft``) synthesize them
@@ -340,15 +344,14 @@ class _TransportPlan:
     The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
     which the block determines.
 
-    :meth:`transport` writes the transport on that block into ``out``;
-    :meth:`add_to` adds a block to a full FFT-layout array, the block
-    columns and their conjugate mirror ``n-c .. n-1``, the only modes the
-    transport touches.  A march keeps the block as its state, so it takes
-    only arrays the block determines (:meth:`is_real` and
-    :meth:`confined`: the middle columns ``c+1 .. n-c-1`` are zero), and
-    :meth:`assemble` builds the full layout back from a block.
-    :meth:`theta` synthesizes a field's grid values from its block alone;
-    they are the field's own when it is :meth:`dealiased`.
+    The plan is the one owner of that block: :meth:`kept` cuts it from a
+    full FFT-layout array or table, :meth:`assemble` builds the full layout
+    back (zero middle columns ``c+1 .. n-c-1``, conjugate mirror
+    ``n-c .. n-1``), :meth:`is_real` and :meth:`confined` tell whether the
+    block determines an array, as a march requires, and :meth:`dealiased`
+    whether it has no mode past the cut.  :meth:`synthesize` is the one
+    pruned synthesis, which :meth:`transport`, :meth:`theta` and the
+    estimate battery's ``(-Lap)^a theta`` run.
 
     The plan is shared by every caller of its domain, so it holds no
     writable state: :meth:`scratch` gives the caller every buffer the
@@ -400,7 +403,7 @@ class _TransportPlan:
         self.theta(coeffs, scratch, theta)
         extremes = []
         for mult, div, dest in zip(self.synth[:2], self.div, (out, temp)):
-            self._synthesize(mult, coeffs, scratch, u)
+            self.synthesize(mult, coeffs, scratch, u)
             extremes += (u.max(), -u.min())
             u *= theta
             np.fft.rfft(u, axis=1, out=spectrum)
@@ -414,20 +417,23 @@ class _TransportPlan:
         scratch = self.scratch()
         extremes = []
         for mult in self.synth[:2]:
-            u = self._synthesize(mult, coeffs, scratch, scratch[2])
+            u = self.synthesize(mult, coeffs, scratch, scratch[2])
             extremes += (u.max(), -u.min())
         return float(max(extremes))
 
-    def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
-        """Add a kept block and its conjugate mirror to a full-layout array."""
-        n, cut = self.n, block.shape[1] - 1
-        full[:, : cut + 1] += block
-        full[:, n - cut :] += _conjugate_mirror(block)
-
     def is_real(self, full: np.ndarray) -> bool:
-        """Whether the mirror columns of a full-layout array are its block's exact mirror."""
-        cut = self.div.shape[2] - 1
-        return np.array_equal(full[:, self.n - cut :], _conjugate_mirror(self.kept(full)))
+        """Whether the mirror columns are the block's exact mirror and column 0 its own.
+
+        Column 0, which an axis-0 ``fft`` leaves a few ulps off, may miss by
+        ``1e-12`` of the block's largest ``|coefficient|`` (``validate``'s tolerance).
+        """
+        block = self.kept(full)
+        cut = block.shape[1] - 1
+        if not np.array_equal(full[:, self.n - cut :], _conjugate_mirror(block)):
+            return False
+        column = block[:, 0]
+        gap = np.abs(column - np.conj(column[-np.arange(self.n) % self.n])).max()
+        return bool(gap <= 1e-12 * np.abs(block).max())
 
     def confined(self, full: np.ndarray) -> bool:
         """Whether the middle columns of a full-layout array, which no block holds, are zero."""
@@ -455,32 +461,32 @@ class _TransportPlan:
         return weight
 
     def dealiased(self, full: np.ndarray) -> bool:
-        """Whether a field the block determines is zero in the block rows past the 2/3 cut."""
+        """Whether a full-layout array is zero at every mode past the 2/3 cut."""
         cut = self.div.shape[2] - 1
-        return not self.kept(full)[cut + 1 : self.n - cut].any()
+        beyond = slice(cut + 1, self.n - cut)
+        return not (full[beyond].any() or full[:, beyond].any())
 
     def theta(
         self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], grid: np.ndarray | None = None
     ) -> np.ndarray:
         """Grid values of the 2/3-rule cut of a field, in ``grid`` (a new array if ``None``).
 
-        An axis-0 pass on the kept columns and an axis-1 real pass: the
-        transport's theta, and the grid of a :meth:`dealiased` field.
+        The transport's theta, and the grid of a :meth:`dealiased` field.
         """
-        return self._synthesize(self.synth[2], coeffs, scratch, grid)
+        return self.synthesize(self.synth[2], coeffs, scratch, grid)
 
-    def _synthesize(
+    def synthesize(
         self,
         mult: np.ndarray,
         coeffs: np.ndarray,
         scratch: tuple[np.ndarray, ...],
         grid: np.ndarray | None,
     ) -> np.ndarray:
-        """Write the grid values of ``mult * coeffs`` into ``grid`` and return it."""
-        # The product goes to the contiguous temp block (numpy buffers an
-        # elementwise pass over a strided view); the axis-0 pass writes the
-        # kept columns of the zeroed half plane, so the axis-1 pass needs
-        # no padding.
+        """Write the grid values of ``mult * coeffs`` (a block or full layout) into ``grid``."""
+        # The product goes to the contiguous temp block, the last in scratch
+        # and possibly coeffs itself (numpy buffers an elementwise pass over
+        # a strided view); the axis-0 pass writes the kept columns of the
+        # zeroed half plane, the first, so the axis-1 pass needs no padding.
         half, *_, temp = scratch
         np.multiply(mult, self.kept(coeffs), out=temp)
         np.fft.ifft(temp, axis=0, norm="forward", out=self.kept(half))
@@ -518,10 +524,11 @@ class _DirichletPlan:
     Transforms skip the lines outside these blocks.
 
     :meth:`transport` writes the transport on the output block into
-    ``out``, which :meth:`add_to` adds to a full ``(n-1, n-1)`` array.  A
-    march keeps the block as its state, so it takes only arrays that are
-    zero outside it (:meth:`confined`), and :meth:`assemble` pads a block
-    back to the full layout.  Every grid the kernel writes comes from
+    ``out``, and :meth:`assemble` pads a block back to the full ``(n-1,
+    n-1)`` layout.  A march keeps the block as its state, so it takes only
+    arrays that are zero outside it (:meth:`confined`); :meth:`dealiased`
+    says whether an array is zero past the input cut ``n/3``, the modes
+    the kernel reads.  Every grid the kernel writes comes from
     :meth:`scratch` and, like ``out``, belongs to the caller, since the plan
     is shared by every caller of its domain; each ``scipy.fft`` transform
     overwrites its input there.
@@ -585,11 +592,6 @@ class _DirichletPlan:
         u1, u2 = self._velocity(coeffs, *self.scratch()[:2])
         return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
 
-    def add_to(self, full: np.ndarray, block: np.ndarray) -> None:
-        """Add a kept block to a full-layout array."""
-        kept = self.kept(full)
-        kept += block
-
     def is_real(self, full: np.ndarray) -> bool:
         """Always true: sine coefficients are real."""
         return True
@@ -608,6 +610,11 @@ class _DirichletPlan:
     def multiplicity(self) -> np.ndarray:
         """How often each block mode occurs in the full layout: once."""
         return np.ones(self.div.shape[1:])
+
+    def dealiased(self, full: np.ndarray) -> bool:
+        """Whether a full-layout array is zero at every mode past the input cut ``n/3``."""
+        cut = self.synth.shape[1]
+        return not (full[cut:].any() or full[:, cut:].any())
 
     def _velocity(
         self, coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray
@@ -679,8 +686,7 @@ def nonlinear_rhs(theta: SpectralField) -> SpectralField:
     the box's own grid with type-1 sine and cosine transforms.
     """
     plan = _plan(theta.domain)
-    rhs = np.zeros_like(theta.coeffs)
-    plan.add_to(rhs, plan.transport(theta.coeffs, plan.scratch())[0])
+    rhs = plan.assemble(plan.transport(theta.coeffs, plan.scratch())[0])
     return SpectralField(coeffs=rhs, domain=theta.domain)
 
 
@@ -721,16 +727,15 @@ def _kept_block(plan: _TransportPlan | _DirichletPlan, full: np.ndarray, name: s
     """The kept block of a full-layout state or forcing, which must determine the array.
 
     Raises :class:`FieldError` naming ``name`` otherwise: a torus array
-    whose mirror columns are not its block's conjugate mirror is a complex
-    field, which the equation does not evolve, and an array with modes
-    outside the block is rejected rather than dealiased, so a run evolves
-    exactly the field it was given.
+    that is not conjugate-symmetric where its block reaches
+    (``plan.is_real``) is a complex field, which the equation does not
+    evolve, and an array with modes outside the block is rejected rather
+    than dealiased, so a run evolves exactly the field it was given.
     """
     if not plan.is_real(full):
         raise FieldError(
             name,
-            f"{name} is not a real field: its mirror columns are not the conjugate "
-            "mirror of its kept columns",
+            f"{name} is not a real field: its coefficients are not conjugate-symmetric",
         )
     if not plan.confined(full):
         raise FieldError(
@@ -775,9 +780,9 @@ def _march(
     ------
     FieldError
         Naming ``theta`` or ``forcing`` if that array is not determined by
-        its kept block: a torus array whose mirror columns are not the
-        exact conjugate mirror of its kept columns (a complex field), or
-        any array with a nonzero mode outside the block.
+        its kept block: a torus array that is not conjugate-symmetric there
+        (a complex field), or any array with a nonzero mode outside the
+        block.
     BlowUpError
         While iterating, at the time of the failed step, with the advective
         CFL number of the last accepted state (``inf`` if its velocity
@@ -993,7 +998,7 @@ def picard_reference(
     weights = _simpson_weights(m, h)
 
     theta0 = state.theta.coeffs
-    profile = np.empty((m + 1, *theta0.shape), dtype=np.complex128)
+    profile = np.empty((m + 1, *theta0.shape), dtype=theta0.dtype)
     homogeneous = np.empty_like(profile)
     homogeneous[0] = theta0
     for i in range(1, m + 1):
@@ -1002,9 +1007,9 @@ def picard_reference(
 
     final_change = np.inf
     for _ in range(iterations):
-        sources = np.zeros_like(profile)
+        sources = np.empty_like(profile)
         for j in range(m + 1):
-            plan.add_to(sources[j], plan.transport(profile[j], scratch)[0])
+            sources[j] = plan.assemble(plan.transport(profile[j], scratch)[0])
             if forcing is not None:
                 sources[j] += forcing
         new_profile = homogeneous.copy()

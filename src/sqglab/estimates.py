@@ -19,12 +19,15 @@ The families covered:
 The pointwise and positivity checks of a state run on one read-only plan
 per (domain, order), cached like the transport plans, and write into
 buffers the caller owns (:func:`state_battery`'s ``scratch``), which a run
-reuses at every sample.  On the torus the plan synthesizes
-``(-Lap)^a theta`` from the block of modes the 2/3 rule keeps, and forms
-the square of the pointwise inequality alias-free on the grid of 3n/2
-points; every transform is a per-axis ``numpy.fft`` pass whose axis-0
-passes run only on the columns that can be nonzero.  The Dirichlet box
-keeps ``to_physical`` and its same-grid square behind the same plan.
+reuses at every sample.  The plan holds its domain's transport plan, the one
+owner of the block of modes the 2/3 rule keeps: its tables are cut with
+that plan, whether a state has modes past the cut is that plan's dealias
+test, and on the torus ``(-Lap)^a theta`` is that plan's pruned synthesis
+of the block.  The square of the pointwise inequality is formed alias-free
+on the grid of 3n/2 points; every transform is a per-axis ``numpy.fft``
+pass whose axis-0 passes run only on the columns that can be nonzero.  The
+Dirichlet box keeps ``to_physical`` and its same-grid square behind the
+same plan.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import _DirichletPlan, _plan, _TransportPlan
 from .errors import NonFiniteError
 from .spectral import (
     Basis,
@@ -250,17 +254,18 @@ class _BatteryPlan:
 
     Shared and cached per (domain, a), the plan holds no writable state:
     :meth:`scratch` gives the caller every buffer the checks write.
-    ``beyond`` indexes the rows, and the columns, of the modes past the
-    2/3 cut.  On a Dirichlet box ``synth`` and ``square`` are ``None`` and
-    the checks keep ``to_physical`` and the same-grid eigenexpansion of the
-    square (it converges, but its truncation shows up as boundary-layer
-    noise).
+    ``transport`` is the domain's transport plan, which owns the kept block
+    and answers whether a state has modes past the 2/3 cut
+    (``transport.dealiased``).  On a Dirichlet box ``synth`` and ``square``
+    are ``None`` and the checks keep ``to_physical`` and the same-grid
+    eigenexpansion of the square (it converges, but its truncation shows up
+    as boundary-layer noise).
 
     On the torus a dealiased phi has modes ``|k_i| <= c = floor(n/3)``,
     all in the columns ``0 .. c`` of its ``rfft2`` half plane (the kept
     block).  ``(-Lap)^a phi`` is ``synth`` (``|k|^{2a}``, the dealias mask
-    and the synthesis scale ``1/L``) times that block, synthesized by an
-    axis-0 pass on its c+1 columns and an axis-1 pass.  The square's modes
+    and the synthesis scale ``1/L``, cut with ``transport.kept``) times
+    that block, through ``transport.synthesize``.  The square's modes
     reach ``|k_i| <= 2c < N/2`` on the grid of ``N = 3n/2`` points, so phi
     is synthesized there, squared without aliasing and analyzed, the
     axis-0 passes running on the c+1 kept and the 2c+1 support columns
@@ -275,7 +280,7 @@ class _BatteryPlan:
 
     domain: DomainSpec
     alpha: float
-    beyond: slice
+    transport: _TransportPlan | _DirichletPlan
     synth: np.ndarray | None
     square: np.ndarray | None
 
@@ -302,27 +307,21 @@ class _BatteryPlan:
             ]
         )
 
-    def dealiased(self, field: SpectralField) -> bool:
-        """Whether a field has no mode past the 2/3 cut, scanning only those modes."""
-        beyond = self.beyond
-        return not (field.coeffs[beyond].any() or field.coeffs[:, beyond].any())
-
     def dissipated(
         self, phi: SpectralField, values: np.ndarray, scratch: tuple[np.ndarray, ...]
     ) -> np.ndarray:
         """Grid values of ``(-Lap)^a phi`` for a dealiased phi; ``values`` (phi's) at a = 0.
 
-        On the torus they are written into the first scratch grid.
+        On the torus they are written into the first scratch grid, from
+        phi's block copied to the contiguous temp (not a strided view).
         """
         if self.alpha == 0.0:
             return values
         if self.synth is None:
             return _dissipated(phi, values, self.alpha)
-        grid, *_, temp, half = scratch[:5]
-        np.copyto(temp, phi.coeffs[:, : temp.shape[1]])
-        temp *= self.synth
-        np.fft.ifft(temp, axis=0, norm="forward", out=half[:, : temp.shape[1]])
-        return np.fft.irfft(half, n=self.domain.n, axis=1, norm="forward", out=grid)
+        grid, _, _, temp, half = scratch[:5]
+        np.copyto(temp, self.transport.kept(phi.coeffs))
+        return self.transport.synthesize(self.synth, temp, (half, temp), grid)
 
     def slack(
         self,
@@ -354,8 +353,9 @@ class _BatteryPlan:
         (big, support), cut = self.square.shape, self.synth.shape[1] - 1
         top = support - 1  # 2c, the square's largest |k_i|
         _, out, _, _, _, pad, half, grid = scratch
-        pad[: cut + 1] = coeffs[: cut + 1, : cut + 1]
-        pad[big - cut :] = coeffs[n - cut :, : cut + 1]
+        block = self.transport.kept(coeffs)
+        pad[: cut + 1] = block[: cut + 1]
+        pad[big - cut :] = block[n - cut :]
         half[:, cut + 1 :] = 0.0  # clears the previous square's spectrum
         np.fft.ifft(pad, axis=0, norm="forward", out=half[:, : cut + 1])
         np.fft.irfft(half, n=big, axis=1, norm="forward", out=grid)
@@ -437,11 +437,12 @@ def _complex_view(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
     """The check plan of a domain and order, built once per pair."""
-    n, cut = domain.n, domain.n // 3
+    transport = _plan(domain)
     if domain.basis is Basis.DIRICHLET:
-        return _BatteryPlan(domain, alpha, slice(cut, None), None, None)
-    kept = np.s_[:, : cut + 1]
-    synth = _laplacian_power(domain, alpha)[kept] * (domain.dealias_mask[kept] / domain.box)
+        return _BatteryPlan(domain, alpha, transport, None, None)
+    kept = transport.kept
+    synth = kept(_laplacian_power(domain, alpha)) * (kept(domain.dealias_mask) / domain.box)
+    n, cut = domain.n, synth.shape[1] - 1
     big = 3 * n // 2
     k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
     k2 = np.arange(2 * cut + 1, dtype=float)[None, :]
@@ -453,7 +454,7 @@ def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
     synth, square = (table.astype(np.complex128) for table in (synth, square))
     for table in (synth, square):
         table.setflags(write=False)
-    return _BatteryPlan(domain, alpha, slice(cut + 1, n - cut), synth, square)
+    return _BatteryPlan(domain, alpha, transport, synth, square)
 
 
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
@@ -498,7 +499,7 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     values = to_physical(theta).values
     plan = _battery_plan(theta.domain, alpha)
     scratch = plan.scratch()
-    if plan.dealiased(theta):
+    if plan.transport.dealiased(theta.coeffs):
         diss = plan.dissipated(theta, values, scratch)
     else:
         diss = _dissipated(theta, values, alpha)
@@ -520,9 +521,11 @@ def state_battery(
     its own per-state quantities.  Everything else is written into owned
     buffers: ``scratch`` is ``_battery_plan(domain, alpha).scratch()``,
     which a caller checking many states passes to every call (a new one
-    per call if ``None``).  On the torus ``(-Lap)^a theta`` and the
-    Córdoba square come from the pruned passes of the plan's kept block.
-    When theta has modes beyond the dealias cut, the Córdoba check reads
+    per call if ``None``).  On the torus ``(-Lap)^a theta`` is the
+    transport plan's pruned synthesis of the kept block, and the Córdoba
+    square comes from pruned passes on the grid of 3n/2 points.  When
+    theta has modes beyond the dealias cut (the transport plan's
+    ``dealiased`` test), the Córdoba check reads
     ``dealias(theta)``, synthesized once more, and the integrals read
     ``(-Lap)^a theta`` through ``to_physical``.
     """
@@ -532,7 +535,7 @@ def state_battery(
     plan = _battery_plan(theta.domain, alpha)
     scratch = plan.scratch() if scratch is None else scratch
     values = grid.values
-    if plan.dealiased(theta):
+    if plan.transport.dealiased(theta.coeffs):
         diss = plan.dissipated(theta, values, scratch)
         slack = float(plan.slack(theta, values, diss, scratch).min())
     else:

@@ -178,28 +178,23 @@ class TestSweepConfig:
 
 
 class TestConvergenceReport:
-    def test_matrix_shape_validation(self):
-        with pytest.raises(ValueError, match="pairwise matrix must be"):
+    def test_distance_table_shape_validation(self):
+        # three runs make three pairs: one row per pair, one column per time
+        with pytest.raises(ValueError, match="distance table must be 3x2, got"):
             ConvergenceReport(
-                alphas=(0.75, 0.6), times=(0.0,), pairwise=np.zeros((3, 3)),
-                sup_infnorms=(1.0, 1.0), smallness_coeff=-1.0,
+                alphas=(0.75, 0.6, 0.55), times=(0.0, 0.1), distances=np.zeros((2, 2)),
+                sup_infnorms=(1.0, 1.0, 1.0), smallness_coeff=-1.0,
                 per_pair_bound=(), fitted_exponent=0.0,
             )
-
-    def test_symmetry_and_diagonal_validation(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="must be symmetric"):
-            ConvergenceReport(
-                alphas=(0.75, 0.6), times=(0.0,), pairwise=bad,
-                sup_infnorms=(1.0, 1.0), smallness_coeff=-1.0,
-                per_pair_bound=(), fitted_exponent=0.0,
-            )
-        with pytest.raises(ValueError, match="zero diagonal"):
-            ConvergenceReport(
-                alphas=(0.75, 0.6), times=(0.0,), pairwise=np.eye(2),
-                sup_infnorms=(1.0, 1.0), smallness_coeff=-1.0,
-                per_pair_bound=(), fitted_exponent=0.0,
-            )
+        table = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+        report = ConvergenceReport(
+            alphas=(0.75, 0.6, 0.55), times=(0.0, 0.1), distances=table,
+            sup_infnorms=(1.0, 1.0, 1.0), smallness_coeff=-1.0,
+            per_pair_bound=(), fitted_exponent=0.0,
+        )
+        np.testing.assert_array_equal(
+            report.pairwise, [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
+        )
 
     def test_as_dict_keys(self, small_sweep):
         _, report, _ = small_sweep

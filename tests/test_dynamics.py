@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sqglab
 from sqglab.dynamics import (
@@ -311,11 +311,9 @@ def _random_field(domain, seed, amplitude, full_spectrum):
 
 
 def _kernel_transport(plan, coeffs):
-    """The plan's transport block, added into a zeroed full-layout array."""
+    """The plan's transport block, assembled into a full-layout array."""
     block, speed = plan.transport(coeffs, plan.scratch())
-    full = np.zeros(coeffs.shape, dtype=block.dtype)
-    plan.add_to(full, block)
-    return full, speed
+    return plan.assemble(block), speed
 
 
 def _assert_kernel_matches_composed(theta):
@@ -758,6 +756,34 @@ class TestStepOracle:
                 march(state, SqgParams(kappa=0.1, alpha=0.75), config)
             assert err.value.field == "theta"
 
+    def test_complex_column_zero_is_rejected(self):
+        # column k2 = 0 is its own mirror: (1, 0) = 1 with (-1, 0) = 0 is complex
+        domain = DomainSpec(n=16, box=2 * np.pi, basis=Basis.TORUS)
+        coeffs = np.zeros((16, 16), dtype=np.complex128)
+        coeffs[1, 0] = 1.0
+        field = SpectralField(coeffs=coeffs, domain=domain)
+        config = StepperConfig(dt=0.01, t_end=0.02)
+        state = SimulationState(t=0.0, theta=field)
+        forced = SqgParams(kappa=0.1, alpha=0.75, forcing=field)
+        real = SimulationState(t=0.0, theta=cosine_field(domain, (1, 0)))
+        for march in (integrate, step):
+            with pytest.raises(FieldError, match="not a real field") as err:
+                march(state, SqgParams(kappa=0.1, alpha=0.75), config)
+            assert err.value.field == "theta"
+            with pytest.raises(FieldError, match="not a real field") as err:
+                march(real, forced, config)
+            assert err.value.field == "forcing"
+
+    @pytest.mark.parametrize("name", ["torus32", "torus64"])
+    def test_march_output_marches_again(self, name, request):
+        # the march leaves column 0 Hermitian only to round-off, which the
+        # realness check tolerates
+        domain = request.getfixturevalue(name)
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        state = SimulationState(t=0.0, theta=random_smooth_field(domain, 10, amplitude=0.5))
+        final = integrate(state, params, StepperConfig(dt=0.01, t_end=0.05)).final
+        assert step(final, params, StepperConfig(dt=0.01, t_end=0.01)).t == pytest.approx(0.06)
+
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_state_outside_the_block_is_rejected(self, name, request):
         # a full-spectrum state has modes the march would not evolve; the
@@ -791,6 +817,44 @@ class TestStepOracle:
             with pytest.raises(FieldError, match="outside the block") as err:
                 march(state, params, config)
             assert err.value.field == "forcing"
+
+
+def _sparse_array(domain, seed, base, modes):
+    """A full-layout array, not necessarily real: a base plus a few set modes."""
+    rng = np.random.default_rng(seed)
+    shape = domain.spectral_shape
+    if domain.basis is Basis.TORUS:
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        coeffs = rng.standard_normal(shape)
+    if base == "zero":
+        coeffs[...] = 0.0
+    elif base == "dealiased":
+        coeffs *= domain.dealias_mask
+    for i, j in modes:
+        coeffs[i % shape[0], j % shape[1]] = 1.0 + rng.random()
+    return coeffs
+
+
+class TestDealiasPredicate:
+    """Each plan's one dealias test: zero at every mode past the cut, for any full-layout array."""
+
+    @settings(max_examples=80)
+    @given(
+        domain=st.one_of(_tori, _boxes),
+        seed=_seeds,
+        base=st.sampled_from(["zero", "dealiased", "full"]),
+        modes=st.lists(st.tuples(st.integers(0, 62), st.integers(0, 62)), max_size=3),
+    )
+    # torus arrays whose only nonzero modes lie in the middle columns
+    # c+1 .. n-c-1, which no kept block holds
+    @example(domain=_TORI[16], seed=0, base="zero", modes=[(0, 8)])
+    @example(domain=_TORI[32], seed=1, base="zero", modes=[(3, 11), (30, 21)])
+    @example(domain=_TORI[64], seed=2, base="dealiased", modes=[(1, 40)])
+    def test_matches_dealias(self, domain, seed, base, modes):
+        coeffs = _sparse_array(domain, seed, base, modes)
+        want = np.array_equal(dealias(SpectralField(coeffs.copy(), domain)).coeffs, coeffs)
+        assert _plan(domain).dealiased(coeffs) == want
 
 
 class TestMarchBuffers:
@@ -966,16 +1030,29 @@ class TestPicardReference:
         got = sobolev_norm(final.theta, 0.0) / sobolev_norm(theta0, 0.0)
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_cross_validates_etd2rk(self, torus32):
-        theta0 = random_smooth_field(torus32, seed=21, amplitude=0.2)
-        params = SqgParams(kappa=0.1, alpha=0.75)
-        t_end = 0.1
-        reference = picard_reference(
-            SimulationState(t=0.0, theta=theta0), params, t_end,
-            iterations=10, subintervals=64,
+    @pytest.mark.parametrize(
+        "domain, forcing",
+        [
+            (DomainSpec(n=32, box=2 * np.pi), None),
+            (DomainSpec(n=32, box=2 * np.pi), lambda domain: cosine_field(domain, (1, 2))),
+            (DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET), None),
+            (
+                DomainSpec(n=32, box=np.pi, basis=Basis.DIRICHLET),
+                lambda domain: sine_mode_field(domain, (1, 2)),
+            ),
+        ],
+        ids=["torus32", "forced-torus32", "dirichlet32", "forced-dirichlet32"],
+    )
+    def test_cross_validates_etd2rk(self, domain, forcing):
+        # on the box the reference's profile, homogeneous and source arrays
+        # hold real sine coefficients, as the native kernel does
+        theta0 = random_smooth_field(domain, seed=21, amplitude=0.2)
+        params = SqgParams(
+            kappa=0.1, alpha=0.75, forcing=None if forcing is None else forcing(domain)
         )
-        config = StepperConfig(dt=0.01, t_end=t_end)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
+        state = SimulationState(t=0.0, theta=theta0)
+        reference = picard_reference(state, params, 0.1, iterations=10, subintervals=64)
+        result = integrate(state, params, StepperConfig(dt=0.01, t_end=0.1))
         err = sobolev_norm(result.final.theta - reference.theta, 0.0)
         assert err <= 1e-5 * sobolev_norm(theta0, 0.0)
 

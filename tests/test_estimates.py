@@ -423,14 +423,14 @@ class TestBatteryPlan:
     )
     def test_dealiased_field_matches_direct_formulas(self, n, alpha, seed, decay):
         theta = random_smooth_field(_TORI[n], seed, decay=decay, amplitude=1.0)
-        assert _battery_plan(_TORI[n], alpha).dealiased(theta)
+        assert _battery_plan(_TORI[n], alpha).transport.dealiased(theta.coeffs)
         self._assert_matches_direct(theta, alpha)
 
     def test_field_beyond_the_cut_matches_direct_formulas(self):
         # the Córdoba check reads dealias(theta), the integrals theta itself
         domain = _TORI[32]
         theta = to_spectral(np.random.default_rng(3).standard_normal((32, 32)), domain)
-        assert not _battery_plan(domain, 0.75).dealiased(theta)
+        assert not _battery_plan(domain, 0.75).transport.dealiased(theta.coeffs)
         self._assert_matches_direct(theta, 0.75)
 
     def test_dirichlet_field_keeps_the_same_grid_route(self, dirichlet32):
