@@ -20,7 +20,6 @@ The package has four layers:
 from __future__ import annotations
 
 from .dynamics import (
-    Scheme,
     SimulationState,
     SqgParams,
     StepperConfig,
@@ -95,7 +94,6 @@ __all__ = [
     "grid_lp_norm",
     "inner_product",
     # time stepping
-    "Scheme",
     "SqgParams",
     "StepperConfig",
     "SimulationState",

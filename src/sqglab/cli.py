@@ -26,16 +26,18 @@ import scipy
 
 from .config import EXPERIMENT_KINDS, Experiment, load_config_file
 from .critical import (
+    AlphaSweepConfig,
     interpolation_upgrade,
     l43_interpolation_check,
     pairwise_bound_check,
     sweep_with_runs,
 )
-from .dynamics import SimulationState, _plan, integrate
+from .dynamics import SimulationState, StepperConfig, _plan, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
     ConvergenceError,
+    FieldError,
     NonFiniteError,
     SingularOperatorError,
     SqgError,
@@ -164,7 +166,8 @@ def _domain_meta(experiment: Experiment, seed: int | None) -> dict:
         "box": domain.box,
         "kappa": experiment.kappa,
         "lambda": experiment.lam,
-        "scheme": experiment.scheme.value,
+        # the one stepping scheme; bench/reference/ holds this value
+        "scheme": "etd2rk",
         "t_end": experiment.t_end,
         "sample_every": experiment.sample_every,
         "init": experiment.init_kind,
@@ -179,13 +182,13 @@ def _domain_meta(experiment: Experiment, seed: int | None) -> dict:
 def _run_fixed_alpha(
     experiment: Experiment,
     theta0: SpectralField,
+    stepper: StepperConfig,
     seed: int | None,
     out_dir: str,
     full_battery: bool,
 ) -> int:
     """Shared driver for ``simulate`` and ``estimates-report``."""
     params = experiment.params
-    stepper = experiment.stepper_for(theta0)
 
     finite_lq = [q for q in experiment.monitor_lq if math.isfinite(q)]
     # the battery runs per sample, so no state outlives its sample
@@ -288,12 +291,11 @@ def _run_fixed_alpha(
 
 def _run_sweep_kind(
     experiment: Experiment,
-    theta0: SpectralField,
+    config: AlphaSweepConfig,
     seed: int | None,
     out_dir: str,
     threads: int | None,
 ) -> int:
-    config = experiment.sweep_config(theta0)
     report, runs = sweep_with_runs(config, max_workers=threads)
 
     times = report.times
@@ -476,10 +478,19 @@ def main(argv=None) -> int:
                 source=str(args.config),
                 line=1,
             )
-        # built before the output directory, so a bad [init] value is a config error
-        theta0 = None
+        # built before the output directory, so that a bad [init] value and
+        # a CFL-derived step past the step cap are config errors
+        theta0 = stepper = sweep = None
         if experiment.kind != "operator-tests":
             theta0 = experiment.initial_field(args.seed)
+            try:
+                if experiment.kind in ("sweep-alpha", "dirichlet-sweep"):
+                    sweep = experiment.sweep_config(theta0)
+                else:
+                    stepper = experiment.stepper_for(theta0)
+            except FieldError as err:
+                message = f"t_end is too long for the CFL-derived step: {err}"
+                experiment.parsed.require(False, message, "stepper", "t_end")
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 1
@@ -488,7 +499,11 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = _resolve_out_dir(args.out, experiment)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot make output directory {out_dir}: {err}", file=sys.stderr)
+        return 1
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
 
@@ -498,25 +513,20 @@ def main(argv=None) -> int:
                 warnings.simplefilter("error")
             if experiment.kind == "operator-tests":
                 n_failed = _run_operator_tests(experiment, out_dir)
-            elif experiment.kind in ("sweep-alpha", "dirichlet-sweep"):
-                n_failed = _run_sweep_kind(
-                    experiment, theta0, args.seed, out_dir, args.threads
-                )
+            elif sweep is not None:
+                n_failed = _run_sweep_kind(experiment, sweep, args.seed, out_dir, args.threads)
             else:
                 n_failed = _run_fixed_alpha(
                     experiment,
                     theta0,
+                    stepper,
                     args.seed,
                     out_dir,
                     full_battery=experiment.kind == "estimates-report",
                 )
-    except _NUMERICAL_ERRORS as err:
-        _write_log(out_dir, started, t0, f"numerical failure: {err}")
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except Warning as err:
-        # Only reachable under --strict, which escalates run-quality
-        # warnings (CFL, smallness) into failures.
+    except (*_NUMERICAL_ERRORS, Warning) as err:
+        # a Warning arrives only under --strict, which escalates run-quality
+        # warnings (CFL, smallness) into failures
         _write_log(out_dir, started, t0, f"numerical failure: {err}")
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
-from .dynamics import Scheme, SqgParams, StepperConfig, default_dt, validate_run_settings
+from .dynamics import SqgParams, StepperConfig, default_dt, validate_run_settings
 from .errors import ConfigError, FieldError
 from .fields import gaussian_bump_field, random_smooth_field, shear_field
 from .spectral import (
@@ -111,7 +111,6 @@ _KEYS: dict[str, dict[str, _Key]] = {
         # since a step count that does not end within minutes is a mistyped dt
         "dt": _Key("float"),
         "t_end": _Key("float", _REQUIRED),
-        "scheme": _Key("str", "etd2rk", ("etd2rk", "etd1")),
         "sample_every": _Key("int", 1),
     },
     "init": {
@@ -366,9 +365,16 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
 
 
 def parse_config_file(path) -> ParsedConfig:
-    """Read and parse a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    """Read and parse a configuration file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        message = f"not UTF-8 text: byte {data[err.start]:#04x} cannot be decoded"
+        raise ConfigError(message, source=str(path), line=line) from None
+    return parse_config_text(text, source=str(path))
 
 
 @dataclass(frozen=True)
@@ -392,7 +398,6 @@ class Experiment:
     forcing: SpectralField | None = None
     dt: float | None = None
     t_end: float | None = None
-    scheme: Scheme = Scheme.ETD2RK
     sample_every: int = 1
     init_kind: str | None = None
     init_seed: int = 0
@@ -444,20 +449,29 @@ class Experiment:
             self.domain, width=self.init_width, amplitude=self.init_amplitude
         )
 
+    def _dt_for(self, theta0: SpectralField) -> float:
+        """The file's ``dt``, or else the CFL step of ``theta0``, at most ``t_end``."""
+        return min(self.dt if self.dt is not None else default_dt(theta0), self.t_end)
+
     def stepper_for(self, theta0: SpectralField) -> StepperConfig:
-        """Stepper for the fixed-alpha kinds, with CFL-derived default dt."""
+        """Stepper for the fixed-alpha kinds, with CFL-derived default dt.
+
+        Raises :class:`FieldError` naming ``dt`` when ``t_end`` needs more
+        than :data:`~sqglab.dynamics.MAX_STEPS` steps of the CFL step.
+        """
         if self.t_end is None:
             raise ValueError(f"experiment kind {self.kind!r} does not time-step")
-        dt = self.dt if self.dt is not None else default_dt(theta0)
         return StepperConfig(
-            dt=min(dt, self.t_end),
-            t_end=self.t_end,
-            scheme=self.scheme,
-            sample_every=self.sample_every,
+            dt=self._dt_for(theta0), t_end=self.t_end, sample_every=self.sample_every
         )
 
     def sweep_config(self, theta0: SpectralField) -> AlphaSweepConfig:
-        """Sweep configuration for the alpha-marching kinds."""
+        """Sweep configuration for the alpha-marching kinds.
+
+        An unset ``dt`` is pinned to the CFL step of ``theta0`` here, so the
+        sweep computes it once, and like :meth:`stepper_for` this raises
+        :class:`FieldError` naming ``dt`` when that step is too small.
+        """
         if self.kind not in ("sweep-alpha", "dirichlet-sweep"):
             raise ValueError(f"experiment kind {self.kind!r} is not a sweep")
         return AlphaSweepConfig(
@@ -467,9 +481,8 @@ class Experiment:
             lam=self.lam,
             forcing=self.forcing,
             t_end=self.t_end,
-            dt=self.dt,
+            dt=self._dt_for(theta0),
             sample_every=self.sample_every,
-            scheme=self.scheme,
         )
 
 
@@ -530,7 +543,6 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
 
     forcing = _forcing(parsed, domain)
     t_end, dt, sample_every = (get("stepper", key) for key in ("t_end", "dt", "sample_every"))
-    scheme = Scheme(get("stepper", "scheme"))
 
     params = None
     try:
@@ -556,7 +568,6 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         forcing=forcing,
         dt=dt,
         t_end=t_end,
-        scheme=scheme,
         sample_every=sample_every,
         **_init_fields(parsed, domain),
         **_monitor_fields(parsed, domain, lam),

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    Scheme,
     SimulationState,
     SqgParams,
     StepperConfig,
@@ -144,7 +143,6 @@ class AlphaSweepConfig:
     t_end: float = 2.0
     dt: float | None = None
     sample_every: int = 1
-    scheme: Scheme = Scheme.ETD2RK
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -176,7 +174,6 @@ class AlphaSweepConfig:
         return StepperConfig(
             dt=self.shared_dt(),
             t_end=self.t_end,
-            scheme=self.scheme,
             sample_every=self.sample_every,
         )
 

@@ -6,10 +6,10 @@ The model advanced here is
 
 with the velocity recovered from theta by Riesz transforms (periodic box) and
 ``alpha`` restricted to (1/2, 1] where the advection term is controlled by the
-dissipation.  The linear part is diagonal per mode, so the workhorse scheme is
+dissipation.  The linear part is diagonal per mode, so the scheme is
 exponential time differencing: the stiff factor ``exp(-a dt)`` is applied
-exactly and only the transport term is approximated (first order, or the
-second-order Runge-Kutta corrector of Cox and Matthews).
+exactly and only the transport term is approximated, by the second-order
+Runge-Kutta corrector of Cox and Matthews (ETD2RK).
 
 Each basis has one transport kernel on raw arrays, driven by a plan of
 read-only multipliers cached per domain, with no intermediate field objects.
@@ -58,7 +58,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -68,7 +67,6 @@ from .series import DiagnosticsSeries
 from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror
 
 __all__ = [
-    "Scheme",
     "SqgParams",
     "StepperConfig",
     "validate_run_settings",
@@ -99,13 +97,6 @@ MAX_STEPS = 10**6
 
 #: Below this value of ``|a dt|`` the phi functions switch to Taylor series.
 _PHI_SERIES_CUT = 1e-4
-
-
-class Scheme(str, Enum):
-    """Available exponential time-differencing schemes."""
-
-    ETD1 = "etd1"
-    ETD2RK = "etd2rk"
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,7 @@ class SqgParams:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Numerical parameters of a run: step size, horizon, scheme, sampling.
+    """Numerical parameters of a run: step size, horizon, sampling.
 
     ``dt`` is the largest step allowed; the run takes :attr:`n_steps` uniform
     steps of :attr:`step_dt` and ends exactly at ``t_end``.  Settings outside
@@ -162,12 +153,10 @@ class StepperConfig:
 
     dt: float
     t_end: float
-    scheme: Scheme = Scheme.ETD2RK
     sample_every: int = 1
 
     def __post_init__(self) -> None:
         validate_run_settings(self.t_end, self.dt, self.sample_every)
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
 
     @property
     def n_steps(self) -> int:
@@ -192,8 +181,9 @@ def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> 
     the CFL step) must lie in ``(0, t_end]``, since no run could take a
     longer step than its horizon, and leave the step count ``t_end/dt``
     finite and at most :data:`MAX_STEPS`, and ``sample_every`` must be an
-    integer of at least 1.  The experiment file, :class:`StepperConfig` and
-    :class:`~sqglab.critical.AlphaSweepConfig` all apply these rules.
+    integer from 1 to :data:`MAX_STEPS`.  The experiment file,
+    :class:`StepperConfig` and :class:`~sqglab.critical.AlphaSweepConfig`
+    all apply these rules.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise FieldError("t_end", f"t_end must be positive and finite, got {t_end!r}")
@@ -205,9 +195,16 @@ def validate_run_settings(t_end: float, dt: float | None, sample_every: int) -> 
         raise FieldError(
             "dt", f"dt is too small: t_end/dt asks for more than {MAX_STEPS} steps, got {dt!r}"
         )
-    if not (sample_every >= 1 and float(sample_every).is_integer()):
+    # % 1 tests integrality without a float conversion, which overflows on a huge int
+    if not (sample_every >= 1 and sample_every % 1 == 0):
         raise FieldError(
             "sample_every", f"sample_every must be a positive integer, got {sample_every!r}"
+        )
+    if sample_every > MAX_STEPS:
+        raise FieldError(
+            "sample_every",
+            f"sample_every must be at most {MAX_STEPS}, the most steps a run takes, "
+            f"got {sample_every!r}",
         )
 
 
@@ -818,13 +815,12 @@ def _march(
                 speed = rhs(block, n0)
                 np.multiply(decay, block, out=new_block)
                 new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
-                if config.scheme is Scheme.ETD2RK:
-                    # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-                    speed1 = rhs(new_block, n1)
-                    n1 -= n0
-                    n1 *= dt_phi2
-                    new_block += n1
-                    speed = max(speed, speed1)
+                # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
+                speed1 = rhs(new_block, n1)
+                n1 -= n0
+                n1 *= dt_phi2
+                new_block += n1
+                speed = max(speed, speed1)
                 if not (math.isfinite(speed) and np.isfinite(new_block).all()):
                     last = plan.speed(block)
                     last = last if math.isfinite(last) else math.inf
@@ -836,7 +832,7 @@ def _march(
 
 
 def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
-    """Advance one step of ``config.step_dt`` with the configured scheme.
+    """Advance one ETD2RK step of ``config.step_dt``.
 
     ``state`` and the forcing must be zero outside the kept 2/3-rule block
     (dealiased fields are); the new state is zero there too.

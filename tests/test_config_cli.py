@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sqglab
 from sqglab import dynamics
@@ -37,7 +37,7 @@ from sqglab.config import (
 )
 from sqglab.critical import DEFAULT_SWEEP_ALPHAS
 from sqglab.dynamics import MAX_STEPS, SimulationState, integrate
-from sqglab.errors import CflWarning, ConfigError
+from sqglab.errors import CflWarning, ConfigError, FieldError
 from sqglab.estimates import (
     CutoffSpec,
     InequalityRecord,
@@ -252,9 +252,9 @@ class TestTypedGetters:
         load_error(simulate_with("kind", "kind = true"), "kind must be a string")
 
     def test_choice_rejected(self):
-        text = cfg(*SIMULATE_LINES[:10], "scheme = rk4", *SIMULATE_LINES[10:])
-        err = load_error(text, "scheme must be one of ['etd1', 'etd2rk'], got 'rk4'")
-        assert err.line == 11
+        text = cfg(*SIMULATE_LINES[:4], "basis = sphere", *SIMULATE_LINES[4:])
+        err = load_error(text, "basis must be one of ['dirichlet', 'torus'], got 'sphere'")
+        assert err.line == 5
 
     def test_bool_expected(self):
         text = cfg(*SIMULATE_LINES, "[monitors]", "damped_energy = 1")
@@ -283,7 +283,9 @@ class TestLoadExperiment:
         assert exp.forcing is None
         assert exp.dt == 0.01
         assert exp.t_end == 0.05
-        assert exp.scheme.value == "etd2rk"
+        # ETD2RK is the one scheme; a file may not choose another
+        text = cfg(*SIMULATE_LINES[:10], "scheme = etd2rk", *SIMULATE_LINES[10:])
+        load_error(text, "unknown key 'scheme' in section [stepper]", line=11)
         assert exp.sample_every == 1
         assert exp.init_kind == "random"
         assert exp.init_seed == 0
@@ -599,6 +601,10 @@ class TestLoadExperiment:
                          "dt is too small: t_end/dt overflows, got 1e-320", id="dt-subnormal"),
             pytest.param(cfg(*SIMULATE_LINES[:10], "sample_every = 0", *SIMULATE_LINES[10:]), 11,
                          "sample_every must be a positive integer, got 0", id="sample-every"),
+            pytest.param(cfg(*SIMULATE_LINES[:10], "sample_every = 1" + "0" * 400,
+                             *SIMULATE_LINES[10:]), 11,
+                         f"sample_every must be at most 1000000, the most steps a run takes, "
+                         f"got {10**400!r}", id="sample-every-huge-integer"),
             pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [1, 0, 0]"), 16,
                          "forcing mode must have two components, got (1, 0, 0)", id="forcing-mode-length"),
             pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = cosine", "mode = [9, 0]"), 16,
@@ -835,6 +841,55 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         assert main([command, "--config", config, "--out", str(out)]) == 1
         assert f"config error ({config}, line {line}): {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "text", "line"),
+        [
+            pytest.param("simulate", cfg(*SIMULATE_LINES[:8], "t_end = 1e6", *SIMULATE_LINES[10:]),
+                         9, id="simulate"),
+            pytest.param("sweep-alpha", cfg(*SWEEP_LINES[:7], "t_end = 1e6", *SWEEP_LINES[8:]),
+                         8, id="sweep-alpha"),
+        ],
+    )
+    def test_cfl_step_past_the_step_cap_is_a_cited_config_error(
+        self, tmp_path, capsys, command, text, line
+    ):
+        # with dt unset the step comes from the initial field's CFL limit,
+        # so t_end alone asks for millions of steps; that once failed
+        # uncited, after the output directory was made
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert (
+            f"config error ({config}, line {line}): t_end is too long for the CFL-derived "
+            "step: dt is too small: t_end/dt asks for more than 1000000 steps"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["at-a-file", "under-a-file"])
+    def test_unusable_output_directory_is_a_config_error(self, tmp_path, capsys, where):
+        # os.makedirs once raised FileExistsError or NotADirectoryError out of main
+        config = write_config(tmp_path, SIM_CLI)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken if where == "at-a-file" else taken / "out"
+        before = sorted(tmp_path.iterdir())
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        assert f"config error: cannot make output directory {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+    def test_undecodable_config_is_a_cited_config_error(self, tmp_path, capsys):
+        # a Latin-1 byte once raised UnicodeDecodeError out of main
+        config = tmp_path / "run.cfg"
+        text = cfg(*SIMULATE_LINES[:3], "# r\xe9solution", *SIMULATE_LINES[3:])
+        config.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert (
+            f"config error ({config}, line 4): not UTF-8 text: byte 0xe9 cannot be decoded"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_length_at_its_bound_loads(self):
@@ -1215,6 +1270,62 @@ class TestInitFuzz:
         )
 
 
+#: ``[stepper]`` values for the fuzz below, as file literals: tiny, huge,
+#: subnormal, negative, integer-overflow and ordinary values, drawn per key.
+_stepper_floats = st.one_of(
+    st.none(),
+    st.sampled_from(
+        ["1e-300", "5e-324", "1e-160", "1e308", "-1", "0", "-2.5", "1e-7", "0.01", "0.05",
+         "0.5", "1", "3", "1e6", _HUGE_INTEGER, "-" + _HUGE_INTEGER]
+    ),
+    st.floats(1e-3, 5.0).map(repr),
+)
+_sample_strides = st.one_of(
+    st.none(),
+    st.integers(-3, 120).map(str),
+    st.sampled_from(
+        ["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER, "1.5", "1e308"]
+    ),
+)
+
+
+def _steps(text: str) -> int:
+    """Steps a ``simulate`` run of ``text`` takes; 0 for a file that is a config error."""
+    try:
+        experiment = load(text)
+        return experiment.stepper_for(experiment.initial_field()).n_steps
+    except (ConfigError, FieldError):
+        return 0
+
+
+class TestStepperFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32]),
+        basis=st.sampled_from(["torus", "dirichlet"]),
+        dt=_stepper_floats,
+        t_end=_stepper_floats,
+        sample_every=_sample_strides,
+    )
+    # the CFL step of the initial field asks for millions of steps
+    @example(n=16, basis="torus", dt=None, t_end="1e6", sample_every=None)
+    # a stride whose float conversion overflows
+    @example(n=16, basis="dirichlet", dt="0.01", t_end="0.05", sample_every=_HUGE_INTEGER)
+    def test_stepper_keys_keep_the_exit_contract(self, n, basis, dt, t_end, sample_every):
+        keys = {"dt": dt, "t_end": t_end, "sample_every": sample_every}
+        text = cfg(
+            *SIMULATE_LINES[:3],
+            f"n = {n}",
+            f"basis = {basis}",
+            *SIMULATE_LINES[4:8],
+            *(f"{key} = {value}" for key, value in keys.items() if value is not None),
+            *SIMULATE_LINES[10:],
+        )
+        # never start a long run; a count past the cap is a config error
+        assume(not 100 < _steps(text) <= MAX_STEPS)
+        _assert_exit_contract(text)
+
+
 class TestCliArtifacts:
     def run_ok(self, tmp_path, capsys, text, command, out="out", extra=()):
         config = write_config(tmp_path, text, name=f"{command}.cfg")
@@ -1246,6 +1357,19 @@ class TestCliArtifacts:
         assert {"lq-monotone-q2", "lq-monotone-q4", "linf-envelope"} <= names
         for record in checks["checks"]:
             assert {"name", "t", "lhs", "rhs", "slack", "passed"} <= set(record)
+
+    @pytest.mark.parametrize(
+        ("command", "text"),
+        [("simulate", SIM_CLI), ("sweep-alpha", cfg(*SWEEP_CLI_LINES))],
+        ids=["simulate", "sweep-alpha"],
+    )
+    def test_artifacts_record_the_one_scheme(self, tmp_path, capsys, command, text):
+        # bench/reference/ holds this value in both artifacts
+        out = self.run_ok(tmp_path, capsys, text, command)
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["scheme"] == "etd2rk"
+        lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
+        assert "# scheme = etd2rk" in lines
 
     def test_series_csv_layout(self, tmp_path, capsys):
         out = self.run_ok(tmp_path, capsys, SIM_CLI, "simulate")

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 import sqglab
 from sqglab.dynamics import (
     CFL_LIMIT,
-    Scheme,
     SimulationState,
     SqgParams,
     StepperConfig,
@@ -524,13 +523,6 @@ class TestStepOracles:
         state = step(SimulationState(t=0.0, theta=theta0), params, config)
         assert state.t == pytest.approx(0.01)
 
-    def test_etd1_scheme_available(self, torus32):
-        theta0 = random_smooth_field(torus32, seed=7, amplitude=0.1)
-        params = SqgParams(kappa=0.1, alpha=0.75)
-        config = StepperConfig(dt=0.01, t_end=0.05, scheme=Scheme.ETD1)
-        result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        assert result.final.t == pytest.approx(0.05)
-
 
 class TestIntegrateContract:
     def test_one_step_horizon_gives_two_samples(self, torus32):
@@ -692,13 +684,12 @@ def _reference_march(theta, params, config, steps):
             n0 += forcing.coeffs
         new = tables.decay * coeffs
         new += dt_phi1 * n0
-        if config.scheme is Scheme.ETD2RK:
-            n1 = rhs(new)
-            if forcing is not None:
-                n1 += forcing.coeffs
-            n1 -= n0
-            n1 *= dt_phi2
-            new += n1
+        n1 = rhs(new)
+        if forcing is not None:
+            n1 += forcing.coeffs
+        n1 -= n0
+        n1 *= dt_phi2
+        new += n1
         coeffs = new
     return coeffs
 
@@ -718,7 +709,6 @@ class TestStepOracle:
         domain=st.one_of(_tori, _boxes),
         seed=st.integers(0, 2**31),
         kind=st.sampled_from(["smooth", "dealiased_noise"]),
-        scheme=st.sampled_from(list(Scheme)),
         steps=st.integers(1, 4),
         kappa=st.floats(0.01, 1.0),
         alpha=st.floats(0.55, 1.0),
@@ -726,7 +716,7 @@ class TestStepOracle:
         forcing=st.sampled_from([None, "smooth", "dealiased_noise"]),
     )
     def test_march_matches_full_layout_reference(
-        self, domain, seed, kind, scheme, steps, kappa, alpha, lam, forcing
+        self, domain, seed, kind, steps, kappa, alpha, lam, forcing
     ):
         # the march takes only states and forcings inside its kept block;
         # the reference updates every mode of the full layout
@@ -734,7 +724,7 @@ class TestStepOracle:
         if forcing is not None:
             forcing = _oracle_state(domain, seed + 2, forcing) * 0.6
         params = SqgParams(kappa=kappa, alpha=alpha, lam=lam, forcing=forcing)
-        config = StepperConfig(dt=0.01, t_end=0.01 * steps, scheme=scheme)
+        config = StepperConfig(dt=0.01, t_end=0.01 * steps)
         want = _reference_march(theta, params, config, steps)
         state = SimulationState(t=0.0, theta=theta)
         result = integrate(state, params, config)
