@@ -51,7 +51,6 @@ from .estimates import (
     linf_monitor,
     max_principle_monitor,
     sobolev_bound_monitor,
-    state_battery,
     tail_mass,
 )
 from .operators import (
@@ -67,7 +66,7 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import Basis, PhysicalField, SpectralField, lq_norm, sobolev_norm, to_physical
+from .spectral import Basis, PhysicalField, SpectralField, _grid_norms, _sobolev_norms, to_physical
 
 __all__ = ["main"]
 
@@ -196,31 +195,41 @@ def _run_fixed_alpha(
     masses: list[float] = []
     # per H^l bound (l >= alpha), the H^(l + alpha) norm of every sample
     mid_norms = [(s, []) for s in experiment.monitor_sobolev if s >= params.alpha]
+    # every Sobolev norm of a sample comes from one scaled |theta_k|^2
+    orders = [0.0, *experiment.monitor_sobolev]
+    if full_battery:
+        orders += [s + params.alpha for s, _ in mid_norms]
     radius = experiment.monitor_tail_cutoff
     cutoff = None if radius is None else CutoffSpec(k=radius)
     # one set of battery buffers, reused by every sample
     domain = theta0.domain
-    scratch = _battery_plan(domain, params.alpha).scratch() if full_battery else None
+    battery_plan = _battery_plan(domain, params.alpha) if full_battery else None
+    scratch = battery_plan.scratch() if full_battery else None
     # on the torus theta's grid is the transport plan's pruned synthesis of
     # the kept block, through transform buffers owned for the run
-    plan = _plan(domain) if domain.basis is Basis.TORUS else None
-    transforms = plan.scratch() if plan is not None else None
+    plan = _plan(domain)
+    transforms = plan.scratch() if domain.basis is Basis.TORUS else None
 
     def sample(state: SimulationState) -> dict[str, float]:
         # one synthesis of theta feeds the linf and lq columns and the battery
         theta = state.theta
-        if plan is not None and plan.dealiased(theta.coeffs):
+        dealiased = plan.dealiased(theta.coeffs)
+        if transforms is not None and dealiased:
             grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
         else:
             grid = to_physical(theta)
-        row = {"l2": sobolev_norm(theta, 0.0), "linf": lq_norm(grid, math.inf)}
-        for q in finite_lq:
-            row[f"lq{q:g}"] = lq_norm(grid, q)
-        for s in experiment.monitor_sobolev:
-            row[f"h{s:g}"] = sobolev_norm(theta, s)
+        l2, *sobolev = _sobolev_norms(theta, orders)
+        if full_battery:
+            slack, linf, lq, integrals = battery_plan.check(
+                theta, grid, finite_lq, scratch, dealiased
+            )
+        else:
+            linf, lq, _ = _grid_norms(grid.values, domain, finite_lq)
+        row = {"l2": l2, "linf": linf}
+        row.update((f"lq{q:g}", value) for q, value in zip(finite_lq, lq))
+        row.update((f"h{s:g}", value) for s, value in zip(experiment.monitor_sobolev, sobolev))
         if not full_battery:
             return row
-        slack, integrals = state_battery(theta, grid, params.alpha, finite_lq, scratch)
         battery.append(
             InequalityRecord(name="cordoba-min-slack", t=state.t, lhs=0.0, rhs=slack)
         )
@@ -230,8 +239,8 @@ def _run_fixed_alpha(
             )
         if cutoff is not None:
             masses.append(tail_mass(grid, cutoff))
-        for s, norms in mid_norms:
-            norms.append(sobolev_norm(theta, s + params.alpha))
+        for (_, norms), value in zip(mid_norms, sobolev[len(experiment.monitor_sobolev) :]):
+            norms.append(value)
         return row
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .critical import DEFAULT_SWEEP_ALPHAS, AlphaSweepConfig
-from .dynamics import SqgParams, StepperConfig, default_dt, validate_run_settings
+from .dynamics import SqgParams, StepperConfig, _run_dt, validate_run_settings
 from .errors import ConfigError, FieldError
 from .fields import gaussian_bump_field, random_smooth_field, shear_field
 from .spectral import (
@@ -449,10 +449,6 @@ class Experiment:
             self.domain, width=self.init_width, amplitude=self.init_amplitude
         )
 
-    def _dt_for(self, theta0: SpectralField) -> float:
-        """The file's ``dt``, or else the CFL step of ``theta0``, at most ``t_end``."""
-        return min(self.dt if self.dt is not None else default_dt(theta0), self.t_end)
-
     def stepper_for(self, theta0: SpectralField) -> StepperConfig:
         """Stepper for the fixed-alpha kinds, with CFL-derived default dt.
 
@@ -462,7 +458,9 @@ class Experiment:
         if self.t_end is None:
             raise ValueError(f"experiment kind {self.kind!r} does not time-step")
         return StepperConfig(
-            dt=self._dt_for(theta0), t_end=self.t_end, sample_every=self.sample_every
+            dt=_run_dt(self.dt, theta0, self.t_end),
+            t_end=self.t_end,
+            sample_every=self.sample_every,
         )
 
     def sweep_config(self, theta0: SpectralField) -> AlphaSweepConfig:
@@ -481,7 +479,7 @@ class Experiment:
             lam=self.lam,
             forcing=self.forcing,
             t_end=self.t_end,
-            dt=self._dt_for(theta0),
+            dt=_run_dt(self.dt, theta0, self.t_end),
             sample_every=self.sample_every,
         )
 
@@ -660,6 +658,12 @@ def _monitor_fields(parsed: ParsedConfig, domain: DomainSpec, lam: float) -> dic
     sobolev = get("monitors", "sobolev")
     for s in sobolev:
         require(s > 0, f"sobolev orders must be positive, got {s!r}", "monitors", "sobolev")
+    # two orders that print alike under {:g} would name one series column
+    columns = {"lq": [f"lq{q:g}" for q in lq], "sobolev": [f"h{s:g}" for s in sobolev]}
+    for key, names in columns.items():
+        repeated = next((c for i, c in enumerate(names) if c in names[:i]), None)
+        message = f"{key} orders must name distinct columns, got {repeated!r} twice"
+        require(repeated is None, message, "monitors", key)
     damped = get("monitors", "damped_energy")
     require(
         not damped or lam > 0,

@@ -24,7 +24,7 @@ from .dynamics import (
     SqgParams,
     StepperConfig,
     _plan,
-    default_dt,
+    _run_dt,
     integrate,
     validate_run_settings,
 )
@@ -164,10 +164,8 @@ class AlphaSweepConfig:
         )
 
     def shared_dt(self) -> float:
-        """Largest time step shared by every run (CFL-derived when not pinned)."""
-        if self.dt is not None:
-            return self.dt
-        return min(default_dt(self.theta0), self.t_end)
+        """Time step shared by every run: ``dt``, else the CFL step, at most ``t_end``."""
+        return _run_dt(self.dt, self.theta0, self.t_end)
 
     def stepper(self) -> StepperConfig:
         """Stepper shared by every run; its ``step_dt`` is the step taken."""

@@ -706,6 +706,11 @@ def default_dt(theta0: SpectralField) -> float:
     return CFL_LIMIT * (domain.box / domain.n) / speed
 
 
+def _run_dt(dt: float | None, theta0: SpectralField, t_end: float) -> float:
+    """The step a run is given: ``dt``, else the CFL step of ``theta0``, at most ``t_end``."""
+    return min(default_dt(theta0) if dt is None else dt, t_end)
+
+
 # ----------------------------------------------------------------------------
 # stepping
 # ----------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .spectral import (
     DomainSpec,
     PhysicalField,
     SpectralField,
+    _grid_norms,
     _laplacian_power,
     dealias,
     fractional_laplacian,
@@ -391,24 +392,45 @@ class _BatteryPlan:
         diss: np.ndarray,
         qs: Sequence[float],
         scratch: tuple[np.ndarray, ...],
-    ) -> list[float]:
-        """Grid quadratures of ``diss |theta|^{q-1} sgn(theta)``, one per q, in the scratch grids.
+    ) -> tuple[float, list[float], list[float]]:
+        """max|theta|, then the L^q norms and positivity integrals, one per q.
 
-        ``values`` are theta's grid values.  ``|theta|`` and ``diss
-        sgn(theta)`` are formed once for all q.  A state whose integrand
-        overflows gives ``inf`` or ``nan``, silently: the record it fills
-        rejects it as a :class:`~sqglab.errors.NonFiniteError`.
+        ``values`` and ``diss`` are the grids of theta and ``(-Lap)^a
+        theta``, and the integrand is ``diss theta |theta|^{q-2}``: one
+        :func:`~sqglab.spectral._grid_norms` pass in the three scratch
+        grids, which are free once the slack minimum is taken.  A state
+        whose integrand overflows gives ``inf`` or ``nan``: the record it
+        fills rejects it as a :class:`~sqglab.errors.NonFiniteError`.
         """
-        signed, magnitude, work = scratch[:3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(diss, np.sign(values, out=work), out=signed)
-            np.abs(values, out=magnitude)
-            integrals = []
-            for q in qs:
-                np.power(magnitude, q - 1.0, out=work)
-                work *= signed
-                integrals.append(_grid_integral(work, self.domain))
-        return integrals
+        return _grid_norms(values, self.domain, qs, diss, scratch[2::-1])
+
+    def check(
+        self,
+        theta: SpectralField,
+        grid: PhysicalField,
+        qs: Sequence[float],
+        scratch: tuple[np.ndarray, ...],
+        dealiased: bool,
+    ) -> tuple[float, float, list[float], list[float]]:
+        """Córdoba minimum slack, then :meth:`integrals`, of one state.
+
+        ``grid`` is ``to_physical(theta)`` and ``dealiased`` the transport
+        plan's ``dealiased(theta.coeffs)``, both of which a run's sample has
+        already formed.  When theta has modes beyond the dealias cut, the
+        Córdoba check reads ``dealias(theta)``, synthesized once more, and
+        the integrals read ``(-Lap)^a theta`` through ``to_physical``.
+        """
+        values = grid.values
+        if dealiased:
+            diss = self.dissipated(theta, values, scratch)
+            slack = float(self.slack(theta, values, diss, scratch).min())
+        else:
+            phi = dealias(theta)
+            phi_values = to_physical(phi).values
+            phi_diss = self.dissipated(phi, phi_values, scratch)
+            slack = float(self.slack(phi, phi_values, phi_diss, scratch).min())
+            diss = _dissipated(theta, values, self.alpha)
+        return (slack, *self.integrals(values, diss, qs, scratch))
 
 
 def _carve(layout: list[tuple[tuple[int, int], type]]) -> tuple[np.ndarray, ...]:
@@ -503,7 +525,7 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
         diss = plan.dissipated(theta, values, scratch)
     else:
         diss = _dissipated(theta, values, alpha)
-    return plan.integrals(values, diss, [q], scratch)[0]
+    return plan.integrals(values, diss, [q], scratch)[2][0]
 
 
 def state_battery(
@@ -534,17 +556,9 @@ def state_battery(
         _check_q(q)
     plan = _battery_plan(theta.domain, alpha)
     scratch = plan.scratch() if scratch is None else scratch
-    values = grid.values
-    if plan.transport.dealiased(theta.coeffs):
-        diss = plan.dissipated(theta, values, scratch)
-        slack = float(plan.slack(theta, values, diss, scratch).min())
-    else:
-        phi = dealias(theta)
-        phi_values = to_physical(phi).values
-        phi_diss = plan.dissipated(phi, phi_values, scratch)
-        slack = float(plan.slack(phi, phi_values, phi_diss, scratch).min())
-        diss = _dissipated(theta, values, alpha)
-    return slack, plan.integrals(values, diss, qs, scratch)
+    dealiased = plan.transport.dealiased(theta.coeffs)
+    slack, _, _, integrals = plan.check(theta, grid, qs, scratch, dealiased)
+    return slack, integrals
 
 
 # ----------------------------------------------------------------------------

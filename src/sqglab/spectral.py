@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -467,31 +467,63 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """Sobolev norm (Σ_{k≠0} |k|^{2s}|θ̂(k)|² + [s ≥ 0]·|θ̂(0)|²)^{1/2}.
 
     |k| is the physical wavenumber (2π/L-scaled on the torus, √μ_k for sine
-    modes).  Negative orders require a mean-free field.  Where the squares
-    overflow, the sum is redone with the largest coefficient factored out.
+    modes).  Negative orders require a mean-free field.  The sum runs over
+    the coefficients scaled by a power of two (see :func:`_sobolev_norms`),
+    so it neither overflows nor underflows on the way.  A zero coefficient
+    counts 0 whatever its weight; a nonzero one whose weight passes the
+    largest float makes the norm ``inf``.
     """
-    dom = field.domain
-    torus = dom.basis is Basis.TORUS
-    if torus and s < 0 and not field.mean_free:
+    return _sobolev_norms(field, (s,))[0]
+
+
+def _sobolev_norms(field: SpectralField, orders: Sequence[float]) -> list[float]:
+    """The Sobolev norm of one field at each order, from one scaled ``|θ̂|²``.
+
+    The coefficients are scaled by ``2^-e``, where ``2^e`` bounds their
+    largest real or imaginary part: an exact scaling, after which every
+    ``|θ̂(k)|²`` lies below 2.  Each order is one dot product of those
+    squares with its cached weights (:func:`_sobolev_weights`), scaled back
+    by ``2^e``.
+    """
+    torus = field.domain.basis is Basis.TORUS
+    if torus and min(orders, default=0.0) < 0 and not field.mean_free:
         raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
-    mult = _laplacian_power(dom, s)  # |k|^{2s} per mode
-    mag = np.abs(field.coeffs)
+    coeffs = field.coeffs.reshape(-1)
+    parts = coeffs.view(np.float64)  # real and imaginary parts
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    squares = np.ldexp(coeffs.real, -e)
+    np.square(squares, out=squares)
+    if torus:
+        imag = np.ldexp(coeffs.imag, -e)
+        squares += np.square(imag, out=imag)
+    norms = []
+    for s in orders:
+        weights, overflowed = _sobolev_weights(field.domain, s)
+        total = float(np.dot(squares, weights))
+        if overflowed is not None and squares[overflowed].any():
+            total = math.inf
+        norms.append(_times_power_of_two(math.sqrt(total), e))
+    return norms
 
-    def weighted_sum(mag: np.ndarray) -> float:
-        mag2 = mag**2
-        if not torus:
-            return float(np.sum(mag2 * mult))
-        # the zero mode is the first entry in FFT layout; it is added below
-        total = float(np.sum(mag2.ravel()[1:] * mult.ravel()[1:]))
-        return total + float(mag2[0, 0]) if s >= 0 else total
 
-    with np.errstate(over="ignore"):
-        total = weighted_sum(mag)
-        if math.isfinite(total):
-            return math.sqrt(total)
-        # the squares overflow: factor the largest coefficient out
-        peak = float(mag.max())
-        return peak * math.sqrt(weighted_sum(mag / peak))
+@functools.lru_cache(maxsize=32)
+def _sobolev_weights(domain: DomainSpec, s: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The read-only flat Sobolev weight of every mode, and the modes whose weight overflows.
+
+    A mode weighs ``|k|^{2s}``; the torus zero mode weighs 1 for ``s ≥ 0``
+    and 0 below.  A weight past the largest float is stored as 0 and its
+    mode marked in the mask (``None`` when there is none): a zero
+    coefficient there counts 0, any other makes the norm ``inf``.
+    """
+    sym = domain.laplacian_symbol.reshape(-1)
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = sym**s
+    if domain.basis is Basis.TORUS:
+        weights[0] = 1.0 if s >= 0 else 0.0
+    overflowed = np.isinf(weights)
+    weights[overflowed] = 0.0
+    weights.setflags(write=False)
+    return weights, overflowed if overflowed.any() else None
 
 
 def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
@@ -504,23 +536,76 @@ def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
 def grid_lp_norm(field: PhysicalField | SpectralField, p: float) -> float:
     """L^p grid quadrature for any p ∈ (1, ∞]; internal superset of lq_norm.
 
-    Spectral fields are synthesized to the grid first.  Where the p-th
-    powers overflow, the sum is redone with the grid maximum factored out.
+    Spectral fields are synthesized to the grid first.  The sum runs over
+    the grid divided by its maximum (see :func:`_grid_norms`), so it
+    neither overflows nor underflows on the way, whatever p.
     """
     if isinstance(field, SpectralField):
         field = to_physical(field)
-    values = field.interior
-    if math.isinf(p):
-        return float(np.max(np.abs(values)))
-    cell = (field.domain.box / field.domain.n) ** 2
-    mag = np.abs(values)
-    with np.errstate(over="ignore"):
-        total = cell * np.sum(mag**p)
-        if np.isfinite(total):
-            return float(total ** (1.0 / p))
-        # the p-th powers overflow: factor the grid maximum out
-        peak = float(mag.max())
-        return peak * float((cell * np.sum((mag / peak) ** p)) ** (1.0 / p))
+    orders = () if math.isinf(p) else (p,)
+    peak, norms, _ = _grid_norms(field.values, field.domain, orders)
+    return norms[0] if norms else peak
+
+
+def _grid_norms(
+    values: np.ndarray,
+    domain: DomainSpec,
+    orders: Sequence[float],
+    diss: np.ndarray | None = None,
+    buffers: Sequence[np.ndarray] = (),
+) -> tuple[float, list[float], list[float]]:
+    """max|θ|, the L^q norms and, given ``diss``, the positivity integrals of one grid.
+
+    ``values`` and ``diss`` are the grids of θ and ``(-Lap)^a θ`` (a
+    Dirichlet ring is skipped).  With ``M = max|θ|``, one ``a² = (θ/M)²``
+    serves every order ``q ≥ 2`` through ``P = a^(q-2)``: the norm is ``M
+    (cell Σ P a²)^(1/q)`` and the integral of ``diss θ |θ|^(q-2)`` is
+    ``M^(q-1) cell Σ P diss θ/M``.  As ``a ≤ 1`` with equality at the
+    maximum, no sum overflows or underflows, and a factor ``2^k`` on θ
+    moves only ``M``.  An order below 2 (norms only) sums ``a^q``.
+    ``buffers`` are up to three grids of θ's size or more, taking ``θ/M``
+    then ``P``, ``a²`` and ``diss θ/M``; the last may be ``diss`` itself.
+    Missing ones are allocated.  An integrand that overflows gives ``inf``
+    or ``nan``, silently.
+    """
+    if domain.basis is Basis.DIRICHLET:
+        values = values[1:-1, 1:-1]
+        diss = None if diss is None else diss[1:-1, 1:-1]
+    peak = float(max(values.max(), -values.min()))
+    if not orders:
+        return peak, [], []
+    mantissa, e = math.frexp(peak)  # M^(q-1) = mantissa^(q-1) 2^(e(q-1))
+    shape, size = values.shape, values.size
+    grids = [buffer.reshape(-1)[:size].reshape(shape) for buffer in buffers[:3]]
+    grids += [np.empty(shape) for _ in range(len(grids), 2 if diss is None else 3)]
+    work, squares = grids[:2]
+    np.square(np.divide(values, peak or 1.0, out=work), out=squares)
+    a2, flat = squares.reshape(-1), work.reshape(-1)
+    cell = (domain.box / domain.n) ** 2
+    norms: list[float] = []
+    integrals: list[float] = []
+    with np.errstate(invalid="ignore"):
+        weighted = None if diss is None else np.multiply(work, diss, out=grids[2]).reshape(-1)
+        for q in orders:
+            if q < 2:  # a^(q-2) is infinite where θ vanishes
+                total = float(np.power(a2, q / 2, out=flat).sum())
+            else:
+                power = a2 if q == 4 else np.power(a2, q / 2 - 1, out=flat)
+                total = float(np.dot(power, a2))
+                if weighted is not None:
+                    integral = cell * float(np.dot(power, weighted)) * mantissa ** (q - 1)
+                    integrals.append(_times_power_of_two(integral, e * (q - 1)))
+            norms.append(peak * (cell * total) ** (1.0 / q))
+    return peak, norms, integrals
+
+
+def _times_power_of_two(x: float, p: float) -> float:
+    """``x·2^p``, rounded once for integer ``p``; ``±inf`` past the largest float."""
+    whole = math.floor(p)
+    try:
+        return math.ldexp(x * 2.0 ** (p - whole), whole)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def inner_product(a: SpectralField, b: SpectralField) -> float:

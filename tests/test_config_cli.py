@@ -633,6 +633,16 @@ class TestLoadExperiment:
                          "lq orders must be >= 2, got 1.5", id="monitors-lq"),
             pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "sobolev = [0]"), 15,
                          "sobolev orders must be positive, got 0.0", id="monitors-sobolev"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "lq = [4, 4]"), 15,
+                         "lq orders must name distinct columns, got 'lq4' twice",
+                         id="monitors-lq-repeated"),
+            # two orders that print alike name one column
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "lq = [2, 2.0000001]"), 15,
+                         "lq orders must name distinct columns, got 'lq2' twice",
+                         id="monitors-lq-same-column"),
+            pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "sobolev = [1, 1]"), 15,
+                         "sobolev orders must name distinct columns, got 'h1' twice",
+                         id="monitors-sobolev-repeated"),
             pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "damped_energy = true"), 15,
                          "damped_energy monitoring requires lambda > 0", id="monitors-damped-energy"),
             pytest.param(cfg(*SIMULATE_LINES, "[monitors]", "tail_cutoff = 10"), 15,
@@ -797,6 +807,13 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _series_rows(out) -> tuple[list[str], list[list[float]]]:
+    """The column names and float rows of a run's ``series.csv``."""
+    lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    return header.split(","), [[float(x) for x in row.split(",")] for row in rows]
 
 
 class TestCliExitCodes:
@@ -999,7 +1016,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         ("kind", "code", "status"),
         [
-            # |theta|^8 of the lq monitor overflows; the norm factors the maximum out
+            # |theta|^8 of the lq monitor would overflow; the scaled sum does not
             ("simulate", 0, "status ok"),
             # |theta|^7 of the positivity integral overflows to a non-finite record
             ("estimates-report", 2, "non-finite sides"),
@@ -1062,6 +1079,67 @@ class TestCliExitCodes:
         assert "(ok)" in capsys.readouterr().out
         checks = json.loads((out / "checks.json").read_text(encoding="utf-8"))
         assert checks["all_passed"] is True
+        # the first step leaves a grid whose peak is subnormal: its norms
+        # are scaled up, not flushed to zero
+        columns, rows = _series_rows(out)
+        row = dict(zip(columns, rows[1]))
+        assert 0 < row["linf"] < np.finfo(float).tiny
+        assert all(row[name] > 0 for name in ("l2", "lq2", "lq4", "h1"))
+
+    @pytest.mark.parametrize("basis", ["torus", "dirichlet"])
+    @pytest.mark.parametrize(
+        ("kind", "code", "status"),
+        [
+            # |k|^800 passes the largest float where the field is zero and
+            # where it is not: the column reads inf, not nan
+            ("simulate", 0, "status ok"),
+            # the Sobolev bound of an infinite norm is a non-finite record
+            ("estimates-report", 2, "non-finite sides"),
+        ],
+    )
+    def test_overflowing_sobolev_weights_keep_the_exit_contract(
+        self, tmp_path, capsys, basis, kind, code, status
+    ):
+        text = SIM_CLI.replace("kind = simulate", f"kind = {kind}")
+        text = text.replace("n = 16", f"n = 16\nbasis = {basis}")
+        config = write_config(tmp_path, text.replace("sobolev = [1]", "sobolev = [400]"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([kind, "--config", config, "--out", str(out)]) == code
+        assert status in (out / "run.log").read_text(encoding="utf-8")
+        if code == 0:
+            columns, rows = _series_rows(out)
+            assert [row[columns.index("h400")] for row in rows] == [math.inf] * 6
+
+    @pytest.mark.parametrize("basis", ["torus", "dirichlet"])
+    # |theta|^2000 underflows at both amplitudes, and so would (|theta| 2^-e)^2000
+    # at 0.5 = 2^-1, a peak that no power of two scales above 1/2
+    @pytest.mark.parametrize("amplitude", ["0.1", "0.5"])
+    def test_high_lq_order_approaches_the_maximum(self, tmp_path, capsys, basis, amplitude):
+        text = SIM_CLI.replace("n = 16", f"n = 16\nbasis = {basis}")
+        text = text.replace("amplitude = 0.1", f"amplitude = {amplitude}")
+        config = write_config(tmp_path, text.replace("lq = [2, 4]", "lq = [2000]"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        columns, rows = _series_rows(out)
+        for row in rows:
+            linf, lq = row[columns.index("linf")], row[columns.index("lq2000")]
+            assert 0.9 * linf <= lq <= linf
+
+    @pytest.mark.parametrize(
+        "monitors", ["lq = [4, 4]", "lq = [2, 2.0000001]", "sobolev = [1, 1]"]
+    )
+    def test_repeated_monitor_columns_exit_one(self, tmp_path, capsys, monitors):
+        # once an uncaught ValueError (lq) or every sobolev record twice
+        text = simulate_with("kind", "kind = estimates-report") + f"[monitors]\n{monitors}\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["estimates-report", "--config", config, "--out", str(out)]) == 1
+        assert f"config error ({config}, line 15): " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kind_subcommand_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, SIM_CLI)

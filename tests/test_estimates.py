@@ -345,6 +345,22 @@ class TestPositivityIntegral:
                 value = positivity_integral_check(theta, q, 0.75)
                 assert value >= -1e-10, f"seed={seed} q={q}"
 
+    @settings(max_examples=30)
+    @given(
+        basis=st.sampled_from(list(Basis)),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-100, 100),
+        q=st.sampled_from([2.0, 3.0, 4.0, 8.0]),
+        alpha=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+    )
+    def test_power_of_two_factors_scale_integrals_exactly(self, basis, seed, k, q, alpha):
+        # the integrand is homogeneous of degree q; the kernel sees the same
+        # scaled grid for theta and 2^k theta, so only the exponent moves
+        domain = DomainSpec(n=16, box=np.pi, basis=basis)
+        theta = random_smooth_field(domain, seed, amplitude=1.0)
+        value = positivity_integral_check(theta, q, alpha)
+        assert positivity_integral_check(theta * 2.0**k, q, alpha) == 2.0 ** (k * q) * value
+
     def test_validation(self, torus32):
         theta = random_smooth_field(torus32, seed=1)
         with pytest.raises(ValueError, match=r"q must lie in \[2, inf\)"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -302,29 +303,104 @@ class TestNorms:
             lq_norm(theta, 1.5)
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
-    def test_norms_whose_powers_overflow_factor_the_peak_out(self, name, request):
-        # |c|^2 and |theta|^8 overflow at this scale while both norms are finite
+    @pytest.mark.parametrize(
+        ("coeff_scale", "grid_scale"),
+        [
+            # |c|^2 and |theta|^8 overflow while both norms are finite
+            pytest.param(1e200, 1e200, id="overflow"),
+            # |c|^2 and |theta|^8 underflow to 0 while both norms are normal
+            pytest.param(1e-170, 1e-150, id="underflow"),
+        ],
+    )
+    def test_norms_whose_powers_leave_the_float_range(
+        self, name, coeff_scale, grid_scale, request
+    ):
         domain = request.getfixturevalue(name)
         theta = random_smooth_field(domain, seed=22)
-        huge = theta * 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for s in (0.0, 1.0, -0.5):
-                assert sobolev_norm(huge, s) == pytest.approx(
-                    1e200 * sobolev_norm(theta, s), rel=1e-13
+            for s in (0.0, 1.0, 1.5, -0.5):
+                assert sobolev_norm(theta * coeff_scale, s) == pytest.approx(
+                    coeff_scale * sobolev_norm(theta, s), rel=1e-13, abs=0.0
                 )
             for q in (2.0, 8.0):
-                assert lq_norm(huge, q) == pytest.approx(1e200 * lq_norm(theta, q), rel=1e-13)
+                assert lq_norm(theta * grid_scale, q) == pytest.approx(
+                    grid_scale * lq_norm(theta, q), rel=1e-13, abs=0.0
+                )
+
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_subnormal_fields_keep_their_norms(self, name, request):
+        # for a subnormal peak the factor 2^-e itself overflows, so the
+        # scaling must not form it
+        domain = request.getfixturevalue(name)
+        theta = random_smooth_field(domain, seed=24)
+        scale = 2.0**-1030  # the values keep about 40 of their bits
+        tiny = theta * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < lq_norm(tiny, np.inf) < np.finfo(float).tiny
+            for q in (2.0, 8.0):
+                assert lq_norm(tiny, q) == pytest.approx(
+                    scale * lq_norm(theta, q), rel=1e-9, abs=0.0
+                )
+            assert sobolev_norm(tiny, 1.0) == pytest.approx(
+                scale * sobolev_norm(theta, 1.0), rel=1e-9, abs=0.0
+            )
+
+    @pytest.mark.parametrize(
+        ("name", "mode", "norm"),
+        [
+            # the pair (1, 0), (-1, 0) of weight |k|^800 = 1
+            pytest.param("torus32", {(1, 0): 1.0, (-1, 0): 1.0}, np.sqrt(2.0), id="torus"),
+            # sine mode (1, 1) of weight 2^400 on the box of side pi
+            pytest.param("dirichlet32", {(1, 1): 1.0}, 2.0**200, id="dirichlet"),
+        ],
+    )
+    def test_overflowing_weights_count_zero_modes_as_zero(self, name, mode, norm, request):
+        # |k|^800 passes the largest float on the outer modes: where the
+        # field is zero they count 0, not inf * 0 = nan; elsewhere inf
+        domain = request.getfixturevalue(name)
+        theta = random_smooth_field(domain, seed=25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sobolev_norm(from_modes(domain, mode), 400.0) == norm
+            assert sobolev_norm(dealias(theta), 400.0) == np.inf
+
+    @settings(max_examples=30)
+    @given(
+        basis=st.sampled_from(list(Basis)),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-600, 600),
+        s=st.sampled_from([0.0, 0.5, 1.5, -0.5]),
+        q=st.sampled_from([2.0, 2.5, 4.0, 8.0, np.inf]),
+    )
+    def test_power_of_two_factors_scale_norms_exactly(self, basis, seed, k, s, q):
+        # every value of 2^k theta stays normal, so the kernels see the same
+        # scaled arrays and only the exponent moves
+        domain = DomainSpec(n=16, box=np.pi, basis=basis)
+        theta = random_smooth_field(domain, seed, amplitude=1.0)
+        scaled = theta * 2.0**k
+        assert sobolev_norm(scaled, s) == 2.0**k * sobolev_norm(theta, s)
+        assert lq_norm(scaled, q) == 2.0**k * lq_norm(theta, q)
 
     def test_norms_that_fit_keep_their_rounding(self, torus32):
+        # the kernels' formulas: the grid divided by its maximum, the
+        # coefficients scaled by a power of two, one square, then a dot
+        # product per order, scaled back
         theta = random_smooth_field(torus32, seed=23)
         values = to_physical(theta).values
         cell = (torus32.box / torus32.n) ** 2
-        assert lq_norm(theta, 8.0) == float((cell * np.sum(np.abs(values) ** 8.0)) ** 0.125)
-        mag2 = np.abs(theta.coeffs) ** 2
-        mult = torus32.laplacian_symbol
-        want = float(np.sum(mag2.ravel()[1:] * mult.ravel()[1:])) + float(mag2[0, 0])
-        assert sobolev_norm(theta, 1.0) == np.sqrt(want)
+        peak = np.abs(values).max()
+        a2 = np.square(values / peak).ravel()
+        total = float(np.dot(np.power(a2, 3.0), a2))
+        assert lq_norm(theta, 8.0) == peak * (cell * total) ** 0.125
+        parts = theta.coeffs.reshape(-1).view(np.float64)
+        e = math.frexp(np.abs(parts).max())[1]
+        squares = np.square(parts * 2.0**-e)
+        mag2 = squares[0::2] + squares[1::2]
+        weights = torus32.laplacian_symbol.ravel().copy()
+        weights[0] = 1.0  # the zero mode, counted at s >= 0
+        assert sobolev_norm(theta, 1.0) == math.ldexp(math.sqrt(float(np.dot(mag2, weights))), e)
 
     def test_inner_product_matches_norm(self, torus32):
         theta = random_smooth_field(torus32, seed=21)
