@@ -57,7 +57,6 @@ from .spectral import (
     fractional_laplacian,
     from_modes,
     grid_lp_norm,
-    inner_product,
     lq_norm,
     riesz_transform,
     sine_mode_field,
@@ -92,7 +91,6 @@ __all__ = [
     "sobolev_norm",
     "lq_norm",
     "grid_lp_norm",
-    "inner_product",
     # time stepping
     "SqgParams",
     "StepperConfig",

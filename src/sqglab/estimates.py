@@ -18,8 +18,8 @@ The families covered:
 
 The pointwise and positivity checks of a state run on one read-only plan
 per (domain, order), cached like the transport plans, and write into
-buffers the caller owns (:func:`state_battery`'s ``scratch``), which a run
-reuses at every sample.  The plan holds its domain's transport plan, the one
+buffers the caller owns (the plan's ``scratch()``), which a run reuses
+at every sample.  The plan holds its domain's transport plan, the one
 owner of the block of modes the 2/3 rule keeps: its tables are cut with
 that plan, whether a state has modes past the cut is that plan's dealias
 test, and on the torus ``(-Lap)^a theta`` is that plan's pruned synthesis
@@ -66,7 +66,6 @@ __all__ = [
     "cordoba_slack_field",
     "cordoba_pointwise_check",
     "positivity_integral_check",
-    "state_battery",
     "sobolev_bound_monitor",
     "tail_mass",
     "DEFAULT_TOL",
@@ -175,8 +174,10 @@ def max_principle_monitor(
     base_pow = base_q**q
     records = []
     for t, norm in zip(times, norms):
-        growth = np.exp((q - 1.0) * (t - t0))
-        rhs = base_pow * growth + (growth - 1.0) / (q - 1.0) * force_q
+        # an envelope past the float range is a non-finite record
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = np.exp((q - 1.0) * (t - t0))
+            rhs = base_pow * growth + (growth - 1.0) / (q - 1.0) * force_q
         records.append(
             InequalityRecord(name=f"lq-envelope-q{q:g}", t=t, lhs=norm**q, rhs=rhs)
         )
@@ -199,12 +200,13 @@ def linf_monitor(
     t0 = times[0]
     base = norms[0]
     force = 0.0 if forcing is None else lq_norm(forcing, np.inf)
-    return [
-        InequalityRecord(
-            name="linf-envelope", t=t, lhs=norm, rhs=(base + force) * np.exp(t - t0)
-        )
-        for t, norm in zip(times, norms)
-    ]
+    with np.errstate(over="ignore"):  # an envelope past the float range is a non-finite record
+        return [
+            InequalityRecord(
+                name="linf-envelope", t=t, lhs=norm, rhs=(base + force) * np.exp(t - t0)
+            )
+            for t, norm in zip(times, norms)
+        ]
 
 
 def damped_energy_monitor(times: Sequence[float], norms: Sequence[float], lam: float) -> list:
@@ -418,19 +420,22 @@ class _BatteryPlan:
         plan's ``dealiased(theta.coeffs)``, both of which a run's sample has
         already formed.  When theta has modes beyond the dealias cut, the
         Córdoba check reads ``dealias(theta)``, synthesized once more, and
-        the integrals read ``(-Lap)^a theta`` through ``to_physical``.
+        the integrals read ``(-Lap)^a theta`` through ``to_physical``.  A
+        state whose products overflow gives non-finite results, silently
+        (or a :class:`~sqglab.errors.NonFiniteError`), which its records reject.
         """
         values = grid.values
-        if dealiased:
-            diss = self.dissipated(theta, values, scratch)
-            slack = float(self.slack(theta, values, diss, scratch).min())
-        else:
-            phi = dealias(theta)
-            phi_values = to_physical(phi).values
-            phi_diss = self.dissipated(phi, phi_values, scratch)
-            slack = float(self.slack(phi, phi_values, phi_diss, scratch).min())
-            diss = _dissipated(theta, values, self.alpha)
-        return (slack, *self.integrals(values, diss, qs, scratch))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if dealiased:
+                diss = self.dissipated(theta, values, scratch)
+                slack = float(self.slack(theta, values, diss, scratch).min())
+            else:
+                phi = dealias(theta)
+                phi_values = to_physical(phi).values
+                phi_diss = self.dissipated(phi, phi_values, scratch)
+                slack = float(self.slack(phi, phi_values, phi_diss, scratch).min())
+                diss = _dissipated(theta, values, self.alpha)
+            return (slack, *self.integrals(values, diss, qs, scratch))
 
 
 def _carve(layout: list[tuple[tuple[int, int], type]]) -> tuple[np.ndarray, ...]:
@@ -528,39 +533,6 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     return plan.integrals(values, diss, [q], scratch)[2][0]
 
 
-def state_battery(
-    theta: SpectralField,
-    grid: PhysicalField,
-    alpha: float,
-    qs: Sequence[float],
-    scratch: tuple[np.ndarray, ...] | None = None,
-) -> tuple[float, list[float]]:
-    """Córdoba minimum slack and positivity integrals of one state.
-
-    Equals ``cordoba_pointwise_check(theta, alpha)`` and
-    ``[positivity_integral_check(theta, q, alpha) for q in qs]``.  ``grid``
-    is ``to_physical(theta)``, which the caller has already synthesized for
-    its own per-state quantities.  Everything else is written into owned
-    buffers: ``scratch`` is ``_battery_plan(domain, alpha).scratch()``,
-    which a caller checking many states passes to every call (a new one
-    per call if ``None``).  On the torus ``(-Lap)^a theta`` is the
-    transport plan's pruned synthesis of the kept block, and the Córdoba
-    square comes from pruned passes on the grid of 3n/2 points.  When
-    theta has modes beyond the dealias cut (the transport plan's
-    ``dealiased`` test), the Córdoba check reads
-    ``dealias(theta)``, synthesized once more, and the integrals read
-    ``(-Lap)^a theta`` through ``to_physical``.
-    """
-    _check_alpha(alpha)
-    for q in qs:
-        _check_q(q)
-    plan = _battery_plan(theta.domain, alpha)
-    scratch = plan.scratch() if scratch is None else scratch
-    dealiased = plan.transport.dealiased(theta.coeffs)
-    slack, _, _, integrals = plan.check(theta, grid, qs, scratch, dealiased)
-    return slack, integrals
-
-
 # ----------------------------------------------------------------------------
 # higher-Sobolev differential inequality
 # ----------------------------------------------------------------------------
@@ -635,7 +607,8 @@ class CutoffSpec:
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Dilated profile eta_k(r) = eta(r / k)."""
-        return _smoothstep(np.asarray(r, dtype=np.float64) / self.k - 1.0)
+        with np.errstate(over="ignore"):  # r / k past the largest float is on the plateau
+            return _smoothstep(np.asarray(r, dtype=np.float64) / self.k - 1.0)
 
     def field_on(self, domain: DomainSpec) -> PhysicalField:
         """Sample eta_k centered at the box center on the domain's grid."""

@@ -54,7 +54,6 @@ __all__ = [
     "from_modes",
     "cosine_field",
     "sine_mode_field",
-    "inner_product",
 ]
 
 
@@ -75,7 +74,10 @@ class DomainSpec:
         Grid points per axis; must be a power of two and at least 16.
         (Dirichlet fields live on the n−1 interior points.)
     box : float
-        Side length L of the box, default 2π.
+        Side length L of the box, default 2π.  The extreme eigenvalues of
+        −Δ must be normal floats, which holds for L between about 1e-153
+        and 1e154; the grid scales n²/L, L/n² and (L/n)² are then finite
+        and nonzero too.
     basis : Basis
         Periodic torus or Dirichlet sine modes.
     """
@@ -93,6 +95,15 @@ class DomainSpec:
             raise FieldError("box", f"box size must be positive and finite, got {self.box}")
         if not isinstance(self.basis, Basis):
             object.__setattr__(self, "basis", Basis(self.basis))
+        torus = self.basis is Basis.TORUS
+        scale = (2.0 if torus else 1.0) * math.pi / self.box
+        top = self.n // 2 if torus else self.n - 1
+        # laplacian_symbol's extremes, at the modes (1, 0) or (1, 1) and (top, top)
+        smallest, largest = scale * scale * (1 if torus else 2), scale * scale * (2 * top * top)
+        if not (smallest >= np.finfo(float).tiny and largest < math.inf):
+            raise FieldError(
+                "box", f"box size {self.box} puts the Laplacian eigenvalues outside the float range"
+            )
 
     # -- derived grids (cached; arrays are frozen) ------------------------
 
@@ -223,7 +234,7 @@ class SpectralField:
                 raise ValueError("Dirichlet sine coefficients must be real")
             coeffs = coeffs.astype(np.float64, copy=False)
         if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise ValueError("non-finite spectral coefficients")
+            raise NonFiniteError("non-finite spectral coefficients")
         coeffs = coeffs.copy() if not coeffs.flags.owndata else coeffs
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
@@ -241,8 +252,10 @@ class SpectralField:
         """Check the realness (conjugate-symmetry) invariant; raise on failure."""
         if self.domain.basis is Basis.TORUS:
             flipped = np.conj(np.roll(self.coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
-            scale = float(np.linalg.norm(self.coeffs.ravel()))
-            if float(np.linalg.norm((self.coeffs - flipped).ravel())) > tol * max(scale, 1.0):
+            with np.errstate(over="ignore"):  # a norm past the largest float is inf
+                scale = float(np.linalg.norm(self.coeffs.ravel()))
+                gap = float(np.linalg.norm((self.coeffs - flipped).ravel()))
+            if gap > tol * max(scale, 1.0):
                 raise ValueError("coefficients are not conjugate-symmetric")
 
     @staticmethod
@@ -299,13 +312,6 @@ class PhysicalField:
         values = values.copy() if not values.flags.owndata else values
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Values away from the boundary ring (everything, on the torus)."""
-        if self.domain.basis is Basis.TORUS:
-            return self.values
-        return self.values[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +607,13 @@ def _grid_norms(
 
 def _times_power_of_two(x: float, p: float) -> float:
     """``x·2^p``, rounded once for integer ``p``; ``±inf`` past the largest float."""
+    if math.isinf(p):
+        return math.copysign(math.inf if p > 0 and x else 0.0, x)
     whole = math.floor(p)
     try:
         return math.ldexp(x * 2.0 ** (p - whole), whole)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def inner_product(a: SpectralField, b: SpectralField) -> float:
-    """L²(box) inner product ⟨a, b⟩ = Σ conj(â)·b̂ (orthonormal Parseval)."""
-    a._check_same_domain(b)
-    return float(np.real(np.sum(np.conj(a.coeffs) * b.coeffs)))
 
 
 def dealias(field: SpectralField) -> SpectralField:

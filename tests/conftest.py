@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-summary reporting hook."""
+"""Shared fixtures, a test oracle and the acceptance-summary reporting hook."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from sqglab.spectral import Basis, DomainSpec
+from sqglab.spectral import Basis, DomainSpec, SpectralField
 
 # Property tests draw the same examples on every run and write no example
 # database; tests set only ``max_examples``.
@@ -48,6 +48,12 @@ def dirichlet32() -> DomainSpec:
 @pytest.fixture(scope="session")
 def dirichlet64() -> DomainSpec:
     return DomainSpec(n=64, box=np.pi, basis=Basis.DIRICHLET)
+
+
+def inner_product(a: SpectralField, b: SpectralField) -> float:
+    """L²(box) inner product ⟨a, b⟩ = Σ conj(â)·b̂ (orthonormal Parseval): a test oracle."""
+    assert a.domain == b.domain, "fields live on different domains"
+    return float(np.real(np.sum(np.conj(a.coeffs) * b.coeffs)))
 
 
 # ----------------------------------------------------------------------------

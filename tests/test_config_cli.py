@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sqglab
 from sqglab import dynamics
@@ -37,7 +37,7 @@ from sqglab.config import (
 )
 from sqglab.critical import DEFAULT_SWEEP_ALPHAS
 from sqglab.dynamics import MAX_STEPS, SimulationState, integrate
-from sqglab.errors import CflWarning, ConfigError, FieldError
+from sqglab.errors import CflWarning, ConfigError
 from sqglab.estimates import (
     CutoffSpec,
     InequalityRecord,
@@ -1227,35 +1227,75 @@ class TestCliExitCodes:
         capsys.readouterr()
 
 
-#: ``[forcing]`` values for the fuzz below, as file literals: tiny, huge,
-#: subnormal, negative and integer-overflow values, and every value on
-#: both sides of the dealias mask at n = 16 and 32 (n/3 is 5 and 10).
+#: A valid file of each kind, of which the fuzz below redraws one section at a time.
+_FUZZ_BASES = {
+    "simulate": SIM_CLI,
+    "sweep-alpha": cfg(*SWEEP_CLI_LINES),
+    "operator-tests": OPERATOR_CLI,
+    "estimates-report": SIM_CLI.replace("kind = simulate", "kind = estimates-report"),
+    "dirichlet-sweep": cfg(*SWEEP_CLI_LINES).replace("kind = sweep-alpha", "kind = dirichlet-sweep"),
+}
+_FUZZ_CASES = [(kind, section) for kind, sections in sqglab.config._SECTIONS_BY_KIND.items()
+               for section in sorted(sections - {"experiment"})]
+
+#: File literals drawn for a key, by its ``_KEYS`` type: tiny, huge,
+#: subnormal, negative, zero, non-finite, integer-overflow and ordinary
+#: values.  Integers stop at 120, so no size or trial count allocates more
+#: than a few MB; the overflow literals exceed every upper bound in ``_KEYS``.
 _HUGE_INTEGER = "1" + "0" * 400
-_forcing_types = st.sampled_from([None, "none", "cosine", "sine", "square"])
-_mode_parts = st.one_of(
-    st.integers(-17, 17).map(str),
-    st.sampled_from(["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER]),
-)
-_modes = st.one_of(
-    st.none(),
-    st.lists(_mode_parts, min_size=2, max_size=2),
-    st.lists(_mode_parts, min_size=0, max_size=3),
-).map(lambda parts: None if parts is None else "[" + ", ".join(parts) + "]")
-_forcing_amplitudes = st.one_of(
-    st.none(),
+_OVERFLOWS = ["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER]
+_MODE_PARTS = st.one_of(st.integers(-17, 17).map(str), st.sampled_from(_OVERFLOWS))
+_FLOATS = st.one_of(
     st.sampled_from(
-        ["1e-300", "5e-324", "1e308", "-1", "0", "-2.5", "0.01", "3", _HUGE_INTEGER,
-         "-" + _HUGE_INTEGER]
+        ["1e-300", "5e-324", "1e-310", "1e-160", "1e-7", "0", "-1", "-2.5", "0.01", "0.05",
+         "0.5", "1", "3", "17", "1e6", "1e200", "1e300", "1e308", "inf", "-inf", "nan",
+         *_OVERFLOWS]
     ),
+    st.floats(1e-3, 20.0).map(repr),
     st.floats(-1e308, 1e308).map(repr),
 )
+#: Literals of other types: most keys' wrong types, and all a string or bool key draws.
+_OTHERS = st.sampled_from(["true", "false", "word", "[1, 2]", "2.5"])
 
 
-def _assert_exit_contract(text: str) -> None:
-    """Run ``simulate`` on ``text``: it exits 0, 1 or 2 and raises nothing.
+def _array(parts: st.SearchStrategy) -> st.SearchStrategy:
+    lists = st.one_of(st.lists(parts, min_size=2, max_size=2), st.lists(parts, max_size=3))
+    return lists.map(lambda items: "[" + ", ".join(items) + "]")
 
-    A config error cites its line and writes nothing; any other exit
-    leaves a ``run.log``.
+
+_LITERALS_BY_TYPE = {
+    "str": _OTHERS,
+    "bool": _OTHERS,
+    "int": st.one_of(_MODE_PARTS, st.integers(-3, 120).map(str)),
+    "float": _FLOATS,
+    "ints": _array(_MODE_PARTS),
+    "floats": _array(_FLOATS),
+    "floats+inf": _array(_FLOATS),
+}
+
+
+def _marched(text: str) -> int:
+    """Steps a run of ``text`` takes, summed over a sweep's members; 0 if it has none.
+
+    A file that fails here fails its run too, which the exit-contract check sees.
+    """
+    try:
+        experiment = load(text)
+        theta0 = experiment.initial_field()
+        if experiment.kind in ("sweep-alpha", "dirichlet-sweep"):
+            sweep = experiment.sweep_config(theta0)
+            return sweep.stepper().n_steps * len(sweep.alphas)
+        return experiment.stepper_for(theta0).n_steps
+    except ValueError:  # a config error, or the operator kind's missing initial field
+        return 0
+
+
+def _assert_exit_contract(kind: str, text: str) -> int:
+    """Run ``kind`` on ``text`` and return its exit code: 0, 1 or 2, with nothing raised.
+
+    A config error cites its line and writes nothing; any other exit leaves
+    a ``run.log``.  Warnings are recorded, not raised, so the run goes on as
+    outside the tests; any but the CFL and sweep smallness warnings fails.
     """
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.cfg")
@@ -1264,144 +1304,89 @@ def _assert_exit_contract(text: str) -> None:
         out = os.path.join(tmp, "out")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 warnings.simplefilter("ignore", CflWarning)
-                code = main(["simulate", "--config", config, "--out", out])
+                warnings.filterwarnings("ignore", "initial data is too large", UserWarning)
+                code = main([kind, "--config", config, "--out", out])
+        assert [str(warning.message) for warning in caught] == []
         assert code in (0, 1, 2)
         if code == 1:
             assert f"config error ({config}, line " in stderr.getvalue()
             assert not os.path.exists(out)
         else:
             assert os.path.isfile(os.path.join(out, "run.log"))
+    return code
 
 
-class TestForcingFuzz:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.sampled_from([16, 32]),
-        basis=st.sampled_from(["torus", "dirichlet"]),
-        ftype=_forcing_types,
-        mode=_modes,
-        amplitude=_forcing_amplitudes,
-    )
-    def test_forcing_keys_keep_the_exit_contract(self, n, basis, ftype, mode, amplitude):
-        keys = {"type": ftype, "mode": mode, "amplitude": amplitude}
-        _assert_exit_contract(
-            cfg(
-                *SIMULATE_LINES[:3],
-                f"n = {n}",
-                f"basis = {basis}",
-                *SIMULATE_LINES[4:],
-                "[forcing]",
-                *(f"{key} = {value}" for key, value in keys.items() if value is not None),
-            )
-        )
+@pytest.mark.parametrize("kind, section", _FUZZ_CASES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_every_key_keeps_the_exit_contract(kind, section, data):
+    # each key of the fuzzed section is absent, at its base value or a choice,
+    # or any literal of its type or another; elsewhere a key with choices draws
+    # among them and its base value, so both bases meet every section
+    base = _FUZZ_BASES[kind]
+    parsed, base_lines = parse(base).sections, base.splitlines()
+    lines = []
+    for name in [*(other for other in parsed if other != section), section]:
+        lines.append(f"[{name}]")
+        for key, row in sqglab.config._KEYS[name].items():
+            found = parsed.get(name, {}).get(key)
+            value = None if found is None else base_lines[found.line - 1].partition("=")[2].strip()
+            choices = st.sampled_from([value, *(row.choices or ())])
+            if name == section:
+                value = data.draw(
+                    st.one_of(st.none(), choices, _LITERALS_BY_TYPE[row.type], _OTHERS), label=key
+                )
+            elif row.choices and name != "experiment":
+                value = data.draw(choices, label=f"{name}.{key}")
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    text = cfg(*lines)
+    # never start a long march; a step count past the cap is a config error
+    assume(_marched(text) <= 100)
+    _assert_exit_contract(kind, text)
 
 
-#: ``[init]`` values for the fuzz below, as file literals: tiny, huge,
-#: subnormal, negative and integer-overflow values, and ordinary ones so
-#: that fields get built, drawn per key.
-_init_types = st.sampled_from([None, "random", "shear", "bump", "square"])
-_init_integers = st.one_of(
-    st.none(),
-    st.integers(-17, 17).map(str),
-    st.sampled_from(["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER]),
+_DIRICHLET = ("n = 16", "n = 16\nbasis = dirichlet")
+
+
+@pytest.mark.parametrize(
+    "kind, edits, code",
+    [
+        # the CFL step of the initial field asks for millions of steps
+        ("simulate", [("dt = 0.01\nt_end = 0.05", "t_end = 1e6")], 1),
+        # a stride whose float conversion overflows
+        ("simulate", [_DIRICHLET, ("t_end = 0.05", f"t_end = 0.05\nsample_every = {_HUGE_INTEGER}")], 1),
+        # a forcing whose coefficient norm overflows
+        ("simulate", [("[monitors]", "[forcing]\ntype = cosine\namplitude = 1e200\n[monitors]")], 2),
+        # a bump whose subnormal spread overflows r^2 / spread
+        ("simulate", [("type = random", "type = bump\nwidth = 1e-160")], 0),
+        # boxes that put an extreme Laplacian eigenvalue outside the float range
+        *[(kind, [("n = 16", "n = 16\nbox = 5e-324")], 1) for kind in EXPERIMENT_KINDS
+          if kind != "operator-tests"],
+        *[(kind, [("n = 16", "n = 16\nbox = 1e300")], 1) for kind in ("sweep-alpha", "dirichlet-sweep")],
+        # the battery's square of theta overflows, on both bases
+        ("estimates-report", [("amplitude = 0.1", "amplitude = 1e6")], 2),
+        ("estimates-report", [_DIRICHLET, ("amplitude = 0.1", "amplitude = 1e300")], 2),
+        # a subnormal tail cutoff radius overflows r / k
+        ("estimates-report", [("sobolev = [1]", "sobolev = [1]\ntail_cutoff = 5e-324")], 0),
+        # envelopes e^t and e^((q-1)t) f^q overflow, or reach inf * 0
+        ("simulate", [("dt = 0.01\nt_end = 0.05", "dt = 1e6\nt_end = 1e6")], 2),
+        ("simulate", [("dt = 0.01\nt_end = 0.05", "dt = 500\nt_end = 1000"),
+                      ("[monitors]", "[forcing]\ntype = cosine\namplitude = 1e-300\n[monitors]")], 2),
+        # the positivity integral's power-of-two exponent is -inf
+        ("estimates-report", [("lq = [2, 4]", "lq = [2, 1e308]")], 0),
+        ("estimates-report", [_DIRICHLET, ("lq = [2, 4]", "lq = [2, 1e308]")], 0),
+    ],
 )
-_init_floats = st.one_of(
-    st.none(),
-    st.sampled_from(
-        ["1e-300", "5e-324", "1e-160", "1e308", "-1", "0", "-2.5", "0.01", "0.5", "1", "3",
-         "17", _HUGE_INTEGER, "-" + _HUGE_INTEGER]
-    ),
-    st.floats(1e-3, 20.0).map(repr),
-    st.floats(-1e308, 1e308).map(repr),
-)
-
-
-class TestInitFuzz:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.sampled_from([16, 32]),
-        basis=st.sampled_from(["torus", "dirichlet"]),
-        itype=_init_types,
-        seed=_init_integers,
-        decay=_init_floats,
-        amplitude=_init_floats,
-        mode=_init_integers,
-        width=_init_floats,
-    )
-    def test_init_keys_keep_the_exit_contract(
-        self, n, basis, itype, seed, decay, amplitude, mode, width
-    ):
-        keys = {
-            "type": itype, "seed": seed, "decay": decay, "amplitude": amplitude,
-            "mode": mode, "width": width,
-        }
-        _assert_exit_contract(
-            cfg(
-                *SIMULATE_LINES[:3],
-                f"n = {n}",
-                f"basis = {basis}",
-                *SIMULATE_LINES[4:11],
-                *(f"{key} = {value}" for key, value in keys.items() if value is not None),
-            )
-        )
-
-
-#: ``[stepper]`` values for the fuzz below, as file literals: tiny, huge,
-#: subnormal, negative, integer-overflow and ordinary values, drawn per key.
-_stepper_floats = st.one_of(
-    st.none(),
-    st.sampled_from(
-        ["1e-300", "5e-324", "1e-160", "1e308", "-1", "0", "-2.5", "1e-7", "0.01", "0.05",
-         "0.5", "1", "3", "1e6", _HUGE_INTEGER, "-" + _HUGE_INTEGER]
-    ),
-    st.floats(1e-3, 5.0).map(repr),
-)
-_sample_strides = st.one_of(
-    st.none(),
-    st.integers(-3, 120).map(str),
-    st.sampled_from(
-        ["2147483648", "-9223372036854775809", _HUGE_INTEGER, "-" + _HUGE_INTEGER, "1.5", "1e308"]
-    ),
-)
-
-
-def _steps(text: str) -> int:
-    """Steps a ``simulate`` run of ``text`` takes; 0 for a file that is a config error."""
-    try:
-        experiment = load(text)
-        return experiment.stepper_for(experiment.initial_field()).n_steps
-    except (ConfigError, FieldError):
-        return 0
-
-
-class TestStepperFuzz:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.sampled_from([16, 32]),
-        basis=st.sampled_from(["torus", "dirichlet"]),
-        dt=_stepper_floats,
-        t_end=_stepper_floats,
-        sample_every=_sample_strides,
-    )
-    # the CFL step of the initial field asks for millions of steps
-    @example(n=16, basis="torus", dt=None, t_end="1e6", sample_every=None)
-    # a stride whose float conversion overflows
-    @example(n=16, basis="dirichlet", dt="0.01", t_end="0.05", sample_every=_HUGE_INTEGER)
-    def test_stepper_keys_keep_the_exit_contract(self, n, basis, dt, t_end, sample_every):
-        keys = {"dt": dt, "t_end": t_end, "sample_every": sample_every}
-        text = cfg(
-            *SIMULATE_LINES[:3],
-            f"n = {n}",
-            f"basis = {basis}",
-            *SIMULATE_LINES[4:8],
-            *(f"{key} = {value}" for key, value in keys.items() if value is not None),
-            *SIMULATE_LINES[10:],
-        )
-        # never start a long run; a count past the cap is a config error
-        assume(not 100 < _steps(text) <= MAX_STEPS)
-        _assert_exit_contract(text)
+def test_found_inputs_keep_the_exit_contract(kind, edits, code):
+    text = _FUZZ_BASES[kind]
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    assert _assert_exit_contract(kind, text) == code
 
 
 class TestCliArtifacts:

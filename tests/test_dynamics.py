@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import inner_product
 
 import sqglab
 from sqglab.dynamics import (
@@ -40,7 +41,6 @@ from sqglab.spectral import (
     cosine_field,
     dealias,
     fractional_laplacian,
-    inner_product,
     lq_norm,
     sine_mode_field,
     sobolev_norm,

@@ -24,7 +24,6 @@ from sqglab.estimates import (
     max_principle_monitor,
     positivity_integral_check,
     sobolev_bound_monitor,
-    state_battery,
     tail_mass,
 )
 from sqglab.fields import random_smooth_field
@@ -420,11 +419,17 @@ class TestBatteryPlan:
 
     QS = (2.0, 3.0, 4.0, 8.0)
 
+    def _check(self, theta, alpha):
+        """The plan's check of one state, as a run's sample calls it."""
+        plan = _battery_plan(theta.domain, alpha)
+        dealiased = plan.transport.dealiased(theta.coeffs)
+        return plan.check(theta, to_physical(theta), self.QS, plan.scratch(), dealiased)
+
     def _assert_matches_direct(self, theta, alpha):
         slack, peak, integrals, scales = _direct_battery(theta, alpha, self.QS)
         got = cordoba_slack_field(theta, alpha).values
         assert np.abs(got - slack).max() <= 1e-12 * peak
-        min_slack, got_integrals = state_battery(theta, to_physical(theta), alpha, self.QS)
+        min_slack, _, _, got_integrals = self._check(theta, alpha)
         assert min_slack == got.min()
         for q, value, want, scale in zip(self.QS, got_integrals, integrals, scales):
             assert abs(value - want) <= 1e-12 * scale, f"q={q}"
@@ -458,7 +463,7 @@ class TestBatteryPlan:
         square = to_spectral(values**2, dirichlet32)
         want = 2.0 * values * diss - to_physical(fractional_laplacian(square, alpha)).values
         assert np.array_equal(cordoba_slack_field(theta, alpha).values, want)
-        min_slack, integrals = state_battery(theta, to_physical(theta), alpha, self.QS)
+        min_slack, _, _, integrals = self._check(theta, alpha)
         assert min_slack == want.min()
         cell = (dirichlet32.box / dirichlet32.n) ** 2
         for q, value in zip(self.QS, integrals):
@@ -473,17 +478,19 @@ class TestBatteryPlan:
         domain = DomainSpec(n=n)
         theta = random_smooth_field(domain, 5, amplitude=1.0)
         grid = to_physical(theta)
-        scratch = _battery_plan(domain, 0.75).scratch()
-        state_battery(theta, grid, 0.75, self.QS, scratch)
+        plan = _battery_plan(domain, 0.75)
+        scratch = plan.scratch()
+        dealiased = plan.transport.dealiased(theta.coeffs)
+        plan.check(theta, grid, self.QS, scratch, dealiased)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = state_battery(theta, grid, 0.75, self.QS, scratch)
+            got = plan.check(theta, grid, self.QS, scratch, dealiased)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - current < n * n * np.dtype(np.complex128).itemsize / 8
-        assert got == state_battery(theta, grid, 0.75, self.QS)
+        assert got == plan.check(theta, grid, self.QS, plan.scratch(), dealiased)
 
 
 class TestSobolevBoundMonitor:

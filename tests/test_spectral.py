@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import inner_product
 
 from sqglab.dynamics import _plan
-from sqglab.errors import BasisError, ZeroModeError
+from sqglab.errors import BasisError, FieldError, NonFiniteError, ZeroModeError
 from sqglab.fields import random_smooth_field
 from sqglab.spectral import (
     Basis,
@@ -22,7 +23,6 @@ from sqglab.spectral import (
     fractional_laplacian,
     from_modes,
     grid_lp_norm,
-    inner_product,
     lq_norm,
     riesz_transform,
     sine_mode_field,
@@ -48,11 +48,12 @@ class TestDomainSpec:
         with pytest.raises(ValueError, match="power of two"):
             DomainSpec(n=8, box=1.0, basis=Basis.TORUS)
 
-    def test_rejects_bad_box(self):
-        with pytest.raises(ValueError, match="box"):
-            DomainSpec(n=32, box=0.0, basis=Basis.TORUS)
-        with pytest.raises(ValueError, match="box"):
-            DomainSpec(n=32, box=np.inf, basis=Basis.TORUS)
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("box", [0.0, np.inf, 5e-324, 1e-160, 1e160, 1e300])
+    def test_rejects_bad_box(self, basis, box):
+        # past about 1e-153 or 1e154 a Laplacian eigenvalue overflows or goes subnormal
+        with pytest.raises(FieldError, match="box"):
+            DomainSpec(n=32, box=box, basis=basis)
 
     def test_laplacian_symbol_scaling(self):
         torus = DomainSpec(n=32, box=2 * np.pi, basis=Basis.TORUS)
@@ -464,7 +465,7 @@ class TestModeConstructors:
     def test_non_finite_coefficients_rejected(self, torus32):
         coeffs = np.zeros((32, 32), dtype=complex)
         coeffs[1, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFiniteError, match="finite"):
             SpectralField(coeffs, torus32)
 
 
