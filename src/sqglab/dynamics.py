@@ -29,10 +29,12 @@ theta and analyzed before the next is synthesized, so a step allocates no
 transform output.  On a
 Dirichlet box the kernel stays on the box's own ``(n+1)^2`` grid: theta is a
 sine-sine series, the velocity components are sine-cosine and cosine-sine
-series, and type-1 sine/cosine transforms (``scipy.fft``) synthesize them
-and analyze the two fluxes, alias-free under the same 1/3 cut; the block is
-the modes up to ``2n/3``.  Each of those transforms overwrites its input in
-a buffer the caller owns, so a box step allocates no grid either.  Odd
+series, and type-1 sine/cosine transforms synthesize them and analyze the
+two fluxes, alias-free under the same 1/3 cut; the block is the modes up to
+``2n/3``.  Each transform is a ``numpy.fft.rfft`` of an extended line that
+carries one cosine and one sine transform at once (u1 paired with u2, the
+two fluxes paired), written into buffers the caller owns, so a box step
+allocates no grid either.  Odd
 extension to the doubled torus (:func:`embed_odd_extension`), which carries
 the same information, is kept as the reference the kernel is tested
 against.
@@ -490,14 +492,6 @@ class _TransportPlan:
         return np.fft.irfft(half, n=self.n, axis=1, norm="forward", out=grid)
 
 
-#: Per-axis type-1 transform of a Dirichlet-box series, named by its
-#: ``scipy.fft`` function, and the grid index of its first mode: sine axes
-#: carry modes 1 .. n-1 on the n-1 interior points, cosine axes modes 0 .. n
-#: on all n+1 points.
-_SINE = ("dst", 0)
-_COSINE = ("dct", 1)
-
-
 @dataclass(frozen=True)
 class _DirichletPlan:
     """Read-only multipliers of the transport kernel on a Dirichlet box.
@@ -510,25 +504,35 @@ class _DirichletPlan:
     pair.  With inputs cut at n/3 every product mode stays below n, so the
     grid is alias-free.
 
+    Each type-1 transform is an ``rfft`` of length ``2n`` of an extended
+    line: the real part is the cosine transform of the line's even part and
+    minus the imaginary part the sine transform of its odd part (Martucci,
+    IEEE Trans. Signal Process. 42, 1994).  So one line carries a cosine
+    and a sine transform at once, and the kernel pairs them: u1 with u2 on
+    both synthesis axes, the two fluxes on both analysis axes.  An
+    evaluation is about ``4.3 n`` line transforms of length ``2n``.
+
     The arrays cover only the modes the 2/3 rule keeps, as square blocks of
-    sine indices.  ``synth`` covers the input cut ``k <= n/3`` and stacks the
-    multipliers taking theta's coefficients to the coefficients of u1, u2 and
-    theta, with the synthesis scale ``1/(2L)`` folded in (scipy's
-    unnormalized type-1 transforms carry a factor 2 per axis).  ``div``
-    covers the output cut ``k <= 2n/3`` and stacks the symbols ``(pi/L) k_j``
-    taking the cosine coefficients of the fluxes to the sine coefficients of
-    ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` folded in.
-    Transforms skip the lines outside these blocks.
+    sine indices.  ``synth`` covers the input cut ``k <= n/3``: the first
+    half and the mirror half of the paired u1/u2 lines of the first pass
+    (the u1 and u2 multipliers with their signs folded in), then those of
+    theta's lines, with the synthesis scale ``1/(2L)`` folded in (the
+    unnormalized transforms carry a factor 2 per axis).  ``div`` covers
+    the output cut ``k <= 2n/3`` and stacks the symbols ``(pi/L) k_j``
+    taking the cosine coefficients of the fluxes to the sine coefficients
+    of ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` and the
+    sign of the analysis pairing folded in.  Transforms skip the lines
+    outside these blocks.
 
     :meth:`transport` writes the transport on the output block into
     ``out``, and :meth:`assemble` pads a block back to the full ``(n-1,
     n-1)`` layout.  A march keeps the block as its state, so it takes only
     arrays that are zero outside it (:meth:`confined`); :meth:`dealiased`
     says whether an array is zero past the input cut ``n/3``, the modes
-    the kernel reads.  Every grid the kernel writes comes from
+    the kernel reads.  Every buffer the kernel writes comes from
     :meth:`scratch` and, like ``out``, belongs to the caller, since the plan
-    is shared by every caller of its domain; each ``scipy.fft`` transform
-    overwrites its input there.
+    is shared by every caller of its domain.  A non-finite value passes
+    through silently, as in the march, to the caller's finite check.
     """
 
     n: int
@@ -536,21 +540,32 @@ class _DirichletPlan:
     div: np.ndarray
 
     def scratch(self) -> tuple[np.ndarray, ...]:
-        """The buffers :meth:`transport` writes: ``(u1, u2, theta, flux1, flux2, temp)``.
+        """The buffers :meth:`transport` writes, one extended input and one output per pass.
 
-        ``u1`` and ``flux2`` are ``(n-1, n+1)`` grids (sine rows, cosine
-        columns), ``u2`` and ``flux1`` are ``(n+1, n-1)``, ``theta`` is
-        ``(n-1, n-1)`` and ``temp`` is an output block.  Each call writes
-        every entry it reads, padding included.
+        In order: the zeroed ``(2m, 2n)`` lines of the first synthesis pass
+        (m = floor(n/3): u1/u2 pairs, then theta) and their ``rfft``; the
+        zeroed ``(2n, 2n)`` columns of the second (u1/u2 pairs on the grid
+        columns ``0 .. n``, then theta's) and their ``rfft``, the grid,
+        whose real part is u2 and imaginary part u1 and theta; the interior
+        ``(n-1, n-1)`` pairs ``u2 + i u1`` and theta; the zeroed ``(2n,
+        n-1)`` flux columns and their ``rfft``; the zeroed ``(c, 2n)`` flux
+        rows (c = floor(2n/3)) and their ``rfft``; and an output block.
+        Each extension has its own buffer, whose zero padding no call
+        writes.
         """
-        n, cut = self.n, self.div.shape[1]
+        n, m, c = self.n, self.synth.shape[1], self.div.shape[1]
         return (
-            np.empty((n - 1, n + 1)),
-            np.empty((n + 1, n - 1)),
+            np.zeros((2 * m, 2 * n)),
+            np.empty((2 * m, n + 1), dtype=np.complex128),
+            np.zeros((2 * n, 2 * n)),
+            np.empty((n + 1, 2 * n), dtype=np.complex128),
+            np.empty((n - 1, n - 1), dtype=np.complex128),
             np.empty((n - 1, n - 1)),
-            np.empty((n + 1, n - 1)),
-            np.empty((n - 1, n + 1)),
-            np.empty((cut, cut)),
+            np.zeros((2 * n, n - 1)),
+            np.empty((n + 1, n - 1), dtype=np.complex128),
+            np.zeros((c, 2 * n)),
+            np.empty((c, n + 1), dtype=np.complex128),
+            np.empty((c, c)),
         )
 
     def kept(self, array: np.ndarray) -> np.ndarray:
@@ -561,33 +576,37 @@ class _DirichletPlan:
     def transport(
         self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], out: np.ndarray | None = None
     ) -> tuple[np.ndarray, float]:
-        """Dealiased ``-div(u theta)`` on the kept block, written into ``out``, and max|u|."""
-        import scipy.fft
+        """Dealiased ``-div(u theta)`` on the kept block, written into ``out``, and max|u|.
 
-        n, cut = self.n, self.div.shape[1]
-        u1, u2, theta, flux1, flux2, temp = scratch
-        u1, u2 = self._velocity(coeffs, u1, u2)
-        speed = float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
-        theta = self._synthesize(self.synth[2], coeffs, _SINE, _SINE, theta)
-        # theta vanishes on the boundary ring, so each flux is zero there
-        flux1[0] = flux1[n] = 0.0
-        np.multiply(u1[:, 1:n], theta, out=flux1[1:n])
-        flux2[:, 0] = flux2[:, n] = 0.0
-        np.multiply(u2[1:n], theta, out=flux2[:, 1:n])
-        f1 = scipy.fft.dct(flux1, type=1, axis=0, overwrite_x=True)[1 : cut + 1]
-        f1 = scipy.fft.dst(f1, type=1, axis=1, overwrite_x=True)[:, :cut]
-        f2 = scipy.fft.dst(flux2, type=1, axis=0, overwrite_x=True)[:cut]
-        f2 = scipy.fft.dct(f2, type=1, axis=1, overwrite_x=True)[:, 1 : cut + 1]
+        The first analysis pass runs down the grid columns on lines whose
+        first half is ``(u1 - u2) theta`` and mirror half ``(u1 + u2)
+        theta``, the even part u1 theta and the odd part minus u2 theta: its
+        real part is the cosine transform of u1 theta, its imaginary part
+        the sine transform of u2 theta.  The second runs along the rows on
+        the pairs of those transforms.
+        """
+        n, c = self.n, self.div.shape[1]
+        *_, grid, pair, theta, flux, flux_hat, rows, rows_hat, temp = scratch
         if out is None:
             out = np.empty_like(temp)
-        np.multiply(self.div[0], f1, out=out)
-        out += np.multiply(self.div[1], f2, out=temp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            speed = self._synthesize(coeffs, scratch)
+            theta[...] = grid.imag[1:n, n + 1 :]
+            pair *= 1 - 1j  # (u1 + u2) + i (u1 - u2)
+            np.multiply(pair.imag, theta, out=flux[1:n])
+            np.multiply(pair.real, theta, out=flux[2 * n - 1 : n : -1])
+            np.fft.rfft(flux, axis=0, out=flux_hat)
+            # real part: u1 theta's cosine rows 1 .. c, imaginary: u2 theta's sine rows
+            _pair_lines(flux_hat[1 : c + 1], rows[:, 1:n], rows[:, 2 * n - 1 : n : -1])
+            np.fft.rfft(rows, axis=1, out=rows_hat)
+            np.multiply(self.div[0], rows_hat.imag[:, 1 : c + 1], out=out)
+            out += np.multiply(self.div[1], rows_hat.real[:, 1 : c + 1], out=temp)
         return out, speed
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
-        u1, u2 = self._velocity(coeffs, *self.scratch()[:2])
-        return float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._synthesize(coeffs, self.scratch())
 
     def is_real(self, full: np.ndarray) -> bool:
         """Always true: sine coefficients are real."""
@@ -613,31 +632,47 @@ class _DirichletPlan:
         cut = self.synth.shape[1]
         return not (full[cut:].any() or full[:, cut:].any())
 
-    def _velocity(
-        self, coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self._synthesize(self.synth[0], coeffs, _SINE, _COSINE, u1),
-            self._synthesize(self.synth[1], coeffs, _COSINE, _SINE, u2),
-        )
+    def _synthesize(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
+        """Write the grid of u1, u2 and theta and the interior pairs ``u2 + i u1``; return max|u|.
 
-    def _synthesize(self, mult, coeffs, kind0, kind1, grid: np.ndarray) -> np.ndarray:
-        """Grid values of the series ``mult * coeffs`` with the given axis kinds, in ``grid``."""
-        import scipy.fft
+        The first pass runs along the rows of the ``m`` nonzero coefficient
+        rows, the second down the grid columns, whose lines are nonzero on
+        ``m`` rows and their mirror only.
+        """
+        n, m = self.n, self.synth.shape[1]
+        lines, lines_hat, columns, grid, pair = scratch[:5]
+        block = coeffs[:m, :m]
+        for k, half in enumerate((lines[:m], lines[m:])):
+            np.multiply(self.synth[2 * k], block, out=half[:, 1 : m + 1])
+            np.multiply(self.synth[2 * k + 1], block, out=half[:, 2 * n - 1 : 2 * n - m - 1 : -1])
+        np.fft.rfft(lines, axis=1, out=lines_hat)
+        # per coefficient row on the grid columns: real part -u1 (sine rows),
+        # imaginary part u2 (cosine rows)
+        ends = slice(1, m + 1), slice(2 * n - 1, 2 * n - m - 1, -1)
+        _pair_lines(lines_hat[:m], *(columns[rows, : n + 1] for rows in ends))
+        # imaginary part: minus theta's sine rows
+        sines = lines_hat.imag[m:, 1:n]
+        columns[ends[0], n + 1 :] = sines
+        np.negative(sines, out=columns[ends[1], n + 1 :])
+        np.fft.rfft(columns, axis=0, out=grid)
+        pair[...] = grid[1:n, 1:n]
+        # u2 vanishes on columns 0 and n, u1 on rows 0 and n
+        parts = (pair.view(np.float64), grid.real[:: n, 1:n], grid.imag[1:n, : n + 1 : n])
+        return float(max(max(part.max(), -part.min()) for part in parts))
 
-        (name0, first0), (name1, first1) = kind0, kind1
-        m = len(mult)
-        # coefficients vanish beyond row m, so the first pass runs on the m
-        # rows of the slab; every other entry of the grid is padding
-        slab = grid[first0 : first0 + m]
-        slab[:, :first1] = 0.0
-        np.multiply(mult, coeffs[:m, :m], out=slab[:, first1 : first1 + m])
-        slab[:, first1 + m :] = 0.0
-        # scipy.fft writes an aligned float64 input in place under overwrite_x
-        getattr(scipy.fft, name1)(slab, type=1, axis=1, overwrite_x=True)
-        grid[:first0] = 0.0
-        grid[first0 + m :] = 0.0
-        return getattr(scipy.fft, name0)(grid, type=1, axis=0, overwrite_x=True)
+
+def _pair_lines(spectrum: np.ndarray, first: np.ndarray, mirror: np.ndarray) -> None:
+    """Write the halves of the lines pairing a spectrum's real and imaginary parts.
+
+    A line whose first half is ``re + im`` and mirror half ``im - re`` has
+    ``re`` as its odd part and ``im`` as its even part, so its ``rfft``
+    carries the sine transform of ``re`` and the cosine transform of ``im``.
+    The spectrum is multiplied by ``1 - i`` in place, which forms both
+    halves exactly.
+    """
+    spectrum *= 1 - 1j
+    first[...] = spectrum.real
+    mirror[...] = spectrum.imag
 
 
 @functools.lru_cache(maxsize=16)
@@ -650,10 +685,13 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
         k1, k2 = np.broadcast_arrays(k[: n // 3, None], k[None, : n // 3])
         mag = np.hypot(k1, k2)
         # u = (d2 psi, -d1 psi): sine-cosine coefficient k2/|k|, cosine-sine -k1/|k|
-        synth = np.stack([k2 / mag, -k1 / mag, np.ones(mag.shape)]) / (2.0 * domain.box)
+        u1, u2, ones = k2 / mag, -k1 / mag, np.ones(mag.shape)
+        # a u line's even part is -u1's cosine row, its odd part -u2's sine row
+        synth = np.stack([-(u1 + u2), u2 - u1, ones, -ones]) / (2.0 * domain.box)
         cut = k[: 2 * n // 3]
-        div = np.stack(np.broadcast_arrays(cut[:, None], cut[None, :]))
-        div = div * (math.pi / (2.0 * n * n))
+        k1, k2 = np.broadcast_arrays(cut[:, None], cut[None, :])
+        # the analysis pairs leave minus the sine transform of u1 theta
+        div = np.stack([-k1, k2]) * (math.pi / (2.0 * n * n))
         for table in (synth, div):
             table.setflags(write=False)
         return _DirichletPlan(n=n, synth=synth, div=div)

@@ -249,14 +249,23 @@ class SpectralField:
         return True
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Check the realness (conjugate-symmetry) invariant; raise on failure."""
+        """Check the realness (conjugate-symmetry) invariant; raise on failure.
+
+        The mirror gap may reach ``tol`` times the larger of the table's norm
+        and 1.  Both norms are taken on the table divided by its largest
+        real or imaginary part, so neither overflows.
+        """
         if self.domain.basis is Basis.TORUS:
-            flipped = np.conj(np.roll(self.coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
-            with np.errstate(over="ignore"):  # a norm past the largest float is inf
-                scale = float(np.linalg.norm(self.coeffs.ravel()))
-                gap = float(np.linalg.norm((self.coeffs - flipped).ravel()))
-            if gap > tol * max(scale, 1.0):
-                raise ValueError("coefficients are not conjugate-symmetric")
+            peak = float(np.abs(self.coeffs.view(np.float64)).max())
+            if peak == 0.0:
+                return
+            coeffs = (self.coeffs.view(np.float64) / peak).view(np.complex128)
+            flipped = np.conj(np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+            scale = float(np.linalg.norm(coeffs.ravel()))
+            gap = float(np.linalg.norm((coeffs - flipped).ravel()))
+            with np.errstate(over="ignore"):  # 1/peak is inf for a subnormal peak
+                if gap > tol * max(scale, 1.0 / peak):
+                    raise ValueError("coefficients are not conjugate-symmetric")
 
     @staticmethod
     def zeros(domain: DomainSpec) -> "SpectralField":
@@ -332,11 +341,8 @@ def to_physical(field: SpectralField) -> PhysicalField:
         # blocks instead.
         values = np.fft.ifft2(field.coeffs).real * (n * n / dom.box)
         return PhysicalField(values, dom)
-    import scipy.fft  # the box's sine transforms: torus runs never load it
-
-    interior = scipy.fft.dstn(np.asarray(field.coeffs) * (n / dom.box), type=1, norm="ortho")
     full = np.zeros((n + 1, n + 1))
-    full[1:-1, 1:-1] = interior
+    full[1:-1, 1:-1] = _sine_transform(field.coeffs * (n / dom.box), 1.0 / (2 * n))
     return PhysicalField(full, dom)
 
 
@@ -351,8 +357,6 @@ def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = 
     n = domain.n
     if domain.basis is Basis.TORUS:
         return SpectralField(_real_spectrum(values) * (domain.box / (n * n)), domain)
-    import scipy.fft
-
     if values.shape == (n + 1, n + 1):
         values = values[1:-1, 1:-1]
     elif values.shape != (n - 1, n - 1):
@@ -360,8 +364,28 @@ def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = 
             f"Dirichlet samples must have shape {(n + 1, n + 1)} or {(n - 1, n - 1)}, "
             f"got {values.shape}"
         )
-    coeffs = scipy.fft.dstn(values, type=1, norm="ortho") * (domain.box / n)
-    return SpectralField(coeffs, domain)
+    return SpectralField(_sine_transform(values, 1.0 / (2 * n)) * (domain.box / n), domain)
+
+
+def _sine_transform(values: np.ndarray, scale: float) -> np.ndarray:
+    """``scipy.fft.dstn(values, type=1)`` of an ``(n-1, n-1)`` array, times ``scale`` after axis 0.
+
+    Each axis is an ``rfft`` of length ``2n`` of minus the odd extension of
+    its lines, whose imaginary part is the unnormalized type-1 sine
+    transform.  Axis 0 runs first and ``scale`` (``1/(2n)`` for
+    ``norm="ortho"``) multiplies its result, as in ``scipy.fft``, so the
+    two agree bit for bit and overflow alike.  A non-finite value passes
+    through silently, to the field's finite check.
+    """
+    n = len(values) + 1
+    lines = np.zeros((2 * n, n - 1))
+    spectrum = np.empty((n + 1, n - 1), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor in (1.0, scale):  # transposed after each pass: the second runs along axis 1
+            np.multiply(values, -factor, out=lines[1:n])
+            np.multiply(values[::-1], factor, out=lines[n + 1 :])
+            values = np.fft.rfft(lines, axis=0, out=spectrum).imag[1:n].T
+    return values
 
 
 def _real_spectrum(values: np.ndarray) -> np.ndarray:
@@ -599,10 +623,17 @@ def _grid_norms(
                 power = a2 if q == 4 else np.power(a2, q / 2 - 1, out=flat)
                 total = float(np.dot(power, a2))
                 if weighted is not None:
-                    integral = cell * float(np.dot(power, weighted)) * mantissa ** (q - 1)
-                    integrals.append(_times_power_of_two(integral, e * (q - 1)))
+                    scale, exponent = mantissa ** (q - 1), e * (q - 1)
+                    if 0.0 < mantissa and scale < _TINY:  # underflowed: move it to the exponent
+                        scale, exponent = 1.0, exponent + (q - 1) * math.log2(mantissa)
+                    integral = cell * float(np.dot(power, weighted)) * scale
+                    integrals.append(_times_power_of_two(integral, exponent))
             norms.append(peak * (cell * total) ** (1.0 / q))
     return peak, norms, integrals
+
+
+#: The smallest normal float; a power below it has lost digits to underflow.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _times_power_of_two(x: float, p: float) -> float:

@@ -1350,6 +1350,7 @@ def test_every_key_keeps_the_exit_contract(kind, section, data):
 
 
 _DIRICHLET = ("n = 16", "n = 16\nbasis = dirichlet")
+_OVERFLOWING_POSITIVITY = [("amplitude = 0.1", "amplitude = 5"), ("lq = [2, 4]", "lq = [2, 1e300]")]
 
 
 @pytest.mark.parametrize(
@@ -1379,14 +1380,40 @@ _DIRICHLET = ("n = 16", "n = 16\nbasis = dirichlet")
         # the positivity integral's power-of-two exponent is -inf
         ("estimates-report", [("lq = [2, 4]", "lq = [2, 1e308]")], 0),
         ("estimates-report", [_DIRICHLET, ("lq = [2, 4]", "lq = [2, 1e308]")], 0),
+        # max|theta| > 1: the integral overflows, and its mantissa's power underflowed to 0
+        *[("estimates-report", [*edits, *_OVERFLOWING_POSITIVITY], 2) for edits in ([], [_DIRICHLET])],
     ],
 )
 def test_found_inputs_keep_the_exit_contract(kind, edits, code):
-    text = _FUZZ_BASES[kind]
+    assert _assert_exit_contract(kind, _edited(_FUZZ_BASES[kind], edits)) == code
+
+
+def _edited(text: str, edits) -> str:
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    assert _assert_exit_contract(kind, text) == code
+    return text
+
+
+@pytest.mark.parametrize("basis", ["torus", "dirichlet"])
+def test_overflowing_positivity_integral_is_not_zero(tmp_path, capsys, basis):
+    # M^(q-1) with M = max|theta| > 1 and q = 1e300 is past the largest
+    # float: the record's integral reads inf, not the 0.0 an underflowed
+    # mantissa power gave, and the run is a numerical failure
+    edits = [*([_DIRICHLET] if basis == "dirichlet" else []), *_OVERFLOWING_POSITIVITY]
+    config = write_config(tmp_path, _edited(_FUZZ_BASES["estimates-report"], edits))
+    assert main(["estimates-report", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "record 'positivity-q1e+300': non-finite sides (0.0, inf)" in err
+
+
+#: Every kind's fuzz base, then more bases: the scipy.fft check runs each.
+_SCIPY_FREE_RUNS = {
+    **_FUZZ_BASES,
+    "simulate-bump": simulate_with("type", "type = bump") + "width = 0.5\n",
+    "simulate-dirichlet": _FUZZ_BASES["simulate"].replace(*_DIRICHLET),
+    "estimates-report-dirichlet": _FUZZ_BASES["estimates-report"].replace(*_DIRICHLET),
+}
 
 
 class TestCliArtifacts:
@@ -1533,25 +1560,12 @@ class TestCliArtifacts:
         assert result.returncode == 0, result.stderr
         return result.stdout.split()[-3:]
 
-    def test_operator_tests_never_load_scipy_fft(self, tmp_path):
-        # scipy.fft is imported where a transform first runs; the dense
+    @pytest.mark.parametrize("run", sorted(_SCIPY_FREE_RUNS))
+    def test_no_run_loads_scipy_fft(self, tmp_path, run):
+        # every transform of both bases runs on numpy.fft, and the dense
         # operator battery runs none, so a fresh process never pays for it
-        assert self.fresh_run(tmp_path, OPERATOR_CLI, "operator-tests") == ["0", "False", "False"]
-
-    @pytest.mark.parametrize(
-        "kind, text",
-        [
-            ("simulate", SIM_CLI),
-            ("simulate", simulate_with("type", "type = bump") + "width = 0.5\n"),
-            ("estimates-report", STREAMING_REPORT),
-            ("sweep-alpha", cfg(*SWEEP_CLI_LINES)),
-        ],
-        ids=["simulate", "simulate-bump", "estimates-report", "sweep-alpha"],
-    )
-    def test_torus_runs_never_load_scipy_fft(self, tmp_path, kind, text):
-        # every torus transform runs on numpy.fft; scipy.fft serves the
-        # Dirichlet box's sine and cosine transforms only
-        assert self.fresh_run(tmp_path, text, kind) == ["0", "False", "False"]
+        kind = next(kind for kind in EXPERIMENT_KINDS if run.startswith(kind))
+        assert self.fresh_run(tmp_path, _SCIPY_FREE_RUNS[run], kind) == ["0", "False", "False"]
 
     def test_sweep_artifacts(self, tmp_path, capsys):
         out = self.run_ok(

@@ -443,6 +443,17 @@ class TestModeConstructors:
         with pytest.raises(ValueError, match="conjugate"):
             from_modes(torus32, {(1, 0): 1.0})
 
+    @pytest.mark.parametrize("size", [1.0, 1e200], ids=["unit", "norm-overflows"])
+    def test_from_modes_rejects_an_antisymmetric_pair(self, size):
+        # at 1e200 both norms of the table overflow; they are taken on the
+        # table scaled by its largest part
+        with pytest.raises(ValueError, match="conjugate"):
+            from_modes(DomainSpec(n=16), {(1, 0): size, (-1, 0): -size})
+
+    def test_from_modes_accepts_a_symmetric_pair_whose_norm_overflows(self):
+        field = from_modes(DomainSpec(n=16), {(1, 0): 1e200, (-1, 0): 1e200})
+        assert field.coeffs[1, 0] == field.coeffs[-1, 0] == 1e200
+
     def test_from_modes_range_check(self, torus32):
         with pytest.raises(ValueError, match="outside"):
             from_modes(torus32, {(40, 0): 1.0, (-40, 0): 1.0})
@@ -582,3 +593,32 @@ class TestTorusTransformProperties:
         assert plan.dealiased(theta.coeffs)
         got = plan.theta(theta.coeffs, plan.scratch())
         assert _relative_gap(got, to_physical(theta).values) <= 1e-14
+
+
+_BOXES = [DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET) for n in (16, 32, 64, 128, 256)]
+
+
+class TestBoxTransformProperties:
+    """The numpy-backed box transforms against scipy.fft's orthonormal type-1 sine transform."""
+
+    @settings(max_examples=40)
+    @given(domain=st.sampled_from(_BOXES), seed=_seeds, amplitude=_amplitudes)
+    def test_to_physical_is_scipy_dstn(self, domain, seed, amplitude):
+        import scipy.fft
+
+        n = domain.n
+        coeffs = amplitude * np.random.default_rng(seed).standard_normal(domain.spectral_shape)
+        values = to_physical(SpectralField(coeffs, domain)).values
+        want = scipy.fft.dstn(coeffs * (n / domain.box), type=1, norm="ortho")
+        assert np.array_equal(values[1:-1, 1:-1], want)
+        assert not (values[[0, -1]].any() or values[:, [0, -1]].any())
+
+    @settings(max_examples=40)
+    @given(domain=st.sampled_from(_BOXES), seed=_seeds, amplitude=_amplitudes)
+    def test_to_spectral_is_scipy_dstn(self, domain, seed, amplitude):
+        import scipy.fft
+
+        n = domain.n
+        values = amplitude * np.random.default_rng(seed).standard_normal((n - 1, n - 1))
+        want = scipy.fft.dstn(values, type=1, norm="ortho") * (domain.box / n)
+        assert np.array_equal(to_spectral(values, domain).coeffs, want)
