@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from .config import EXPERIMENT_KINDS, Experiment, load_config_file
+from .config import _SECTIONS_BY_KIND, EXPERIMENT_KINDS, Experiment, load_config_file
 from .critical import (
     AlphaSweepConfig,
     interpolation_upgrade,
@@ -127,9 +127,7 @@ def _resolve_out_dir(cli_out: str | None, experiment: Experiment) -> str:
     env_out = os.environ.get("SQGLAB_OUT")
     if env_out:
         return env_out
-    if experiment.out_dir:
-        return experiment.out_dir
-    return "sqglab-out"
+    return experiment.parsed.get("output", "dir") or "sqglab-out"
 
 
 def _write_checks(out_dir: str, records: list) -> int:
@@ -157,24 +155,24 @@ def _write_log(out_dir: str, started: str, t0: float, status: str) -> None:
 
 
 def _domain_meta(experiment: Experiment, seed: int | None) -> dict:
-    domain = experiment.domain
+    domain, get = experiment.domain, experiment.parsed.get
     meta = {
         "kind": experiment.kind,
         "basis": domain.basis.value,
         "n": domain.n,
         "box": domain.box,
-        "kappa": experiment.kappa,
-        "lambda": experiment.lam,
+        "kappa": get("params", "kappa"),
+        "lambda": get("params", "lambda"),
         # the one stepping scheme; bench/reference/ holds this value
         "scheme": "etd2rk",
-        "t_end": experiment.t_end,
-        "sample_every": experiment.sample_every,
-        "init": experiment.init_kind,
+        "t_end": get("stepper", "t_end"),
+        "sample_every": get("stepper", "sample_every"),
+        "init": get("init", "type"),
     }
     if experiment.params is not None:
         meta["alpha"] = experiment.params.alpha
-    if experiment.init_kind == "random":
-        meta["seed"] = experiment.init_seed if seed is None else int(seed)
+    if meta["init"] == "random":
+        meta["seed"] = get("init", "seed") if seed is None else int(seed)
     return meta
 
 
@@ -184,22 +182,22 @@ def _run_fixed_alpha(
     stepper: StepperConfig,
     seed: int | None,
     out_dir: str,
-    full_battery: bool,
 ) -> int:
     """Shared driver for ``simulate`` and ``estimates-report``."""
-    params = experiment.params
-
-    finite_lq = [q for q in experiment.monitor_lq if math.isfinite(q)]
+    params, get = experiment.params, experiment.parsed.get
+    full_battery = experiment.kind == "estimates-report"
+    sobolev_orders = get("monitors", "sobolev")
+    finite_lq = [q for q in get("monitors", "lq") if math.isfinite(q)]
     # the battery runs per sample, so no state outlives its sample
     battery: list[InequalityRecord] = []
     masses: list[float] = []
     # per H^l bound (l >= alpha), the H^(l + alpha) norm of every sample
-    mid_norms = [(s, []) for s in experiment.monitor_sobolev if s >= params.alpha]
+    mid_norms = [(s, []) for s in sobolev_orders if s >= params.alpha]
     # every Sobolev norm of a sample comes from one scaled |theta_k|^2
-    orders = [0.0, *experiment.monitor_sobolev]
+    orders = [0.0, *sobolev_orders]
     if full_battery:
         orders += [s + params.alpha for s, _ in mid_norms]
-    radius = experiment.monitor_tail_cutoff
+    radius = get("monitors", "tail_cutoff")
     cutoff = None if radius is None else CutoffSpec(k=radius)
     # one set of battery buffers, reused by every sample
     domain = theta0.domain
@@ -227,7 +225,7 @@ def _run_fixed_alpha(
             linf, lq, _ = _grid_norms(grid.values, domain, finite_lq)
         row = {"l2": l2, "linf": linf}
         row.update((f"lq{q:g}", value) for q, value in zip(finite_lq, lq))
-        row.update((f"h{s:g}", value) for s, value in zip(experiment.monitor_sobolev, sobolev))
+        row.update((f"h{s:g}", value) for s, value in zip(sobolev_orders, sobolev))
         if not full_battery:
             return row
         battery.append(
@@ -239,7 +237,7 @@ def _run_fixed_alpha(
             )
         if cutoff is not None:
             masses.append(tail_mass(grid, cutoff))
-        for (_, norms), value in zip(mid_norms, sobolev[len(experiment.monitor_sobolev) :]):
+        for (_, norms), value in zip(mid_norms, sobolev[len(sobolev_orders) :]):
             norms.append(value)
         return row
 
@@ -260,7 +258,7 @@ def _run_fixed_alpha(
     linf_recs = linf_monitor(times, series.column("linf"), forcing=params.forcing)
     series.add_column("slack_linf", [r.slack for r in linf_recs])
     records.extend(linf_recs)
-    if experiment.monitor_damped_energy:
+    if get("monitors", "damped_energy"):
         damped = damped_energy_monitor(times, series.column("l2"), params.lam)
         series.add_column("slack_damped", [r.slack for r in damped])
         records.extend(damped)
@@ -334,12 +332,13 @@ def _run_sweep_kind(
             tol=0.0,
         )
     ]
-    records.extend(pairwise_bound_check(report, c3_guess=experiment.sweep_c3))
+    get = experiment.parsed.get
+    records.extend(pairwise_bound_check(report, c3_guess=get("sweep", "c3")))
     for i in range(m - 1):
         lhs, rhs = interpolation_upgrade(
             runs[i].final.theta,
             runs[i + 1].final.theta,
-            experiment.sweep_epsilon,
+            get("sweep", "epsilon"),
         )
         records.append(
             InequalityRecord(
@@ -358,6 +357,9 @@ def _run_sweep_kind(
 
 
 def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
+    size, seed, trials, laplacian_n = (
+        experiment.parsed.get("operator", key) for key in ("size", "seed", "trials", "laplacian_n")
+    )
     records: list[InequalityRecord] = []
 
     def error_record(name: str, err: float, bound: float) -> InequalityRecord:
@@ -372,10 +374,10 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
     err = float(np.max(np.abs(got - np.array([0.5, 0.25]))))
     records.append(error_record("diagonal-resolvent", err, 1e-12))
 
-    rng = np.random.default_rng(experiment.operator_seed)
+    rng = np.random.default_rng(seed)
     cases = (
-        ("laplacian1d", dirichlet_laplacian_1d(experiment.operator_laplacian_n)),
-        ("randomspd", random_spd(experiment.operator_size, seed=experiment.operator_seed)),
+        ("laplacian1d", dirichlet_laplacian_1d(laplacian_n)),
+        ("randomspd", random_spd(size, seed=seed)),
     )
     for label, A in cases:
         phi = rng.standard_normal(A.size)
@@ -436,7 +438,7 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
         )
     )
 
-    _, _, passed = moment_inequality_trials(rng, experiment.operator_trials)
+    _, _, passed = moment_inequality_trials(rng, trials)
     records.append(
         InequalityRecord(
             name="moment-inequality-trials",
@@ -450,10 +452,10 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
     series = DiagnosticsSeries(
         meta={
             "kind": experiment.kind,
-            "size": experiment.operator_size,
-            "seed": experiment.operator_seed,
-            "trials": experiment.operator_trials,
-            "laplacian_n": experiment.operator_laplacian_n,
+            "size": size,
+            "seed": seed,
+            "trials": trials,
+            "laplacian_n": laplacian_n,
         }
     )
     emit_csv(series, os.path.join(out_dir, "series.csv"))
@@ -493,7 +495,7 @@ def main(argv=None) -> int:
         if experiment.kind != "operator-tests":
             theta0 = experiment.initial_field(args.seed)
             try:
-                if experiment.kind in ("sweep-alpha", "dirichlet-sweep"):
+                if "sweep" in _SECTIONS_BY_KIND[experiment.kind]:
                     sweep = experiment.sweep_config(theta0)
                 else:
                     stepper = experiment.stepper_for(theta0)
@@ -525,14 +527,7 @@ def main(argv=None) -> int:
             elif sweep is not None:
                 n_failed = _run_sweep_kind(experiment, sweep, args.seed, out_dir, args.threads)
             else:
-                n_failed = _run_fixed_alpha(
-                    experiment,
-                    theta0,
-                    stepper,
-                    args.seed,
-                    out_dir,
-                    full_battery=experiment.kind == "estimates-report",
-                )
+                n_failed = _run_fixed_alpha(experiment, theta0, stepper, args.seed, out_dir)
     except (*_NUMERICAL_ERRORS, Warning) as err:
         # a Warning arrives only under --strict, which escalates run-quality
         # warnings (CFL, smallness) into failures

@@ -12,9 +12,10 @@ or keys) cite the last line.
 default, allowed values and integer bounds (the upper ones on ``n``, the
 operator sizes and the trial count are resource bounds, checked before
 anything is allocated);
-``_SECTIONS_BY_KIND`` says which sections an experiment kind reads.  The
-other range rules and the cross-key rules are the ``require`` calls of
-:func:`load_experiment` and its helpers.
+``_SECTIONS_BY_KIND`` says which sections an experiment kind reads.  Every
+setting is read through ``_KEYS`` by :meth:`ParsedConfig.get`, under the
+file's own names.  The other range rules and the cross-key rules are the
+``require`` calls of :func:`load_experiment` and its helpers.
 """
 
 from __future__ import annotations
@@ -381,73 +382,43 @@ def parse_config_file(path) -> ParsedConfig:
 class Experiment:
     """Validated, ready-to-run experiment description.
 
-    Everything that can be checked without running has been checked; the
-    helper methods construct the runtime objects (initial field, stepper,
-    sweep configuration) deterministically from the stored parameters.
-    Fields an experiment kind does not read keep their defaults.  ``parsed``
-    is the table the experiment was loaded from, if any, so that an
-    ``[init]`` value found bad only when the field is built cites its line.
+    Everything that can be checked without running has been checked.  Every
+    setting is read from ``parsed``, the table the experiment was loaded
+    from, with ``parsed.get(section, key)`` under the file's own names;
+    ``domain``, ``params`` (fixed-alpha kinds) and ``forcing`` are the
+    objects built from it, ``None`` where the kind has none.  The methods
+    construct the runtime objects (initial field, stepper, sweep
+    configuration) deterministically from the table.
     """
 
     kind: str
-    out_dir: str | None = None
+    parsed: ParsedConfig = field(repr=False)
     domain: DomainSpec | None = None
     params: SqgParams | None = None
-    kappa: float | None = None
-    lam: float = 0.0
     forcing: SpectralField | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    sample_every: int = 1
-    init_kind: str | None = None
-    init_seed: int = 0
-    init_decay: float = 4.0
-    init_amplitude: float = 1.0
-    init_mode: int = 1
-    init_width: float | None = None
-    monitor_lq: tuple[float, ...] = ()
-    monitor_sobolev: tuple[float, ...] = ()
-    monitor_damped_energy: bool = False
-    monitor_tail_cutoff: float | None = None
-    sweep_alphas: tuple[float, ...] = DEFAULT_SWEEP_ALPHAS
-    sweep_epsilon: float = 0.25
-    sweep_c3: float | None = None
-    operator_size: int = 16
-    operator_seed: int = 0
-    operator_trials: int = 200
-    operator_laplacian_n: int = 32
-    parsed: ParsedConfig | None = field(default=None, repr=False, compare=False)
 
     def initial_field(self, seed_override: int | None = None) -> SpectralField:
         """Build the initial condition (CLI --seed overrides the file seed).
 
         An ``[init]`` value that builds no field (one that leaves the zero
-        field, or overflows) raises :class:`ConfigError` citing its line
-        when the experiment came from a file, else the constructor's
-        :class:`FieldError`.
+        field, or overflows) raises :class:`ConfigError` citing its line.
         """
-        if self.domain is None or self.init_kind is None:
+        if self.domain is None:
             raise ValueError(f"experiment kind {self.kind!r} has no initial field")
+        get = self.parsed.get
+        itype, amplitude = get("init", "type"), get("init", "amplitude")
         try:
-            return self._build_initial_field(seed_override)
+            if itype == "random":
+                seed = get("init", "seed") if seed_override is None else int(seed_override)
+                decay = get("init", "decay")
+                return random_smooth_field(self.domain, seed, decay=decay, amplitude=amplitude)
+            if itype == "shear":
+                return shear_field(self.domain, amplitude=amplitude, mode=get("init", "mode"))
+            return gaussian_bump_field(
+                self.domain, width=get("init", "width"), amplitude=amplitude
+            )
         except FieldError as err:
-            if self.parsed is None:
-                raise
             self.parsed.require(False, str(err), "init", err.field)
-
-    def _build_initial_field(self, seed_override: int | None) -> SpectralField:
-        if self.init_kind == "random":
-            seed = self.init_seed if seed_override is None else int(seed_override)
-            return random_smooth_field(
-                self.domain, seed, decay=self.init_decay, amplitude=self.init_amplitude
-            )
-        if self.init_kind == "shear":
-            return shear_field(
-                self.domain, amplitude=self.init_amplitude, mode=self.init_mode
-            )
-        return gaussian_bump_field(
-            self.domain, width=self.init_width, amplitude=self.init_amplitude
-        )
 
     def stepper_for(self, theta0: SpectralField) -> StepperConfig:
         """Stepper for the fixed-alpha kinds, with CFL-derived default dt.
@@ -455,12 +426,14 @@ class Experiment:
         Raises :class:`FieldError` naming ``dt`` when ``t_end`` needs more
         than :data:`~sqglab.dynamics.MAX_STEPS` steps of the CFL step.
         """
-        if self.t_end is None:
+        if self.domain is None:
             raise ValueError(f"experiment kind {self.kind!r} does not time-step")
+        get = self.parsed.get
+        t_end = get("stepper", "t_end")
         return StepperConfig(
-            dt=_run_dt(self.dt, theta0, self.t_end),
-            t_end=self.t_end,
-            sample_every=self.sample_every,
+            dt=_run_dt(get("stepper", "dt"), theta0, t_end),
+            t_end=t_end,
+            sample_every=get("stepper", "sample_every"),
         )
 
     def sweep_config(self, theta0: SpectralField) -> AlphaSweepConfig:
@@ -470,49 +443,50 @@ class Experiment:
         sweep computes it once, and like :meth:`stepper_for` this raises
         :class:`FieldError` naming ``dt`` when that step is too small.
         """
-        if self.kind not in ("sweep-alpha", "dirichlet-sweep"):
+        if "sweep" not in _SECTIONS_BY_KIND[self.kind]:
             raise ValueError(f"experiment kind {self.kind!r} is not a sweep")
+        get = self.parsed.get
+        t_end = get("stepper", "t_end")
         return AlphaSweepConfig(
             theta0=theta0,
-            kappa=self.kappa,
-            alphas=self.sweep_alphas,
-            lam=self.lam,
+            kappa=get("params", "kappa"),
+            alphas=get("sweep", "alphas"),
+            lam=get("params", "lambda"),
             forcing=self.forcing,
-            t_end=self.t_end,
-            dt=_run_dt(self.dt, theta0, self.t_end),
-            sample_every=self.sample_every,
+            t_end=t_end,
+            dt=_run_dt(get("stepper", "dt"), theta0, t_end),
+            sample_every=get("stepper", "sample_every"),
         )
 
 
 def load_experiment(parsed: ParsedConfig) -> Experiment:
-    """Validate a raw table into an :class:`Experiment`."""
-    get, require = parsed.get, parsed.require
-    kind = get("experiment", "kind")
+    """Validate a raw table into an :class:`Experiment`.
+
+    Every key of every section the kind reads is read once, in ``_KEYS``
+    order, and so checked against its row even where another key leaves it
+    unused; the rules that relate keys to each other come after.
+    """
+    require = parsed.require
+    kind = parsed.get("experiment", "kind")
+    sections = _SECTIONS_BY_KIND[kind]
     for section in parsed.sections:
         require(
-            section in _SECTIONS_BY_KIND[kind],
+            section in sections,
             f"section [{section}] is not used by experiment kind {kind!r}",
             section,
         )
-    out_dir = get("output", "dir")
-
+    value = {
+        (section, key): parsed.get(section, key)
+        for section, keys in _KEYS.items()
+        if section in sections
+        for key in keys
+    }
     if kind == "operator-tests":
-        size, seed, trials, laplacian_n = (
-            get("operator", key) for key in ("size", "seed", "trials", "laplacian_n")
-        )
-        return Experiment(
-            kind=kind,
-            out_dir=out_dir,
-            operator_size=size,
-            operator_seed=seed,
-            operator_trials=trials,
-            operator_laplacian_n=laplacian_n,
-        )
+        return Experiment(kind=kind, parsed=parsed)
 
     # -- every remaining kind runs the PDE and needs a domain --------------
-    is_sweep = kind in ("sweep-alpha", "dirichlet-sweep")
-
-    n, box, basis = (get("domain", key) for key in ("n", "box", "basis"))
+    is_sweep = "sweep" in sections
+    n, box, basis = (value["domain", key] for key in ("n", "box", "basis"))
     if basis is None:
         basis = "dirichlet" if kind == "dirichlet-sweep" else "torus"
     require(
@@ -526,7 +500,7 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
     except FieldError as err:
         require(False, str(err), "domain", err.field)
 
-    kappa, lam, alpha = (get("params", key) for key in ("kappa", "lambda", "alpha"))
+    kappa, alpha, lam = (value["params", key] for key in ("kappa", "alpha", "lambda"))
     require(
         not (is_sweep and alpha is not None),
         "alpha is fixed per sweep member; set [sweep] alphas instead",
@@ -539,15 +513,15 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
         "params",
     )
 
-    forcing = _forcing(parsed, domain)
-    t_end, dt, sample_every = (get("stepper", key) for key in ("t_end", "dt", "sample_every"))
+    forcing = _forcing(parsed, value, domain)
+    t_end, dt, sample_every = (value["stepper", key] for key in ("t_end", "dt", "sample_every"))
 
     params = None
     try:
         if is_sweep:
             # the initial data is built at run time; zeros stand in for it here
             AlphaSweepConfig(
-                theta0=SpectralField.zeros(domain), kappa=kappa, alphas=get("sweep", "alphas"),
+                theta0=SpectralField.zeros(domain), kappa=kappa, alphas=value["sweep", "alphas"],
                 lam=lam, forcing=forcing, t_end=t_end, dt=dt, sample_every=sample_every,
             )
         else:
@@ -556,38 +530,26 @@ def load_experiment(parsed: ParsedConfig) -> Experiment:
     except FieldError as err:
         require(False, str(err), *_FIELD_KEYS[err.field])
 
-    return Experiment(
-        kind=kind,
-        out_dir=out_dir,
-        domain=domain,
-        params=params,
-        kappa=kappa,
-        lam=lam,
-        forcing=forcing,
-        dt=dt,
-        t_end=t_end,
-        sample_every=sample_every,
-        **_init_fields(parsed, domain),
-        **_monitor_fields(parsed, domain, lam),
-        **(_sweep_fields(parsed) if is_sweep else {}),
-        parsed=parsed,
-    )
+    _check_init(parsed, value, domain)
+    if is_sweep:
+        _check_sweep(parsed, value)
+    else:
+        _check_monitors(parsed, value, domain, lam)
+    return Experiment(kind=kind, parsed=parsed, domain=domain, params=params, forcing=forcing)
 
 
-def _forcing(parsed: ParsedConfig, domain: DomainSpec) -> SpectralField | None:
-    ftype = parsed.get("forcing", "type")
-    if ftype == "none":
-        return None
-    mode = parsed.get("forcing", "mode")
-    if mode is None:
-        mode = (1, 0) if ftype == "cosine" else (1, 1)
+def _forcing(parsed: ParsedConfig, value: dict, domain: DomainSpec) -> SpectralField | None:
+    ftype, mode, amplitude = (value["forcing", key] for key in ("type", "mode", "amplitude"))
     parsed.require(
-        len(mode) == 2,
+        mode is None or len(mode) == 2,
         f"forcing mode must have two components, got {mode!r}",
         "forcing",
         "mode",
     )
-    amplitude = parsed.get("forcing", "amplitude")
+    if ftype == "none":
+        return None
+    if mode is None:
+        mode = (1, 0) if ftype == "cosine" else (1, 1)
     torus = domain.basis is Basis.TORUS
     if ftype == "cosine":
         parsed.require(torus, "cosine forcing requires the torus basis", "forcing", "type")
@@ -610,10 +572,10 @@ def _forcing(parsed: ParsedConfig, domain: DomainSpec) -> SpectralField | None:
     return forcing
 
 
-def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:
-    get, require = parsed.get, parsed.require
-    itype, seed, decay, amplitude, mode, width = (
-        get("init", key) for key in ("type", "seed", "decay", "amplitude", "mode", "width")
+def _check_init(parsed: ParsedConfig, value: dict, domain: DomainSpec) -> None:
+    require = parsed.require
+    itype, decay, amplitude, mode, width = (
+        value["init", key] for key in ("type", "decay", "amplitude", "mode", "width")
     )
     require(amplitude > 0, f"amplitude must be positive, got {amplitude!r}", "init", "amplitude")
     require(
@@ -640,22 +602,15 @@ def _init_fields(parsed: ParsedConfig, domain: DomainSpec) -> dict:
             "init",
             "width",
         )
-    return dict(
-        init_kind=itype,
-        init_seed=seed,
-        init_decay=decay,
-        init_amplitude=amplitude,
-        init_mode=mode,
-        init_width=width,
+
+
+def _check_monitors(parsed: ParsedConfig, value: dict, domain: DomainSpec, lam: float) -> None:
+    require = parsed.require
+    lq, sobolev, damped, tail = (
+        value["monitors", key] for key in ("lq", "sobolev", "damped_energy", "tail_cutoff")
     )
-
-
-def _monitor_fields(parsed: ParsedConfig, domain: DomainSpec, lam: float) -> dict:
-    get, require = parsed.get, parsed.require
-    lq = get("monitors", "lq")
     for q in lq:
         require(q >= 2, f"lq orders must be >= 2, got {q!r}", "monitors", "lq")
-    sobolev = get("monitors", "sobolev")
     for s in sobolev:
         require(s > 0, f"sobolev orders must be positive, got {s!r}", "monitors", "sobolev")
     # two orders that print alike under {:g} would name one series column
@@ -664,38 +619,27 @@ def _monitor_fields(parsed: ParsedConfig, domain: DomainSpec, lam: float) -> dic
         repeated = next((c for i, c in enumerate(names) if c in names[:i]), None)
         message = f"{key} orders must name distinct columns, got {repeated!r} twice"
         require(repeated is None, message, "monitors", key)
-    damped = get("monitors", "damped_energy")
     require(
         not damped or lam > 0,
         "damped_energy monitoring requires lambda > 0",
         "monitors",
         "damped_energy",
     )
-    tail = get("monitors", "tail_cutoff")
     require(
         tail is None or (tail > 0 and 4 * tail <= domain.box),
         f"tail_cutoff must satisfy 0 < 4*cutoff <= box, got {tail!r}",
         "monitors",
         "tail_cutoff",
     )
-    return dict(
-        monitor_lq=lq,
-        monitor_sobolev=sobolev,
-        monitor_damped_energy=damped,
-        monitor_tail_cutoff=tail,
-    )
 
 
-def _sweep_fields(parsed: ParsedConfig) -> dict:
-    get, require = parsed.get, parsed.require
-    alphas = get("sweep", "alphas")  # checked with the sweep's other rules
-    epsilon = get("sweep", "epsilon")
-    require(
+def _check_sweep(parsed: ParsedConfig, value: dict) -> None:
+    # the alphas are checked with the sweep's other rules
+    epsilon, c3 = value["sweep", "epsilon"], value["sweep", "c3"]
+    parsed.require(
         0 < epsilon < 0.5, f"epsilon must lie in (0, 1/2), got {epsilon!r}", "sweep", "epsilon"
     )
-    c3 = get("sweep", "c3")
-    require(c3 is None or c3 > 0, f"c3 must be positive, got {c3!r}", "sweep", "c3")
-    return dict(sweep_alphas=alphas, sweep_epsilon=epsilon, sweep_c3=c3)
+    parsed.require(c3 is None or c3 > 0, f"c3 must be positive, got {c3!r}", "sweep", "c3")
 
 
 def load_config_file(path) -> Experiment:

@@ -127,6 +127,14 @@ def _check_sampled(times: Sequence[float], norms: Sequence[float]) -> None:
         raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
 
 
+def _power(x: float, p: float) -> float:
+    """``x**p``, and ``inf`` where that passes the largest float (a non-finite record)."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def _cell_area(domain: DomainSpec) -> float:
     return (domain.box / domain.n) ** 2
 
@@ -170,8 +178,8 @@ def max_principle_monitor(
             InequalityRecord(name=f"lq-monotone-q{q:g}", t=t, lhs=norm, rhs=base_q)
             for t, norm in zip(times, norms)
         ]
-    force_q = lq_norm(forcing, q) ** q
-    base_pow = base_q**q
+    force_q = _power(lq_norm(forcing, q), q)
+    base_pow = _power(base_q, q)
     records = []
     for t, norm in zip(times, norms):
         # an envelope past the float range is a non-finite record
@@ -179,7 +187,7 @@ def max_principle_monitor(
             growth = np.exp((q - 1.0) * (t - t0))
             rhs = base_pow * growth + (growth - 1.0) / (q - 1.0) * force_q
         records.append(
-            InequalityRecord(name=f"lq-envelope-q{q:g}", t=t, lhs=norm**q, rhs=rhs)
+            InequalityRecord(name=f"lq-envelope-q{q:g}", t=t, lhs=_power(norm, q), rhs=rhs)
         )
     return records
 
@@ -224,10 +232,10 @@ def damped_energy_monitor(times: Sequence[float], norms: Sequence[float], lam: f
     if not norms:
         return []
     t0 = times[0]
-    base = norms[0] ** 2
+    base = _power(norms[0], 2)
     return [
         InequalityRecord(
-            name="damped-energy", t=t, lhs=norm**2, rhs=base * np.exp(-lam * (t - t0)),
+            name="damped-energy", t=t, lhs=_power(norm, 2), rhs=base * np.exp(-lam * (t - t0)),
             tol=1e-6,
         )
         for t, norm in zip(times, norms)
@@ -565,12 +573,12 @@ def sobolev_bound_monitor(
     _check_sampled(times, mid_norms)
     if len(times) < 3:
         return []
-    energies = [norm**2 for norm in norms]
+    energies = [_power(norm, 2) for norm in norms]
     records = []
     running = -np.inf
     for i in range(1, len(times) - 1):
         deriv = (energies[i + 1] - energies[i - 1]) / (times[i + 1] - times[i - 1])
-        value = deriv + params.kappa * mid_norms[i] ** 2
+        value = deriv + params.kappa * _power(mid_norms[i], 2)
         running = max(running, value)
         records.append(
             InequalityRecord(

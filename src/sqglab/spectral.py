@@ -500,8 +500,9 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     modes).  Negative orders require a mean-free field.  The sum runs over
     the coefficients scaled by a power of two (see :func:`_sobolev_norms`),
     so it neither overflows nor underflows on the way.  A zero coefficient
-    counts 0 whatever its weight; a nonzero one whose weight passes the
-    largest float makes the norm ``inf``.
+    counts 0 whatever its weight; where a nonzero one meets a weight past the
+    largest float the sum runs in log space, and the norm is ``inf`` only
+    when it does not fit itself.
     """
     return _sobolev_norms(field, (s,))[0]
 
@@ -513,7 +514,8 @@ def _sobolev_norms(field: SpectralField, orders: Sequence[float]) -> list[float]
     largest real or imaginary part: an exact scaling, after which every
     ``|θ̂(k)|²`` lies below 2.  Each order is one dot product of those
     squares with its cached weights (:func:`_sobolev_weights`), scaled back
-    by ``2^e``.
+    by ``2^e``; an order whose overflowing weights meet a nonzero square
+    sums ``log2`` terms instead (:func:`_log2_weighted_norm`).
     """
     torus = field.domain.basis is Basis.TORUS
     if torus and min(orders, default=0.0) < 0 and not field.mean_free:
@@ -529,11 +531,29 @@ def _sobolev_norms(field: SpectralField, orders: Sequence[float]) -> list[float]
     norms = []
     for s in orders:
         weights, overflowed = _sobolev_weights(field.domain, s)
-        total = float(np.dot(squares, weights))
         if overflowed is not None and squares[overflowed].any():
-            total = math.inf
+            norms.append(_log2_weighted_norm(squares, field.domain, s, e))
+            continue
+        total = float(np.dot(squares, weights))
         norms.append(_times_power_of_two(math.sqrt(total), e))
     return norms
+
+
+def _log2_weighted_norm(squares: np.ndarray, domain: DomainSpec, s: float, e: int) -> float:
+    """``2^e (Σ squares·|k|^{2s})^{1/2}`` summed in log space, for weights past the largest float.
+
+    Each term is ``2^t`` with ``t = log2(square) + log2(weight)``, the
+    overflowing weights taken as ``s·log2|k|²``.  With ``m`` the largest
+    ``t``, the sum is ``2^m Σ 2^(t - m)``, whose partial sum lies in
+    ``[1, size]``; ``inf`` only when the norm itself passes the largest float.
+    """
+    weights, overflowed = _sobolev_weights(domain, s)
+    sym = domain.laplacian_symbol.reshape(-1)
+    with np.errstate(divide="ignore"):
+        terms = np.log2(squares) + np.where(overflowed, s * np.log2(sym), np.log2(weights))
+    top = float(terms.max())
+    total = float(np.exp2(terms - top).sum())
+    return _times_power_of_two(math.sqrt(total), top / 2 + e)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,5 +1,8 @@
 """Reference implementations the package is tested against, kept out of the library.
 
+``log_sobolev_norm`` is the natural log of a Sobolev norm, summed term by
+term in log space, so it holds norms past the largest float.
+
 ``box_transport`` is the Dirichlet-box transport kernel as it ran on
 ``scipy.fft``'s unnormalized type-1 transforms, one transform per series and
 axis, before the kernel moved to paired ``numpy.fft.rfft`` lines.  It is
@@ -14,7 +17,23 @@ import math
 import numpy as np
 import scipy.fft
 
-from sqglab.spectral import DomainSpec
+from sqglab.spectral import DomainSpec, SpectralField
+
+
+def log_sobolev_norm(field: SpectralField, s: float) -> float:
+    """``log`` of ``sobolev_norm(field, s)``, one ``math.log`` per nonzero coefficient.
+
+    Each term is ``2 log|c| + s log|k|^2``, and the torus zero mode
+    weighs 1 for ``s >= 0`` and 0 below, so no weight, square or sum
+    leaves the float range whatever the order.
+    """
+    logs = []
+    for coeff, mu in zip(field.coeffs.ravel(), field.domain.laplacian_symbol.ravel()):
+        if coeff == 0 or (mu == 0 and s < 0):
+            continue
+        logs.append(2.0 * math.log(abs(coeff)) + (s * math.log(mu) if mu else 0.0))
+    top = max(logs)
+    return (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / 2.0
 
 
 def box_transport(domain: DomainSpec, coeffs: np.ndarray) -> tuple[np.ndarray, float]:

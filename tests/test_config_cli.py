@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sqglab
+from oracles import log_sobolev_norm
 from sqglab import dynamics
 from sqglab.cli import main
 from sqglab.config import (
@@ -279,19 +280,19 @@ class TestLoadExperiment:
         assert exp.domain.box == pytest.approx(2 * math.pi)
         assert exp.domain.basis is Basis.TORUS
         assert exp.params.alpha == 0.75
-        assert exp.lam == 0.0
+        assert exp.parsed.get("params", "lambda") == 0.0
         assert exp.forcing is None
-        assert exp.dt == 0.01
-        assert exp.t_end == 0.05
+        assert exp.parsed.get("stepper", "dt") == 0.01
+        assert exp.parsed.get("stepper", "t_end") == 0.05
         # ETD2RK is the one scheme; a file may not choose another
         text = cfg(*SIMULATE_LINES[:10], "scheme = etd2rk", *SIMULATE_LINES[10:])
         load_error(text, "unknown key 'scheme' in section [stepper]", line=11)
-        assert exp.sample_every == 1
-        assert exp.init_kind == "random"
-        assert exp.init_seed == 0
-        assert exp.monitor_lq == ()
-        assert exp.monitor_tail_cutoff is None
-        assert exp.out_dir is None
+        assert exp.parsed.get("stepper", "sample_every") == 1
+        assert exp.parsed.get("init", "type") == "random"
+        assert exp.parsed.get("init", "seed") == 0
+        assert exp.parsed.get("monitors", "lq") == ()
+        assert exp.parsed.get("monitors", "tail_cutoff") is None
+        assert exp.parsed.get("output", "dir") is None
 
     def test_missing_kind_cites_end_of_file(self):
         err = load_error(
@@ -471,7 +472,7 @@ class TestLoadExperiment:
 
     def test_monitor_lq_accepts_infinity(self):
         exp = load(cfg(*SIMULATE_LINES, "[monitors]", "lq = [2, inf]"))
-        assert exp.monitor_lq == (2.0, math.inf)
+        assert exp.parsed.get("monitors", "lq") == (2.0, math.inf)
 
     def _sweep_text(self, *extra: str) -> str:
         return cfg(
@@ -514,11 +515,11 @@ class TestLoadExperiment:
 
     def test_sweep_defaults(self):
         exp = load(self._sweep_text())
-        assert exp.sweep_alphas == DEFAULT_SWEEP_ALPHAS
-        assert exp.sweep_epsilon == 0.25
-        assert exp.sweep_c3 is None
+        assert exp.parsed.get("sweep", "alphas") == DEFAULT_SWEEP_ALPHAS
+        assert exp.parsed.get("sweep", "epsilon") == 0.25
+        assert exp.parsed.get("sweep", "c3") is None
         assert exp.params is None
-        assert exp.kappa == 0.2
+        assert exp.parsed.get("params", "kappa") == 0.2
 
     def test_dirichlet_sweep_basis(self):
         base = (
@@ -660,6 +661,13 @@ class TestLoadExperiment:
                          "epsilon must lie in (0, 1/2), got 0.6", id="sweep-epsilon"),
             pytest.param(cfg(*SWEEP_LINES, "c3 = 0"), 13, "c3 must be positive, got 0.0",
                          id="sweep-c3"),
+            # type = none reads neither mode nor amplitude: both once went unchecked
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = none", "amplitude = word",
+                             "mode = [1, 2, 3]"), 16,
+                         "amplitude must be a number, got 'word'", id="forcing-unused-amplitude"),
+            pytest.param(cfg(*SIMULATE_LINES, "[forcing]", "type = none", "mode = [1, 2, 3]"), 16,
+                         "forcing mode must have two components, got (1, 2, 3)",
+                         id="forcing-unused-mode"),
         ],
     )
     def test_value_rules_cite_their_line(self, text, line, message):
@@ -670,8 +678,9 @@ class TestLoadExperiment:
 
     def test_operator_tests_defaults_and_validation(self):
         exp = load(cfg("[experiment]", "kind = operator-tests"))
-        assert (exp.operator_size, exp.operator_seed) == (16, 0)
-        assert (exp.operator_trials, exp.operator_laplacian_n) == (200, 32)
+        get = exp.parsed.get
+        assert (get("operator", "size"), get("operator", "seed")) == (16, 0)
+        assert (get("operator", "trials"), get("operator", "laplacian_n")) == (200, 32)
         assert exp.domain is None and exp.params is None
         err = load_error(
             cfg("[experiment]", "kind = operator-tests", "[operator]", "size = 1"),
@@ -700,7 +709,7 @@ class TestExperimentMethods:
         text = cfg(*(line for line in SIMULATE_LINES if not line.startswith("dt")))
         derived = load(text)
         stepper = derived.stepper_for(derived.initial_field())
-        assert 0 < stepper.dt <= derived.t_end
+        assert 0 < stepper.dt <= derived.parsed.get("stepper", "t_end")
 
     def test_sweep_config_only_for_sweep_kinds(self):
         exp = load(SIMULATE)
@@ -911,7 +920,7 @@ class TestCliExitCodes:
 
     def test_run_length_at_its_bound_loads(self):
         exp = load(OPERATOR_CLI.replace("trials = 5", "trials = 100000"))
-        assert exp.operator_trials == 100000
+        assert exp.parsed.get("operator", "trials") == 100000
         exp = load(simulate_with("t_end", "t_end = 250000").replace("dt = 0.01", "dt = 0.25"))
         assert exp.stepper_for(exp.initial_field()).n_steps == MAX_STEPS == 1000000
 
@@ -1086,12 +1095,25 @@ class TestCliExitCodes:
         assert 0 < row["linf"] < np.finfo(float).tiny
         assert all(row[name] > 0 for name in ("l2", "lq2", "lq4", "h1"))
 
+    def test_overflowing_envelope_power_is_a_non_finite_record(self, tmp_path, capsys):
+        # |theta0|_400^400 passes the largest float: once a bare OverflowError
+        # whose run.log status named no check
+        text = SIM_CLI.replace("amplitude = 0.1", "amplitude = 10")
+        text = text.replace("lq = [2, 4]", "lq = [2, 400]") + cfg("[forcing]", "type = cosine")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        status = "record 'lq-envelope-q400': non-finite sides (inf, inf)"
+        assert f"status numerical failure: {status}" in (out / "run.log").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("basis", ["torus", "dirichlet"])
     @pytest.mark.parametrize(
         ("kind", "code", "status"),
         [
             # |k|^800 passes the largest float where the field is zero and
-            # where it is not: the column reads inf, not nan
+            # where it is not: the column reads the norm or inf, never nan
             ("simulate", 0, "status ok"),
             # the Sobolev bound of an infinite norm is a non-finite record
             ("estimates-report", 2, "non-finite sides"),
@@ -1110,7 +1132,15 @@ class TestCliExitCodes:
         assert status in (out / "run.log").read_text(encoding="utf-8")
         if code == 0:
             columns, rows = _series_rows(out)
-            assert [row[columns.index("h400")] for row in rows] == [math.inf] * 6
+            h400 = [row[columns.index("h400")] for row in rows]
+            # the initial torus norm, about 3.9e336, overflows; the box one,
+            # about 4.8e216, fits until the march fills modes up to 2n/3
+            if basis == "dirichlet":
+                want = math.exp(log_sobolev_norm(load_config_file(config).initial_field(), 400.0))
+                assert h400[0] == pytest.approx(want, rel=1e-12)
+                assert h400[1:] == [math.inf] * 5
+            else:
+                assert h400 == [math.inf] * 6
 
     @pytest.mark.parametrize("basis", ["torus", "dirichlet"])
     # |theta|^2000 underflows at both amplitudes, and so would (|theta| 2^-e)^2000
@@ -1715,18 +1745,18 @@ class TestCliArtifacts:
         )
         times = [s.t for s in states]
         want = []
-        for q in experiment.monitor_lq:
+        for q in experiment.parsed.get("monitors", "lq"):
             norms = [lq_norm(s.theta, q) for s in states]
             want += max_principle_monitor(times, norms, q, forcing=params.forcing)
         norms = [lq_norm(s.theta, math.inf) for s in states]
         want += linf_monitor(times, norms, forcing=params.forcing)
-        if experiment.monitor_damped_energy:
+        if experiment.parsed.get("monitors", "damped_energy"):
             norms = [sobolev_norm(s.theta, 0.0) for s in states]
             want += damped_energy_monitor(times, norms, params.lam)
         for s in states:
             slack = cordoba_pointwise_check(s.theta, params.alpha)
             want.append(InequalityRecord(name="cordoba-min-slack", t=s.t, lhs=0.0, rhs=slack))
-            for q in experiment.monitor_lq:
+            for q in experiment.parsed.get("monitors", "lq"):
                 value = positivity_integral_check(s.theta, q, params.alpha)
                 want.append(InequalityRecord(name=f"positivity-q{q:g}", t=s.t, lhs=0.0, rhs=value))
         norms = [sobolev_norm(s.theta, 1.0) for s in states]

@@ -206,6 +206,24 @@ class TestDampedEnergyMonitor:
         assert records[1].rhs == pytest.approx(base * np.exp(-2.0), rel=1e-12)
 
 
+def test_overflowing_powers_are_non_finite_records(torus32):
+    # 10^400 and (1e200)^2 pass the largest float: each record names its
+    # check, where a bare OverflowError named none
+    times, forcing = [0.0, 0.5, 1.0], random_smooth_field(torus32, seed=3, amplitude=0.05)
+    params = SqgParams(kappa=0.2, alpha=0.75)
+    cases = [
+        ("lq-envelope-q400", lambda: max_principle_monitor(times, [10.0] * 3, 400.0, forcing)),
+        ("damped-energy", lambda: damped_energy_monitor(times, [1e200] * 3, lam=0.1)),
+        (
+            "sobolev-ineq-l1",
+            lambda: sobolev_bound_monitor(times, [1.0] * 3, [1e200] * 3, 1.0, params),
+        ),
+    ]
+    for name, monitor in cases:
+        with pytest.raises(NonFiniteError, match=f"'{name}': non-finite sides"):
+            monitor()
+
+
 class TestCordobaPointwise:
     def test_alpha_zero_slack_is_square(self, torus32):
         phi = random_smooth_field(torus32, seed=11, amplitude=0.5)

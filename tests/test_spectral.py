@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import inner_product
+from oracles import log_sobolev_norm
 
 from sqglab.dynamics import _plan
 from sqglab.errors import BasisError, FieldError, NonFiniteError, ZeroModeError
@@ -366,6 +367,16 @@ class TestNorms:
             warnings.simplefilter("error")
             assert sobolev_norm(from_modes(domain, mode), 400.0) == norm
             assert sobolev_norm(dealias(theta), 400.0) == np.inf
+
+    def test_overflowing_weights_sum_in_log_space_where_the_norm_fits(self):
+        # weights up to 512^400 ~ 1e1084 pass the largest float, but the
+        # coefficients' 1e-300 brings the norm back to about 1.8e157
+        theta = random_smooth_field(DomainSpec(n=32), 0) * 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = sobolev_norm(theta, 400.0)
+        assert norm == pytest.approx(math.exp(log_sobolev_norm(theta, 400.0)), rel=1e-12)
+        assert norm == pytest.approx(1.806e157, rel=1e-3)
 
     @settings(max_examples=30)
     @given(
