@@ -32,7 +32,7 @@ from .critical import (
     pairwise_bound_check,
     sweep_with_runs,
 )
-from .dynamics import SimulationState, StepperConfig, _plan, integrate
+from .dynamics import SimulationState, StepperConfig, _block_weights, _plan, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -66,7 +66,15 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import Basis, PhysicalField, SpectralField, _grid_norms, _sobolev_norms, to_physical
+from .spectral import (
+    Basis,
+    PhysicalField,
+    SpectralField,
+    _grid_norms,
+    _sobolev_weights,
+    _weighted_norms,
+    to_physical,
+)
 
 __all__ = ["main"]
 
@@ -203,10 +211,19 @@ def _run_fixed_alpha(
     domain = theta0.domain
     battery_plan = _battery_plan(domain, params.alpha) if full_battery else None
     scratch = battery_plan.scratch() if full_battery else None
+    # without the battery, two grids of the size of theta's (Dirichlet: its
+    # interior, the spectral shape) for the norm pass of every sample
+    grids = () if full_battery else tuple(np.empty(domain.spectral_shape) for _ in range(2))
     # on the torus theta's grid is the transport plan's pruned synthesis of
-    # the kept block, through transform buffers owned for the run
+    # the kept block, through the synthesis buffers owned for the run, and
+    # the Sobolev norms sum over that block, whose weights count each
+    # column's conjugate mirror (integrate's states are zero outside it);
+    # the box sums its full layout, as sobolev_norm does, bit for bit
     plan = _plan(domain)
-    transforms = plan.scratch() if domain.basis is Basis.TORUS else None
+    torus = domain.basis is Basis.TORUS
+    transforms = plan.synthesis_scratch() if torus else None
+    norm_layout = plan.kept if torus else np.asarray
+    norm_weights = [(_block_weights if torus else _sobolev_weights)(domain, s) for s in orders]
 
     def sample(state: SimulationState) -> dict[str, float]:
         # one synthesis of theta feeds the linf and lq columns and the battery
@@ -216,13 +233,13 @@ def _run_fixed_alpha(
             grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
         else:
             grid = to_physical(theta)
-        l2, *sobolev = _sobolev_norms(theta, orders)
+        l2, *sobolev = _weighted_norms(norm_layout(theta.coeffs), norm_weights)
         if full_battery:
             slack, linf, lq, integrals = battery_plan.check(
                 theta, grid, finite_lq, scratch, dealiased
             )
         else:
-            linf, lq, _ = _grid_norms(grid.values, domain, finite_lq)
+            linf, lq, _ = _grid_norms(grid.values, domain, finite_lq, buffers=grids)
         row = {"l2": l2, "linf": linf}
         row.update((f"lq{q:g}", value) for q, value in zip(finite_lq, lq))
         row.update((f"h{s:g}", value) for s, value in zip(sobolev_orders, sobolev))
@@ -243,7 +260,7 @@ def _run_fixed_alpha(
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
     # the sampling is over: the buffers go before the artifacts are built
-    scratch = transforms = None
+    scratch = transforms = grids = None
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     times = series.times

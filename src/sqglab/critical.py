@@ -23,6 +23,7 @@ from .dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _block_weights,
     _plan,
     _run_dt,
     integrate,
@@ -84,7 +85,7 @@ def _coercivity(domain: DomainSpec, kappa: float) -> float:
     ``kappa * ((-Lap)^(1/2) + 1)`` back to the working norm; ``mu`` is the
     smallest positive Laplacian eigenvalue of ``domain``.
     """
-    symbol = domain.laplacian_symbol
+    symbol = _plan(domain).symbol  # the kept block holds the lowest modes
     mu_min = float(symbol[symbol > 0].min())
     return 1.0 / math.sqrt(kappa * (mu_min**0.5 + 1.0))
 
@@ -285,27 +286,29 @@ def _distance_table(runs: Sequence[SweepRun]) -> np.ndarray:
 
     Equal to :func:`h_minus_half_distance` on every pair of states up to
     round-off, evaluated one sample at a time on the stacked blocks of all
-    runs: each block mode is weighted by the number of full-layout modes it
-    stands for (the plan's multiplicity).  The torus zero mode gets weight
+    runs: each block mode's weight ``|k|^-1`` counts the full-layout modes
+    it stands for (:func:`~sqglab.dynamics._block_weights`, the Sobolev
+    weights a run's samples use).  The torus zero mode gets weight
     0: runs sharing theta0, damping and forcing share their mean exactly,
-    since transport leaves it untouched.
+    since transport leaves it untouched.  Each sample's blocks are scaled
+    by ``2^-e``, where ``2^e`` bounds their largest real or imaginary part
+    (an exact scaling), so no difference or square overflows on the way;
+    a distance past the largest float is ``inf``.
     """
-    domain = runs[0].domain
-    plan = _plan(domain)
-    symbol = plan.kept(domain.laplacian_symbol)
-    weight = np.zeros(symbol.shape)
-    positive = symbol > 0
-    weight[positive] = symbol[positive] ** -0.5
-    weight = (weight * plan.multiplicity()).ravel()
+    weight = _block_weights(runs[0].domain, -0.5)[0]
     m = len(runs)
     table = np.empty((m * (m - 1) // 2, len(runs[0].blocks)))
     for k, blocks in enumerate(zip(*(run.blocks for run in runs))):
         stack = np.stack([block.ravel() for block in blocks])
+        parts = stack.view(np.float64)  # real and imaginary parts
+        e = math.frexp(max(parts.max(), -parts.min()))[1]
+        np.ldexp(parts, -e, out=parts)
         row = 0
         for i in range(m - 1):  # pairs (i, j > i) in row-major order
             diff = np.abs(stack[i + 1 :] - stack[i])
             diff *= diff
-            table[row : row + m - 1 - i, k] = np.sqrt(diff @ weight)
+            with np.errstate(over="ignore"):
+                np.ldexp(np.sqrt(diff @ weight), e, out=table[row : row + m - 1 - i, k])
             row += m - 1 - i
     return table
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
-from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror
+from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror, _power_weights
 
 __all__ = [
     "SqgParams",
@@ -135,12 +135,16 @@ class SqgParams:
 
     def linear_symbol(self, domain: DomainSpec) -> np.ndarray:
         """Per-mode decay rate ``kappa |k|^(2 alpha) + lam`` (zero mode: lam)."""
-        sym = domain.laplacian_symbol
-        rate = np.full(sym.shape, float(self.lam))
-        positive = sym > 0
-        with np.errstate(over="ignore"):  # a huge kappa makes the rate inf
-            rate[positive] += self.kappa * sym[positive] ** self.alpha
+        rate = self._rate(domain.laplacian_symbol)
         rate.setflags(write=False)
+        return rate
+
+    def _rate(self, symbol: np.ndarray) -> np.ndarray:
+        """A new array of the decay rate of each mode, given its ``-Lap`` eigenvalue."""
+        rate = np.full(symbol.shape, float(self.lam))
+        positive = symbol > 0
+        with np.errstate(over="ignore"):  # a huge kappa makes the rate inf
+            rate[positive] += self.kappa * symbol[positive] ** self.alpha
         return rate
 
 
@@ -274,12 +278,25 @@ def etd_coefficients(domain: DomainSpec, params: SqgParams, dt: float) -> EtdCoe
     """Precompute the per-mode ETD tables for step size ``dt``."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    with np.errstate(over="ignore"):
-        z = params.linear_symbol(domain) * dt
-    coeffs = EtdCoefficients(dt=float(dt), decay=np.exp(-z), phi1=_phi1(z), phi2=_phi2(z))
+    coeffs = EtdCoefficients(float(dt), *_etd_tables(domain.laplacian_symbol, params, dt))
     for table in (coeffs.decay, coeffs.phi1, coeffs.phi2):
         table.setflags(write=False)
     return coeffs
+
+
+def _etd_tables(
+    symbol: np.ndarray, params: SqgParams, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New ``exp(-a dt)``, ``phi_1(-a dt)`` and ``phi_2(-a dt)`` arrays on the modes of ``symbol``.
+
+    ``symbol`` holds each mode's ``-Lap`` eigenvalue: the full layout for
+    :func:`etd_coefficients`, a plan's kept block for the march.  Each
+    entry depends on its own mode only, so a block's tables equal the
+    block of the full ones bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        z = params._rate(symbol) * dt
+    return np.exp(-z), _phi1(z), _phi2(z)
 
 
 # ----------------------------------------------------------------------------
@@ -339,9 +356,11 @@ class _TransportPlan:
     ``synth`` stacks the multipliers taking theta's coefficients to the grid
     values of u1, u2 and theta (dealias mask and the synthesis scale ``1/L``
     folded in; the transforms are unnormalized); ``div`` stacks the symbols
-    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in.
-    The kernel assumes real fields, i.e. conjugate-symmetric coefficients,
-    which the block determines.
+    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in;
+    ``symbol`` holds the ``-Lap`` eigenvalue of each mode, from which a
+    march forms its ETD tables and a sample its Sobolev weights.  No table
+    covers the full layout.  The kernel assumes real fields, i.e.
+    conjugate-symmetric coefficients, which the block determines.
 
     The plan is the one owner of that block: :meth:`kept` cuts it from a
     full FFT-layout array or table, :meth:`assemble` builds the full layout
@@ -354,31 +373,39 @@ class _TransportPlan:
 
     The plan is shared by every caller of its domain, so it holds no
     writable state: :meth:`scratch` gives the caller every buffer the
-    kernel writes, and the caller owns ``out``.  Every transform is a
-    per-axis ``numpy.fft`` pass into one of those buffers, and every
-    elementwise pass runs on contiguous arrays, so an evaluation on a
-    contiguous block allocates no array.
+    kernel writes, and :meth:`synthesis_scratch` the two that
+    :meth:`synthesize` alone reads, and the caller owns ``out``.  Every
+    transform is a per-axis ``numpy.fft`` pass into one of those buffers,
+    and every elementwise pass runs on contiguous arrays, so an evaluation
+    on a contiguous block allocates no array.
     """
 
     n: int
     synth: np.ndarray
     div: np.ndarray
+    symbol: np.ndarray
 
     def scratch(self) -> tuple[np.ndarray, ...]:
         """The buffers :meth:`transport` writes: ``(half, theta, u, spectrum, temp)``.
 
-        ``half`` is a zeroed ``rfft2`` half plane whose kept columns carry
-        each synthesis; ``theta`` and ``u`` are ``(n, n)`` grids;
-        ``spectrum`` is an ``(n, n/2+1)`` half plane for each flux's
-        ``rfft``; ``temp`` is a kept block.
+        ``half`` and ``temp`` are :meth:`synthesis_scratch`; ``theta`` and
+        ``u`` are ``(n, n)`` grids; ``spectrum`` is an ``(n, n/2+1)`` half
+        plane for each flux's ``rfft``.
         """
         n = self.n
+        half, temp = self.synthesis_scratch()
+        spectrum = np.empty(half.shape, dtype=np.complex128)
+        return half, np.empty((n, n)), np.empty((n, n)), spectrum, temp
+
+    def synthesis_scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buffers :meth:`synthesize` writes besides its grid: ``(half, temp)``.
+
+        ``half`` is a zeroed ``rfft2`` half plane whose kept columns carry
+        each synthesis, ``temp`` a kept block.
+        """
         return (
-            np.zeros((n, n // 2 + 1), dtype=np.complex128),
-            np.empty((n, n)),
-            np.empty((n, n)),
-            np.empty((n, n // 2 + 1), dtype=np.complex128),
-            np.empty(self.div.shape[1:], dtype=np.complex128),
+            np.zeros((self.n, self.n // 2 + 1), dtype=np.complex128),
+            np.empty(self.symbol.shape, dtype=np.complex128),
         )
 
     def kept(self, array: np.ndarray) -> np.ndarray:
@@ -413,10 +440,10 @@ class _TransportPlan:
 
     def speed(self, coeffs: np.ndarray) -> float:
         """max|u| of a field, without forming the transport products."""
-        scratch = self.scratch()
+        scratch, u = self.synthesis_scratch(), np.empty((self.n, self.n))
         extremes = []
         for mult in self.synth[:2]:
-            u = self.synthesize(mult, coeffs, scratch, scratch[2])
+            self.synthesize(mult, coeffs, scratch, u)
             extremes += (u.max(), -u.min())
         return float(max(extremes))
 
@@ -481,7 +508,10 @@ class _TransportPlan:
         scratch: tuple[np.ndarray, ...],
         grid: np.ndarray | None,
     ) -> np.ndarray:
-        """Write the grid values of ``mult * coeffs`` (a block or full layout) into ``grid``."""
+        """Write the grid values of ``mult * coeffs`` (a block or full layout) into ``grid``.
+
+        ``scratch`` is :meth:`scratch` or :meth:`synthesis_scratch`.
+        """
         # The product goes to the contiguous temp block, the last in scratch
         # and possibly coeffs itself (numpy buffers an elementwise pass over
         # a strided view); the axis-0 pass writes the kept columns of the
@@ -521,8 +551,9 @@ class _DirichletPlan:
     the output cut ``k <= 2n/3`` and stacks the symbols ``(pi/L) k_j``
     taking the cosine coefficients of the fluxes to the sine coefficients
     of ``-div(u theta)``, with the analysis scale ``L/(2 n^2)`` and the
-    sign of the analysis pairing folded in.  Transforms skip the lines
-    outside these blocks.
+    sign of the analysis pairing folded in; ``symbol`` holds the ``-Lap``
+    eigenvalue of each mode of the output block.  Transforms skip the
+    lines outside these blocks.
 
     :meth:`transport` writes the transport on the output block into
     ``out``, and :meth:`assemble` pads a block back to the full ``(n-1,
@@ -538,6 +569,7 @@ class _DirichletPlan:
     n: int
     synth: np.ndarray
     div: np.ndarray
+    symbol: np.ndarray
 
     def scratch(self) -> tuple[np.ndarray, ...]:
         """The buffers :meth:`transport` writes, one extended input and one output per pass.
@@ -692,20 +724,46 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
         k1, k2 = np.broadcast_arrays(cut[:, None], cut[None, :])
         # the analysis pairs leave minus the sine transform of u1 theta
         div = np.stack([-k1, k2]) * (math.pi / (2.0 * n * n))
-        for table in (synth, div):
+        scale = math.pi / domain.box
+        symbol = (scale * scale) * (k1**2 + k2**2)
+        for table in (synth, div, symbol):
             table.setflags(write=False)
-        return _DirichletPlan(n=n, synth=synth, div=div)
-    kept = np.s_[:, : n // 3 + 1]  # the columns the 2/3 rule keeps
-    mask = domain.dealias_mask[kept]
-    r1, r2 = domain.riesz_symbols
-    d1, d2 = domain.derivative_symbols
+        return _DirichletPlan(n=n, synth=synth, div=div, symbol=symbol)
+    # the kept columns k2 = 0 .. n/3 of the rfft2 half plane, every row k1;
+    # each table is formed as DomainSpec forms its full-layout symbols, so
+    # it equals their block bit for bit
+    k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    k2 = np.arange(n // 3 + 1, dtype=float)[None, :]
+    mask = np.abs(k1) <= n / 3.0  # the 2/3 rule, which k2 meets on every kept column
+    scale = 2.0 * math.pi / domain.box
+    mag = np.hypot(k1, k2)
+    mag[0, 0] = np.inf
+    # the Nyquist row k1 = -n/2, which the mask drops too, has no conjugate partner
+    nyquist = np.abs(k1) == n // 2
+    r1, r2 = (np.where(nyquist, 0.0, k / mag) for k in (k1, k2))
+    d1, d2 = np.where(nyquist, 0.0, 1j * scale * k1), 1j * scale * k2
     # u = (-R2 theta, R1 theta), R_j having the multiplier -i k_j/|k|
-    synth = np.stack([1j * r2[kept], -1j * r1[kept], np.ones(mask.shape)])
+    synth = np.stack([1j * r2, -1j * r1, np.ones(mag.shape)])
     synth *= mask / domain.box
-    div = np.stack([d1[kept], d2[kept]]) * (mask * (-domain.box / (n * n)))
-    for table in (synth, div):
+    div = np.stack(np.broadcast_arrays(d1, d2)) * (mask * (-domain.box / (n * n)))
+    symbol = (scale * scale) * (k1**2 + k2**2)
+    for table in (synth, div, symbol):
         table.setflags(write=False)
-    return _TransportPlan(n=n, synth=synth, div=div)
+    return _TransportPlan(n=n, synth=synth, div=div, symbol=symbol)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_weights(domain: DomainSpec, s: float) -> tuple:
+    """The Sobolev weights ``|k|^{2s}`` of the kept block, times ``plan.multiplicity()``.
+
+    A sum of ``|coefficient|^2`` times these over the block is the sum over
+    the full layout of any array the block determines
+    (:func:`~sqglab.spectral._weighted_norms`); see
+    :func:`~sqglab.spectral._power_weights` for the zero mode and
+    overflow.  Built once per domain and order.
+    """
+    plan = _plan(domain)
+    return _power_weights(plan.symbol, s, plan.multiplicity())
 
 
 def nonlinear_rhs(theta: SpectralField) -> SpectralField:
@@ -836,10 +894,9 @@ def _march(
     forcing = _forcing_coeffs(domain, params)
     if forcing is not None:
         forcing = _kept_block(plan, forcing, "forcing").copy()
-    tables = etd_coefficients(domain, params, dt)
-    decay = plan.kept(tables.decay).copy()
-    dt_phi1 = tables.dt * plan.kept(tables.phi1)
-    dt_phi2 = tables.dt * plan.kept(tables.phi2)
+    decay, dt_phi1, dt_phi2 = _etd_tables(plan.symbol, params, dt)
+    dt_phi1 *= dt
+    dt_phi2 *= dt
     scratch = plan.scratch()
 
     def rhs(block: np.ndarray, out: np.ndarray) -> float:

@@ -48,7 +48,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _grid_norms,
-    _laplacian_power,
+    _positive_power,
     dealias,
     fractional_laplacian,
     lq_norm,
@@ -475,8 +475,8 @@ def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
     transport = _plan(domain)
     if domain.basis is Basis.DIRICHLET:
         return _BatteryPlan(domain, alpha, transport, None, None)
-    kept = transport.kept
-    synth = kept(_laplacian_power(domain, alpha)) * (kept(domain.dealias_mask) / domain.box)
+    # theta's synthesis multiplier (the dealias mask over L) times |k|^{2a}
+    synth = _positive_power(transport.symbol, alpha) * transport.synth[2].real
     n, cut = domain.n, synth.shape[1] - 1
     big = 3 * n // 2
     k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]

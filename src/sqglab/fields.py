@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BasisError, FieldError
+from .errors import BasisError, FieldError, NonFiniteError
 from .spectral import (
     Basis,
     DomainSpec,
-    PhysicalField,
     SpectralField,
+    _cut_beyond,
     cosine_field,
-    dealias,
     to_physical,
     to_spectral,
 )
@@ -28,26 +27,32 @@ def _finish(
 ) -> SpectralField:
     """Dealias ``coeffs``, zero the torus mean and scale the grid maximum to ``amplitude``.
 
-    ``key = value`` is the argument that shaped ``coeffs``.  Raises
-    :class:`FieldError` naming it when that leaves the zero field, and
+    ``key = value`` is the argument that shaped ``coeffs``.  The mode cut
+    and the mean run in place on ``coeffs`` when it is writeable, an array
+    the caller hands over, and on a copy when it is read-only (a field's);
+    the scaled coefficients are the one new array.  Raises
+    :class:`FieldError` naming ``key`` when that leaves the zero field, and
     naming ``amplitude`` when the scaled coefficients overflow.
     """
-    field = dealias(SpectralField(coeffs, domain))
+    if not coeffs.flags.writeable:
+        coeffs = coeffs.copy()
+    _cut_beyond(coeffs, domain)
     if domain.basis is Basis.TORUS:
-        coeffs = field.coeffs.copy()
         coeffs[0, 0] = 0.0
-        field = SpectralField(coeffs, domain)
-    peak = float(np.max(np.abs(to_physical(field).values)))
+    field = SpectralField(coeffs, domain)
+    values = to_physical(field).values
+    peak = float(max(values.max(), -values.min()))
     if peak == 0.0:
         raise FieldError(key, f"{key} = {value!r} leaves the zero field, which has no amplitude")
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = field.coeffs * (amplitude / peak)
-    if not np.isfinite(coeffs).all():
+    try:
+        return SpectralField(coeffs, domain)
+    except NonFiniteError:
         raise FieldError(
             "amplitude",
             f"amplitude = {amplitude!r} overflows: the field peaks at {peak:.3g} before scaling",
-        )
-    return SpectralField(coeffs, domain)
+        ) from None
 
 
 def random_smooth_field(
@@ -81,15 +86,16 @@ def random_smooth_field(
         raise ValueError(f"amplitude must be positive, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     n = domain.n
-    if domain.basis is Basis.TORUS:
-        noise = rng.standard_normal((n, n))
-        raw = to_spectral(PhysicalField(noise, domain))
-    else:
-        noise = rng.standard_normal((n - 1, n - 1))
-        raw = SpectralField(noise, domain)
     i1, i2 = domain.index_grids
-    profile = (1.0 + np.hypot(i1, i2)) ** (-decay)
-    return _finish(raw.coeffs * profile, domain, amplitude, "decay", decay)
+    profile = np.hypot(i1, i2)
+    profile += 1.0
+    profile **= -decay
+    if domain.basis is Basis.TORUS:
+        coeffs = to_spectral(rng.standard_normal((n, n)), domain).coeffs * profile
+    else:
+        coeffs = rng.standard_normal((n - 1, n - 1))
+        coeffs *= profile
+    return _finish(coeffs, domain, amplitude, "decay", decay)
 
 
 def shear_field(

@@ -151,31 +151,12 @@ class DomainSpec:
         return keep
 
     @cached_property
-    def derivative_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ik₁, ik₂) multipliers for spectral derivatives (torus only).
-
-        The Nyquist line is zeroed: the odd symbol has no conjugate partner
-        there, and keeping it would break realness of derivatives.
-        """
-        if self.basis is not Basis.TORUS:
-            raise BasisError("derivative symbols are defined on the torus only")
-        i1, i2 = self.index_grids
-        scale = 2.0 * math.pi / self.box
-        d1 = 1j * scale * i1.astype(float)
-        d2 = 1j * scale * i2.astype(float)
-        nyq = self.n // 2
-        d1 = np.where(np.abs(i1) == nyq, 0.0, d1)
-        d2 = np.where(np.abs(i2) == nyq, 0.0, d2)
-        d1.setflags(write=False)
-        d2.setflags(write=False)
-        return d1, d2
-
-    @cached_property
     def riesz_symbols(self) -> tuple[np.ndarray, np.ndarray]:
         """Ratios (k₁/|k|, k₂/|k|) of the Riesz transforms (torus only).
 
-        The zero mode maps to 0, and the Nyquist line is zeroed along with the
-        derivative symbols (odd multipliers).
+        The zero mode maps to 0, and the Nyquist line is zeroed: the odd
+        multiplier has no conjugate partner there, and keeping it would break
+        the realness of the transformed field.
         """
         if self.basis is not Basis.TORUS:
             raise BasisError("Riesz transform defined on torus only")
@@ -356,7 +337,9 @@ def to_spectral(values: PhysicalField | np.ndarray, domain: DomainSpec | None = 
     values = np.asarray(values, dtype=np.float64)
     n = domain.n
     if domain.basis is Basis.TORUS:
-        return SpectralField(_real_spectrum(values) * (domain.box / (n * n)), domain)
+        spectrum = _real_spectrum(values)
+        spectrum *= domain.box / (n * n)
+        return SpectralField(spectrum, domain)
     if values.shape == (n + 1, n + 1):
         values = values[1:-1, 1:-1]
     elif values.shape != (n - 1, n - 1):
@@ -430,15 +413,20 @@ def _apply_laplacian_power(field: SpectralField, exponent: float) -> SpectralFie
 @functools.lru_cache(maxsize=32)
 def _laplacian_power(domain: DomainSpec, exponent: float) -> np.ndarray:
     """Read-only (eigenvalue of −Δ)^exponent per mode, torus zero mode → 0."""
-    sym = domain.laplacian_symbol
-    if domain.basis is Basis.TORUS:
-        mult = np.zeros_like(sym)
-        nz = sym > 0
-        mult[nz] = sym[nz] ** exponent
-    else:
-        mult = sym**exponent
+    mult = _positive_power(domain.laplacian_symbol, exponent)
     mult.setflags(write=False)
     return mult
+
+
+def _positive_power(symbol: np.ndarray, exponent: float) -> np.ndarray:
+    """A new array of ``symbol**exponent`` on the positive entries, 0 on the zero ones.
+
+    The one zero of a ``−Δ`` symbol is the torus zero mode.
+    """
+    power = np.zeros_like(symbol)
+    positive = symbol > 0
+    power[positive] = symbol[positive] ** exponent
+    return power
 
 
 def fractional_laplacian(field: SpectralField, alpha: float, inverse: bool = False) -> SpectralField:
@@ -462,8 +450,8 @@ def fractional_laplacian(field: SpectralField, alpha: float, inverse: bool = Fal
 def riesz_transform(field: SpectralField, j: int) -> SpectralField:
     """Riesz transform R_j, the multiplier −i·k_j/|k| (zero mode → 0).
 
-    Only defined for the periodic basis; the Nyquist line is zeroed along
-    with the derivative symbols (odd multiplier).
+    Only defined for the periodic basis; the Nyquist line is zeroed (odd
+    multiplier).
     """
     if field.domain.basis is not Basis.TORUS:
         raise BasisError("Riesz transform defined on torus only")
@@ -498,82 +486,101 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
     |k| is the physical wavenumber (2π/L-scaled on the torus, √μ_k for sine
     modes).  Negative orders require a mean-free field.  The sum runs over
-    the coefficients scaled by a power of two (see :func:`_sobolev_norms`),
+    the coefficients scaled by a power of two (see :func:`_weighted_norms`),
     so it neither overflows nor underflows on the way.  A zero coefficient
     counts 0 whatever its weight; where a nonzero one meets a weight past the
     largest float the sum runs in log space, and the norm is ``inf`` only
     when it does not fit itself.
     """
-    return _sobolev_norms(field, (s,))[0]
-
-
-def _sobolev_norms(field: SpectralField, orders: Sequence[float]) -> list[float]:
-    """The Sobolev norm of one field at each order, from one scaled ``|θ̂|²``.
-
-    The coefficients are scaled by ``2^-e``, where ``2^e`` bounds their
-    largest real or imaginary part: an exact scaling, after which every
-    ``|θ̂(k)|²`` lies below 2.  Each order is one dot product of those
-    squares with its cached weights (:func:`_sobolev_weights`), scaled back
-    by ``2^e``; an order whose overflowing weights meet a nonzero square
-    sums ``log2`` terms instead (:func:`_log2_weighted_norm`).
-    """
-    torus = field.domain.basis is Basis.TORUS
-    if torus and min(orders, default=0.0) < 0 and not field.mean_free:
+    if field.domain.basis is Basis.TORUS and s < 0 and not field.mean_free:
         raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
-    coeffs = field.coeffs.reshape(-1)
+    return _weighted_norms(field.coeffs, [_sobolev_weights(field.domain, s)])[0]
+
+
+def _weighted_norms(coeffs: np.ndarray, tables: Sequence[tuple]) -> list[float]:
+    """``(Σ w |c|²)^{1/2}`` of a coefficient array for each weight table of :func:`_power_weights`.
+
+    ``coeffs`` is a full-layout array or a kept block, and each table
+    flattens the same layout.  The coefficients are scaled by ``2^-e``,
+    where ``2^e`` bounds their largest real or imaginary part: an exact
+    scaling, after which every ``|c|²`` lies below 2.  Each table is one
+    dot product with those squares, scaled back by ``2^e``; a table whose
+    overflowing weights meet a nonzero square sums ``log2`` terms instead
+    (:func:`_log2_weighted_norm`).
+    """
     parts = coeffs.view(np.float64)  # real and imaginary parts
     e = math.frexp(max(parts.max(), -parts.min()))[1]
     squares = np.ldexp(coeffs.real, -e)
     np.square(squares, out=squares)
-    if torus:
+    if np.iscomplexobj(coeffs):
         imag = np.ldexp(coeffs.imag, -e)
         squares += np.square(imag, out=imag)
+    squares = squares.reshape(-1)
     norms = []
-    for s in orders:
-        weights, overflowed = _sobolev_weights(field.domain, s)
+    for weights, overflowed, logs in tables:
         if overflowed is not None and squares[overflowed].any():
-            norms.append(_log2_weighted_norm(squares, field.domain, s, e))
+            norms.append(_log2_weighted_norm(squares, logs, e))
             continue
         total = float(np.dot(squares, weights))
         norms.append(_times_power_of_two(math.sqrt(total), e))
     return norms
 
 
-def _log2_weighted_norm(squares: np.ndarray, domain: DomainSpec, s: float, e: int) -> float:
-    """``2^e (Σ squares·|k|^{2s})^{1/2}`` summed in log space, for weights past the largest float.
+def _log2_weighted_norm(squares: np.ndarray, logs: np.ndarray, e: int) -> float:
+    """``2^e (Σ squares·2^logs)^{1/2}`` summed in log space, for weights past the largest float.
 
-    Each term is ``2^t`` with ``t = log2(square) + log2(weight)``, the
-    overflowing weights taken as ``s·log2|k|²``.  With ``m`` the largest
-    ``t``, the sum is ``2^m Σ 2^(t - m)``, whose partial sum lies in
-    ``[1, size]``; ``inf`` only when the norm itself passes the largest float.
+    Each term is ``2^t`` with ``t = log2(square) + log2(weight)``.  With
+    ``m`` the largest ``t``, the sum is ``2^m Σ 2^(t - m)``, whose partial
+    sum lies in ``[1, size]``; ``inf`` only when the norm itself passes the
+    largest float.
     """
-    weights, overflowed = _sobolev_weights(domain, s)
-    sym = domain.laplacian_symbol.reshape(-1)
     with np.errstate(divide="ignore"):
-        terms = np.log2(squares) + np.where(overflowed, s * np.log2(sym), np.log2(weights))
+        terms = np.log2(squares) + logs
     top = float(terms.max())
     total = float(np.exp2(terms - top).sum())
     return _times_power_of_two(math.sqrt(total), top / 2 + e)
 
 
 @functools.lru_cache(maxsize=32)
-def _sobolev_weights(domain: DomainSpec, s: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The read-only flat Sobolev weight of every mode, and the modes whose weight overflows.
+def _sobolev_weights(domain: DomainSpec, s: float) -> tuple:
+    """The :func:`_power_weights` of every mode of ``domain``'s full layout, built once per order."""
+    return _power_weights(domain.laplacian_symbol, s)
 
-    A mode weighs ``|k|^{2s}``; the torus zero mode weighs 1 for ``s ≥ 0``
-    and 0 below.  A weight past the largest float is stored as 0 and its
-    mode marked in the mask (``None`` when there is none): a zero
-    coefficient there counts 0, any other makes the norm ``inf``.
+
+def _power_weights(
+    symbol: np.ndarray, s: float, multiplicity: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Read-only flat Sobolev weights of a layout's modes, for :func:`_weighted_norms`.
+
+    ``symbol`` holds the ``−Δ`` eigenvalue of each mode and ``multiplicity``
+    how often the mode stands in a sum (a kept block's conjugate mirror),
+    once if ``None``.  A mode weighs ``|k|^{2s}`` times its multiplicity;
+    the torus zero mode, the one zero of a symbol and first in every
+    layout, weighs 1 for ``s ≥ 0`` and 0 below.  A weight past the largest
+    float is stored as 0; the second array marks those modes and the third
+    holds the ``log2`` of every weight, both ``None`` when there is none.
+    A zero coefficient there counts 0, any other sends the sum to log space.
     """
-    sym = domain.laplacian_symbol.reshape(-1)
+    sym = symbol.reshape(-1)
     with np.errstate(over="ignore", divide="ignore"):
         weights = sym**s
-    if domain.basis is Basis.TORUS:
+    if sym[0] == 0.0:
         weights[0] = 1.0 if s >= 0 else 0.0
+    if multiplicity is not None:
+        with np.errstate(over="ignore"):
+            weights *= multiplicity.reshape(-1)
     overflowed = np.isinf(weights)
+    if not overflowed.any():
+        weights.setflags(write=False)
+        return weights, None, None
     weights[overflowed] = 0.0
-    weights.setflags(write=False)
-    return weights, overflowed if overflowed.any() else None
+    with np.errstate(divide="ignore"):
+        logs = np.where(overflowed, s * np.log2(sym), np.log2(weights))
+        if multiplicity is not None:
+            logs[overflowed] += np.log2(multiplicity.reshape(-1)[overflowed])
+    for table in (weights, overflowed, logs):
+        table.setflags(write=False)
+    return weights, overflowed, logs
 
 
 def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
@@ -669,8 +676,22 @@ def _times_power_of_two(x: float, p: float) -> float:
 
 def dealias(field: SpectralField) -> SpectralField:
     """Zero every mode with max(|k₁|, |k₂|) > n/3 (idempotent 2/3 rule)."""
-    mask = field.domain.dealias_mask
-    return SpectralField(field.coeffs * mask, field.domain)
+    return SpectralField(_cut_beyond(field.coeffs.copy(), field.domain), field.domain)
+
+
+def _cut_beyond(coeffs: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """Zero, in place, the modes of a full-layout array that :attr:`DomainSpec.dealias_mask` drops.
+
+    Those are the rows and columns whose index ``|k|`` passes ``n/3``: on
+    the torus the FFT indices ``n/3+1 .. n-n/3-1``, on the Dirichlet box
+    the sine indices past ``n/3``.  Returns ``coeffs``.
+    """
+    n = domain.n
+    cut = n // 3
+    beyond = slice(cut + 1, n - cut) if domain.basis is Basis.TORUS else slice(cut, None)
+    coeffs[beyond] = 0.0
+    coeffs[:, beyond] = 0.0
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

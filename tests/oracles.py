@@ -8,6 +8,10 @@ term in log space, so it holds norms past the largest float.
 axis, before the kernel moved to paired ``numpy.fft.rfft`` lines.  It is
 slower and unpaired, so its round-off differs from the kernel's, and it
 reads only the public layout of a field's coefficients.
+
+``derivative_symbols`` are the full-layout torus multipliers ``i k_j`` the
+transport plan once cut its divergence table from; the plan now forms that
+table on its kept block, and the composed transport oracles read these.
 """
 
 from __future__ import annotations
@@ -17,7 +21,26 @@ import math
 import numpy as np
 import scipy.fft
 
-from sqglab.spectral import DomainSpec, SpectralField
+from sqglab.errors import BasisError
+from sqglab.spectral import Basis, DomainSpec, SpectralField
+
+
+def derivative_symbols(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ik₁, ik₂) multipliers for spectral derivatives (torus only).
+
+    The Nyquist line is zeroed: the odd symbol has no conjugate partner
+    there, and keeping it would break realness of derivatives.
+    """
+    if domain.basis is not Basis.TORUS:
+        raise BasisError("derivative symbols are defined on the torus only")
+    i1, i2 = domain.index_grids
+    scale = 2.0 * math.pi / domain.box
+    d1 = 1j * scale * i1.astype(float)
+    d2 = 1j * scale * i2.astype(float)
+    nyq = domain.n // 2
+    d1 = np.where(np.abs(i1) == nyq, 0.0, d1)
+    d2 = np.where(np.abs(i2) == nyq, 0.0, d2)
+    return d1, d2
 
 
 def log_sobolev_norm(field: SpectralField, s: float) -> float:

@@ -1412,6 +1412,8 @@ _OVERFLOWING_POSITIVITY = [("amplitude = 0.1", "amplitude = 5"), ("lq = [2, 4]",
         ("estimates-report", [_DIRICHLET, ("lq = [2, 4]", "lq = [2, 1e308]")], 0),
         # max|theta| > 1: the integral overflows, and its mantissa's power underflowed to 0
         *[("estimates-report", [*edits, *_OVERFLOWING_POSITIVITY], 2) for edits in ([], [_DIRICHLET])],
+        # sweep members near 1e239 apart: the squares of their difference overflow
+        ("dirichlet-sweep", [("[stepper]", "[forcing]\ntype = sine\namplitude = 2147483648\n[stepper]")], 2),
     ],
 )
 def test_found_inputs_keep_the_exit_contract(kind, edits, code):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from conftest import inner_product
-from oracles import box_transport
+from oracles import box_transport, derivative_symbols
 
 import sqglab
 from sqglab.dynamics import (
@@ -21,6 +22,8 @@ from sqglab.dynamics import (
     SimulationState,
     SqgParams,
     StepperConfig,
+    _block_weights,
+    _etd_tables,
     _march,
     _plan,
     advective_speed,
@@ -39,6 +42,7 @@ from sqglab.spectral import (
     Basis,
     DomainSpec,
     SpectralField,
+    _weighted_norms,
     cosine_field,
     dealias,
     fractional_laplacian,
@@ -183,7 +187,7 @@ def _composed_transport(theta):
     torus = field.domain
     u1, u2 = (to_physical(u).values for u in velocity_from_theta(field))
     values = to_physical(field).values
-    d1, d2 = torus.derivative_symbols
+    d1, d2 = derivative_symbols(torus)
     div = d1 * to_spectral(u1 * values, torus).coeffs + d2 * to_spectral(u2 * values, torus).coeffs
     rhs = dealias(SpectralField(coeffs=-div, domain=torus))
     if domain.basis is Basis.DIRICHLET:
@@ -370,7 +374,7 @@ def _full_width_transport(domain, coeffs):
     half = np.s_[:, : n // 2 + 1]
     mask = domain.dealias_mask[half]
     r1, r2 = domain.riesz_symbols
-    d1, d2 = domain.derivative_symbols
+    d1, d2 = derivative_symbols(domain)
     synth = np.stack([1j * r2[half], -1j * r1[half], np.ones(mask.shape)])
     synth *= mask * (n * n / domain.box)
     div = np.stack([d1[half], d2[half]]) * (mask * (-domain.box / (n * n)))
@@ -465,6 +469,118 @@ class TestPrunedTorusKernel:
         assert peak - current < n * n * 8
         assert got is out
         assert np.all(out == plan.transport(block, plan.scratch())[0])
+
+
+def _bits(array):
+    """The bytes of an array, so that every ulp and the sign of every zero count."""
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+#: The full-layout tables a domain caches once asked; a run asks for none.
+_FULL_LAYOUT_TABLES = {"riesz_symbols", "dealias_mask", "laplacian_symbol"}
+
+
+class TestKeptBlockTables:
+    """Every table a march or its samples read covers the kept block only.
+
+    Each equals the block of the full-layout table it replaces, bit for bit.
+    """
+
+    def test_a_run_builds_no_full_layout_table(self):
+        # a box no other test uses, so the plan is built on this very domain
+        domain = DomainSpec(n=32, box=4.125, basis=Basis.TORUS)
+        theta = random_smooth_field(domain, 0, amplitude=0.5)
+        params = SqgParams(kappa=0.2, alpha=0.75)
+        integrate(SimulationState(t=0.0, theta=theta), params, StepperConfig(dt=0.01, t_end=0.02))
+        assert _FULL_LAYOUT_TABLES.isdisjoint(vars(domain))
+        assert not hasattr(domain, "derivative_symbols")
+        # and the plan and the sample weights, built afresh on a new domain
+        fresh = DomainSpec(n=32, box=4.125, basis=Basis.TORUS)
+        _plan.__wrapped__(fresh)
+        _block_weights.__wrapped__(fresh, 1.5)
+        assert _FULL_LAYOUT_TABLES.isdisjoint(vars(fresh))
+
+    @pytest.mark.parametrize("basis", [Basis.TORUS, Basis.DIRICHLET])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_tables_have_the_block_shape(self, basis, n):
+        domain = DomainSpec(n=n, box=2 * np.pi, basis=basis)
+        plan = _plan(domain)
+        block = plan.kept(np.zeros(domain.spectral_shape)).shape
+        assert plan.symbol.shape == block
+        assert plan.div.shape[1:] == block
+        if basis is Basis.TORUS:
+            assert block == (n, n // 3 + 1)
+            assert plan.synth.shape[1:] == block
+        tables = _etd_tables(plan.symbol, SqgParams(kappa=0.2, alpha=0.75), 0.01)
+        assert [table.shape for table in tables] == [block] * 3
+        assert _block_weights(domain, 1.5)[0].shape == (math.prod(block),)
+
+    @pytest.mark.parametrize("n", [16, 32, 256, 2048])
+    @pytest.mark.parametrize("box", [2 * np.pi, 1.0, 1e-100])
+    def test_torus_tables_equal_the_full_layout_ones(self, n, box):
+        # the construction from the full-layout symbols the plan used to cut
+        domain = DomainSpec(n=n, box=box, basis=Basis.TORUS)
+        plan = _plan.__wrapped__(domain)
+        kept = np.s_[:, : n // 3 + 1]
+        mask = domain.dealias_mask[kept]
+        r1, r2 = domain.riesz_symbols
+        d1, d2 = derivative_symbols(domain)
+        synth = np.stack([1j * r2[kept], -1j * r1[kept], np.ones(mask.shape)])
+        synth *= mask / domain.box
+        div = np.stack([d1[kept], d2[kept]]) * (mask * (-domain.box / (n * n)))
+        symbol = domain.laplacian_symbol[kept]
+        for got, want in ((plan.synth, synth), (plan.div, div), (plan.symbol, symbol)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_box_symbol_equals_the_full_layout_one(self, n):
+        domain = DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET)
+        plan = _plan(domain)
+        assert np.array_equal(_bits(plan.symbol), _bits(plan.kept(domain.laplacian_symbol)))
+
+    @pytest.mark.parametrize("basis", [Basis.TORUS, Basis.DIRICHLET])
+    @pytest.mark.parametrize(
+        "kappa, alpha, lam, dt",
+        [(0.2, 0.75, 0.1, 0.01), (1e-3, 1.0, 0.0, 1e-9), (1e307, 0.6, 0.3, 1.0)],
+        ids=["moderate", "series", "overflow"],
+    )
+    def test_block_etd_tables_equal_the_full_ones(self, basis, kappa, alpha, lam, dt):
+        domain = DomainSpec(n=64, box=2 * np.pi, basis=basis)
+        params = SqgParams(kappa=kappa, alpha=alpha, lam=lam)
+        plan = _plan(domain)
+        full = etd_coefficients(domain, params, dt)
+        got = _etd_tables(plan.symbol, params, dt)
+        for table, want in zip(got, (full.decay, full.phi1, full.phi2)):
+            assert np.array_equal(_bits(table), _bits(plan.kept(want)))
+
+    @pytest.mark.parametrize("basis", [Basis.TORUS, Basis.DIRICHLET])
+    @pytest.mark.parametrize("s", [0.0, 1.5, -0.5, 400.0])
+    def test_block_sobolev_norms_equal_the_full_layout_ones(self, basis, s):
+        # 400: |k|^800 passes the largest float, so the block sum runs in log space
+        domain = DomainSpec(n=32, box=2 * np.pi, basis=basis)
+        theta = random_smooth_field(domain, 7, amplitude=0.5)
+        block = _plan(domain).kept(theta.coeffs)
+        got = _weighted_norms(block, [_block_weights(domain, s)])[0]
+        assert got == pytest.approx(sobolev_norm(theta, s), rel=1e-13)
+        if s == 400.0:
+            assert _block_weights(domain, s)[1] is not None
+
+    def test_integrate_peak_stays_below_ten_states(self):
+        # n = 256, two steps, the plan built inside the trace: the kept-block
+        # tables, scratch and march buffers, one sample grid and the final
+        # state; the full-layout symbol and ETD tables lifted it to 11.7
+        n = 256
+        domain = DomainSpec(n=n, box=5.75, basis=Basis.TORUS)  # a box no other test uses
+        theta = random_smooth_field(domain, 0, amplitude=0.5)
+        state = SimulationState(t=0.0, theta=theta)
+        params = SqgParams(kappa=0.2, alpha=0.75)
+        tracemalloc.start()
+        try:
+            integrate(state, params, StepperConfig(dt=0.01, t_end=0.02))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n * np.dtype(np.complex128).itemsize
 
 
 _ORACLE_BOXES = {n: DomainSpec(n=n, box=np.pi, basis=Basis.DIRICHLET) for n in (16, 32, 64, 128, 256)}

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from sqglab.errors import BasisError, FieldError
-from sqglab.fields import gaussian_bump_field, random_smooth_field, shear_field
+from sqglab.fields import _finish, gaussian_bump_field, random_smooth_field, shear_field
 from sqglab.spectral import (
+    Basis,
+    SpectralField,
     dealias,
     lq_norm,
     to_physical,
+    to_spectral,
 )
 
 
@@ -132,3 +135,24 @@ class TestGaussianBump:
         values = to_physical(theta).values
         assert np.all(values[0, :] == 0.0)
         assert np.all(values[:, -1] == 0.0)
+
+
+class TestFinish:
+    @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
+    def test_equals_the_field_operations_and_keeps_a_read_only_input(self, name, request):
+        # a field's read-only coefficients with every mode populated, as
+        # gaussian_bump_field passes them: the steps run on a copy
+        domain = request.getfixturevalue(name)
+        noise = np.random.default_rng(3).standard_normal((domain.n, domain.n))
+        if domain.basis is Basis.TORUS:
+            coeffs = to_spectral(noise, domain).coeffs
+        else:
+            coeffs = SpectralField(noise[1:, 1:], domain).coeffs
+        before = coeffs.copy()
+        got = _finish(coeffs, domain, 2.0, "width", 0.1)
+        assert np.array_equal(coeffs, before)
+        want = dealias(SpectralField(before, domain)).coeffs.copy()
+        if domain.basis is Basis.TORUS:
+            want[0, 0] = 0.0
+        peak = np.abs(to_physical(SpectralField(want.copy(), domain)).values).max()
+        assert np.array_equal(got.coeffs, want * (2.0 / peak))
