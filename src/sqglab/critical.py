@@ -12,21 +12,24 @@ convergence to stronger topologies.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from .dynamics import (
+    RunResult,
     SimulationState,
     SqgParams,
     StepperConfig,
     _block_weights,
     _plan,
     _run_dt,
-    integrate,
+    _sampled_run,
+    integrate,  # unused here; bench/tests check that the tracer rebinds it in this namespace
     validate_run_settings,
 )
 from .errors import BlowUpError, FieldError
@@ -256,72 +259,59 @@ def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class SweepRun:
-    """One member of a sweep: its sampled diagnostics and sampled states.
+    """One member of a sweep: its sampled diagnostics and its final state.
 
-    A run keeps only the 2/3-rule block of each sampled state
-    (``blocks``, one array per sample time of ``series``), which is all a
-    march state holds; :attr:`states` and :attr:`final` assemble the
-    full-layout states from them on demand.
+    The sweep streams the sampled states (:func:`sweep_with_runs`), so a
+    run keeps none of them but the last.
     """
 
     series: DiagnosticsSeries
     domain: DomainSpec
-    blocks: tuple
-
-    @property
-    def states(self) -> tuple[SimulationState, ...]:
-        return tuple(self._state(k) for k in range(len(self.blocks)))
-
-    @property
-    def final(self) -> SimulationState:
-        return self._state(-1)
-
-    def _state(self, k: int) -> SimulationState:
-        coeffs = _plan(self.domain).assemble(self.blocks[k])
-        return SimulationState(t=self.series.times[k], theta=SpectralField(coeffs, self.domain))
+    final: SimulationState
 
 
-def _distance_table(runs: Sequence[SweepRun]) -> np.ndarray:
-    """:math:`H^{-1/2}` distances, shape (pairs ``i < j``, samples), of sampled runs.
+def _distance_column(blocks: Sequence[np.ndarray], weight: np.ndarray) -> np.ndarray:
+    """:math:`H^{-1/2}` distances of every pair ``i < j`` of one sample's member blocks.
 
     Equal to :func:`h_minus_half_distance` on every pair of states up to
-    round-off, evaluated one sample at a time on the stacked blocks of all
-    runs: each block mode's weight ``|k|^-1`` counts the full-layout modes
-    it stands for (:func:`~sqglab.dynamics._block_weights`, the Sobolev
-    weights a run's samples use).  The torus zero mode gets weight
-    0: runs sharing theta0, damping and forcing share their mean exactly,
-    since transport leaves it untouched.  Each sample's blocks are scaled
-    by ``2^-e``, where ``2^e`` bounds their largest real or imaginary part
-    (an exact scaling), so no difference or square overflows on the way;
-    a distance past the largest float is ``inf``.
+    round-off, evaluated on the stacked blocks, in row-major pair order:
+    ``weight`` is the block's ``|k|^-1`` weights, each counting the
+    full-layout modes its block mode stands for
+    (:func:`~sqglab.dynamics._block_weights`, the Sobolev weights a run's
+    samples use).  The torus zero mode gets weight 0: runs sharing theta0,
+    damping and forcing share their mean exactly, since transport leaves it
+    untouched.  The blocks are scaled by ``2^-e``, where ``2^e`` bounds
+    their largest real or imaginary part (an exact scaling), so no
+    difference or square overflows on the way; a distance past the largest
+    float is ``inf``.
     """
-    weight = _block_weights(runs[0].domain, -0.5)[0]
-    m = len(runs)
-    table = np.empty((m * (m - 1) // 2, len(runs[0].blocks)))
-    for k, blocks in enumerate(zip(*(run.blocks for run in runs))):
-        stack = np.stack([block.ravel() for block in blocks])
-        parts = stack.view(np.float64)  # real and imaginary parts
-        e = math.frexp(max(parts.max(), -parts.min()))[1]
-        np.ldexp(parts, -e, out=parts)
-        row = 0
-        for i in range(m - 1):  # pairs (i, j > i) in row-major order
-            diff = np.abs(stack[i + 1 :] - stack[i])
-            diff *= diff
-            with np.errstate(over="ignore"):
-                np.ldexp(np.sqrt(diff @ weight), e, out=table[row : row + m - 1 - i, k])
-            row += m - 1 - i
-    return table
+    m = len(blocks)
+    column = np.empty(m * (m - 1) // 2)
+    stack = np.stack([block.ravel() for block in blocks])
+    parts = stack.view(np.float64)  # real and imaginary parts
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    np.ldexp(parts, -e, out=parts)
+    row = 0
+    for i in range(m - 1):  # pairs (i, j > i) in row-major order
+        diff = np.abs(stack[i + 1 :] - stack[i])
+        diff *= diff
+        with np.errstate(over="ignore"):
+            np.ldexp(np.sqrt(diff @ weight), e, out=column[row : row + m - 1 - i])
+        row += m - 1 - i
+    return column
 
 
 def assemble_report(
-    config: AlphaSweepConfig, runs: Sequence[SweepRun]
+    config: AlphaSweepConfig, runs: Sequence[SweepRun], distances: np.ndarray
 ) -> ConvergenceReport:
-    """Distill a family of runs into a convergence report.
+    """Distill a family of runs and their distance table into a convergence report.
 
-    Pairwise distances are the supremum over shared sample times of the
-    :math:`H^{-1/2}` distance between trajectories; the decay exponent is
-    fitted by least squares on the log-log relation between ``delta_alpha``
-    and the distance to the most critical run.
+    ``distances`` holds the :math:`H^{-1/2}` distance of every pair of runs
+    ``i < j`` (rows, in row-major pair order) at every shared sample time
+    (columns), as :func:`sweep_with_runs` streams it.  Pairwise distances
+    are the supremum over those times; the decay exponent is fitted by
+    least squares on the log-log relation between ``delta_alpha`` and the
+    distance to the most critical run.
     """
     if len(runs) != len(config.alphas):
         raise ValueError("need exactly one run per sweep alpha")
@@ -329,12 +319,8 @@ def assemble_report(
     for run in runs[1:]:
         if tuple(run.series.times) != times:
             raise ValueError("sweep runs must share their sample times")
-        if len(run.blocks) != len(times):
-            raise ValueError("sweep runs must retain their sampled states")
 
     m = len(runs)
-    distances = _distance_table(runs)
-
     sup_infnorms = tuple(
         max(float(v) for v in run.series.column("linf")) for run in runs
     )
@@ -367,17 +353,32 @@ def assemble_report(
 
 
 def sweep_with_runs(
-    config: AlphaSweepConfig, *, max_workers: int | None = None
+    config: AlphaSweepConfig,
+    *,
+    max_workers: int | None = None,
+    on_sample: Callable[[float, tuple[SimulationState, ...]], None] | None = None,
 ) -> tuple[ConvergenceReport, list[SweepRun]]:
     """Run every member of the sweep and assemble its convergence report.
 
-    Members share the time grid and keep only the 2/3-rule block of each
-    sampled state, which the distance table reads (a block is all the
-    march evolves, and a fraction of the full layout: 85^2 of 127^2 modes
-    on the n = 128 box).  Runs execute on a pool of ``max_workers``
-    threads (the FFT work releases the interpreter lock); they are returned
-    in the order of ``config.alphas`` and are bitwise independent of the
-    pool size and the scheduling order.
+    The sweep streams: each shared sample's distance column is computed as
+    soon as every member has reached that sample, and the members' kept
+    2/3-rule blocks of it are then dropped, so memory does not grow with
+    the sample count.  ``on_sample(t, states)``, if given, then sees that
+    sample's states in the order of ``config.alphas``; it is called once
+    per shared time, in time order, on a worker thread.
+
+    Members march on ``max_workers`` threads (one per member by default;
+    the FFT work releases the interpreter lock).  Each thread owns one set
+    of transport buffers and repeatedly advances, by one sample interval,
+    the least-advanced member that no other thread is running (ties go to
+    the lower index), which keeps the threads balanced.  The runs are
+    returned in the order of ``config.alphas``; they and the report are
+    bitwise independent of the pool size and the scheduling order.
+
+    If members fail (a :class:`BlowUpError`, or a warning escalated to an
+    error), the sweep raises the failure of the lowest-index one, a
+    blow-up naming its alpha in the context; members above a failed one
+    may stop early.
 
     Warns up front when the initial data alone already violates the
     smallness hypothesis (coefficient at or above zero evaluated with both
@@ -393,25 +394,98 @@ def sweep_with_runs(
             stacklevel=2,
         )
     stepper = config.stepper()
-    plan = _plan(config.domain)
+    domain = config.domain
+    plan = _plan(domain)
+    weight = _block_weights(domain, -0.5)[0]
+    m = len(config.alphas)
+    lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a march's transport buffers
+    sampled: list[tuple[float, np.ndarray] | None] = [None] * m
 
-    def one_run(alpha: float) -> SweepRun:
-        blocks: list[np.ndarray] = []
-
+    def member(i: int) -> Generator[None, None, RunResult]:
         def keep(state: SimulationState) -> dict[str, float]:
-            blocks.append(plan.kept(state.theta.coeffs).copy())
+            sampled[i] = (state.t, plan.kept(state.theta.coeffs).copy())
             return {"linf": lq_norm(state.theta, math.inf)}
 
-        state = SimulationState(t=0.0, theta=config.theta0)
-        try:
-            result = integrate(state, config.params_for(alpha), stepper, sample=keep)
-        except BlowUpError as err:
-            raise BlowUpError(err.t, err.cfl, context=f"sweep run alpha={alpha:g}") from err
-        return SweepRun(series=result.series, domain=config.domain, blocks=tuple(blocks))
+        start = SimulationState(t=0.0, theta=config.theta0)
+        return _sampled_run(start, config.params_for(config.alphas[i]), stepper, keep, lanes[i])
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        runs = list(pool.map(one_run, config.alphas))
-    return assemble_report(config, runs), runs
+    members = [member(i) for i in range(m)]
+    lock, emitting = threading.Lock(), threading.Lock()
+    filed = [0] * m  # samples each member has filed
+    busy = [False] * m
+    results: list[RunResult | None] = [None] * m
+    failures: dict[int, Exception] = {}
+    slots: dict[int, dict[int, tuple[float, np.ndarray]]] = {}  # sample -> member -> (t, block)
+    columns: list[np.ndarray] = []
+    halted = threading.Event()
+
+    def emit() -> None:
+        with emitting:  # complete samples leave in time order
+            while True:
+                with lock:
+                    slot = slots.get(len(columns))
+                    if slot is None or len(slot) < m:
+                        return
+                    del slots[len(columns)]
+                t = slot[0][0]
+                blocks = [slot[i][1] for i in range(m)]
+                columns.append(_distance_column(blocks, weight))
+                if on_sample is not None:
+                    on_sample(t, tuple(
+                        SimulationState(t=t, theta=SpectralField(plan.assemble(b), domain))
+                        for b in blocks
+                    ))
+
+    def work() -> None:
+        scratch = plan.scratch()
+        try:
+            while not halted.is_set():
+                with lock:
+                    live = range(min(failures, default=m))
+                    free = [i for i in live if not busy[i] and results[i] is None]
+                    if not free:
+                        return
+                    i = min(free, key=filed.__getitem__)
+                    busy[i] = True
+                lanes[i][:] = scratch
+                failure = None
+                try:
+                    next(members[i])
+                except StopIteration as end:
+                    results[i] = end.value
+                except Exception as err:  # raised below unless a lower member fails too
+                    failure = err
+                sample, sampled[i] = sampled[i], None
+                with lock:
+                    busy[i] = False
+                    if failure is not None:
+                        failures[i] = failure
+                        slots.clear()  # no sample completes any more
+                    complete = sample is not None and not failures
+                    if complete:
+                        slot = slots.setdefault(filed[i], {})
+                        slot[i] = sample
+                        filed[i] += 1
+                        complete = len(slot) == m
+                if complete:
+                    emit()
+        except BaseException:
+            halted.set()
+            raise
+
+    workers = m if max_workers is None else max_workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work) for _ in range(min(workers, m))]:
+            future.result()
+    if failures:
+        i = min(failures)
+        err = failures[i]
+        if isinstance(err, BlowUpError):
+            context = f"sweep run alpha={config.alphas[i]:g}"
+            raise BlowUpError(err.t, err.cfl, context=context) from err
+        raise err
+    runs = [SweepRun(series=r.series, domain=domain, final=r.final) for r in results]
+    return assemble_report(config, runs, np.stack(columns, axis=1)), runs
 
 
 def pairwise_bound_check(

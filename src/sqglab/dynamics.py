@@ -60,7 +60,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Generator, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -849,6 +849,7 @@ def _march(
     params: SqgParams,
     config: StepperConfig,
     n_steps: int,
+    scratch: Sequence[np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray, float]]:
     """Check a run, then iterate ``(t, block, max |u|)`` over its ``n_steps`` ETD steps.
 
@@ -862,12 +863,16 @@ def _march(
     equals the full-layout update bit for bit.
 
     The march owns its buffers: the block alternates between two arrays,
-    the transport writes through the plan's scratch buffers into ``n0``
-    and, for the corrector, ``n1``, which first holds the phi_1 term, so a
-    step allocates no array beyond the finite check's mask.  A yielded
-    block is overwritten two steps later; a caller that keeps a state
-    copies or assembles it before resuming the march.  The plan never holds
-    these buffers, since marches on one domain share it.
+    the transport writes through ``scratch`` (the plan's scratch buffers,
+    allocated here unless the caller gives them) into ``n0`` and, for the
+    corrector, ``n1``, which first holds the phi_1 term, so a step
+    allocates no array beyond the finite check's mask.  A caller that
+    passes a list may refill it with another set of buffers between
+    resumptions, so that marches taking turns on a thread share that
+    thread's set.
+    A yielded block is overwritten two steps later; a caller that keeps a
+    state copies or assembles it before resuming the march.  The plan
+    never holds these buffers, since marches on one domain share it.
 
     A step runs with overflow warnings silenced and is checked once at its
     end: IEEE arithmetic carries a non-finite value from any intermediate (a
@@ -897,7 +902,8 @@ def _march(
     decay, dt_phi1, dt_phi2 = _etd_tables(plan.symbol, params, dt)
     dt_phi1 *= dt
     dt_phi2 *= dt
-    scratch = plan.scratch()
+    if scratch is None:
+        scratch = plan.scratch()
 
     def rhs(block: np.ndarray, out: np.ndarray) -> float:
         speed = plan.transport(block, scratch, out)[1]
@@ -988,6 +994,34 @@ def integrate(
     BlowUpError
         At the first step that produces a non-finite value.
     """
+    run = _sampled_run(state, params, config, sample, stacklevel=3)
+    while True:
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
+
+
+def _sampled_run(
+    state: SimulationState,
+    params: SqgParams,
+    config: StepperConfig,
+    sample: Callable[[SimulationState], Mapping[str, float] | None] | None = None,
+    scratch: Sequence[np.ndarray] | None = None,
+    stacklevel: int = 2,
+) -> Generator[None, None, RunResult]:
+    """:func:`integrate`'s run, advanced one sample per resumption.
+
+    Each resumption marches to the next sample, records it (its series
+    row, the ``sample`` hook, a pending CFL warning) and yields ``None``;
+    the run's :class:`RunResult` is the value of the final
+    ``StopIteration``.  The first resumption checks the run and records the
+    initial state.  Between resumptions the run holds only the latest
+    sampled state, its final state to be.  ``scratch`` goes to
+    :func:`_march`.  A CFL warning names the frame ``stacklevel`` levels up
+    from this one, as :func:`warnings.warn` counts: 2 is the frame that
+    resumed the run.
+    """
     domain = state.theta.domain
     dt = config.step_dt
     series = DiagnosticsSeries(meta={"dt": dt})
@@ -999,7 +1033,7 @@ def integrate(
             warnings.warn(
                 f"advective CFL {peak_cfl:.3g} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
                 CflWarning,
-                stacklevel=3,  # integrate's caller: this frame is nested in integrate
+                stacklevel=stacklevel + 1,  # this frame is nested in the run's
             )
         row = {"cfl": dt * speed * cells_per_length}
         if sample is not None:
@@ -1008,10 +1042,11 @@ def integrate(
 
     n_steps = config.n_steps
     plan = _plan(domain)
-    march = _march(state, params, config, n_steps)
+    march = _march(state, params, config, n_steps, scratch)
     current = state
     speed = advective_speed(state.theta)
     record(current, speed, speed, state.t)
+    yield
     peak, peak_t = 0.0, state.t
     for k, (t, block, speed) in enumerate(march, 1):
         if speed > peak:
@@ -1022,6 +1057,7 @@ def integrate(
             current = SimulationState(t=t, theta=theta)
             record(current, speed, peak, peak_t)
             peak = 0.0
+            yield
     return RunResult(series=series, final=current)
 
 

@@ -143,14 +143,6 @@ class DomainSpec:
         return sym
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """True on modes kept by the 2/3 rule: max(|k₁|,|k₂|) ≤ n/3."""
-        i1, i2 = self.index_grids
-        keep = np.maximum(np.abs(i1), np.abs(i2)) <= self.n / 3.0
-        keep.setflags(write=False)
-        return keep
-
-    @cached_property
     def riesz_symbols(self) -> tuple[np.ndarray, np.ndarray]:
         """Ratios (k₁/|k|, k₂/|k|) of the Riesz transforms (torus only).
 
@@ -680,11 +672,12 @@ def dealias(field: SpectralField) -> SpectralField:
 
 
 def _cut_beyond(coeffs: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Zero, in place, the modes of a full-layout array that :attr:`DomainSpec.dealias_mask` drops.
+    """Zero, in place, the modes of a full-layout array that the 2/3 rule drops.
 
-    Those are the rows and columns whose index ``|k|`` passes ``n/3``: on
-    the torus the FFT indices ``n/3+1 .. n-n/3-1``, on the Dirichlet box
-    the sine indices past ``n/3``.  Returns ``coeffs``.
+    Those are the modes with ``max(|k₁|, |k₂|) > n/3``, that is the rows
+    and columns whose index passes ``n/3``: on the torus the FFT indices
+    ``n/3+1 .. n-n/3-1``, on the Dirichlet box the sine indices past
+    ``n/3``.  Returns ``coeffs``.
     """
     n = domain.n
     cut = n // 3

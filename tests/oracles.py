@@ -12,6 +12,8 @@ reads only the public layout of a field's coefficients.
 ``derivative_symbols`` are the full-layout torus multipliers ``i k_j`` the
 transport plan once cut its divergence table from; the plan now forms that
 table on its kept block, and the composed transport oracles read these.
+``dealias_mask`` is the full-layout 2/3-rule mask those tables were cut
+with, which no run reads either.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ def derivative_symbols(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     d1 = np.where(np.abs(i1) == nyq, 0.0, d1)
     d2 = np.where(np.abs(i2) == nyq, 0.0, d2)
     return d1, d2
+
+
+def dealias_mask(domain: DomainSpec) -> np.ndarray:
+    """True on modes kept by the 2/3 rule: max(|k₁|,|k₂|) ≤ n/3."""
+    i1, i2 = domain.index_grids
+    return np.maximum(np.abs(i1), np.abs(i2)) <= domain.n / 3.0
 
 
 def log_sobolev_norm(field: SpectralField, s: float) -> float:

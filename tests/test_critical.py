@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sqglab import critical
 from sqglab.critical import (
     DEFAULT_SWEEP_ALPHAS,
     L43_FROZEN_CONSTANT,
@@ -25,6 +28,7 @@ from sqglab.critical import (
     sweep_with_runs,
 )
 from sqglab.dynamics import SimulationState, default_dt, integrate
+from sqglab.errors import BlowUpError, CflWarning
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
     Basis,
@@ -36,6 +40,15 @@ from sqglab.spectral import (
 )
 
 
+def _sweep(config, **kwargs):
+    """``sweep_with_runs`` and the ``(t, states)`` pairs its ``on_sample`` hook saw."""
+    sampled = []
+    report, runs = sweep_with_runs(
+        config, on_sample=lambda t, states: sampled.append((t, states)), **kwargs
+    )
+    return config, report, runs, sampled
+
+
 @pytest.fixture(scope="module")
 def small_sweep(torus32):
     """One modest random-data sweep shared by the report-shape tests."""
@@ -45,8 +58,7 @@ def small_sweep(torus32):
         alphas=(0.75, 0.65, 0.6, 0.55),
         t_end=0.5,
     )
-    report, runs = sweep_with_runs(config)
-    return config, report, runs
+    return _sweep(config)
 
 
 @pytest.fixture(scope="module")
@@ -58,20 +70,19 @@ def dirichlet_sweep(dirichlet32):
         alphas=(0.75, 0.6, 0.55),
         t_end=0.25,
     )
-    report, runs = sweep_with_runs(config)
-    return config, report, runs
+    return _sweep(config)
 
 
-def _assert_distance_table_matches(config, report, runs):
+def _assert_distance_table_matches(config, report, _runs, sampled):
     m = len(config.alphas)
     assert report.distances.shape == (m * (m - 1) // 2, len(report.times))
+    # the hook sees every shared time once, in order, with one state per member
+    assert tuple(t for t, _ in sampled) == report.times
+    assert all(len(states) == m for _, states in sampled)
     pair = 0
     for i in range(m):
         for j in range(i + 1, m):
-            want = [
-                h_minus_half_distance(a.theta, b.theta)
-                for a, b in zip(runs[i].states, runs[j].states)
-            ]
+            want = [h_minus_half_distance(s[i].theta, s[j].theta) for _, s in sampled]
             np.testing.assert_allclose(report.distances[pair], want, rtol=1e-12, atol=0)
             assert report.pairwise[i, j] == report.distances[pair].max()
             pair += 1
@@ -197,7 +208,7 @@ class TestConvergenceReport:
         )
 
     def test_as_dict_keys(self, small_sweep):
-        _, report, _ = small_sweep
+        _, report, _, _ = small_sweep
         d = report.as_dict()
         assert set(d) == {
             "alphas", "times", "pairwise_h_minus_half", "sup_infnorms",
@@ -214,35 +225,23 @@ class TestConvergenceReport:
         _assert_distance_table_matches(*dirichlet_sweep)
 
     @pytest.mark.parametrize("sweep", ["small_sweep", "dirichlet_sweep"])
-    def test_runs_keep_one_block_per_sample(self, sweep, request):
-        config, report, runs = request.getfixturevalue(sweep)
-        n = config.domain.n
-        shape = (n, n // 3 + 1) if config.domain.basis is Basis.TORUS else (2 * n // 3,) * 2
-        assert [f.name for f in dataclasses.fields(SweepRun)] == ["series", "domain", "blocks"]
-        for run in runs:
-            assert len(run.blocks) == len(report.times)
-            for block in run.blocks:
-                # its own array: a view would keep the full sampled state alive
-                assert block.shape == shape and block.base is None
-            assert len({id(block) for block in run.blocks}) == len(run.blocks)
-
-    @pytest.mark.parametrize("sweep", ["small_sweep", "dirichlet_sweep"])
-    def test_states_equal_the_sampled_states(self, sweep, request):
-        config, report, runs = request.getfixturevalue(sweep)
-        for alpha, run in zip(config.alphas, runs):
-            sampled = []
+    def test_sampled_states_and_finals_equal_the_runs_states(self, sweep, request):
+        config, report, runs, sampled = request.getfixturevalue(sweep)
+        assert [f.name for f in dataclasses.fields(SweepRun)] == ["series", "domain", "final"]
+        for i, (alpha, run) in enumerate(zip(config.alphas, runs)):
+            want = []
             integrate(
                 SimulationState(t=0.0, theta=config.theta0),
                 config.params_for(alpha),
                 config.stepper(),
-                sample=sampled.append,
+                sample=want.append,
             )
-            states = run.states
-            assert len(states) == len(sampled) == len(report.times)
-            for got, want in zip(states, sampled):
-                assert got.t == want.t
-                assert np.array_equal(got.theta.coeffs, want.theta.coeffs)
-            assert np.array_equal(run.final.theta.coeffs, sampled[-1].theta.coeffs)
+            assert len(sampled) == len(want) == len(report.times)
+            for (t, states), state in zip(sampled, want):
+                assert states[i].t == t == state.t
+                assert np.array_equal(states[i].theta.coeffs, state.theta.coeffs)
+            assert run.final.t == want[-1].t
+            assert np.array_equal(run.final.theta.coeffs, want[-1].theta.coeffs)
 
 
 class TestSweeps:
@@ -258,7 +257,7 @@ class TestSweeps:
         assert report.fitted_exponent == 0.0
 
     def test_report_trend_toward_critical(self, small_sweep):
-        config, report, runs = small_sweep
+        config, report, runs, _ = small_sweep
         assert report.alphas == config.alphas
         assert len(runs) == len(config.alphas)
         distances = report.pairwise[:-1, -1]
@@ -268,12 +267,12 @@ class TestSweeps:
         assert report.smallness_coeff < 0.0
 
     def test_sweep_runs_share_sample_times(self, small_sweep):
-        _, report, runs = small_sweep
+        _, report, runs, _ = small_sweep
         for run in runs:
             assert tuple(run.series.times) == report.times
 
     def test_pairwise_bound_records(self, small_sweep):
-        _, report, _ = small_sweep
+        _, report, _, _ = small_sweep
         records = pairwise_bound_check(report, c3_guess=1.0)
         names = [r.name for r in records]
         assert "fitted-exponent-positive" in names
@@ -284,7 +283,7 @@ class TestSweeps:
     @pytest.mark.parametrize("contracting", [True, False], ids=["contracting", "not-contracting"])
     def test_linear_bound_constant_follows_smallness(self, small_sweep, contracting):
         # c2 is the negated smallness coefficient, or 1 once contraction fails
-        _, report, _ = small_sweep
+        _, report, _, _ = small_sweep
         assert report.smallness_coeff < 0.0
         if not contracting:
             report = dataclasses.replace(report, smallness_coeff=0.5)
@@ -293,9 +292,91 @@ class TestSweeps:
         assert [b.rhs for b in bounds] == [(2.0 / c2) * d for d, _, _ in report.per_pair_bound]
 
     def test_pairwise_bound_rejects_nonpositive_c3(self, small_sweep):
-        _, report, _ = small_sweep
+        _, report, _, _ = small_sweep
         with pytest.raises(ValueError, match="c3_guess must be positive"):
             pairwise_bound_check(report, c3_guess=0.0)
+
+    @pytest.mark.parametrize("max_workers", [1, 2, None])
+    def test_results_do_not_depend_on_the_pool(self, small_sweep, max_workers):
+        # None runs one thread per member, more threads than cores: switching
+        # often, they would show a lost update in the shared schedule
+        config, report, runs, sampled = small_sweep
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, other, other_runs, other_sampled = _sweep(config, max_workers=max_workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert other.as_dict() == report.as_dict()
+        assert other.distances.tobytes() == report.distances.tobytes()
+        for got, want in zip(other_runs, runs):
+            assert got.series == want.series
+            assert got.final.theta.coeffs.tobytes() == want.final.theta.coeffs.tobytes()
+        assert [t for t, _ in other_sampled] == [t for t, _ in sampled]
+
+    def test_memory_does_not_grow_with_the_sample_count(self, torus64):
+        def peak(t_end):
+            config = AlphaSweepConfig(
+                theta0=random_smooth_field(torus64, seed=7, amplitude=0.05),
+                kappa=0.2, alphas=(0.75, 0.65, 0.6, 0.55), t_end=t_end, dt=0.0125,
+            )
+            sweep_with_runs(config, max_workers=2)  # plan and weights cached first
+            tracemalloc.start()
+            try:
+                sweep_with_runs(config, max_workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 41 and 81 samples: kept blocks would add 4 x 40 x 22.5 kB
+        short, long = peak(0.5), peak(1.0)
+        assert long <= 1.1 * short, (short, long)
+
+    @pytest.mark.parametrize("max_workers", [1, 2, None])
+    def test_lowest_failed_member_is_raised(self, torus32, monkeypatch, max_workers):
+        # members 1 and 3 blow up, member 3 first: member 1's failure wins
+        config = AlphaSweepConfig(
+            theta0=random_smooth_field(torus32, seed=7, amplitude=0.05),
+            kappa=0.2, alphas=(0.75, 0.65, 0.6, 0.55), t_end=0.1, dt=0.0125,
+        )
+        samples_before_failure = {0.65: 3, 0.55: 0}
+        real = critical._sampled_run
+
+        def failing(state, params, *args):
+            run = real(state, params, *args)
+            if params.alpha not in samples_before_failure:
+                return run
+
+            def fail():
+                for _ in range(samples_before_failure[params.alpha]):
+                    yield next(run)
+                raise BlowUpError(params.alpha, 1.0)
+
+            return fail()
+
+        monkeypatch.setattr(critical, "_sampled_run", failing)
+        with pytest.raises(BlowUpError, match=r"\[sweep run alpha=0\.65\]") as info:
+            sweep_with_runs(config, max_workers=max_workers)
+        assert info.value.t == 0.65 and info.value.__cause__.t == 0.65
+
+    def test_cfl_warnings_point_at_the_sweep(self, torus32):
+        # the strong shear of test_cfl_warning_points_at_the_caller: two
+        # warnings per member, raised while the sweep advances it
+        config = AlphaSweepConfig(
+            theta0=shear_field(torus32) * 1e4, kappa=0.1, alphas=(0.75, 0.6), t_end=0.1, dt=0.1,
+        )
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            sweep_with_runs(config)
+        cfl = [w for w in record if issubclass(w.category, CflWarning)]
+        assert len(cfl) == 4
+        assert {w.filename for w in cfl} == {critical.__file__}
+        # escalated, as under --strict, the first member's warning is raised
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "initial data is too large", UserWarning)
+            warnings.simplefilter("error", CflWarning)
+            with pytest.raises(CflWarning, match=r"advective CFL 5\.09e\+03 exceeds"):
+                sweep_with_runs(config)
 
     def test_large_data_warns(self, torus32):
         config = AlphaSweepConfig(

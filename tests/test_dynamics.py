@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from conftest import inner_product
-from oracles import box_transport, derivative_symbols
+from oracles import box_transport, dealias_mask, derivative_symbols
 
 import sqglab
 from sqglab.dynamics import (
@@ -372,7 +372,7 @@ def _full_width_transport(domain, coeffs):
 
     n = domain.n
     half = np.s_[:, : n // 2 + 1]
-    mask = domain.dealias_mask[half]
+    mask = dealias_mask(domain)[half]
     r1, r2 = domain.riesz_symbols
     d1, d2 = derivative_symbols(domain)
     synth = np.stack([1j * r2[half], -1j * r1[half], np.ones(mask.shape)])
@@ -477,7 +477,7 @@ def _bits(array):
 
 
 #: The full-layout tables a domain caches once asked; a run asks for none.
-_FULL_LAYOUT_TABLES = {"riesz_symbols", "dealias_mask", "laplacian_symbol"}
+_FULL_LAYOUT_TABLES = {"riesz_symbols", "laplacian_symbol"}
 
 
 class TestKeptBlockTables:
@@ -522,7 +522,7 @@ class TestKeptBlockTables:
         domain = DomainSpec(n=n, box=box, basis=Basis.TORUS)
         plan = _plan.__wrapped__(domain)
         kept = np.s_[:, : n // 3 + 1]
-        mask = domain.dealias_mask[kept]
+        mask = dealias_mask(domain)[kept]
         r1, r2 = domain.riesz_symbols
         d1, d2 = derivative_symbols(domain)
         synth = np.stack([1j * r2[kept], -1j * r1[kept], np.ones(mask.shape)])
@@ -971,7 +971,7 @@ def _sparse_array(domain, seed, base, modes):
     if base == "zero":
         coeffs[...] = 0.0
     elif base == "dealiased":
-        coeffs *= domain.dealias_mask
+        coeffs *= dealias_mask(domain)
     for i, j in modes:
         coeffs[i % shape[0], j % shape[1]] = 1.0 + rng.random()
     return coeffs

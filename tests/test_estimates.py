@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
+from oracles import dealias_mask
 
 from sqglab.cli import _NUMERICAL_ERRORS
 from sqglab.dynamics import SimulationState, SqgParams, StepperConfig, integrate
@@ -398,7 +399,7 @@ def _direct_square(phi, alpha):
     n, box = domain.n, domain.box
     big, top = 3 * n // 2, 2 * (n // 3)
     i1, i2 = domain.index_grids
-    keep = domain.dealias_mask
+    keep = dealias_mask(domain)
     padded = np.zeros((big, big), dtype=np.complex128)
     padded[i1[keep] % big, i2[keep] % big] = phi.coeffs[keep]
     fine = scipy.fft.irfft2(padded[:, : big // 2 + 1], s=(big, big)) * (big * big / box)
