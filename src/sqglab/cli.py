@@ -205,8 +205,8 @@ def _run_fixed_alpha(
     orders = [0.0, *sobolev_orders]
     if full_battery:
         orders += [s + params.alpha for s, _ in mid_norms]
-    radius = get("monitors", "tail_cutoff")
-    cutoff = None if radius is None else CutoffSpec(k=radius)
+    radius = get("monitors", "tail_cutoff")  # checked by every kind, read by the battery only
+    cutoff = CutoffSpec(k=radius) if full_battery and radius is not None else None
     # one set of battery buffers, reused by every sample
     domain = theta0.domain
     battery_plan = _battery_plan(domain, params.alpha) if full_battery else None

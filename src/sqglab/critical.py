@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
@@ -34,7 +35,6 @@ from .dynamics import (
 )
 from .errors import BlowUpError, FieldError
 from .estimates import InequalityRecord
-from .series import DiagnosticsSeries
 from .spectral import (
     DomainSpec,
     SpectralField,
@@ -49,7 +49,6 @@ __all__ = [
     "L43_FROZEN_CONSTANT",
     "AlphaSweepConfig",
     "ConvergenceReport",
-    "SweepRun",
     "assemble_report",
     "sweep_with_runs",
     "h_minus_half_distance",
@@ -257,19 +256,6 @@ def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
     return sobolev_norm(a - b, -0.5)
 
 
-@dataclass(frozen=True)
-class SweepRun:
-    """One member of a sweep: its sampled diagnostics and its final state.
-
-    The sweep streams the sampled states (:func:`sweep_with_runs`), so a
-    run keeps none of them but the last.
-    """
-
-    series: DiagnosticsSeries
-    domain: DomainSpec
-    final: SimulationState
-
-
 def _distance_column(blocks: Sequence[np.ndarray], weight: np.ndarray) -> np.ndarray:
     """:math:`H^{-1/2}` distances of every pair ``i < j`` of one sample's member blocks.
 
@@ -302,15 +288,18 @@ def _distance_column(blocks: Sequence[np.ndarray], weight: np.ndarray) -> np.nda
 
 
 def assemble_report(
-    config: AlphaSweepConfig, runs: Sequence[SweepRun], distances: np.ndarray
+    config: AlphaSweepConfig, runs: Sequence[RunResult], distances: np.ndarray
 ) -> ConvergenceReport:
     """Distill a family of runs and their distance table into a convergence report.
 
-    ``distances`` holds the :math:`H^{-1/2}` distance of every pair of runs
-    ``i < j`` (rows, in row-major pair order) at every shared sample time
-    (columns), as :func:`sweep_with_runs` streams it.  Pairwise distances
-    are the supremum over those times; the decay exponent is fitted by
-    least squares on the log-log relation between ``delta_alpha`` and the
+    ``runs`` holds one :class:`~sqglab.dynamics.RunResult` per member, in
+    the order of ``config.alphas``; their series give the shared sample
+    times and the ``linf`` columns.  ``distances`` holds the
+    :math:`H^{-1/2}` distance of every pair of runs ``i < j`` (rows, in
+    row-major pair order) at every shared sample time (columns), as
+    :func:`sweep_with_runs` streams it.  Pairwise distances are the
+    supremum over those times; the decay exponent is fitted by least
+    squares on the log-log relation between ``delta_alpha`` and the
     distance to the most critical run.
     """
     if len(runs) != len(config.alphas):
@@ -357,28 +346,33 @@ def sweep_with_runs(
     *,
     max_workers: int | None = None,
     on_sample: Callable[[float, tuple[SimulationState, ...]], None] | None = None,
-) -> tuple[ConvergenceReport, list[SweepRun]]:
+) -> tuple[ConvergenceReport, list[RunResult]]:
     """Run every member of the sweep and assemble its convergence report.
 
-    The sweep streams: each shared sample's distance column is computed as
-    soon as every member has reached that sample, and the members' kept
-    2/3-rule blocks of it are then dropped, so memory does not grow with
-    the sample count.  ``on_sample(t, states)``, if given, then sees that
-    sample's states in the order of ``config.alphas``; it is called once
-    per shared time, in time order, on a worker thread.
+    The sweep streams: each member queues the kept 2/3-rule block of every
+    sample it reaches, and as soon as every queue holds a sample, the
+    oldest block of each is popped into that sample's distance column, so
+    memory does not grow with the sample count.  ``on_sample(t, states)``,
+    if given, then sees that sample's states in the order of
+    ``config.alphas``; it is called once per shared time, in time order,
+    on a worker thread.
 
     Members march on ``max_workers`` threads (one per member by default;
     the FFT work releases the interpreter lock).  Each thread owns one set
     of transport buffers and repeatedly advances, by one sample interval,
-    the least-advanced member that no other thread is running (ties go to
-    the lower index), which keeps the threads balanced.  The runs are
-    returned in the order of ``config.alphas``; they and the report are
-    bitwise independent of the pool size and the scheduling order.
+    the least-advanced member (the shortest queue) that no other thread is
+    running (ties go to the lower index), which keeps the threads
+    balanced.  One lock guards the schedule and the queues.  One
+    :class:`~sqglab.dynamics.RunResult` per member is returned, in the
+    order of ``config.alphas``; the runs and the report are bitwise
+    independent of the pool size and the scheduling order.
 
     If members fail (a :class:`BlowUpError`, or a warning escalated to an
     error), the sweep raises the failure of the lowest-index one, a
-    blow-up naming its alpha in the context; members above a failed one
-    may stop early.
+    blow-up naming its alpha in the context; the queues are emptied and
+    no sample is queued after a failure, and members above a failed one
+    may stop early.  An exception from ``on_sample`` stops the sweep and
+    is raised as it is.
 
     Warns up front when the initial data alone already violates the
     smallness hypothesis (coefficient at or above zero evaluated with both
@@ -410,42 +404,40 @@ def sweep_with_runs(
         return _sampled_run(start, config.params_for(config.alphas[i]), stepper, keep, lanes[i])
 
     members = [member(i) for i in range(m)]
-    lock, emitting = threading.Lock(), threading.Lock()
-    filed = [0] * m  # samples each member has filed
+    lock = threading.Lock()
+    pending: list[deque[tuple[float, np.ndarray]]] = [deque() for _ in range(m)]  # no column yet
     busy = [False] * m
     results: list[RunResult | None] = [None] * m
     failures: dict[int, Exception] = {}
-    slots: dict[int, dict[int, tuple[float, np.ndarray]]] = {}  # sample -> member -> (t, block)
     columns: list[np.ndarray] = []
     halted = threading.Event()
 
     def emit() -> None:
-        with emitting:  # complete samples leave in time order
-            while True:
-                with lock:
-                    slot = slots.get(len(columns))
-                    if slot is None or len(slot) < m:
-                        return
-                    del slots[len(columns)]
-                t = slot[0][0]
-                blocks = [slot[i][1] for i in range(m)]
-                columns.append(_distance_column(blocks, weight))
-                if on_sample is not None:
-                    on_sample(t, tuple(
-                        SimulationState(t=t, theta=SpectralField(plan.assemble(b), domain))
-                        for b in blocks
-                    ))
+        # under the lock, so samples leave in time order; a failing hook
+        # halts the sweep before the lock is released, so it is not called again
+        t = pending[0][0][0]
+        blocks = [queue.popleft()[1] for queue in pending]
+        columns.append(_distance_column(blocks, weight))
+        if on_sample is not None:
+            try:
+                on_sample(t, tuple(
+                    SimulationState(t=t, theta=SpectralField(plan.assemble(b), domain))
+                    for b in blocks
+                ))
+            except BaseException:
+                halted.set()
+                raise
 
     def work() -> None:
         scratch = plan.scratch()
         try:
-            while not halted.is_set():
+            while True:
                 with lock:
                     live = range(min(failures, default=m))
                     free = [i for i in live if not busy[i] and results[i] is None]
-                    if not free:
+                    if halted.is_set() or not free:
                         return
-                    i = min(free, key=filed.__getitem__)
+                    i = min(free, key=lambda j: len(pending[j]))
                     busy[i] = True
                 lanes[i][:] = scratch
                 failure = None
@@ -455,20 +447,17 @@ def sweep_with_runs(
                     results[i] = end.value
                 except Exception as err:  # raised below unless a lower member fails too
                     failure = err
-                sample, sampled[i] = sampled[i], None
                 with lock:
                     busy[i] = False
                     if failure is not None:
                         failures[i] = failure
-                        slots.clear()  # no sample completes any more
-                    complete = sample is not None and not failures
-                    if complete:
-                        slot = slots.setdefault(filed[i], {})
-                        slot[i] = sample
-                        filed[i] += 1
-                        complete = len(slot) == m
-                if complete:
-                    emit()
+                        for queue in pending:  # no sample completes any more
+                            queue.clear()
+                    elif sampled[i] is not None and not failures:
+                        pending[i].append(sampled[i])
+                        if all(pending):
+                            emit()
+                    sampled[i] = None
         except BaseException:
             halted.set()
             raise
@@ -484,8 +473,7 @@ def sweep_with_runs(
             context = f"sweep run alpha={config.alphas[i]:g}"
             raise BlowUpError(err.t, err.cfl, context=context) from err
         raise err
-    runs = [SweepRun(series=r.series, domain=domain, final=r.final) for r in results]
-    return assemble_report(config, runs, np.stack(columns, axis=1)), runs
+    return assemble_report(config, results, np.stack(columns, axis=1)), results
 
 
 def pairwise_bound_check(

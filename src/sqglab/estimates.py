@@ -135,15 +135,6 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
-def _cell_area(domain: DomainSpec) -> float:
-    return (domain.box / domain.n) ** 2
-
-
-def _grid_integral(values: np.ndarray, domain: DomainSpec) -> float:
-    """Uniform-grid quadrature (trapezoid; spectrally accurate when periodic)."""
-    return float(values.sum() * _cell_area(domain))
-
-
 # ----------------------------------------------------------------------------
 # norm-evolution monitors
 # ----------------------------------------------------------------------------
@@ -638,5 +629,7 @@ def _cutoff_grid(cutoff: CutoffSpec, domain: DomainSpec) -> np.ndarray:
 
 def tail_mass(theta: PhysicalField, cutoff: CutoffSpec) -> float:
     """Weighted mass ``int theta^2 eta_k dx`` (dominates the tail over |x-c| >= 2k)."""
-    eta = _cutoff_grid(cutoff, theta.domain)
-    return _grid_integral(theta.values**2 * eta, theta.domain)
+    domain = theta.domain
+    values = theta.values**2 * _cutoff_grid(cutoff, domain)
+    # uniform-grid quadrature (trapezoid; spectrally accurate when periodic)
+    return float(values.sum() * (domain.box / domain.n) ** 2)

@@ -393,15 +393,6 @@ def _conjugate_mirror(block: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_laplacian_power(field: SpectralField, exponent: float) -> SpectralField:
-    """Multiply coefficients by (eigenvalue of −Δ)^exponent, zero mode → 0.
-
-    Internal: accepts any real exponent; for negative exponents on the torus
-    the caller is responsible for having checked mean-freeness.
-    """
-    return SpectralField(field.coeffs * _laplacian_power(field.domain, exponent), field.domain)
-
-
 @functools.lru_cache(maxsize=32)
 def _laplacian_power(domain: DomainSpec, exponent: float) -> np.ndarray:
     """Read-only (eigenvalue of −Δ)^exponent per mode, torus zero mode → 0."""
@@ -435,8 +426,8 @@ def fractional_laplacian(field: SpectralField, alpha: float, inverse: bool = Fal
             raise ZeroModeError(
                 "non-invertible zero mode: inverse fractional Laplacian needs a mean-free field"
             )
-        return _apply_laplacian_power(field, -float(alpha))
-    return _apply_laplacian_power(field, float(alpha))
+    exponent = -float(alpha) if inverse else float(alpha)
+    return SpectralField(field.coeffs * _laplacian_power(field.domain, exponent), field.domain)
 
 
 def riesz_transform(field: SpectralField, j: int) -> SpectralField:

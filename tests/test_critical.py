@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -18,7 +19,6 @@ from sqglab.critical import (
     SMALLNESS_THRESHOLD,
     AlphaSweepConfig,
     ConvergenceReport,
-    SweepRun,
     _coercivity,
     h_minus_half_distance,
     interpolation_upgrade,
@@ -27,7 +27,7 @@ from sqglab.critical import (
     smallness_coefficient,
     sweep_with_runs,
 )
-from sqglab.dynamics import SimulationState, default_dt, integrate
+from sqglab.dynamics import RunResult, SimulationState, default_dt, integrate
 from sqglab.errors import BlowUpError, CflWarning
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
@@ -38,6 +38,14 @@ from sqglab.spectral import (
     sine_mode_field,
     sobolev_norm,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves more threads running than it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, threading.enumerate()
 
 
 def _sweep(config, **kwargs):
@@ -87,6 +95,25 @@ def _assert_distance_table_matches(config, report, _runs, sampled):
             assert report.pairwise[i, j] == report.distances[pair].max()
             pair += 1
     np.testing.assert_array_equal(report.pairwise, report.pairwise.T)
+
+
+def _fail_members(monkeypatch, samples_before_failure):
+    """Make each member whose alpha is a key blow up after yielding that many samples."""
+    real = critical._sampled_run
+
+    def failing(state, params, *args):
+        run = real(state, params, *args)
+        if params.alpha not in samples_before_failure:
+            return run
+
+        def fail():
+            for _ in range(samples_before_failure[params.alpha]):
+                yield next(run)
+            raise BlowUpError(params.alpha, 1.0)
+
+        return fail()
+
+    monkeypatch.setattr(critical, "_sampled_run", failing)
 
 
 class TestSmallness:
@@ -227,7 +254,7 @@ class TestConvergenceReport:
     @pytest.mark.parametrize("sweep", ["small_sweep", "dirichlet_sweep"])
     def test_sampled_states_and_finals_equal_the_runs_states(self, sweep, request):
         config, report, runs, sampled = request.getfixturevalue(sweep)
-        assert [f.name for f in dataclasses.fields(SweepRun)] == ["series", "domain", "final"]
+        assert all(type(run) is RunResult for run in runs)
         for i, (alpha, run) in enumerate(zip(config.alphas, runs)):
             want = []
             integrate(
@@ -339,25 +366,55 @@ class TestSweeps:
             theta0=random_smooth_field(torus32, seed=7, amplitude=0.05),
             kappa=0.2, alphas=(0.75, 0.65, 0.6, 0.55), t_end=0.1, dt=0.0125,
         )
-        samples_before_failure = {0.65: 3, 0.55: 0}
-        real = critical._sampled_run
-
-        def failing(state, params, *args):
-            run = real(state, params, *args)
-            if params.alpha not in samples_before_failure:
-                return run
-
-            def fail():
-                for _ in range(samples_before_failure[params.alpha]):
-                    yield next(run)
-                raise BlowUpError(params.alpha, 1.0)
-
-            return fail()
-
-        monkeypatch.setattr(critical, "_sampled_run", failing)
+        _fail_members(monkeypatch, {0.65: 3, 0.55: 0})
         with pytest.raises(BlowUpError, match=r"\[sweep run alpha=0\.65\]") as info:
             sweep_with_runs(config, max_workers=max_workers)
         assert info.value.t == 0.65 and info.value.__cause__.t == 0.65
+
+    def test_a_failed_sweep_keeps_no_blocks(self, torus64, monkeypatch):
+        # member 3 blows up at its second resumption and members 0-2 run on
+        # to t_end: no sample completes after the failure, so none is queued
+        _fail_members(monkeypatch, {0.55: 1})
+
+        def peak(t_end):
+            config = AlphaSweepConfig(
+                theta0=random_smooth_field(torus64, seed=7, amplitude=0.05),
+                kappa=0.2, alphas=(0.75, 0.65, 0.6, 0.55), t_end=t_end, dt=0.0125,
+            )
+            with pytest.raises(BlowUpError, match=r"\[sweep run alpha=0\.55\]"):
+                sweep_with_runs(config, max_workers=2)  # plan and weights cached first
+            tracemalloc.start()
+            try:
+                with pytest.raises(BlowUpError, match=r"\[sweep run alpha=0\.55\]"):
+                    sweep_with_runs(config, max_workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 41 and 161 samples: queued blocks would add 3 x 120 x 22.5 kB
+        short, long = peak(0.5), peak(2.0)
+        assert long <= 1.25 * short, (short, long)
+
+    @pytest.mark.parametrize("max_workers", [1, 2, None])
+    def test_a_failing_hook_is_raised(self, small_sweep, max_workers):
+        # switching often, a worker that files between the hook's failure
+        # and the halt would call the hook a fourth time
+        config, report, _, _ = small_sweep
+        calls = []
+
+        def hook(t, states):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("hook failed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pytest.raises(RuntimeError, match="hook failed"):
+                sweep_with_runs(config, max_workers=max_workers, on_sample=hook)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == list(report.times[:3])
 
     def test_cfl_warnings_point_at_the_sweep(self, torus32):
         # the strong shear of test_cfl_warning_points_at_the_caller: two
