@@ -382,6 +382,13 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
     def error_record(name: str, err: float, bound: float) -> InequalityRecord:
         return InequalityRecord(name=name, t=0.0, lhs=float(err), rhs=bound, tol=0.0)
 
+    def monotone(prefix: str, ladder: list[tuple[float, float]]) -> None:
+        # each rung's value must not exceed the previous rung's
+        for (_, previous), (key, value) in zip(ladder, ladder[1:]):
+            records.append(
+                InequalityRecord(name=f"{prefix}{key:g}", t=0.0, lhs=value, rhs=previous, tol=0.0)
+            )
+
     value = balakrishnan_neg_power(scalar_operator(4.0), 0.5, np.ones(1))[0]
     records.append(error_record("scalar-neg-half-power", abs(value - 0.5), 1e-10))
     value = inv_I_plus_Apow(scalar_operator(1.0), 0.5, np.ones(1))[0]
@@ -416,16 +423,7 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
     psi = rng.standard_normal(lap.size)
     phi = lap.apply(psi / np.linalg.norm(psi))
     ladder = lemma62_convergence(lap, phi)
-    for (a_prev, e_prev), (a_next, e_next) in zip(ladder, ladder[1:]):
-        records.append(
-            InequalityRecord(
-                name=f"lemma-limit-monotone-a{a_next:g}",
-                t=0.0,
-                lhs=e_next,
-                rhs=e_prev,
-                tol=0.0,
-            )
-        )
+    monotone("lemma-limit-monotone-a", ladder)
     records.append(
         InequalityRecord(
             name="lemma-limit-ratio",
@@ -439,16 +437,7 @@ def _run_operator_tests(experiment: Experiment, out_dir: str) -> int:
     spd = cases[1][1]
     phi = rng.standard_normal(spd.size)
     decay = identity_minus_negpower_decay(spd, phi)
-    for (b_prev, v_prev), (b_next, v_next) in zip(decay, decay[1:]):
-        records.append(
-            InequalityRecord(
-                name=f"identity-decay-monotone-b{b_next:g}",
-                t=0.0,
-                lhs=v_next,
-                rhs=v_prev,
-                tol=0.0,
-            )
-        )
+    monotone("identity-decay-monotone-b", decay)
     records.append(
         error_record(
             "identity-decay-final", decay[-1][1], 1e-3 * float(np.linalg.norm(phi))

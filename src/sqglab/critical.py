@@ -17,7 +17,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -392,18 +392,16 @@ def sweep_with_runs(
     plan = _plan(domain)
     weight = _block_weights(domain, -0.5)[0]
     m = len(config.alphas)
-    lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a march's transport buffers
-    sampled: list[tuple[float, np.ndarray] | None] = [None] * m
+    lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a run's transport buffers
+    start = SimulationState(t=0.0, theta=config.theta0)
 
-    def member(i: int) -> Generator[None, None, RunResult]:
-        def keep(state: SimulationState) -> dict[str, float]:
-            sampled[i] = (state.t, plan.kept(state.theta.coeffs).copy())
-            return {"linf": lq_norm(state.theta, math.inf)}
+    def linf(state: SimulationState) -> dict[str, float]:
+        return {"linf": lq_norm(state.theta, math.inf)}
 
-        start = SimulationState(t=0.0, theta=config.theta0)
-        return _sampled_run(start, config.params_for(config.alphas[i]), stepper, keep, lanes[i])
-
-    members = [member(i) for i in range(m)]
+    members = [
+        _sampled_run(start, config.params_for(alpha), stepper, linf, lanes[i])
+        for i, alpha in enumerate(config.alphas)
+    ]
     lock = threading.Lock()
     pending: list[deque[tuple[float, np.ndarray]]] = [deque() for _ in range(m)]  # no column yet
     busy = [False] * m
@@ -440,9 +438,10 @@ def sweep_with_runs(
                     i = min(free, key=lambda j: len(pending[j]))
                     busy[i] = True
                 lanes[i][:] = scratch
-                failure = None
+                failure = sample = None
                 try:
-                    next(members[i])
+                    state = next(members[i])
+                    sample = (state.t, plan.kept(state.theta.coeffs).copy())
                 except StopIteration as end:
                     results[i] = end.value
                 except Exception as err:  # raised below unless a lower member fails too
@@ -453,11 +452,10 @@ def sweep_with_runs(
                         failures[i] = failure
                         for queue in pending:  # no sample completes any more
                             queue.clear()
-                    elif sampled[i] is not None and not failures:
-                        pending[i].append(sampled[i])
+                    elif sample is not None and not failures:
+                        pending[i].append(sample)
                         if all(pending):
                             emit()
-                    sampled[i] = None
         except BaseException:
             halted.set()
             raise

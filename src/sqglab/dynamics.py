@@ -39,12 +39,16 @@ extension to the doubled torus (:func:`embed_odd_extension`), which carries
 the same information, is kept as the reference the kernel is tested
 against.
 
-Runs take uniform steps that land exactly on the horizon.  One loop serves
-both bases.  Its state is the kept block itself, in two buffers it owns, so
-the ETD update and the per-step check for non-finite values (the blow-up
-signal) run on the block only; every step is also checked against the
-advective CFL limit.  A state or forcing with modes outside the block is
-rejected, since the march would not evolve them.  Sampled states
+Runs take uniform steps, and the last one is labelled with the horizon
+itself, so a run lands exactly on it.  One generator serves both bases and
+every caller: it checks the run, takes the steps and yields each sampled
+state; :func:`integrate`, :func:`step` (a one-step run) and the members of
+an alpha sweep all drive it.  Its state is the kept block itself, in two
+buffers it owns, so the ETD update and the per-step check for non-finite
+values (the blow-up signal) run on the block only; every step is also
+checked against the advective CFL limit, and a run past it, :func:`step`
+included, warns its caller.  A state or forcing with modes outside the
+block is rejected, since the run would not evolve them.  Sampled states
 are assembled into new full-layout arrays (on the torus the block's
 conjugate mirror fills the other columns) and stream to the caller's one
 ``sample`` hook, which may keep them and returns the sample's extra series
@@ -60,7 +64,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -132,12 +136,6 @@ class SqgParams:
             )
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise FieldError("lam", f"lam must be nonnegative and finite, got {self.lam}")
-
-    def linear_symbol(self, domain: DomainSpec) -> np.ndarray:
-        """Per-mode decay rate ``kappa |k|^(2 alpha) + lam`` (zero mode: lam)."""
-        rate = self._rate(domain.laplacian_symbol)
-        rate.setflags(write=False)
-        return rate
 
     def _rate(self, symbol: np.ndarray) -> np.ndarray:
         """A new array of the decay rate of each mode, given its ``-Lap`` eigenvalue."""
@@ -844,35 +842,46 @@ def _kept_block(plan: _TransportPlan | _DirichletPlan, full: np.ndarray, name: s
     return plan.kept(full)
 
 
-def _march(
+def _sampled_run(
     state: SimulationState,
     params: SqgParams,
     config: StepperConfig,
-    n_steps: int,
+    sample: Callable[[SimulationState], Mapping[str, float] | None] | None = None,
     scratch: Sequence[np.ndarray] | None = None,
-) -> Iterator[tuple[float, np.ndarray, float]]:
-    """Check a run, then iterate ``(t, block, max |u|)`` over its ``n_steps`` ETD steps.
+    stacklevel: int = 2,
+) -> Generator[SimulationState, None, RunResult]:
+    """:func:`integrate`'s run, advanced one sample per resumption.
 
-    The state is the plan's kept block: on the torus the contiguous
+    The first resumption checks the run, records the initial state and
+    yields it; each later one takes ETD2RK steps of ``config.step_dt`` to
+    the next sample, records it (its series row, the ``sample`` hook, a
+    pending CFL warning) and yields the sampled :class:`SimulationState`,
+    a new array the caller may keep.  The run's :class:`RunResult` is the
+    value of the final ``StopIteration``.  Its last step is labelled
+    ``state.t + config.t_end``, so the run lands exactly on its horizon.
+    Between resumptions the run holds only the latest sampled state, its
+    final state to be.  A CFL warning names the frame ``stacklevel`` levels
+    up from this one, as :func:`warnings.warn` counts: 2 is the frame that
+    resumed the run.
+
+    The stepped state is the plan's kept block: on the torus the contiguous
     ``(n, n/3 + 1)`` columns of the real-FFT half plane, whose conjugate
     mirror the plan derives, on the Dirichlet box the ``[:2n/3, :2n/3]``
     corner.  The transport touches only those modes, so the ETD update, the
     phi_1/phi_2 terms and the finite check all run on the block, and the
-    state and forcing must be zero outside it (checked here, before the
-    first step).  ``plan.assemble(block)`` gives the full layout, which
-    equals the full-layout update bit for bit.
+    state and forcing must be zero outside it (checked before the first
+    sample).  ``plan.assemble(block)`` gives the full layout, which equals
+    the full-layout update bit for bit.
 
-    The march owns its buffers: the block alternates between two arrays,
-    the transport writes through ``scratch`` (the plan's scratch buffers,
+    The run owns its buffers: the block alternates between two arrays, the
+    transport writes through ``scratch`` (the plan's scratch buffers,
     allocated here unless the caller gives them) into ``n0`` and, for the
     corrector, ``n1``, which first holds the phi_1 term, so a step
     allocates no array beyond the finite check's mask.  A caller that
     passes a list may refill it with another set of buffers between
-    resumptions, so that marches taking turns on a thread share that
-    thread's set.
-    A yielded block is overwritten two steps later; a caller that keeps a
-    state copies or assembles it before resuming the march.  The plan
-    never holds these buffers, since marches on one domain share it.
+    resumptions, so that runs taking turns on a thread share that thread's
+    set.  The plan never holds these buffers, since runs on one domain
+    share it.
 
     A step runs with overflow warnings silenced and is checked once at its
     end: IEEE arithmetic carries a non-finite value from any intermediate (a
@@ -887,12 +896,12 @@ def _march(
         (a complex field), or any array with a nonzero mode outside the
         block.
     BlowUpError
-        While iterating, at the time of the failed step, with the advective
-        CFL number of the last accepted state (``inf`` if its velocity
-        overflows).
+        At the time of the failed step, with the advective CFL number of
+        the last accepted state (``inf`` if its velocity overflows).
     """
     domain = state.theta.domain
     dt = config.step_dt
+    n_steps = config.n_steps
     plan = _plan(domain)
     coeffs = state.theta.coeffs
     block = _kept_block(plan, coeffs, "theta")
@@ -904,6 +913,8 @@ def _march(
     dt_phi2 *= dt
     if scratch is None:
         scratch = plan.scratch()
+    series = DiagnosticsSeries(meta={"dt": dt})
+    cells_per_length = domain.n / domain.box
 
     def rhs(block: np.ndarray, out: np.ndarray) -> float:
         speed = plan.transport(block, scratch, out)[1]
@@ -911,37 +922,77 @@ def _march(
             out += forcing
         return speed
 
-    def steps(block: np.ndarray) -> Iterator[tuple[float, np.ndarray, float]]:
-        buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
-        n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
-        for k in range(1, n_steps + 1):
-            t_new = state.t + k * dt
-            new_block = buffers[k % 2]
-            with np.errstate(over="ignore", invalid="ignore"):
-                speed = rhs(block, n0)
-                np.multiply(decay, block, out=new_block)
-                new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
-                # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-                speed1 = rhs(new_block, n1)
-                n1 -= n0
-                n1 *= dt_phi2
-                new_block += n1
-                speed = max(speed, speed1)
-                if not (math.isfinite(speed) and np.isfinite(new_block).all()):
-                    last = plan.speed(block)
-                    last = last if math.isfinite(last) else math.inf
-                    raise BlowUpError(t_new, dt * last * domain.n / domain.box)
-            block = new_block
-            yield t_new, block, speed
+    def record(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
+        peak_cfl = dt * peak * cells_per_length
+        if peak_cfl > CFL_LIMIT:
+            warnings.warn(
+                f"advective CFL {peak_cfl:.3g} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
+                CflWarning,
+                stacklevel=stacklevel + 1,  # this frame is nested in the run's
+            )
+        row = {"cfl": dt * speed * cells_per_length}
+        if sample is not None:
+            row.update(sample(current) or {})
+        series.append(current.t, row)
 
-    return steps(block)
+    current = state
+    speed = advective_speed(state.theta)
+    record(current, speed, speed, state.t)
+    yield current
+    buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+    n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+    peak, peak_t = 0.0, state.t
+    for k in range(1, n_steps + 1):
+        t = state.t + config.t_end if k == n_steps else state.t + k * dt
+        new_block = buffers[k % 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            speed = rhs(block, n0)
+            np.multiply(decay, block, out=new_block)
+            new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
+            # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
+            speed1 = rhs(new_block, n1)
+            n1 -= n0
+            n1 *= dt_phi2
+            new_block += n1
+            speed = max(speed, speed1)
+            if not (math.isfinite(speed) and np.isfinite(new_block).all()):
+                last = plan.speed(block)
+                last = last if math.isfinite(last) else math.inf
+                raise BlowUpError(t, dt * last * domain.n / domain.box)
+        block = new_block
+        if speed > peak:
+            peak, peak_t = speed, t
+        if k % config.sample_every == 0 or k == n_steps:
+            # a new array: the next steps overwrite the block, and the field owns its array
+            theta = SpectralField(coeffs=plan.assemble(block), domain=domain)
+            current = SimulationState(t=t, theta=theta)
+            record(current, speed, peak, peak_t)
+            peak = 0.0
+            yield current
+    return RunResult(series=series, final=current)
+
+
+def _finish(run: Generator[SimulationState, None, RunResult]) -> RunResult:
+    """Resume ``run`` until it ends; its :class:`RunResult`.
+
+    This frame resumes the run, so a run made with ``stacklevel=4`` names
+    the caller of the function that calls this one in its CFL warnings.
+    """
+    while True:
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
 
 
 def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
     """Advance one ETD2RK step of ``config.step_dt``.
 
     ``state`` and the forcing must be zero outside the kept 2/3-rule block
-    (dealiased fields are); the new state is zero there too.
+    (dealiased fields are); the new state is zero there too.  The step is a
+    one-step run of :func:`integrate`, so it applies the same CFL rule: a
+    CFL number past :data:`CFL_LIMIT` at the state or the step emits a
+    :class:`~sqglab.errors.CflWarning` naming the caller.
 
     Raises
     ------
@@ -951,10 +1002,8 @@ def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> Si
     BlowUpError
         If the step produces a non-finite value.
     """
-    domain = state.theta.domain
-    t_new, block, _ = next(_march(state, params, config, 1))
-    theta = SpectralField(coeffs=_plan(domain).assemble(block), domain=domain)
-    return SimulationState(t=t_new, theta=theta)
+    one = StepperConfig(dt=config.step_dt, t_end=config.step_dt)
+    return _finish(_sampled_run(state, params, one, stacklevel=4)).final
 
 
 def integrate(
@@ -971,7 +1020,7 @@ def integrate(
     returns a mapping of extra series columns or ``None``; so per-sample
     work streams instead of needing every state kept (pass
     ``states.append`` to keep the trajectory).  The states it gets are
-    ``state`` itself and then new arrays assembled from the march's kept
+    ``state`` itself and then new arrays assembled from the run's kept
     block, which the caller may keep.  ``state`` and the forcing must be
     zero outside that block (dealiased fields are), and are checked before
     the first sample.  The advective CFL number is checked at every step:
@@ -994,71 +1043,7 @@ def integrate(
     BlowUpError
         At the first step that produces a non-finite value.
     """
-    run = _sampled_run(state, params, config, sample, stacklevel=3)
-    while True:
-        try:
-            next(run)
-        except StopIteration as end:
-            return end.value
-
-
-def _sampled_run(
-    state: SimulationState,
-    params: SqgParams,
-    config: StepperConfig,
-    sample: Callable[[SimulationState], Mapping[str, float] | None] | None = None,
-    scratch: Sequence[np.ndarray] | None = None,
-    stacklevel: int = 2,
-) -> Generator[None, None, RunResult]:
-    """:func:`integrate`'s run, advanced one sample per resumption.
-
-    Each resumption marches to the next sample, records it (its series
-    row, the ``sample`` hook, a pending CFL warning) and yields ``None``;
-    the run's :class:`RunResult` is the value of the final
-    ``StopIteration``.  The first resumption checks the run and records the
-    initial state.  Between resumptions the run holds only the latest
-    sampled state, its final state to be.  ``scratch`` goes to
-    :func:`_march`.  A CFL warning names the frame ``stacklevel`` levels up
-    from this one, as :func:`warnings.warn` counts: 2 is the frame that
-    resumed the run.
-    """
-    domain = state.theta.domain
-    dt = config.step_dt
-    series = DiagnosticsSeries(meta={"dt": dt})
-    cells_per_length = domain.n / domain.box
-
-    def record(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
-        peak_cfl = dt * peak * cells_per_length
-        if peak_cfl > CFL_LIMIT:
-            warnings.warn(
-                f"advective CFL {peak_cfl:.3g} exceeds {CFL_LIMIT} at t={peak_t:.6g}",
-                CflWarning,
-                stacklevel=stacklevel + 1,  # this frame is nested in the run's
-            )
-        row = {"cfl": dt * speed * cells_per_length}
-        if sample is not None:
-            row.update(sample(current) or {})
-        series.append(current.t, row)
-
-    n_steps = config.n_steps
-    plan = _plan(domain)
-    march = _march(state, params, config, n_steps, scratch)
-    current = state
-    speed = advective_speed(state.theta)
-    record(current, speed, speed, state.t)
-    yield
-    peak, peak_t = 0.0, state.t
-    for k, (t, block, speed) in enumerate(march, 1):
-        if speed > peak:
-            peak, peak_t = speed, t
-        if k % config.sample_every == 0 or k == n_steps:
-            # a new array: the march overwrites its buffers, and the field owns its array
-            theta = SpectralField(coeffs=plan.assemble(block), domain=domain)
-            current = SimulationState(t=t, theta=theta)
-            record(current, speed, peak, peak_t)
-            peak = 0.0
-            yield
-    return RunResult(series=series, final=current)
+    return _finish(_sampled_run(state, params, config, sample, stacklevel=4))
 
 
 # ----------------------------------------------------------------------------
@@ -1124,7 +1109,7 @@ def picard_reference(
     scratch = plan.scratch()
     m = int(subintervals)
     h = float(t_end) / m
-    rate = params.linear_symbol(domain)
+    rate = params._rate(domain.laplacian_symbol)
     decay_h = np.exp(-rate * h)  # one-node kernel; powers give all i-j >= 0
     growth_h = np.exp(rate * h)  # only ever used for the j = i+1 look-ahead
     weights = _simpson_weights(m, h)

@@ -515,11 +515,15 @@ def _log2_weighted_norm(squares: np.ndarray, logs: np.ndarray, e: int) -> float:
     Each term is ``2^t`` with ``t = log2(square) + log2(weight)``.  With
     ``m`` the largest ``t``, the sum is ``2^m Σ 2^(t - m)``, whose partial
     sum lies in ``[1, size]``; ``inf`` only when the norm itself passes the
-    largest float.
+    largest float, as it does when the ``log2`` of a weight met by a
+    nonzero square does.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log2(squares) + logs
+    terms[squares == 0] = -math.inf  # counts 0, even where the weight's log2 is inf
     top = float(terms.max())
+    if top == math.inf:
+        return math.inf
     total = float(np.exp2(terms - top).sum())
     return _times_power_of_two(math.sqrt(total), top / 2 + e)
 
@@ -557,7 +561,7 @@ def _power_weights(
         weights.setflags(write=False)
         return weights, None, None
     weights[overflowed] = 0.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a log2 past the largest float is inf
         logs = np.where(overflowed, s * np.log2(sym), np.log2(weights))
         if multiplicity is not None:
             logs[overflowed] += np.log2(multiplicity.reshape(-1)[overflowed])

@@ -1414,6 +1414,9 @@ _OVERFLOWING_POSITIVITY = [("amplitude = 0.1", "amplitude = 5"), ("lq = [2, 4]",
         *[("estimates-report", [*edits, *_OVERFLOWING_POSITIVITY], 2) for edits in ([], [_DIRICHLET])],
         # sweep members near 1e239 apart: the squares of their difference overflow
         ("dirichlet-sweep", [("[stepper]", "[forcing]\ntype = sine\namplitude = 2147483648\n[stepper]")], 2),
+        # the log2 of a Sobolev weight overflows: the norm is inf, and the battery's record fails
+        *[(kind, [*edits, ("sobolev = [1]", "sobolev = [1e308]")], code)
+          for kind, code in (("simulate", 0), ("estimates-report", 2)) for edits in ([], [_DIRICHLET])],
     ],
 )
 def test_found_inputs_keep_the_exit_contract(kind, edits, code):
@@ -1645,11 +1648,25 @@ class TestCliArtifacts:
         [
             (SIM_CLI.replace("dt = 0.01", "dt = 0.03"), "simulate", 2),
             (cfg(*SWEEP_CLI_LINES).replace("dt = 0.05", "dt = 0.07"), "sweep-alpha", 3),
+            # 11 * (0.21 / 11) is 0.20999999999999996, one ulp short
+            (
+                SIM_CLI.replace("dt = 0.01", "dt = 0.02").replace("t_end = 0.05", "t_end = 0.21"),
+                "simulate",
+                11,
+            ),
+            (
+                cfg(*SWEEP_CLI_LINES)
+                .replace("dt = 0.05", "dt = 0.02")
+                .replace("t_end = 0.2", "t_end = 0.21"),
+                "sweep-alpha",
+                11,
+            ),
         ],
-        ids=["simulate", "sweep-alpha"],
+        ids=["simulate", "sweep-alpha", "simulate-ulp", "sweep-alpha-ulp"],
     )
     def test_runs_land_on_the_horizon(self, tmp_path, capsys, text, command, n_steps):
-        # dt does not divide t_end: the artifacts report the uniform step taken
+        # dt does not divide t_end: the artifacts report the uniform step
+        # taken, and the last sample is the horizon itself
         out = self.run_ok(tmp_path, capsys, text, command)
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         step = summary["t_end"] / n_steps
@@ -1657,7 +1674,7 @@ class TestCliArtifacts:
         lines = (out / "series.csv").read_text(encoding="utf-8").splitlines()
         assert f"# dt = {step}" in lines
         final_t = summary["final_t"] if command == "simulate" else summary["report"]["times"][-1]
-        assert final_t == pytest.approx(summary["t_end"], rel=0, abs=1e-15)
+        assert final_t == summary["t_end"]
 
     def test_dirichlet_sweep_runs(self, tmp_path, capsys):
         text = cfg(

@@ -24,7 +24,6 @@ from sqglab.dynamics import (
     StepperConfig,
     _block_weights,
     _etd_tables,
-    _march,
     _plan,
     advective_speed,
     default_dt,
@@ -231,8 +230,9 @@ class TestTransportKernel:
         want_cfl = 0.01 * advective_speed(state.theta) * domain.n / domain.box
         with pytest.warns(CflWarning), pytest.raises(BlowUpError) as run:
             integrate(state, params, config)
-        with pytest.raises(BlowUpError) as single:
+        with pytest.warns(CflWarning) as caught, pytest.raises(BlowUpError) as single:
             step(state, params, config)
+        assert {w.filename for w in caught} == {__file__}
         for err in (run.value, single.value):
             assert err.t == pytest.approx(0.01)
             assert np.isfinite(err.cfl)
@@ -1021,19 +1021,32 @@ class TestMarchBuffers:
 
     @pytest.mark.parametrize("name", ["torus32", "torus64", "dirichlet32", "dirichlet64"])
     @pytest.mark.parametrize("kind", ["smooth", "dealiased_noise"])
-    def test_march_state_is_the_kept_block(self, name, kind, request):
+    def test_march_state_is_the_kept_block(self, name, kind, request, monkeypatch):
+        # record what the transport evaluates: two calls per step, on the
+        # state and on the predictor, which the next step starts from
         domain = request.getfixturevalue(name)
         n, state = domain.n, SimulationState(t=0.0, theta=_oracle_state(domain, 33, kind))
-        march = _march(state, SqgParams(kappa=0.1, alpha=0.75), StepperConfig(0.01, 0.03), 3)
-        blocks = []
-        for _, block, _ in march:
-            blocks.append(block)
+        plan_type = type(_plan(domain))
+        transport = plan_type.transport
+        calls = []
+
+        def recording(self, coeffs, *args):
+            calls.append(coeffs)
+            return transport(self, coeffs, *args)
+
+        monkeypatch.setattr(plan_type, "transport", recording)
+        integrate(state, SqgParams(kappa=0.1, alpha=0.75), StepperConfig(0.01, 0.03))
+        assert len(calls) == 6
+        assert np.shares_memory(calls[0], state.theta.coeffs)
+        for block in calls:
             if domain.basis is Basis.TORUS:
                 assert block.shape == (n, n // 3 + 1)
             else:
                 assert block.shape == (2 * n // 3, 2 * n // 3)
-            assert block.flags.c_contiguous
-        assert blocks[0] is blocks[2] and blocks[1] is not blocks[0]
+        assert all(block.flags.c_contiguous for block in calls[1:])
+        # the two state buffers alternate from step to step
+        assert calls[1] is calls[2] is calls[5] and calls[3] is calls[4]
+        assert calls[3] is not calls[1]
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_step_result_stays_fixed(self, name, request):

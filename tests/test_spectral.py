@@ -350,23 +350,28 @@ class TestNorms:
             )
 
     @pytest.mark.parametrize(
-        ("name", "mode", "norm"),
+        ("name", "mode", "norm", "s"),
         [
             # the pair (1, 0), (-1, 0) of weight |k|^800 = 1
-            pytest.param("torus32", {(1, 0): 1.0, (-1, 0): 1.0}, np.sqrt(2.0), id="torus"),
+            pytest.param("torus32", {(1, 0): 1.0, (-1, 0): 1.0}, np.sqrt(2.0), 400.0, id="torus"),
             # sine mode (1, 1) of weight 2^400 on the box of side pi
-            pytest.param("dirichlet32", {(1, 1): 1.0}, 2.0**200, id="dirichlet"),
+            pytest.param("dirichlet32", {(1, 1): 1.0}, 2.0**200, 400.0, id="dirichlet"),
+            # the log2 of |k|^(2s) is 1e308 at |k|^2 = 2 and inf from 4 on,
+            # not inf - inf = nan where the field is zero
+            pytest.param(
+                "torus32", {(1, 1): 1.0, (-1, -1): 1.0}, np.inf, 1e308, id="torus-log2-overflows"
+            ),
         ],
     )
-    def test_overflowing_weights_count_zero_modes_as_zero(self, name, mode, norm, request):
-        # |k|^800 passes the largest float on the outer modes: where the
+    def test_overflowing_weights_count_zero_modes_as_zero(self, name, mode, norm, s, request):
+        # |k|^(2s) passes the largest float on the outer modes: where the
         # field is zero they count 0, not inf * 0 = nan; elsewhere inf
         domain = request.getfixturevalue(name)
         theta = random_smooth_field(domain, seed=25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sobolev_norm(from_modes(domain, mode), 400.0) == norm
-            assert sobolev_norm(dealias(theta), 400.0) == np.inf
+            assert sobolev_norm(from_modes(domain, mode), s) == norm
+            assert sobolev_norm(dealias(theta), s) == np.inf
 
     def test_overflowing_weights_sum_in_log_space_where_the_norm_fits(self):
         # weights up to 512^400 ~ 1e1084 pass the largest float, but the
