@@ -269,7 +269,8 @@ def _distance_column(blocks: Sequence[np.ndarray], weight: np.ndarray) -> np.nda
     untouched.  The blocks are scaled by ``2^-e``, where ``2^e`` bounds
     their largest real or imaginary part (an exact scaling), so no
     difference or square overflows on the way; a distance past the largest
-    float is ``inf``.
+    float is ``inf``.  Each distance is numpy's pairwise sum, not a BLAS
+    product, so its bits do not depend on the BLAS thread count.
     """
     m = len(blocks)
     column = np.empty(m * (m - 1) // 2)
@@ -281,8 +282,9 @@ def _distance_column(blocks: Sequence[np.ndarray], weight: np.ndarray) -> np.nda
     for i in range(m - 1):  # pairs (i, j > i) in row-major order
         diff = np.abs(stack[i + 1 :] - stack[i])
         diff *= diff
+        diff *= weight
         with np.errstate(over="ignore"):
-            np.ldexp(np.sqrt(diff @ weight), e, out=column[row : row + m - 1 - i])
+            np.ldexp(np.sqrt(diff.sum(axis=1)), e, out=column[row : row + m - 1 - i])
         row += m - 1 - i
     return column
 

@@ -994,6 +994,13 @@ def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> Si
     CFL number past :data:`CFL_LIMIT` at the state or the step emits a
     :class:`~sqglab.errors.CflWarning` naming the caller.
 
+    Each call pays a whole run's set-up: the kept-block checks, the ETD
+    tables, the transport buffers, the initial speed and the full-layout
+    result.  At n = 128 on a 2-core x86-64 host a call took 1.4-1.8 ms,
+    against 0.84-0.85 ms per step inside one :func:`integrate`; repeated
+    stepping belongs in one :func:`integrate` run, whose ``sample`` hook
+    sees each state.
+
     Raises
     ------
     FieldError

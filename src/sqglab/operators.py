@@ -15,7 +15,9 @@ Gauss-Legendre panels, analytic tail corrections chosen per call so
 truncation error stays near 1e-10 relative) and compares them against the
 eigendecomposition functional calculus, which serves as the oracle: the
 integral representations are the objects under test, the spectral calculus is
-ground truth.  On top of the two representations sit three derived studies:
+ground truth.  The resolvent terms are summed in blocks of consecutive nodes,
+so a quadrature's working memory beyond the eigendecomposition is O(size),
+not O(nodes x size).  On top of the two representations sit three derived studies:
 convergence of ``(I + A^a)^{-1}`` as ``a -> 1/2``, vanishing of
 ``(I - A^{-b}) phi`` as ``b -> 0+``, and a quantified moment (interpolation)
 inequality for intermediate powers.
@@ -56,6 +58,8 @@ _TRIAL_SIZES = (2, 12)
 _TRUNCATION_TARGET = 1e-11
 #: Gauss-Legendre nodes per decade of lambda in the log-substituted rules.
 _NODES_PER_DECADE = 24
+#: Terms (nodes x size) per block of :func:`_resolvent_sum`, 512 KiB of doubles.
+_BLOCK_TERMS = 2**16
 #: Panel boundary pinned at the (0, L]/(L, inf) split of the tail analysis.
 _SPLIT_POINT = 10.0
 #: Resolvent bound M, ``|lambda (lambda + A)^{-1}| <= M`` for lambda > 0: the
@@ -265,12 +269,32 @@ def _spike_log_panels(u_half: float, outer: float) -> tuple:
 def _resolvent_sum(
     A: DenseOperator, lambdas: np.ndarray, coeffs: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """Fixed-order accumulation of ``sum_i coeffs[i] (A + lambdas[i])^{-1} phi``."""
+    """Fixed-order accumulation of ``sum_i coeffs[i] (A + lambdas[i])^{-1} phi``.
+
+    The terms, the resolvent action in the eigenbasis at each node, are
+    built in one reused block of :data:`_BLOCK_TERMS` ``// size`` consecutive
+    nodes, and the running sum is carried into the first row of the next, so
+    the working memory beyond the eigendecomposition is O(size), not
+    O(nodes x size).  The bits are those of the one-shot sum over a
+    ``(nodes, size)`` table: numpy sums axis 0 of a ``(rows, size >= 2)``
+    array row by row, so the carry keeps its order.  A size-1 operator is
+    summed pairwise instead; its block holds :data:`_BLOCK_TERMS` nodes,
+    more than any quadrature here uses.
+    """
     values, vectors = A._eig
     phi_hat = vectors.T @ np.asarray(phi, dtype=np.float64)
-    # (nodes, modes): resolvent action in the eigenbasis at every node
-    terms = coeffs[:, None] * (phi_hat[None, :] / (values[None, :] + lambdas[:, None]))
-    return vectors @ terms.sum(axis=0)
+    rows = max(1, _BLOCK_TERMS // values.size)
+    block = np.empty((min(rows, lambdas.size), values.size))
+    total = None
+    for start in range(0, lambdas.size, rows):
+        terms = block[: lambdas.size - start]
+        np.add(values, lambdas[start : start + rows, None], out=terms)
+        np.divide(phi_hat, terms, out=terms)
+        terms *= coeffs[start : start + rows, None]
+        if total is not None:
+            terms[0] += total
+        total = terms.sum(axis=0)
+    return vectors @ total
 
 
 def balakrishnan_neg_power(A: DenseOperator, alpha: float, phi: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ transport plan once cut its divergence table from; the plan now forms that
 table on its kept block, and the composed transport oracles read these.
 ``dealias_mask`` is the full-layout 2/3-rule mask those tables were cut
 with, which no run reads either.
+
+``resolvent_sum`` is the one-shot ``(nodes, size)`` table sum the operator
+kit's resolvent quadratures ran before they streamed their nodes in blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 import scipy.fft
 
 from sqglab.errors import BasisError
+from sqglab.operators import DenseOperator
 from sqglab.spectral import Basis, DomainSpec, SpectralField
 
 
@@ -49,6 +53,15 @@ def dealias_mask(domain: DomainSpec) -> np.ndarray:
     """True on modes kept by the 2/3 rule: max(|k₁|,|k₂|) ≤ n/3."""
     i1, i2 = domain.index_grids
     return np.maximum(np.abs(i1), np.abs(i2)) <= domain.n / 3.0
+
+
+def resolvent_sum(
+    A: DenseOperator, lambdas: np.ndarray, coeffs: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """``sum_i coeffs[i] (A + lambdas[i])^{-1} phi`` from one ``(nodes, size)`` table."""
+    values, vectors = A._eig
+    phi_hat = vectors.T @ np.asarray(phi, dtype=np.float64)
+    return vectors @ (coeffs[:, None] * (phi_hat / (values + lambdas[:, None]))).sum(axis=0)
 
 
 def log_sobolev_norm(field: SpectralField, s: float) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -358,6 +360,38 @@ class TestSweeps:
         # 41 and 81 samples: kept blocks would add 4 x 40 x 22.5 kB
         short, long = peak(0.5), peak(1.0)
         assert long <= 1.1 * short, (short, long)
+
+    def test_distances_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # n = 256: a kept block of 256 x 86 = 22016 values, where a BLAS
+        # product splits its reduction by thread count.  checks.json is not
+        # compared: its interpolation records still take spectral norms by
+        # BLAS dot products.
+        config = tmp_path / "sweep.toml"
+        config.write_text(
+            "[experiment]\nkind = sweep-alpha\n[domain]\nn = 256\n[params]\nkappa = 0.2\n"
+            "[stepper]\ndt = 0.0125\nt_end = 0.05\n"
+            "[init]\ntype = random\namplitude = 0.05\nseed = 3\n"
+            "[sweep]\nalphas = [0.75, 0.65, 0.55]\n",
+            encoding="utf-8",
+        )
+        src = os.path.dirname(os.path.dirname(critical.__file__))
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            argv = ["sweep-alpha", "--config", str(config), "--out", str(out)]
+            script = f"import sys\nfrom sqglab.cli import main\nsys.exit(main({argv!r}))\n"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            artifacts.append([(out / name).read_bytes() for name in ("series.csv", "summary.json")])
+        assert artifacts[0] == artifacts[1]
 
     @pytest.mark.parametrize("max_workers", [1, 2, None])
     def test_lowest_failed_member_is_raised(self, torus32, monkeypatch, max_workers):

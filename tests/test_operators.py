@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import resolvent_sum
 from sqglab.errors import SingularOperatorError
 from sqglab.operators import (
     DenseOperator,
@@ -19,7 +21,9 @@ from sqglab.operators import (
     inv_I_plus_Apow,
     lemma62_convergence,
     lemma_limit_alphas,
+    _BLOCK_TERMS,
     _leggauss,
+    _resolvent_sum,
     _validated_eigh,
     moment_inequality_check,
     moment_inequality_trials,
@@ -234,6 +238,40 @@ class TestInvIPlusApow:
         for alpha in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 inv_I_plus_Apow(A, alpha, np.ones(1))
+
+
+class TestResolventSum:
+    # node counts per size: one block, exactly one full block, several blocks
+    # (a size-1 operator is summed pairwise, so its nodes stay in one block)
+    @pytest.mark.parametrize(
+        "size, nodes",
+        [(1, 1514), (1, _BLOCK_TERMS), (2, 1514), (2, _BLOCK_TERMS // 2),
+         (2, _BLOCK_TERMS + 3), (12, 1514), (12, _BLOCK_TERMS // 12),
+         (12, 3 * (_BLOCK_TERMS // 12) + 1), (500, 130), (500, 131), (500, 132),
+         (500, 1514)],
+    )
+    def test_equals_the_one_shot_sum(self, size, nodes):
+        A = scalar_operator(2.0) if size == 1 else random_spd(size, seed=3)
+        rng = np.random.default_rng(size + nodes)
+        lambdas = np.exp(rng.uniform(-20.0, 20.0, nodes))
+        coeffs = rng.standard_normal(nodes)
+        phi = _test_vector(size, seed=4)
+        assert np.array_equal(
+            _resolvent_sum(A, lambdas, coeffs, phi), resolvent_sum(A, lambdas, coeffs, phi)
+        )
+
+    def test_memory_does_not_grow_with_the_node_count(self):
+        # 1325 nodes at alpha = 0.25: a (nodes, 300) table is 3.2 MB per array
+        A = random_spd(300, seed=1)
+        phi = _test_vector(300, seed=2)
+        inv_I_plus_Apow(A, 0.25, phi)  # Gauss-Legendre rules cached first
+        tracemalloc.start()
+        try:
+            inv_I_plus_Apow(A, 0.25, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestLemmaLimit:
