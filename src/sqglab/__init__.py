@@ -32,7 +32,6 @@ from .dynamics import (
     nonlinear_rhs,
     picard_reference,
     restrict_odd_extension,
-    step,
 )
 from .errors import (
     BasisError,
@@ -100,7 +99,6 @@ __all__ = [
     "nonlinear_rhs",
     "advective_speed",
     "default_dt",
-    "step",
     "integrate",
     "picard_reference",
     "embed_odd_extension",

@@ -211,9 +211,14 @@ def _run_fixed_alpha(
     domain = theta0.domain
     battery_plan = _battery_plan(domain, params.alpha) if full_battery else None
     scratch = battery_plan.scratch() if full_battery else None
-    # without the battery, two grids of the size of theta's (Dirichlet: its
-    # interior, the spectral shape) for the norm pass of every sample
-    grids = () if full_battery else tuple(np.empty(domain.spectral_shape) for _ in range(2))
+    # the norm pass of every sample writes the battery's three grids,
+    # reversed so that its integrand lands on the (-Lap)^a theta grid, or
+    # without the battery two grids of the size of theta's (Dirichlet: its
+    # interior, the spectral shape)
+    if full_battery:
+        buffers = scratch[2::-1]
+    else:
+        buffers = tuple(np.empty(domain.spectral_shape) for _ in range(2))
     # on the torus theta's grid is the transport plan's pruned synthesis of
     # the kept block, through the synthesis buffers owned for the run, and
     # the Sobolev norms sum over that block, whose weights count each
@@ -234,12 +239,12 @@ def _run_fixed_alpha(
         else:
             grid = to_physical(theta)
         l2, *sobolev = _weighted_norms(norm_layout(theta.coeffs), norm_weights)
+        diss = None
         if full_battery:
-            slack, linf, lq, integrals = battery_plan.check(
-                theta, grid, finite_lq, scratch, dealiased
-            )
-        else:
-            linf, lq, _ = _grid_norms(grid.values, domain, finite_lq, buffers=grids)
+            slack, diss = battery_plan.check(theta, grid.values, scratch, dealiased)
+        # an overflowing integrand is a non-finite record, which rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            linf, lq, integrals = _grid_norms(grid.values, domain, finite_lq, diss, buffers)
         row = {"l2": l2, "linf": linf}
         row.update((f"lq{q:g}", value) for q, value in zip(finite_lq, lq))
         row.update((f"h{s:g}", value) for s, value in zip(sobolev_orders, sobolev))
@@ -260,7 +265,7 @@ def _run_fixed_alpha(
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
     # the sampling is over: the buffers go before the artifacts are built
-    scratch = transforms = grids = None
+    scratch = transforms = buffers = None
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     times = series.times

@@ -42,17 +42,16 @@ against.
 Runs take uniform steps, and the last one is labelled with the horizon
 itself, so a run lands exactly on it.  One generator serves both bases and
 every caller: it checks the run, takes the steps and yields each sampled
-state; :func:`integrate`, :func:`step` (a one-step run) and the members of
-an alpha sweep all drive it.  Its state is the kept block itself, in two
-buffers it owns, so the ETD update and the per-step check for non-finite
-values (the blow-up signal) run on the block only; every step is also
-checked against the advective CFL limit, and a run past it, :func:`step`
-included, warns its caller.  A state or forcing with modes outside the
-block is rejected, since the run would not evolve them.  Sampled states
-are assembled into new full-layout arrays (on the torus the block's
-conjugate mirror fills the other columns) and stream to the caller's one
-``sample`` hook, which may keep them and returns the sample's extra series
-columns.
+state; :func:`integrate` and the members of an alpha sweep drive it.  Its
+state is the kept block itself, in two buffers it owns, so the ETD update
+and the per-step check for non-finite values (the blow-up signal) run on
+the block only; every step is also checked against the advective CFL
+limit, and a run past it warns its caller.  A state or forcing with modes
+outside the block is rejected, since the run would not evolve them.
+Sampled states are assembled into new full-layout arrays (on the torus the
+block's conjugate mirror fills the other columns) and stream to the
+caller's one ``sample`` hook, which may keep them and returns the sample's
+extra series columns.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -83,7 +82,6 @@ __all__ = [
     "nonlinear_rhs",
     "advective_speed",
     "default_dt",
-    "step",
     "integrate",
     "picard_reference",
     "embed_odd_extension",
@@ -972,47 +970,6 @@ def _sampled_run(
     return RunResult(series=series, final=current)
 
 
-def _finish(run: Generator[SimulationState, None, RunResult]) -> RunResult:
-    """Resume ``run`` until it ends; its :class:`RunResult`.
-
-    This frame resumes the run, so a run made with ``stacklevel=4`` names
-    the caller of the function that calls this one in its CFL warnings.
-    """
-    while True:
-        try:
-            next(run)
-        except StopIteration as end:
-            return end.value
-
-
-def step(state: SimulationState, params: SqgParams, config: StepperConfig) -> SimulationState:
-    """Advance one ETD2RK step of ``config.step_dt``.
-
-    ``state`` and the forcing must be zero outside the kept 2/3-rule block
-    (dealiased fields are); the new state is zero there too.  The step is a
-    one-step run of :func:`integrate`, so it applies the same CFL rule: a
-    CFL number past :data:`CFL_LIMIT` at the state or the step emits a
-    :class:`~sqglab.errors.CflWarning` naming the caller.
-
-    Each call pays a whole run's set-up: the kept-block checks, the ETD
-    tables, the transport buffers, the initial speed and the full-layout
-    result.  At n = 128 on a 2-core x86-64 host a call took 1.4-1.8 ms,
-    against 0.84-0.85 ms per step inside one :func:`integrate`; repeated
-    stepping belongs in one :func:`integrate` run, whose ``sample`` hook
-    sees each state.
-
-    Raises
-    ------
-    FieldError
-        Naming ``theta`` for a torus state that is not a real field, and
-        ``theta`` or ``forcing`` for one with a mode outside the kept block.
-    BlowUpError
-        If the step produces a non-finite value.
-    """
-    one = StepperConfig(dt=config.step_dt, t_end=config.step_dt)
-    return _finish(_sampled_run(state, params, one, stacklevel=4)).final
-
-
 def integrate(
     state: SimulationState,
     params: SqgParams,
@@ -1050,7 +1007,12 @@ def integrate(
     BlowUpError
         At the first step that produces a non-finite value.
     """
-    return _finish(_sampled_run(state, params, config, sample, stacklevel=4))
+    run = _sampled_run(state, params, config, sample, stacklevel=3)
+    while True:
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
 
 
 # ----------------------------------------------------------------------------

@@ -19,15 +19,18 @@ The families covered:
 The pointwise and positivity checks of a state run on one read-only plan
 per (domain, order), cached like the transport plans, and write into
 buffers the caller owns (the plan's ``scratch()``), which a run reuses
-at every sample.  The plan holds its domain's transport plan, the one
-owner of the block of modes the 2/3 rule keeps: its tables are cut with
-that plan, whether a state has modes past the cut is that plan's dealias
-test, and on the torus ``(-Lap)^a theta`` is that plan's pruned synthesis
-of the block.  The square of the pointwise inequality is formed alias-free
-on the grid of 3n/2 points; every transform is a per-axis ``numpy.fft``
-pass whose axis-0 passes run only on the columns that can be nonzero.  The
-Dirichlet box keeps ``to_physical`` and its same-grid square behind the
-same plan.
+at every sample.  The plan gives a state's Córdoba slack and its
+``(-Lap)^a theta`` grid; the positivity integrals come from the same
+:func:`~sqglab.spectral._grid_norms` pass that gives the state's L^q
+norms, in the plan's three scratch grids.  The plan holds its domain's
+transport plan, the one owner of the block of modes the 2/3 rule keeps:
+its tables are cut with that plan, whether a state has modes past the cut
+is that plan's dealias test, and on the torus ``(-Lap)^a theta`` is that
+plan's pruned synthesis of the block.  The square of the pointwise
+inequality is formed alias-free on the grid of 3n/2 points; every
+transform is a per-axis ``numpy.fft`` pass whose axis-0 passes run only
+on the columns that can be nonzero.  The Dirichlet box keeps
+``to_physical`` and its same-grid square behind the same plan.
 """
 
 from __future__ import annotations
@@ -243,19 +246,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _dissipated(theta: SpectralField, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Grid values of ``(-Lap)^a theta`` through ``to_physical``; ``values`` (theta's) at a = 0."""
-    if alpha == 0.0:
-        return values
-    return to_physical(fractional_laplacian(theta, alpha)).values
-
-
 @dataclass(frozen=True)
 class _BatteryPlan:
     """Read-only tables of the per-state checks on one domain and order a.
 
     Shared and cached per (domain, a), the plan holds no writable state:
-    :meth:`scratch` gives the caller every buffer the checks write.
+    :meth:`scratch` gives the caller every buffer the checks write.  One
+    :meth:`check` per state gives the Córdoba slack and the grid of
+    ``(-Lap)^a theta``, which the caller's one
+    :func:`~sqglab.spectral._grid_norms` pass turns into the positivity
+    integrals beside the L^q norms, in the scratch grids reversed
+    (``scratch[2::-1]``, so the integrand lands on that grid itself).
     ``transport`` is the domain's transport plan, which owns the kept block
     and answers whether a state has modes past the 2/3 cut
     (``transport.dealiased``).  On a Dirichlet box ``synth`` and ``square``
@@ -290,7 +291,7 @@ class _BatteryPlan:
         """The buffers the checks write: three grids, then on the torus five transform buffers.
 
         The grids take ``(-Lap)^a phi``, ``(-Lap)^a(phi^2)`` and the slack,
-        and the integrals reuse all three.  The torus buffers are a kept
+        and the caller's norm pass reuses all three.  The torus buffers are a kept
         block and a zeroed half plane on the n grid, then the N-grid input
         block (zero between its kept rows), a half plane and the N grid.
         """
@@ -310,17 +311,23 @@ class _BatteryPlan:
         )
 
     def dissipated(
-        self, phi: SpectralField, values: np.ndarray, scratch: tuple[np.ndarray, ...]
+        self,
+        phi: SpectralField,
+        values: np.ndarray,
+        scratch: tuple[np.ndarray, ...],
+        dealiased: bool = True,
     ) -> np.ndarray:
-        """Grid values of ``(-Lap)^a phi`` for a dealiased phi; ``values`` (phi's) at a = 0.
+        """Grid values of ``(-Lap)^a phi``; ``values`` (phi's) at a = 0.
 
-        On the torus they are written into the first scratch grid, from
-        phi's block copied to the contiguous temp (not a strided view).
+        ``dealiased`` is the transport plan's ``dealiased(phi.coeffs)``.  A
+        dealiased torus phi is synthesized into the first scratch grid, from
+        its block copied to the contiguous temp (not a strided view); a box
+        phi, or one with modes past the cut, goes through ``to_physical``.
         """
         if self.alpha == 0.0:
             return values
-        if self.synth is None:
-            return _dissipated(phi, values, self.alpha)
+        if self.synth is None or not dealiased:
+            return to_physical(fractional_laplacian(phi, self.alpha)).values
         grid, _, _, temp, half = scratch[:5]
         np.copyto(temp, self.transport.kept(phi.coeffs))
         return self.transport.synthesize(self.synth, temp, (half, temp), grid)
@@ -387,54 +394,35 @@ class _BatteryPlan:
         folded[nyq] *= 2.0
         return np.fft.irfft(folded[: nyq + 1], n=n, axis=0, norm="forward", out=out.T).T
 
-    def integrals(
-        self,
-        values: np.ndarray,
-        diss: np.ndarray,
-        qs: Sequence[float],
-        scratch: tuple[np.ndarray, ...],
-    ) -> tuple[float, list[float], list[float]]:
-        """max|theta|, then the L^q norms and positivity integrals, one per q.
-
-        ``values`` and ``diss`` are the grids of theta and ``(-Lap)^a
-        theta``, and the integrand is ``diss theta |theta|^{q-2}``: one
-        :func:`~sqglab.spectral._grid_norms` pass in the three scratch
-        grids, which are free once the slack minimum is taken.  A state
-        whose integrand overflows gives ``inf`` or ``nan``: the record it
-        fills rejects it as a :class:`~sqglab.errors.NonFiniteError`.
-        """
-        return _grid_norms(values, self.domain, qs, diss, scratch[2::-1])
-
     def check(
         self,
         theta: SpectralField,
-        grid: PhysicalField,
-        qs: Sequence[float],
+        values: np.ndarray,
         scratch: tuple[np.ndarray, ...],
         dealiased: bool,
-    ) -> tuple[float, float, list[float], list[float]]:
-        """Córdoba minimum slack, then :meth:`integrals`, of one state.
+    ) -> tuple[float, np.ndarray]:
+        """Córdoba minimum slack of one state, and its ``(-Lap)^a theta`` grid.
 
-        ``grid`` is ``to_physical(theta)`` and ``dealiased`` the transport
+        ``values`` are theta's grid values and ``dealiased`` the transport
         plan's ``dealiased(theta.coeffs)``, both of which a run's sample has
         already formed.  When theta has modes beyond the dealias cut, the
         Córdoba check reads ``dealias(theta)``, synthesized once more, and
-        the integrals read ``(-Lap)^a theta`` through ``to_physical``.  A
-        state whose products overflow gives non-finite results, silently
-        (or a :class:`~sqglab.errors.NonFiniteError`), which its records reject.
+        the returned grid is theta's own through ``to_physical``.  On a
+        dealiased torus state the grid is the first scratch grid, which
+        the caller's positivity integrals may overwrite: the slack's grids
+        are free once its minimum is taken.  A state whose products
+        overflow gives a non-finite slack, silently (or a
+        :class:`~sqglab.errors.NonFiniteError`), which its record rejects.
         """
-        values = grid.values
         with np.errstate(over="ignore", invalid="ignore"):
+            diss = self.dissipated(theta, values, scratch, dealiased)
             if dealiased:
-                diss = self.dissipated(theta, values, scratch)
-                slack = float(self.slack(theta, values, diss, scratch).min())
+                phi, phi_values, phi_diss = theta, values, diss
             else:
                 phi = dealias(theta)
                 phi_values = to_physical(phi).values
                 phi_diss = self.dissipated(phi, phi_values, scratch)
-                slack = float(self.slack(phi, phi_values, phi_diss, scratch).min())
-                diss = _dissipated(theta, values, self.alpha)
-            return (slack, *self.integrals(values, diss, qs, scratch))
+            return float(self.slack(phi, phi_values, phi_diss, scratch).min()), diss
 
 
 def _carve(layout: list[tuple[tuple[int, int], type]]) -> tuple[np.ndarray, ...]:
@@ -525,11 +513,8 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     values = to_physical(theta).values
     plan = _battery_plan(theta.domain, alpha)
     scratch = plan.scratch()
-    if plan.transport.dealiased(theta.coeffs):
-        diss = plan.dissipated(theta, values, scratch)
-    else:
-        diss = _dissipated(theta, values, alpha)
-    return plan.integrals(values, diss, [q], scratch)[2][0]
+    diss = plan.dissipated(theta, values, scratch, plan.transport.dealiased(theta.coeffs))
+    return _grid_norms(values, theta.domain, [q], diss, scratch[2::-1])[2][0]
 
 
 # ----------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from sqglab.dynamics import (
     nonlinear_rhs,
     picard_reference,
     restrict_odd_extension,
-    step,
 )
 from sqglab.errors import BlowUpError, CflWarning, FieldError
 from sqglab.fields import random_smooth_field, shear_field
@@ -228,15 +227,12 @@ class TestTransportKernel:
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.02)
         want_cfl = 0.01 * advective_speed(state.theta) * domain.n / domain.box
-        with pytest.warns(CflWarning), pytest.raises(BlowUpError) as run:
+        with pytest.warns(CflWarning) as caught, pytest.raises(BlowUpError) as run:
             integrate(state, params, config)
-        with pytest.warns(CflWarning) as caught, pytest.raises(BlowUpError) as single:
-            step(state, params, config)
         assert {w.filename for w in caught} == {__file__}
-        for err in (run.value, single.value):
-            assert err.t == pytest.approx(0.01)
-            assert np.isfinite(err.cfl)
-            assert err.cfl == pytest.approx(want_cfl, rel=1e-12)
+        assert run.value.t == pytest.approx(0.01)
+        assert np.isfinite(run.value.cfl)
+        assert run.value.cfl == pytest.approx(want_cfl, rel=1e-12)
 
     def test_dirichlet_transport_allocates_no_grid(self):
         # every sine/cosine transform overwrites a scratch grid, so what a
@@ -668,11 +664,12 @@ class TestStepOracles:
         assert np.isfinite(info.value.cfl)
 
     def test_single_step_advances_time(self, torus32):
+        # a one-step run from a later state lands on t + dt exactly
         theta0 = random_smooth_field(torus32, seed=6, amplitude=0.1)
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.01)
-        state = step(SimulationState(t=0.0, theta=theta0), params, config)
-        assert state.t == pytest.approx(0.01)
+        state = integrate(SimulationState(t=0.3, theta=theta0), params, config).final
+        assert state.t == 0.3 + 0.01
 
 
 class TestIntegrateContract:
@@ -771,8 +768,7 @@ class TestIntegrateContract:
         result = integrate(SimulationState(t=0.0, theta=theta0), params, config)
         assert len(result.series) == 12
         assert result.final.t == pytest.approx(1.0, rel=0, abs=1e-14)
-        step_state = step(SimulationState(t=0.0, theta=theta0), params, config)
-        assert step_state.t == config.step_dt
+        assert result.series.times[1] == config.step_dt
 
     def test_cfl_peak_between_samples_warns(self, torus32):
         # theta = e^{-t} cos x1 + h (1 - e^{-9t}) with h = -cos(3 x1)/2 held
@@ -880,7 +876,7 @@ class TestStepOracle:
         state = SimulationState(t=0.0, theta=theta)
         result = integrate(state, params, config)
         assert np.array_equal(result.final.theta.coeffs, want)
-        first = step(state, params, config)
+        first = integrate(state, params, StepperConfig(dt=0.01, t_end=0.01)).final
         assert np.array_equal(first.theta.coeffs, _reference_march(theta, params, config, 1))
 
     @pytest.mark.parametrize("name", ["torus32", "torus64"])
@@ -892,10 +888,9 @@ class TestStepOracle:
         theta = SpectralField(coeffs=real + 1j * imag, domain=domain)
         state = SimulationState(t=0.0, theta=theta)
         config = StepperConfig(dt=0.01, t_end=0.02)
-        for march in (integrate, step):
-            with pytest.raises(FieldError, match="not a real field") as err:
-                march(state, SqgParams(kappa=0.1, alpha=0.75), config)
-            assert err.value.field == "theta"
+        with pytest.raises(FieldError, match="not a real field") as err:
+            integrate(state, SqgParams(kappa=0.1, alpha=0.75), config)
+        assert err.value.field == "theta"
 
     def test_complex_column_zero_is_rejected(self):
         # column k2 = 0 is its own mirror: (1, 0) = 1 with (-1, 0) = 0 is complex
@@ -907,13 +902,12 @@ class TestStepOracle:
         state = SimulationState(t=0.0, theta=field)
         forced = SqgParams(kappa=0.1, alpha=0.75, forcing=field)
         real = SimulationState(t=0.0, theta=cosine_field(domain, (1, 0)))
-        for march in (integrate, step):
-            with pytest.raises(FieldError, match="not a real field") as err:
-                march(state, SqgParams(kappa=0.1, alpha=0.75), config)
-            assert err.value.field == "theta"
-            with pytest.raises(FieldError, match="not a real field") as err:
-                march(real, forced, config)
-            assert err.value.field == "forcing"
+        with pytest.raises(FieldError, match="not a real field") as err:
+            integrate(state, SqgParams(kappa=0.1, alpha=0.75), config)
+        assert err.value.field == "theta"
+        with pytest.raises(FieldError, match="not a real field") as err:
+            integrate(real, forced, config)
+        assert err.value.field == "forcing"
 
     @pytest.mark.parametrize("name", ["torus32", "torus64"])
     def test_march_output_marches_again(self, name, request):
@@ -923,7 +917,8 @@ class TestStepOracle:
         params = SqgParams(kappa=0.1, alpha=0.75)
         state = SimulationState(t=0.0, theta=random_smooth_field(domain, 10, amplitude=0.5))
         final = integrate(state, params, StepperConfig(dt=0.01, t_end=0.05)).final
-        assert step(final, params, StepperConfig(dt=0.01, t_end=0.01)).t == pytest.approx(0.06)
+        again = integrate(final, params, StepperConfig(dt=0.01, t_end=0.01)).final
+        assert again.t == pytest.approx(0.06)
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_state_outside_the_block_is_rejected(self, name, request):
@@ -933,10 +928,9 @@ class TestStepOracle:
         state = SimulationState(t=0.0, theta=_full_spectrum_field(domain, 7) * 0.05)
         config = StepperConfig(dt=0.01, t_end=0.02)
         samples = []
-        for march, extra in ((integrate, {"sample": samples.append}), (step, {})):
-            with pytest.raises(FieldError, match="outside the block") as err:
-                march(state, SqgParams(kappa=0.1, alpha=0.75), config, **extra)
-            assert err.value.field == "theta"
+        with pytest.raises(FieldError, match="outside the block") as err:
+            integrate(state, SqgParams(kappa=0.1, alpha=0.75), config, sample=samples.append)
+        assert err.value.field == "theta"
         assert samples == []
 
     @pytest.mark.parametrize(
@@ -954,10 +948,9 @@ class TestStepOracle:
         state = SimulationState(t=0.0, theta=random_smooth_field(domain, 8, amplitude=0.5))
         params = SqgParams(kappa=0.1, alpha=0.75, forcing=forcing(domain))
         config = StepperConfig(dt=0.01, t_end=0.02)
-        for march in (integrate, step):
-            with pytest.raises(FieldError, match="outside the block") as err:
-                march(state, params, config)
-            assert err.value.field == "forcing"
+        with pytest.raises(FieldError, match="outside the block") as err:
+            integrate(state, params, config)
+        assert err.value.field == "forcing"
 
 
 def _sparse_array(domain, seed, base, modes):
@@ -1049,16 +1042,17 @@ class TestMarchBuffers:
         assert calls[3] is not calls[1]
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
-    def test_step_result_stays_fixed(self, name, request):
+    def test_final_state_stays_fixed(self, name, request):
+        # later runs that march from a returned final state leave its array alone
         domain = request.getfixturevalue(name)
         params = SqgParams(kappa=0.1, alpha=0.75)
         config = StepperConfig(dt=0.01, t_end=0.01)
         state = SimulationState(t=0.0, theta=random_smooth_field(domain, seed=32, amplitude=0.5))
-        first = step(state, params, config)
+        first = integrate(state, params, config).final
         snapshot = first.theta.coeffs.copy()
         later = first
         for _ in range(3):
-            later = step(later, params, config)
+            later = integrate(later, params, config).final
         assert np.array_equal(first.theta.coeffs, snapshot)
 
     @pytest.mark.parametrize("name", ["torus64", "dirichlet64"])

@@ -33,6 +33,7 @@ from sqglab.spectral import (
     DomainSpec,
     PhysicalField,
     SpectralField,
+    _grid_norms,
     cosine_field,
     dealias,
     fractional_laplacian,
@@ -439,16 +440,18 @@ class TestBatteryPlan:
     QS = (2.0, 3.0, 4.0, 8.0)
 
     def _check(self, theta, alpha):
-        """The plan's check of one state, as a run's sample calls it."""
+        """Min slack and positivity integrals of one state, as a run's sample forms them."""
         plan = _battery_plan(theta.domain, alpha)
-        dealiased = plan.transport.dealiased(theta.coeffs)
-        return plan.check(theta, to_physical(theta), self.QS, plan.scratch(), dealiased)
+        scratch = plan.scratch()
+        values = to_physical(theta).values
+        slack, diss = plan.check(theta, values, scratch, plan.transport.dealiased(theta.coeffs))
+        return slack, _grid_norms(values, theta.domain, self.QS, diss, scratch[2::-1])[2]
 
     def _assert_matches_direct(self, theta, alpha):
         slack, peak, integrals, scales = _direct_battery(theta, alpha, self.QS)
         got = cordoba_slack_field(theta, alpha).values
         assert np.abs(got - slack).max() <= 1e-12 * peak
-        min_slack, _, _, got_integrals = self._check(theta, alpha)
+        min_slack, got_integrals = self._check(theta, alpha)
         assert min_slack == got.min()
         for q, value, want, scale in zip(self.QS, got_integrals, integrals, scales):
             assert abs(value - want) <= 1e-12 * scale, f"q={q}"
@@ -482,7 +485,7 @@ class TestBatteryPlan:
         square = to_spectral(values**2, dirichlet32)
         want = 2.0 * values * diss - to_physical(fractional_laplacian(square, alpha)).values
         assert np.array_equal(cordoba_slack_field(theta, alpha).values, want)
-        min_slack, _, _, integrals = self._check(theta, alpha)
+        min_slack, integrals = self._check(theta, alpha)
         assert min_slack == want.min()
         cell = (dirichlet32.box / dirichlet32.n) ** 2
         for q, value in zip(self.QS, integrals):
@@ -496,20 +499,26 @@ class TestBatteryPlan:
         n = 64
         domain = DomainSpec(n=n)
         theta = random_smooth_field(domain, 5, amplitude=1.0)
-        grid = to_physical(theta)
+        values = to_physical(theta).values
         plan = _battery_plan(domain, 0.75)
-        scratch = plan.scratch()
         dealiased = plan.transport.dealiased(theta.coeffs)
-        plan.check(theta, grid, self.QS, scratch, dealiased)
+
+        def sample(scratch):
+            # the check, then the norm pass in its grids, as a run's sample
+            slack, diss = plan.check(theta, values, scratch, dealiased)
+            return slack, _grid_norms(values, domain, self.QS, diss, scratch[2::-1])
+
+        scratch = plan.scratch()
+        sample(scratch)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = plan.check(theta, grid, self.QS, scratch, dealiased)
+            got = sample(scratch)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - current < n * n * np.dtype(np.complex128).itemsize / 8
-        assert got == plan.check(theta, grid, self.QS, plan.scratch(), dealiased)
+        assert got == sample(plan.scratch())
 
 
 class TestSobolevBoundMonitor:
