@@ -211,14 +211,10 @@ def _run_fixed_alpha(
     domain = theta0.domain
     battery_plan = _battery_plan(domain, params.alpha) if full_battery else None
     scratch = battery_plan.scratch() if full_battery else None
-    # the norm pass of every sample writes the battery's three grids,
-    # reversed so that its integrand lands on the (-Lap)^a theta grid, or
-    # without the battery two grids of the size of theta's (Dirichlet: its
-    # interior, the spectral shape)
-    if full_battery:
-        buffers = scratch[2::-1]
-    else:
-        buffers = tuple(np.empty(domain.spectral_shape) for _ in range(2))
+    # the norm pass of every sample writes the battery's grids, reversed so
+    # that its integrand lands on the (-Lap)^a theta grid, or two grids of
+    # theta's size (Dirichlet: its interior, the spectral shape)
+    buffers = scratch[2::-1] if full_battery else np.empty((2, *domain.spectral_shape))
     # on the torus theta's grid is the transport plan's pruned synthesis of
     # the kept block, through the synthesis buffers owned for the run, and
     # the Sobolev norms sum over that block, whose weights count each

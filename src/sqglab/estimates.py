@@ -19,18 +19,16 @@ The families covered:
 The pointwise and positivity checks of a state run on one read-only plan
 per (domain, order), cached like the transport plans, and write into
 buffers the caller owns (the plan's ``scratch()``), which a run reuses
-at every sample.  The plan gives a state's Córdoba slack and its
-``(-Lap)^a theta`` grid; the positivity integrals come from the same
-:func:`~sqglab.spectral._grid_norms` pass that gives the state's L^q
-norms, in the plan's three scratch grids.  The plan holds its domain's
-transport plan, the one owner of the block of modes the 2/3 rule keeps:
-its tables are cut with that plan, whether a state has modes past the cut
-is that plan's dealias test, and on the torus ``(-Lap)^a theta`` is that
-plan's pruned synthesis of the block.  The square of the pointwise
-inequality is formed alias-free on the grid of 3n/2 points; every
-transform is a per-axis ``numpy.fft`` pass whose axis-0 passes run only
-on the columns that can be nonzero.  The Dirichlet box keeps
-``to_physical`` and its same-grid square behind the same plan.
+at every sample; the positivity integrals come from the pass that gives
+the state's L^q norms.  The plan holds its domain's transport plan, the
+one owner of the block of modes the 2/3 rule keeps: its tables are cut
+with that plan, whether a state has modes past the cut is that plan's
+dealias test, and on the torus ``(-Lap)^a theta`` is that plan's pruned
+synthesis of the block.  The square of the pointwise inequality is formed
+alias-free on the grid of 3n/2 points; every transform is a per-axis
+``numpy.fft`` pass whose axis-0 passes run only on the columns that can
+be nonzero.  The Dirichlet box keeps ``to_physical`` and its same-grid
+square behind the same plan.
 """
 
 from __future__ import annotations
@@ -251,12 +249,10 @@ class _BatteryPlan:
     """Read-only tables of the per-state checks on one domain and order a.
 
     Shared and cached per (domain, a), the plan holds no writable state:
-    :meth:`scratch` gives the caller every buffer the checks write.  One
-    :meth:`check` per state gives the Córdoba slack and the grid of
-    ``(-Lap)^a theta``, which the caller's one
-    :func:`~sqglab.spectral._grid_norms` pass turns into the positivity
-    integrals beside the L^q norms, in the scratch grids reversed
-    (``scratch[2::-1]``, so the integrand lands on that grid itself).
+    :meth:`scratch` gives the caller every buffer the checks write.
+    :meth:`check` gives a state's Córdoba slack and ``(-Lap)^a theta``
+    grid, which the caller's L^q pass (:func:`~sqglab.spectral._grid_norms`
+    in ``scratch[2::-1]``) turns into the positivity integrals.
     ``transport`` is the domain's transport plan, which owns the kept block
     and answers whether a state has modes past the 2/3 cut
     (``transport.dealiased``).  On a Dirichlet box ``synth`` and ``square``
@@ -406,11 +402,9 @@ class _BatteryPlan:
         ``values`` are theta's grid values and ``dealiased`` the transport
         plan's ``dealiased(theta.coeffs)``, both of which a run's sample has
         already formed.  When theta has modes beyond the dealias cut, the
-        Córdoba check reads ``dealias(theta)``, synthesized once more, and
-        the returned grid is theta's own through ``to_physical``.  On a
-        dealiased torus state the grid is the first scratch grid, which
-        the caller's positivity integrals may overwrite: the slack's grids
-        are free once its minimum is taken.  A state whose products
+        Córdoba check reads ``dealias(theta)``, synthesized once more.  The
+        returned grid may be the first scratch grid; the other two are free
+        again.  A state whose products
         overflow gives a non-finite slack, silently (or a
         :class:`~sqglab.errors.NonFiniteError`), which its record rejects.
         """

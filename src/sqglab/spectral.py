@@ -473,8 +473,10 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     so it neither overflows nor underflows on the way.  A zero coefficient
     counts 0 whatever its weight; where a nonzero one meets a weight past the
     largest float the sum runs in log space, and the norm is ``inf`` only
-    when it does not fit itself.
+    when it does not fit itself.  A nan order raises :class:`ValueError`.
     """
+    if math.isnan(s):
+        raise ValueError(f"Sobolev order must be a number, got {s}")
     if field.domain.basis is Basis.TORUS and s < 0 and not field.mean_free:
         raise ZeroModeError("negative-order Sobolev norm requires a mean-free field")
     return _weighted_norms(field.coeffs, [_sobolev_weights(field.domain, s)])[0]
@@ -487,7 +489,9 @@ def _weighted_norms(coeffs: np.ndarray, tables: Sequence[tuple]) -> list[float]:
     flattens the same layout.  The coefficients are scaled by ``2^-e``,
     where ``2^e`` bounds their largest real or imaginary part: an exact
     scaling, after which every ``|c|²`` lies below 2.  Each table is one
-    dot product with those squares, scaled back by ``2^e``; a table whose
+    dot product with those squares, scaled back by ``2^e``, summed by
+    ``numpy.einsum`` rather than BLAS, whose reduction order depends on
+    its thread count; a table whose
     overflowing weights meet a nonzero square sums ``log2`` terms instead
     (:func:`_log2_weighted_norm`).
     """
@@ -504,7 +508,7 @@ def _weighted_norms(coeffs: np.ndarray, tables: Sequence[tuple]) -> list[float]:
         if overflowed is not None and squares[overflowed].any():
             norms.append(_log2_weighted_norm(squares, logs, e))
             continue
-        total = float(np.dot(squares, weights))
+        total = float(np.einsum("i,i->", squares, weights))
         norms.append(_times_power_of_two(math.sqrt(total), e))
     return norms
 
@@ -572,7 +576,7 @@ def _power_weights(
 
 def lq_norm(field: PhysicalField | SpectralField, q: float) -> float:
     """Grid quadrature of the L^q(box) norm, cell weight (L/n)²; q ∈ [2, ∞]."""
-    if q < 2:
+    if not q >= 2:
         raise ValueError(f"q must be >= 2 (monitored range), got {q}")
     return grid_lp_norm(field, q)
 
@@ -582,8 +586,11 @@ def grid_lp_norm(field: PhysicalField | SpectralField, p: float) -> float:
 
     Spectral fields are synthesized to the grid first.  The sum runs over
     the grid divided by its maximum (see :func:`_grid_norms`), so it
-    neither overflows nor underflows on the way, whatever p.
+    neither overflows nor underflows on the way, whatever p.  Any other p,
+    nan included, raises :class:`ValueError`.
     """
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
     if isinstance(field, SpectralField):
         field = to_physical(field)
     orders = () if math.isinf(p) else (p,)
@@ -609,8 +616,9 @@ def _grid_norms(
     moves only ``M``.  An order below 2 (norms only) sums ``a^q``.
     ``buffers`` are up to three grids of θ's size or more, taking ``θ/M``
     then ``P``, ``a²`` and ``diss θ/M``; the last may be ``diss`` itself.
-    Missing ones are allocated.  An integrand that overflows gives ``inf``
-    or ``nan``, silently.
+    Missing ones are allocated.  The sums of products run in
+    ``numpy.einsum``, not BLAS, so their bits do not depend on a thread
+    count.  An integrand that overflows gives ``inf`` or ``nan``, silently.
     """
     if domain.basis is Basis.DIRICHLET:
         values = values[1:-1, 1:-1]
@@ -635,12 +643,12 @@ def _grid_norms(
                 total = float(np.power(a2, q / 2, out=flat).sum())
             else:
                 power = a2 if q == 4 else np.power(a2, q / 2 - 1, out=flat)
-                total = float(np.dot(power, a2))
+                total = float(np.einsum("i,i->", power, a2))
                 if weighted is not None:
                     scale, exponent = mantissa ** (q - 1), e * (q - 1)
                     if 0.0 < mantissa and scale < _TINY:  # underflowed: move it to the exponent
                         scale, exponent = 1.0, exponent + (q - 1) * math.log2(mantissa)
-                    integral = cell * float(np.dot(power, weighted)) * scale
+                    integral = cell * float(np.einsum("i,i->", power, weighted)) * scale
                     integrals.append(_times_power_of_two(integral, exponent))
             norms.append(peak * (cell * total) ** (1.0 / q))
     return peak, norms, integrals

@@ -361,24 +361,32 @@ class TestSweeps:
         short, long = peak(0.5), peak(1.0)
         assert long <= 1.1 * short, (short, long)
 
-    def test_distances_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # n = 256: a kept block of 256 x 86 = 22016 values, where a BLAS
-        # product splits its reduction by thread count.  checks.json is not
-        # compared: its interpolation records still take spectral norms by
-        # BLAS dot products.
-        config = tmp_path / "sweep.toml"
+    @pytest.mark.parametrize(
+        "kind, sections",
+        [
+            ("sweep-alpha", "[sweep]\nalphas = [0.75, 0.65, 0.55]\n"),
+            ("simulate", "[monitors]\nlq = [2, 4, 8]\nsobolev = [1.5]\n"),
+        ],
+        ids=["sweep-alpha", "simulate"],
+    )
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, kind, sections):
+        # n = 256: a kept block of 256 x 86 = 22016 values and a grid of
+        # 65536, where a BLAS product splits its reduction by thread count;
+        # the sweep's distances and interpolation records and a run's norm
+        # columns and records all reduce without BLAS
+        config = tmp_path / "run.toml"
         config.write_text(
-            "[experiment]\nkind = sweep-alpha\n[domain]\nn = 256\n[params]\nkappa = 0.2\n"
-            "[stepper]\ndt = 0.0125\nt_end = 0.05\n"
-            "[init]\ntype = random\namplitude = 0.05\nseed = 3\n"
-            "[sweep]\nalphas = [0.75, 0.65, 0.55]\n",
+            f"[experiment]\nkind = {kind}\n[domain]\nn = 256\n[params]\nkappa = 0.2\n"
+            + ("alpha = 0.75\n" if kind == "simulate" else "")
+            + "[stepper]\ndt = 0.0125\nt_end = 0.05\n"
+            "[init]\ntype = random\namplitude = 0.05\nseed = 3\n" + sections,
             encoding="utf-8",
         )
         src = os.path.dirname(os.path.dirname(critical.__file__))
         artifacts = []
         for threads in ("1", "2"):
             out = tmp_path / f"out-{threads}"
-            argv = ["sweep-alpha", "--config", str(config), "--out", str(out)]
+            argv = [kind, "--config", str(config), "--out", str(out)]
             script = f"import sys\nfrom sqglab.cli import main\nsys.exit(main({argv!r}))\n"
             env = {
                 **os.environ,
@@ -390,7 +398,8 @@ class TestSweeps:
                 timeout=120,
             )
             assert result.returncode == 0, result.stderr
-            artifacts.append([(out / name).read_bytes() for name in ("series.csv", "summary.json")])
+            names = ("series.csv", "summary.json", "checks.json")
+            artifacts.append([(out / name).read_bytes() for name in names])
         assert artifacts[0] == artifacts[1]
 
     @pytest.mark.parametrize("max_workers", [1, 2, None])

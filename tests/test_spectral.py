@@ -299,10 +299,22 @@ class TestNorms:
         l4 = lq_norm(theta, 4.0)
         assert l2 <= l4 * np.sqrt(2 * np.pi * 2 * np.pi) ** 0.5 * (1 + 1e-12)
 
-    def test_lq_rejects_small_exponent(self, torus32):
+    @pytest.mark.parametrize(
+        "norm, order, message",
+        [
+            (lq_norm, 1.5, "q must be >= 2"),
+            (lq_norm, math.nan, "q must be >= 2"),
+            (grid_lp_norm, math.nan, "p must be > 1"),
+            (grid_lp_norm, -1.0, "p must be > 1"),
+            (grid_lp_norm, 0.5, "p must be > 1"),
+            (grid_lp_norm, 1.0, "p must be > 1"),
+            (sobolev_norm, math.nan, "Sobolev order must be a number"),
+        ],
+    )
+    def test_lq_rejects_small_exponent(self, torus32, norm, order, message):
         theta = random_smooth_field(torus32, seed=20)
-        with pytest.raises(ValueError, match="q must be >= 2"):
-            lq_norm(theta, 1.5)
+        with pytest.raises(ValueError, match=message):
+            norm(theta, order)
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     @pytest.mark.parametrize(
@@ -402,14 +414,14 @@ class TestNorms:
 
     def test_norms_that_fit_keep_their_rounding(self, torus32):
         # the kernels' formulas: the grid divided by its maximum, the
-        # coefficients scaled by a power of two, one square, then a dot
-        # product per order, scaled back
+        # coefficients scaled by a power of two, one square, then an einsum
+        # dot product per order (not BLAS), scaled back
         theta = random_smooth_field(torus32, seed=23)
         values = to_physical(theta).values
         cell = (torus32.box / torus32.n) ** 2
         peak = np.abs(values).max()
         a2 = np.square(values / peak).ravel()
-        total = float(np.dot(np.power(a2, 3.0), a2))
+        total = float(np.einsum("i,i->", np.power(a2, 3.0), a2))
         assert lq_norm(theta, 8.0) == peak * (cell * total) ** 0.125
         parts = theta.coeffs.reshape(-1).view(np.float64)
         e = math.frexp(np.abs(parts).max())[1]
@@ -417,7 +429,8 @@ class TestNorms:
         mag2 = squares[0::2] + squares[1::2]
         weights = torus32.laplacian_symbol.ravel().copy()
         weights[0] = 1.0  # the zero mode, counted at s >= 0
-        assert sobolev_norm(theta, 1.0) == math.ldexp(math.sqrt(float(np.dot(mag2, weights))), e)
+        total = float(np.einsum("i,i->", mag2, weights))
+        assert sobolev_norm(theta, 1.0) == math.ldexp(math.sqrt(total), e)
 
     def test_inner_product_matches_norm(self, torus32):
         theta = random_smooth_field(torus32, seed=21)
