@@ -489,11 +489,10 @@ def _weighted_norms(coeffs: np.ndarray, tables: Sequence[tuple]) -> list[float]:
     flattens the same layout.  The coefficients are scaled by ``2^-e``,
     where ``2^e`` bounds their largest real or imaginary part: an exact
     scaling, after which every ``|c|²`` lies below 2.  Each table is one
-    dot product with those squares, scaled back by ``2^e``, summed by
+    dot product with those squares, scaled back by ``2^e`` and summed by
     ``numpy.einsum`` rather than BLAS, whose reduction order depends on
-    its thread count; a table whose
-    overflowing weights meet a nonzero square sums ``log2`` terms instead
-    (:func:`_log2_weighted_norm`).
+    its thread count; a table whose overflowing weights meet a nonzero
+    square sums ``log2`` terms instead (:func:`_log2_weighted_norm`).
     """
     parts = coeffs.view(np.float64)  # real and imaginary parts
     e = math.frexp(max(parts.max(), -parts.min()))[1]
