@@ -32,7 +32,7 @@ from .critical import (
     pairwise_bound_check,
     sweep_with_runs,
 )
-from .dynamics import SimulationState, StepperConfig, _block_weights, _plan, integrate
+from .dynamics import SimulationState, StepperConfig, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -46,7 +46,7 @@ from .errors import (
 from .estimates import (
     CutoffSpec,
     InequalityRecord,
-    _battery_plan,
+    _sample_pass,
     damped_energy_monitor,
     linf_monitor,
     max_principle_monitor,
@@ -66,15 +66,7 @@ from .operators import (
     scalar_operator,
 )
 from .series import DiagnosticsSeries, emit_csv, emit_json, write_table
-from .spectral import (
-    Basis,
-    PhysicalField,
-    SpectralField,
-    _grid_norms,
-    _sobolev_weights,
-    _weighted_norms,
-    to_physical,
-)
+from .spectral import SpectralField
 
 __all__ = ["main"]
 
@@ -207,40 +199,12 @@ def _run_fixed_alpha(
         orders += [s + params.alpha for s, _ in mid_norms]
     radius = get("monitors", "tail_cutoff")  # checked by every kind, read by the battery only
     cutoff = CutoffSpec(k=radius) if full_battery and radius is not None else None
-    # one set of battery buffers, reused by every sample
-    domain = theta0.domain
-    battery_plan = _battery_plan(domain, params.alpha) if full_battery else None
-    scratch = battery_plan.scratch() if full_battery else None
-    # the norm pass of every sample writes the battery's grids, reversed so
-    # that its integrand lands on the (-Lap)^a theta grid, or two grids of
-    # theta's size (Dirichlet: its interior, the spectral shape)
-    buffers = scratch[2::-1] if full_battery else np.empty((2, *domain.spectral_shape))
-    # on the torus theta's grid is the transport plan's pruned synthesis of
-    # the kept block, through the synthesis buffers owned for the run, and
-    # the Sobolev norms sum over that block, whose weights count each
-    # column's conjugate mirror (integrate's states are zero outside it);
-    # the box sums its full layout, as sobolev_norm does, bit for bit
-    plan = _plan(domain)
-    torus = domain.basis is Basis.TORUS
-    transforms = plan.synthesis_scratch() if torus else None
-    norm_layout = plan.kept if torus else np.asarray
-    norm_weights = [(_block_weights if torus else _sobolev_weights)(domain, s) for s in orders]
+    # one set of sample buffers, reused by every sample; given alpha, it runs the battery
+    battery_alpha = params.alpha if full_battery else None
+    read_sample = _sample_pass(theta0.domain, finite_lq, orders, battery_alpha)
 
     def sample(state: SimulationState) -> dict[str, float]:
-        # one synthesis of theta feeds the linf and lq columns and the battery
-        theta = state.theta
-        dealiased = plan.dealiased(theta.coeffs)
-        if transforms is not None and dealiased:
-            grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
-        else:
-            grid = to_physical(theta)
-        l2, *sobolev = _weighted_norms(norm_layout(theta.coeffs), norm_weights)
-        diss = None
-        if full_battery:
-            slack, diss = battery_plan.check(theta, grid.values, scratch, dealiased)
-        # an overflowing integrand is a non-finite record, which rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            linf, lq, integrals = _grid_norms(grid.values, domain, finite_lq, diss, buffers)
+        grid, linf, lq, (l2, *sobolev), slack, integrals = read_sample(state.theta)
         row = {"l2": l2, "linf": linf}
         row.update((f"lq{q:g}", value) for q, value in zip(finite_lq, lq))
         row.update((f"h{s:g}", value) for s, value in zip(sobolev_orders, sobolev))
@@ -261,7 +225,7 @@ def _run_fixed_alpha(
 
     result = integrate(SimulationState(t=0.0, theta=theta0), params, stepper, sample=sample)
     # the sampling is over: the buffers go before the artifacts are built
-    scratch = transforms = buffers = None
+    read_sample = None
     series = result.series
     series.meta.update(_domain_meta(experiment, seed))
     times = series.times

@@ -34,7 +34,7 @@ from .dynamics import (
     validate_run_settings,
 )
 from .errors import BlowUpError, FieldError
-from .estimates import InequalityRecord
+from .estimates import InequalityRecord, _sample_pass
 from .spectral import (
     DomainSpec,
     SpectralField,
@@ -361,10 +361,11 @@ def sweep_with_runs(
 
     Members march on ``max_workers`` threads (one per member by default;
     the FFT work releases the interpreter lock).  Each thread owns one set
-    of transport buffers and repeatedly advances, by one sample interval,
-    the least-advanced member (the shortest queue) that no other thread is
-    running (ties go to the lower index), which keeps the threads
-    balanced.  One lock guards the schedule and the queues.  One
+    of transport buffers and one sample pass, which reads every sample's
+    ``linf`` (:func:`~sqglab.estimates._sample_pass`), and repeatedly
+    advances, by one sample interval, the least-advanced member (the
+    shortest queue) that no other thread is running (ties go to the lower
+    index), which keeps the threads balanced.  One lock guards the schedule and the queues.  One
     :class:`~sqglab.dynamics.RunResult` per member is returned, in the
     order of ``config.alphas``; the runs and the report are bitwise
     independent of the pool size and the scheduling order.
@@ -396,9 +397,10 @@ def sweep_with_runs(
     m = len(config.alphas)
     lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a run's transport buffers
     start = SimulationState(t=0.0, theta=config.theta0)
+    thread = threading.local()  # each worker's sample pass
 
     def linf(state: SimulationState) -> dict[str, float]:
-        return {"linf": lq_norm(state.theta, math.inf)}
+        return {"linf": thread.sample(state.theta)[1]}
 
     members = [
         _sampled_run(start, config.params_for(alpha), stepper, linf, lanes[i])
@@ -429,7 +431,7 @@ def sweep_with_runs(
                 raise
 
     def work() -> None:
-        scratch = plan.scratch()
+        scratch, thread.sample = plan.scratch(), _sample_pass(domain, (), ())
         try:
             while True:
                 with lock:

@@ -944,17 +944,15 @@ def _sampled_run(
         t = state.t + config.t_end if k == n_steps else state.t + k * dt
         new_block = buffers[k % 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            speed = rhs(block, n0)
+            last = rhs(block, n0)  # the speed of the last accepted state
             np.multiply(decay, block, out=new_block)
             new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
             # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
-            speed1 = rhs(new_block, n1)
+            speed = max(last, rhs(new_block, n1))
             n1 -= n0
             n1 *= dt_phi2
             new_block += n1
-            speed = max(speed, speed1)
             if not (math.isfinite(speed) and np.isfinite(new_block).all()):
-                last = plan.speed(block)
                 last = last if math.isfinite(last) else math.inf
                 raise BlowUpError(t, dt * last * domain.n / domain.box)
         block = new_block

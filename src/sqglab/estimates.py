@@ -16,19 +16,23 @@ The families covered:
 * a higher-Sobolev differential-inequality monitor (boundedness witness),
 * tail mass against a smooth radial cutoff.
 
-The pointwise and positivity checks of a state run on one read-only plan
-per (domain, order), cached like the transport plans, and write into
-buffers the caller owns (the plan's ``scratch()``), which a run reuses
-at every sample; the positivity integrals come from the pass that gives
-the state's L^q norms.  The plan holds its domain's transport plan, the
-one owner of the block of modes the 2/3 rule keeps: its tables are cut
-with that plan, whether a state has modes past the cut is that plan's
-dealias test, and on the torus ``(-Lap)^a theta`` is that plan's pruned
-synthesis of the block.  The square of the pointwise inequality is formed
-alias-free on the grid of 3n/2 points; every transform is a per-axis
-``numpy.fft`` pass whose axis-0 passes run only on the columns that can
-be nonzero.  The Dirichlet box keeps ``to_physical`` and its same-grid
-square behind the same plan.
+Every run reads its samples through one sample pass, built per run (per
+worker thread in a sweep): it owns every buffer a sample writes, gets
+theta's grid, gives the Sobolev and L^q norms and, in
+``estimates-report``, runs the battery, whose positivity integrals come
+from the pass that gives the L^q norms.  A sweep member's pass gives its
+sup norm only.  The pointwise and positivity checks of a state run on one
+read-only plan per (domain, order), cached like the transport plans, and
+write into buffers the caller owns (the plan's ``scratch()``).  The plan
+holds its domain's transport plan, the one owner of the block of modes
+the 2/3 rule keeps: its tables are cut with that plan, whether a state
+has modes past the cut is that plan's dealias test, and on the torus
+``(-Lap)^a theta`` is that plan's pruned synthesis of the block.  The
+square of the pointwise inequality is formed alias-free on the grid of
+3n/2 points; every transform is a per-axis ``numpy.fft`` pass whose
+axis-0 passes run only on the columns that can be nonzero.  The
+Dirichlet box keeps ``to_physical`` and its same-grid square behind the
+same plan.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import _DirichletPlan, _plan, _TransportPlan
+from .dynamics import _block_weights, _DirichletPlan, _plan, _TransportPlan
 from .errors import NonFiniteError
 from .spectral import (
     Basis,
@@ -50,6 +54,8 @@ from .spectral import (
     SpectralField,
     _grid_norms,
     _positive_power,
+    _sobolev_weights,
+    _weighted_norms,
     dealias,
     fractional_laplacian,
     lq_norm,
@@ -251,8 +257,8 @@ class _BatteryPlan:
     Shared and cached per (domain, a), the plan holds no writable state:
     :meth:`scratch` gives the caller every buffer the checks write.
     :meth:`check` gives a state's Córdoba slack and ``(-Lap)^a theta``
-    grid, which the caller's L^q pass (:func:`~sqglab.spectral._grid_norms`
-    in ``scratch[2::-1]``) turns into the positivity integrals.
+    grid, which the sample pass (:func:`_sample_pass`) turns into the
+    positivity integrals.
     ``transport`` is the domain's transport plan, which owns the kept block
     and answers whether a state has modes past the 2/3 cut
     (``transport.dealiased``).  On a Dirichlet box ``synth`` and ``square``
@@ -465,6 +471,55 @@ def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
     return _BatteryPlan(domain, alpha, transport, synth, square)
 
 
+def _sample_pass(
+    domain: DomainSpec, lq: Sequence[float], orders: Sequence[float], alpha: float | None = None
+) -> Callable[[SpectralField], tuple]:
+    """A run's per-sample pass: ``sample(theta)`` gives a state's grid, norms and battery.
+
+    ``sample(theta)`` returns ``(grid, linf, lq_norms, sobolev_norms, slack,
+    integrals)``: theta's grid as a new :class:`PhysicalField`, its max, its
+    norms for the finite L^q orders ``lq`` and the Sobolev ``orders`` and,
+    given ``alpha``, the Córdoba minimum slack and the positivity integrals
+    of ``lq`` (``None`` and ``[]`` without).  theta is a run's state, zero
+    outside the transport plan's kept block.  The pass owns every buffer a
+    sample writes, reused by every sample, so it serves one thread.
+
+    It is the one code that decides how a sample is read.  A dealiased
+    torus theta's grid is the plan's pruned synthesis of the kept block,
+    and any other goes through ``to_physical``.  On the torus the Sobolev
+    norms sum over the block, whose weights count each column's conjugate
+    mirror; the box sums its full layout, as ``sobolev_norm`` does, bit for
+    bit.  The L^q pass writes the battery's grids, reversed so that its
+    integrand lands on the ``(-Lap)^a theta`` grid, or two grids of theta's
+    size (Dirichlet: its interior, the spectral shape), none without ``lq``.
+    """
+    plan = _plan(domain)
+    torus = domain.basis is Basis.TORUS
+    transforms = plan.synthesis_scratch() if torus else None
+    layout = plan.kept if torus else np.asarray
+    weights = [(_block_weights if torus else _sobolev_weights)(domain, s) for s in orders]
+    battery = None if alpha is None else _battery_plan(domain, alpha)
+    scratch = battery.scratch() if battery else None
+    grids = scratch[2::-1] if battery else np.empty((2 if lq else 0, *domain.spectral_shape))
+
+    def sample(theta: SpectralField) -> tuple:
+        dealiased = plan.dealiased(theta.coeffs)
+        if torus and dealiased:
+            grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
+        else:
+            grid = to_physical(theta)
+        sobolev = _weighted_norms(layout(theta.coeffs), weights) if weights else []
+        slack = diss = None
+        if battery:
+            slack, diss = battery.check(theta, grid.values, scratch, dealiased)
+        # an overflowing integrand is a non-finite record, which rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            linf, norms, integrals = _grid_norms(grid.values, domain, lq, diss, grids)
+        return grid, linf, norms, sobolev, slack, integrals
+
+    return sample
+
+
 def cordoba_slack_field(phi: SpectralField, alpha: float) -> PhysicalField:
     """Pointwise slack ``2 phi (-Lap)^a phi - (-Lap)^a(phi^2)`` on the grid.
 
@@ -506,9 +561,8 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     _check_alpha(alpha)
     values = to_physical(theta).values
     plan = _battery_plan(theta.domain, alpha)
-    scratch = plan.scratch()
-    diss = plan.dissipated(theta, values, scratch, plan.transport.dealiased(theta.coeffs))
-    return _grid_norms(values, theta.domain, [q], diss, scratch[2::-1])[2][0]
+    diss = plan.dissipated(theta, values, plan.scratch(), plan.transport.dealiased(theta.coeffs))
+    return _grid_norms(values, theta.domain, [q], diss)[2][0]
 
 
 # ----------------------------------------------------------------------------

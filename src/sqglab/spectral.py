@@ -565,7 +565,9 @@ def _power_weights(
         return weights, None, None
     weights[overflowed] = 0.0
     with np.errstate(divide="ignore", over="ignore"):  # a log2 past the largest float is inf
-        logs = np.where(overflowed, s * np.log2(sym), np.log2(weights))
+        logs = np.log2(weights)
+        # only there: at s = ±inf, s·log2(1) elsewhere would be nan
+        logs[overflowed] = s * np.log2(sym[overflowed])
         if multiplicity is not None:
             logs[overflowed] += np.log2(multiplicity.reshape(-1)[overflowed])
     for table in (weights, overflowed, logs):

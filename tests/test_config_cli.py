@@ -1819,12 +1819,9 @@ class TestCliArtifacts:
         retained = summary["n_samples"] * 64 * 64 * np.dtype(np.complex128).itemsize
         assert peak < retained / 2
 
-    def test_estimates_report_synthesizes_each_sample_once(self, tmp_path, capsys, monkeypatch):
-        # theta(x) feeds the norm columns and the battery: the transport
-        # plan synthesizes it once per sample from the kept block, into a
-        # new grid (the kernel's own calls pass one), and the battery plan
-        # builds (-Lap)^alpha theta(x) without to_physical; only the initial
-        # field's amplitude calls to_physical
+    @staticmethod
+    def _count_to_physical(monkeypatch) -> list[int]:
+        """The grid sizes of every ``to_physical`` call from the package, as they come."""
         calls = []
         original = to_physical
 
@@ -1835,6 +1832,15 @@ class TestCliArtifacts:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "sqglab" and getattr(module, "to_physical", None) is original:
                 monkeypatch.setattr(module, "to_physical", counted)
+        return calls
+
+    def test_estimates_report_synthesizes_each_sample_once(self, tmp_path, capsys, monkeypatch):
+        # theta(x) feeds the norm columns and the battery: the transport
+        # plan synthesizes it once per sample from the kept block, into a
+        # new grid (the kernel's own calls pass one), and the battery plan
+        # builds (-Lap)^alpha theta(x) without to_physical; only the initial
+        # field's amplitude calls to_physical
+        calls = self._count_to_physical(monkeypatch)
         samples = []
         theta = dynamics._TransportPlan.theta
 
@@ -1849,3 +1855,15 @@ class TestCliArtifacts:
         assert summary["n_samples"] == 101
         assert calls == [64]
         assert samples == [64] * 101
+
+    def test_sweep_members_synthesize_no_sample_through_to_physical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a member's linf is its thread's sample pass, the plan's synthesis
+        # of the kept block; to_physical serves the initial field's
+        # amplitude, the smallness warning's linf and the L^(4/3) record
+        calls = self._count_to_physical(monkeypatch)
+        out = self.run_ok(tmp_path, capsys, cfg(*SWEEP_CLI_LINES), "sweep-alpha")
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert len(summary["report"]["times"]) == 5
+        assert calls == [16] * 3

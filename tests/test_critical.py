@@ -37,6 +37,7 @@ from sqglab.spectral import (
     DomainSpec,
     cosine_field,
     grid_lp_norm,
+    lq_norm,
     sine_mode_field,
     sobolev_norm,
 )
@@ -272,6 +273,18 @@ class TestConvergenceReport:
             assert run.final.t == want[-1].t
             assert np.array_equal(run.final.theta.coeffs, want[-1].theta.coeffs)
 
+    @pytest.mark.parametrize(("sweep", "rel"), [("small_sweep", 1e-15), ("dirichlet_sweep", 0.0)])
+    def test_linf_columns_are_the_sampled_states_sup_norms(self, sweep, rel, request):
+        # a box sample goes through to_physical, as lq_norm does; a torus
+        # sample is the plan's real synthesis of the kept block, which
+        # rounds apart from to_physical's complex ifft2
+        config, report, runs, sampled = request.getfixturevalue(sweep)
+        for i, run in enumerate(runs):
+            got = run.series.column("linf")
+            want = [lq_norm(states[i].theta, math.inf) for _, states in sampled]
+            assert got == pytest.approx(want, rel=rel, abs=0.0)
+            assert report.sup_infnorms[i] == max(got)
+
 
 class TestSweeps:
     def test_shear_sweep_is_alpha_degenerate(self, torus32):
@@ -362,21 +375,25 @@ class TestSweeps:
         assert long <= 1.1 * short, (short, long)
 
     @pytest.mark.parametrize(
-        "kind, sections",
+        "kind, domain, sections",
         [
-            ("sweep-alpha", "[sweep]\nalphas = [0.75, 0.65, 0.55]\n"),
-            ("simulate", "[monitors]\nlq = [2, 4, 8]\nsobolev = [1.5]\n"),
+            ("sweep-alpha", "n = 256", "[sweep]\nalphas = [0.75, 0.65, 0.55]\n"),
+            ("simulate", "n = 256", "[monitors]\nlq = [2, 4, 8]\nsobolev = [1.5]\n"),
+            # the box's members sample through the same pass as a run
+            ("dirichlet-sweep", "n = 32\nbasis = dirichlet", "[sweep]\nalphas = [0.75, 0.65, 0.55]\n"),
         ],
-        ids=["sweep-alpha", "simulate"],
+        ids=["sweep-alpha", "simulate", "dirichlet-sweep"],
     )
-    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, kind, sections):
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(
+        self, tmp_path, kind, domain, sections
+    ):
         # n = 256: a kept block of 256 x 86 = 22016 values and a grid of
         # 65536, where a BLAS product splits its reduction by thread count;
         # the sweep's distances and interpolation records and a run's norm
         # columns and records all reduce without BLAS
         config = tmp_path / "run.toml"
         config.write_text(
-            f"[experiment]\nkind = {kind}\n[domain]\nn = 256\n[params]\nkappa = 0.2\n"
+            f"[experiment]\nkind = {kind}\n[domain]\n{domain}\n[params]\nkappa = 0.2\n"
             + ("alpha = 0.75\n" if kind == "simulate" else "")
             + "[stepper]\ndt = 0.0125\nt_end = 0.05\n"
             "[init]\ntype = random\namplitude = 0.05\nseed = 3\n" + sections,

@@ -653,15 +653,25 @@ class TestStepOracles:
         assert err_coarse / err_fine >= 2.0**1.8
         assert order > 0  # direction sanity on the corrected exponent
 
-    def test_blow_up_raises_with_time_stamp(self, torus64):
-        theta0 = random_smooth_field(torus64, seed=5, amplitude=50.0)
+    @pytest.mark.parametrize("name", ["torus64", "dirichlet64"])
+    def test_blow_up_raises_with_time_stamp(self, name, request):
+        # sampled at every step, the last sample is the last accepted state,
+        # whose speed the failed step's first stage has already computed
+        domain = request.getfixturevalue(name)
+        theta0 = random_smooth_field(domain, seed=5, amplitude=50.0)
         params = SqgParams(kappa=1e-6, alpha=0.75)
-        config = StepperConfig(dt=50.0, t_end=500.0)
+        config = StepperConfig(dt=50.0, t_end=500.0, sample_every=1)
+        states = []
         with pytest.warns(CflWarning):
             with pytest.raises(BlowUpError, match="blow-up or instability") as info:
-                integrate(SimulationState(t=0.0, theta=theta0), params, config)
-        assert info.value.t > 0
+                integrate(
+                    SimulationState(t=0.0, theta=theta0), params, config, sample=states.append
+                )
+        assert len(states) > 1  # the run blew up after its first step
+        assert info.value.t == states[-1].t + config.step_dt
+        speed = advective_speed(states[-1].theta)
         assert np.isfinite(info.value.cfl)
+        assert info.value.cfl == config.step_dt * speed * domain.n / domain.box
 
     def test_single_step_advances_time(self, torus32):
         # a one-step run from a later state lands on t + dt exactly

@@ -18,6 +18,7 @@ from sqglab.estimates import (
     CutoffSpec,
     InequalityRecord,
     _battery_plan,
+    _sample_pass,
     cordoba_pointwise_check,
     cordoba_slack_field,
     damped_energy_monitor,
@@ -440,12 +441,13 @@ class TestBatteryPlan:
     QS = (2.0, 3.0, 4.0, 8.0)
 
     def _check(self, theta, alpha):
-        """Min slack and positivity integrals of one state, as a run's sample forms them."""
+        """Min slack and positivity integrals of one state from its ``to_physical`` grid."""
         plan = _battery_plan(theta.domain, alpha)
-        scratch = plan.scratch()
         values = to_physical(theta).values
-        slack, diss = plan.check(theta, values, scratch, plan.transport.dealiased(theta.coeffs))
-        return slack, _grid_norms(values, theta.domain, self.QS, diss, scratch[2::-1])[2]
+        slack, diss = plan.check(
+            theta, values, plan.scratch(), plan.transport.dealiased(theta.coeffs)
+        )
+        return slack, _grid_norms(values, theta.domain, self.QS, diss)[2]
 
     def _assert_matches_direct(self, theta, alpha):
         slack, peak, integrals, scales = _direct_battery(theta, alpha, self.QS)
@@ -492,33 +494,25 @@ class TestBatteryPlan:
             integrand = diss * np.abs(values) ** (q - 1.0) * np.sign(values)
             assert abs(value - integrand.sum() * cell) <= 1e-12 * np.abs(integrand).sum() * cell
 
-    def test_warm_battery_allocates_no_grid(self):
-        # a run's per-sample call: the plan built and one scratch reused;
-        # numpy traces its array allocations, so any temporary grid would
-        # lift the peak by a sizeable part of one n^2 complex array
+    def test_warm_sample_pass_allocates_no_grid(self):
+        # a run's per-sample call: the pass built and its buffers reused;
+        # numpy traces its array allocations, so any temporary grid besides
+        # the theta grid the sample returns would lift the peak by a
+        # sizeable part of one n^2 complex array
         n = 64
         domain = DomainSpec(n=n)
         theta = random_smooth_field(domain, 5, amplitude=1.0)
-        values = to_physical(theta).values
-        plan = _battery_plan(domain, 0.75)
-        dealiased = plan.transport.dealiased(theta.coeffs)
-
-        def sample(scratch):
-            # the check, then the norm pass in its grids, as a run's sample
-            slack, diss = plan.check(theta, values, scratch, dealiased)
-            return slack, _grid_norms(values, domain, self.QS, diss, scratch[2::-1])
-
-        scratch = plan.scratch()
-        sample(scratch)
+        sample = _sample_pass(domain, self.QS, (), 0.75)
+        sample(theta)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = sample(scratch)
+            got = sample(theta)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - current < n * n * np.dtype(np.complex128).itemsize / 8
-        assert got == sample(plan.scratch())
+        assert got[1:] == _sample_pass(domain, self.QS, (), 0.75)(theta)[1:]
 
 
 class TestSobolevBoundMonitor:

@@ -3,11 +3,13 @@
 Deleting a function without its ``__all__`` entry leaves ``from sqglab.x
 import *`` broken while direct imports keep working, so no other test sees
 it.  Likewise every function the benchmark's span tracer wraps must exist,
-or a traced benchmark run fails.
+or a traced benchmark run fails.  And the driver stays above the kernels:
+it imports no private name of the spectral or dynamics layers.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -54,3 +56,18 @@ def test_package_reexports_only_names_its_modules_export():
     for name in MODULES[1:]:
         exported.update(importlib.import_module(name).__all__)
     assert sorted(set(sqglab.__all__) - exported - {"__version__"}) == []
+
+
+def test_cli_imports_no_private_kernel():
+    # a sample's grid, norms and battery come from the estimates layer's
+    # sample pass, not from kernels wired together in the driver
+    tree = ast.parse((Path(sqglab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in ("spectral", "dynamics")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

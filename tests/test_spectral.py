@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import inner_product
 from oracles import log_sobolev_norm
 
-from sqglab.dynamics import _plan
+from sqglab.dynamics import _block_weights, _plan
 from sqglab.errors import BasisError, FieldError, NonFiniteError, ZeroModeError
+from sqglab.estimates import _sample_pass
 from sqglab.fields import random_smooth_field
 from sqglab.spectral import (
     Basis,
@@ -31,6 +32,7 @@ from sqglab.spectral import (
     to_physical,
     to_spectral,
     _real_spectrum,
+    _sobolev_weights,
     velocity_from_theta,
 )
 
@@ -394,6 +396,33 @@ class TestNorms:
             norm = sobolev_norm(theta, 400.0)
         assert norm == pytest.approx(math.exp(log_sobolev_norm(theta, 400.0)), rel=1e-12)
         assert norm == pytest.approx(1.806e157, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        ("basis", "low"),
+        [
+            # on the 2pi torus, whose smallest |k| is 1: the |k| = 1 modes
+            (Basis.TORUS, 2.668327),
+            # the 2pi box has |k|^2 = (k1^2 + k2^2) / 4, which is 1/2 at (1, 1)
+            (Basis.DIRICHLET, np.inf),
+        ],
+    )
+    def test_infinite_orders_take_their_limit_without_warning(self, basis, low):
+        # s = inf weighs every |k| > 1 infinitely, s = -inf every |k| < 1,
+        # and neither may meet s log2(1) = nan; with the weights not yet
+        # cached, every table is built under the error filter
+        domain = DomainSpec(n=16, basis=basis)
+        theta = dealias(random_smooth_field(domain, 0))
+        _sobolev_weights.cache_clear()
+        _block_weights.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = [sobolev_norm(theta, s) for s in (np.inf, -np.inf)]
+            run = _sample_pass(domain, (), (np.inf, -np.inf))(theta)[3]
+        assert norms == [np.inf, pytest.approx(low, rel=1e-6)]
+        assert run == pytest.approx(norms, rel=1e-15)
+        if basis is Basis.TORUS:
+            unit = SpectralField(theta.coeffs * (domain.laplacian_symbol == 1.0), domain)
+            assert norms[1] == sobolev_norm(unit, 0.0)
 
     @settings(max_examples=30)
     @given(
