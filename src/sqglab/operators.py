@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularOperatorError
+from .errors import FieldError, NonFiniteError, SingularOperatorError
 
 __all__ = [
     "DenseOperator",
@@ -66,6 +66,15 @@ _SPLIT_POINT = 10.0
 #: supremum of ``lambda/(lambda + mu)`` is 1 for every eigenvalue mu >= 0
 #: (attained as lambda -> inf), so M is 1 for every symmetric PSD matrix.
 _RESOLVENT_CONSTANT = 1.0
+#: ``SeedSequence``'s hash (NumPy ``bit_generator.pyx``, stable under NEP 19):
+#: the 4-word pool, the start and multiplier of the mixer's and of the
+#: output's hash constants, and the two multipliers of ``mix``.
+_POOL_WORDS = 4
+_MIXER_LCG = (0x43B0D7E5, 0x931E8875)
+_OUTPUT_LCG = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT = (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
+#: The pool rows each pool word is mixed into, in the hash's order.
+_OTHER_WORDS = [np.delete(np.arange(_POOL_WORDS), src) for src in range(_POOL_WORDS)]
 
 
 def _validated_eigh(matrices: np.ndarray) -> tuple:
@@ -74,17 +83,18 @@ def _validated_eigh(matrices: np.ndarray) -> tuple:
     The checks are :class:`DenseOperator`'s: finite entries, ``|A - A^T| <=
     1e-12 max(|A|, 1)`` (Frobenius norms) and a minimum eigenvalue no lower
     than ``-1e-12 max(|A|, 1)``; the first offending matrix raises
-    ``ValueError``.  Returns the symmetrized stack with its ascending
+    ``FieldError("matrix", ...)``.  Returns the symmetrized stack with its ascending
     eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)``.
     """
     if not np.isfinite(matrices).all():
-        raise ValueError("matrix has non-finite entries")
+        raise FieldError("matrix", "matrix has non-finite entries")
     bound = _SYMMETRY_TOL * np.maximum(np.linalg.norm(matrices, axis=(1, 2)), 1.0)
     transposed = np.swapaxes(matrices, 1, 2)
     asym = np.linalg.norm(matrices - transposed, axis=(1, 2))
     bad = asym > bound
     if bad.any():
-        raise ValueError(
+        raise FieldError(
+            "matrix",
             f"matrix is not symmetric: |A - A^T| = {asym[bad][0]:.3e} "
             f"exceeds {_SYMMETRY_TOL:.0e} * |A|"
         )
@@ -92,7 +102,8 @@ def _validated_eigh(matrices: np.ndarray) -> tuple:
     values, vectors = np.linalg.eigh(matrices)
     bad = values[:, 0] < -bound
     if bad.any():
-        raise ValueError(
+        raise FieldError(
+            "matrix",
             f"matrix is not positive semi-definite: min eigenvalue "
             f"{values[bad, 0][0]:.3e}"
         )
@@ -123,7 +134,9 @@ class DenseOperator:
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+            raise FieldError(
+                "matrix", f"matrix must be square, got shape {matrix.shape}"
+            )
         matrices, values, vectors = _validated_eigh(matrix[None])
         for array in (matrices, values, vectors):
             array.setflags(write=False)
@@ -180,14 +193,14 @@ class DenseOperator:
         clipped = np.clip(values, 0.0, None)
         weights = np.asarray([float(fn(v)) for v in clipped])
         if not np.all(np.isfinite(weights)):
-            raise ValueError("fn produced non-finite values on the spectrum")
+            raise NonFiniteError("fn produced non-finite values on the spectrum")
         return vectors @ (weights * (vectors.T @ np.asarray(phi, dtype=np.float64)))
 
 
 def resolvent_apply(A: DenseOperator, lam: float, phi: np.ndarray) -> np.ndarray:
     """Solve ``(A + lam I) x = phi`` through the cached eigendecomposition."""
     if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise FieldError("lam", f"lam must be positive, got {lam}")
     values, vectors = A._eig
     phi = np.asarray(phi, dtype=np.float64)
     return vectors @ ((vectors.T @ phi) / (values + lam))
@@ -215,7 +228,7 @@ def _log_nodes(lo: float, hi: float) -> tuple:
     summation order -- and hence the result -- is deterministic.
     """
     if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
+        raise FieldError("hi" if lo > 0 else "lo", f"need 0 < lo < hi, got ({lo}, {hi})")
     u_lo, u_hi = np.log(lo), np.log(hi)
     ln10 = np.log(10.0)
     edges = {u_lo, u_hi}
@@ -308,7 +321,7 @@ def balakrishnan_neg_power(A: DenseOperator, alpha: float, phi: np.ndarray) -> n
     with ``eps``/``Lam`` chosen so both residuals sit near 1e-11 relative.
     """
     if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise FieldError("alpha", f"alpha must lie in (0, 1), got {alpha}")
     phi = np.asarray(phi, dtype=np.float64)
     mu_min = A.min_eigenvalue()
     phi_norm = float(np.linalg.norm(phi))
@@ -360,9 +373,10 @@ def inv_I_plus_Apow(A: DenseOperator, alpha: float, phi: np.ndarray) -> np.ndarr
     nodes can meet the accuracy contract.
     """
     if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise FieldError("alpha", f"alpha must lie in (0, 1], got {alpha}")
     if alpha < 0.05:
-        raise ValueError(
+        raise FieldError(
+            "alpha",
             f"alpha below 0.05 is outside the validated quadrature range "
             f"(lower-tail mass underflows double precision), got {alpha}"
         )
@@ -514,7 +528,7 @@ def moment_inequality_check(
     spectral calculus.  Returns ``(lhs, rhs, passed)``.
     """
     if not (0.5 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (1/2, 1], got {beta}")
+        raise FieldError("beta", f"beta must lie in (1/2, 1], got {beta}")
     phi = np.asarray(phi, dtype=np.float64)
     values, vectors = A._eig
     lhs, rhs, passed = _moment_sides(values[None], vectors[None], phi[None], np.array([beta]))
@@ -553,8 +567,11 @@ def moment_inequality_trials(rng: np.random.Generator, trials: int) -> tuple:
     in (1/2, 1]; ``A`` is ``random_spd(n, seed)``.  The result equals
     :func:`moment_inequality_check` applied trial by trial, and ``rng`` ends
     at the same stream position, but the matrices of one size are built,
-    validated and diagonalized as one stack.  Returns ``(lhs, rhs, passed)``
-    arrays in trial order.
+    validated and diagonalized as one stack.  Each trial's generator is
+    bit-identical to ``np.random.default_rng(seed)``, with the states of a
+    stack's generators computed in one pass (:func:`_spd_stack`), so the
+    battery hashes no seed through a ``SeedSequence``.  Returns ``(lhs, rhs,
+    passed)`` arrays in trial order.
     """
     sizes = np.empty(trials, dtype=np.int64)
     seeds = np.empty(trials, dtype=np.int64)
@@ -596,7 +613,7 @@ def diagonal_operator(values) -> DenseOperator:
 def dirichlet_laplacian_1d(m: int) -> DenseOperator:
     """Tridiagonal (-d^2/dx^2) on m interior points of a unit interval."""
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise FieldError("m", f"m must be positive, got {m}")
     h = 1.0 / (m + 1)
     main = np.full(m, 2.0)
     off = np.full(m - 1, -1.0)
@@ -604,18 +621,108 @@ def dirichlet_laplacian_1d(m: int) -> DenseOperator:
     return DenseOperator(matrix=matrix)
 
 
+@lru_cache(maxsize=16)
+def _hash_constants(lcg: tuple, count: int) -> np.ndarray:
+    """The first ``count`` constants ``start * mult**i mod 2**32`` of a hash, as a column."""
+    start, mult = lcg
+    table = np.array([start * pow(mult, i, 1 << 32) % (1 << 32) for i in range(count)], np.uint32)
+    table = table[:, None]
+    table.setflags(write=False)
+    return table
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``hashmix`` of ``values`` with ``len(constants) - 1`` constant rows."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``mix`` of the words ``x`` with the words ``y``."""
+    values = _MIX_MULT[0] * x - _MIX_MULT[1] * y
+    return values ^ (values >> 16)
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed, ``(k, 4)``.
+
+    Replays the hash in uint32 arithmetic over all seeds at once, the pool a
+    ``(4, k)`` array; entropy words beyond the pool (seeds ``>= 2**128``)
+    are mixed in under a per-seed mask.  A negative or non-integral seed
+    raises ``FieldError("seed", ...)``.
+    """
+    ints = []
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise FieldError("seed", f"seed must be a non-negative integer, got {seed!r}")
+        ints.append(int(seed))
+    lengths = np.array([(seed.bit_length() + 31) // 32 for seed in ints], dtype=np.int64)
+    width = int(lengths.max(initial=_POOL_WORDS))
+    entropy = np.frombuffer(
+        b"".join(seed.to_bytes(4 * width, "little") for seed in ints), dtype="<u4"
+    ).reshape(len(ints), width).T
+    mixer = _hash_constants(_MIXER_LCG, 4 * width + 1)
+    pool = _hashmix(entropy[:_POOL_WORDS], mixer[: _POOL_WORDS + 1])
+    at = _POOL_WORDS
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixer[at : at + _POOL_WORDS]))
+        at += _POOL_WORDS - 1
+    for src in range(_POOL_WORDS, width):
+        mixed = _mix(pool, _hashmix(entropy[src], mixer[at : at + _POOL_WORDS + 1]))
+        pool = np.where(lengths > src, mixed, pool)
+        at += _POOL_WORDS
+    words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_OUTPUT_LCG, 9))
+    # each uint64 state word pairs two uint32 words, the low one first; the
+    # rows must be contiguous, since PCG64 reads a state's memory directly
+    words = words.astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
+
+
+@lru_cache(maxsize=1)
+def _preset_seed() -> type:
+    """A seed-sequence type whose ``generate_state`` returns one precomputed state.
+
+    ``PCG64`` asks its seed sequence for 4 uint64 words and runs its own
+    seeding step on them, so ``PCG64(_preset_seed()(state))`` with ``state =
+    SeedSequence(seed).generate_state(4, np.uint64)`` equals
+    ``PCG64(seed)`` without hashing ``seed``.  Built on first use: importing
+    ``numpy.random`` costs about 10 ms, which every import of this module
+    would pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return PresetSeed
+
+
 def _spd_stack(seeds, size: int) -> np.ndarray:
     """Symmetrized ``Q diag(e) Q^T`` per seed, stacked ``(len(seeds), size, size)``.
 
     Each seed's generator draws a Gaussian matrix, whose QR factor (signs
     fixed by ``diag(R) > 0`` for determinism) gives ``Q``, then the
-    log-uniform spectrum ``e`` in ``_SPD_EIGS``.
+    log-uniform spectrum ``e`` in ``_SPD_EIGS``.  The generators are
+    bit-identical to ``np.random.default_rng(seed)``, but no ``SeedSequence``
+    is built: :func:`_seed_states` computes every seed's state in one pass,
+    and each generator is seeded from its state.  A non-integral ``size`` or
+    ``size < 1`` raises ``FieldError("size", ...)``.
     """
+    if not isinstance(size, (int, np.integer)) or size < 1:
+        raise FieldError("size", f"size must be a positive integer, got {size!r}")
+    # hashed before the stack is allocated: hashing between its allocations
+    # left heap holes that raised operator-battery's peak RSS by up to 1 MB
+    states = _seed_states(seeds)
+    preset_seed = _preset_seed()
     log_lo, log_hi = np.log(_SPD_EIGS[0]), np.log(_SPD_EIGS[1])
     gauss = np.empty((len(seeds), size, size))
     log_eigs = np.empty((len(seeds), size))
-    for j, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for j, state in enumerate(states):
+        rng = np.random.Generator(np.random.PCG64(preset_seed(state)))
         rng.standard_normal(out=gauss[j])
         log_eigs[j] = rng.uniform(log_lo, log_hi, size=size)
     q, r = np.linalg.qr(gauss)
@@ -625,5 +732,11 @@ def _spd_stack(seeds, size: int) -> np.ndarray:
 
 
 def random_spd(size: int, seed: int) -> DenseOperator:
-    """Random SPD matrix with log-uniform spectrum in ``_SPD_EIGS`` (seeded)."""
+    """Random SPD matrix with log-uniform spectrum in ``_SPD_EIGS`` (seeded).
+
+    Drawn from a generator bit-identical to ``np.random.default_rng(seed)``,
+    whose state :func:`_spd_stack` computes in its one seeding pass.  A
+    negative or non-integral ``seed`` raises ``FieldError("seed", ...)``, a
+    non-integral ``size`` or ``size < 1`` ``FieldError("size", ...)``.
+    """
     return DenseOperator(matrix=_spd_stack([seed], size)[0])

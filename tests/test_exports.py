@@ -4,7 +4,9 @@ Deleting a function without its ``__all__`` entry leaves ``from sqglab.x
 import *`` broken while direct imports keep working, so no other test sees
 it.  Likewise every function the benchmark's span tracer wraps must exist,
 or a traced benchmark run fails.  And the driver stays above the kernels:
-it imports no private name of the spectral or dynamics layers.
+it imports no private name of the spectral or dynamics layers.  The
+operator kit's failures stay typed: it raises no bare ``ValueError`` or
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -71,3 +73,16 @@ def test_cli_imports_no_private_kernel():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_operator_kit_raises_no_bare_value_or_type_error():
+    # a bad argument raises FieldError naming it, a broken spectrum
+    # NonFiniteError; both stay ValueErrors for callers that catch those
+    tree = ast.parse((Path(sqglab.__file__).parent / "operators.py").read_text(encoding="utf-8"))
+    bare = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                bare.append(node.lineno)
+    assert bare == []

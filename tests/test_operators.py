@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
+import sqglab
 from oracles import resolvent_sum
-from sqglab.errors import SingularOperatorError
+from sqglab.errors import FieldError, NonFiniteError, SingularOperatorError
 from sqglab.operators import (
     DenseOperator,
     balakrishnan_neg_power,
@@ -23,7 +28,10 @@ from sqglab.operators import (
     lemma_limit_alphas,
     _BLOCK_TERMS,
     _leggauss,
+    _log_nodes,
     _resolvent_sum,
+    _seed_states,
+    _spd_stack,
     _validated_eigh,
     moment_inequality_check,
     moment_inequality_trials,
@@ -39,20 +47,24 @@ def _test_vector(size: int, seed: int = 0) -> np.ndarray:
 
 class TestDenseOperator:
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(FieldError, match="square") as info:
             DenseOperator(matrix=np.ones((2, 3)))
+        assert info.value.field == "matrix"
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(FieldError, match="not symmetric") as info:
             DenseOperator(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert info.value.field == "matrix"
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FieldError, match="non-finite") as info:
             DenseOperator(matrix=np.array([[np.inf]]))
+        assert info.value.field == "matrix"
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive semi-definite"):
+        with pytest.raises(FieldError, match="positive semi-definite") as info:
             DenseOperator(matrix=np.array([[-1.0]]))
+        assert info.value.field == "matrix"
 
     def test_eigenvalues_ascending_and_norm(self):
         A = diagonal_operator([3.0, 1.0, 2.0])
@@ -99,7 +111,7 @@ class TestDenseOperator:
     def test_apply_function_rejects_non_finite_weights(self):
         A = diagonal_operator([0.0, 1.0])
         with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="fn produced non-finite values"):
+            with pytest.raises(NonFiniteError):
                 A.apply_function(lambda m: 1.0 / m, np.ones(2))
 
     def test_min_eigenvalue(self):
@@ -153,8 +165,9 @@ class TestResolventApply:
     def test_lam_validation(self):
         A = scalar_operator(1.0)
         for lam in (0.0, -1.0, np.inf):
-            with pytest.raises(ValueError, match="lam must be positive"):
+            with pytest.raises(FieldError) as info:
                 resolvent_apply(A, lam, np.ones(1))
+            assert info.value.field == "lam"
 
 
 class TestBalakrishnan:
@@ -192,8 +205,9 @@ class TestBalakrishnan:
     def test_alpha_range(self):
         A = scalar_operator(1.0)
         for alpha in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="alpha must lie in"):
+            with pytest.raises(FieldError) as info:
                 balakrishnan_neg_power(A, alpha, np.ones(1))
+            assert info.value.field == "alpha"
 
     def test_zero_vector_short_circuits(self):
         A = random_spd(4, seed=6)
@@ -230,14 +244,17 @@ class TestInvIPlusApow:
 
     def test_small_alpha_rejected(self):
         A = scalar_operator(1.0)
-        with pytest.raises(ValueError, match="alpha below 0.05"):
+        # the text tells the quadrature's floor from the order's range
+        with pytest.raises(FieldError, match="alpha below 0.05") as info:
             inv_I_plus_Apow(A, 0.03, np.ones(1))
+        assert info.value.field == "alpha"
 
     def test_alpha_range(self):
         A = scalar_operator(1.0)
         for alpha in (0.0, 1.5, -0.2):
-            with pytest.raises(ValueError, match="alpha must lie in"):
+            with pytest.raises(FieldError, match="alpha must lie in") as info:
                 inv_I_plus_Apow(A, alpha, np.ones(1))
+            assert info.value.field == "alpha"
 
 
 class TestResolventSum:
@@ -340,8 +357,9 @@ class TestMomentInequality:
     def test_beta_validation(self):
         A = scalar_operator(1.0)
         for beta in (0.5, 1.1, 0.0):
-            with pytest.raises(ValueError, match=r"beta must lie in \(1/2, 1\]"):
+            with pytest.raises(FieldError) as info:
                 moment_inequality_check(A, np.ones(1), beta)
+            assert info.value.field == "beta"
 
 
 def _moment_trials_loop(rng, trials):
@@ -379,12 +397,23 @@ class TestValidatedStack:
         ids=["non-finite", "asymmetric", "indefinite"],
     )
     def test_bad_member_raises_dense_operator_error(self, bad):
-        with pytest.raises(ValueError) as single:
+        with pytest.raises(FieldError) as single:
             DenseOperator(matrix=bad)
         stack = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
-        with pytest.raises(ValueError) as stacked:
+        with pytest.raises(FieldError) as stacked:
             _validated_eigh(stack)
+        assert single.value.field == stacked.value.field == "matrix"
         assert str(stacked.value) == str(single.value)
+
+
+class TestLogNodes:
+    @pytest.mark.parametrize(
+        "lo, hi, field", [(0.0, 1.0, "lo"), (-1.0, 1.0, "lo"), (2.0, 1.0, "hi")]
+    )
+    def test_rejects_bad_interval(self, lo, hi, field):
+        with pytest.raises(FieldError) as info:
+            _log_nodes(lo, hi)
+        assert info.value.field == field
 
 
 class TestLeggaussCache:
@@ -407,8 +436,9 @@ class TestConstructors:
         assert np.allclose(got, exact, rtol=1e-12)
 
     def test_dirichlet_laplacian_1d_size_validation(self):
-        with pytest.raises(ValueError, match="m must be positive"):
+        with pytest.raises(FieldError) as info:
             dirichlet_laplacian_1d(0)
+        assert info.value.field == "m"
 
     def test_random_spd_is_deterministic(self):
         A = random_spd(6, seed=42)
@@ -417,7 +447,7 @@ class TestConstructors:
         assert not np.array_equal(A.matrix, random_spd(6, seed=43).matrix)
 
     def test_random_spd_matches_direct_construction(self):
-        for size, seed in ((2, 0), (7, 31), (11, 2**31 - 1)):
+        for size, seed in ((2, 0), (7, 31), (11, 2**31 - 1), (5, 2**32), (3, 2**200 + 3)):
             rng = np.random.default_rng(seed)
             q, r = np.linalg.qr(rng.standard_normal((size, size)))
             q = q * np.sign(np.diag(r))
@@ -425,3 +455,106 @@ class TestConstructors:
             want = (q * eigs) @ q.T
             got = random_spd(size, seed).matrix
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+#: Seeds across the hash's word counts: one word, two, three, the full
+#: 4-word pool, and 5 and 7 words, whose extra words are mixed in after it.
+SEED_CASES = [0, 1, 2**31 - 1, 2**32, 2**64 + 1, 2**128 - 1, 2**128, 2**200 + 3]
+
+
+def _default_rng_stack(seeds, size):
+    """:func:`_spd_stack` with one ``np.random.default_rng`` per seed: the reference."""
+    gauss = np.empty((len(seeds), size, size))
+    log_eigs = np.empty((len(seeds), size))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=gauss[j])
+        log_eigs[j] = rng.uniform(np.log(1e-2), np.log(1e2), size=size)
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    matrices = (q * np.exp(log_eigs)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (matrices + np.swapaxes(matrices, 1, 2))
+
+
+def _seed_sequence_states(seeds):
+    return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+
+
+class TestSeeding:
+    """Trial generators are bit-identical to ``default_rng(seed)``, seeded in one pass."""
+
+    def test_states_equal_seed_sequence(self):
+        assert np.array_equal(_seed_states(SEED_CASES), _seed_sequence_states(SEED_CASES))
+
+    @pytest.mark.parametrize("size", [1, 2, 11])
+    def test_stack_equals_default_rng(self, size):
+        assert np.array_equal(_spd_stack(SEED_CASES, size), _default_rng_stack(SEED_CASES, size))
+
+    @settings(max_examples=60)
+    @given(seeds=st.lists(st.integers(0, 2**256 - 1), min_size=1, max_size=6))
+    def test_any_seed_below_2_256(self, seeds):
+        assert np.array_equal(_seed_states(seeds), _seed_sequence_states(seeds))
+        assert np.array_equal(_spd_stack(seeds, 3), _default_rng_stack(seeds, 3))
+
+    @pytest.mark.parametrize(
+        "size, seed, field",
+        [
+            (3, -1, "seed"),
+            (3, 1.5, "seed"),
+            (3, np.float64(2.0), "seed"),
+            (3, "7", "seed"),
+            (0, 1, "size"),
+            (-2, 1, "size"),
+        ],
+    )
+    def test_rejects_bad_seed_or_size(self, size, seed, field):
+        with pytest.raises(FieldError) as info:
+            random_spd(size, seed)
+        assert info.value.field == field
+
+    def test_rejects_a_bad_seed_inside_a_stack(self):
+        with pytest.raises(FieldError) as info:
+            _spd_stack([1, 2**40, -3], 2)
+        assert info.value.field == "seed"
+
+    def test_trials_hash_no_seed_through_seed_sequence(self, monkeypatch):
+        # a PCG64 given anything but a seed sequence hashes it through a
+        # SeedSequence inside NumPy, out of reach of the patched name
+        rng = np.random.default_rng(21)
+        calls = []
+
+        def counted(name, hashes=lambda *args, **kwargs: True):
+            original = getattr(np.random, name)
+
+            def wrapper(*args, **kwargs):
+                if hashes(*args, **kwargs):
+                    calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("default_rng", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, counted(name))
+
+        def hashes_seed(seed=None):
+            return not isinstance(seed, ISeedSequence)
+
+        monkeypatch.setattr(np.random, "PCG64", counted("PCG64", hashes_seed))
+        moment_inequality_trials(rng, 500)
+        assert calls == []
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # the seeding pass loads numpy.random on first use only: importing
+        # it costs about 10 ms, which every fresh process would pay
+        script = "import sys\nimport sqglab.cli\nprint('numpy.random' in sys.modules)\n"
+        src = os.path.dirname(os.path.dirname(sqglab.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
