@@ -434,9 +434,13 @@ class _TransportPlan:
         out += temp
         return out, float(max(extremes))
 
-    def speed(self, coeffs: np.ndarray) -> float:
-        """max|u| of a field, without forming the transport products."""
-        scratch, u = self.synthesis_scratch(), np.empty((self.n, self.n))
+    def speed(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
+        """max|u| of a field, without forming the transport products.
+
+        u1 and u2 are synthesized in turn into the ``u`` grid of the
+        caller's :meth:`scratch`.
+        """
+        u = scratch[2]
         extremes = []
         for mult in self.synth[:2]:
             self.synthesize(mult, coeffs, scratch, u)
@@ -631,10 +635,13 @@ class _DirichletPlan:
             out += np.multiply(self.div[1], rows_hat.real[:, 1 : c + 1], out=temp)
         return out, speed
 
-    def speed(self, coeffs: np.ndarray) -> float:
-        """max|u| of a field, without forming the transport products."""
+    def speed(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
+        """max|u| of a field, without forming the transport products.
+
+        The velocity is synthesized into the caller's :meth:`scratch`.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._synthesize(coeffs, self.scratch())
+            return self._synthesize(coeffs, scratch)
 
     def is_real(self, full: np.ndarray) -> bool:
         """Always true: sine coefficients are real."""
@@ -788,7 +795,8 @@ def advective_speed(theta: SpectralField) -> float:
     in the transport term: the input is dealiased first, and the maximum is
     taken over the same grid.
     """
-    return _plan(theta.domain).speed(theta.coeffs)
+    plan = _plan(theta.domain)
+    return plan.speed(theta.coeffs, plan.scratch())
 
 
 def default_dt(theta0: SpectralField) -> float:
@@ -873,9 +881,10 @@ def _sampled_run(
 
     The run owns its buffers: the block alternates between two arrays, the
     transport writes through ``scratch`` (the plan's scratch buffers,
-    allocated here unless the caller gives them) into ``n0`` and, for the
-    corrector, ``n1``, which first holds the phi_1 term, so a step
-    allocates no array beyond the finite check's mask.  A caller that
+    allocated here unless the caller gives them, which the initial
+    sample's speed uses too) into ``n0`` and, for the corrector, ``n1``,
+    which first holds the phi_1 term, so a step allocates no array beyond
+    the finite check's mask.  A caller that
     passes a list may refill it with another set of buffers between
     resumptions, so that runs taking turns on a thread share that thread's
     set.  The plan never holds these buffers, since runs on one domain
@@ -934,7 +943,7 @@ def _sampled_run(
         series.append(current.t, row)
 
     current = state
-    speed = advective_speed(state.theta)
+    speed = plan.speed(block, scratch)
     record(current, speed, speed, state.t)
     yield current
     buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))

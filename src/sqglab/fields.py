@@ -80,10 +80,10 @@ def random_smooth_field(
     amplitude:
         Resulting grid maximum of ``|theta|``.
     """
-    if decay <= 1.0:
-        raise ValueError(f"decay must exceed 1 for a smooth field, got {decay!r}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+    if not decay > 1.0:
+        raise FieldError("decay", f"decay must exceed 1 for a smooth field, got {decay!r}")
+    if not amplitude > 0:
+        raise FieldError("amplitude", f"amplitude must be positive, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     n = domain.n
     i1, i2 = domain.index_grids
@@ -110,8 +110,8 @@ def shear_field(
     """
     if domain.basis is not Basis.TORUS:
         raise BasisError("shear_field is a torus construction")
-    if mode < 1 or mode >= domain.n // 2:
-        raise ValueError(f"mode must lie in [1, n/2), got {mode!r}")
+    if not isinstance(mode, (int, np.integer)) or not 1 <= mode < domain.n // 2:
+        raise FieldError("mode", f"mode must be an integer in [1, n/2), got {mode!r}")
     if not np.isfinite(amplitude * domain.box):
         raise FieldError(
             "amplitude", f"amplitude = {amplitude!r} overflows the coefficient amplitude*L/2"
@@ -132,12 +132,13 @@ def gaussian_bump_field(
     Choose ``width`` well below ``box / 6`` when probing spatial decay so
     the initial tail beyond the cutoff is negligible.
     """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+    if not width > 0:
+        raise FieldError("width", f"width must be positive, got {width!r}")
+    if not amplitude > 0:
+        raise FieldError("amplitude", f"amplitude must be positive, got {amplitude!r}")
     if width > domain.box / 4:
-        raise ValueError(
+        raise FieldError(
+            "width",
             f"width {width!r} is too large for box {domain.box!r}; the bump "
             "must be localized well inside the box"
         )

@@ -66,15 +66,6 @@ _SPLIT_POINT = 10.0
 #: supremum of ``lambda/(lambda + mu)`` is 1 for every eigenvalue mu >= 0
 #: (attained as lambda -> inf), so M is 1 for every symmetric PSD matrix.
 _RESOLVENT_CONSTANT = 1.0
-#: ``SeedSequence``'s hash (NumPy ``bit_generator.pyx``, stable under NEP 19):
-#: the 4-word pool, the start and multiplier of the mixer's and of the
-#: output's hash constants, and the two multipliers of ``mix``.
-_POOL_WORDS = 4
-_MIXER_LCG = (0x43B0D7E5, 0x931E8875)
-_OUTPUT_LCG = (0x8B51F9DD, 0x58F38DED)
-_MIX_MULT = (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
-#: The pool rows each pool word is mixed into, in the hash's order.
-_OTHER_WORDS = [np.delete(np.arange(_POOL_WORDS), src) for src in range(_POOL_WORDS)]
 
 
 def _validated_eigh(matrices: np.ndarray) -> tuple:
@@ -562,38 +553,29 @@ def _moment_sides(
 def moment_inequality_trials(rng: np.random.Generator, trials: int) -> tuple:
     """The moment inequality on ``trials`` random ``(A, phi, beta)`` at once.
 
-    Trial ``i`` draws from ``rng``, in this order, a size ``n`` in [2, 12),
-    a seed, ``phi`` (``n`` standard normals) and ``beta = 0.5 + 0.5 (1 - u)``
-    in (1/2, 1]; ``A`` is ``random_spd(n, seed)``.  The result equals
-    :func:`moment_inequality_check` applied trial by trial, and ``rng`` ends
-    at the same stream position, but the matrices of one size are built,
-    validated and diagonalized as one stack.  Each trial's generator is
-    bit-identical to ``np.random.default_rng(seed)``, with the states of a
-    stack's generators computed in one pass (:func:`_spd_stack`), so the
-    battery hashes no seed through a ``SeedSequence``.  Returns ``(lhs, rhs,
-    passed)`` arrays in trial order.
+    Every draw comes from ``rng``, in this order: all the sizes ``n`` in
+    [2, 12) (``rng.integers(2, 12, size=trials)``); then, for each size in
+    ascending order, the group's matrices ``A`` (:func:`_spd_stack`: the
+    Gaussians, then the log-spectra), its ``phi`` (a ``(count, n)`` array
+    of standard normals) and its ``beta = 0.5 + 0.5 (1 - u)`` in (1/2, 1]
+    (``count`` uniforms ``u``).  Each trial's result equals
+    :func:`moment_inequality_check` on its own ``A``, ``phi`` and ``beta``,
+    but a group is validated and diagonalized as one stack.  A negative or
+    non-integral ``trials`` raises ``FieldError("trials", ...)``.  Returns
+    ``(lhs, rhs, passed)`` arrays in trial order.
     """
-    sizes = np.empty(trials, dtype=np.int64)
-    seeds = np.empty(trials, dtype=np.int64)
-    uniforms = np.empty(trials)
-    # row i holds phi_i in its first sizes[i] entries
-    phis = np.empty((trials, _TRIAL_SIZES[1] - 1))
-    for i in range(trials):
-        size = sizes[i] = rng.integers(*_TRIAL_SIZES)
-        seeds[i] = rng.integers(0, 2**31)
-        phis[i, :size] = rng.standard_normal(size)
-        uniforms[i] = rng.random()
-    betas = 0.5 + 0.5 * (1.0 - uniforms)
-
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise FieldError("trials", f"trials must be a non-negative integer, got {trials!r}")
+    sizes = rng.integers(*_TRIAL_SIZES, size=trials)
     lhs = np.empty(trials)
     rhs = np.empty(trials)
     passed = np.empty(trials, dtype=bool)
     for size in np.unique(sizes):
         group = np.flatnonzero(sizes == size)
-        _, values, vectors = _validated_eigh(_spd_stack(seeds[group], size))
-        lhs[group], rhs[group], passed[group] = _moment_sides(
-            values, vectors, phis[group, :size], betas[group]
-        )
+        _, values, vectors = _validated_eigh(_spd_stack(rng, group.size, size))
+        phis = rng.standard_normal((group.size, size))
+        betas = 0.5 + 0.5 * (1.0 - rng.random(group.size))
+        lhs[group], rhs[group], passed[group] = _moment_sides(values, vectors, phis, betas)
     return lhs, rhs, passed
 
 
@@ -621,110 +603,18 @@ def dirichlet_laplacian_1d(m: int) -> DenseOperator:
     return DenseOperator(matrix=matrix)
 
 
-@lru_cache(maxsize=16)
-def _hash_constants(lcg: tuple, count: int) -> np.ndarray:
-    """The first ``count`` constants ``start * mult**i mod 2**32`` of a hash, as a column."""
-    start, mult = lcg
-    table = np.array([start * pow(mult, i, 1 << 32) % (1 << 32) for i in range(count)], np.uint32)
-    table = table[:, None]
-    table.setflags(write=False)
-    return table
+def _spd_stack(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """``count`` symmetrized ``Q diag(e) Q^T`` drawn from ``rng``, stacked ``(count, size, size)``.
 
-
-def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s ``hashmix`` of ``values`` with ``len(constants) - 1`` constant rows."""
-    values = (values ^ constants[:-1]) * constants[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s ``mix`` of the words ``x`` with the words ``y``."""
-    values = _MIX_MULT[0] * x - _MIX_MULT[1] * y
-    return values ^ (values >> 16)
-
-
-def _seed_states(seeds) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed, ``(k, 4)``.
-
-    Replays the hash in uint32 arithmetic over all seeds at once, the pool a
-    ``(4, k)`` array; entropy words beyond the pool (seeds ``>= 2**128``)
-    are mixed in under a per-seed mask.  A negative or non-integral seed
-    raises ``FieldError("seed", ...)``.
-    """
-    ints = []
-    for seed in seeds:
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise FieldError("seed", f"seed must be a non-negative integer, got {seed!r}")
-        ints.append(int(seed))
-    lengths = np.array([(seed.bit_length() + 31) // 32 for seed in ints], dtype=np.int64)
-    width = int(lengths.max(initial=_POOL_WORDS))
-    entropy = np.frombuffer(
-        b"".join(seed.to_bytes(4 * width, "little") for seed in ints), dtype="<u4"
-    ).reshape(len(ints), width).T
-    mixer = _hash_constants(_MIXER_LCG, 4 * width + 1)
-    pool = _hashmix(entropy[:_POOL_WORDS], mixer[: _POOL_WORDS + 1])
-    at = _POOL_WORDS
-    for src, dst in enumerate(_OTHER_WORDS):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixer[at : at + _POOL_WORDS]))
-        at += _POOL_WORDS - 1
-    for src in range(_POOL_WORDS, width):
-        mixed = _mix(pool, _hashmix(entropy[src], mixer[at : at + _POOL_WORDS + 1]))
-        pool = np.where(lengths > src, mixed, pool)
-        at += _POOL_WORDS
-    words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_OUTPUT_LCG, 9))
-    # each uint64 state word pairs two uint32 words, the low one first; the
-    # rows must be contiguous, since PCG64 reads a state's memory directly
-    words = words.astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
-
-
-@lru_cache(maxsize=1)
-def _preset_seed() -> type:
-    """A seed-sequence type whose ``generate_state`` returns one precomputed state.
-
-    ``PCG64`` asks its seed sequence for 4 uint64 words and runs its own
-    seeding step on them, so ``PCG64(_preset_seed()(state))`` with ``state =
-    SeedSequence(seed).generate_state(4, np.uint64)`` equals
-    ``PCG64(seed)`` without hashing ``seed``.  Built on first use: importing
-    ``numpy.random`` costs about 10 ms, which every import of this module
-    would pay.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PresetSeed(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            return self.state
-
-    return PresetSeed
-
-
-def _spd_stack(seeds, size: int) -> np.ndarray:
-    """Symmetrized ``Q diag(e) Q^T`` per seed, stacked ``(len(seeds), size, size)``.
-
-    Each seed's generator draws a Gaussian matrix, whose QR factor (signs
-    fixed by ``diag(R) > 0`` for determinism) gives ``Q``, then the
-    log-uniform spectrum ``e`` in ``_SPD_EIGS``.  The generators are
-    bit-identical to ``np.random.default_rng(seed)``, but no ``SeedSequence``
-    is built: :func:`_seed_states` computes every seed's state in one pass,
-    and each generator is seeded from its state.  A non-integral ``size`` or
+    ``rng`` draws all ``count`` Gaussian matrices, whose QR factors (signs
+    fixed by ``diag(R) > 0`` for determinism) give the ``Q``, then all the
+    log-uniform spectra ``e`` in ``_SPD_EIGS``.  A non-integral ``size`` or
     ``size < 1`` raises ``FieldError("size", ...)``.
     """
     if not isinstance(size, (int, np.integer)) or size < 1:
         raise FieldError("size", f"size must be a positive integer, got {size!r}")
-    # hashed before the stack is allocated: hashing between its allocations
-    # left heap holes that raised operator-battery's peak RSS by up to 1 MB
-    states = _seed_states(seeds)
-    preset_seed = _preset_seed()
-    log_lo, log_hi = np.log(_SPD_EIGS[0]), np.log(_SPD_EIGS[1])
-    gauss = np.empty((len(seeds), size, size))
-    log_eigs = np.empty((len(seeds), size))
-    for j, state in enumerate(states):
-        rng = np.random.Generator(np.random.PCG64(preset_seed(state)))
-        rng.standard_normal(out=gauss[j])
-        log_eigs[j] = rng.uniform(log_lo, log_hi, size=size)
+    gauss = rng.standard_normal((count, size, size))
+    log_eigs = rng.uniform(np.log(_SPD_EIGS[0]), np.log(_SPD_EIGS[1]), size=(count, size))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     matrices = (q * np.exp(log_eigs)[:, None, :]) @ np.swapaxes(q, 1, 2)
@@ -734,9 +624,10 @@ def _spd_stack(seeds, size: int) -> np.ndarray:
 def random_spd(size: int, seed: int) -> DenseOperator:
     """Random SPD matrix with log-uniform spectrum in ``_SPD_EIGS`` (seeded).
 
-    Drawn from a generator bit-identical to ``np.random.default_rng(seed)``,
-    whose state :func:`_spd_stack` computes in its one seeding pass.  A
+    Drawn by :func:`_spd_stack` from ``np.random.default_rng(seed)``.  A
     negative or non-integral ``seed`` raises ``FieldError("seed", ...)``, a
     non-integral ``size`` or ``size < 1`` ``FieldError("size", ...)``.
     """
-    return DenseOperator(matrix=_spd_stack([seed], size)[0])
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise FieldError("seed", f"seed must be a non-negative integer, got {seed!r}")
+    return DenseOperator(matrix=_spd_stack(np.random.default_rng(seed), 1, size)[0])

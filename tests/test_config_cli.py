@@ -1626,8 +1626,9 @@ class TestCliArtifacts:
         assert "l43-interpolation" in names
 
     def test_sweep_computes_its_step_once(self, tmp_path, capsys, monkeypatch):
-        # with dt unset, default_dt reads the initial speed once and each
-        # member's integrate reads it once; the summary's dt costs nothing more
+        # with dt unset, default_dt reads the initial speed once; each member
+        # records its own initial speed through its march's buffers, and the
+        # summary's dt costs nothing more
         calls = []
         original = dynamics.advective_speed
 
@@ -1638,7 +1639,7 @@ class TestCliArtifacts:
         monkeypatch.setattr(dynamics, "advective_speed", counted)
         lines = [line.replace("n = 16", "n = 32") for line in SWEEP_LINES]
         out = self.run_ok(tmp_path, capsys, cfg(*lines, "alphas = [0.75, 0.6]"), "sweep-alpha")
-        assert calls == [32] * 3
+        assert calls == [32]
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         times = summary["report"]["times"]
         assert summary["dt"] == pytest.approx(times[1] - times[0])

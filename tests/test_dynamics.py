@@ -401,7 +401,7 @@ class TestPrunedTorusKernel:
         assert plan.transport(coeffs, plan.scratch())[0].shape == (n, n // 3 + 1)
         assert np.all(got == want)
         assert speed == want_speed
-        assert plan.speed(coeffs) == want_speed
+        assert plan.speed(coeffs, plan.scratch()) == want_speed
 
     def test_plan_building_leaves_scipy_fft_unloaded(self):
         # the transforms, fields and kernels of both bases run on numpy.fft
@@ -607,7 +607,7 @@ class TestBoxKernelOracle:
         assert got.shape == want.shape == (2 * n // 3, 2 * n // 3)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert speed == pytest.approx(want_speed, rel=1e-15, abs=0.0)
-        assert plan.speed(block) == speed
+        assert plan.speed(block, plan.scratch()) == speed
 
 
 class TestStepOracles:
@@ -1050,6 +1050,22 @@ class TestMarchBuffers:
         # the two state buffers alternate from step to step
         assert calls[1] is calls[2] is calls[5] and calls[3] is calls[4]
         assert calls[3] is not calls[1]
+
+    def test_a_box_run_allocates_its_scratch_once(self, dirichlet32, monkeypatch):
+        # the initial sample's speed runs through the march's own buffers
+        plan_type = type(_plan(dirichlet32))
+        scratch = plan_type.scratch
+        calls = []
+
+        def counted(self):
+            calls.append(self.n)
+            return scratch(self)
+
+        monkeypatch.setattr(plan_type, "scratch", counted)
+        theta0 = random_smooth_field(dirichlet32, seed=34, amplitude=0.5)
+        state = SimulationState(t=0.0, theta=theta0)
+        integrate(state, SqgParams(kappa=0.1, alpha=0.75), StepperConfig(0.01, 0.03))
+        assert calls == [32]
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_final_state_stays_fixed(self, name, request):

@@ -5,8 +5,8 @@ import *`` broken while direct imports keep working, so no other test sees
 it.  Likewise every function the benchmark's span tracer wraps must exist,
 or a traced benchmark run fails.  And the driver stays above the kernels:
 it imports no private name of the spectral or dynamics layers.  The
-operator kit's failures stay typed: it raises no bare ``ValueError`` or
-``TypeError``.
+failures of the operator kit and of the initial-condition builders stay
+typed: they raise no bare ``ValueError`` or ``TypeError``.
 """
 
 from __future__ import annotations
@@ -75,10 +75,11 @@ def test_cli_imports_no_private_kernel():
     assert private == []
 
 
-def test_operator_kit_raises_no_bare_value_or_type_error():
+@pytest.mark.parametrize("module", ["operators.py", "fields.py"])
+def test_raises_no_bare_value_or_type_error(module):
     # a bad argument raises FieldError naming it, a broken spectrum
     # NonFiniteError; both stay ValueErrors for callers that catch those
-    tree = ast.parse((Path(sqglab.__file__).parent / "operators.py").read_text(encoding="utf-8"))
+    tree = ast.parse((Path(sqglab.__file__).parent / module).read_text(encoding="utf-8"))
     bare = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:

@@ -62,6 +62,12 @@ class TestRandomSmoothField:
         with pytest.raises(ValueError, match="amplitude"):
             random_smooth_field(torus32, seed=0, amplitude=-1.0)
 
+    @pytest.mark.parametrize("key", ["decay", "amplitude"])
+    def test_nan_names_its_key(self, torus32, key):
+        with pytest.raises(FieldError) as info:
+            random_smooth_field(torus32, seed=0, **{key: float("nan")})
+        assert info.value.field == key
+
     @pytest.mark.parametrize(
         ("kwargs", "key"),
         [({"decay": 1e308}, "decay"), ({"amplitude": 1e308}, "amplitude")],
@@ -92,9 +98,11 @@ class TestShearField:
         with pytest.raises(BasisError):
             shear_field(dirichlet32)
 
-    def test_mode_range(self, torus32):
-        with pytest.raises(ValueError, match="mode"):
-            shear_field(torus32, mode=16)
+    @pytest.mark.parametrize("mode", [16, 0, 1.5, 2.0, float("nan")])
+    def test_mode_range(self, torus32, mode):
+        with pytest.raises(FieldError, match="mode") as info:
+            shear_field(torus32, mode=mode)
+        assert info.value.field == "mode"
 
     def test_overflowing_amplitude_names_its_key(self, torus32):
         with pytest.raises(FieldError, match="amplitude") as info:
@@ -120,6 +128,20 @@ class TestGaussianBump:
     def test_width_cap(self, torus32):
         with pytest.raises(ValueError, match="width"):
             gaussian_bump_field(torus32, width=5.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"width": float("nan")}, "width"),
+            ({"width": 0.0}, "width"),
+            ({"width": float("inf")}, "width"),
+            ({"width": 0.5, "amplitude": float("nan")}, "amplitude"),
+        ],
+    )
+    def test_bad_values_name_their_key(self, torus32, kwargs, key):
+        with pytest.raises(FieldError) as info:
+            gaussian_bump_field(torus32, **kwargs)
+        assert info.value.field == key
 
     @pytest.mark.parametrize("name", ["torus32", "dirichlet32"])
     def test_underflowing_width_names_its_key(self, name, request):

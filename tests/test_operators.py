@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.random.bit_generator import ISeedSequence
 
 import sqglab
 from oracles import resolvent_sum
@@ -30,8 +29,6 @@ from sqglab.operators import (
     _leggauss,
     _log_nodes,
     _resolvent_sum,
-    _seed_states,
-    _spd_stack,
     _validated_eigh,
     moment_inequality_check,
     moment_inequality_trials,
@@ -363,14 +360,21 @@ class TestMomentInequality:
 
 
 def _moment_trials_loop(rng, trials):
-    """The moment battery one trial at a time, in the battery's draw order."""
-    out = []
-    for _ in range(trials):
-        size = int(rng.integers(2, 12))
-        A = random_spd(size, seed=int(rng.integers(0, 2**31)))
-        vec = rng.standard_normal(size)
-        beta = 0.5 + 0.5 * (1.0 - rng.random())
-        out.append(moment_inequality_check(A, vec, beta))
+    """The moment battery one trial at a time, from draws in the battery's order."""
+    sizes = rng.integers(2, 12, size=trials)
+    out = [None] * trials
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        gauss = rng.standard_normal((group.size, size, size))
+        log_eigs = rng.uniform(np.log(1e-2), np.log(1e2), size=(group.size, size))
+        vecs = rng.standard_normal((group.size, size))
+        betas = 0.5 + 0.5 * (1.0 - rng.random(group.size))
+        for j, i in enumerate(group):
+            q, r = np.linalg.qr(gauss[j])
+            q = q * np.sign(np.diag(r))
+            matrix = (q * np.exp(log_eigs[j])) @ q.T
+            A = DenseOperator(0.5 * (matrix + matrix.T))
+            out[i] = moment_inequality_check(A, vecs[j], betas[j])
     return (np.array(column) for column in zip(*out))
 
 
@@ -457,13 +461,13 @@ class TestConstructors:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-#: Seeds across the hash's word counts: one word, two, three, the full
-#: 4-word pool, and 5 and 7 words, whose extra words are mixed in after it.
+#: Seeds of one to seven 32-bit words, the widths ``SeedSequence`` takes
+#: into its 4-word pool and beyond it.
 SEED_CASES = [0, 1, 2**31 - 1, 2**32, 2**64 + 1, 2**128 - 1, 2**128, 2**200 + 3]
 
 
 def _default_rng_stack(seeds, size):
-    """:func:`_spd_stack` with one ``np.random.default_rng`` per seed: the reference."""
+    """:func:`random_spd`'s matrices with one ``np.random.default_rng`` per seed: the reference."""
     gauss = np.empty((len(seeds), size, size))
     log_eigs = np.empty((len(seeds), size))
     for j, seed in enumerate(seeds):
@@ -476,25 +480,14 @@ def _default_rng_stack(seeds, size):
     return 0.5 * (matrices + np.swapaxes(matrices, 1, 2))
 
 
-def _seed_sequence_states(seeds):
-    return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
-
-
 class TestSeeding:
-    """Trial generators are bit-identical to ``default_rng(seed)``, seeded in one pass."""
+    """``random_spd`` draws from ``default_rng(seed)``; the trials from the caller's generator."""
 
-    def test_states_equal_seed_sequence(self):
-        assert np.array_equal(_seed_states(SEED_CASES), _seed_sequence_states(SEED_CASES))
-
-    @pytest.mark.parametrize("size", [1, 2, 11])
-    def test_stack_equals_default_rng(self, size):
-        assert np.array_equal(_spd_stack(SEED_CASES, size), _default_rng_stack(SEED_CASES, size))
-
-    @settings(max_examples=60)
-    @given(seeds=st.lists(st.integers(0, 2**256 - 1), min_size=1, max_size=6))
-    def test_any_seed_below_2_256(self, seeds):
-        assert np.array_equal(_seed_states(seeds), _seed_sequence_states(seeds))
-        assert np.array_equal(_spd_stack(seeds, 3), _default_rng_stack(seeds, 3))
+    @pytest.mark.parametrize("size", [2, 11])
+    def test_random_spd_equals_default_rng(self, size):
+        for seed in SEED_CASES:
+            want = _default_rng_stack([seed], size)[0]
+            assert np.array_equal(random_spd(size, seed).matrix, want)
 
     @pytest.mark.parametrize(
         "size, seed, field",
@@ -512,40 +505,38 @@ class TestSeeding:
             random_spd(size, seed)
         assert info.value.field == field
 
-    def test_rejects_a_bad_seed_inside_a_stack(self):
+    @pytest.mark.parametrize("trials", [-1, 2.5, np.float64(3.0), "8"])
+    def test_rejects_a_bad_trial_count(self, trials):
         with pytest.raises(FieldError) as info:
-            _spd_stack([1, 2**40, -3], 2)
-        assert info.value.field == "seed"
+            moment_inequality_trials(np.random.default_rng(0), trials)
+        assert info.value.field == "trials"
+
+    def test_no_trials_give_empty_columns(self):
+        columns = moment_inequality_trials(np.random.default_rng(0), 0)
+        assert [column.shape for column in columns] == [(0,)] * 3
 
     def test_trials_hash_no_seed_through_seed_sequence(self, monkeypatch):
-        # a PCG64 given anything but a seed sequence hashes it through a
-        # SeedSequence inside NumPy, out of reach of the patched name
+        # every draw comes from the caller's generator: the trials build none
         rng = np.random.default_rng(21)
         calls = []
 
-        def counted(name, hashes=lambda *args, **kwargs: True):
+        def counted(name):
             original = getattr(np.random, name)
 
             def wrapper(*args, **kwargs):
-                if hashes(*args, **kwargs):
-                    calls.append(name)
+                calls.append(name)
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in ("default_rng", "SeedSequence"):
+        for name in ("default_rng", "SeedSequence", "PCG64"):
             monkeypatch.setattr(np.random, name, counted(name))
-
-        def hashes_seed(seed=None):
-            return not isinstance(seed, ISeedSequence)
-
-        monkeypatch.setattr(np.random, "PCG64", counted("PCG64", hashes_seed))
         moment_inequality_trials(rng, 500)
         assert calls == []
 
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
-        # the seeding pass loads numpy.random on first use only: importing
-        # it costs about 10 ms, which every fresh process would pay
+        # random_spd loads numpy.random on first use only: importing it
+        # costs about 10 ms, which every fresh process would pay
         script = "import sys\nimport sqglab.cli\nprint('numpy.random' in sys.modules)\n"
         src = os.path.dirname(os.path.dirname(sqglab.__file__))
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
