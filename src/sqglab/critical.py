@@ -361,8 +361,9 @@ def sweep_with_runs(
 
     Members march on ``max_workers`` threads (one per member by default;
     the FFT work releases the interpreter lock).  Each thread owns one set
-    of transport buffers and one sample pass, which reads every sample's
-    ``linf`` (:func:`~sqglab.estimates._sample_pass`), and repeatedly
+    of transport buffers, which its members march through, and one sample
+    pass, which reads every sample's ``linf`` from the theta grid those
+    buffers hold (:func:`~sqglab.estimates._sample_pass`), and repeatedly
     advances, by one sample interval, the least-advanced member (the
     shortest queue) that no other thread is running (ties go to the lower
     index), which keeps the threads balanced.  One lock guards the schedule and the queues.  One
@@ -397,7 +398,7 @@ def sweep_with_runs(
     m = len(config.alphas)
     lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a run's transport buffers
     start = SimulationState(t=0.0, theta=config.theta0)
-    thread = threading.local()  # each worker's sample pass
+    thread = threading.local()  # each worker's sample pass, lent its runs' buffers
 
     def linf(state: SimulationState) -> dict[str, float]:
         return {"linf": thread.sample(state.theta)[1]}

@@ -18,7 +18,9 @@ keeps, and the plan, the one code that knows that block, assembles a
 full-layout array from it.  On the torus the block is the columns
 ``0 .. n/3`` of the real-FFT half plane (the plan derives their conjugate
 mirror), so one evaluation is three inverse real FFTs (u1, u2 and theta) and
-two forward ones (the fluxes), whose complex passes skip the zeroed columns.
+two forward ones (the fluxes), whose complex passes skip the zeroed columns;
+every table and elementwise pass covers only the block's live rows
+``|k1| <= n/3``, the rest of which the 2/3 rule zeroes too.
 The same pruned synthesis gives a sampled state's grid and the estimate
 battery's ``(-Lap)^a theta``, and one dealias test per plan tells every
 caller whether a field has modes past the cut.  Each pass is a per-axis
@@ -51,7 +53,10 @@ outside the block is rejected, since the run would not evolve them.
 Sampled states are assembled into new full-layout arrays (on the torus the
 block's conjugate mirror fills the other columns) and stream to the
 caller's one ``sample`` hook, which may keep them and returns the sample's
-extra series columns.
+extra series columns.  Each step's first transport stage runs before the
+previous state is sampled, and the run lends the hook its scratch
+(:func:`_lent_scratch`), so a sample reads theta's grid from the
+synthesis that stage has just made instead of synthesizing it again.
 
 A slow Picard/Simpson fixed-point integrator over the Duhamel form serves as
 a scheme-independent reference for convergence studies.
@@ -61,13 +66,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, CflWarning, ConvergenceError, FieldError
+from .errors import BasisError, BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
 from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror, _power_weights
 
@@ -219,7 +225,7 @@ class SimulationState:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.t):
-            raise ValueError(f"state time must be finite, got {self.t}")
+            raise FieldError("t", f"state time must be finite, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -273,7 +279,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 def etd_coefficients(domain: DomainSpec, params: SqgParams, dt: float) -> EtdCoefficients:
     """Precompute the per-mode ETD tables for step size ``dt``."""
     if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        raise FieldError("dt", f"dt must be positive and finite, got {dt}")
     coeffs = EtdCoefficients(float(dt), *_etd_tables(domain.laplacian_symbol, params, dt))
     for table in (coeffs.decay, coeffs.phi1, coeffs.phi2):
         table.setflags(write=False)
@@ -315,7 +321,7 @@ def embed_odd_extension(field: SpectralField) -> SpectralField:
     """
     domain = field.domain
     if domain.basis is not Basis.DIRICHLET:
-        raise ValueError("odd extension applies to Dirichlet-basis fields only")
+        raise BasisError("odd extension applies to Dirichlet-basis fields only")
     n = domain.n
     big = DomainSpec(n=2 * n, box=2 * domain.box, basis=Basis.TORUS)
     block = -field.coeffs.astype(np.complex128)
@@ -335,10 +341,10 @@ def restrict_odd_extension(field: SpectralField, domain: DomainSpec) -> Spectral
     represent).
     """
     if domain.basis is not Basis.DIRICHLET:
-        raise ValueError("restriction targets a Dirichlet-basis domain")
+        raise BasisError("restriction targets a Dirichlet-basis domain")
     n = domain.n
     if field.domain.n != 2 * n or field.domain.basis is not Basis.TORUS:
-        raise ValueError("field must live on the doubled torus of the target domain")
+        raise FieldError("field", "field must live on the doubled torus of the target domain")
     coeffs = -field.coeffs[1:n, 1:n].real.copy()
     return SpectralField(coeffs=coeffs, domain=domain)
 
@@ -348,14 +354,18 @@ class _TransportPlan:
     """Read-only multipliers of the transport kernel on one torus domain.
 
     The 2/3 rule keeps the columns ``0 .. c``, ``c = floor(n/3)``, of the
-    ``rfft2`` half plane, so every array is an ``(n, c+1)`` block of them:
-    ``synth`` stacks the multipliers taking theta's coefficients to the grid
-    values of u1, u2 and theta (dealias mask and the synthesis scale ``1/L``
-    folded in; the transforms are unnormalized); ``div`` stacks the symbols
-    of ``-d/dx_j`` with the mask and the analysis scale ``L/n^2`` folded in;
-    ``symbol`` holds the ``-Lap`` eigenvalue of each mode, from which a
-    march forms its ETD tables and a sample its Sobolev weights.  No table
-    covers the full layout.  The kernel assumes real fields, i.e.
+    ``rfft2`` half plane, the kept block, and within them only the 2c+1
+    live rows ``k1 = 0 .. c`` and ``-c .. -1``.  The tables cover the live
+    rows alone, top rows first: ``velocity`` stacks the multipliers taking
+    theta's coefficients to the grid values of u1 and u2 (the synthesis
+    scale ``1/L`` folded in; the transforms are unnormalized) and ``scale``
+    is theta's own multiplier, that scale as one complex number; ``div``
+    holds the symbols of ``-d/dx_1`` as a ``(2c+1, 1)`` column and of
+    ``-d/dx_2`` as a ``(1, c+1)`` row, with the analysis scale ``L/n^2``
+    folded in, which broadcast over the live rows.  ``symbol`` holds the
+    ``-Lap`` eigenvalue of every mode of the kept block, from which a march
+    forms its ETD tables and a sample its Sobolev weights.  No table covers
+    the full layout.  The kernel assumes real fields, i.e.
     conjugate-symmetric coefficients, which the block determines.
 
     The plan is the one owner of that block: :meth:`kept` cuts it from a
@@ -365,48 +375,64 @@ class _TransportPlan:
     block determines an array, as a march requires, and :meth:`dealiased`
     whether it has no mode past the cut.  :meth:`synthesize` is the one
     pruned synthesis, which :meth:`transport`, :meth:`theta` and the
-    estimate battery's ``(-Lap)^a theta`` run.
+    estimate battery's ``(-Lap)^a theta`` run: it reads the two live row
+    slabs of a block or of a full-layout array, so a state's modes in the
+    kept columns beyond the cut are ignored, as the 2/3 rule asks.
 
     The plan is shared by every caller of its domain, so it holds no
     writable state: :meth:`scratch` gives the caller every buffer the
-    kernel writes, and :meth:`synthesis_scratch` the two that
-    :meth:`synthesize` alone reads, and the caller owns ``out``.  Every
-    transform is a per-axis ``numpy.fft`` pass into one of those buffers,
-    and every elementwise pass runs on contiguous arrays, so an evaluation
-    on a contiguous block allocates no array.
+    kernel writes, and the caller owns ``out``.  Every transform is a
+    per-axis ``numpy.fft`` pass into one of those buffers, and every
+    elementwise pass runs on contiguous arrays, so an evaluation on a
+    contiguous block allocates no array.
     """
 
     n: int
-    synth: np.ndarray
-    div: np.ndarray
+    velocity: np.ndarray
+    scale: complex
+    div: tuple[np.ndarray, np.ndarray]
     symbol: np.ndarray
 
-    def scratch(self) -> tuple[np.ndarray, ...]:
-        """The buffers :meth:`transport` writes: ``(half, theta, u, spectrum, temp)``.
+    @functools.cached_property
+    def cut(self) -> int:
+        """The largest kept wavenumber ``c = floor(n/3)``."""
+        return self.symbol.shape[1] - 1
 
-        ``half`` and ``temp`` are :meth:`synthesis_scratch`; ``theta`` and
-        ``u`` are ``(n, n)`` grids; ``spectrum`` is an ``(n, n/2+1)`` half
-        plane for each flux's ``rfft``.
+    @functools.cached_property
+    def _slabs(self) -> tuple[tuple[tuple[slice, slice], slice], ...]:
+        """The top and bottom live row slabs: the index of each in a block, then in a table."""
+        n, cut = self.n, self.cut
+        kept = slice(0, cut + 1)
+        return (
+            ((slice(0, cut + 1), kept), slice(0, cut + 1)),
+            ((slice(n - cut, n), kept), slice(cut + 1, 2 * cut + 1)),
+        )
+
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """The buffers :meth:`transport` writes: ``(half, theta, u, pad)``.
+
+        ``half`` is a zeroed ``(n, n/2+1)`` half plane, whose kept columns
+        carry each synthesis and which each flux's ``rfft`` fills; ``theta``
+        and ``u`` are ``(n, n)`` grids; ``pad`` is a zeroed kept block whose
+        live rows carry each synthesis and which each flux's axis-0 pass
+        fills.  The kernel zeroes again what a flux wrote outside the live
+        block.  :meth:`synthesize` reads ``half`` and ``pad`` only.
         """
         n = self.n
-        half, temp = self.synthesis_scratch()
-        spectrum = np.empty(half.shape, dtype=np.complex128)
-        return half, np.empty((n, n)), np.empty((n, n)), spectrum, temp
-
-    def synthesis_scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The buffers :meth:`synthesize` writes besides its grid: ``(half, temp)``.
-
-        ``half`` is a zeroed ``rfft2`` half plane whose kept columns carry
-        each synthesis, ``temp`` a kept block.
-        """
         return (
-            np.zeros((self.n, self.n // 2 + 1), dtype=np.complex128),
-            np.empty(self.symbol.shape, dtype=np.complex128),
+            np.zeros((n, n // 2 + 1), dtype=np.complex128),
+            np.empty((n, n)),
+            np.empty((n, n)),
+            np.zeros(self.symbol.shape, dtype=np.complex128),
         )
 
     def kept(self, array: np.ndarray) -> np.ndarray:
         """View of the block of a full-layout array that :meth:`transport` returns."""
-        return array[:, : self.div.shape[2]]
+        return array[:, : self.cut + 1]
+
+    def live(self, array: np.ndarray) -> np.ndarray:
+        """A new array of the live rows of a block or block-shaped table, top rows first."""
+        return np.concatenate((array[: self.cut + 1], array[self.n - self.cut :]))
 
     def transport(
         self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], out: np.ndarray | None = None
@@ -414,25 +440,45 @@ class _TransportPlan:
         """Dealiased ``-div(u theta)`` on the kept block, and max|u|, of a field.
 
         The block is written into ``out`` (a new array if ``None``), which is
-        returned.  Theta is synthesized first; then u1 and u2 stream one at a
-        time through the second grid: its extremes give the speed, it is
-        multiplied by theta in place, and the flux is analyzed into
-        ``out`` (u1) or into ``temp`` and added to ``out`` (u2).
+        returned, zero on the rows past the cut.  Theta is synthesized first;
+        then u1 and u2 stream one at a time through the second grid: its
+        extremes give the speed, it is multiplied by theta in place, and
+        the flux is analyzed through ``half`` into ``pad``, whose live rows
+        times the symbol are written into ``out`` (u1) or added to it (u2).
         """
-        _, theta, u, spectrum, temp = scratch
+        pad = scratch[3]
         if out is None:
-            out = np.empty_like(temp)
-        self.theta(coeffs, scratch, theta)
-        extremes = []
-        for mult, div, dest in zip(self.synth[:2], self.div, (out, temp)):
-            self.synthesize(mult, coeffs, scratch, u)
-            extremes += (u.max(), -u.min())
-            u *= theta
-            np.fft.rfft(u, axis=1, out=spectrum)
-            np.fft.fft(self.kept(spectrum), axis=0, out=temp)
-            np.multiply(div, temp, out=dest)
-        out += temp
+            out = np.empty(self.symbol.shape, dtype=np.complex128)
+        column, row = self.div
+        self.theta(coeffs, scratch, scratch[1])
+        extremes = self._flux(self.velocity[0], coeffs, scratch)
+        for block, table in self._slabs:
+            np.multiply(column[table], pad[block], out=out[block])
+        extremes += self._flux(self.velocity[1], coeffs, scratch)
+        for block, _ in self._slabs:
+            pad[block] *= row
+            out[block] += pad[block]
+        out[self.cut + 1 : self.n - self.cut] = 0.0
         return out, float(max(extremes))
+
+    def _flux(
+        self, mult: np.ndarray, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]
+    ) -> tuple[float, float]:
+        """Analyze one flux of :meth:`transport` into ``pad``; return its velocity's extremes.
+
+        The velocity component is synthesized into ``u``, multiplied by the
+        theta grid in place and analyzed through ``half``; what the passes
+        wrote outside the kept columns and the live rows is zeroed again.
+        """
+        half, theta, u, pad = scratch
+        self.synthesize(mult, coeffs, scratch, u)
+        extremes = (u.max(), -u.min())
+        u *= theta
+        np.fft.rfft(u, axis=1, out=half)
+        np.fft.fft(self.kept(half), axis=0, out=pad)
+        half[:, self.cut + 1 :] = 0.0
+        pad[self.cut + 1 : self.n - self.cut] = 0.0
+        return extremes
 
     def speed(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
         """max|u| of a field, without forming the transport products.
@@ -442,7 +488,7 @@ class _TransportPlan:
         """
         u = scratch[2]
         extremes = []
-        for mult in self.synth[:2]:
+        for mult in self.velocity:
             self.synthesize(mult, coeffs, scratch, u)
             extremes += (u.max(), -u.min())
         return float(max(extremes))
@@ -454,7 +500,7 @@ class _TransportPlan:
         ``1e-12`` of the block's largest ``|coefficient|`` (``validate``'s tolerance).
         """
         block = self.kept(full)
-        cut = block.shape[1] - 1
+        cut = self.cut
         if not np.array_equal(full[:, self.n - cut :], _conjugate_mirror(block)):
             return False
         column = block[:, 0]
@@ -463,12 +509,11 @@ class _TransportPlan:
 
     def confined(self, full: np.ndarray) -> bool:
         """Whether the middle columns of a full-layout array, which no block holds, are zero."""
-        cut = self.div.shape[2] - 1
-        return not full[:, cut + 1 : self.n - cut].any()
+        return not full[:, self.cut + 1 : self.n - self.cut].any()
 
     def assemble(self, block: np.ndarray) -> np.ndarray:
         """A new full-layout array: a block, zero middle columns and the block's conjugate mirror."""
-        n, cut = self.n, block.shape[1] - 1
+        n, cut = self.n, self.cut
         full = np.empty((n, n), dtype=np.complex128)
         full[:, : cut + 1] = block
         full[:, cut + 1 : n - cut] = 0.0
@@ -482,14 +527,13 @@ class _TransportPlan:
         ``|coefficient|^2`` over the full layout is this weighted sum over
         the block.
         """
-        weight = np.full(self.div.shape[1:], 2.0)
+        weight = np.full(self.symbol.shape, 2.0)
         weight[:, 0] = 1.0
         return weight
 
     def dealiased(self, full: np.ndarray) -> bool:
         """Whether a full-layout array is zero at every mode past the 2/3 cut."""
-        cut = self.div.shape[2] - 1
-        beyond = slice(cut + 1, self.n - cut)
+        beyond = slice(self.cut + 1, self.n - self.cut)
         return not (full[beyond].any() or full[:, beyond].any())
 
     def theta(
@@ -499,26 +543,38 @@ class _TransportPlan:
 
         The transport's theta, and the grid of a :meth:`dealiased` field.
         """
-        return self.synthesize(self.synth[2], coeffs, scratch, grid)
+        return self.synthesize(self.scale, coeffs, scratch, grid)
 
     def synthesize(
         self,
-        mult: np.ndarray,
+        mult: np.ndarray | complex,
         coeffs: np.ndarray,
         scratch: tuple[np.ndarray, ...],
         grid: np.ndarray | None,
     ) -> np.ndarray:
         """Write the grid values of ``mult * coeffs`` (a block or full layout) into ``grid``.
 
-        ``scratch`` is :meth:`scratch` or :meth:`synthesis_scratch`.
+        ``mult`` is a live-row table or one number.  ``scratch`` is
+        :meth:`scratch` or any tuple that starts with its ``half`` and ends
+        with a zeroed kept block.
         """
-        # The product goes to the contiguous temp block, the last in scratch
-        # and possibly coeffs itself (numpy buffers an elementwise pass over
-        # a strided view); the axis-0 pass writes the kept columns of the
-        # zeroed half plane, the first, so the axis-1 pass needs no padding.
-        half, *_, temp = scratch
-        np.multiply(mult, self.kept(coeffs), out=temp)
-        np.fft.ifft(temp, axis=0, norm="forward", out=self.kept(half))
+        # The products go to the live rows of the last buffer, the pad, whose
+        # other rows stay zero; the axis-0 pass writes the kept columns of
+        # the zeroed half plane, the first, so the axis-1 pass needs no
+        # padding.  A slab of a full-layout array is strided, and numpy
+        # buffers an elementwise pass over a strided view, so it is copied
+        # to the pad and multiplied there.
+        half, *_, pad = scratch
+        scalar = isinstance(mult, complex)
+        for block, table in self._slabs:
+            factor = mult if scalar else mult[table]
+            slab = coeffs[block]
+            if slab.flags.c_contiguous:
+                np.multiply(factor, slab, out=pad[block])
+            else:
+                np.copyto(pad[block], slab)
+                pad[block] *= factor
+        np.fft.ifft(pad, axis=0, norm="forward", out=self.kept(half))
         return np.fft.irfft(half, n=self.n, axis=1, norm="forward", out=grid)
 
 
@@ -732,27 +788,29 @@ def _plan(domain: DomainSpec) -> _TransportPlan | _DirichletPlan:
         for table in (synth, div, symbol):
             table.setflags(write=False)
         return _DirichletPlan(n=n, synth=synth, div=div, symbol=symbol)
-    # the kept columns k2 = 0 .. n/3 of the rfft2 half plane, every row k1;
+    # the kept columns k2 = 0 .. n/3 of the rfft2 half plane; the symbol
+    # covers their every row k1, the multipliers the live rows |k1| <= n/3
+    # only (the Nyquist row, which has no conjugate partner, is not one);
     # each table is formed as DomainSpec forms its full-layout symbols, so
-    # it equals their block bit for bit
+    # it equals their live rows bit for bit
+    cut = n // 3
     k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    k2 = np.arange(n // 3 + 1, dtype=float)[None, :]
-    mask = np.abs(k1) <= n / 3.0  # the 2/3 rule, which k2 meets on every kept column
+    k2 = np.arange(cut + 1, dtype=float)[None, :]
+    live = np.concatenate((k1[: cut + 1], k1[n - cut :]))
     scale = 2.0 * math.pi / domain.box
-    mag = np.hypot(k1, k2)
+    mag = np.hypot(live, k2)
     mag[0, 0] = np.inf
-    # the Nyquist row k1 = -n/2, which the mask drops too, has no conjugate partner
-    nyquist = np.abs(k1) == n // 2
-    r1, r2 = (np.where(nyquist, 0.0, k / mag) for k in (k1, k2))
-    d1, d2 = np.where(nyquist, 0.0, 1j * scale * k1), 1j * scale * k2
     # u = (-R2 theta, R1 theta), R_j having the multiplier -i k_j/|k|
-    synth = np.stack([1j * r2, -1j * r1, np.ones(mag.shape)])
-    synth *= mask / domain.box
-    div = np.stack(np.broadcast_arrays(d1, d2)) * (mask * (-domain.box / (n * n)))
+    velocity = np.stack([1j * (k2 / mag), -1j * (live / mag)])
+    velocity *= 1.0 / domain.box
+    analysis = -domain.box / (n * n)
+    div = (1j * scale * live * analysis, 1j * scale * k2 * analysis)
     symbol = (scale * scale) * (k1**2 + k2**2)
-    for table in (synth, div, symbol):
+    for table in (velocity, *div, symbol):
         table.setflags(write=False)
-    return _TransportPlan(n=n, synth=synth, div=div, symbol=symbol)
+    return _TransportPlan(
+        n=n, velocity=velocity, scale=complex(1.0 / domain.box), div=div, symbol=symbol
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -821,7 +879,7 @@ def _forcing_coeffs(domain: DomainSpec, params: SqgParams) -> np.ndarray | None:
     if forcing is None:
         return None
     if forcing.domain != domain:
-        raise ValueError("forcing must live on the same domain as the evolved field")
+        raise FieldError("forcing", "forcing must live on the same domain as the evolved field")
     return forcing.coeffs
 
 
@@ -846,6 +904,27 @@ def _kept_block(plan: _TransportPlan | _DirichletPlan, full: np.ndarray, name: s
             "does not evolve; dealias it first",
         )
     return plan.kept(full)
+
+
+#: Per thread, what a run lends the ``sample`` hook it is running (see
+#: :func:`_lent_scratch`): ``(coeffs, scratch, fresh)``, or ``None``.
+_loans = threading.local()
+
+
+def _lent_scratch(coeffs: np.ndarray) -> tuple[Sequence[np.ndarray] | None, bool]:
+    """The scratch a run lends the sample of ``coeffs``, and whether its theta grid is fresh.
+
+    While a run's ``sample`` hook runs, on the run's thread and for the
+    very array of the state the hook was handed, this is the run's
+    transport scratch and, on the torus, whether its theta grid holds that
+    state's theta cut at n/3: the next step's first stage has just
+    synthesized it, on every sample but the last.  Anywhere else it is
+    ``(None, False)``.
+    """
+    lent = getattr(_loans, "lent", None)
+    if lent is None or lent[0] is not coeffs:
+        return None, False
+    return lent[1], lent[2]
 
 
 def _sampled_run(
@@ -881,10 +960,17 @@ def _sampled_run(
 
     The run owns its buffers: the block alternates between two arrays, the
     transport writes through ``scratch`` (the plan's scratch buffers,
-    allocated here unless the caller gives them, which the initial
-    sample's speed uses too) into ``n0`` and, for the corrector, ``n1``,
-    which first holds the phi_1 term, so a step allocates no array beyond
-    the finite check's mask.  A caller that
+    allocated here unless the caller gives them) into ``n0`` and, for the
+    corrector, ``n1``, which first holds the phi_1 term, so a step
+    allocates no array beyond the finite check's mask.  Each step's first
+    stage, into ``n0``, runs at the end of the step before it (for the
+    first step, before the initial sample), so its speed is the sampled
+    state's ``cfl`` and its theta grid, on the torus, that state's theta.
+    While the ``sample`` hook runs, the run lends it ``scratch``
+    (:func:`_lent_scratch`), marked fresh on every sample but the last, so
+    the hook reads that grid instead of synthesizing it again.  A
+    non-finite value from an early stage fails the step it belongs to, as
+    if it had run there.  A caller that
     passes a list may refill it with another set of buffers between
     resumptions, so that runs taking turns on a thread share that thread's
     set.  The plan never holds these buffers, since runs on one domain
@@ -929,7 +1015,9 @@ def _sampled_run(
             out += forcing
         return speed
 
-    def record(current: SimulationState, speed: float, peak: float, peak_t: float) -> None:
+    def record(
+        current: SimulationState, speed: float, peak: float, peak_t: float, fresh: bool
+    ) -> None:
         peak_cfl = dt * peak * cells_per_length
         if peak_cfl > CFL_LIMIT:
             warnings.warn(
@@ -939,21 +1027,30 @@ def _sampled_run(
             )
         row = {"cfl": dt * speed * cells_per_length}
         if sample is not None:
-            row.update(sample(current) or {})
+            loan = getattr(_loans, "lent", None)  # an outer run's, if a hook runs a run
+            _loans.lent = (current.theta.coeffs, scratch, fresh)
+            try:
+                row.update(sample(current) or {})
+            finally:
+                _loans.lent = loan
         series.append(current.t, row)
 
-    current = state
-    speed = plan.speed(block, scratch)
-    record(current, speed, speed, state.t)
-    yield current
+    def first_stage(block: np.ndarray) -> float:
+        # the next step's, run before the sample: its theta grid is the sample's
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rhs(block, n0)
+
     buffers = tuple(np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
     n0, n1 = (np.empty_like(decay, dtype=coeffs.dtype) for _ in range(2))
+    current = state
+    last = first_stage(block)  # the speed of the last accepted state
+    record(current, last, last, state.t, True)
+    yield current
     peak, peak_t = 0.0, state.t
     for k in range(1, n_steps + 1):
         t = state.t + config.t_end if k == n_steps else state.t + k * dt
         new_block = buffers[k % 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            last = rhs(block, n0)  # the speed of the last accepted state
             np.multiply(decay, block, out=new_block)
             new_block += np.multiply(dt_phi1, n0, out=n1)  # n1 is free until the corrector
             # Cox-Matthews corrector: predictor + dt phi2 (N(predictor) - n0)
@@ -967,11 +1064,13 @@ def _sampled_run(
         block = new_block
         if speed > peak:
             peak, peak_t = speed, t
+        if k < n_steps:
+            last = first_stage(block)  # a non-finite value here fails the next step
         if k % config.sample_every == 0 or k == n_steps:
             # a new array: the next steps overwrite the block, and the field owns its array
             theta = SpectralField(coeffs=plan.assemble(block), domain=domain)
             current = SimulationState(t=t, theta=theta)
-            record(current, speed, peak, peak_t)
+            record(current, speed, peak, peak_t, k < n_steps)
             peak = 0.0
             yield current
     return RunResult(series=series, final=current)
@@ -1073,11 +1172,13 @@ def picard_reference(
         ``rtol`` in relative L2 norm.
     """
     if iterations < 3:
-        raise ValueError(f"iterations must be at least 3, got {iterations}")
+        raise FieldError("iterations", f"iterations must be at least 3, got {iterations}")
     if subintervals < 2 or subintervals % 2 != 0:
-        raise ValueError(f"subintervals must be even and >= 2, got {subintervals}")
+        raise FieldError(
+            "subintervals", f"subintervals must be even and >= 2, got {subintervals}"
+        )
     if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+        raise FieldError("t_end", f"t_end must be positive and finite, got {t_end}")
 
     domain = state.theta.domain
     plan = _plan(domain)

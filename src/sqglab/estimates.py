@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import _block_weights, _DirichletPlan, _plan, _TransportPlan
+from .dynamics import _block_weights, _DirichletPlan, _lent_scratch, _plan, _TransportPlan
 from .errors import NonFiniteError
 from .spectral import (
     Basis,
@@ -268,9 +268,10 @@ class _BatteryPlan:
 
     On the torus a dealiased phi has modes ``|k_i| <= c = floor(n/3)``,
     all in the columns ``0 .. c`` of its ``rfft2`` half plane (the kept
-    block).  ``(-Lap)^a phi`` is ``synth`` (``|k|^{2a}``, the dealias mask
-    and the synthesis scale ``1/L``, cut with ``transport.kept``) times
-    that block, through ``transport.synthesize``.  The square's modes
+    block).  ``(-Lap)^a phi`` is ``synth`` (``|k|^{2a}`` times the
+    synthesis scale ``1/L`` on the block's live rows ``|k_1| <= c``, laid
+    out as the transport's multipliers) times that block, through
+    ``transport.synthesize``.  The square's modes
     reach ``|k_i| <= 2c < N/2`` on the grid of ``N = 3n/2`` points, so phi
     is synthesized there, squared without aliasing and analyzed, the
     axis-0 passes running on the c+1 kept and the 2c+1 support columns
@@ -293,9 +294,10 @@ class _BatteryPlan:
         """The buffers the checks write: three grids, then on the torus five transform buffers.
 
         The grids take ``(-Lap)^a phi``, ``(-Lap)^a(phi^2)`` and the slack,
-        and the caller's norm pass reuses all three.  The torus buffers are a kept
-        block and a zeroed half plane on the n grid, then the N-grid input
-        block (zero between its kept rows), a half plane and the N grid.
+        and the caller's norm pass reuses all three.  The torus buffers are a zeroed
+        kept block and a zeroed half plane on the n grid, the synthesis's pad and
+        half plane, then the N-grid input block (zero between its kept rows), a
+        half plane and the N grid.
         """
         n = self.domain.n
         if self.synth is None:
@@ -322,17 +324,16 @@ class _BatteryPlan:
         """Grid values of ``(-Lap)^a phi``; ``values`` (phi's) at a = 0.
 
         ``dealiased`` is the transport plan's ``dealiased(phi.coeffs)``.  A
-        dealiased torus phi is synthesized into the first scratch grid, from
-        its block copied to the contiguous temp (not a strided view); a box
-        phi, or one with modes past the cut, goes through ``to_physical``.
+        dealiased torus phi is synthesized into the first scratch grid, its
+        live rows copied to the zeroed kept block; a box phi, or one with
+        modes past the cut, goes through ``to_physical``.
         """
         if self.alpha == 0.0:
             return values
         if self.synth is None or not dealiased:
             return to_physical(fractional_laplacian(phi, self.alpha)).values
-        grid, _, _, temp, half = scratch[:5]
-        np.copyto(temp, self.transport.kept(phi.coeffs))
-        return self.transport.synthesize(self.synth, temp, (half, temp), grid)
+        grid, _, _, pad, half = scratch[:5]
+        return self.transport.synthesize(self.synth, phi.coeffs, (half, pad), grid)
 
     def slack(
         self,
@@ -454,8 +455,8 @@ def _battery_plan(domain: DomainSpec, alpha: float) -> _BatteryPlan:
     transport = _plan(domain)
     if domain.basis is Basis.DIRICHLET:
         return _BatteryPlan(domain, alpha, transport, None, None)
-    # theta's synthesis multiplier (the dealias mask over L) times |k|^{2a}
-    synth = _positive_power(transport.symbol, alpha) * transport.synth[2].real
+    # theta's synthesis multiplier 1/L times |k|^{2a}, on the live rows
+    synth = transport.live(_positive_power(transport.symbol, alpha)) * transport.scale.real
     n, cut = domain.n, synth.shape[1] - 1
     big = 3 * n // 2
     k1 = np.fft.fftfreq(big, d=1.0 / big)[:, None]
@@ -482,11 +483,18 @@ def _sample_pass(
     given ``alpha``, the Córdoba minimum slack and the positivity integrals
     of ``lq`` (``None`` and ``[]`` without).  theta is a run's state, zero
     outside the transport plan's kept block.  The pass owns every buffer a
-    sample writes, reused by every sample, so it serves one thread.
+    sample writes besides the transport's, reused by every sample, so it
+    serves one thread.
 
     It is the one code that decides how a sample is read.  A dealiased
     torus theta's grid is the plan's pruned synthesis of the kept block,
-    and any other goes through ``to_physical``.  On the torus the Sobolev
+    and any other goes through ``to_physical``.  Called from a run's
+    ``sample`` hook, the pass reads that synthesis from the run's
+    transport scratch (:func:`~sqglab.dynamics._lent_scratch`): the grid
+    the next step's first stage has just made, copied, or on the last
+    sample a synthesis through the same buffers.  Called outside a run, it
+    synthesizes through a scratch of its own, made on first use.  On the
+    torus the Sobolev
     norms sum over the block, whose weights count each column's conjugate
     mirror; the box sums its full layout, as ``sobolev_norm`` does, bit for
     bit.  The L^q pass writes the battery's grids, reversed so that its
@@ -495,17 +503,27 @@ def _sample_pass(
     """
     plan = _plan(domain)
     torus = domain.basis is Basis.TORUS
-    transforms = plan.synthesis_scratch() if torus else None
+    own: list[tuple[np.ndarray, ...]] = []  # a scratch for samples no run lends one
     layout = plan.kept if torus else np.asarray
     weights = [(_block_weights if torus else _sobolev_weights)(domain, s) for s in orders]
     battery = None if alpha is None else _battery_plan(domain, alpha)
     scratch = battery.scratch() if battery else None
     grids = scratch[2::-1] if battery else np.empty((2 if lq else 0, *domain.spectral_shape))
 
+    def synthesized(coeffs: np.ndarray) -> np.ndarray:
+        transforms, fresh = _lent_scratch(coeffs)
+        if fresh:  # the run's theta grid, which its next step overwrites
+            return transforms[1].copy()
+        if transforms is None:
+            if not own:
+                own.append(plan.scratch())
+            transforms = own[0]
+        return plan.theta(coeffs, transforms)
+
     def sample(theta: SpectralField) -> tuple:
         dealiased = plan.dealiased(theta.coeffs)
         if torus and dealiased:
-            grid = PhysicalField(plan.theta(theta.coeffs, transforms), domain)
+            grid = PhysicalField(synthesized(theta.coeffs), domain)
         else:
             grid = to_physical(theta)
         sobolev = _weighted_norms(layout(theta.coeffs), weights) if weights else []

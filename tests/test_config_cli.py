@@ -1836,18 +1836,19 @@ class TestCliArtifacts:
         return calls
 
     def test_estimates_report_synthesizes_each_sample_once(self, tmp_path, capsys, monkeypatch):
-        # theta(x) feeds the norm columns and the battery: the transport
-        # plan synthesizes it once per sample from the kept block, into a
-        # new grid (the kernel's own calls pass one), and the battery plan
-        # builds (-Lap)^alpha theta(x) without to_physical; only the initial
-        # field's amplitude calls to_physical
+        # theta(x) feeds the norm columns and the battery: each sample but
+        # the last reads the grid that the next step's first transport
+        # stage synthesized from the kept block, so theta is synthesized
+        # twice per step (the kernel's calls pass the scratch grid) and
+        # once more, into a new grid, for the final sample; the battery
+        # plan builds (-Lap)^alpha theta(x) without to_physical; only the
+        # initial field's amplitude calls to_physical
         calls = self._count_to_physical(monkeypatch)
-        samples = []
+        syntheses = []
         theta = dynamics._TransportPlan.theta
 
         def counted_theta(plan, coeffs, scratch, grid=None):
-            if grid is None:
-                samples.append(plan.n)
+            syntheses.append("sample" if grid is None else "transport")
             return theta(plan, coeffs, scratch, grid)
 
         monkeypatch.setattr(dynamics._TransportPlan, "theta", counted_theta)
@@ -1855,7 +1856,7 @@ class TestCliArtifacts:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["n_samples"] == 101
         assert calls == [64]
-        assert samples == [64] * 101
+        assert syntheses == ["transport"] * 200 + ["sample"]
 
     def test_sweep_members_synthesize_no_sample_through_to_physical(
         self, tmp_path, capsys, monkeypatch

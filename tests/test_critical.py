@@ -29,7 +29,7 @@ from sqglab.critical import (
     smallness_coefficient,
     sweep_with_runs,
 )
-from sqglab.dynamics import RunResult, SimulationState, default_dt, integrate
+from sqglab.dynamics import RunResult, SimulationState, _plan, default_dt, integrate
 from sqglab.errors import BlowUpError, CflWarning
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
@@ -373,6 +373,33 @@ class TestSweeps:
         # 41 and 81 samples: kept blocks would add 4 x 40 x 22.5 kB
         short, long = peak(0.5), peak(1.0)
         assert long <= 1.1 * short, (short, long)
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_worker_allocates_one_buffer_set(self, torus32, monkeypatch, max_workers):
+        # each worker's members march through its one transport scratch,
+        # and its sample pass reads every linf grid from the same set: every
+        # synthesis in the sweep writes into the half plane of one of them
+        plan_type = type(_plan(torus32))
+        scratch, synthesize = plan_type.scratch, plan_type.synthesize
+        made, used = [], set()
+
+        def counted(self):
+            made.append(scratch(self))
+            return made[-1]
+
+        def recording(self, mult, coeffs, buffers, grid):
+            used.add(id(buffers[0]))
+            return synthesize(self, mult, coeffs, buffers, grid)
+
+        monkeypatch.setattr(plan_type, "scratch", counted)
+        monkeypatch.setattr(plan_type, "synthesize", recording)
+        config = AlphaSweepConfig(
+            theta0=random_smooth_field(torus32, seed=7, amplitude=0.05),
+            kappa=0.2, alphas=(0.75, 0.65, 0.55), t_end=0.1, dt=0.0125,
+        )
+        sweep_with_runs(config, max_workers=max_workers)
+        assert len(made) == max_workers
+        assert used == {id(buffers[0]) for buffers in made}
 
     @pytest.mark.parametrize(
         "kind, domain, sections",

@@ -34,7 +34,7 @@ from sqglab.dynamics import (
     picard_reference,
     restrict_odd_extension,
 )
-from sqglab.errors import BlowUpError, CflWarning, FieldError
+from sqglab.errors import BasisError, BlowUpError, CflWarning, FieldError
 from sqglab.fields import random_smooth_field, shear_field
 from sqglab.spectral import (
     Basis,
@@ -397,11 +397,45 @@ class TestPrunedTorusKernel:
         want, want_speed = _full_width_transport(domain, coeffs)
         plan = _plan(domain)
         got, speed = _kernel_transport(plan, coeffs)
-        assert plan.synth.shape == (3, n, n // 3 + 1)
-        assert plan.transport(coeffs, plan.scratch())[0].shape == (n, n // 3 + 1)
+        cut = n // 3
+        assert plan.velocity.shape == (2, 2 * cut + 1, cut + 1)
+        assert [table.shape for table in plan.div] == [(2 * cut + 1, 1), (1, cut + 1)]
+        assert plan.transport(coeffs, plan.scratch())[0].shape == (n, cut + 1)
         assert np.all(got == want)
         assert speed == want_speed
         assert plan.speed(coeffs, plan.scratch()) == want_speed
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("layout", ["block", "full"])
+    def test_modes_past_the_cut_in_the_kept_columns_are_ignored(self, n, layout):
+        # a dealiased field plus modes in the rows |k1| > n/3 of the kept
+        # columns, which the 2/3 rule drops: the kernel reads the live rows only
+        domain = DomainSpec(n=n, box=2 * np.pi, basis=Basis.TORUS)
+        plan = _plan(domain)
+        cut = n // 3
+        smooth = dealias(_random_field(domain, n + 1, 1.0, True)).coeffs
+        noise = _full_spectrum_field(domain, n + 2).coeffs.copy()
+        noise[: cut + 1] = noise[n - cut :] = 0.0
+        noise[:, cut + 1 : n - cut] = 0.0
+        coeffs = smooth + noise
+        assert plan.kept(coeffs)[cut + 1 : n - cut].all()
+        want, want_speed = _full_width_transport(domain, coeffs)
+        assert np.all(want == _full_width_transport(domain, smooth)[0])
+        given = plan.kept(coeffs).copy() if layout == "block" else coeffs
+        block, speed = plan.transport(given, plan.scratch())
+        assert np.all(plan.assemble(block) == want)
+        assert speed == want_speed
+        assert plan.speed(given, plan.scratch()) == want_speed
+
+    def test_rows_past_the_cut_of_out_come_back_zero(self):
+        n = 64
+        domain = DomainSpec(n=n, box=2 * np.pi, basis=Basis.TORUS)
+        plan = _plan(domain)
+        block = plan.kept(random_smooth_field(domain, 5, amplitude=1.0).coeffs).copy()
+        out = np.full_like(block, np.nan)
+        plan.transport(block, plan.scratch(), out)
+        assert not out[n // 3 + 1 : n - n // 3].any()
+        assert np.all(out == plan.transport(block, plan.scratch())[0])
 
     def test_plan_building_leaves_scipy_fft_unloaded(self):
         # the transforms, fields and kernels of both bases run on numpy.fft
@@ -503,10 +537,16 @@ class TestKeptBlockTables:
         plan = _plan(domain)
         block = plan.kept(np.zeros(domain.spectral_shape)).shape
         assert plan.symbol.shape == block
-        assert plan.div.shape[1:] == block
         if basis is Basis.TORUS:
-            assert block == (n, n // 3 + 1)
-            assert plan.synth.shape[1:] == block
+            # the multipliers cover the block's 2c+1 live rows, the symbols
+            # of -d/dx_j one column and one row of them
+            cut = n // 3
+            assert block == (n, cut + 1)
+            assert plan.velocity.shape == (2, 2 * cut + 1, cut + 1)
+            assert [table.shape for table in plan.div] == [(2 * cut + 1, 1), (1, cut + 1)]
+            assert np.ndim(plan.scale) == 0
+        else:
+            assert plan.div.shape[1:] == block
         tables = _etd_tables(plan.symbol, SqgParams(kappa=0.2, alpha=0.75), 0.01)
         assert [table.shape for table in tables] == [block] * 3
         assert _block_weights(domain, 1.5)[0].shape == (math.prod(block),)
@@ -514,10 +554,12 @@ class TestKeptBlockTables:
     @pytest.mark.parametrize("n", [16, 32, 256, 2048])
     @pytest.mark.parametrize("box", [2 * np.pi, 1.0, 1e-100])
     def test_torus_tables_equal_the_full_layout_ones(self, n, box):
-        # the construction from the full-layout symbols the plan used to cut
+        # the construction from the full-layout symbols the plan used to cut:
+        # its live rows are the plan's tables, and the 2/3 rule zeroes the rest
         domain = DomainSpec(n=n, box=box, basis=Basis.TORUS)
         plan = _plan.__wrapped__(domain)
-        kept = np.s_[:, : n // 3 + 1]
+        cut = n // 3
+        kept = np.s_[:, : cut + 1]
         mask = dealias_mask(domain)[kept]
         r1, r2 = domain.riesz_symbols
         d1, d2 = derivative_symbols(domain)
@@ -525,8 +567,23 @@ class TestKeptBlockTables:
         synth *= mask / domain.box
         div = np.stack([d1[kept], d2[kept]]) * (mask * (-domain.box / (n * n)))
         symbol = domain.laplacian_symbol[kept]
-        for got, want in ((plan.synth, synth), (plan.div, div), (plan.symbol, symbol)):
+        dead = np.s_[:, cut + 1 : n - cut]
+        assert not (synth[dead].any() or div[dead].any())
+        live = [plan.live(table) for table in (*synth, *div)]
+        scale = np.full(live[2].shape, plan.scale)
+        column, row = (np.broadcast_to(table, live[3].shape) for table in plan.div)
+        pairs = [(plan.velocity[0], live[0]), (plan.velocity[1], live[1]), (scale, live[2])]
+        pairs += [(column, live[3]), (row, live[4]), (plan.symbol, symbol)]
+        for got, want in pairs:
             assert np.array_equal(_bits(got), _bits(want))
+
+    def test_plan_tables_stay_small_at_n_1024(self):
+        # the multipliers pinned by _plan's cache: the two live-row velocity
+        # tables (7.5 MB) and the divergence vectors; full-height synth and
+        # div tables held 28.0 MB
+        plan = _plan.__wrapped__(DomainSpec(n=1024, basis=Basis.TORUS))
+        tables = (plan.velocity, *plan.div, np.asarray(plan.scale))
+        assert sum(table.nbytes for table in tables) <= 8e6
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_box_symbol_equals_the_full_layout_one(self, n):
@@ -809,7 +866,7 @@ class TestIntegrateContract:
 
     def test_forcing_domain_mismatch(self, torus32, torus64):
         forcing = random_smooth_field(torus64, seed=15)
-        with pytest.raises(ValueError, match="forcing must live on the same domain"):
+        with pytest.raises(FieldError, match="forcing must live on the same domain") as err:
             params = SqgParams(kappa=0.1, alpha=0.75, forcing=forcing)
             theta0 = random_smooth_field(torus32, seed=16)
             integrate(
@@ -817,6 +874,20 @@ class TestIntegrateContract:
                 params,
                 StepperConfig(dt=0.01, t_end=0.02),
             )
+        assert err.value.field == "forcing"
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_state_time_must_be_finite(self, torus32, t):
+        with pytest.raises(FieldError, match="state time must be finite") as err:
+            SimulationState(t=t, theta=shear_field(torus32))
+        assert err.value.field == "t"
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.inf, np.nan])
+    def test_etd_step_must_be_positive_and_finite(self, torus32, dt):
+        params = SqgParams(kappa=0.1, alpha=0.75)
+        with pytest.raises(FieldError, match="dt must be positive and finite") as err:
+            etd_coefficients(torus32, params, dt)
+        assert err.value.field == "dt"
 
 
 def _reference_march(theta, params, config, steps):
@@ -1132,6 +1203,16 @@ class TestOddExtension:
             doubled[n + 1 :, 1:n], -inner[n - 1 : 0 : -1, 1:n], atol=1e-13
         )
 
+    def test_wrong_basis_or_size_is_rejected(self, dirichlet32, torus32, torus64):
+        with pytest.raises(BasisError, match="Dirichlet-basis fields only"):
+            embed_odd_extension(shear_field(torus32))
+        embedded = embed_odd_extension(random_smooth_field(dirichlet32, seed=17))
+        with pytest.raises(BasisError, match="targets a Dirichlet-basis domain"):
+            restrict_odd_extension(embedded, torus64)
+        with pytest.raises(FieldError, match="doubled torus of the target domain") as err:
+            restrict_odd_extension(shear_field(torus32), dirichlet32)
+        assert err.value.field == "field"
+
 
 class TestOddExtensionProperties:
     """Random Dirichlet boxes, seeds and amplitudes from 1e-3 to 1e2."""
@@ -1234,9 +1315,12 @@ class TestPicardReference:
         theta0 = shear_field(torus32)
         params = SqgParams(kappa=0.1, alpha=0.75)
         state = SimulationState(t=0.0, theta=theta0)
-        with pytest.raises(ValueError, match="iterations"):
+        with pytest.raises(FieldError, match="iterations") as err:
             picard_reference(state, params, 0.1, iterations=2)
-        with pytest.raises(ValueError, match="subintervals"):
+        assert err.value.field == "iterations"
+        with pytest.raises(FieldError, match="subintervals") as err:
             picard_reference(state, params, 0.1, subintervals=3)
-        with pytest.raises(ValueError, match="t_end"):
+        assert err.value.field == "subintervals"
+        with pytest.raises(FieldError, match="t_end") as err:
             picard_reference(state, params, -0.1)
+        assert err.value.field == "t_end"
