@@ -103,8 +103,9 @@ def smallness_coefficient(sup_norm_a: float, sup_norm_b: float, c1: float) -> fl
     the Riesz-transform velocity map are both exactly 1 (self-adjoint
     positive operator; isometries on the mean-free subspace).
     """
-    if sup_norm_a < 0 or sup_norm_b < 0:
-        raise ValueError("sup norms must be nonnegative")
+    for name, norm in (("sup_norm_a", sup_norm_a), ("sup_norm_b", sup_norm_b)):
+        if norm < 0:
+            raise FieldError(name, "sup norms must be nonnegative")
     return c1 * (-1.0 + (2.0 / math.pi + 2.0) * (sup_norm_a + sup_norm_b))
 
 
@@ -153,7 +154,7 @@ class AlphaSweepConfig:
         self.params_for(self.alphas[0])  # kappa and lam follow SqgParams' rules
         validate_run_settings(self.t_end, self.dt, self.sample_every)
         if self.forcing is not None and self.forcing.domain != self.theta0.domain:
-            raise ValueError("forcing must live on the same domain as theta0")
+            raise FieldError("forcing", "forcing must live on the same domain as theta0")
 
     @property
     def domain(self) -> DomainSpec:
@@ -217,10 +218,11 @@ class ConvergenceReport:
     def __post_init__(self) -> None:
         m = len(self.alphas)
         if len(self.sup_infnorms) != m:
-            raise ValueError("sup_infnorms must have one entry per alpha")
+            raise FieldError("sup_infnorms", "sup_infnorms must have one entry per alpha")
         pairs = m * (m - 1) // 2
         if self.distances.shape != (pairs, len(self.times)):
-            raise ValueError(
+            raise FieldError(
+                "distances",
                 f"distance table must be {pairs}x{len(self.times)}, got {self.distances.shape}"
             )
 
@@ -252,7 +254,7 @@ class ConvergenceReport:
 def h_minus_half_distance(a: SpectralField, b: SpectralField) -> float:
     """Distance between two mean-free fields in the :math:`H^{-1/2}` norm."""
     if a.domain != b.domain:
-        raise ValueError("fields must share a domain")
+        raise FieldError("b", "fields must share a domain")
     return sobolev_norm(a - b, -0.5)
 
 
@@ -305,11 +307,11 @@ def assemble_report(
     distance to the most critical run.
     """
     if len(runs) != len(config.alphas):
-        raise ValueError("need exactly one run per sweep alpha")
+        raise FieldError("runs", "need exactly one run per sweep alpha")
     times = tuple(runs[0].series.times)
     for run in runs[1:]:
         if tuple(run.series.times) != times:
-            raise ValueError("sweep runs must share their sample times")
+            raise FieldError("runs", "sweep runs must share their sample times")
 
     m = len(runs)
     sup_infnorms = tuple(
@@ -361,12 +363,13 @@ def sweep_with_runs(
 
     Members march on ``max_workers`` threads (one per member by default;
     the FFT work releases the interpreter lock).  Each thread owns one set
-    of transport buffers, which its members march through, and one sample
-    pass, which reads every sample's ``linf`` from the theta grid those
-    buffers hold (:func:`~sqglab.estimates._sample_pass`), and repeatedly
-    advances, by one sample interval, the least-advanced member (the
-    shortest queue) that no other thread is running (ties go to the lower
-    index), which keeps the threads balanced.  One lock guards the schedule and the queues.  One
+    of transport buffers, which its members march through, and each
+    member's sample pass (:func:`~sqglab.estimates._sample_pass`) reads
+    the member's ``linf`` from the theta grid those buffers hold.  A thread
+    repeatedly advances, by one sample interval, the least-advanced member
+    (the shortest queue) that no other thread is running (ties go to the
+    lower index), which keeps the threads balanced.  One lock guards the
+    schedule and the queues.  One
     :class:`~sqglab.dynamics.RunResult` per member is returned, in the
     order of ``config.alphas``; the runs and the report are bitwise
     independent of the pool size and the scheduling order.
@@ -398,15 +401,17 @@ def sweep_with_runs(
     m = len(config.alphas)
     lanes: list[list[np.ndarray]] = [[] for _ in range(m)]  # a run's transport buffers
     start = SimulationState(t=0.0, theta=config.theta0)
-    thread = threading.local()  # each worker's sample pass, lent its runs' buffers
 
-    def linf(state: SimulationState) -> dict[str, float]:
-        return {"linf": thread.sample(state.theta)[1]}
+    def member(alpha: float, lane: list[np.ndarray]):
+        # within the run the pass holds no buffer: it reads the lent scratch's theta grid
+        sample = _sample_pass(domain, (), ())
 
-    members = [
-        _sampled_run(start, config.params_for(alpha), stepper, linf, lanes[i])
-        for i, alpha in enumerate(config.alphas)
-    ]
+        def linf(state: SimulationState) -> dict[str, float]:
+            return {"linf": sample(state.theta)[1]}
+
+        return _sampled_run(start, config.params_for(alpha), stepper, linf, lane)
+
+    members = [member(alpha, lane) for alpha, lane in zip(config.alphas, lanes)]
     lock = threading.Lock()
     pending: list[deque[tuple[float, np.ndarray]]] = [deque() for _ in range(m)]  # no column yet
     busy = [False] * m
@@ -432,7 +437,7 @@ def sweep_with_runs(
                 raise
 
     def work() -> None:
-        scratch, thread.sample = plan.scratch(), _sample_pass(domain, (), ())
+        scratch = plan.scratch()
         try:
             while True:
                 with lock:
@@ -519,7 +524,7 @@ def pairwise_bound_check(
     )
     if c3_guess is not None:
         if c3_guess <= 0:
-            raise ValueError(f"c3_guess must be positive, got {c3_guess!r}")
+            raise FieldError("c3_guess", f"c3_guess must be positive, got {c3_guess!r}")
         for d, s in zip(deltas, sups):
             records.append(
                 InequalityRecord(
@@ -545,7 +550,7 @@ def interpolation_upgrade(
     a violation beyond round-off is therefore an internal error and raises.
     """
     if not 0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+        raise FieldError("epsilon", f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     diff = a - b
     zero = sobolev_norm(diff, 0.0)
     if zero == 0.0:

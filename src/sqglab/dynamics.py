@@ -22,8 +22,9 @@ two forward ones (the fluxes), whose complex passes skip the zeroed columns;
 every table and elementwise pass covers only the block's live rows
 ``|k1| <= n/3``, the rest of which the 2/3 rule zeroes too.
 The same pruned synthesis gives a sampled state's grid and the estimate
-battery's ``(-Lap)^a theta``, and one dealias test per plan tells every
-caller whether a field has modes past the cut.  Each pass is a per-axis
+battery's ``(-Lap)^a theta``; whether a field has modes past the cut is
+the spectral layer's one 2/3-rule test, and a field's speed ``max|u|`` is
+what the kernel returns beside the transport.  Each pass is a per-axis
 ``numpy.fft`` call writing into buffers the caller owns (the plan's
 ``scratch`` and an output block): theta is synthesized onto one grid, then
 u1 and u2 stream one at a time through a second grid, each multiplied by
@@ -75,7 +76,14 @@ import numpy as np
 
 from .errors import BasisError, BlowUpError, CflWarning, ConvergenceError, FieldError
 from .series import DiagnosticsSeries
-from .spectral import Basis, DomainSpec, SpectralField, _conjugate_mirror, _power_weights
+from .spectral import (
+    Basis,
+    DomainSpec,
+    SpectralField,
+    _conjugate_mirror,
+    _positive_power,
+    _power_weights,
+)
 
 __all__ = [
     "SqgParams",
@@ -143,11 +151,8 @@ class SqgParams:
 
     def _rate(self, symbol: np.ndarray) -> np.ndarray:
         """A new array of the decay rate of each mode, given its ``-Lap`` eigenvalue."""
-        rate = np.full(symbol.shape, float(self.lam))
-        positive = symbol > 0
         with np.errstate(over="ignore"):  # a huge kappa makes the rate inf
-            rate[positive] += self.kappa * symbol[positive] ** self.alpha
-        return rate
+            return self.lam + self.kappa * _positive_power(symbol, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -371,11 +376,10 @@ class _TransportPlan:
     The plan is the one owner of that block: :meth:`kept` cuts it from a
     full FFT-layout array or table, :meth:`assemble` builds the full layout
     back (zero middle columns ``c+1 .. n-c-1``, conjugate mirror
-    ``n-c .. n-1``), :meth:`is_real` and :meth:`confined` tell whether the
-    block determines an array, as a march requires, and :meth:`dealiased`
-    whether it has no mode past the cut.  :meth:`synthesize` is the one
-    pruned synthesis, which :meth:`transport`, :meth:`theta` and the
-    estimate battery's ``(-Lap)^a theta`` run: it reads the two live row
+    ``n-c .. n-1``), and :meth:`is_real` and :meth:`confined` tell whether
+    the block determines an array, as a march requires.  :meth:`synthesize`
+    is the one pruned synthesis, which :meth:`transport`, :meth:`theta` and
+    the estimate battery's ``(-Lap)^a theta`` run: it reads the two live row
     slabs of a block or of a full-layout array, so a state's modes in the
     kept columns beyond the cut are ignored, as the 2/3 rule asks.
 
@@ -480,19 +484,6 @@ class _TransportPlan:
         pad[self.cut + 1 : self.n - self.cut] = 0.0
         return extremes
 
-    def speed(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
-        """max|u| of a field, without forming the transport products.
-
-        u1 and u2 are synthesized in turn into the ``u`` grid of the
-        caller's :meth:`scratch`.
-        """
-        u = scratch[2]
-        extremes = []
-        for mult in self.velocity:
-            self.synthesize(mult, coeffs, scratch, u)
-            extremes += (u.max(), -u.min())
-        return float(max(extremes))
-
     def is_real(self, full: np.ndarray) -> bool:
         """Whether the mirror columns are the block's exact mirror and column 0 its own.
 
@@ -531,17 +522,12 @@ class _TransportPlan:
         weight[:, 0] = 1.0
         return weight
 
-    def dealiased(self, full: np.ndarray) -> bool:
-        """Whether a full-layout array is zero at every mode past the 2/3 cut."""
-        beyond = slice(self.cut + 1, self.n - self.cut)
-        return not (full[beyond].any() or full[:, beyond].any())
-
     def theta(
         self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...], grid: np.ndarray | None = None
     ) -> np.ndarray:
         """Grid values of the 2/3-rule cut of a field, in ``grid`` (a new array if ``None``).
 
-        The transport's theta, and the grid of a :meth:`dealiased` field.
+        The transport's theta, and the grid of a field with no mode past the cut.
         """
         return self.synthesize(self.scale, coeffs, scratch, grid)
 
@@ -614,12 +600,12 @@ class _DirichletPlan:
     :meth:`transport` writes the transport on the output block into
     ``out``, and :meth:`assemble` pads a block back to the full ``(n-1,
     n-1)`` layout.  A march keeps the block as its state, so it takes only
-    arrays that are zero outside it (:meth:`confined`); :meth:`dealiased`
-    says whether an array is zero past the input cut ``n/3``, the modes
-    the kernel reads.  Every buffer the kernel writes comes from
-    :meth:`scratch` and, like ``out``, belongs to the caller, since the plan
-    is shared by every caller of its domain.  A non-finite value passes
-    through silently, as in the march, to the caller's finite check.
+    arrays that are zero outside it (:meth:`confined`); the kernel reads
+    only the modes up to the input cut ``n/3``.  Every buffer the kernel
+    writes comes from :meth:`scratch` and, like ``out``, belongs to the
+    caller, since the plan is shared by every caller of its domain.  A
+    non-finite value passes through silently, as in the march, to the
+    caller's finite check.
     """
 
     n: int
@@ -691,14 +677,6 @@ class _DirichletPlan:
             out += np.multiply(self.div[1], rows_hat.real[:, 1 : c + 1], out=temp)
         return out, speed
 
-    def speed(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
-        """max|u| of a field, without forming the transport products.
-
-        The velocity is synthesized into the caller's :meth:`scratch`.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._synthesize(coeffs, scratch)
-
     def is_real(self, full: np.ndarray) -> bool:
         """Always true: sine coefficients are real."""
         return True
@@ -717,11 +695,6 @@ class _DirichletPlan:
     def multiplicity(self) -> np.ndarray:
         """How often each block mode occurs in the full layout: once."""
         return np.ones(self.div.shape[1:])
-
-    def dealiased(self, full: np.ndarray) -> bool:
-        """Whether a full-layout array is zero at every mode past the input cut ``n/3``."""
-        cut = self.synth.shape[1]
-        return not (full[cut:].any() or full[:, cut:].any())
 
     def _synthesize(self, coeffs: np.ndarray, scratch: tuple[np.ndarray, ...]) -> float:
         """Write the grid of u1, u2 and theta and the interior pairs ``u2 + i u1``; return max|u|.
@@ -847,14 +820,15 @@ def nonlinear_rhs(theta: SpectralField) -> SpectralField:
 def advective_speed(theta: SpectralField) -> float:
     """Maximum pointwise speed ``max |u|`` of the induced velocity.
 
-    Synthesizes the velocity components directly (no transport products), so
-    it stays finite for any finite field -- including the huge pre-divergence
-    states the stepper inspects when it aborts a run.  Matches the speed used
-    in the transport term: the input is dealiased first, and the maximum is
-    taken over the same grid.
+    The speed the transport kernel returns, bit for bit: the input is
+    dealiased first, and the maximum is taken over the kernel's grid.  The
+    kernel takes the velocity's extremes before it forms the products, so
+    the speed stays finite for any finite field, even one whose products
+    overflow, which they do silently.
     """
     plan = _plan(theta.domain)
-    return plan.speed(theta.coeffs, plan.scratch())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plan.transport(theta.coeffs, plan.scratch())[1]
 
 
 def default_dt(theta0: SpectralField) -> float:

@@ -16,8 +16,9 @@ The families covered:
 * a higher-Sobolev differential-inequality monitor (boundedness witness),
 * tail mass against a smooth radial cutoff.
 
-Every run reads its samples through one sample pass, built per run (per
-worker thread in a sweep): it owns every buffer a sample writes, gets
+Every run, a sweep's members included, reads its samples through one
+sample pass of its own: it owns every buffer a sample writes besides the
+run's transport scratch, which the run lends it, gets
 theta's grid, gives the Sobolev and L^q norms and, in
 ``estimates-report``, runs the battery, whose positivity integrals come
 from the pass that gives the L^q norms.  A sweep member's pass gives its
@@ -25,9 +26,9 @@ sup norm only.  The pointwise and positivity checks of a state run on one
 read-only plan per (domain, order), cached like the transport plans, and
 write into buffers the caller owns (the plan's ``scratch()``).  The plan
 holds its domain's transport plan, the one owner of the block of modes
-the 2/3 rule keeps: its tables are cut with that plan, whether a state
-has modes past the cut is that plan's dealias test, and on the torus
-``(-Lap)^a theta`` is that plan's pruned synthesis of the block.  The
+the 2/3 rule keeps: its tables are cut with that plan, and on the torus
+``(-Lap)^a theta`` is that plan's pruned synthesis of the block.  Whether
+a state has modes past the cut is the spectral layer's 2/3-rule test.  The
 square of the pointwise inequality is formed alias-free on the grid of
 3n/2 points; every transform is a per-axis ``numpy.fft`` pass whose
 axis-0 passes run only on the columns that can be nonzero.  The
@@ -46,12 +47,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import _block_weights, _DirichletPlan, _lent_scratch, _plan, _TransportPlan
-from .errors import NonFiniteError
+from .errors import FieldError, NonFiniteError
 from .spectral import (
     Basis,
     DomainSpec,
     PhysicalField,
     SpectralField,
+    _dealiased,
     _grid_norms,
     _positive_power,
     _sobolev_weights,
@@ -126,12 +128,12 @@ class InequalityRecord:
 
 def _check_q(q: float) -> None:
     if q < 2 or not np.isfinite(q):
-        raise ValueError(f"q must lie in [2, inf), got {q}")
+        raise FieldError("q", f"q must lie in [2, inf), got {q}")
 
 
-def _check_sampled(times: Sequence[float], norms: Sequence[float]) -> None:
+def _check_sampled(times: Sequence[float], norms: Sequence[float], name: str = "norms") -> None:
     if len(times) != len(norms):
-        raise ValueError(f"{len(times)} sample times for {len(norms)} norms")
+        raise FieldError(name, f"{len(times)} sample times for {len(norms)} norms")
 
 
 def _power(x: float, p: float) -> float:
@@ -225,7 +227,7 @@ def damped_energy_monitor(times: Sequence[float], norms: Sequence[float], lam: f
     that margin on purpose.  The records use the relative tolerance 1e-6.
     """
     if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+        raise FieldError("lam", f"lam must be nonnegative, got {lam}")
     _check_sampled(times, norms)
     if not norms:
         return []
@@ -247,7 +249,7 @@ def damped_energy_monitor(times: Sequence[float], norms: Sequence[float], lam: f
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise FieldError("alpha", f"alpha must lie in [0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -259,12 +261,12 @@ class _BatteryPlan:
     :meth:`check` gives a state's Córdoba slack and ``(-Lap)^a theta``
     grid, which the sample pass (:func:`_sample_pass`) turns into the
     positivity integrals.
-    ``transport`` is the domain's transport plan, which owns the kept block
-    and answers whether a state has modes past the 2/3 cut
-    (``transport.dealiased``).  On a Dirichlet box ``synth`` and ``square``
-    are ``None`` and the checks keep ``to_physical`` and the same-grid
-    eigenexpansion of the square (it converges, but its truncation shows up
-    as boundary-layer noise).
+    ``transport`` is the domain's transport plan, which owns the kept
+    block; whether a state has modes past the 2/3 cut is
+    :func:`~sqglab.spectral._dealiased`.  On a Dirichlet box ``synth`` and
+    ``square`` are ``None`` and the checks keep ``to_physical`` and the
+    same-grid eigenexpansion of the square (it converges, but its
+    truncation shows up as boundary-layer noise).
 
     On the torus a dealiased phi has modes ``|k_i| <= c = floor(n/3)``,
     all in the columns ``0 .. c`` of its ``rfft2`` half plane (the kept
@@ -323,7 +325,7 @@ class _BatteryPlan:
     ) -> np.ndarray:
         """Grid values of ``(-Lap)^a phi``; ``values`` (phi's) at a = 0.
 
-        ``dealiased`` is the transport plan's ``dealiased(phi.coeffs)``.  A
+        ``dealiased`` is ``_dealiased(phi.coeffs, domain)``.  A
         dealiased torus phi is synthesized into the first scratch grid, its
         live rows copied to the zeroed kept block; a box phi, or one with
         modes past the cut, goes through ``to_physical``.
@@ -406,8 +408,8 @@ class _BatteryPlan:
     ) -> tuple[float, np.ndarray]:
         """Córdoba minimum slack of one state, and its ``(-Lap)^a theta`` grid.
 
-        ``values`` are theta's grid values and ``dealiased`` the transport
-        plan's ``dealiased(theta.coeffs)``, both of which a run's sample has
+        ``values`` are theta's grid values and ``dealiased`` is
+        ``_dealiased(theta.coeffs, domain)``, both of which a run's sample has
         already formed.  When theta has modes beyond the dealias cut, the
         Córdoba check reads ``dealias(theta)``, synthesized once more.  The
         returned grid may be the first scratch grid; the other two are free
@@ -521,7 +523,7 @@ def _sample_pass(
         return plan.theta(coeffs, transforms)
 
     def sample(theta: SpectralField) -> tuple:
-        dealiased = plan.dealiased(theta.coeffs)
+        dealiased = _dealiased(theta.coeffs, domain)
         if torus and dealiased:
             grid = PhysicalField(synthesized(theta.coeffs), domain)
         else:
@@ -579,7 +581,8 @@ def positivity_integral_check(theta: SpectralField, q: float, alpha: float) -> f
     _check_alpha(alpha)
     values = to_physical(theta).values
     plan = _battery_plan(theta.domain, alpha)
-    diss = plan.dissipated(theta, values, plan.scratch(), plan.transport.dealiased(theta.coeffs))
+    dealiased = _dealiased(theta.coeffs, theta.domain)
+    diss = plan.dissipated(theta, values, plan.scratch(), dealiased)
     return _grid_norms(values, theta.domain, [q], diss)[2][0]
 
 
@@ -610,9 +613,9 @@ def sobolev_bound_monitor(
     ``times[i]``; the first and last ``mid_norms`` are not read.
     """
     if l < params.alpha:
-        raise ValueError(f"Sobolev index l={l} must be >= alpha={params.alpha}")
+        raise FieldError("l", f"Sobolev index l={l} must be >= alpha={params.alpha}")
     _check_sampled(times, norms)
-    _check_sampled(times, mid_norms)
+    _check_sampled(times, mid_norms, "mid_norms")
     if len(times) < 3:
         return []
     energies = [_power(norm, 2) for norm in norms]
@@ -653,7 +656,7 @@ class CutoffSpec:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"cutoff radius k must be positive, got {self.k}")
+            raise FieldError("k", f"cutoff radius k must be positive, got {self.k}")
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Dilated profile eta_k(r) = eta(r / k)."""
@@ -663,7 +666,8 @@ class CutoffSpec:
     def field_on(self, domain: DomainSpec) -> PhysicalField:
         """Sample eta_k centered at the box center on the domain's grid."""
         if 4.0 * self.k > domain.box:
-            raise ValueError(
+            raise FieldError(
+                "k",
                 f"transition annulus of k={self.k} does not fit: need 4k <= box={domain.box}"
             )
         x1, x2 = domain.physical_coordinates

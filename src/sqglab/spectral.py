@@ -675,20 +675,30 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(_cut_beyond(field.coeffs.copy(), field.domain), field.domain)
 
 
-def _cut_beyond(coeffs: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Zero, in place, the modes of a full-layout array that the 2/3 rule drops.
+def _beyond(domain: DomainSpec) -> slice:
+    """The rows, and the columns, of a full-layout array that the 2/3 rule drops.
 
-    Those are the modes with ``max(|k₁|, |k₂|) > n/3``, that is the rows
-    and columns whose index passes ``n/3``: on the torus the FFT indices
-    ``n/3+1 .. n-n/3-1``, on the Dirichlet box the sine indices past
-    ``n/3``.  Returns ``coeffs``.
+    Those hold the modes with ``max(|k₁|, |k₂|) > n/3``: on the torus the
+    FFT indices ``n/3+1 .. n-n/3-1``, on the Dirichlet box the sine indices
+    past ``n/3``.
     """
     n = domain.n
     cut = n // 3
-    beyond = slice(cut + 1, n - cut) if domain.basis is Basis.TORUS else slice(cut, None)
+    return slice(cut + 1, n - cut) if domain.basis is Basis.TORUS else slice(cut, None)
+
+
+def _cut_beyond(coeffs: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """Zero, in place, the modes of a full-layout array that the 2/3 rule drops; return it."""
+    beyond = _beyond(domain)
     coeffs[beyond] = 0.0
     coeffs[:, beyond] = 0.0
     return coeffs
+
+
+def _dealiased(coeffs: np.ndarray, domain: DomainSpec) -> bool:
+    """Whether a full-layout array is zero at every mode the 2/3 rule drops."""
+    beyond = _beyond(domain)
+    return not (coeffs[beyond].any() or coeffs[:, beyond].any())
 
 
 # ---------------------------------------------------------------------------

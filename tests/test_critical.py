@@ -22,6 +22,7 @@ from sqglab.critical import (
     AlphaSweepConfig,
     ConvergenceReport,
     _coercivity,
+    assemble_report,
     h_minus_half_distance,
     interpolation_upgrade,
     l43_interpolation_check,
@@ -30,8 +31,9 @@ from sqglab.critical import (
     sweep_with_runs,
 )
 from sqglab.dynamics import RunResult, SimulationState, _plan, default_dt, integrate
-from sqglab.errors import BlowUpError, CflWarning
+from sqglab.errors import BlowUpError, CflWarning, FieldError
 from sqglab.fields import random_smooth_field, shear_field
+from sqglab.series import DiagnosticsSeries
 from sqglab.spectral import (
     Basis,
     DomainSpec,
@@ -134,8 +136,12 @@ class TestSmallness:
         assert smallness_coefficient(1.1 * half, 1.1 * half, 1.0) > 0.0
 
     def test_negative_norms_rejected(self):
-        with pytest.raises(ValueError, match="sup norms must be nonnegative"):
+        with pytest.raises(FieldError, match="sup norms must be nonnegative") as err:
             smallness_coefficient(-0.1, 0.0, 1.0)
+        assert err.value.field == "sup_norm_a"
+        with pytest.raises(FieldError, match="sup norms must be nonnegative") as err:
+            smallness_coefficient(0.0, -0.1, 1.0)
+        assert err.value.field == "sup_norm_b"
 
     def test_from_domain_coercivity(self, torus32):
         # 2*pi box: smallest positive |k|^2 is 1, so c1 = 1/sqrt(2 kappa).
@@ -165,8 +171,9 @@ class TestHMinusHalfDistance:
     def test_domain_mismatch(self, torus32, torus64):
         a = random_smooth_field(torus32, seed=5)
         b = random_smooth_field(torus64, seed=5)
-        with pytest.raises(ValueError, match="must share a domain"):
+        with pytest.raises(FieldError, match="must share a domain") as err:
             h_minus_half_distance(a, b)
+        assert err.value.field == "b"
 
 
 class TestSweepConfig:
@@ -198,10 +205,11 @@ class TestSweepConfig:
             AlphaSweepConfig(theta0=theta0, kappa=0.1, t_end=0.005, dt=1.0)
         with pytest.raises(ValueError, match="sample_every must be a positive integer"):
             AlphaSweepConfig(theta0=theta0, kappa=0.1, sample_every=0)
-        with pytest.raises(ValueError, match="forcing must live on the same domain"):
+        with pytest.raises(FieldError, match="forcing must live on the same domain") as err:
             AlphaSweepConfig(
                 theta0=theta0, kappa=0.1, forcing=shear_field(torus64, amplitude=0.1)
             )
+        assert err.value.field == "forcing"
 
     def test_cfl_dt_capped_by_horizon(self, torus32):
         # a pinned dt above t_end is rejected; the CFL-derived one is capped
@@ -221,12 +229,20 @@ class TestSweepConfig:
 class TestConvergenceReport:
     def test_distance_table_shape_validation(self):
         # three runs make three pairs: one row per pair, one column per time
-        with pytest.raises(ValueError, match="distance table must be 3x2, got"):
+        with pytest.raises(FieldError, match="distance table must be 3x2, got") as err:
             ConvergenceReport(
                 alphas=(0.75, 0.6, 0.55), times=(0.0, 0.1), distances=np.zeros((2, 2)),
                 sup_infnorms=(1.0, 1.0, 1.0), smallness_coeff=-1.0,
                 per_pair_bound=(), fitted_exponent=0.0,
             )
+        assert err.value.field == "distances"
+        with pytest.raises(FieldError, match="one entry per alpha") as err:
+            ConvergenceReport(
+                alphas=(0.75, 0.6, 0.55), times=(0.0, 0.1), distances=np.zeros((3, 2)),
+                sup_infnorms=(1.0, 1.0), smallness_coeff=-1.0,
+                per_pair_bound=(), fitted_exponent=0.0,
+            )
+        assert err.value.field == "sup_infnorms"
         table = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         report = ConvergenceReport(
             alphas=(0.75, 0.6, 0.55), times=(0.0, 0.1), distances=table,
@@ -333,10 +349,21 @@ class TestSweeps:
         bounds = pairwise_bound_check(report, c3_guess=2.0)[-len(report.per_pair_bound) :]
         assert [b.rhs for b in bounds] == [(2.0 / c2) * d for d, _, _ in report.per_pair_bound]
 
+    def test_report_needs_one_run_per_alpha_on_shared_times(self, small_sweep):
+        config, report, runs, _ = small_sweep
+        with pytest.raises(FieldError, match="one run per sweep alpha") as err:
+            assemble_report(config, runs[1:], report.distances)
+        assert err.value.field == "runs"
+        unsampled = RunResult(DiagnosticsSeries(), runs[1].final)
+        with pytest.raises(FieldError, match="share their sample times") as err:
+            assemble_report(config, [runs[0], unsampled, *runs[2:]], report.distances)
+        assert err.value.field == "runs"
+
     def test_pairwise_bound_rejects_nonpositive_c3(self, small_sweep):
         _, report, _, _ = small_sweep
-        with pytest.raises(ValueError, match="c3_guess must be positive"):
+        with pytest.raises(FieldError, match="c3_guess must be positive") as err:
             pairwise_bound_check(report, c3_guess=0.0)
+        assert err.value.field == "c3_guess"
 
     @pytest.mark.parametrize("max_workers", [1, 2, None])
     def test_results_do_not_depend_on_the_pool(self, small_sweep, max_workers):
@@ -572,8 +599,9 @@ class TestInterpolationUpgrade:
     def test_epsilon_validation(self, torus32):
         a = random_smooth_field(torus32, seed=13)
         for eps in (0.0, 0.5, -0.1):
-            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/2\)"):
+            with pytest.raises(FieldError, match=r"epsilon must lie in \(0, 1/2\)") as err:
                 interpolation_upgrade(a, a, eps)
+            assert err.value.field == "epsilon"
 
 
 class TestL43Check:

@@ -75,7 +75,9 @@ def test_cli_imports_no_private_kernel():
     assert private == []
 
 
-@pytest.mark.parametrize("module", ["operators.py", "fields.py", "dynamics.py"])
+@pytest.mark.parametrize(
+    "module", ["operators.py", "fields.py", "dynamics.py", "critical.py", "estimates.py"]
+)
 def test_raises_no_bare_value_or_type_error(module):
     # a bad argument raises FieldError naming it, a broken spectrum
     # NonFiniteError; both stay ValueErrors for callers that catch those
